@@ -324,6 +324,12 @@ def _parse_w0(block, lattice: Lattice, dispersion: Dispersion, where: str) -> np
     )
 
 
+# Values of the optional ``method`` key.  It selects nothing, since every
+# collision sum runs on one time-domain engine, but configs and manifests
+# written by earlier versions carry it, so it is still accepted and checked.
+_COLLISION_METHODS = ("direct", "fft")
+
+
 def _parse_collision(
     lattice: Lattice,
     dispersion: Dispersion,
@@ -331,7 +337,7 @@ def _parse_collision(
     method,
     where: str,
 ) -> CollisionConfig:
-    """Build a CollisionConfig from a delta-model descriptor."""
+    """Build a CollisionConfig from a delta-model descriptor (``method`` is only checked)."""
     if not isinstance(delta_block, Mapping):
         raise ConfigError(f"{where}: delta model must be an object")
     model = delta_block.get("model")
@@ -351,9 +357,9 @@ def _parse_collision(
         }
     else:
         raise ConfigError(f"{where}: unknown delta model {model!r}; expected gaussian | fejer")
-    if method is None:
-        method = "fft" if model == "gaussian" else "direct"
-    return CollisionConfig(lattice=lattice, dispersion=dispersion, method=str(method), **kwargs)
+    if method is not None and method not in _COLLISION_METHODS:
+        raise ConfigError(f"{where}: unknown method {method!r}; expected one of {_COLLISION_METHODS}")
+    return CollisionConfig(lattice=lattice, dispersion=dispersion, **kwargs)
 
 
 def _load_block(params: Mapping, name: str, where: str):

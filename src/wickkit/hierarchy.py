@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import integrate as _sp_integrate
 
 from .cumulants import CumulantTable, MomentOracle, moments_from_cumulants
 from .indexing import EMPTY, Index, LabeledSeq, canonical_key
@@ -183,8 +182,10 @@ def integrate_hierarchy(
 def _quad_complex(fn: Callable[[float], complex], a: float, b: float) -> complex:
     if a == b:
         return 0.0 + 0.0j
-    re, _ = _sp_integrate.quad(lambda s: fn(s).real, a, b, epsabs=1e-12, limit=200)
-    im, _ = _sp_integrate.quad(lambda s: fn(s).imag, a, b, epsabs=1e-12, limit=200)
+    from scipy.integrate import quad  # deferred: keeps scipy off the CLI import path
+
+    re, _ = quad(lambda s: fn(s).real, a, b, epsabs=1e-12, limit=200)
+    im, _ = quad(lambda s: fn(s).imag, a, b, epsabs=1e-12, limit=200)
     return complex(re, im)
 
 

@@ -12,17 +12,27 @@ solver, the finite-coupling windowed kernel whose tau-average approaches
 C(W), the decay rate of field time-correlations, and the dispersive bound
 on the first-order non-pairing remainder.
 
-Two energy-delta models are supported:
+Two energy-delta models are supported, and both are cosine transforms of a
+time weight, delta(x) = (1/pi) int_0^inf f(t) cos(t x) dt:
 
-* ``gaussian``: delta_eps(x) = exp(-x^2 / 2 eps^2) / (eps sqrt(2 pi)); the
-  generic broadened delta used by the long-time solver.  It also admits an
-  FFT evaluation path: writing delta_eps as a cosine transform turns each
-  time node into a handful of lattice FFTs instead of a double k-sum.
+* ``gaussian``: delta_eps(x) = exp(-x^2 / 2 eps^2) / (eps sqrt(2 pi)), the
+  generic broadened delta used by the long-time solver; f(t) =
+  exp(-eps^2 t^2 / 2), sampled by the midpoint rule out to t = 9 / eps.
 * ``fejer``: the window that the finite-time, finite-coupling dynamics
   actually produces.  Integrating the oscillatory phase over the time
   window [0, tau / coupling^2] twice yields exactly
   2 coupling^2 (1 - cos(T Omega)) / Omega^2 with T = tau / coupling^2,
-  which normalizes to the unit-mass kernel (T / 2 pi) sinc^2(T Omega / 2 pi).
+  which normalizes to the unit-mass kernel (T / 2 pi) sinc^2(T Omega / 2 pi);
+  f(t) is the triangle 1 - t/T on [0, T].  The integrand is entire in t, so
+  Gauss-Legendre quadrature on [0, T] converges spectrally once the node
+  count passes T max|Omega| / 2; the rule uses that many plus 16 (split
+  into panels of at most 256 nodes).
+
+Either way delta(Omega) becomes a weighted sum of cos(t_j Omega) over time
+nodes t_j, and at each node the exact momentum constraint
+k + k1 = k2 + k3 factorizes in position space: one engine evaluates every
+collision sum with four lattice FFTs per node instead of a double k-sum.
+The pre-limit kernel is 2 pi tau times the Fejér sums and shares it.
 
 The loss rate is kept as the real (delta) part only:
 
@@ -41,7 +51,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum
 from .errors import ConfigError, GuardError
@@ -62,7 +71,6 @@ __all__ = [
 ]
 
 _DELTA_MODELS = ("gaussian", "fejer")
-_METHODS = ("direct", "fft")
 
 
 def _omega_grid_spacing(omega: np.ndarray) -> float:
@@ -80,9 +88,10 @@ class CollisionConfig:
     ``delta_model`` is ``gaussian`` (width ``epsilon``, defaulting to four
     times the mean spacing of the distinct dispersion values) or ``fejer``
     (parameters ``window_tau`` and ``window_coupling``; the window support
-    in time is T = window_tau / window_coupling^2).  ``method`` selects the
-    brute double k-sum (``direct``) or the FFT path (``fft``, Gaussian
-    model only).
+    in time is T = window_tau / window_coupling^2).  Both models run on the
+    same time-domain engine: the Gaussian one on midpoint nodes out to
+    t = 9 / epsilon, the Fejér one on Gauss-Legendre nodes on [0, T], about
+    T max|Omega| / 2 + 16 of them.
     """
 
     lattice: Lattice
@@ -91,18 +100,15 @@ class CollisionConfig:
     epsilon: float | None = None
     window_tau: float | None = None
     window_coupling: float | None = None
-    method: str = "direct"
 
     def __post_init__(self) -> None:
         if self.delta_model not in _DELTA_MODELS:
             raise ConfigError(f"unknown delta model {self.delta_model!r}; expected one of {_DELTA_MODELS}")
-        if self.method not in _METHODS:
-            raise ConfigError(f"unknown method {self.method!r}; expected one of {_METHODS}")
         if self.lattice.dimension != self.dispersion.dimension:
             raise ConfigError("lattice and dispersion dimensions differ")
         if self.delta_model == "gaussian":
-            if self.epsilon is not None and not self.epsilon > 0.0:
-                raise ConfigError("gaussian delta width must be positive")
+            if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+                raise ConfigError("gaussian delta width must be positive and finite")
             if self.epsilon is None and _omega_grid_spacing(self.dispersion.omega(self.lattice)) == 0.0:
                 raise ConfigError("dispersion is flat; give an explicit delta width")
         else:
@@ -110,8 +116,8 @@ class CollisionConfig:
                 raise ConfigError("fejer model needs window_tau and window_coupling")
             if not (self.window_tau > 0.0 and self.window_coupling > 0.0):
                 raise ConfigError("fejer window parameters must be positive")
-            if self.method == "fft":
-                raise ConfigError("the FFT path supports only the gaussian delta model")
+            if not 0.0 < self.window_support < math.inf:
+                raise ConfigError(f"fejer window support {self.window_support!r} must be positive and finite")
 
     def omega(self) -> np.ndarray:
         return self.dispersion.omega(self.lattice)
@@ -174,93 +180,124 @@ def _spectrum_values(w: np.ndarray | Spectrum, lattice: Lattice) -> np.ndarray:
     values = w.values if isinstance(w, Spectrum) else np.asarray(w, dtype=float)
     if values.shape != lattice.shape:
         raise ConfigError(f"spectrum shape {values.shape} does not match lattice shape {lattice.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("spectrum has a non-finite entry")
     return values
 
 
-@lru_cache(maxsize=8)
-def _index_tables(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
-    """Flat-index tables for momentum addition and subtraction mod the grid."""
-    side, dim = lattice.side, lattice.dimension
-    coords = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
-    add = coords[:, None, :] + coords[None, :, :]
-    sub = coords[:, None, :] - coords[None, :, :]
-    weights = side ** np.arange(dim - 1, -1, -1)
-    return (add % side) @ weights, (sub % side) @ weights
+# The engine evaluates its time nodes in blocks of (nodes, *lattice.shape)
+# arrays of at most this many complex elements (256 KB each, about L2 size),
+# so memory stays bounded whatever the node count and lattice size.
+_BLOCK_ELEMENTS = 1 << 14
+# Gauss-Legendre nodes per Fejér panel at most; leggauss costs O(n^3).
+_PANEL_NODES = 256
+# More time nodes than this means a delta width far below what the grid can
+# resolve (or a window far longer); such configs are rejected up front.
+_MAX_TIME_NODES = 1 << 22
 
 
-def _collision_sums_direct(values: np.ndarray, config: CollisionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(gain sum, loss sum) of the energy-delta-weighted double k-sums.
+def _check_node_count(n_nodes: float) -> None:
+    """Reject a node count (or an estimate of it, possibly inf) over the limit."""
+    if not n_nodes <= _MAX_TIME_NODES:
+        raise ConfigError(
+            f"the energy delta needs {n_nodes:.3g} time nodes (limit {_MAX_TIME_NODES}); "
+            "widen the delta or shorten the window"
+        )
 
-    gain(k) = sum delta(Omega) W1 W2 W3 and
-    loss(k) = sum delta(Omega) [W2 W3 - W1 W3 - W1 W2], both over all
-    (k1, k2) grid pairs with k3 = k + k1 - k2.
-    """
-    lattice = config.lattice
-    omega = config.omega().ravel()
-    w = values.ravel()
-    add, sub = _index_tables(lattice)
-    size = lattice.size
-    gain = np.zeros(size)
-    loss = np.zeros(size)
-    for k1 in range(size):
-        idx3 = sub[add[:, k1][:, None], np.arange(size)[None, :]]  # (k, k2)
-        gap = omega[:, None] + omega[k1] - omega[None, :] - omega[idx3]
-        weights = config.delta_weights(gap)
-        w3 = w[idx3]
-        w2w3 = w[None, :] * w3
-        gain += w[k1] * np.sum(weights * w2w3, axis=1)
-        loss += np.sum(weights * (w2w3 - w[k1] * w3 - w[k1] * w[None, :]), axis=1)
-    return gain.reshape(lattice.shape), loss.reshape(lattice.shape)
+
+def _omega_span(config: CollisionConfig) -> float:
+    """Bound on |Omega| = |omega + omega1 - omega2 - omega3| over the grid."""
+    omega = config.omega()
+    return 2.0 * float(omega.max() - omega.min())
 
 
 def _gaussian_time_nodes(config: CollisionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint nodes and weights for delta_eps(x) = (1/pi) int_0^inf cos(t x) e^{-eps^2 t^2/2} dt."""
     eps = config.resolved_epsilon()
-    omega = config.omega()
-    omega_span = 2.0 * float(omega.max() - omega.min())
     t_cut = 9.0 / eps
-    dt = 2.0 * math.pi / (omega_span + 12.0 * eps)
-    n_nodes = max(8, int(math.ceil(t_cut / dt)))
+    dt = 2.0 * math.pi / (_omega_span(config) + 12.0 * eps)
+    _check_node_count(t_cut / dt)
+    n_nodes = max(8, math.ceil(t_cut / dt))
     dt = t_cut / n_nodes
     nodes = (np.arange(n_nodes) + 0.5) * dt
     weights = (dt / math.pi) * np.exp(-0.5 * (eps * nodes) ** 2)
     return nodes, weights
 
 
-def _collision_sums_fft(values: np.ndarray, config: CollisionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """FFT evaluation of the same (gain, loss) sums, Gaussian delta only.
+@lru_cache(maxsize=32)
+def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
-    Writing the delta as a cosine transform, each time node needs only
-    forward/inverse lattice FFTs: the exact momentum constraint
-    k + k1 = k2 + k3 factorizes over position space.
+
+def _fejer_time_nodes(config: CollisionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights for the Fejér kernel (1/pi) int_0^T (1 - t/T) cos(t x) dt.
+
+    [0, T] is cut into the fewest equal panels that keep T max|Omega| / 2 per
+    panel under _PANEL_NODES - 16; each panel gets that phase count plus 16
+    nodes, which makes the rule accurate to rounding.
     """
-    lattice = config.lattice
-    omega = config.omega()
-    size = lattice.size
-    nodes, weights = _gaussian_time_nodes(config)
-    gain = np.zeros(lattice.shape)
-    loss = np.zeros(lattice.shape)
-    for t, weight in zip(nodes, weights):
+    support = config.window_support
+    half_phase = 0.5 * support * _omega_span(config)
+    _check_node_count(half_phase)
+    panels = max(1, math.ceil(half_phase / (_PANEL_NODES - 16)))
+    x, w = _legendre_rule(math.ceil(half_phase / panels) + 16)
+    length = support / panels
+    nodes = (length * np.arange(panels)[:, None] + 0.5 * length * (x + 1.0)).ravel()
+    weights = np.tile((0.5 * length / math.pi) * w, panels) * (1.0 - nodes / support)
+    return nodes, weights
+
+
+def _time_domain_sums(
+    values: np.ndarray,
+    omega: np.ndarray,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(gain sum, loss sum) for the energy delta sum_j weights[j] cos(nodes[j] x).
+
+    gain(k) = sum delta(Omega) W1 W2 W3 and
+    loss(k) = sum delta(Omega) [W2 W3 - W1 W3 - W1 W2], both over all
+    (k1, k2) grid pairs with k3 = k + k1 - k2.  At each node t the exact
+    momentum constraint k + k1 = k2 + k3 factorizes over position space:
+    with u = sum_k W e^{i t omega} e^{+i2pik.x} and e the same sum without
+    W, the conjugates carry e^{-i t omega}, and four lattice FFTs per node
+    give both sums.  Nodes are batched along a leading axis; the weighted
+    node sum is a plain np.sum, so the result does not depend on BLAS
+    threads.
+    """
+    axes = tuple(range(1, values.ndim + 1))
+    block = max(1, _BLOCK_ELEMENTS // values.size)
+    gain = np.zeros(values.shape)
+    loss = np.zeros(values.shape)
+    for start in range(0, nodes.size, block):
+        t = nodes[start:start + block].reshape((-1,) + (1,) * values.ndim)
+        weight = weights[start:start + block].reshape(t.shape)
         phase = np.exp(1j * t * omega)
-        u = size * np.fft.ifftn(values * phase)  # sum_k W e^{i t omega} e^{+i2pik.x}
-        e = size * np.fft.ifftn(phase)
-        v = np.fft.fftn(values / phase)  # sum_k W e^{-i t omega} e^{-i2pik.x}
-        c = np.fft.fftn(1.0 / phase)
-        gain_term = np.fft.ifftn(u * v * v)
-        loss_term = np.fft.ifftn(e * v * v - 2.0 * u * v * c)
-        gain += weight * np.real(phase * gain_term)
-        loss += weight * np.real(phase * loss_term)
+        u = np.fft.ifftn(values * phase, axes=axes, norm="forward")
+        e = np.fft.ifftn(phase, axes=axes, norm="forward")
+        v = u.conj()
+        uv = u * v
+        gain_term = np.fft.ifftn(uv * v, axes=axes)
+        loss_term = np.fft.ifftn(e * v * v - 2.0 * uv * e.conj(), axes=axes)
+        gain += np.sum(weight * (phase * gain_term).real, axis=0)
+        loss += np.sum(weight * (phase * loss_term).real, axis=0)
     return gain, loss
 
 
 def _collision_sums(w: np.ndarray | Spectrum, config: CollisionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, gain sum, loss sum) on the time nodes of the config's delta model."""
     values = _spectrum_values(w, config.lattice)
     if float(values.min()) < 0.0:
         raise ConfigError(f"spectrum has a negative entry: min W = {float(values.min()):.3g}")
-    if config.method == "fft":
-        gain_sum, loss_sum = _collision_sums_fft(values, config)
+    if config.delta_model == "gaussian":
+        nodes, weights = _gaussian_time_nodes(config)
     else:
-        gain_sum, loss_sum = _collision_sums_direct(values, config)
+        nodes, weights = _fejer_time_nodes(config)
+    gain_sum, loss_sum = _time_domain_sums(values, config.omega(), nodes, weights)
     return values, gain_sum, loss_sum
 
 
@@ -323,27 +360,20 @@ def prelimit_kernel(
 
     Returns 2 L^-2d sum_{k1,k2} window(Omega) [bracket], the finite-coupling
     increment W_t - W_0 whose ratio to tau approaches C(W) as the coupling
-    goes to zero (the window concentrates: window = 2 pi tau * unit-mass
-    Fejér kernel of support T).
+    goes to zero.  Since window = 2 pi tau * unit-mass Fejér kernel of
+    support T, this is tau times the Fejér collision sums; only the lattice
+    and dispersion of ``config`` are used.
     """
-    values = _spectrum_values(w, config.lattice)
-    if float(values.min()) < 0.0:
-        raise ConfigError(f"spectrum has a negative entry: min W = {float(values.min()):.3g}")
-    lattice = config.lattice
-    omega = config.omega().ravel()
-    flat = values.ravel()
-    add, sub = _index_tables(lattice)
-    size = lattice.size
-    out = np.zeros(size)
-    for k1 in range(size):
-        idx3 = sub[add[:, k1][:, None], np.arange(size)[None, :]]
-        gap = omega[:, None] + omega[k1] - omega[None, :] - omega[idx3]
-        window = prelimit_window(gap, coupling, tau)
-        w3 = flat[idx3]
-        w2w3 = flat[None, :] * w3
-        bracket = flat[k1] * w2w3 + flat[:, None] * (w2w3 - flat[k1] * w3 - flat[k1] * flat[None, :])
-        out += np.sum(window * bracket, axis=1)
-    return Spectrum(values=(2.0 / size**2) * out.reshape(lattice.shape))
+    window = CollisionConfig(
+        lattice=config.lattice,
+        dispersion=config.dispersion,
+        delta_model="fejer",
+        window_tau=tau,
+        window_coupling=coupling,
+    )
+    values, gain_sum, loss_sum = _collision_sums(w, window)
+    scale = 4.0 * math.pi * tau / config.lattice.size**2
+    return Spectrum(values=scale * (gain_sum + values * loss_sum))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +408,9 @@ _CLAMP_FLOOR = -1e-9
 
 
 def _clamp_spectrum(values: np.ndarray) -> np.ndarray:
-    """Zero out tiny negatives; reject genuinely negative spectra."""
+    """Zero out tiny negatives; reject genuinely negative or non-finite spectra."""
+    if not np.all(np.isfinite(values)):
+        raise GuardError("spectrum became non-finite during the solve")
     lowest = float(values.min())
     if lowest < _CLAMP_FLOOR:
         raise GuardError(
@@ -541,6 +573,8 @@ def appendix_c_bound(
     if t < 0.0:
         raise ConfigError("t must be nonnegative")
     exponent = -(1.0 + fit.decay_exponent) / 2.0
+    from scipy.integrate import quad  # deferred: keeps scipy off the CLI import path
+
     upper = t if math.isfinite(t) else np.inf
     integral, _ = quad(lambda s: (1.0 + s * s) ** exponent, 0.0, upper)
     return coupling * kappa4_norm * fit.scale * integral

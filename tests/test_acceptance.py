@@ -346,8 +346,7 @@ def test_criterion_08_collision_operator_conservation_and_stationarity(capsys):
     disp3 = nearest_neighbor_dispersion(3)
     rng = np.random.default_rng(88)
     w_rand = rng.uniform(0.2, 1.8, lat3.shape)
-    cfg3 = CollisionConfig(lattice=lat3, dispersion=disp3, delta_model="gaussian",
-                           method="fft")
+    cfg3 = CollisionConfig(lattice=lat3, dispersion=disp3, delta_model="gaussian")
     coll = collision_operator(w_rand, cfg3).values
     number_rel = abs(coll.mean()) / np.mean(np.abs(coll))
     assert number_rel <= 1e-12
@@ -374,7 +373,7 @@ def test_criterion_08_collision_operator_conservation_and_stationarity(capsys):
     k3 = lat3.k_grid()[..., 0]
     pert = eql * (1.0 + 0.3 * np.cos(2 * np.pi * k3))
     cfg_sharp = CollisionConfig(lattice=lat3, dispersion=disp3, delta_model="gaussian",
-                                epsilon=0.0625, method="fft")
+                                epsilon=0.0625)
     sup_eql = float(np.max(np.abs(collision_operator(eql, cfg_sharp).values)))
     sup_pert = float(np.max(np.abs(collision_operator(pert, cfg_sharp).values)))
     elapsed = time.perf_counter() - t0
@@ -396,7 +395,7 @@ def test_criterion_09_prelimit_kernel_converges_to_collision_operator(capsys):
     w = (1.0 + 0.5 * np.cos(2 * np.pi * g[..., 0])
          + 0.25 * np.cos(2 * np.pi * g[..., 1]))
     cfg = CollisionConfig(lattice=lat, dispersion=disp, delta_model="gaussian",
-                          epsilon=0.35, method="fft")
+                          epsilon=0.35)
     ref = collision_operator(w, cfg).values
     tau = 0.1
     gaps = [np.abs(prelimit_kernel(w, lam, tau, cfg).values / tau - ref)
@@ -451,7 +450,7 @@ def test_criterion_11_correlation_decay_routes_and_equilibrium_rate(capsys):
     lat = Lattice(dimension=2, side=8)
     disp = nearest_neighbor_dispersion(2)
     cfg = CollisionConfig(lattice=lat, dispersion=disp, delta_model="gaussian",
-                          epsilon=0.0625, method="fft")
+                          epsilon=0.0625)
     g = lat.k_grid()
     w0 = (1.0 + 0.5 * np.cos(2 * np.pi * g[..., 0])
           + 0.25 * np.cos(2 * np.pi * g[..., 1]))

@@ -440,6 +440,31 @@ class TestBpSolve:
         path = write_config(tmp_path / "c.json", "bp-solve", params, out=str(tmp_path / "run"))
         assert main(["bp-solve", "--config", str(path)]) == 2
 
+    def test_non_finite_initial_spectrum_rejected(self, tmp_path, capsys):
+        params = dict(EQL_BP_PARAMS, w0={"kind": "cosine", "mean": float("nan"), "amplitudes": [1.0, 0.0]})
+        path = write_config(tmp_path / "c.json", "bp-solve", params, out=str(tmp_path / "run"))
+        assert main(["bp-solve", "--config", str(path)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == 2
+        assert not (tmp_path / "run" / "trajectory.csv").exists()
+
+    def test_method_key_is_checked_but_has_no_effect(self, tmp_path):
+        # every collision sum runs on one engine; old configs still carry the key
+        base = {k: v for k, v in EQL_BP_PARAMS.items() if k != "method"}
+        for name, params in (("none", base), ("direct", dict(base, method="direct"))):
+            path = write_config(tmp_path / f"{name}.json", "bp-solve", params, out=str(tmp_path / name))
+            assert main(["bp-solve", "--config", str(path)]) == 0
+        for name in ("trajectory.csv", "summary.json"):
+            assert (tmp_path / "none" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+        fejer = dict(base, delta={"model": "fejer", "window_tau": 0.2, "window_coupling": 0.2}, method="fft")
+        path = write_config(tmp_path / "fejer.json", "bp-solve", fejer, out=str(tmp_path / "fejer"))
+        assert main(["bp-solve", "--config", str(path)]) == 0
+
+    def test_unknown_method_rejected(self, tmp_path):
+        params = dict(EQL_BP_PARAMS, method="magic")
+        path = write_config(tmp_path / "c.json", "bp-solve", params, out=str(tmp_path / "run"))
+        assert main(["bp-solve", "--config", str(path)]) == 2
+
 
 class TestBpCompare:
     PARAMS = {
@@ -568,6 +593,17 @@ class TestMainPlumbing:
             {"coeff": [-0.25, 0.0], "subset": []},
             {"coeff": [1.0, 0.0], "subset": [1]},
         ]
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported only where it is used; every CLI start pays for
+        # what the package imports up front
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, wickkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_manifest_echoes_the_full_config(self, tmp_path):
         path = write_config(

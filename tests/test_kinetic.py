@@ -4,6 +4,10 @@ Oracles and frozen references used here:
 
 * a three-loop brute-force collision sum (independent of the vectorized
   implementation, with the delta kernels written out inline);
+* the direct double k-sum with any frequency kernel (``direct_sums``), the
+  reference for the time-domain FFT engine on larger grids: weighted by the
+  delta models for the collision sums, by ``prelimit_window`` for the
+  pre-limit kernel;
 * closed-form identities: flat spectra annihilate the bracket, the plain
   k-sum of the operator cancels pairwise, C = gain - 2 W Gamma by
   regrouping, Gamma(cW) = c^2 Gamma(W), and prelimit_kernel / tau equals
@@ -90,6 +94,31 @@ def brute_collision(w: np.ndarray, config: CollisionConfig) -> np.ndarray:
     return (4.0 * math.pi / size**2) * out.reshape(lat.shape)
 
 
+def direct_sums(w: np.ndarray, lattice: Lattice, omega: np.ndarray, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """(gain, loss) double k-sums weighted by kernel(Omega), one k1 at a time.
+
+    gain(k) = sum kernel(Omega) W1 W2 W3 and
+    loss(k) = sum kernel(Omega) [W2 W3 - W1 W3 - W1 W2], both over all
+    (k1, k2) grid pairs with k3 = k + k1 - k2.
+    """
+    side, dim, size = lattice.side, lattice.dimension, lattice.size
+    coords = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    place = side ** np.arange(dim - 1, -1, -1)
+    add = ((coords[:, None, :] + coords[None, :, :]) % side) @ place
+    sub = ((coords[:, None, :] - coords[None, :, :]) % side) @ place
+    om, wf = omega.ravel(), w.ravel()
+    gain = np.zeros(size)
+    loss = np.zeros(size)
+    for k1 in range(size):
+        idx3 = sub[add[:, k1][:, None], np.arange(size)[None, :]]  # (k, k2)
+        weights = kernel(om[:, None] + om[k1] - om[None, :] - om[idx3])
+        w3 = wf[idx3]
+        w2w3 = wf[None, :] * w3
+        gain += wf[k1] * np.sum(weights * w2w3, axis=1)
+        loss += np.sum(weights * (w2w3 - wf[k1] * w3 - wf[k1] * wf[None, :]), axis=1)
+    return gain.reshape(lattice.shape), loss.reshape(lattice.shape)
+
+
 def two_axis_spectrum(lattice: Lattice) -> np.ndarray:
     kk = lattice.k_grid()
     w = 1.0 + 0.5 * np.cos(2.0 * math.pi * kk[..., 0])
@@ -129,8 +158,6 @@ class TestCollisionConfig:
         lat, disp = Lattice(dimension=1, side=8), nearest_neighbor_dispersion(1)
         with pytest.raises(ConfigError):
             CollisionConfig(lattice=lat, dispersion=disp, delta_model="boxcar")
-        with pytest.raises(ConfigError):
-            CollisionConfig(lattice=lat, dispersion=disp, method="magic")
 
     def test_rejects_fejer_without_window_params(self):
         lat, disp = Lattice(dimension=1, side=8), nearest_neighbor_dispersion(1)
@@ -138,17 +165,6 @@ class TestCollisionConfig:
             CollisionConfig(lattice=lat, dispersion=disp, delta_model="fejer")
         with pytest.raises(ConfigError):
             CollisionConfig(lattice=lat, dispersion=disp, delta_model="fejer", window_tau=0.5, window_coupling=-1.0)
-
-    def test_rejects_fft_with_fejer(self):
-        with pytest.raises(ConfigError):
-            CollisionConfig(
-                lattice=Lattice(dimension=1, side=8),
-                dispersion=nearest_neighbor_dispersion(1),
-                delta_model="fejer",
-                window_tau=0.5,
-                window_coupling=0.5,
-                method="fft",
-            )
 
     def test_rejects_bad_epsilon_and_dim_mismatch(self):
         lat, disp = Lattice(dimension=1, side=8), nearest_neighbor_dispersion(1)
@@ -208,8 +224,8 @@ class TestCollisionBruteForce:
 def _configs_for_identities() -> list[CollisionConfig]:
     lat, disp = Lattice(dimension=3, side=8), nearest_neighbor_dispersion(3)
     return [
-        CollisionConfig(lattice=lat, dispersion=disp, method="fft"),
-        CollisionConfig(lattice=lat, dispersion=disp, method="direct"),
+        CollisionConfig(lattice=lat, dispersion=disp),
+        CollisionConfig(lattice=lat, dispersion=disp),
         CollisionConfig(lattice=lat, dispersion=disp, delta_model="fejer", window_tau=0.4, window_coupling=0.5),
     ]
 
@@ -270,14 +286,62 @@ class TestFFTPath:
     def test_fft_matches_direct(self, dim, side):
         lat, disp = Lattice(dimension=dim, side=side), nearest_neighbor_dispersion(dim)
         w = 0.2 + np.random.default_rng(15).random(lat.shape)
-        direct = CollisionConfig(lattice=lat, dispersion=disp, method="direct")
-        fft = CollisionConfig(lattice=lat, dispersion=disp, method="fft")
-        cd = collision_operator(w, direct).values
-        cf = collision_operator(w, fft).values
-        assert np.max(np.abs(cd - cf)) < 1e-12 * np.max(np.abs(cd))
-        gd = gamma_rate(w, direct).values
-        gf = gamma_rate(w, fft).values
-        assert np.max(np.abs(gd - gf)) < 1e-12 * np.max(np.abs(gd))
+        for cfg in (
+            CollisionConfig(lattice=lat, dispersion=disp),
+            CollisionConfig(lattice=lat, dispersion=disp, delta_model="fejer", window_tau=0.25, window_coupling=0.35),
+        ):
+            gain, loss = direct_sums(w, lat, cfg.omega(), cfg.delta_weights)
+            cd = 4.0 * math.pi / lat.size**2 * (gain + w * loss)
+            cf = collision_operator(w, cfg).values
+            assert np.max(np.abs(cd - cf)) < 1e-12 * np.max(np.abs(cd))
+            gd = -2.0 * math.pi / lat.size**2 * loss
+            gf = gamma_rate(w, cfg).values
+            assert np.max(np.abs(gd - gf)) < 1e-12 * np.max(np.abs(gd))
+
+    @pytest.mark.parametrize(
+        "dim,side,support",
+        [(1, 64, 25.0), (2, 16, 6.4), (2, 8, 12.0), (1, 16, 100.0)],
+        ids=["1d64-T25", "2d16-T6.4", "2d8-T12", "1d16-T100-panels"],
+    )
+    def test_fejer_nodes_match_direct_sums(self, dim, side, support):
+        # Gauss-Legendre on [0, T] is accurate to rounding out to large
+        # T max|Omega| / 2 (100, 51, 96 and 400 here; the last needs two panels)
+        lat, disp = Lattice(dimension=dim, side=side), nearest_neighbor_dispersion(dim)
+        cfg = CollisionConfig(
+            lattice=lat, dispersion=disp, delta_model="fejer", window_tau=support, window_coupling=1.0
+        )
+        w = 0.2 + np.random.default_rng(16).random(lat.shape)
+        gain, loss = direct_sums(w, lat, cfg.omega(), cfg.delta_weights)
+        cg = collision_gain(w, cfg).values / (4.0 * math.pi / lat.size**2)
+        cl = gamma_rate(w, cfg).values / (-2.0 * math.pi / lat.size**2)
+        assert np.max(np.abs(cg - gain)) <= 1e-12 * np.max(np.abs(gain))
+        assert np.max(np.abs(cl - loss)) <= 1e-12 * np.max(np.abs(loss))
+
+    def test_rejects_unresolvable_node_count(self):
+        lat, disp = Lattice(dimension=1, side=8), nearest_neighbor_dispersion(1)
+        w = np.ones(lat.shape)
+        narrow = CollisionConfig(lattice=lat, dispersion=disp, epsilon=1e-9)
+        long_window = CollisionConfig(
+            lattice=lat, dispersion=disp, delta_model="fejer", window_tau=1.0, window_coupling=1e-5
+        )
+        for cfg in (narrow, long_window):
+            with pytest.raises(ConfigError):
+                collision_operator(w, cfg)
+
+    def test_rejects_non_finite_spectrum_and_window(self):
+        lat, disp = Lattice(dimension=1, side=8), nearest_neighbor_dispersion(1)
+        cfg = CollisionConfig(lattice=lat, dispersion=disp)
+        for bad in (math.nan, math.inf):
+            w = np.ones(lat.shape)
+            w[3] = bad
+            with pytest.raises(ConfigError):
+                collision_operator(w, cfg)
+            with pytest.raises(ConfigError):
+                prelimit_kernel(w, 0.5, 0.25, cfg)
+        with pytest.raises(ConfigError):
+            CollisionConfig(lattice=lat, dispersion=disp, epsilon=math.inf)
+        with pytest.raises(ConfigError):
+            CollisionConfig(lattice=lat, dispersion=disp, delta_model="fejer", window_tau=math.inf, window_coupling=0.5)
 
 
 class TestEquilibriumStationarity:
@@ -286,7 +350,7 @@ class TestEquilibriumStationarity:
         # gap, the equilibrium bracket beta * Omega * W W1 W2 W3 dies on
         # every surviving term (measured defect ratio ~2e7)
         lat, disp = Lattice(dimension=3, side=8), nearest_neighbor_dispersion(3)
-        cfg = CollisionConfig(lattice=lat, dispersion=disp, epsilon=0.0625, method="fft")
+        cfg = CollisionConfig(lattice=lat, dispersion=disp, epsilon=0.0625)
         eql = EquilibriumParams(beta=1.0, mu=-2.0).spectrum(lat, disp).values
         pert = eql * (1.0 + 0.3 * np.cos(2.0 * math.pi * lat.k_grid()[..., 0]))
         c_eql = np.max(np.abs(collision_operator(eql, cfg).values))
@@ -297,7 +361,7 @@ class TestEquilibriumStationarity:
         # gain = 2 W Gamma holds at a stationary spectrum up to the kernel
         # width; measured relative deviation 1.4e-8 at eps = 0.0625
         lat, disp = Lattice(dimension=3, side=8), nearest_neighbor_dispersion(3)
-        cfg = CollisionConfig(lattice=lat, dispersion=disp, epsilon=0.0625, method="fft")
+        cfg = CollisionConfig(lattice=lat, dispersion=disp, epsilon=0.0625)
         eql = EquilibriumParams(beta=1.0, mu=-2.0).spectrum(lat, disp).values
         gain = collision_gain(eql, cfg).values
         gamma = gamma_rate(eql, cfg).values
@@ -337,7 +401,7 @@ class TestEnergyErrorScaling:
         omega = disp.omega(lat)
         errs = []
         for eps in (1.0, 0.5, 0.25):
-            cfg = CollisionConfig(lattice=lat, dispersion=disp, epsilon=eps, method="fft")
+            cfg = CollisionConfig(lattice=lat, dispersion=disp, epsilon=eps)
             c = collision_operator(w, cfg).values
             errs.append(abs((omega * c).mean()) / np.abs(c).mean())
         assert errs[0] / errs[1] > 2.6
@@ -361,16 +425,24 @@ class TestPrelimitKernel:
     def test_kernel_over_tau_equals_fejer_collision_operator(self):
         # integrating the squared oscillatory phase over the time window
         # produces exactly 2 pi tau times the unit-mass fejer kernel, so the
-        # two routes must agree to rounding
-        lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
-        w = two_axis_spectrum(lat)
-        any_cfg = CollisionConfig(lattice=lat, dispersion=disp)
-        fejer_cfg = CollisionConfig(
-            lattice=lat, dispersion=disp, delta_model="fejer", window_tau=0.25, window_coupling=0.35
-        )
-        pl = prelimit_kernel(w, 0.35, 0.25, any_cfg).values
-        cf = collision_operator(w, fejer_cfg).values
-        assert np.max(np.abs(pl / 0.25 - cf)) < 1e-12 * np.max(np.abs(cf))
+        # kernel is 2 L^-2d times the direct sums weighted by the window
+        for side in (8, 16):
+            lat, disp = Lattice(dimension=2, side=side), nearest_neighbor_dispersion(2)
+            w = two_axis_spectrum(lat)
+            any_cfg = CollisionConfig(lattice=lat, dispersion=disp)
+            tau = 0.1
+            for coupling in (0.5, 0.25, 0.125):
+                gain, loss = direct_sums(
+                    w, lat, disp.omega(lat), lambda gap: prelimit_window(gap, coupling, tau)
+                )
+                direct = 2.0 / lat.size**2 * (gain + w * loss)
+                pl = prelimit_kernel(w, coupling, tau, any_cfg).values
+                assert np.max(np.abs(pl - direct)) < 1e-12 * np.max(np.abs(direct))
+                fejer_cfg = CollisionConfig(
+                    lattice=lat, dispersion=disp, delta_model="fejer", window_tau=tau, window_coupling=coupling
+                )
+                cf = collision_operator(w, fejer_cfg).values
+                assert np.max(np.abs(pl / tau - cf)) < 1e-12 * np.max(np.abs(cf))
 
     def test_large_coupling_suppression(self):
         # window <= tau^2 / coupling^2 pointwise, so the kernel dies as the
@@ -388,7 +460,7 @@ class TestPrelimitKernel:
         # generic two-axis spectrum gives 0.9219, the equilibrium-shaped
         # spectrum gives 1.0000
         lat, disp = Lattice(dimension=2, side=16), nearest_neighbor_dispersion(2)
-        cfg = CollisionConfig(lattice=lat, dispersion=disp, epsilon=0.35, method="fft")
+        cfg = CollisionConfig(lattice=lat, dispersion=disp, epsilon=0.35)
         tau = 0.1
         for w, floor in ((two_axis_spectrum(lat), 0.9), (1.0 / (1.0 + 0.5 * disp.omega(lat)), 0.99)):
             cref = collision_operator(w, cfg).values
@@ -411,7 +483,7 @@ class TestPrelimitKernel:
 @pytest.fixture(scope="module")
 def trajectory():
     lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
-    cfg = CollisionConfig(lattice=lat, dispersion=disp, method="fft")
+    cfg = CollisionConfig(lattice=lat, dispersion=disp)
     w0 = two_axis_spectrum(lat)
     return bp_solve(w0, cfg, tau_end=1.0, dtau=0.05), cfg, w0
 
@@ -444,7 +516,7 @@ class TestBPSolve:
 
     def test_rk4_self_convergence(self):
         lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
-        cfg = CollisionConfig(lattice=lat, dispersion=disp, method="fft")
+        cfg = CollisionConfig(lattice=lat, dispersion=disp)
         w0 = two_axis_spectrum(lat)
         final = [bp_solve(w0, cfg, tau_end=1.0, dtau=dt).spectra[-1] for dt in (0.05, 0.025, 0.0125)]
         coarse = np.max(np.abs(final[0] - final[1]))
@@ -454,25 +526,36 @@ class TestBPSolve:
     def test_equilibrium_is_fixed_point_with_sharp_kernel(self):
         # measured relative drift 3.8e-10 over tau = 0.2
         lat, disp = Lattice(dimension=3, side=8), nearest_neighbor_dispersion(3)
-        cfg = CollisionConfig(lattice=lat, dispersion=disp, epsilon=0.0625, method="fft")
+        cfg = CollisionConfig(lattice=lat, dispersion=disp, epsilon=0.0625)
         eql = EquilibriumParams(beta=1.0, mu=-2.0).spectrum(lat, disp).values
         traj = bp_solve(eql, cfg, tau_end=0.2, dtau=0.05)
         assert np.max(np.abs(traj.spectra[-1] - eql) / eql) < 1e-8
 
     def test_step_rejection_on_negativity(self):
         lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
-        cfg = CollisionConfig(lattice=lat, dispersion=disp, method="fft")
+        cfg = CollisionConfig(lattice=lat, dispersion=disp)
         spike = np.full(lat.shape, 0.01)
         spike[0, 0] = 50.0
         with pytest.raises(GuardError):
             bp_solve(spike, cfg, tau_end=10.0, dtau=10.0)
 
+    def test_non_finite_stage_trips_the_guard(self):
+        # W ~ 1e110 makes the cubic collision sums overflow in the first stage
+        lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
+        cfg = CollisionConfig(lattice=lat, dispersion=disp)
+        spike = np.full(lat.shape, 0.01)
+        spike[0, 0] = 1e110
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GuardError, match="non-finite"):
+            bp_solve(spike, cfg, tau_end=0.05, dtau=0.05)
+
     def test_rejects_bad_arguments(self):
         lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
-        cfg = CollisionConfig(lattice=lat, dispersion=disp, method="fft")
+        cfg = CollisionConfig(lattice=lat, dispersion=disp)
         w0 = two_axis_spectrum(lat)
         with pytest.raises(ConfigError):
             bp_solve(-w0, cfg, tau_end=0.1, dtau=0.05)
+        with pytest.raises(ConfigError):
+            bp_solve(np.full(lat.shape, math.nan), cfg, tau_end=0.1, dtau=0.05)
         with pytest.raises(ConfigError):
             bp_solve(w0, cfg, tau_end=0.1, dtau=-0.05)
         with pytest.raises(ConfigError):
@@ -483,7 +566,7 @@ class TestCorrelationDecay:
     def test_two_routes_agree(self):
         # measured max relative gap 2.5e-11 on this trajectory
         lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
-        cfg = CollisionConfig(lattice=lat, dispersion=disp, method="fft")
+        cfg = CollisionConfig(lattice=lat, dispersion=disp)
         traj = bp_solve(two_axis_spectrum(lat), cfg, tau_end=1.0, dtau=0.05)
         decay = correlation_decay(traj, cfg)
         assert np.max(np.abs(decay.closed - decay.ode) / np.abs(decay.closed)) < 1e-8
@@ -491,7 +574,7 @@ class TestCorrelationDecay:
 
     def test_constant_equilibrium_gives_pure_exponential(self):
         lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
-        cfg = CollisionConfig(lattice=lat, dispersion=disp, method="fft")
+        cfg = CollisionConfig(lattice=lat, dispersion=disp)
         eql = EquilibriumParams(beta=1.0, mu=-1.0).spectrum(lat, disp).values
         n = 11
         taus = np.arange(n) * 0.05
@@ -510,7 +593,7 @@ class TestCorrelationDecay:
 
     def test_rejects_mismatched_grid_and_bad_substeps(self):
         lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
-        cfg = CollisionConfig(lattice=lat, dispersion=disp, method="fft")
+        cfg = CollisionConfig(lattice=lat, dispersion=disp)
         traj = bp_solve(two_axis_spectrum(lat), cfg, tau_end=0.1, dtau=0.05)
         other = CollisionConfig(lattice=Lattice(dimension=2, side=16), dispersion=disp, epsilon=1.0)
         with pytest.raises(ConfigError):
