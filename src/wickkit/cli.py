@@ -49,13 +49,17 @@ from .cumulants import (
 )
 from .dnls import (
     Dispersion,
+    FieldState,
     Lattice,
     _jackknife_stderr,
+    ell2_mass,
     estimate_W,
+    hamiltonian,
     integrate_ensemble,
     nearest_neighbor_dispersion,
     next_nearest_dispersion,
     sample_initial,
+    step_count,
     write_spectrum_csv,
     read_spectrum_csv,
     zero_dispersion,
@@ -525,16 +529,6 @@ def _run_hierarchy_rhs(rc: RunConfig, out_dir: Path) -> dict:
     return {"outputs": ["rhs_table.json"], "summary": {"targets": len(rhs), "order": order}}
 
 
-def _ensemble_observables(fields: np.ndarray, omega: np.ndarray, coupling: float, axes) -> tuple[float, float]:
-    """Ensemble means of the per-realization mass and energy."""
-    size = omega.size
-    psi_hat = np.fft.fftn(fields, axes=axes)
-    mass = np.sum(np.abs(fields) ** 2, axis=axes)
-    kinetic = np.sum(omega * np.abs(psi_hat) ** 2, axis=axes) / size
-    quartic = 0.5 * coupling * np.sum(np.abs(fields) ** 4, axis=axes)
-    return float(np.mean(mass)), float(np.mean(kinetic + quartic))
-
-
 def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
     """Evolve a sampled ensemble, recording observables and the final spectrum."""
     params = rc.params
@@ -551,12 +545,9 @@ def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
     if n_real < 2:
         raise ConfigError("dnls-simulate: n_realizations must be at least 2")
     dt = float(params["dt"])
-    t_end = float(params["t_end"])
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ConfigError("dnls-simulate: dt and t_end must be positive")
-    n_steps = round(t_end / dt)
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ConfigError("dnls-simulate: t_end must be a whole number of dt steps")
+    n_steps = step_count(float(params["t_end"]), dt, "dnls-simulate")
+    if n_steps < 1:
+        raise ConfigError("dnls-simulate: t_end must be positive")
     record_every = int(params.get("record_every", 1))
     if record_every < 1 or n_steps % record_every:
         raise ConfigError("dnls-simulate: record_every must divide the step count")
@@ -565,15 +556,14 @@ def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
         lattice, w0, n_real, seed=rc.seed,
         family=str(params.get("family", "gaussian")), coupling=coupling,
     )
-    omega = dispersion.omega(lattice)
-    axes = tuple(axis + 1 for axis in lattice.axes)
     rows = []
-    mass, energy = _ensemble_observables(ensemble.fields, omega, coupling, axes)
-    rows.append([repr(0.0), repr(mass), repr(energy)])
-    for block in range(n_steps // record_every):
-        ensemble = integrate_ensemble(ensemble, dispersion, dt, record_every)
-        mass, energy = _ensemble_observables(ensemble.fields, omega, coupling, axes)
-        rows.append([repr(float((block + 1) * record_every * dt)), repr(mass), repr(energy)])
+    for block in range(n_steps // record_every + 1):
+        if block:
+            ensemble = integrate_ensemble(ensemble, dispersion, dt, record_every)
+        stack = FieldState(ensemble.fields, coupling=coupling)
+        mass = ell2_mass(stack) / n_real
+        energy = hamiltonian(stack, lattice, dispersion) / n_real
+        rows.append([repr(float(block * record_every * dt)), repr(mass), repr(energy)])
     _write_csv(out_dir / "observables.csv", ["time", "mean_mass", "mean_energy"], rows)
     write_spectrum_csv(lattice, estimate_W(ensemble), out_dir / "spectrum.csv")
     return {
@@ -707,8 +697,8 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
     w0 = _parse_w0(params["w0"], lattice, dispersion, "kinetic-check")
     tau = float(params["tau"])
     dt = float(params["dt"])
-    if tau <= 0.0 or dt <= 0.0:
-        raise ConfigError("kinetic-check: tau and dt must be positive")
+    if tau <= 0.0:
+        raise ConfigError("kinetic-check: tau must be positive")
     lambdas = [float(v) for v in params["coupling_list"]]
     if not lambdas or any(v <= 0.0 for v in lambdas):
         raise ConfigError("kinetic-check: coupling_list must be a nonempty list of positive values")
@@ -722,16 +712,10 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
     config = _parse_collision(lattice, dispersion, delta_block, params.get("method"), "kinetic-check")
     reference = collision_operator(w0, config).values
 
-    step_counts = []
-    for coupling in lambdas:
-        t_end = tau / coupling**2
-        n_steps = round(t_end / dt)
-        if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-            raise ConfigError(
-                f"kinetic-check: kinetic time {t_end!r} at coupling {coupling!r} "
-                "is not a whole number of dt steps"
-            )
-        step_counts.append(n_steps)
+    step_counts = [
+        step_count(tau / coupling**2, dt, f"kinetic-check: kinetic time at coupling {coupling!r}")
+        for coupling in lambdas
+    ]
 
     def check_for(item: tuple[float, int]):
         coupling, n_steps = item

@@ -46,6 +46,7 @@ __all__ = [
     "dnls_rhs",
     "integrate",
     "integrate_ensemble",
+    "step_count",
     "sample_initial",
     "estimate_W",
     "renormalize_a",
@@ -299,25 +300,16 @@ def dnls_rhs(state: FieldState, lattice: Lattice, dispersion: Dispersion) -> np.
     return -1j * (hop + state.coupling * np.abs(psi) ** 2 * psi)
 
 
-def _check_step_guard(dt: float, max_omega: float) -> None:
-    if abs(dt) * max_omega > 0.5 + 1e-12:
-        raise GuardError(
-            f"time step too large: |dt| * max|omega| = {abs(dt) * max_omega:.3g} exceeds 0.5"
+def step_count(t_end: float, dt: float, where: str) -> int:
+    """Number of steps of a finite ``dt > 0`` in a finite ``t_end >= 0``, else a ConfigError."""
+    if not (0.0 < dt < math.inf and 0.0 <= t_end and math.isfinite(t_end / dt)):
+        raise ConfigError(
+            f"{where}: need a finite end time >= 0 and a finite step > 0, got {t_end!r} and {dt!r}"
         )
-
-
-def _strang_step(psi: np.ndarray, omega_phase: np.ndarray, coupling: float, dt: float, axes: tuple[int, ...]) -> np.ndarray:
-    """One split step: half nonlinear, full linear, half nonlinear.
-
-    Both substeps are exact flows of their pieces, so each preserves |psi|
-    pointwise (nonlinear) or sum |psi_hat|^2 (linear); the l2 mass is
-    conserved to rounding.
-    """
-    half = np.exp(-1j * (0.5 * dt * coupling) * np.abs(psi) ** 2)
-    psi = psi * half
-    psi = np.fft.ifftn(omega_phase * np.fft.fftn(psi, axes=axes), axes=axes)
-    half = np.exp(-1j * (0.5 * dt * coupling) * np.abs(psi) ** 2)
-    return psi * half
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end) or n_steps == 0 < t_end:
+        raise ConfigError(f"{where}: end time {t_end!r} is not a whole number of steps of {dt!r}")
+    return n_steps
 
 
 def integrate(
@@ -329,21 +321,12 @@ def integrate(
 ) -> FieldState:
     """Advance one realization by ``n_steps`` Strang split steps of size ``dt``.
 
-    Requires ``|dt| * max|omega| <= 0.5``; the splitting is second-order
-    accurate for the Hamiltonian and exactly mass-preserving.
+    This is ``integrate_ensemble`` on an ensemble of one, so it has the same
+    step guard, accuracy and exact mass conservation.
     """
-    if state.psi.shape != lattice.shape:
-        raise ConfigError(f"field shape {state.psi.shape} does not match lattice shape {lattice.shape}")
-    omega = dispersion.omega(lattice)
-    _check_step_guard(dt, float(np.max(np.abs(omega))) if omega.size else 0.0)
-    if n_steps < 0:
-        raise ConfigError("n_steps must be nonnegative")
-    phase = np.exp(-1j * dt * omega)
-    axes = lattice.axes
-    psi = state.psi
-    for _ in range(n_steps):
-        psi = _strang_step(psi, phase, state.coupling, dt, axes)
-    return FieldState(psi, time=state.time + n_steps * dt, coupling=state.coupling)
+    one = LatticeEnsemble(lattice, state.psi[None], time=state.time, coupling=state.coupling, r_integral=None)
+    out = integrate_ensemble(one, dispersion, dt, n_steps)
+    return FieldState(out.fields[0], time=out.time, coupling=out.coupling)
 
 
 def integrate_ensemble(
@@ -352,39 +335,64 @@ def integrate_ensemble(
     dt: float,
     n_steps: int,
 ) -> LatticeEnsemble:
-    """Advance every realization in lockstep, recording the density history.
+    """Advance every realization in lockstep by ``n_steps`` Strang split steps of size ``dt``.
 
-    The running integral ``∫ R_s ds`` (trapezoid rule over the accepted
-    steps) is carried forward so the renormalized field stays available.
+    A step is a half nonlinear phase, the exact linear flow and a half phase,
+    so mass is conserved to rounding and the Hamiltonian to second order; it
+    needs ``|dt| * max|omega| <= 0.5``.  The phase keeps |psi| fixed, so one
+    step's closing half phase and the next one's opening half merge: after
+    one opening half phase, each step is the linear flow and one phase
+    ``exp`` of ``rho = |psi|^2`` (a half one on the last step).  The same
+    ``rho`` gives ``R_s = 2 mean(rho)``; its integral (trapezoid rule) is
+    carried in ``r_integral`` for the renormalized field, and a non-finite
+    ``R_s`` is a GuardError.
     """
     omega = dispersion.omega(ensemble.lattice)
-    _check_step_guard(dt, float(np.max(np.abs(omega))) if omega.size else 0.0)
+    margin = abs(dt) * float(np.max(np.abs(omega), initial=0.0))
+    if not margin <= 0.5 + 1e-12:  # so that a NaN dt fails too
+        raise GuardError(f"time step too large: |dt| * max|omega| = {margin:.3g} exceeds 0.5")
     if n_steps < 0:
         raise ConfigError("n_steps must be nonnegative")
-    phase = np.exp(-1j * dt * omega)
+    linear = np.exp(-1j * dt * omega)
     axes = ensemble.spatial_axes
+    coupling = ensemble.coupling
     fields = ensemble.fields
     r_integral = ensemble.r_integral
-    r_prev = 2.0 * float(np.mean(np.abs(fields) ** 2))
-    for _ in range(n_steps):
-        fields = _strang_step(fields, phase, ensemble.coupling, dt, axes)
-        r_next = 2.0 * float(np.mean(np.abs(fields) ** 2))
-        if r_integral is not None:
-            r_integral += dt * 0.5 * (r_prev + r_next)
-        r_prev = r_next
+    # a non-finite field is reported by the guard below, not by numpy warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        rho = fields.real**2 + fields.imag**2
+        r_prev = 2.0 * float(np.mean(rho))
+        if n_steps:
+            fields = fields * np.exp(-1j * (0.5 * dt * coupling) * rho)
+        for step in range(1, n_steps + 1):
+            fields = np.fft.ifftn(linear * np.fft.fftn(fields, axes=axes), axes=axes)
+            rho = fields.real**2 + fields.imag**2
+            r_next = 2.0 * float(np.mean(rho))
+            if not math.isfinite(r_next):
+                raise GuardError(f"the field became non-finite at step {step} (coupling {coupling!r}, dt {dt!r})")
+            if r_integral is not None:
+                r_integral += dt * 0.5 * (r_prev + r_next)
+            r_prev = r_next
+            h = dt if step < n_steps else 0.5 * dt
+            fields *= np.exp(-1j * (h * coupling) * rho)
     return LatticeEnsemble(
         lattice=ensemble.lattice,
         fields=fields,
         time=ensemble.time + n_steps * dt,
-        coupling=ensemble.coupling,
+        coupling=coupling,
         master_seed=ensemble.master_seed,
         r_integral=r_integral,
     )
 
 
 def hamiltonian(state: FieldState, lattice: Lattice, dispersion: Dispersion) -> float:
-    """Conserved energy: mean_k omega |psi_hat|^2 + (coupling/2) sum_x |psi|^4."""
-    psi_hat = np.fft.fftn(state.psi)
+    """Conserved energy: mean_k omega |psi_hat|^2 + (coupling/2) sum_x |psi|^4.
+
+    The transform runs over the trailing ``lattice.dimension`` axes, so
+    ``state.psi`` may also be a stack of fields; the result is then the sum
+    of their energies.
+    """
+    psi_hat = np.fft.fftn(state.psi, axes=tuple(range(-lattice.dimension, 0)))
     omega = dispersion.omega(lattice)
     kinetic = float(np.sum(omega * np.abs(psi_hat) ** 2)) / lattice.size
     quartic = 0.5 * state.coupling * float(np.sum(np.abs(state.psi) ** 4))
@@ -392,7 +400,7 @@ def hamiltonian(state: FieldState, lattice: Lattice, dispersion: Dispersion) -> 
 
 
 def ell2_mass(state: FieldState) -> float:
-    """sum_x |psi(x)|^2, conserved exactly by both split substeps."""
+    """sum_x |psi(x)|^2 (summed over a stack too), conserved exactly by both split substeps."""
     return float(np.sum(np.abs(state.psi) ** 2))
 
 

@@ -48,11 +48,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum
+from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum, step_count
 from .errors import ConfigError, GuardError
 
 __all__ = [
@@ -121,6 +121,12 @@ class CollisionConfig:
 
     def omega(self) -> np.ndarray:
         return self.dispersion.omega(self.lattice)
+
+    @cached_property
+    def _time_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """omega and the delta model's time nodes and weights, built once per config."""
+        node_rule = _gaussian_time_nodes if self.delta_model == "gaussian" else _fejer_time_nodes
+        return (self.omega(), *node_rule(self))
 
     @property
     def window_support(self) -> float:
@@ -293,11 +299,7 @@ def _collision_sums(w: np.ndarray | Spectrum, config: CollisionConfig) -> tuple[
     values = _spectrum_values(w, config.lattice)
     if float(values.min()) < 0.0:
         raise ConfigError(f"spectrum has a negative entry: min W = {float(values.min()):.3g}")
-    if config.delta_model == "gaussian":
-        nodes, weights = _gaussian_time_nodes(config)
-    else:
-        nodes, weights = _fejer_time_nodes(config)
-    gain_sum, loss_sum = _time_domain_sums(values, config.omega(), nodes, weights)
+    gain_sum, loss_sum = _time_domain_sums(values, *config._time_grid)
     return values, gain_sum, loss_sum
 
 
@@ -437,11 +439,7 @@ def bp_solve(
     values = _spectrum_values(w0, config.lattice)
     if float(values.min()) < 0.0:
         raise ConfigError(f"initial spectrum has a negative entry: min W = {float(values.min()):.3g}")
-    if not (tau_end >= 0.0 and dtau > 0.0):
-        raise ConfigError("need tau_end >= 0 and dtau > 0")
-    n_steps = int(round(tau_end / dtau))
-    if abs(n_steps * dtau - tau_end) > 1e-9 * max(1.0, tau_end):
-        raise ConfigError("tau_end must be an integer number of dtau steps")
+    n_steps = step_count(tau_end, dtau, "bp_solve (tau_end, dtau)")
 
     omega = config.omega()
     size = config.lattice.size

@@ -65,6 +65,12 @@ def as_c(pair) -> complex:
     return complex(pair[0], pair[1])
 
 
+def assert_one_error_line(capsys, code: int) -> None:
+    """stderr holds exactly one JSON error report with the given exit code."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == code
+
+
 class TestConfigLoading:
     def test_defaults_and_fields(self, tmp_path):
         path = write_config(tmp_path / "c.json", "estimate-w", {"x": 1})
@@ -366,6 +372,18 @@ class TestDnlsSimulate:
         path = self.make_config(tmp_path, dt=0.5, t_end=1.0, record_every=1)
         assert main(["dnls-simulate", "--config", str(path)]) == 3
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+    @pytest.mark.parametrize(
+        "extra, code",
+        [({"dt": float("nan")}, 2), ({"t_end": float("inf")}, 2), ({"coupling": float("inf")}, 3)],
+        ids=["nan-dt", "inf-t_end", "inf-coupling"],
+    )
+    def test_non_finite_input_or_field_fails_cleanly(self, tmp_path, capsys, extra, code):
+        path = self.make_config(tmp_path, **extra)
+        assert main(["dnls-simulate", "--config", str(path)]) == code
+        assert_one_error_line(capsys, code)
+        assert not (tmp_path / "run" / "observables.csv").exists()
+
 
 class TestEstimateW:
     def test_spectrum_reproduces_the_library_estimate(self, tmp_path):
@@ -465,6 +483,13 @@ class TestBpSolve:
         path = write_config(tmp_path / "c.json", "bp-solve", params, out=str(tmp_path / "run"))
         assert main(["bp-solve", "--config", str(path)]) == 2
 
+    def test_infinite_tau_end_rejected(self, tmp_path, capsys):
+        params = dict(EQL_BP_PARAMS, tau_end=float("inf"))
+        path = write_config(tmp_path / "c.json", "bp-solve", params, out=str(tmp_path / "run"))
+        assert main(["bp-solve", "--config", str(path)]) == 2
+        assert_one_error_line(capsys, 2)
+        assert not (tmp_path / "run" / "trajectory.csv").exists()
+
 
 class TestBpCompare:
     PARAMS = {
@@ -557,6 +582,13 @@ class TestKineticCheck:
             tmp_path / "c.json", "kinetic-check", params, out=str(tmp_path / "run")
         )
         assert main(["kinetic-check", "--config", str(path)]) == 2
+
+    def test_nan_dt_rejected(self, tmp_path, capsys):
+        params = dict(self.PARAMS, dt=float("nan"))
+        path = write_config(tmp_path / "c.json", "kinetic-check", params, out=str(tmp_path / "run"))
+        assert main(["kinetic-check", "--config", str(path)]) == 2
+        assert_one_error_line(capsys, 2)
+        assert not (tmp_path / "run" / "kinetic_check.csv").exists()
 
 
 class TestMainPlumbing:

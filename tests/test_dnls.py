@@ -4,6 +4,8 @@ Oracles used here:
   * closed-form flows for the two exactly solvable limits (no hopping, and
     no nonlinearity on a single Fourier mode),
   * centered finite differences in time against the right-hand side,
+  * the unfused Strang composition (half phase, linear step, half phase,
+    with |psi|^2 recomputed for each phase) against the fused integrator,
   * Richardson ratios for the second-order Hamiltonian drift,
   * direct position-space Fourier sums recomputing what the FFT routes
     produce (pair clustering norms, propagator at t=0),
@@ -49,6 +51,7 @@ from wickkit.dnls import (
     renormalize_a,
     sample_initial,
     save_ensemble,
+    step_count,
     translation_audit,
     write_spectrum_csv,
     zero_dispersion,
@@ -211,12 +214,102 @@ class TestIntegrate:
         state = FieldState(np.ones(32, complex))
         with pytest.raises(GuardError):
             integrate(state, lat, disp, dt=0.2, n_steps=1)
+        with pytest.raises(GuardError):
+            integrate(state, lat, disp, dt=math.nan, n_steps=1)
 
     def test_rejects_negative_step_count(self):
         lat = Lattice(1, 32)
         state = FieldState(np.ones(32, complex))
         with pytest.raises(ConfigError):
             integrate(state, lat, zero_dispersion(1), dt=0.1, n_steps=-1)
+
+
+def strang_step(psi: np.ndarray, linear: np.ndarray, coupling: float, dt: float, axes: tuple[int, ...]) -> np.ndarray:
+    """One unfused split step: half nonlinear phase, full linear flow, half nonlinear phase."""
+    psi = psi * np.exp(-1j * (0.5 * dt * coupling) * np.abs(psi) ** 2)
+    psi = np.fft.ifftn(linear * np.fft.fftn(psi, axes=axes), axes=axes)
+    return psi * np.exp(-1j * (0.5 * dt * coupling) * np.abs(psi) ** 2)
+
+
+def unfused_ensemble(ens: LatticeEnsemble, disp: Dispersion, dt: float, n_steps: int) -> tuple[np.ndarray, float]:
+    """Fields and r_integral after n_steps unfused steps, R_s by the trapezoid rule."""
+    linear = np.exp(-1j * dt * disp.omega(ens.lattice))
+    fields, r_integral = ens.fields, ens.r_integral
+    r_prev = 2.0 * float(np.mean(np.abs(fields) ** 2))
+    for _ in range(n_steps):
+        fields = strang_step(fields, linear, ens.coupling, dt, ens.spatial_axes)
+        r_next = 2.0 * float(np.mean(np.abs(fields) ** 2))
+        r_integral += dt * 0.5 * (r_prev + r_next)
+        r_prev = r_next
+    return fields, r_integral
+
+
+class TestFusedIntegrator:
+    @pytest.mark.parametrize(
+        "dim, side, n_real, dt, blocks",
+        [(1, 32, 20, 0.1, (40,)), (2, 8, 10, 0.05, (12, 12, 6)), (3, 4, 5, 0.04, (5, 10, 5))],
+    )
+    def test_matches_the_unfused_composition(self, dim, side, n_real, dt, blocks):
+        lat = Lattice(dim, side)
+        disp = nearest_neighbor_dispersion(dim)
+        ens = sample_initial(lat, smooth_spectrum(lat), n_real, seed=21, coupling=0.7)
+        ref_fields, ref_r = unfused_ensemble(ens, disp, dt, sum(blocks))
+        one_call = integrate_ensemble(ens, disp, dt, sum(blocks))
+        split = ens
+        for n_steps in blocks:  # a run cut into record blocks
+            split = integrate_ensemble(split, disp, dt, n_steps)
+        scale = float(np.max(np.abs(ref_fields)))
+        for out in (one_call, split):
+            assert np.max(np.abs(out.fields - ref_fields)) < 1e-12 * scale
+            assert out.r_integral == pytest.approx(ref_r, rel=1e-12)
+            assert out.time == pytest.approx(dt * sum(blocks), rel=1e-12)
+
+    def test_integrate_is_a_batch_of_one(self):
+        rng = np.random.default_rng(5)
+        lat = Lattice(2, 8)
+        disp = nearest_neighbor_dispersion(2)
+        psi0 = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
+        state = FieldState(psi0, time=0.3, coupling=0.6)
+        single = integrate(state, lat, disp, 0.05, 17)
+        batch = integrate_ensemble(LatticeEnsemble(lat, psi0[None], time=0.3, coupling=0.6), disp, 0.05, 17)
+        assert single.psi.tobytes() == batch.fields[0].tobytes()
+        assert (single.time, single.coupling) == (batch.time, batch.coupling)
+
+    def test_zero_steps_leave_the_field_alone(self):
+        lat = Lattice(1, 16)
+        ens = sample_initial(lat, smooth_spectrum(lat), 4, seed=2, coupling=0.5)
+        out = integrate_ensemble(ens, nearest_neighbor_dispersion(1), 0.1, 0)
+        assert np.array_equal(out.fields, ens.fields) and out.r_integral == ens.r_integral
+
+    def test_non_finite_step_trips_the_guard(self):
+        lat = Lattice(1, 16)
+        state = FieldState(np.full(16, 0.5 + 0.5j), coupling=math.inf)
+        with pytest.raises(GuardError, match="non-finite"):
+            integrate(state, lat, nearest_neighbor_dispersion(1), 0.05, 3)
+
+    def test_hamiltonian_of_a_stack_is_the_sum(self):
+        lat = Lattice(2, 8)
+        disp = next_nearest_dispersion(2)
+        ens = sample_initial(lat, smooth_spectrum(lat), 6, seed=8, coupling=0.4)
+        each = [hamiltonian(ens.realization(i), lat, disp) for i in range(6)]
+        stack = FieldState(ens.fields, coupling=0.4)
+        assert hamiltonian(stack, lat, disp) == pytest.approx(sum(each), rel=1e-12)
+        assert ell2_mass(stack) == pytest.approx(sum(ell2_mass(ens.realization(i)) for i in range(6)), rel=1e-12)
+
+
+class TestStepCount:
+    def test_whole_numbers_of_steps(self):
+        assert step_count(1.0, 0.05, "here") == 20
+        assert step_count(0.0, 0.05, "here") == 0
+
+    @pytest.mark.parametrize(
+        "t_end, dt",
+        [(1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1), (1.0, math.inf), (1.0, 0.0),
+         (1.0, -0.1), (-1.0, 0.1), (1e300, 1e-300), (1.0, 0.3), (1e-12, 0.1)],
+    )
+    def test_rejects_bad_times(self, t_end, dt):
+        with pytest.raises(ConfigError, match="here"):
+            step_count(t_end, dt, "here")
 
 
 class TestSampling:

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from wickkit import kinetic
 from wickkit.dnls import (
     Lattice,
     PropagatorDecayFit,
@@ -179,6 +180,21 @@ class TestCollisionConfig:
             CollisionConfig(lattice=lat, dispersion=zero_dispersion(1))
         cfg = CollisionConfig(lattice=lat, dispersion=zero_dispersion(1), epsilon=1.0)
         assert cfg.resolved_epsilon() == 1.0
+
+    @pytest.mark.parametrize("model", ["gaussian", "fejer"])
+    def test_time_nodes_are_built_once_per_config(self, model, monkeypatch):
+        lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
+        builder = f"_{model}_time_nodes"
+        calls = []
+        original = getattr(kinetic, builder)
+        monkeypatch.setattr(kinetic, builder, lambda config: calls.append(1) or original(config))
+        window = {"window_tau": 0.2, "window_coupling": 0.2} if model == "fejer" else {}
+        cfg = CollisionConfig(lattice=lat, dispersion=disp, delta_model=model, **window)
+        w = two_axis_spectrum(lat)
+        first = collision_operator(w, cfg).values
+        assert np.array_equal(gamma_rate(w, cfg).values, gamma_rate(w, cfg).values)
+        assert np.array_equal(collision_operator(w, cfg).values, first)
+        assert len(calls) == 1
 
 
 class TestEquilibrium:
@@ -560,6 +576,9 @@ class TestBPSolve:
             bp_solve(w0, cfg, tau_end=0.1, dtau=-0.05)
         with pytest.raises(ConfigError):
             bp_solve(w0, cfg, tau_end=0.12, dtau=0.05)
+        for tau_end, dtau in [(math.inf, 0.05), (math.nan, 0.05), (0.1, math.nan), (0.1, math.inf)]:
+            with pytest.raises(ConfigError, match="bp_solve"):
+                bp_solve(w0, cfg, tau_end=tau_end, dtau=dtau)
 
 
 class TestCorrelationDecay:
