@@ -19,7 +19,9 @@ round-trip float repr, sorted JSON keys): identical configs produce
 byte-identical result files, independent of the thread count.  Only the
 manifest's ``timings`` block varies between reruns.
 
-Exit codes: 0 success, 2 malformed config, 3 numeric guard tripped, 4 I/O
+Every number in a config is a finite JSON number (not a string or a bool);
+integer fields take only JSON integers.  Exit codes: 0 success, 2 malformed,
+mistyped or non-finite input, 3 a numeric guard tripped during the run, 4 I/O
 failure.  Failures print a one-line JSON error report to stderr.
 """
 
@@ -43,14 +45,15 @@ from .cumulants import (
     CumulantTable,
     TableOracle,
     _as_index,
-    _key_to_str,
-    _str_to_key,
     moments_from_cumulants,
+    table_from_json,
+    table_to_json,
 )
 from .dnls import (
     Dispersion,
     FieldState,
     Lattice,
+    _csv_floats,
     _jackknife_stderr,
     ell2_mass,
     estimate_W,
@@ -64,7 +67,7 @@ from .dnls import (
     read_spectrum_csv,
     zero_dispersion,
 )
-from .errors import ConfigError, GuardError
+from .errors import ConfigError, GuardError, _json, _number, _numbers, _object, _pair
 from .hierarchy import (
     AmplitudeModel,
     HierarchyState,
@@ -126,12 +129,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown run kind {self.kind!r}; expected one of {KINDS}")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
-        if not isinstance(self.params, Mapping):
-            raise ConfigError("params must be a JSON object")
+        _number(self.seed, "seed", integer=True, low=0)
+        _number(self.threads, "threads", integer=True, low=1)
+        _path(self.out, "out")
+        _object(self.params, "params")
 
     def echo(self) -> dict:
         """The complete effective config, replayable via ``--config``."""
@@ -168,22 +169,15 @@ def load_run_config(
     A manifest written by a previous run is accepted too: its echoed config
     block is unwrapped, which is what makes replay a one-liner.
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"config {path} must be a JSON object")
+    data = _object(_json(Path(path).read_text(), f"config {path}"), f"config {path}")
     if "package_version" in data and "config" in data:
-        data = data["config"]
-        if not isinstance(data, Mapping):
-            raise ConfigError(f"manifest {path} has a malformed config block")
+        data = _object(data["config"], f"the config block of manifest {path}")
     _check_keys(
         data, f"config {path}",
         required=["schema_version", "kind", "params"],
         optional=["seed", "threads", "out"],
     )
-    if data["schema_version"] != SCHEMA_VERSION:
+    if _number(data["schema_version"], "schema_version", integer=True) != SCHEMA_VERSION:
         raise ConfigError(
             f"config schema_version {data['schema_version']!r} is not supported; "
             f"this tool reads version {SCHEMA_VERSION}"
@@ -193,9 +187,9 @@ def load_run_config(
     return RunConfig(
         kind=data["kind"],
         params=data["params"],
-        seed=int(data.get("seed", 0)) if seed is None else int(seed),
-        threads=int(data.get("threads", 1)) if threads is None else int(threads),
-        out=str(data.get("out", "out")) if out is None else str(out),
+        seed=data.get("seed", 0) if seed is None else seed,
+        threads=data.get("threads", 1) if threads is None else threads,
+        out=data.get("out", "out") if out is None else out,
     )
 
 
@@ -245,17 +239,17 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.nd
     taus: list[float] = []
     k_rows: list[list[float]] = []
     blocks: list[list[float]] = []
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != dim + 2:
             raise ConfigError(f"malformed trajectory row: {line!r}")
-        tau = float(parts[0])
+        tau, *ks, value = _csv_floats(parts, path, row)
         if not taus or tau != taus[-1]:
             taus.append(tau)
             blocks.append([])
         if len(taus) == 1:
-            k_rows.append([float(p) for p in parts[1 : dim + 1]])
-        blocks[-1].append(float(parts[dim + 1]))
+            k_rows.append(ks)
+        blocks[-1].append(value)
     sizes = {len(b) for b in blocks}
     if len(sizes) != 1:
         raise ConfigError(f"{path} has ragged time slices")
@@ -268,21 +262,19 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _parse_lattice(block, where: str) -> Lattice:
-    if not isinstance(block, Mapping):
-        raise ConfigError(f"{where}: lattice must be an object")
-    _check_keys(block, f"{where}.lattice", required=["dimension", "side"])
-    return Lattice(dimension=int(block["dimension"]), side=int(block["side"]))
+    _check_keys(_object(block, f"{where}.lattice"), f"{where}.lattice", required=["dimension", "side"])
+    return Lattice(*(_number(block[k], f"{where}.lattice.{k}", integer=True) for k in ("dimension", "side")))
 
 
 def _parse_dispersion(block, dimension: int, where: str) -> Dispersion:
-    if not isinstance(block, Mapping):
-        raise ConfigError(f"{where}: dispersion must be an object")
-    _check_keys(block, f"{where}.dispersion", required=["kind"], optional=["second_shell"])
-    kind = block["kind"]
+    kind = _object(block, f"{where}.dispersion").get("kind")
+    optional = ["second_shell"] if kind == "next-nearest" else []  # only that symbol has a second shell
+    _check_keys(block, f"{where}.dispersion", required=["kind"], optional=optional)
     if kind == "nearest-neighbor":
         return nearest_neighbor_dispersion(dimension)
     if kind == "next-nearest":
-        return next_nearest_dispersion(dimension, second_shell=float(block.get("second_shell", 0.25)))
+        shell = _number(block.get("second_shell", 0.25), f"{where}.dispersion.second_shell")
+        return next_nearest_dispersion(dimension, second_shell=shell)
     if kind == "zero":
         return zero_dispersion(dimension)
     raise ConfigError(
@@ -292,40 +284,60 @@ def _parse_dispersion(block, dimension: int, where: str) -> Dispersion:
 
 
 def _parse_w0(block, lattice: Lattice, dispersion: Dispersion, where: str) -> np.ndarray:
-    """Initial spectrum descriptors: flat | cosine | equilibrium | csv."""
-    if not isinstance(block, Mapping):
-        raise ConfigError(f"{where}: w0 must be an object")
-    kind = block.get("kind")
+    """Initial spectrum descriptors: flat | cosine | equilibrium | csv; the result is finite."""
+    kind = _object(block, f"{where}.w0").get("kind")
     if kind == "flat":
         _check_keys(block, f"{where}.w0", required=["kind", "value"])
-        return np.full(lattice.shape, float(block["value"]))
-    if kind == "cosine":
+        values = np.full(lattice.shape, _number(block["value"], f"{where}.w0.value"))
+    elif kind == "cosine":
         _check_keys(block, f"{where}.w0", required=["kind", "mean", "amplitudes"])
-        amps = [float(a) for a in block["amplitudes"]]
+        amps = _numbers(block["amplitudes"], f"{where}.w0.amplitudes")
         if len(amps) != lattice.dimension:
             raise ConfigError(
                 f"{where}.w0: cosine needs {lattice.dimension} amplitudes, got {len(amps)}"
             )
         grid = lattice.k_grid()
-        values = np.full(lattice.shape, float(block["mean"]))
+        values = np.full(lattice.shape, _number(block["mean"], f"{where}.w0.mean"))
         for axis, amp in enumerate(amps):
             values = values + amp * np.cos(2.0 * np.pi * grid[..., axis])
-        return values
-    if kind == "equilibrium":
+    elif kind == "equilibrium":
         _check_keys(block, f"{where}.w0", required=["kind", "beta", "mu"])
-        params = EquilibriumParams(beta=float(block["beta"]), mu=float(block["mu"]))
-        return params.spectrum(lattice, dispersion).values
-    if kind == "csv":
+        params = EquilibriumParams(_number(block["beta"], f"{where}.w0.beta"), _number(block["mu"], f"{where}.w0.mu"))
+        values = params.spectrum(lattice, dispersion).values
+    elif kind == "csv":
         _check_keys(block, f"{where}.w0", required=["kind", "path"])
-        _, values, _ = read_spectrum_csv(block["path"])
+        _, values, _ = read_spectrum_csv(_path(block["path"], f"{where}.w0.path"))
         if values.size != lattice.size:
             raise ConfigError(
                 f"{where}.w0: file has {values.size} rows, lattice has {lattice.size} sites"
             )
-        return values.reshape(lattice.shape)
-    raise ConfigError(
-        f"{where}: unknown w0 kind {kind!r}; expected flat | cosine | equilibrium | csv"
-    )
+        values = values.reshape(lattice.shape)
+    else:
+        raise ConfigError(
+            f"{where}: unknown w0 kind {kind!r}; expected flat | cosine | equilibrium | csv"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{where}.w0: the initial spectrum has a non-finite entry")
+    return values
+
+
+def _parse_system(params: Mapping, where: str) -> tuple[Lattice, Dispersion, np.ndarray]:
+    """The ``lattice``, ``dispersion`` and ``w0`` blocks of a run, parsed in that order."""
+    lattice = _parse_lattice(params["lattice"], where)
+    dispersion = _parse_dispersion(params["dispersion"], lattice.dimension, where)
+    return lattice, dispersion, _parse_w0(params["w0"], lattice, dispersion, where)
+
+
+def _path(raw, what: str) -> Path:
+    if not isinstance(raw, str):
+        raise ConfigError(f"{what} must be a path string, got {raw!r}")
+    return Path(raw)
+
+
+def _index_list(raw, what: str) -> list:
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{what} must be a nonempty list of indices, got {raw!r}")
+    return [_as_index(token) for token in raw]
 
 
 # Values of the optional ``method`` key.  It selects nothing, since every
@@ -342,13 +354,11 @@ def _parse_collision(
     where: str,
 ) -> CollisionConfig:
     """Build a CollisionConfig from a delta-model descriptor (``method`` is only checked)."""
-    if not isinstance(delta_block, Mapping):
-        raise ConfigError(f"{where}: delta model must be an object")
-    model = delta_block.get("model")
+    model = _object(delta_block, f"{where}.delta").get("model")
     if model == "gaussian":
         _check_keys(delta_block, f"{where}.delta", required=["model"], optional=["epsilon"])
         eps = delta_block.get("epsilon")
-        kwargs = {"delta_model": "gaussian", "epsilon": None if eps is None else float(eps)}
+        kwargs = {"delta_model": "gaussian", "epsilon": None if eps is None else _number(eps, f"{where}.delta.epsilon")}
     elif model == "fejer":
         _check_keys(
             delta_block, f"{where}.delta",
@@ -356,8 +366,8 @@ def _parse_collision(
         )
         kwargs = {
             "delta_model": "fejer",
-            "window_tau": float(delta_block["window_tau"]),
-            "window_coupling": float(delta_block["window_coupling"]),
+            "window_tau": _number(delta_block["window_tau"], f"{where}.delta.window_tau"),
+            "window_coupling": _number(delta_block["window_coupling"], f"{where}.delta.window_coupling"),
         }
     else:
         raise ConfigError(f"{where}: unknown delta model {model!r}; expected gaussian | fejer")
@@ -374,19 +384,7 @@ def _load_block(params: Mapping, name: str, where: str):
         raise ConfigError(f"{where}: supply exactly one of {name!r} or '{name}_path'")
     if inline is not None:
         return inline
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{where}: {path} is not valid JSON: {err}") from err
-
-
-def _value_map_to_json(entries: Mapping[tuple, complex]) -> dict[str, list[float]]:
-    """Canonical-key map -> {key string: [re, im]}, deterministically ordered."""
-    out = {}
-    for key in sorted(entries, key=_key_to_str):
-        value = complex(entries[key])
-        out[_key_to_str(key)] = [value.real, value.imag]
-    return out
+    return _json(_path(path, f"{where}: {name}_path").read_text(), f"{where}: {path}")
 
 
 def _map_in_order(worker: Callable, items: Sequence, threads: int) -> list:
@@ -414,12 +412,8 @@ def _run_wick_expand(rc: RunConfig, out_dir: Path) -> dict:
         params, "wick-expand params",
         required=["indices"], optional=["cumulants", "cumulants_path"],
     )
-    indices = params["indices"]
-    if not isinstance(indices, list) or not indices:
-        raise ConfigError("wick-expand: indices must be a nonempty list")
-    indices = [_as_index(idx) for idx in indices]
-    table_json = _load_block(params, "cumulants", "wick-expand")
-    table = CumulantTable.from_json(table_json)
+    indices = _index_list(params["indices"], "wick-expand: indices")
+    table = CumulantTable.from_json(_load_block(params, "cumulants", "wick-expand"))
     poly = wick_from_cumulants(table, LabeledSeq.from_indices(indices))
     _write_json(out_dir / "wick_poly.json", poly.to_json())
     return {
@@ -436,11 +430,8 @@ def _run_cumulant_convert(rc: RunConfig, out_dir: Path) -> dict:
         required=["direction"], optional=["table", "table_path"],
     )
     direction = params["direction"]
-    table_json = _load_block(params, "table", "cumulant-convert")
-    if not isinstance(table_json, Mapping):
-        raise ConfigError("cumulant-convert: table must be a JSON object")
-    keys = [_str_to_key(s) for s in table_json]
-    entries = {k: complex(v[0], v[1]) for k, v in zip(keys, table_json.values())}
+    entries = table_from_json(_load_block(params, "table", "cumulant-convert"))
+    keys = list(entries)
     if direction == "moments-to-cumulants":
         oracle = TableOracle(entries)
         evaluator = CumulantEvaluator(oracle)
@@ -451,7 +442,7 @@ def _run_cumulant_convert(rc: RunConfig, out_dir: Path) -> dict:
                 f"cumulant-convert: moment table is missing the sub-moment {err.args[0]!r}"
             ) from err
     elif direction == "cumulants-to-moments":
-        table = CumulantTable(entries=dict(entries))
+        table = CumulantTable(entries=entries)
         converted = {
             key: moments_from_cumulants(table, LabeledSeq.from_indices(key)) for key in keys
         }
@@ -460,30 +451,25 @@ def _run_cumulant_convert(rc: RunConfig, out_dir: Path) -> dict:
             f"cumulant-convert: unknown direction {direction!r}; "
             "expected moments-to-cumulants | cumulants-to-moments"
         )
-    _write_json(out_dir / "converted.json", _value_map_to_json(converted))
+    _write_json(out_dir / "converted.json", table_to_json(converted))
     return {"outputs": ["converted.json"], "summary": {"entries": len(converted)}}
 
 
 def _amplitude_from_descriptor(block, where: str):
     """Amplitude descriptors: constant | phase (e^{i omega t}) | table-driven."""
-    if not isinstance(block, Mapping):
-        raise ConfigError(f"{where}: amplitude must be an object")
-    kind = block.get("type")
+    kind = _object(block, where).get("type")
     if kind == "constant":
         _check_keys(block, where, required=["type", "value"])
-        value = block["value"]
-        return constant_amplitude(complex(value[0], value[1]))
+        return constant_amplitude(_pair(block["value"], f"{where}.value"))
     if kind == "phase":
         _check_keys(block, where, required=["type", "omega"], optional=["scale"])
-        scale = block.get("scale", [1.0, 0.0])
-        s = complex(scale[0], scale[1])
-        omega = float(block["omega"])
+        s = _pair(block.get("scale", [1.0, 0.0]), f"{where}.scale")
+        omega = _number(block["omega"], f"{where}.omega")
         return lambda t, table: s * cmath.exp(1j * omega * t)
     if kind == "table":
         _check_keys(block, where, required=["type", "key"], optional=["scale"])
-        scale = block.get("scale", [1.0, 0.0])
-        s = complex(scale[0], scale[1])
-        key = tuple(_as_index(idx) for idx in block["key"])
+        s = _pair(block.get("scale", [1.0, 0.0]), f"{where}.scale")
+        key = tuple(_index_list(block["key"], f"{where}.key"))
         return lambda t, table: s * table.kappa(key)
     raise ConfigError(f"{where}: unknown amplitude type {kind!r}; expected constant | phase | table")
 
@@ -496,36 +482,26 @@ def _run_hierarchy_rhs(rc: RunConfig, out_dir: Path) -> dict:
         required=["order"],
         optional=["model", "model_path", "table", "table_path", "time"],
     )
-    order = int(params["order"])
-    if order < 1:
-        raise ConfigError("hierarchy-rhs: order must be at least 1")
-    model_json = _load_block(params, "model", "hierarchy-rhs")
-    if not isinstance(model_json, Mapping):
-        raise ConfigError("hierarchy-rhs: model must be a JSON object")
+    order = _number(params["order"], "hierarchy-rhs: order", integer=True, low=1)
+    model_json = _object(_load_block(params, "model", "hierarchy-rhs"), "hierarchy-rhs: model")
     _check_keys(model_json, "hierarchy-rhs model", required=["terms"])
     if not isinstance(model_json["terms"], list):
         raise ConfigError("hierarchy-rhs: model terms must be a list")
     terms: dict = {}
     for pos, item in enumerate(model_json["terms"]):
         where = f"hierarchy-rhs model terms[{pos}]"
-        if not isinstance(item, Mapping):
-            raise ConfigError(f"{where}: must be an object")
-        _check_keys(item, where, required=["index", "seq", "amplitude"])
-        seq = item["seq"]
-        if not isinstance(seq, list) or not seq:
-            raise ConfigError(f"{where}: seq must be a nonempty list")
+        _check_keys(_object(item, where), where, required=["index", "seq", "amplitude"])
         term = InteractionTerm(
-            seq=LabeledSeq.from_indices([_as_index(idx) for idx in seq]),
+            seq=LabeledSeq.from_indices(_index_list(item["seq"], f"{where}.seq")),
             amplitude=_amplitude_from_descriptor(item["amplitude"], f"{where}.amplitude"),
         )
         terms.setdefault(_as_index(item["index"]), []).append(term)
     model = AmplitudeModel(terms=terms)
-    table_json = _load_block(params, "table", "hierarchy-rhs")
-    table = CumulantTable.from_json(table_json, max_order=order)
-    state = HierarchyState(table=table, time=float(params.get("time", 0.0)))
+    table = CumulantTable.from_json(_load_block(params, "table", "hierarchy-rhs"), max_order=order)
+    state = HierarchyState(table=table, time=_number(params.get("time", 0.0), "hierarchy-rhs: time"))
     targets = all_keys_up_to(model.universe(), order)
     rhs = hierarchy_rhs_table(model, state, targets)
-    _write_json(out_dir / "rhs_table.json", _value_map_to_json(rhs))
+    _write_json(out_dir / "rhs_table.json", table_to_json(rhs))
     return {"outputs": ["rhs_table.json"], "summary": {"targets": len(rhs), "order": order}}
 
 
@@ -537,24 +513,18 @@ def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
         required=["lattice", "dispersion", "coupling", "w0", "n_realizations", "dt", "t_end"],
         optional=["family", "record_every"],
     )
-    lattice = _parse_lattice(params["lattice"], "dnls-simulate")
-    dispersion = _parse_dispersion(params["dispersion"], lattice.dimension, "dnls-simulate")
-    w0 = _parse_w0(params["w0"], lattice, dispersion, "dnls-simulate")
-    coupling = float(params["coupling"])
-    n_real = int(params["n_realizations"])
-    if n_real < 2:
-        raise ConfigError("dnls-simulate: n_realizations must be at least 2")
-    dt = float(params["dt"])
-    n_steps = step_count(float(params["t_end"]), dt, "dnls-simulate")
-    if n_steps < 1:
-        raise ConfigError("dnls-simulate: t_end must be positive")
-    record_every = int(params.get("record_every", 1))
-    if record_every < 1 or n_steps % record_every:
+    lattice, dispersion, w0 = _parse_system(params, "dnls-simulate")
+    coupling = _number(params["coupling"], "dnls-simulate: coupling")
+    n_real = _number(params["n_realizations"], "dnls-simulate: n_realizations", integer=True, low=2)
+    dt = _number(params["dt"], "dnls-simulate: dt")
+    n_steps = step_count(_number(params["t_end"], "dnls-simulate: t_end", low=0.0, strict=True), dt, "dnls-simulate")
+    record_every = _number(params.get("record_every", 1), "dnls-simulate: record_every", integer=True, low=1)
+    if n_steps % record_every:
         raise ConfigError("dnls-simulate: record_every must divide the step count")
 
     ensemble = sample_initial(
         lattice, w0, n_real, seed=rc.seed,
-        family=str(params.get("family", "gaussian")), coupling=coupling,
+        family=params.get("family", "gaussian"), coupling=coupling,
     )
     rows = []
     for block in range(n_steps // record_every + 1):
@@ -579,15 +549,9 @@ def _run_estimate_w(rc: RunConfig, out_dir: Path) -> dict:
         params, "estimate-w params",
         required=["lattice", "dispersion", "w0", "n_realizations"], optional=["family"],
     )
-    lattice = _parse_lattice(params["lattice"], "estimate-w")
-    dispersion = _parse_dispersion(params["dispersion"], lattice.dimension, "estimate-w")
-    w0 = _parse_w0(params["w0"], lattice, dispersion, "estimate-w")
-    n_real = int(params["n_realizations"])
-    if n_real < 2:
-        raise ConfigError("estimate-w: n_realizations must be at least 2")
-    ensemble = sample_initial(
-        lattice, w0, n_real, seed=rc.seed, family=str(params.get("family", "gaussian")),
-    )
+    lattice, _, w0 = _parse_system(params, "estimate-w")
+    n_real = _number(params["n_realizations"], "estimate-w: n_realizations", integer=True, low=2)
+    ensemble = sample_initial(lattice, w0, n_real, seed=rc.seed, family=params.get("family", "gaussian"))
     estimate = estimate_W(ensemble)
     write_spectrum_csv(lattice, estimate, out_dir / "spectrum.csv")
     worst = float(np.max(np.abs(estimate.values - w0) / np.maximum(estimate.stderr, 1e-300)))
@@ -605,11 +569,10 @@ def _run_bp_solve(rc: RunConfig, out_dir: Path) -> dict:
         required=["lattice", "dispersion", "delta", "w0", "tau_end", "dtau"],
         optional=["method"],
     )
-    lattice = _parse_lattice(params["lattice"], "bp-solve")
-    dispersion = _parse_dispersion(params["dispersion"], lattice.dimension, "bp-solve")
+    lattice, dispersion, w0 = _parse_system(params, "bp-solve")
     config = _parse_collision(lattice, dispersion, params["delta"], params.get("method"), "bp-solve")
-    w0 = _parse_w0(params["w0"], lattice, dispersion, "bp-solve")
-    trajectory = bp_solve(w0, config, tau_end=float(params["tau_end"]), dtau=float(params["dtau"]))
+    tau_end, dtau = _number(params["tau_end"], "bp-solve: tau_end"), _number(params["dtau"], "bp-solve: dtau")
+    trajectory = bp_solve(w0, config, tau_end=tau_end, dtau=dtau)
     write_trajectory_csv(lattice, trajectory, out_dir / "trajectory.csv")
     _write_json(
         out_dir / "summary.json",
@@ -640,15 +603,9 @@ def _run_bp_compare(rc: RunConfig, out_dir: Path) -> dict:
         required=["lattice", "dispersion", "w0", "tau", "lambda_list", "reference_delta"],
         optional=["method"],
     )
-    lattice = _parse_lattice(params["lattice"], "bp-compare")
-    dispersion = _parse_dispersion(params["dispersion"], lattice.dimension, "bp-compare")
-    w0 = _parse_w0(params["w0"], lattice, dispersion, "bp-compare")
-    tau = float(params["tau"])
-    if tau <= 0.0:
-        raise ConfigError("bp-compare: tau must be positive")
-    lambdas = [float(v) for v in params["lambda_list"]]
-    if not lambdas or any(v <= 0.0 for v in lambdas):
-        raise ConfigError("bp-compare: lambda_list must be a nonempty list of positive values")
+    lattice, dispersion, w0 = _parse_system(params, "bp-compare")
+    tau = _number(params["tau"], "bp-compare: tau", low=0.0, strict=True)
+    lambdas = _numbers(params["lambda_list"], "bp-compare: lambda_list", low=0.0, strict=True)
     config = _parse_collision(
         lattice, dispersion, params["reference_delta"], params.get("method"), "bp-compare",
     )
@@ -692,22 +649,14 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
         required=["lattice", "dispersion", "w0", "coupling_list", "tau", "dt", "n_realizations"],
         optional=["family", "reference_delta", "method", "se_threshold", "min_resolved_modes"],
     )
-    lattice = _parse_lattice(params["lattice"], "kinetic-check")
-    dispersion = _parse_dispersion(params["dispersion"], lattice.dimension, "kinetic-check")
-    w0 = _parse_w0(params["w0"], lattice, dispersion, "kinetic-check")
-    tau = float(params["tau"])
-    dt = float(params["dt"])
-    if tau <= 0.0:
-        raise ConfigError("kinetic-check: tau must be positive")
-    lambdas = [float(v) for v in params["coupling_list"]]
-    if not lambdas or any(v <= 0.0 for v in lambdas):
-        raise ConfigError("kinetic-check: coupling_list must be a nonempty list of positive values")
-    n_real = int(params["n_realizations"])
-    if n_real < 2:
-        raise ConfigError("kinetic-check: n_realizations must be at least 2")
-    family = str(params.get("family", "gaussian"))
-    se_threshold = float(params.get("se_threshold", 3.0))
-    min_resolved = int(params.get("min_resolved_modes", 1))
+    lattice, dispersion, w0 = _parse_system(params, "kinetic-check")
+    tau = _number(params["tau"], "kinetic-check: tau", low=0.0, strict=True)
+    dt = _number(params["dt"], "kinetic-check: dt")
+    lambdas = _numbers(params["coupling_list"], "kinetic-check: coupling_list", low=0.0, strict=True)
+    n_real = _number(params["n_realizations"], "kinetic-check: n_realizations", integer=True, low=2)
+    family = params.get("family", "gaussian")
+    se_threshold = _number(params.get("se_threshold", 3.0), "kinetic-check: se_threshold")
+    min_resolved = _number(params.get("min_resolved_modes", 1), "kinetic-check: min_resolved_modes", integer=True)
     delta_block = params.get("reference_delta", {"model": "gaussian"})
     config = _parse_collision(lattice, dispersion, delta_block, params.get("method"), "kinetic-check")
     reference = collision_operator(w0, config).values

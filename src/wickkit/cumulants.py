@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import ConfigError, _json, _object, _pair
 from .indexing import Index, LabeledSeq, canonical_key, partition_sum
 
 KappaFn = Callable[[LabeledSeq], complex]
@@ -55,7 +57,7 @@ class TableOracle(MomentOracle):
     def __init__(self, entries: Mapping[tuple, complex]):
         self.entries = {canonical_key(k): complex(v) for k, v in entries.items()}
         if () in self.entries and self.entries[()] != 1.0:
-            raise ValueError("the empty moment must equal 1")
+            raise ConfigError("the empty moment must equal 1")
 
     def moment(self, key: tuple) -> complex:
         return self.entries[canonical_key(key)]
@@ -206,11 +208,29 @@ def _key_to_str(key: tuple) -> str:
 def _as_index(token):
     if isinstance(token, list):
         return tuple(_as_index(t) for t in token)
+    if isinstance(token, dict) or isinstance(token, float) and not math.isfinite(token):
+        raise ConfigError(f"an index must be a finite number, a string or a list of them, got {token!r}")
     return token
 
 
-def _str_to_key(s: str) -> tuple:
-    return tuple(_as_index(t) for t in json.loads(s))
+def table_from_json(data) -> dict[tuple, complex]:
+    """The checked entries of the external form ``{"[i, j, ...]": [re, im]}``, keys as written."""
+    entries = {}
+    for text, value in _object(data, "a table").items():
+        key = _json(text, f"table key {text!r}")
+        if not isinstance(key, list):
+            raise ConfigError(f"table key {text!r} must be a JSON list of indices")
+        entries[tuple(_as_index(t) for t in key)] = _pair(value, f"table entry {text}")
+    return entries
+
+
+def table_to_json(entries: Mapping[tuple, complex]) -> dict[str, list[float]]:
+    """The external table form of ``entries``, keys in sorted string order."""
+    out = {}
+    for key in sorted(entries, key=_key_to_str):
+        value = complex(entries[key])
+        out[_key_to_str(key)] = [value.real, value.imag]
+    return out
 
 
 @dataclass
@@ -232,9 +252,9 @@ class CumulantTable:
             self.max_order = max((len(k) for k in self.entries), default=0)
         for k in self.entries:
             if len(k) > self.max_order:
-                raise ValueError(f"entry {k} exceeds max order {self.max_order}")
+                raise ConfigError(f"entry {k} exceeds max order {self.max_order}")
             if len(k) == 0:
-                raise ValueError("the empty cumulant is fixed at 0 and not stored")
+                raise ConfigError("the empty cumulant is fixed at 0 and not stored")
 
     @classmethod
     def empty(cls, max_order: int, provenance: str = "analytic") -> "CumulantTable":
@@ -243,9 +263,9 @@ class CumulantTable:
     def set(self, key: Iterable[Index], value: complex) -> None:
         key = canonical_key(key)
         if len(key) == 0:
-            raise ValueError("the empty cumulant is fixed at 0")
+            raise ConfigError("the empty cumulant is fixed at 0")
         if len(key) > self.max_order:
-            raise ValueError(f"key {key} exceeds max order {self.max_order}")
+            raise ConfigError(f"key {key} exceeds max order {self.max_order}")
         self.entries[key] = complex(value)
 
     def kappa(self, key: Iterable[Index]) -> complex:
@@ -259,11 +279,7 @@ class CumulantTable:
 
     def to_json(self) -> dict[str, list[float]]:
         """The external form: canonical key string -> [re, im]."""
-        out = {}
-        for k in sorted(self.entries, key=_key_to_str):
-            v = self.entries[k]
-            out[_key_to_str(k)] = [v.real, v.imag]
-        return out
+        return table_to_json(self.entries)
 
     @classmethod
     def from_json(
@@ -272,10 +288,7 @@ class CumulantTable:
         max_order: int | None = None,
         provenance: str = "analytic",
     ) -> "CumulantTable":
-        entries = {
-            _str_to_key(s): complex(v[0], v[1]) for s, v in data.items()
-        }
-        return cls(entries=entries, max_order=max_order, provenance=provenance)
+        return cls(entries=table_from_json(data), max_order=max_order, provenance=provenance)
 
 
 # ----------------------------------------------------------------------

@@ -1082,6 +1082,13 @@ def write_spectrum_csv(lattice: Lattice, spectrum: Spectrum, path: str | Path) -
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _csv_floats(cells: list[str], path: str | Path, row: int) -> list[float]:
+    try:
+        return [float(cell) for cell in cells]
+    except ValueError:
+        raise ConfigError(f"{path} row {row}: {','.join(cells)!r} holds a cell that is not a number") from None
+
+
 def read_spectrum_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Parse a spectrum CSV back into (k rows, values, stderr or None)."""
     lines = Path(path).read_text().strip().splitlines()
@@ -1093,15 +1100,15 @@ def read_spectrum_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndar
     dim = len(header) - 2
     k_rows, values, errors = [], [], []
     has_err = True
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != dim + 2:
             raise ConfigError(f"malformed spectrum row: {line!r}")
-        k_rows.append([float(p) for p in parts[:dim]])
-        values.append(float(parts[dim]))
+        k_rows.append(_csv_floats(parts[:dim], path, row))
+        values.extend(_csv_floats(parts[dim : dim + 1], path, row))
         if parts[dim + 1] == "":
             has_err = False
         else:
-            errors.append(float(parts[dim + 1]))
+            errors.extend(_csv_floats(parts[dim + 1 :], path, row))
     stderr = np.asarray(errors) if has_err else None
     return np.asarray(k_rows), np.asarray(values), stderr

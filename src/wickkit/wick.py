@@ -30,8 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cumulants import CumulantEvaluator, MomentOracle, as_kappa_fn
-from .errors import GuardError
+from .cumulants import CumulantEvaluator, MomentOracle, _as_index, as_kappa_fn
+from .errors import GuardError, _pair
 from .indexing import (
     EMPTY,
     Index,
@@ -123,12 +123,9 @@ class WickPoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "WickPoly":
-        def fix(idx):
-            return tuple(fix(i) for i in idx) if isinstance(idx, list) else idx
-
-        ground = LabeledSeq(tuple((lab, fix(idx)) for lab, idx in data["ground"]))
+        ground = LabeledSeq(tuple((lab, _as_index(idx)) for lab, idx in data["ground"]))
         terms = {
-            frozenset(t["subset"]): complex(t["coeff"][0], t["coeff"][1])
+            frozenset(t["subset"]): _pair(t["coeff"], "a Wick coefficient")
             for t in data["terms"]
         }
         return cls(ground=ground, terms=terms)

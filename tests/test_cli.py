@@ -18,13 +18,20 @@ Oracles
 from __future__ import annotations
 
 import cmath
+import contextlib
+import copy
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wickkit.cli import (
     KINDS,
@@ -65,10 +72,15 @@ def as_c(pair) -> complex:
     return complex(pair[0], pair[1])
 
 
-def assert_one_error_line(capsys, code: int) -> None:
+def assert_error_line(stderr: str, code: int) -> None:
     """stderr holds exactly one JSON error report with the given exit code."""
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == code
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1, stderr
+    assert json.loads(lines[0])["exit_code"] == code
+
+
+def assert_one_error_line(capsys, code: int) -> None:
+    assert_error_line(capsys.readouterr().err, code)
 
 
 class TestConfigLoading:
@@ -375,8 +387,14 @@ class TestDnlsSimulate:
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     @pytest.mark.parametrize(
         "extra, code",
-        [({"dt": float("nan")}, 2), ({"t_end": float("inf")}, 2), ({"coupling": float("inf")}, 3)],
-        ids=["nan-dt", "inf-t_end", "inf-coupling"],
+        [
+            ({"dt": float("nan")}, 2),
+            ({"t_end": float("inf")}, 2),
+            ({"coupling": float("inf")}, 2),
+            # finite input whose field overflows at the first step trips the guard
+            ({"coupling": 1e300, "w0": {"kind": "flat", "value": 1e10}}, 3),
+        ],
+        ids=["nan-dt", "inf-t_end", "inf-coupling", "overflowing-field"],
     )
     def test_non_finite_input_or_field_fails_cleanly(self, tmp_path, capsys, extra, code):
         path = self.make_config(tmp_path, **extra)
@@ -653,3 +671,223 @@ class TestMainPlumbing:
         assert manifest["config"]["params"]["indices"] == [1]
         assert manifest["outputs"] == ["wick_poly.json"]
         assert "total_seconds" in manifest["timings"]
+
+
+# ---------------------------------------------------------------------------
+# the input boundary: malformed configs never reach the numerics
+# ---------------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+# One small valid config per kind; every key path in it is a mutation site.
+BOUNDARY_CONFIGS = {
+    "wick-expand": {
+        "indices": [1, 2, 1],
+        "cumulants": {"[1]": [0.3, 0.0], "[2]": [-0.2, 0.1], "[1,2]": [0.7, 0.2], "[1,1]": [0.5, 0.0]},
+    },
+    "cumulant-convert": {
+        "direction": "cumulants-to-moments",
+        "table": {"[1]": [0.5, 0.0], "[1,1]": [1.0, 0.0], "[1,2]": [0.3, -0.1], "[2]": [0.0, 0.25]},
+    },
+    "hierarchy-rhs": {
+        "order": 2,
+        "time": 0.5,
+        "model": TestHierarchyRhs.MODEL,
+        "table": TestHierarchyRhs.TABLE,
+    },
+    "dnls-simulate": {
+        "lattice": {"dimension": 1, "side": 8},
+        "dispersion": {"kind": "next-nearest", "second_shell": 0.25},
+        "coupling": 0.3,
+        "w0": {"kind": "cosine", "mean": 1.0, "amplitudes": [0.5]},
+        "n_realizations": 4,
+        "dt": 0.05,
+        "t_end": 0.2,
+        "record_every": 2,
+        "family": "gaussian",
+    },
+    "estimate-w": {
+        "lattice": {"dimension": 1, "side": 8},
+        "dispersion": {"kind": "zero"},
+        "w0": {"kind": "flat", "value": 1.0},
+        "n_realizations": 16,
+        "family": "gaussian",
+    },
+    "bp-solve": {
+        "lattice": {"dimension": 1, "side": 8},
+        "dispersion": {"kind": "nearest-neighbor"},
+        "delta": {"model": "gaussian", "epsilon": 0.35},
+        "method": "fft",
+        "w0": {"kind": "equilibrium", "beta": 1.0, "mu": -1.0},
+        "tau_end": 0.1,
+        "dtau": 0.05,
+    },
+    "bp-compare": {
+        "lattice": {"dimension": 1, "side": 8},
+        "dispersion": {"kind": "nearest-neighbor"},
+        "w0": {"kind": "cosine", "mean": 1.0, "amplitudes": [0.5]},
+        "tau": 0.1,
+        "lambda_list": [0.8, 0.4],
+        "reference_delta": {"model": "fejer", "window_tau": 0.1, "window_coupling": 0.5},
+        "method": "direct",
+    },
+    "kinetic-check": {
+        "lattice": {"dimension": 1, "side": 8},
+        "dispersion": {"kind": "nearest-neighbor"},
+        "w0": {"kind": "cosine", "mean": 1.0, "amplitudes": [0.5]},
+        "coupling_list": [0.5],
+        "tau": 0.1,
+        "dt": 0.05,
+        "n_realizations": 64,
+        "family": "gaussian",
+        "reference_delta": {"model": "gaussian", "epsilon": 0.5},
+        "method": "fft",
+        "se_threshold": 0.0,
+        "min_resolved_modes": 1,
+    },
+}
+
+MUTANTS = [NAN, INF, -INF, "x", True, None, 2.5, [], {}, [1.0], -1]
+
+
+def boundary_config(kind: str) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, "seed": 3, "threads": 1,
+            "params": copy.deepcopy(BOUNDARY_CONFIGS[kind])}
+
+
+def key_paths(node, prefix=()):
+    """Every key path below ``node``, through objects and lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+def replaced(config: dict, path: tuple, value) -> dict:
+    out = copy.deepcopy(config)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = copy.deepcopy(value)
+    return out
+
+
+def run_in_process(kind: str, config: dict, directory: Path) -> tuple[int, str]:
+    """Write the config, run the ``kind`` subcommand on it in-process, return (exit code, stderr)."""
+    path = directory / "c.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([kind, "--config", str(path), "--out", str(directory / "run")])
+    return code, err.getvalue()
+
+
+def _refuse(token):
+    raise AssertionError(f"non-finite JSON constant {token}")
+
+
+def assert_finite_file(path: Path) -> None:
+    text = path.read_text()
+    if path.suffix == ".json":
+        json.loads(text, parse_constant=_refuse)
+    else:
+        for line in text.splitlines()[1:]:
+            assert all(math.isfinite(float(cell)) for cell in line.split(",") if cell), (path.name, line)
+
+
+# Malformed configs, each one mistyped, non-finite or out-of-range value away
+# from a valid one; every one must exit 2 before any numerics run.
+PROBES = [
+    ("dnls-simulate", ("params", "n_realizations"), "x"),
+    ("dnls-simulate", ("params", "record_every"), NAN),
+    ("dnls-simulate", ("params", "lattice", "side"), "x"),
+    ("dnls-simulate", ("params", "lattice", "side"), None),
+    ("estimate-w", ("params", "w0"), {"kind": "cosine", "mean": 1.0, "amplitudes": 0.5}),
+    ("bp-solve", ("params", "delta", "epsilon"), "x"),
+    ("bp-solve", ("params", "tau_end"), None),
+    ("bp-compare", ("params", "lambda_list"), 0.5),
+    ("hierarchy-rhs", ("params", "order"), "x"),
+    ("hierarchy-rhs", ("params", "model", "terms", 0, "amplitude", "value"), [1.0]),
+    ("hierarchy-rhs", ("params", "model", "terms", 0, "amplitude", "value"), "ab"),
+    ("wick-expand", ("params", "cumulants", "[1]"), [1.0]),
+    ("wick-expand", ("params", "cumulants", "[1]"), "x"),
+    ("wick-expand", ("params", "cumulants"), [1]),
+    ("wick-expand", ("params", "indices"), [{"a": 1}]),
+    ("cumulant-convert", ("params", "table"), {"[1": [0.1, 0.0]}),
+    ("cumulant-convert", ("params", "table", "[1]"), [0.1]),
+    ("dnls-simulate", ("params", "n_realizations"), 2.7),
+    ("dnls-simulate", ("params", "dt"), "0.05"),
+    ("dnls-simulate", ("params", "lattice", "side"), 8.9),
+    ("dnls-simulate", ("params", "dispersion"), {"kind": "nearest-neighbor", "second_shell": NAN}),
+    ("hierarchy-rhs", ("params", "time"), NAN),
+    ("hierarchy-rhs", ("params", "table", "[1]", 0), NAN),
+    ("wick-expand", ("params", "cumulants", "[1]", 0), NAN),
+    ("cumulant-convert", ("params", "table", "[1]", 0), INF),
+    ("dnls-simulate", ("params", "coupling"), NAN),
+    ("dnls-simulate", ("params", "coupling"), "nan"),
+    ("dnls-simulate", ("params", "w0"), {"kind": "flat", "value": INF}),
+    # separate probes
+    ("estimate-w", ("params", "w0"), {"kind": "csv", "path": "nan.csv"}),
+    ("estimate-w", ("threads",), 2.5),
+    ("estimate-w", ("seed",), "x"),
+    ("wick-expand", ("params", "cumulants"), {"[]": [1.0, 0.0], "[1]": [0.3, 0.0]}),
+    # library input errors reachable from the CLI, and CSV cells
+    ("hierarchy-rhs", ("params", "table"), {"[1,1,1]": [0.1, 0.0]}),
+    ("cumulant-convert", ("params",), {"direction": "moments-to-cumulants", "table": {"[]": [2.0, 0.0], "[1]": [0.5, 0.0]}}),
+    ("hierarchy-rhs", ("params", "model", "terms", 0, "seq"), [{"a": 1}]),
+    ("estimate-w", ("params", "w0"), {"kind": "csv", "path": "word.csv"}),
+    ("bp-solve", ("params", "dispersion"), {"kind": "zero", "second_shell": 0.25}),
+]
+
+
+def _probe_id(probe) -> str:
+    kind, path, value = probe
+    return f"{kind}:{'.'.join(map(str, path))}={value!r}"
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("probe", PROBES, ids=[_probe_id(p) for p in PROBES])
+    def test_malformed_config_exits_2_without_results(self, tmp_path, monkeypatch, probe):
+        kind, path, value = probe
+        monkeypatch.chdir(tmp_path)  # the csv probes name files relative to the working directory
+        rows = "".join(f"{i / 8!r},1.0,\n" for i in range(8))
+        (tmp_path / "nan.csv").write_text("k1,value,stderr\n" + rows.replace("1.0,", "nan,", 1))
+        (tmp_path / "word.csv").write_text("k1,value,stderr\n" + rows.replace("1.0,", "one,", 1))
+        code, stderr = run_in_process(kind, replaced(boundary_config(kind), path, value), tmp_path)
+        assert code == 2, stderr
+        assert_error_line(stderr, 2)
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would be a second stderr line
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_mutated_config_keeps_the_contract(self, kind, data):
+        config = boundary_config(kind)
+        path = data.draw(st.sampled_from(list(key_paths(config))), label="path")
+        value = data.draw(st.sampled_from(MUTANTS), label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stderr = run_in_process(kind, replaced(config, path, value), Path(tmp))
+            assert code in (0, 2, 3, 4), (path, value, code)
+            if code:
+                assert_error_line(stderr, code)
+            else:
+                assert stderr == ""
+                for written in (Path(tmp) / "run").iterdir():
+                    assert_finite_file(written)
+
+    def test_csv_readers_name_the_file_and_row(self, tmp_path):
+        spectrum = tmp_path / "s.csv"
+        spectrum.write_text("k1,value,stderr\n0.0,1.0,\n0.5,x,\n")
+        with pytest.raises(ConfigError, match=r"s\.csv row 3"):
+            read_spectrum_csv(spectrum)
+        trajectory = tmp_path / "t.csv"
+        trajectory.write_text("tau,k1,value\n0.0,0.0,1.0\n0.0,0.5,1.0\nzero,0.0,1.0\n")
+        with pytest.raises(ConfigError, match=r"t\.csv row 4"):
+            read_trajectory_csv(trajectory)
+
+    def test_valid_boundary_configs_run(self, tmp_path):
+        for kind in KINDS:
+            (tmp_path / kind).mkdir()
+            code, stderr = run_in_process(kind, boundary_config(kind), tmp_path / kind)
+            assert code == 0, (kind, stderr)

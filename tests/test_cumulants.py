@@ -20,6 +20,7 @@ from wickkit.cumulants import (
     moments_from_cumulants,
     multilinearity_check,
 )
+from wickkit.errors import ConfigError
 from wickkit.indexing import EMPTY, LabeledSeq
 
 from _support import mobius_cumulant, random_moment_oracle, random_sequences
@@ -184,6 +185,34 @@ class TestCumulantTable:
         back = CumulantTable.from_json(data, max_order=2)
         assert back.kappa(("a", "b")) == 1.5 + 0.5j
         assert back.kappa((("q", 1),)) == 2.0
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1],
+            {"[1": [0.1, 0.0]},
+            {"5": [0.1, 0.0]},
+            {'[{"a": 1}]': [0.1, 0.0]},
+            {"[NaN]": [0.1, 0.0]},
+            {"[1]": [0.1]},
+            {"[1]": "x"},
+            {"[1]": [float("nan"), 0.0]},
+            {"[1]": [True, 0.0]},
+            {"[]": [1.0, 0.0]},
+            {"[1,1,1]": [0.1, 0.0]},
+        ],
+    )
+    def test_json_reader_rejects_malformed_tables(self, data):
+        with pytest.raises(ConfigError):
+            CumulantTable.from_json(data, max_order=2)
+
+    def test_input_errors_are_config_errors(self):
+        t = CumulantTable.empty(max_order=2)
+        for key in ((), ("a", "a", "a")):
+            with pytest.raises(ConfigError):
+                t.set(key, 1.0)
+        with pytest.raises(ConfigError):
+            TableOracle({(): 2.0})
 
 
 class TestMultilinearity:
