@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import sys
 import time
@@ -62,12 +63,11 @@ from .dnls import (
     nearest_neighbor_dispersion,
     next_nearest_dispersion,
     sample_initial,
-    step_count,
     write_spectrum_csv,
     read_spectrum_csv,
     zero_dispersion,
 )
-from .errors import ConfigError, GuardError, _json, _number, _numbers, _object, _pair
+from .errors import ConfigError, GuardError, _json, _number, _numbers, _object, _pair, step_count
 from .hierarchy import (
     AmplitudeModel,
     HierarchyState,
@@ -76,7 +76,7 @@ from .hierarchy import (
     constant_amplitude,
     hierarchy_rhs_table,
 )
-from .indexing import LabeledSeq
+from .indexing import LabeledSeq, PartitionMemo
 from .kinetic import (
     BPTrajectory,
     CollisionConfig,
@@ -198,14 +198,36 @@ def load_run_config(
 # ---------------------------------------------------------------------------
 
 
+# the files the current run has (re)written; :func:`run` removes them if it fails
+_written: list[Path] = []
+
+
+def _write_text(path: Path, text: str) -> None:
+    _written.append(path)
+    path.write_text(text)
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` as JSON; a non-finite number is a GuardError and nothing is written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise GuardError(f"{path.name}: a result is not finite ({err})") from None
+    _write_text(path, text + "\n")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    """Write rows of ``repr(float)`` cells; a non-finite cell is a GuardError and nothing is written."""
+    body = "".join(",".join(row) + "\n" for row in rows)
+    if "nan" in body or "inf" in body:  # repr spells the non-finite floats nan, inf and -inf
+        raise GuardError(f"{path.name}: a result is not finite")
+    _write_text(path, ",".join(header) + "\n" + body)
+
+
+def _write_spectrum(lattice: Lattice, spectrum, path: Path) -> None:
+    # the writer checks the spectrum before it opens the file, so record it once written
+    write_spectrum_csv(lattice, spectrum, path)
+    _written.append(path)
 
 
 def write_trajectory_csv(lattice: Lattice, trajectory: BPTrajectory, path: str | Path) -> None:
@@ -441,18 +463,26 @@ def _run_cumulant_convert(rc: RunConfig, out_dir: Path) -> dict:
             raise ConfigError(
                 f"cumulant-convert: moment table is missing the sub-moment {err.args[0]!r}"
             ) from err
+        work = {"multisets_evaluated": len(evaluator.memo), "partition_states": 0}
     elif direction == "cumulants-to-moments":
         table = CumulantTable(entries=entries)
+        memo = PartitionMemo(table.book)  # every moment is a symmetric sum over this one table
         converted = {
-            key: moments_from_cumulants(table, LabeledSeq.from_indices(key)) for key in keys
+            key: moments_from_cumulants(table, LabeledSeq.from_indices(key), memo) for key in keys
         }
+        work = _partition_work(memo)
     else:
         raise ConfigError(
             f"cumulant-convert: unknown direction {direction!r}; "
             "expected moments-to-cumulants | cumulants-to-moments"
         )
     _write_json(out_dir / "converted.json", table_to_json(converted))
-    return {"outputs": ["converted.json"], "summary": {"entries": len(converted)}}
+    return {"outputs": ["converted.json"], "summary": {"entries": len(converted), **work}}
+
+
+def _partition_work(memo: PartitionMemo) -> dict:
+    """Deterministic work counts of the partition sums that shared ``memo``."""
+    return {"multisets_evaluated": len(memo.weights), "partition_states": len(memo.totals) - 1}
 
 
 def _amplitude_from_descriptor(block, where: str):
@@ -500,9 +530,13 @@ def _run_hierarchy_rhs(rc: RunConfig, out_dir: Path) -> dict:
     table = CumulantTable.from_json(_load_block(params, "table", "hierarchy-rhs"), max_order=order)
     state = HierarchyState(table=table, time=_number(params.get("time", 0.0), "hierarchy-rhs: time"))
     targets = all_keys_up_to(model.universe(), order)
-    rhs = hierarchy_rhs_table(model, state, targets)
+    memo = PartitionMemo()
+    rhs = hierarchy_rhs_table(model, state, targets, memo)
     _write_json(out_dir / "rhs_table.json", table_to_json(rhs))
-    return {"outputs": ["rhs_table.json"], "summary": {"targets": len(rhs), "order": order}}
+    return {
+        "outputs": ["rhs_table.json"],
+        "summary": {"targets": len(rhs), "order": order, **_partition_work(memo)},
+    }
 
 
 def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
@@ -535,7 +569,7 @@ def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
         energy = hamiltonian(stack, lattice, dispersion) / n_real
         rows.append([repr(float(block * record_every * dt)), repr(mass), repr(energy)])
     _write_csv(out_dir / "observables.csv", ["time", "mean_mass", "mean_energy"], rows)
-    write_spectrum_csv(lattice, estimate_W(ensemble), out_dir / "spectrum.csv")
+    _write_spectrum(lattice, estimate_W(ensemble), out_dir / "spectrum.csv")
     return {
         "outputs": ["observables.csv", "spectrum.csv"],
         "summary": {"n_steps": n_steps, "records": len(rows), "final_mean_mass": mass},
@@ -553,7 +587,7 @@ def _run_estimate_w(rc: RunConfig, out_dir: Path) -> dict:
     n_real = _number(params["n_realizations"], "estimate-w: n_realizations", integer=True, low=2)
     ensemble = sample_initial(lattice, w0, n_real, seed=rc.seed, family=params.get("family", "gaussian"))
     estimate = estimate_W(ensemble)
-    write_spectrum_csv(lattice, estimate, out_dir / "spectrum.csv")
+    _write_spectrum(lattice, estimate, out_dir / "spectrum.csv")
     worst = float(np.max(np.abs(estimate.values - w0) / np.maximum(estimate.stderr, 1e-300)))
     return {
         "outputs": ["spectrum.csv"],
@@ -736,17 +770,27 @@ def run(rc: RunConfig) -> list[Path]:
     """Execute one run: write result files and the manifest, return their paths."""
     out_dir = Path(rc.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a manifest describes the run that wrote it; a failed rerun must not leave the old one
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+    _written.clear()
     started = time.perf_counter()
-    report = _RUNNERS[rc.kind](rc, out_dir)
-    manifest = {
-        "package_version": __version__,
-        "kind": rc.kind,
-        "config": rc.echo(),
-        "outputs": report["outputs"],
-        "summary": report["summary"],
-        "timings": {"total_seconds": time.perf_counter() - started},
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+    try:
+        report = _RUNNERS[rc.kind](rc, out_dir)
+        manifest = {
+            "package_version": __version__,
+            "kind": rc.kind,
+            "config": rc.echo(),
+            "outputs": report["outputs"],
+            "summary": report["summary"],
+            "timings": {"total_seconds": time.perf_counter() - started},
+        }
+        _write_json(out_dir / "manifest.json", manifest)
+    except Exception:
+        # a failed run leaves none of the files it wrote behind
+        for path in _written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
     return [out_dir / name for name in report["outputs"]] + [out_dir / "manifest.json"]
 
 

@@ -12,10 +12,14 @@ convention; E ranges over the label bitmasks of I that hold x, and each
 subset's moment is fetched once per call.  Moments are recovered from
 cumulants by the partition sum
 E[y^I] = sum over set partitions pi of I of prod over blocks A of kappa[A],
-evaluated by the bitmask kernel :func:`wickkit.indexing.partition_sum`
+evaluated by the bitmask kernel :func:`wickkit.indexing.partition_sums`
 (one cumulant lookup per block, each remaining subset summed once).  Both
-directions are permutation invariant, so all memoization and table storage
-uses canonical multiset keys.
+directions are permutation invariant, so every memo, moment cache and table
+lookup inside them is keyed by multiset code (:class:`Codebook`): a table or
+an evaluator interns its indices once, and a block's code is one addition.
+Canonical keys (sorted tuples) are the public key form of ``moment``,
+``kappa`` and ``entries`` and of the JSON tables; a generic oracle gets one
+decoded canonical key per distinct multiset.
 """
 
 from __future__ import annotations
@@ -24,18 +28,45 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, _json, _object, _pair
-from .indexing import Index, LabeledSeq, canonical_key, partition_sum
+from .errors import ConfigError, GuardError, _json, _object, _pair
+from .indexing import (
+    SUBSET_GUARD,
+    Codebook,
+    Index,
+    LabeledSeq,
+    PartitionMemo,
+    _check_partition_guard,
+    canonical_key,
+    mask_codes,
+    partition_sums,
+)
 
 KappaFn = Callable[[LabeledSeq], complex]
 
 
 # ----------------------------------------------------------------------
 # moment oracles
+
+
+def _by_code(of_key: Callable[[tuple], object], book: Codebook) -> Callable[[int], object]:
+    """``of_key(key)`` as a function of multiset codes in ``book``.
+
+    Each code is decoded to its canonical key once; the empty code gives 1,
+    the empty moment.
+    """
+    cache: dict[int, object] = {0: 1.0}
+
+    def of_code(code: int):
+        if code not in cache:
+            cache[code] = of_key(book.key(code))
+        return cache[code]
+
+    return of_code
 
 
 class MomentOracle:
@@ -50,17 +81,32 @@ class MomentOracle:
             return 1.0
         return self.moment(seq.key())
 
+    def coded_moments(self) -> tuple[Codebook, Callable[[int], complex]]:
+        """A code book and the moment as a function of its multiset codes."""
+        book = Codebook()
+        return book, _by_code(self.moment, book)
+
 
 class TableOracle(MomentOracle):
-    """Moments read from an explicit mapping of canonical keys to values."""
+    """Moments read from an explicit mapping of index keys to values."""
 
     def __init__(self, entries: Mapping[tuple, complex]):
-        self.entries = {canonical_key(k): complex(v) for k, v in entries.items()}
-        if () in self.entries and self.entries[()] != 1.0:
+        self.book = Codebook()
+        self._by_code = {self.book.code(k): complex(v) for k, v in entries.items()}
+        if self._by_code.get(0, 1.0) != 1.0:
             raise ConfigError("the empty moment must equal 1")
 
+    def _moment_code(self, code: int) -> complex:
+        try:
+            return self._by_code[code]
+        except KeyError:
+            raise KeyError(self.book.key(code)) from None
+
     def moment(self, key: tuple) -> complex:
-        return self.entries[canonical_key(key)]
+        return self._moment_code(self.book.code(key))
+
+    def coded_moments(self) -> tuple[Codebook, Callable[[int], complex]]:
+        return self.book, self._moment_code
 
 
 class CumulantBackedOracle(MomentOracle):
@@ -68,18 +114,22 @@ class CumulantBackedOracle(MomentOracle):
 
     Handy for building exactly-consistent model measures: any assignment of
     cumulants (zero above the table's max order) determines all moments.
+    All the sums share one memo keyed by the table's codes, so the table
+    must not change once moments have been read.
     """
 
     def __init__(self, table: "CumulantTable"):
         self.table = table
-        self._cache: dict[tuple, complex] = {}
+        self._memo = PartitionMemo(table.book)
+
+    def _moment_code(self, code: int) -> complex:
+        return _coded_sum(self.table.kappa_code, self.table.book.slots_of(code), self._memo)
 
     def moment(self, key: tuple) -> complex:
-        key = canonical_key(key)
-        if key not in self._cache:
-            seq = LabeledSeq.from_indices(key)
-            self._cache[key] = moments_from_cumulants(self.table, seq)
-        return self._cache[key]
+        return self._moment_code(self.table.book.code(key))
+
+    def coded_moments(self) -> tuple[Codebook, Callable[[int], complex]]:
+        return self.table.book, self._moment_code
 
 
 def gaussian_moment_oracle(
@@ -191,11 +241,6 @@ class EnsembleOracle(MomentOracle):
         p = self._products(key)
         return (p.sum() - p) / (self.n - 1)
 
-    def loo_moment_of(self, seq: LabeledSeq) -> np.ndarray | float:
-        if not seq:
-            return 1.0
-        return self.loo_moment(seq.key())
-
 
 # ----------------------------------------------------------------------
 # cumulant tables
@@ -239,22 +284,29 @@ class CumulantTable:
 
     Keys longer than ``max_order`` read as zero, as does the empty key.
     ``provenance`` is a free-form tag ("analytic", "empirical", ...).
+    Lookups go through the multiset codes of the table's ``book``.
+    ``entries`` is a read-only view under canonical keys; change the table
+    through :meth:`set`, which keeps it and the coded store in step.
     """
 
-    entries: dict[tuple, complex] = field(default_factory=dict)
+    entries: Mapping[tuple, complex] = field(default_factory=dict)
     max_order: int | None = None
     provenance: str = "analytic"
     errors: dict[tuple, float] | None = None
 
     def __post_init__(self) -> None:
-        self.entries = {canonical_key(k): complex(v) for k, v in self.entries.items()}
+        entries = {canonical_key(k): complex(v) for k, v in self.entries.items()}
         if self.max_order is None:
-            self.max_order = max((len(k) for k in self.entries), default=0)
-        for k in self.entries:
+            self.max_order = max((len(k) for k in entries), default=0)
+        for k in entries:
             if len(k) > self.max_order:
                 raise ConfigError(f"entry {k} exceeds max order {self.max_order}")
             if len(k) == 0:
                 raise ConfigError("the empty cumulant is fixed at 0 and not stored")
+        self._entries = entries
+        self.entries = MappingProxyType(entries)
+        self.book = Codebook()
+        self._by_code = {self.book.code(k): v for k, v in entries.items()}
 
     @classmethod
     def empty(cls, max_order: int, provenance: str = "analytic") -> "CumulantTable":
@@ -266,13 +318,17 @@ class CumulantTable:
             raise ConfigError("the empty cumulant is fixed at 0")
         if len(key) > self.max_order:
             raise ConfigError(f"key {key} exceeds max order {self.max_order}")
-        self.entries[key] = complex(value)
+        self._entries[key] = self._by_code[self.book.code(key)] = complex(value)
+
+    def kappa_code(self, code: int) -> complex:
+        """The cumulant of a multiset code in the table's book."""
+        return self._by_code.get(code, 0.0 + 0.0j)
 
     def kappa(self, key: Iterable[Index]) -> complex:
-        key = canonical_key(key)
-        if len(key) == 0 or len(key) > self.max_order:
+        key = tuple(key)
+        if len(key) > self.max_order:
             return 0.0 + 0.0j
-        return self.entries.get(key, 0.0 + 0.0j)
+        return self.kappa_code(self.book.code(key))
 
     def kappa_of(self, seq: LabeledSeq) -> complex:
         return self.kappa(seq.indices())
@@ -295,51 +351,63 @@ class CumulantTable:
 # conversions
 
 
-def _kappa_recursive(moment_of, seq: LabeledSeq, memo: dict):
+def _kappa_recursive(moment: Callable[[int], object], slots: Sequence[int], memo: dict):
     """First-element cumulant recursion; works for scalar or array moments.
 
-    Subsets of ``seq`` are label bitmasks; ``memo`` maps canonical keys to
-    cumulants and may be shared between calls.
+    ``slots`` are the multiset codes of the sequence's elements, so a
+    subset, a label bitmask, has the code ``codes[mask]``; ``moment(code)``
+    is the joint moment of a code, and ``memo`` maps codes to cumulants and
+    may be shared between calls over one code book.
     """
-    if not seq:
+    if not slots:
         return 0.0
-    key = seq.key()
-    if key in memo:
-        return memo[key]
-    indices = seq.indices()
-    moments: dict[int, object] = {}
-
-    def moment(mask: int):
-        if mask not in moments:
-            moments[mask] = moment_of(seq.select(mask))
-        return moments[mask]
+    if len(slots) > SUBSET_GUARD:
+        raise GuardError(f"cumulant recursion guard: {len(slots)} > {SUBSET_GUARD}")
+    full = sum(slots)
+    if full in memo:
+        return memo[full]
+    codes = mask_codes(slots)
 
     def kappa(mask: int):
-        key = canonical_key(idx for i, idx in enumerate(indices) if mask >> i & 1)
-        if key not in memo:
+        code = codes[mask]
+        if code not in memo:
             first = mask & -mask
             rest = mask ^ first
-            total = moment(mask)
+            total = moment(code)
             sub = 0
             while sub != rest:  # E = first + sub, E = I excluded
                 e = first | sub
-                total = total - moment(mask ^ e) * kappa(e)
+                k = memo.get(codes[e])
+                if k is None:
+                    k = kappa(e)
+                total = total - moment(codes[mask ^ e]) * k
                 sub = (sub - rest) & rest
-            memo[key] = total
-        return memo[key]
+            memo[code] = total
+        return memo[code]
 
-    return kappa((1 << len(seq)) - 1)
+    return kappa(len(codes) - 1)
 
 
 class CumulantEvaluator:
-    """Memoized cumulants of a moment oracle."""
+    """Memoized cumulants of a moment oracle.
+
+    ``memo`` maps the multiset codes of the oracle's ``book`` to cumulants;
+    each distinct multiset is evaluated once.
+    """
 
     def __init__(self, oracle: MomentOracle):
         self.oracle = oracle
-        self._memo: dict[tuple, complex] = {}
+        self.book, self._moment = oracle.coded_moments()
+        self.memo: dict[int, complex] = {}
+
+    def kappa_code(self, code: int) -> complex:
+        """The cumulant of a multiset code in ``book``."""
+        if code in self.memo:
+            return self.memo[code]
+        return _kappa_recursive(self._moment, self.book.slots_of(code), self.memo)
 
     def kappa_of(self, seq: LabeledSeq) -> complex:
-        return _kappa_recursive(self.oracle.moment_of, seq, self._memo)
+        return _kappa_recursive(self._moment, self.book.slots(seq.indices()), self.memo)
 
     def kappa(self, key: Iterable[Index]) -> complex:
         return self.kappa_of(LabeledSeq.from_indices(key))
@@ -356,20 +424,67 @@ def as_kappa_fn(source) -> KappaFn:
     Accepts a CumulantTable, a MomentOracle (cumulants are then derived by
     the recursion, memoized), a CumulantEvaluator, or a plain callable.
     """
-    if isinstance(source, CumulantTable):
-        return source.kappa_of
-    if isinstance(source, CumulantEvaluator):
-        return source.kappa_of
     if isinstance(source, MomentOracle):
-        return CumulantEvaluator(source).kappa_of
+        source = CumulantEvaluator(source)
+    if isinstance(source, (CumulantTable, CumulantEvaluator)):
+        return source.kappa_of
     if callable(source):
         return source
     raise TypeError(f"cannot interpret {type(source).__name__} as cumulants")
 
 
-def moments_from_cumulants(source, seq: LabeledSeq) -> complex:
-    """E[y^I] = sum over partitions of prod over blocks of kappa[block]."""
-    return partition_sum(seq, as_kappa_fn(source))
+def coded_cumulants(source) -> tuple[Codebook, Callable[[int], complex]]:
+    """``(book, kappa_code)`` for a cumulant source: the cumulant of each multiset code of ``book``.
+
+    Accepts what :func:`as_kappa_fn` accepts; a plain function of labeled
+    blocks is called once per distinct multiset, on its canonical key.
+    """
+    if isinstance(source, MomentOracle):
+        source = CumulantEvaluator(source)
+    if isinstance(source, (CumulantTable, CumulantEvaluator)):
+        return source.book, source.kappa_code
+    kappa_of = as_kappa_fn(source)
+    book = Codebook()
+    return book, _by_code(lambda key: kappa_of(LabeledSeq.from_indices(key)), book)
+
+
+def _coded_sum(
+    kappa_code: Callable[[int], complex],
+    slots: Sequence[int],
+    memo: PartitionMemo,
+    keys: Sequence[int] | None = None,
+    admissible: Callable[[int], object] | None = None,
+) -> complex:
+    """The partition sum of prod kappa over the blocks of a whole sequence.
+
+    ``slots`` are the elements' codes for ``kappa_code``; ``keys``, codes
+    from ``memo.book`` (``slots`` by default), key the states in ``memo``;
+    ``admissible`` filters the blocks as in :func:`partition_sums`.
+    """
+    _check_partition_guard(len(slots))  # before the 2**n mask codes are built
+    keys = slots if keys is None else keys
+    full = sum(keys)
+    if full in memo.totals:
+        return memo.totals[full]
+    codes = mask_codes(keys)
+    kappas = codes if keys is slots else mask_codes(slots)
+    total = partition_sums(len(keys), lambda block: kappa_code(kappas[block]), admissible, codes, memo)
+    return total(len(codes) - 1)
+
+
+def moments_from_cumulants(source, seq: LabeledSeq, memo: PartitionMemo | None = None) -> complex:
+    """E[y^I] = sum over partitions of prod over blocks of kappa[block].
+
+    ``memo`` (made as ``PartitionMemo(book)`` with the source's code book,
+    see :func:`coded_cumulants`) lets the sums over one source share their
+    states; by default each call has its own.
+    """
+    book, kappa_code = coded_cumulants(source)
+    if memo is None:
+        memo = PartitionMemo(book)
+    elif memo.book is not book:
+        raise ValueError("the memo was made for another code book")
+    return _coded_sum(kappa_code, book.slots(seq.indices()), memo)
 
 
 def cumulant_table_from_oracle(
@@ -454,8 +569,10 @@ def empirical_cumulant(
     applies the jackknife formula.  The returned error is
     sqrt(var_re + var_im) of the jackknife distribution.
     """
-    value = complex(_kappa_recursive(ensemble.moment_of, seq, {}))
-    loo = _kappa_recursive(ensemble.loo_moment_of, seq, {})
+    book = Codebook()
+    slots = book.slots(seq.indices())
+    value = complex(_kappa_recursive(_by_code(ensemble.moment, book), slots, {}))
+    loo = _kappa_recursive(_by_code(ensemble.loo_moment, book), slots, {})
     loo = np.asarray(loo, dtype=complex)
     n = ensemble.n
     center = loo.mean()

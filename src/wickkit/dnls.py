@@ -46,7 +46,6 @@ __all__ = [
     "dnls_rhs",
     "integrate",
     "integrate_ensemble",
-    "step_count",
     "sample_initial",
     "estimate_W",
     "renormalize_a",
@@ -298,18 +297,6 @@ def dnls_rhs(state: FieldState, lattice: Lattice, dispersion: Dispersion) -> np.
     omega = dispersion.omega(lattice)
     hop = np.fft.ifftn(omega * np.fft.fftn(psi))
     return -1j * (hop + state.coupling * np.abs(psi) ** 2 * psi)
-
-
-def step_count(t_end: float, dt: float, where: str) -> int:
-    """Number of steps of a finite ``dt > 0`` in a finite ``t_end >= 0``, else a ConfigError."""
-    if not (0.0 < dt < math.inf and 0.0 <= t_end and math.isfinite(t_end / dt)):
-        raise ConfigError(
-            f"{where}: need a finite end time >= 0 and a finite step > 0, got {t_end!r} and {dt!r}"
-        )
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end) or n_steps == 0 < t_end:
-        raise ConfigError(f"{where}: end time {t_end!r} is not a whole number of steps of {dt!r}")
-    return n_steps
 
 
 def integrate(
@@ -1068,10 +1055,14 @@ def write_spectrum_csv(lattice: Lattice, spectrum: Spectrum, path: str | Path) -
 
     Rows follow row-major dual-grid order; momenta are written as fractions.
     Formatting is deterministic (repr of Python floats), so identical
-    spectra produce byte-identical files.
+    spectra produce byte-identical files.  A non-finite value or error is a
+    GuardError, and nothing is written.
     """
     if spectrum.values.shape != lattice.shape:
         raise ConfigError("spectrum shape does not match lattice shape")
+    for part in (spectrum.values, spectrum.stderr):
+        if part is not None and not np.all(np.isfinite(part)):
+            raise GuardError(f"{Path(path).name}: the spectrum is not finite")
     header = ",".join(f"k{i + 1}" for i in range(lattice.dimension)) + ",value,stderr"
     lines = [header]
     for site in np.ndindex(lattice.shape):

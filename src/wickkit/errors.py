@@ -1,4 +1,4 @@
-"""Shared exception types, and the checked readers of JSON input."""
+"""Shared exception types, the checked readers of JSON input, and the step-count check."""
 
 import json
 import math
@@ -46,3 +46,15 @@ def _pair(raw, what: str) -> complex:
     if not isinstance(raw, list) or len(raw) != 2:
         raise ConfigError(f"{what} must be a [re, im] pair of numbers, got {raw!r}")
     return complex(*_numbers(raw, what))
+
+
+def step_count(t_end: float, dt: float, where: str) -> int:
+    """Number of steps of a finite ``dt > 0`` in a finite ``t_end >= 0``, else a ConfigError."""
+    if not (0.0 < dt < math.inf and 0.0 <= t_end and math.isfinite(t_end / dt)):
+        raise ConfigError(
+            f"{where}: need a finite end time >= 0 and a finite step > 0, got {t_end!r} and {dt!r}"
+        )
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end) or n_steps == 0 < t_end:
+        raise ConfigError(f"{where}: end time {t_end!r} is not a whole number of steps of {dt!r}")
+    return n_steps

@@ -22,7 +22,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .cumulants import CumulantTable, MomentOracle, moments_from_cumulants
-from .indexing import EMPTY, Index, LabeledSeq, canonical_key
+from .errors import step_count
+from .indexing import EMPTY, Index, LabeledSeq, PartitionMemo, canonical_key
 from .wick import wick_product_expectation
 
 Amplitude = Callable[[float, CumulantTable], complex]
@@ -75,22 +76,34 @@ class HierarchyState:
         return self.table.max_order
 
 
-def _pair_expectation(kappa_of, left: LabeledSeq, right: LabeledSeq) -> complex:
-    """E[W[y^left] * W[y^right]] under the given cumulant source."""
-    return wick_product_expectation(kappa_of, [left, right])
+def _pair_expectation(
+    table: CumulantTable, left: LabeledSeq, right: LabeledSeq, memo: PartitionMemo | None = None
+) -> complex:
+    """E[W[y^left] * W[y^right]] under the given cumulant table."""
+    return wick_product_expectation(table, [left, right], memo=memo)
 
 
 def hierarchy_rhs(
-    model: AmplitudeModel, state: HierarchyState, target: LabeledSeq
+    model: AmplitudeModel,
+    state: HierarchyState,
+    target: LabeledSeq,
+    memo: PartitionMemo | None = None,
 ) -> complex:
-    """d/dt kappa[target] under the model, at the state's time and table."""
+    """d/dt kappa[target] under the model, at the state's time and table.
+
+    ``memo`` lets the right-hand sides over one state share the states of
+    their pair expectations (see :func:`hierarchy_rhs_table`); it must not
+    outlive the state's table.  By default the pair expectations of this one
+    target share a memo.
+    """
     if len(target) == 0:
         return 0.0 + 0.0j
     if len(target) > state.order_cap:
         raise ValueError(
             f"target order {len(target)} exceeds the closure cap {state.order_cap}"
         )
-    kappa_of = state.table.kappa_of
+    if memo is None:
+        memo = PartitionMemo()
     total = 0.0 + 0.0j
     for label, idx in target.elements:
         drives = model.terms.get(idx, ())
@@ -101,28 +114,38 @@ def hierarchy_rhs(
             amp = complex(term.amplitude(state.time, state.table))
             if amp == 0:
                 continue
-            total += amp * _pair_expectation(kappa_of, term.seq, rest)
+            total += amp * _pair_expectation(state.table, term.seq, rest, memo)
     return total
 
 
 def hierarchy_rhs_table(
-    model: AmplitudeModel, state: HierarchyState, targets: Iterable[tuple]
+    model: AmplitudeModel,
+    state: HierarchyState,
+    targets: Iterable[tuple],
+    memo: PartitionMemo | None = None,
 ) -> dict[tuple, complex]:
-    """The right-hand side for a family of canonical target keys."""
+    """The right-hand side for a family of canonical target keys.
+
+    All the pair expectations share one memo, ``memo`` or a fresh one, which
+    must not outlive the state's table.
+    """
+    if memo is None:
+        memo = PartitionMemo()
     out = {}
     for key in targets:
         key = canonical_key(key)
-        out[key] = hierarchy_rhs(model, state, LabeledSeq.from_indices(key))
+        out[key] = hierarchy_rhs(model, state, LabeledSeq.from_indices(key), memo)
     return out
 
 
 def all_keys_up_to(indices: Sequence[Index], order: int) -> list[tuple]:
     """All canonical multiset keys over the indices with 1 <= length <= order."""
-    pool = sorted(set(indices), key=lambda i: (type(i).__name__, repr(i)))
+    # combinations of the sorted pool come out sorted, so they are canonical
+    pool = canonical_key(set(indices))
     keys = []
     for r in range(1, order + 1):
         keys.extend(itertools.combinations_with_replacement(pool, r))
-    return [canonical_key(k) for k in keys]
+    return keys
 
 
 def integrate_hierarchy(
@@ -134,8 +157,9 @@ def integrate_hierarchy(
 ):
     """March the truncated hierarchy with classic fixed-step RK4.
 
-    Evolves every key over the model universe up to the state's order cap.
-    Returns the final state, or (times, states) when ``record`` is set.
+    Evolves every key over the model universe up to the state's order cap,
+    in ``t_end / dt`` steps, which must be a whole number.  Returns the final
+    state, or (times, states) when ``record`` is set.
     """
     cap = state0.order_cap
     keys = all_keys_up_to(model.universe(), cap)
@@ -150,14 +174,12 @@ def integrate_hierarchy(
         )
 
     def rhs(t: float, vec: np.ndarray) -> np.ndarray:
+        # one memo per stage: it lives exactly as long as the stage's table
         state = HierarchyState(table=unpack(vec), time=t)
-        return np.array(
-            [hierarchy_rhs(model, state, LabeledSeq.from_indices(k)) for k in keys],
-            dtype=complex,
-        )
+        return np.array(list(hierarchy_rhs_table(model, state, keys).values()), dtype=complex)
 
-    n_steps = max(1, int(round(t_end / dt)))
-    h = t_end / n_steps
+    n_steps = step_count(t_end, dt, "integrate_hierarchy (t_end, dt)")
+    h = t_end / max(n_steps, 1)
     t = state0.time
     vec = pack(state0.table)
     states = [HierarchyState(table=unpack(vec), time=t)]
@@ -228,14 +250,14 @@ def duhamel_expand(
         integral over [0, t] of the amplitude (at the frozen initial table)
       + remainder descriptors carrying the tail weights.
     """
-    kappa_of = table0.kappa_of
-    zeroth = table0.kappa(target.key())
+    memo = PartitionMemo()
+    zeroth = table0.kappa(target.indices())
     first = 0.0 + 0.0j
     remainder: list[RemainderTerm] = []
     for label, idx in target.elements:
         rest = target.without((label,))
         for term in model.terms.get(idx, ()):
-            pair0 = _pair_expectation(kappa_of, term.seq, rest)
+            pair0 = _pair_expectation(table0, term.seq, rest, memo)
             amp_int = _quad_complex(lambda s: term.amplitude(s, table0), 0.0, t)
             first += pair0 * amp_int
 

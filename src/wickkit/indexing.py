@@ -8,12 +8,21 @@ provides the sequence type plus the primitive operations the rest of the
 package is built on: merging, cancelling one occurrence, enumerating
 labeled subsequences and set partitions of the label set, and the
 partition-sum kernel behind every moment, cumulant and Wick expectation.
+
+Moments, cumulants and the partition sums of symmetric summands depend on a
+sequence only through its multiset of indices.  Inside the package such a
+multiset goes by an integer code (:class:`Codebook`): each index is interned
+to a small id once, and a multiset's code adds one field per id, so every
+label mask of a sequence is coded with one addition and no sorting.  The
+sorted :func:`canonical_key` form is kept for the public key-based calls and
+the JSON tables.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import GuardError
 
@@ -22,6 +31,11 @@ Index = Hashable
 #: enumeration guards: subsets are 2**n, partitions are Bell(n)
 SUBSET_GUARD = 20
 PARTITION_GUARD = 12
+
+#: bits per count in a multiset code (:class:`Codebook`); every coded
+#: sequence is far shorter than 2**CODE_BITS, given the guards above
+CODE_BITS = 8
+_FIELD = (1 << CODE_BITS) - 1
 
 
 def _sort_token(index: Index) -> tuple[str, str]:
@@ -227,47 +241,151 @@ def partitions(a: LabeledSeq) -> Iterator[Partition]:
     return partitions_of(a.labels)
 
 
-def partition_sums(
-    seq: LabeledSeq,
-    kappa_of: Callable[[LabeledSeq], Any],
-    admissible: Callable[[int], object] | None = None,
-) -> Callable[[int], complex]:
-    """The partition-sum kernel over the label subsets of ``seq``.
+class Codebook:
+    """Small integer ids for indices, and the multiset codes they give.
 
-    Returns ``total(mask)``: the sum over the set partitions pi of
-    ``seq.select(mask)`` of prod over blocks A of ``kappa_of(A)``, where a
-    block is given by its label bitmask (bit ``i`` is the ``i``-th smallest
-    label) and, when ``admissible`` is given, only partitions all of whose
-    block masks pass it contribute.  The empty mask sums to 1.
+    An index gets the next free id the first time it is seen; indices are
+    told apart by ``==``, as dict keys are.  The code of a multiset is the
+    sum over its elements of ``1 << CODE_BITS * id``, so each id's count sits
+    in its own ``CODE_BITS``-bit field and two collections have the same code
+    exactly when they are equal as multisets.  Codes add under multiset union,
+    which lets the partition kernel code every label mask with one addition
+    (:func:`mask_codes`).  A code means something only with the book that
+    made it.
+    """
+
+    def __init__(self) -> None:
+        self.ids: dict[Index, int] = {}
+        self.indices: list[Index] = []
+
+    def slots(self, indices: Iterable[Index]) -> list[int]:
+        """The code of each element in turn, interning unseen indices."""
+        ids = self.ids
+        out = []
+        for index in indices:
+            i = ids.get(index)
+            if i is None:
+                i = ids[index] = len(self.indices)
+                self.indices.append(index)
+            out.append(1 << CODE_BITS * i)
+        return out
+
+    def code(self, indices: Iterable[Index]) -> int:
+        """The multiset code of an index collection."""
+        slots = self.slots(indices)
+        if len(slots) > _FIELD and max(Counter(slots).values()) > _FIELD:
+            raise GuardError(f"multiset code guard: an index repeats more than {_FIELD} times")
+        return sum(slots)
+
+    def slots_of(self, code: int) -> list[int]:
+        """The slot codes of a multiset code, in id order."""
+        out: list[int] = []
+        shift = 0
+        while code:
+            out.extend([1 << shift] * (code & _FIELD))
+            code >>= CODE_BITS
+            shift += CODE_BITS
+        return out
+
+    def key(self, code: int) -> tuple[Index, ...]:
+        """The canonical key of a multiset code."""
+        indices: list[Index] = []
+        for index in self.indices:
+            if not code:
+                break
+            indices.extend([index] * (code & _FIELD))
+            code >>= CODE_BITS
+        return canonical_key(indices)
+
+
+def mask_codes(slots: Sequence[int]) -> list[int]:
+    """The multiset code of every label mask of a sequence with these slot codes.
+
+    ``codes[m]`` is the sum of the slot codes of the set bits of ``m``; each
+    mask is its top bit's slot plus a mask already coded.
+    """
+    codes = [0]
+    for slot in slots:
+        codes += [code + slot for code in codes]
+    return codes
+
+
+class PartitionMemo:
+    """Partition-sum states keyed by multiset code, for sharing between sums.
+
+    ``totals`` maps the code of a remaining multiset to its sum and
+    ``weights`` the code of a block to its weight (None for a block that is
+    not admissible); ``book`` made the codes.  See :func:`partition_sums`
+    for when one memo may serve many sums.
+    """
+
+    def __init__(self, book: Codebook | None = None) -> None:
+        self.book = Codebook() if book is None else book
+        self.totals: dict[int, complex] = {0: 1.0 + 0.0j}
+        self.weights: dict[int, Any] = {}
+
+
+def partition_sums(
+    size: int,
+    weight: Callable[[int], Any],
+    admissible: Callable[[int], object] | None = None,
+    codes: Sequence[int] | None = None,
+    memo: PartitionMemo | None = None,
+) -> Callable[[int], complex]:
+    """The partition-sum kernel over the label masks of a sequence of ``size``.
+
+    Returns ``total(mask)``: the sum over the set partitions pi of the mask's
+    labels of prod over blocks A of ``weight(A)``, where a block is given by
+    its label bitmask (bit ``i`` is the ``i``-th smallest label) and, when
+    ``admissible`` is given, only partitions all of whose block masks pass
+    it contribute.  The empty mask sums to 1.
 
     Evaluation peels off the block that holds the lowest set bit of the
     remaining mask, ranging over the submasks of the rest, so the sum over
     Bell(n) partitions costs at most 3**n steps.  Each remaining mask is
-    summed once and ``kappa_of`` is called once per block mask; both caches
-    live as long as the returned function, so the sums over many masks of
-    one ground sequence share their work.
+    summed once, and ``weight`` and ``admissible`` are called once per
+    block, under a key.  By default a mask is its own key, so label-level
+    weights (ones that tell equal indices apart) work.  With ``codes``, the
+    multiset code of every mask (:func:`mask_codes`), masks holding the same
+    multiset share one key, and so one weight and one total; that is valid
+    only when weight and admissibility depend on a block's multiset of slot
+    codes alone.
+
+    The states live in ``memo`` (a fresh one by default) and may serve many
+    sums over coded masks: all sums whose slots come from ``memo.book`` and
+    whose weight and admissibility rules agree on every code, for example all
+    the sums over one cumulant table.  Such a memo must not outlive the
+    table it was filled from.
     """
-    _check_partition_guard(len(seq))
-    kappas: dict[int, Any] = {}
-    totals: dict[int, complex] = {0: 1.0 + 0.0j}
+    _check_partition_guard(size)
+    if memo is None:
+        memo = PartitionMemo()
+    if codes is None:
+        codes = range(1 << size)
+    totals, weights = memo.totals, memo.weights
 
     def total(rem: int) -> complex:
-        if rem in totals:
-            return totals[rem]
+        key = codes[rem]
+        if key in totals:
+            return totals[key]
         low = rem & -rem
         rest = rem ^ low
         acc = 0.0 + 0.0j
         sub = 0
         while True:
             block = low | sub
-            if admissible is None or admissible(block):
-                if block not in kappas:
-                    kappas[block] = kappa_of(seq.select(block))
-                acc += kappas[block] * total(rem ^ block)
+            bkey = codes[block]
+            if bkey in weights:
+                w = weights[bkey]
+            else:
+                w = weights[bkey] = weight(block) if admissible is None or admissible(block) else None
+            if w is not None:
+                t = totals.get(codes[rem ^ block])
+                acc += w * (total(rem ^ block) if t is None else t)
             if sub == rest:
                 break
             sub = (sub - rest) & rest  # next submask of rest, ascending
-        totals[rem] = acc
+        totals[key] = acc
         return acc
 
     return total
@@ -280,10 +398,12 @@ def partition_sum(
 ) -> complex:
     """Sum over the set partitions of ``seq`` of prod over blocks of kappa.
 
+    ``kappa_of`` takes each block as a labeled subsequence, and
     ``admissible(block_mask)`` filters the blocks as in
     :func:`partition_sums`; the empty sequence sums to 1.
     """
-    return partition_sums(seq, kappa_of, admissible)((1 << len(seq)) - 1)
+    total = partition_sums(len(seq), lambda block: kappa_of(seq.select(block)), admissible)
+    return total((1 << len(seq)) - 1)
 
 
 def bell_number(n: int) -> int:

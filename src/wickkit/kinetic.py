@@ -52,8 +52,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum, step_count
-from .errors import ConfigError, GuardError
+from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum
+from .errors import ConfigError, GuardError, step_count
 
 __all__ = [
     "CollisionConfig",

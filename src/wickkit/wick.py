@@ -16,10 +16,11 @@ that meet I'.  Three equivalent constructions are provided:
   sum over U subset I' of kappa[first + U] * W[y^(I' minus U)].
 
 Monomials are keyed by label subsets of the ground sequence (not collapsed
-multisets), so repeated indices stay unambiguous; moment and cumulant
-lookups collapse to canonical multiset keys internally.  The constructions
-run over label bitmasks (bit i is the i-th smallest ground label) and fetch
-each subset's moment or cumulant once per build.
+multisets), so repeated indices stay unambiguous.  The constructions run
+over label bitmasks (bit i is the i-th smallest ground label) and fetch each
+subset's moment or cumulant once per build; the partition sums, whose
+summands are symmetric, key their states by multiset code, so label subsets
+holding the same multiset are summed once.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cumulants import CumulantEvaluator, MomentOracle, _as_index, as_kappa_fn
+from .cumulants import MomentOracle, _as_index, _coded_sum, as_kappa_fn, coded_cumulants
 from .errors import GuardError, _pair
 from .indexing import (
     EMPTY,
     Index,
     LabeledSeq,
+    PartitionMemo,
     canonical_key,
-    merge,
-    partition_sum,
+    mask_codes,
     partition_sums,
     subsets,
 )
@@ -210,9 +211,10 @@ def wick_recursive(oracle: MomentOracle, seq: LabeledSeq) -> WickPoly:
 def wick_from_cumulants(source, seq: LabeledSeq) -> WickPoly:
     """Construct W[y^I] from the closed cumulant expansion."""
     _check_guard(seq)
-    kappa_of = as_kappa_fn(source)
     # (-1)^|pi| prod kappa is the product of -kappa over the blocks of pi
-    signed = partition_sums(seq, lambda block: -kappa_of(block))
+    book, kappa_code = coded_cumulants(source)
+    codes = mask_codes(book.slots(seq.indices()))
+    signed = partition_sums(len(seq), lambda block: -kappa_code(codes[block]), codes=codes)
     full = (1 << len(seq)) - 1
     return _poly_of_masks(seq, {u: signed(full ^ u) for u in range(full + 1)})
 
@@ -274,39 +276,51 @@ def truncated_expectation(
     every block must meet I'.  In particular E[W[y^I]] = 0 for nonempty I
     and E[W[y^empty]] = 1.
 
-    The sum is evaluated by :func:`wickkit.indexing.partition_sum` over the
-    label bitmasks of the merged sequence, with the blocks that meet I' as
-    the admissible ones: each block's cumulant is fetched once and each
-    remaining subset is summed once, so no partition is built."""
-    merged = merge(seq_i, seq_iprime)
-    right = ((1 << len(seq_iprime)) - 1) << len(seq_i)
-    return partition_sum(
-        merged, as_kappa_fn(oracle_or_kappa), lambda block: block & right
-    )
+    This is :func:`wick_product_expectation` with the one Wick group I and
+    the plain tail I': a block meets I' exactly when it does not sit inside
+    I."""
+    return wick_product_expectation(oracle_or_kappa, [seq_i], seq_iprime)
 
 
 def wick_product_expectation(
-    source, blocks: Sequence[LabeledSeq], tail: LabeledSeq = EMPTY
+    source,
+    blocks: Sequence[LabeledSeq],
+    tail: LabeledSeq = EMPTY,
+    memo: PartitionMemo | None = None,
 ) -> complex:
     """E[prod_l W[y^(J_l)] * y^J'] as the partition sum over the merged
     sequence in which no block may sit inside a single Wick group J_l.
 
     Blocks inside the plain tail J' are allowed.  With one Wick group this
-    reduces to :func:`truncated_expectation`.
+    reduces to :func:`truncated_expectation`.  The sum is evaluated by
+    :func:`wickkit.indexing.partition_sums` over the label bitmasks of the
+    merged sequence, each element coded by its (Wick group, index) pair, so
+    that both the cumulant of a block and whether it is admissible depend on
+    its code alone.  ``memo`` lets the sums over one cumulant source share
+    their states (every pair expectation of a hierarchy right-hand side, for
+    example); by default each call has its own.
     """
     groups: list[int] = []  # label bitmask of each Wick group
-    pos = 0
-    for piece in blocks:
-        groups.append(((1 << len(piece)) - 1) << pos)
-        pos += len(piece)
-    merged = LabeledSeq.from_indices(
-        [idx for piece in (*blocks, tail) for idx in piece.indices()]
-    )
-    return partition_sum(
-        merged,
-        as_kappa_fn(source),
-        lambda block: all(block & ~group for group in groups),
-    )
+    tags: list[tuple] = []  # (Wick group or None for the tail, index) per element
+    for g, piece in enumerate((*blocks, tail)):
+        if g == len(blocks):
+            g = None
+        else:
+            groups.append(((1 << len(piece)) - 1) << len(tags))
+        tags.extend((g, idx) for idx in piece.indices())
+
+    def admissible(block: int) -> bool:
+        return all(block & ~group for group in groups)
+
+    if memo is None:
+        memo = PartitionMemo()
+    keys = memo.book.slots(tags)
+    full = sum(keys)
+    if full in memo.totals:  # a shared memo has summed this merged multiset already
+        return memo.totals[full]
+    book, kappa_code = coded_cumulants(source)
+    slots = book.slots(idx for _, idx in tags)
+    return _coded_sum(kappa_code, slots, memo, keys, admissible)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ is checked against something it does not share internals with.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -65,3 +66,67 @@ class PolynomialOracle(MomentOracle):
         for idx in canonical_key(key):
             prod = prod * self.values[idx]
         return complex(prod.mean())
+
+
+# ----------------------------------------------------------------------
+# brute-force partition sums over multiset-keyed dicts (no package code)
+
+
+def multiset(indices):
+    """An order-free key that tells indices apart by ``==`` alone, as dicts do."""
+    return frozenset(Counter(indices).items())
+
+
+def set_partitions(items):
+    """Every set partition of a list, as lists of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def brute_product_expectation(kappa, groups, tail=()):
+    """E[prod_l W[y^(J_l)] * y^J'] summed over every set partition of the
+    merged positions in which no block sits inside one Wick group J_l.
+
+    ``kappa`` maps a :func:`multiset` key to its cumulant; with no groups
+    this is the moment of ``tail``."""
+    slots = [(g, idx) for g, group in enumerate(groups) for idx in group]
+    slots += [(None, idx) for idx in tail]
+    total = 0.0 + 0.0j
+    for part in set_partitions(list(range(len(slots)))):
+        if any(
+            slots[block[0]][0] is not None and len({slots[p][0] for p in block}) == 1
+            for block in part
+        ):
+            continue
+        total += math.prod(kappa(multiset(slots[p][1] for p in block)) for block in part)
+    return total
+
+
+def brute_cumulant(moment, indices):
+    """Moebius inversion over the set partitions of the positions; ``moment``
+    maps a :func:`multiset` key to its moment."""
+    total = 0.0 + 0.0j
+    for part in set_partitions(list(indices)):
+        m = len(part)
+        total += (-1) ** (m - 1) * math.factorial(m - 1) * math.prod(moment(multiset(b)) for b in part)
+    return total
+
+
+def brute_wick_coefficients(kappa, indices):
+    """Coefficient of each label subset (as a frozenset of positions) of
+    W[y^I]: the sum over the partitions pi of the other positions of
+    (-1)^|pi| prod kappa."""
+    n = len(indices)
+    out = {}
+    for mask in range(1 << n):
+        rest = [indices[i] for i in range(n) if not mask >> i & 1]
+        out[frozenset(i for i in range(n) if mask >> i & 1)] = brute_product_expectation(
+            lambda key: -kappa(key), [], rest
+        )
+    return out

@@ -21,6 +21,7 @@ import cmath
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -33,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wickkit import cli
 from wickkit.cli import (
     KINDS,
     SCHEMA_VERSION,
@@ -44,7 +46,7 @@ from wickkit.cli import (
 )
 from wickkit.cumulants import CumulantTable
 from wickkit.dnls import Lattice, estimate_W, read_spectrum_csv, sample_initial
-from wickkit.errors import ConfigError
+from wickkit.errors import ConfigError, GuardError
 from wickkit.indexing import LabeledSeq
 from wickkit.kinetic import CollisionConfig, EquilibriumParams
 from wickkit.wick import WickPoly, wick_from_cumulants
@@ -340,6 +342,42 @@ class TestHierarchyRhs:
             out=str(tmp_path / "run"),
         )
         assert main(["hierarchy-rhs", "--config", str(path)]) == 2
+
+
+class TestWorkCounters:
+    """The manifest summary counts the distinct multisets and partition states, at any thread count."""
+
+    def summaries(self, tmp_path, kind: str, params: dict) -> list[dict]:
+        out = []
+        for threads in (1, 2):
+            path = write_config(
+                tmp_path / f"c{threads}.json", kind, params, threads=threads, out=str(tmp_path / f"run{threads}")
+            )
+            assert main([kind, "--config", str(path)]) == 0
+            out.append(json.loads((tmp_path / f"run{threads}" / "manifest.json").read_text())["summary"])
+        assert out[0] == out[1]
+        return out[0]
+
+    @staticmethod
+    def closed_table(variables, order: int) -> dict:
+        keys = [k for r in range(1, order + 1) for k in itertools.combinations_with_replacement(variables, r)]
+        return {json.dumps(list(k)): [0.1 + 0.01 * (i % 7), -0.02 * (i % 5)] for i, k in enumerate(keys)}
+
+    def test_moments_to_cumulants_evaluates_each_multiset_once(self, tmp_path):
+        table = self.closed_table((1, 2, 3, 4), 8)
+        summary = self.summaries(tmp_path, "cumulant-convert", {"direction": "moments-to-cumulants", "table": table})
+        assert summary == {"entries": 494, "multisets_evaluated": 494, "partition_states": 0}
+
+    def test_cumulants_to_moments_sums_each_sub_multiset_once(self, tmp_path):
+        # every sub-multiset of a key is a key: one block cumulant and one state each
+        table = self.closed_table((1, 2, 3), 7)
+        summary = self.summaries(tmp_path, "cumulant-convert", {"direction": "cumulants-to-moments", "table": table})
+        assert summary == {"entries": 119, "multisets_evaluated": 119, "partition_states": 119}
+
+    def test_hierarchy_counts(self, tmp_path):
+        params = {"order": 3, "time": 0.5, "model": TestHierarchyRhs.MODEL, "table": TestHierarchyRhs.TABLE}
+        summary = self.summaries(tmp_path, "hierarchy-rhs", params)
+        assert summary == {"targets": 9, "order": 3, "multisets_evaluated": 20, "partition_states": 20}
 
 
 class TestDnlsSimulate:
@@ -840,6 +878,29 @@ PROBES = [
 ]
 
 
+# Finite inputs whose results overflow: each must trip the output guard.
+OVERFLOWS_NAMED = [
+    ("wick-expand", "coefficients", lambda v: {"indices": [1, 2], "cumulants": {"[1]": [v, 0.0], "[2]": [v, 0.0]}}),
+    (
+        "cumulant-convert", "cumulants-to-moments",
+        lambda v: {"direction": "cumulants-to-moments", "table": {"[1]": [v, 0.0], "[2]": [v, 0.0], "[1,2]": [0.5, 0.0]}},
+    ),
+    (
+        "cumulant-convert", "moments-to-cumulants",
+        lambda v: {"direction": "moments-to-cumulants", "table": {"[1]": [v, 0.0], "[1,1]": [v, 0.0]}},
+    ),
+    (
+        "hierarchy-rhs", "pair-expectations",
+        lambda v: {
+            "order": 3,
+            "model": {"terms": [{"index": 1, "seq": [1, 2], "amplitude": {"type": "constant", "value": [1.0, 0.0]}}]},
+            "table": {"[1,1]": [v, 0.0], "[1,2]": [v, 0.0]},
+        },
+    ),
+]
+OVERFLOWS = [(kind, make) for kind, _, make in OVERFLOWS_NAMED]
+
+
 def _probe_id(probe) -> str:
     kind, path, value = probe
     return f"{kind}:{'.'.join(map(str, path))}={value!r}"
@@ -875,6 +936,56 @@ class TestInputBoundary:
                 assert stderr == ""
                 for written in (Path(tmp) / "run").iterdir():
                     assert_finite_file(written)
+
+    @pytest.mark.parametrize("value", [1e200, 1e300])
+    @pytest.mark.parametrize("kind, make", OVERFLOWS, ids=[f"{kind}-{name}" for kind, name, _ in OVERFLOWS_NAMED])
+    def test_overflowing_results_exit_3_without_results(self, tmp_path, kind, make, value):
+        config = {"schema_version": SCHEMA_VERSION, "kind": kind, "params": make(value)}
+        code, stderr = run_in_process(kind, config, tmp_path)
+        assert code == 3, stderr
+        assert_error_line(stderr, 3)
+        assert not any((tmp_path / "run").iterdir())
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("cumulant-convert", {"direction": "cumulants-to-moments", "table": {json.dumps(list(range(30))): [1.0, 0.0]}}),
+            (
+                "hierarchy-rhs",
+                {
+                    "order": 2,
+                    "model": {
+                        "terms": [{"index": 1, "seq": list(range(30)), "amplitude": {"type": "constant", "value": [1.0, 0.0]}}]
+                    },
+                    "table": {"[1,1]": [1.0, 0.0]},
+                },
+            ),
+        ],
+        ids=["cumulants-to-moments", "hierarchy-rhs"],
+    )
+    def test_long_sums_exit_3_without_results(self, tmp_path, kind, params):
+        # a 30-element partition sum trips the guard before any per-mask work
+        config = {"schema_version": SCHEMA_VERSION, "kind": kind, "params": params}
+        code, stderr = run_in_process(kind, config, tmp_path)
+        assert code == 3, stderr
+        assert_error_line(stderr, 3)
+        assert not any((tmp_path / "run").iterdir())
+
+    def test_failed_run_removes_only_the_files_it_wrote(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}\n")  # a previous run's manifest
+        (out / "old.csv").write_text("k1,value,stderr\n")
+
+        def fails_late(rc, out_dir):
+            cli._write_json(out_dir / "result.json", {"value": 1.0})
+            (out_dir / "foreign.txt").write_text("written by another process\n")
+            raise GuardError("late failure")
+
+        monkeypatch.setitem(cli._RUNNERS, "wick-expand", fails_late)
+        code, stderr = run_in_process("wick-expand", boundary_config("wick-expand"), tmp_path)
+        assert code == 3, stderr
+        assert sorted(p.name for p in out.iterdir()) == ["foreign.txt", "old.csv"]
 
     def test_csv_readers_name_the_file_and_row(self, tmp_path):
         spectrum = tmp_path / "s.csv"

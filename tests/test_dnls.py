@@ -51,12 +51,11 @@ from wickkit.dnls import (
     renormalize_a,
     sample_initial,
     save_ensemble,
-    step_count,
     translation_audit,
     write_spectrum_csv,
     zero_dispersion,
 )
-from wickkit.errors import ConfigError, GuardError
+from wickkit.errors import ConfigError, GuardError, step_count
 
 
 def smooth_spectrum(lattice: Lattice) -> np.ndarray:

@@ -1,0 +1,280 @@
+"""Multiset codes: the code book, and every code-keyed path against brute force.
+
+Oracles
+-------
+* ``tests/_support.py`` sums over every set partition with ``Counter``-keyed
+  dicts, so it shares no code, key form or memo with the package.
+* Index equality is Python's ``==``, as for dict keys: ``1`` and ``1.0``
+  name one variable, whatever the spelling of a key.
+* The RK4 closed form: on a linear flow ``d/dt k = r k`` classic RK4 gives
+  ``k_n = k_0 R(r h)^n`` with ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24``.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wickkit.cumulants import CumulantEvaluator, CumulantTable, TableOracle, moments_from_cumulants
+from wickkit.errors import ConfigError, GuardError
+from wickkit.hierarchy import (
+    AmplitudeModel,
+    HierarchyState,
+    InteractionTerm,
+    all_keys_up_to,
+    constant_amplitude,
+    hierarchy_rhs,
+    hierarchy_rhs_table,
+    integrate_hierarchy,
+)
+from wickkit.indexing import CODE_BITS, Codebook, LabeledSeq, PartitionMemo, mask_codes
+from wickkit.wick import wick_from_cumulants, wick_product_expectation
+
+from _support import (
+    brute_cumulant,
+    brute_product_expectation,
+    brute_wick_coefficients,
+    multiset,
+)
+
+TOL = 1e-12
+
+
+def close(got, want) -> bool:
+    return abs(got - want) <= TOL * max(1.0, abs(want))
+
+
+class TestCodebook:
+    def test_equal_multisets_share_a_code(self):
+        book = Codebook()
+        assert book.code([1, "a", ("q", 2), 1]) == book.code([("q", 2), 1, 1, "a"])
+        assert book.code([1, "a"]) != book.code([1, 1, "a"])
+        assert book.code([]) == 0
+
+    def test_indices_compare_by_equality(self):
+        book = Codebook()
+        assert book.code([1, 2.0, 1.0]) == book.code([1.0, 2, 1])
+        # decoded with the first spelling seen, in canonical order
+        assert book.key(book.code([2, 1, 1.0])) == (2.0, 1, 1)
+
+    def test_mask_codes_add_the_slots(self):
+        book = Codebook()
+        slots = book.slots(["a", "b", "a"])
+        codes = mask_codes(slots)
+        for mask in range(8):
+            assert codes[mask] == sum(s for i, s in enumerate(slots) if mask >> i & 1)
+        assert codes[0b101] == book.code(["a", "a"])
+
+    def test_decode_round_trips(self):
+        book = Codebook()
+        code = book.code(["b", ("q", 1), "b", 3])
+        assert book.key(code) == book.key(book.code(book.key(code)))
+        assert sorted(book.slots_of(code)) == sorted(book.slots(["b", ("q", 1), "b", 3]))
+
+    def test_count_guard(self):
+        book = Codebook()
+        assert book.code(["x"] * ((1 << CODE_BITS) - 1)) == ((1 << CODE_BITS) - 1)
+        with pytest.raises(GuardError):
+            book.code(["x"] * (1 << CODE_BITS))
+
+
+# ----------------------------------------------------------------------
+# every code-keyed path against the brute-force oracles
+
+VARIABLES = (1, "a", ("q", 2), 3)
+
+
+def spell(var, alt: bool):
+    """One of the equal spellings of a variable: an int may come as a float."""
+    return float(var) if alt and isinstance(var, int) else var
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_code_paths_match_brute_force(data):
+    variables = data.draw(st.lists(st.sampled_from(VARIABLES), min_size=1, max_size=3, unique=True))
+    order = data.draw(st.integers(2, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def spelled(indices) -> tuple:
+        out = [spell(v, data.draw(st.booleans())) for v in indices]
+        return tuple(data.draw(st.permutations(out)))
+
+    def sequence(max_len: int) -> tuple:
+        return spelled(data.draw(st.lists(st.sampled_from(variables), max_size=max_len)))
+
+    keys = [k for r in range(1, order + 1) for k in itertools.combinations_with_replacement(variables, r)]
+    values = 0.5 * (rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys)))
+    table = {spelled(k): complex(v) for k, v in zip(keys, values)}
+    by_multiset = {multiset(k): v for k, v in table.items()}
+
+    def kappa(key):
+        return by_multiset.get(key, 0.0)
+
+    # moments -> cumulants: the table read as moments
+    evaluator = CumulantEvaluator(TableOracle(table))
+    for key in table:
+        assert close(evaluator.kappa(key), brute_cumulant(lambda m: by_multiset[m], key))
+
+    # cumulants -> moments, one memo shared by every key as in the CLI
+    cumulants = CumulantTable(entries=table)
+    memo = PartitionMemo(cumulants.book)
+    for key in table:
+        got = moments_from_cumulants(cumulants, LabeledSeq.from_indices(key), memo)
+        assert close(got, brute_product_expectation(kappa, [], key))
+
+    # Wick polynomial coefficients, labels 1..n
+    ground = sequence(5)
+    poly = wick_from_cumulants(cumulants, LabeledSeq.from_indices(ground))
+    for positions, want in brute_wick_coefficients(kappa, ground).items():
+        assert close(poly.coeff(p + 1 for p in positions), want)
+
+    # a product of two Wick factors and a plain tail
+    groups = [sequence(3), sequence(2)]
+    tail = sequence(2)
+    got = wick_product_expectation(
+        cumulants, [LabeledSeq.from_indices(g) for g in groups], LabeledSeq.from_indices(tail)
+    )
+    assert close(got, brute_product_expectation(kappa, groups, tail))
+
+    # hierarchy right-hand sides, with one memo shared over all targets and without
+    drives = {v: [(sequence(2), complex(0.3 * i + 0.2, -0.1 * i)) for i in range(2)] for v in variables}
+    model = AmplitudeModel(
+        terms={
+            v: [InteractionTerm(LabeledSeq.from_indices(s), constant_amplitude(c)) for s, c in terms]
+            for v, terms in drives.items()
+        }
+    )
+    state = HierarchyState(cumulants)
+    memo = PartitionMemo()
+    for _ in range(3):
+        target = sequence(min(3, order))
+        want = 0.0 + 0.0j
+        for pos, idx in enumerate(target):
+            rest = target[:pos] + target[pos + 1:]
+            for seq, c in drives.get(idx, ()):
+                want += c * brute_product_expectation(kappa, [seq, rest])
+        assert close(hierarchy_rhs(model, state, LabeledSeq.from_indices(target), memo), want)
+        assert close(hierarchy_rhs(model, state, LabeledSeq.from_indices(target)), want)
+
+
+# ----------------------------------------------------------------------
+# a memo never outlives the table it was filled from
+
+
+def two_variable_model() -> AmplitudeModel:
+    """u driven by 0.4 W[u] + 0.1 W[v v], and v by -0.3 W[v] + (1 + 0.5i) W[u v]."""
+    return AmplitudeModel(
+        terms={
+            "u": [
+                InteractionTerm(LabeledSeq.from_indices(["u"]), constant_amplitude(0.4)),
+                InteractionTerm(LabeledSeq.from_indices(["v", "v"]), constant_amplitude(0.1)),
+            ],
+            "v": [
+                InteractionTerm(LabeledSeq.from_indices(["v"]), constant_amplitude(-0.3)),
+                InteractionTerm(LabeledSeq.from_indices(["u", "v"]), constant_amplitude(1.0 + 0.5j)),
+            ],
+        }
+    )
+
+
+def brute_rhs(model: AmplitudeModel, kappa, target) -> complex:
+    total = 0.0 + 0.0j
+    for pos, idx in enumerate(target):
+        rest = target[:pos] + target[pos + 1:]
+        for term in model.terms.get(idx, ()):
+            amp = term.amplitude(0.0, None)
+            total += amp * brute_product_expectation(kappa, [term.seq.indices(), rest])
+    return total
+
+
+def test_back_to_back_tables_are_both_exact():
+    model = two_variable_model()
+    keys = all_keys_up_to(["u", "v"], 3)
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        values = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+        table = CumulantTable(entries=dict(zip(keys, values)), max_order=3)
+        by_multiset = {multiset(k): complex(v) for k, v in zip(keys, values)}
+        rhs = hierarchy_rhs_table(model, HierarchyState(table), keys)
+        for key in keys:
+            assert close(rhs[key], brute_rhs(model, lambda m: by_multiset.get(m, 0.0), key))
+        memo = PartitionMemo(table.book)
+        for key in keys:
+            got = moments_from_cumulants(table, LabeledSeq.from_indices(key), memo)
+            assert close(got, brute_product_expectation(lambda m: by_multiset.get(m, 0.0), [], key))
+
+
+def test_integrate_hierarchy_matches_the_rk4_closed_form():
+    # d/dt y_u = a W[y_u] + b, d/dt y_v = c W[y_v]: the mean of u grows by
+    # b t, that of v stays, and a cumulant of order >= 2 with n_u slots u and
+    # n_v slots v is multiplied by R((n_u a + n_v c) h) per step
+    a, b, c = 0.4, 0.25, -0.7
+    model = AmplitudeModel(
+        terms={
+            "u": [
+                InteractionTerm(LabeledSeq.from_indices(["u"]), constant_amplitude(a)),
+                InteractionTerm(LabeledSeq.from_indices([]), constant_amplitude(b)),
+            ],
+            "v": [InteractionTerm(LabeledSeq.from_indices(["v"]), constant_amplitude(c))],
+        }
+    )
+    keys = all_keys_up_to(["u", "v"], 3)
+    rng = np.random.default_rng(11)
+    table0 = CumulantTable(entries={k: complex(*rng.standard_normal(2)) for k in keys}, max_order=3)
+    h, n_steps = 0.05, 20
+    final = integrate_hierarchy(model, HierarchyState(table0), t_end=h * n_steps, dt=h)
+
+    def growth(z: complex) -> complex:
+        return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+
+    for key in keys:
+        k0 = table0.kappa(key)
+        if len(key) == 1:
+            want = k0 + b * h * n_steps if key == ("u",) else k0
+        else:
+            rate = key.count("u") * a + key.count("v") * c
+            want = k0 * growth(rate * h) ** n_steps
+        assert close(final.table.kappa(key), want), key
+
+
+def test_integrate_hierarchy_needs_a_whole_number_of_steps():
+    model = two_variable_model()
+    table0 = CumulantTable(entries={("u", "u"): 1.0}, max_order=2)
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        integrate_hierarchy(model, HierarchyState(table0), t_end=0.13, dt=0.05)
+    with pytest.raises(ConfigError):
+        integrate_hierarchy(model, HierarchyState(table0), t_end=0.1, dt=0.0)
+    final = integrate_hierarchy(model, HierarchyState(table0), t_end=0.0, dt=0.05)
+    assert final.time == 0.0 and final.table.kappa(("u", "u")) == 1.0
+
+
+# ----------------------------------------------------------------------
+# the partition guard trips before any per-mask work
+
+
+def test_long_sums_trip_the_guard_before_building_mask_codes():
+    # 40 elements would need 2**40 mask codes; the guard must come first
+    indices = list(range(40))
+    table = CumulantTable(entries={(i,): 1.0 for i in indices})
+    seq = LabeledSeq.from_indices(indices)
+    with pytest.raises(GuardError):
+        moments_from_cumulants(table, seq)
+    with pytest.raises(GuardError):
+        moments_from_cumulants(table, seq, PartitionMemo(table.book))
+    with pytest.raises(GuardError):
+        wick_product_expectation(table, [seq])
+    with pytest.raises(GuardError):
+        wick_product_expectation(table, [LabeledSeq.from_indices(indices[:20])], LabeledSeq.from_indices(indices[20:]))
+
+
+def test_table_entries_are_read_only():
+    table = CumulantTable(entries={("u", "v"): 1.0}, max_order=2)
+    with pytest.raises(TypeError):
+        table.entries[("u",)] = 2.0
+    table.set(("v", "u"), 3.0)
+    assert dict(table.entries) == {("u", "v"): 3.0} and table.kappa(("v", "u")) == 3.0
