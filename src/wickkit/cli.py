@@ -33,10 +33,9 @@ import contextlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -85,6 +84,7 @@ from .kinetic import (
     collision_operator,
     prelimit_kernel,
 )
+from .pool import map_in_order as _map_in_order
 from .wick import wick_from_cumulants
 
 __all__ = [
@@ -409,19 +409,6 @@ def _load_block(params: Mapping, name: str, where: str):
     return _json(_path(path, f"{where}: {name}_path").read_text(), f"{where}: {path}")
 
 
-def _map_in_order(worker: Callable, items: Sequence, threads: int) -> list:
-    """Apply ``worker`` to independent items, results in item order.
-
-    Each item is computed by a self-contained sequential numpy routine, so
-    the result list — and everything derived from it — is identical for any
-    thread count; threads only change the wall-clock time.
-    """
-    if threads <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, items))
-
-
 # ---------------------------------------------------------------------------
 # runners
 # ---------------------------------------------------------------------------
@@ -558,12 +545,12 @@ def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
 
     ensemble = sample_initial(
         lattice, w0, n_real, seed=rc.seed,
-        family=params.get("family", "gaussian"), coupling=coupling,
+        family=params.get("family", "gaussian"), coupling=coupling, threads=rc.threads,
     )
     rows = []
     for block in range(n_steps // record_every + 1):
         if block:
-            ensemble = integrate_ensemble(ensemble, dispersion, dt, record_every)
+            ensemble = integrate_ensemble(ensemble, dispersion, dt, record_every, threads=rc.threads)
         stack = FieldState(ensemble.fields, coupling=coupling)
         mass = ell2_mass(stack) / n_real
         energy = hamiltonian(stack, lattice, dispersion) / n_real
@@ -572,7 +559,18 @@ def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
     _write_spectrum(lattice, estimate_W(ensemble), out_dir / "spectrum.csv")
     return {
         "outputs": ["observables.csv", "spectrum.csv"],
-        "summary": {"n_steps": n_steps, "records": len(rows), "final_mean_mass": mass},
+        "summary": {
+            "n_steps": n_steps, "records": len(rows), "final_mean_mass": mass,
+            **_stepping_work(lattice, dispersion, dt, n_real * n_steps),
+        },
+    }
+
+
+def _stepping_work(lattice: Lattice, dispersion: Dispersion, dt: float, realization_steps: int) -> dict:
+    """Deterministic work and margin of a run's split steps: site-steps, and ``|dt|·max|ω|`` (limit 0.5)."""
+    return {
+        "site_steps": realization_steps * lattice.size,
+        "dt_max_omega": abs(dt) * dispersion.max_frequency(lattice),
     }
 
 
@@ -585,7 +583,9 @@ def _run_estimate_w(rc: RunConfig, out_dir: Path) -> dict:
     )
     lattice, _, w0 = _parse_system(params, "estimate-w")
     n_real = _number(params["n_realizations"], "estimate-w: n_realizations", integer=True, low=2)
-    ensemble = sample_initial(lattice, w0, n_real, seed=rc.seed, family=params.get("family", "gaussian"))
+    ensemble = sample_initial(
+        lattice, w0, n_real, seed=rc.seed, family=params.get("family", "gaussian"), threads=rc.threads,
+    )
     estimate = estimate_W(ensemble)
     _write_spectrum(lattice, estimate, out_dir / "spectrum.csv")
     worst = float(np.max(np.abs(estimate.values - w0) / np.maximum(estimate.stderr, 1e-300)))
@@ -674,8 +674,10 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
     over realizations with jackknife errors.  The emitted table carries, per
     (lambda, k): the reference collision operator, the analytic first-order
     kernel over tau (noise-free), the MC mean, its standard error, and the
-    MC-minus-reference gap.  All couplings reuse the same initial ensemble
-    stream, so columns are comparable realization by realization.
+    MC-minus-reference gap.  The initial ensemble and its spectrum W_0 are
+    computed once and every coupling starts from them, so the columns are
+    comparable realization by realization.  The couplings run one after
+    another, each one's realization blocks on the thread pool.
     """
     params = rc.params
     _check_keys(
@@ -700,20 +702,20 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
         for coupling in lambdas
     ]
 
-    def check_for(item: tuple[float, int]):
-        coupling, n_steps = item
-        ensemble = sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, coupling=coupling)
-        before = np.abs(ensemble.fourier()) ** 2 / lattice.size
-        evolved = integrate_ensemble(ensemble, dispersion, dt, n_steps)
-        after = np.abs(evolved.fourier()) ** 2 / lattice.size
-        increments = (after - before) / tau
-        analytic = prelimit_kernel(w0, coupling, tau, config).values / tau
-        mc_mean = increments.mean(axis=0)
+    def analytic_for(coupling: float) -> np.ndarray:
+        return prelimit_kernel(w0, coupling, tau, config).values / tau
+
+    analytics = _map_in_order(analytic_for, lambdas, rc.threads)
+    initial = sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, threads=rc.threads)
+    before = np.abs(initial.fourier()) ** 2 / lattice.size
+    results = []
+    for coupling, n_steps, analytic in zip(lambdas, step_counts, analytics):
+        start = replace(initial, coupling=coupling)
+        after = np.abs(integrate_ensemble(start, dispersion, dt, n_steps, threads=rc.threads).fourier()) ** 2
+        increments = (after / lattice.size - before) / tau
         mc_se = _jackknife_stderr(increments)
         resolved = int(np.sum(np.abs(analytic) > se_threshold * mc_se))
-        return analytic, mc_mean, mc_se, resolved
-
-    results = _map_in_order(check_for, list(zip(lambdas, step_counts)), rc.threads)
+        results.append((analytic, increments.mean(axis=0), mc_se, resolved))
 
     header = (
         ["lambda"]
@@ -745,7 +747,10 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
     _write_csv(out_dir / "kinetic_check.csv", header, rows)
     return {
         "outputs": ["kinetic_check.csv"],
-        "summary": {"resolved_modes": resolved_counts, "n_realizations": n_real},
+        "summary": {
+            "resolved_modes": resolved_counts, "n_realizations": n_real,
+            **_stepping_work(lattice, dispersion, dt, n_real * sum(step_counts)),
+        },
     }
 
 

@@ -33,6 +33,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import ConfigError, GuardError
+from .pool import map_in_order
 
 __all__ = [
     "Lattice",
@@ -46,6 +47,7 @@ __all__ = [
     "dnls_rhs",
     "integrate",
     "integrate_ensemble",
+    "BLOCK_SITES",
     "sample_initial",
     "estimate_W",
     "renormalize_a",
@@ -284,6 +286,17 @@ class Spectrum:
 # dynamics
 # ---------------------------------------------------------------------------
 
+#: Sites per block of an ensemble: sampling and stepping run on whole
+#: realizations in blocks of ``max(1, BLOCK_SITES // lattice.size)``, 512 KB
+#: per complex128 array.  It never depends on the thread count.
+BLOCK_SITES = 1 << 15
+
+
+def _blocks(n_realizations: int, lattice: Lattice) -> list[slice]:
+    """The realization blocks of an ensemble, in order."""
+    per = max(1, BLOCK_SITES // lattice.size)
+    return [slice(start, min(start + per, n_realizations)) for start in range(0, n_realizations, per)]
+
 
 def dnls_rhs(state: FieldState, lattice: Lattice, dispersion: Dispersion) -> np.ndarray:
     """Time derivative of the field:  -i (hopping term + cubic term).
@@ -321,47 +334,80 @@ def integrate_ensemble(
     dispersion: Dispersion,
     dt: float,
     n_steps: int,
+    threads: int = 1,
 ) -> LatticeEnsemble:
-    """Advance every realization in lockstep by ``n_steps`` Strang split steps of size ``dt``.
+    """Advance every realization by ``n_steps`` Strang split steps of size ``dt``.
 
     A step is a half nonlinear phase, the exact linear flow and a half phase,
     so mass is conserved to rounding and the Hamiltonian to second order; it
     needs ``|dt| * max|omega| <= 0.5``.  The phase keeps |psi| fixed, so one
     step's closing half phase and the next one's opening half merge: after
     one opening half phase, each step is the linear flow and one phase
-    ``exp`` of ``rho = |psi|^2`` (a half one on the last step).  The same
-    ``rho`` gives ``R_s = 2 mean(rho)``; its integral (trapezoid rule) is
-    carried in ``r_integral`` for the renormalized field, and a non-finite
-    ``R_s`` is a GuardError.
+    ``exp`` of ``rho = |psi|^2`` (a half one on the last step).
+
+    The realizations run in blocks of about :data:`BLOCK_SITES` sites, and
+    each block takes every step of the call while it stays in cache; the
+    blocks go to a pool of ``threads`` threads.  The same ``rho`` gives
+    ``R_s = 2 mean(rho)`` from one partial sum per block and step, added in
+    block order.  The blocks depend on the lattice alone, so every field and
+    ``r_integral`` (``∫ R_s ds`` by the trapezoid rule, for the renormalized
+    field) is the same at any thread count.  A non-finite ``R_s`` is a
+    GuardError that names the earliest such step over all blocks.
     """
-    omega = dispersion.omega(ensemble.lattice)
-    margin = abs(dt) * float(np.max(np.abs(omega), initial=0.0))
+    margin = abs(dt) * dispersion.max_frequency(ensemble.lattice)
     if not margin <= 0.5 + 1e-12:  # so that a NaN dt fails too
         raise GuardError(f"time step too large: |dt| * max|omega| = {margin:.3g} exceeds 0.5")
     if n_steps < 0:
         raise ConfigError("n_steps must be nonnegative")
-    linear = np.exp(-1j * dt * omega)
+    linear = np.exp(-1j * dt * dispersion.omega(ensemble.lattice))
     axes = ensemble.spatial_axes
     coupling = ensemble.coupling
-    fields = ensemble.fields
+    fields = np.empty_like(ensemble.fields)
+
+    def run(rows: slice) -> np.ndarray:
+        """Step one block into ``fields``; the sums of rho before the first step and after each."""
+        sums = np.full(n_steps + 1, np.nan)
+        start, psi = ensemble.fields[rows], fields[rows]
+        spectral, phase = np.empty_like(psi), np.empty_like(psi)
+        rho, imag2 = np.empty(psi.shape), np.empty(psi.shape)
+
+        def density(field: np.ndarray) -> float:
+            np.add(np.square(field.real, out=rho), np.square(field.imag, out=imag2), out=rho)
+            return rho.sum()
+
+        def phase_of(h: float) -> np.ndarray:
+            return np.exp(np.multiply(-1j * (h * coupling), rho, out=phase), out=phase)
+
+        # Keep the operand orders of the products below: a complex product can
+        # differ in its last bit when its operands swap, and these orders keep
+        # result files byte-identical to earlier versions.  A non-finite field
+        # is reported by the guard below, not by numpy warnings.
+        with np.errstate(invalid="ignore", over="ignore"):
+            sums[0] = density(start)
+            if n_steps:
+                np.multiply(phase_of(0.5 * dt), start, out=psi)
+            else:
+                psi[...] = start
+            for step in range(1, n_steps + 1):
+                np.fft.fftn(psi, axes=axes, out=spectral)
+                np.multiply(linear, spectral, out=spectral)
+                np.fft.ifftn(spectral, axes=axes, out=psi)
+                sums[step] = density(psi)
+                if not math.isfinite(sums[step]):
+                    break  # the later sums stay NaN
+                psi *= phase_of(dt if step < n_steps else 0.5 * dt)
+        return sums
+
+    block_sums = map_in_order(run, _blocks(ensemble.n_realizations, ensemble.lattice), threads)
+    with np.errstate(over="ignore", invalid="ignore"):  # finite blocks may add up to more than a float holds
+        rates = 2.0 * (sum(block_sums[1:], block_sums[0]) / ensemble.fields.size)
+    bad = np.flatnonzero(~np.isfinite(rates[1:]))
+    if bad.size:
+        raise GuardError(f"the field became non-finite at step {bad[0] + 1} (coupling {coupling!r}, dt {dt!r})")
     r_integral = ensemble.r_integral
-    # a non-finite field is reported by the guard below, not by numpy warnings
-    with np.errstate(invalid="ignore", over="ignore"):
-        rho = fields.real**2 + fields.imag**2
-        r_prev = 2.0 * float(np.mean(rho))
-        if n_steps:
-            fields = fields * np.exp(-1j * (0.5 * dt * coupling) * rho)
+    if r_integral is not None:
         for step in range(1, n_steps + 1):
-            fields = np.fft.ifftn(linear * np.fft.fftn(fields, axes=axes), axes=axes)
-            rho = fields.real**2 + fields.imag**2
-            r_next = 2.0 * float(np.mean(rho))
-            if not math.isfinite(r_next):
-                raise GuardError(f"the field became non-finite at step {step} (coupling {coupling!r}, dt {dt!r})")
-            if r_integral is not None:
-                r_integral += dt * 0.5 * (r_prev + r_next)
-            r_prev = r_next
-            h = dt if step < n_steps else 0.5 * dt
-            fields *= np.exp(-1j * (h * coupling) * rho)
+            r_integral += dt * 0.5 * (float(rates[step - 1]) + float(rates[step]))
     return LatticeEnsemble(
         lattice=ensemble.lattice,
         fields=fields,
@@ -410,6 +456,7 @@ def sample_initial(
     seed: int,
     family: str = "gaussian",
     coupling: float = 0.0,
+    threads: int = 1,
 ) -> LatticeEnsemble:
     """Draw independent initial fields with covariance spectrum ``w0``.
 
@@ -421,7 +468,12 @@ def sample_initial(
 
     Both laws are invariant under a global phase and under lattice
     translations by construction.  Realization ``i`` uses the counter-based
-    stream keyed ``(seed, i)``.
+    Philox stream keyed ``(seed, i)``: the real parts of its modes, then the
+    imaginary parts (gaussian), or the phases (fixed-modulus).  The
+    realizations are drawn in blocks of about :data:`BLOCK_SITES` sites, with
+    one bit generator and one batched ``ifftn`` per block, and the blocks go
+    to a pool of ``threads`` threads; each field depends on its key alone, so
+    the ensemble is the same at any thread count.
     """
     spectrum = w0.values if isinstance(w0, Spectrum) else np.asarray(w0, dtype=float)
     if spectrum.shape != lattice.shape:
@@ -435,16 +487,31 @@ def sample_initial(
 
     amplitude = np.sqrt(lattice.size * spectrum)
     fields = np.empty((n_realizations,) + lattice.shape, dtype=complex)
-    for index in range(n_realizations):
-        rng = np.random.Generator(np.random.Philox(key=[int(seed), int(index)]))
-        if family == "gaussian":
-            real = rng.standard_normal(lattice.shape)
-            imag = rng.standard_normal(lattice.shape)
-            psi_hat = amplitude * (real + 1j * imag) / np.sqrt(2.0)
+    axes = tuple(range(1, lattice.dimension + 1))
+    gaussian = family == "gaussian"
+    draw_shape = ((2,) if gaussian else ()) + lattice.shape
+
+    def draw(rows: slice) -> None:
+        # one bit generator, rekeyed through its state: building Philox(key=...)
+        # per realization would also draw OS entropy for a seed it never uses
+        bits = np.random.Philox(key=[int(seed), rows.start])
+        rng = np.random.Generator(bits)
+        state = bits.state
+        draws = np.empty((rows.stop - rows.start,) + draw_shape)
+        for row, index in enumerate(range(rows.start, rows.stop)):
+            state["state"]["key"][1] = index
+            bits.state = state
+            if gaussian:
+                rng.standard_normal(out=draws[row])  # real parts, then imaginary parts
+            else:
+                draws[row] = rng.uniform(0.0, 2.0 * np.pi, lattice.shape)
+        if gaussian:
+            psi_hat = amplitude * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
         else:
-            theta = rng.uniform(0.0, 2.0 * np.pi, lattice.shape)
-            psi_hat = amplitude * np.exp(1j * theta)
-        fields[index] = np.fft.ifftn(psi_hat)
+            psi_hat = amplitude * np.exp(1j * draws)
+        fields[rows] = np.fft.ifftn(psi_hat, axes=axes)
+
+    map_in_order(draw, _blocks(n_realizations, lattice), threads)
     return LatticeEnsemble(
         lattice=lattice,
         fields=fields,

@@ -93,14 +93,20 @@ class WickPoly:
         return total
 
     def expectation(self, oracle: MomentOracle, extra: LabeledSeq = EMPTY) -> complex:
-        """E[self * y^extra] by direct monomial expansion against raw moments."""
+        """E[self * y^extra] by direct monomial expansion against raw moments.
+
+        Each term's moment is fetched by the multiset code of its indices
+        plus ``extra``'s, so no key is sorted per term.
+        """
+        book, moment_code = oracle.coded_moments()
+        # coding the whole ground with the extra checks the largest multiset any term reaches
+        book.code(self.ground.indices() + extra.indices())
+        slot = dict(zip(self.ground.labels, book.slots(self.ground.indices())))
+        extra_code = sum(book.slots(extra.indices()))
         total = 0.0 + 0.0j
-        extra_idx = extra.indices()
         for u, c in self.terms.items():
-            key = canonical_key(
-                tuple(self.ground.index_at(label) for label in u) + extra_idx
-            )
-            total += c * (1.0 if not key else oracle.moment(key))
+            code = extra_code + sum(slot[label] for label in u)
+            total += c * (1.0 if not code else moment_code(code))
         return total
 
     def multiset_terms(self) -> dict[tuple, complex]:
@@ -188,6 +194,8 @@ def _poly_of_masks(seq: LabeledSeq, terms: Mapping[int, complex]) -> WickPoly:
 def wick_recursive(oracle: MomentOracle, seq: LabeledSeq) -> WickPoly:
     """Construct W[y^I] by the defining moment recursion."""
     _check_guard(seq)
+    book, moment_code = oracle.coded_moments()
+    codes = mask_codes(book.slots(seq.indices()))
     moments: dict[int, complex] = {}
     memo: dict[int, dict[int, complex]] = {}
 
@@ -198,7 +206,7 @@ def wick_recursive(oracle: MomentOracle, seq: LabeledSeq) -> WickPoly:
         e = mask & -mask
         while e:  # nonempty submasks of mask, ascending
             if e not in moments:
-                moments[e] = oracle.moment_of(seq.select(e))
+                moments[e] = moment_code(codes[e])
             for u, c in build(mask ^ e).items():
                 terms[u] = terms.get(u, 0.0 + 0.0j) - moments[e] * c
             e = (e - mask) & mask

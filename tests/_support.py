@@ -130,3 +130,24 @@ def brute_wick_coefficients(kappa, indices):
             lambda key: -kappa(key), [], rest
         )
     return out
+
+
+# ----------------------------------------------------------------------
+# one realization of the DNLS initial laws, drawn on its own
+
+
+def sampled_realization(spectrum, seed, index, family="gaussian"):
+    """Field ``index`` of ``sample_initial(..., seed, family)``, drawn alone
+    from a fresh ``Generator(Philox(key=[seed, index]))``: the real parts of
+    the modes, then the imaginary parts (gaussian), or the phases
+    (fixed-modulus), and one inverse FFT."""
+    spectrum = np.asarray(spectrum, dtype=float)
+    rng = np.random.Generator(np.random.Philox(key=[seed, index]))
+    amplitude = np.sqrt(spectrum.size * spectrum)
+    if family == "gaussian":
+        real = rng.standard_normal(spectrum.shape)
+        imag = rng.standard_normal(spectrum.shape)
+        modes = amplitude * (real + 1j * imag) / math.sqrt(2.0)
+    else:
+        modes = amplitude * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, spectrum.shape))
+    return np.fft.ifftn(modes)

@@ -34,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wickkit import cli
+from wickkit import cli, dnls
 from wickkit.cli import (
     KINDS,
     SCHEMA_VERSION,
@@ -83,6 +83,31 @@ def assert_error_line(stderr: str, code: int) -> None:
 
 def assert_one_error_line(capsys, code: int) -> None:
     assert_error_line(capsys.readouterr().err, code)
+
+
+def result_files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.name != "manifest.json"}
+
+
+def assert_threads_keep_bytes(tmp_path, monkeypatch, kind: str, params: dict, per_block: int) -> None:
+    """Runs at --threads 1 and 3, and a replay of the second's manifest, write the same result bytes.
+
+    The ensemble is cut into blocks of ``per_block`` realizations: at least
+    three, the last one partial.
+    """
+    lattice = Lattice(**params["lattice"])
+    monkeypatch.setattr(dnls, "BLOCK_SITES", per_block * lattice.size)
+    blocks = dnls._blocks(params["n_realizations"], lattice)
+    assert len(blocks) >= 3 and blocks[-1].stop - blocks[-1].start < per_block
+    path = write_config(tmp_path / "c.json", kind, params, seed=13)
+    runs = []
+    for threads in (1, 3):
+        runs.append(tmp_path / f"threads{threads}")
+        assert main([kind, "--config", str(path), "--threads", str(threads), "--out", str(runs[-1])]) == 0
+    runs.append(tmp_path / "replay")
+    assert main([kind, "--config", str(runs[1] / "manifest.json"), "--out", str(runs[-1])]) == 0
+    first = result_files(runs[0])
+    assert first and all(result_files(run) == first for run in runs[1:])
 
 
 class TestConfigLoading:
@@ -374,6 +399,16 @@ class TestWorkCounters:
         summary = self.summaries(tmp_path, "cumulant-convert", {"direction": "cumulants-to-moments", "table": table})
         assert summary == {"entries": 119, "multisets_evaluated": 119, "partition_states": 119}
 
+    def test_dnls_simulate_counts_site_steps_and_the_step_margin(self, tmp_path):
+        # 8 realizations x 16 sites x 20 steps; dt 0.05 against max|omega| = 4
+        summary = self.summaries(tmp_path, "dnls-simulate", TestDnlsSimulate.PARAMS)
+        assert (summary["site_steps"], summary["dt_max_omega"]) == (2560, 0.2)
+
+    def test_kinetic_check_counts_site_steps_and_the_step_margin(self, tmp_path):
+        # 400 realizations x 64 sites x (20 + 80) steps; dt 0.05 against max|omega| = 8
+        summary = self.summaries(tmp_path, "kinetic-check", TestKineticCheck.PARAMS)
+        assert (summary["site_steps"], summary["dt_max_omega"]) == (2_560_000, 0.4)
+
     def test_hierarchy_counts(self, tmp_path):
         params = {"order": 3, "time": 0.5, "model": TestHierarchyRhs.MODEL, "table": TestHierarchyRhs.TABLE}
         summary = self.summaries(tmp_path, "hierarchy-rhs", params)
@@ -381,18 +416,19 @@ class TestWorkCounters:
 
 
 class TestDnlsSimulate:
+    PARAMS = {
+        "lattice": {"dimension": 1, "side": 16},
+        "dispersion": {"kind": "nearest-neighbor"},
+        "coupling": 0.3,
+        "w0": {"kind": "cosine", "mean": 1.0, "amplitudes": [0.5]},
+        "n_realizations": 8,
+        "dt": 0.05,
+        "t_end": 1.0,
+        "record_every": 5,
+    }
+
     def make_config(self, tmp_path, **extra) -> Path:
-        params = {
-            "lattice": {"dimension": 1, "side": 16},
-            "dispersion": {"kind": "nearest-neighbor"},
-            "coupling": 0.3,
-            "w0": {"kind": "cosine", "mean": 1.0, "amplitudes": [0.5]},
-            "n_realizations": 8,
-            "dt": 0.05,
-            "t_end": 1.0,
-            "record_every": 5,
-        }
-        params.update(extra)
+        params = dict(self.PARAMS, **extra)
         return write_config(
             tmp_path / "c.json", "dnls-simulate", params, seed=5, out=str(tmp_path / "run")
         )
@@ -413,6 +449,9 @@ class TestDnlsSimulate:
         assert np.max(np.abs(energies - energies[0])) < 1e-2 * abs(energies[0])
         k_rows, values, stderr = read_spectrum_csv(tmp_path / "run" / "spectrum.csv")
         assert values.shape == (16,) and stderr is not None
+
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        assert_threads_keep_bytes(tmp_path, monkeypatch, "dnls-simulate", self.PARAMS, per_block=3)
 
     def test_record_grid_must_divide_steps(self, tmp_path):
         path = self.make_config(tmp_path, record_every=7)
@@ -442,15 +481,20 @@ class TestDnlsSimulate:
 
 
 class TestEstimateW:
+    PARAMS = {
+        "lattice": {"dimension": 1, "side": 16},
+        "dispersion": {"kind": "zero"},
+        "w0": {"kind": "flat", "value": 1.0},
+        "n_realizations": 64,
+    }
+
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        params = dict(self.PARAMS, w0={"kind": "cosine", "mean": 1.0, "amplitudes": [0.4]})
+        assert_threads_keep_bytes(tmp_path, monkeypatch, "estimate-w", params, per_block=20)
+
     def test_spectrum_reproduces_the_library_estimate(self, tmp_path):
-        params = {
-            "lattice": {"dimension": 1, "side": 16},
-            "dispersion": {"kind": "zero"},
-            "w0": {"kind": "flat", "value": 1.0},
-            "n_realizations": 64,
-        }
         path = write_config(
-            tmp_path / "c.json", "estimate-w", params, seed=9, out=str(tmp_path / "run")
+            tmp_path / "c.json", "estimate-w", self.PARAMS, seed=9, out=str(tmp_path / "run")
         )
         assert main(["estimate-w", "--config", str(path)]) == 0
         _, values, stderr = read_spectrum_csv(tmp_path / "run" / "spectrum.csv")
@@ -610,20 +654,8 @@ class TestKineticCheck:
         resolved = manifest["summary"]["resolved_modes"]
         assert set(resolved) == {"0.4", "0.2"} and min(resolved.values()) >= 1
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        path = write_config(
-            tmp_path / "c.json", "kinetic-check", self.PARAMS, seed=11, out=str(tmp_path / "a")
-        )
-        assert main(["kinetic-check", "--config", str(path)]) == 0
-        assert (
-            main(
-                ["kinetic-check", "--config", str(path), "--threads", "4", "--out", str(tmp_path / "b")]
-            )
-            == 0
-        )
-        assert (tmp_path / "a" / "kinetic_check.csv").read_bytes() == (
-            tmp_path / "b" / "kinetic_check.csv"
-        ).read_bytes()
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        assert_threads_keep_bytes(tmp_path, monkeypatch, "kinetic-check", self.PARAMS, per_block=150)
 
     def test_too_small_ensemble_is_reported(self, tmp_path):
         params = dict(self.PARAMS, min_resolved_modes=64)

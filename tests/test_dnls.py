@@ -18,6 +18,7 @@ Oracles used here:
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -55,7 +56,10 @@ from wickkit.dnls import (
     write_spectrum_csv,
     zero_dispersion,
 )
+from wickkit import dnls
 from wickkit.errors import ConfigError, GuardError, step_count
+
+from _support import sampled_realization
 
 
 def smooth_spectrum(lattice: Lattice) -> np.ndarray:
@@ -286,6 +290,49 @@ class TestFusedIntegrator:
         with pytest.raises(GuardError, match="non-finite"):
             integrate(state, lat, nearest_neighbor_dispersion(1), 0.05, 3)
 
+    def test_blocks_match_the_unfused_composition(self, monkeypatch):
+        # 9 realizations in blocks of 4: two full blocks and a partial one
+        lat = Lattice(2, 8)
+        monkeypatch.setattr(dnls, "BLOCK_SITES", 4 * lat.size)
+        disp = nearest_neighbor_dispersion(2)
+        ens = sample_initial(lat, smooth_spectrum(lat), 9, seed=23, coupling=0.6)
+        ref_fields, ref_r = unfused_ensemble(ens, disp, 0.05, 14)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that blocks sharing state would show it
+        try:
+            one, *more = [integrate_ensemble(ens, disp, 0.05, 14, threads=threads) for threads in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.max(np.abs(one.fields - ref_fields)) < 1e-12 * float(np.max(np.abs(ref_fields)))
+        assert one.r_integral == pytest.approx(ref_r, rel=1e-12)
+        # the blocks and the order their sums are added in do not depend on the thread count
+        for out in more:
+            assert out.fields.tobytes() == one.fields.tobytes() and out.r_integral == one.r_integral
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_last_block_trips_the_guard(self, monkeypatch, threads):
+        # blocks of 3 over 7 realizations; only the last, partial block overflows
+        lat = Lattice(1, 16)
+        monkeypatch.setattr(dnls, "BLOCK_SITES", 3 * lat.size)
+        fields = np.full((7, 16), 0.5 + 0.5j)
+        fields[6] = 1e200
+        ens = LatticeEnsemble(lat, fields, coupling=0.3)
+        with pytest.raises(GuardError, match="non-finite at step 1 ") as err:
+            integrate_ensemble(ens, nearest_neighbor_dispersion(1), 0.05, 4, threads=threads)
+        assert str(err.value) == "the field became non-finite at step 1 (coupling 0.3, dt 0.05)"
+
+    @pytest.mark.filterwarnings("error")  # the CLI reports the guard alone, with no numpy warning
+    def test_overflowing_sum_of_finite_blocks_trips_the_guard(self, monkeypatch):
+        # each one-realization block sums |psi|^2 to 1e308, which is finite; the two together are not
+        lat = Lattice(1, 16)
+        monkeypatch.setattr(dnls, "BLOCK_SITES", lat.size)
+        ens = LatticeEnsemble(lat, np.full((2, 16), math.sqrt(1e308 / 16) + 0j))
+        with pytest.raises(GuardError, match="non-finite at step 1 "):
+            integrate_ensemble(ens, zero_dispersion(1), 0.05, 2, threads=2)
+        one = LatticeEnsemble(lat, ens.fields[:1])
+        assert integrate_ensemble(one, zero_dispersion(1), 0.05, 2).r_integral == pytest.approx(0.2 * 1e308 / 16)
+
     def test_hamiltonian_of_a_stack_is_the_sum(self):
         lat = Lattice(2, 8)
         disp = next_nearest_dispersion(2)
@@ -319,6 +366,19 @@ class TestSampling:
         b = sample_initial(lat, w0, 20, seed=42, family="gaussian")
         assert np.array_equal(a.fields, b.fields)
         assert a.master_seed == 42
+
+    @pytest.mark.parametrize("family", ["gaussian", "fixed-modulus"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_realization_is_its_own_keyed_draw(self, monkeypatch, family, threads):
+        # blocks of 3 over 8 realizations: the rekeyed generator and the batched
+        # inverse FFT give what a fresh Philox(key=[seed, i]) gives alone
+        lat = Lattice(2, 4)
+        monkeypatch.setattr(dnls, "BLOCK_SITES", 3 * lat.size)
+        w0 = smooth_spectrum(lat)
+        ens = sample_initial(lat, w0, 8, seed=97, family=family, threads=threads)
+        for i in range(8):
+            want = sampled_realization(w0, 97, i, family)
+            assert np.max(np.abs(ens.fields[i] - want)) < 1e-13 * float(np.max(np.abs(want)))
 
     def test_estimate_w_recovers_spectrum(self):
         lat = Lattice(1, 16)
