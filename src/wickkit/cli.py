@@ -617,10 +617,13 @@ def _run_bp_solve(rc: RunConfig, out_dir: Path) -> dict:
             "entropy": [float(v) for v in trajectory.entropy],
         },
     )
-    drift = float(np.max(np.abs(trajectory.number - trajectory.number[0])))
     return {
         "outputs": ["trajectory.csv", "summary.json"],
-        "summary": {"n_steps": trajectory.n_steps, "number_drift": drift},
+        "summary": {
+            "n_steps": trajectory.n_steps,
+            "number_drift": float(np.max(np.abs(trajectory.number - trajectory.number[0]))),
+            "energy_drift": float(np.max(np.abs(trajectory.energy - trajectory.energy[0]))),
+        },
     }
 
 

@@ -447,6 +447,9 @@ def mean_density(ensemble: LatticeEnsemble) -> float:
 # ---------------------------------------------------------------------------
 
 _FAMILIES = ("gaussian", "fixed-modulus")
+# numpy reads a Philox key list through float64 once an entry passes the
+# int64 range, so larger seeds would alias other seeds' streams or overflow.
+_MAX_SEED = 1 << 63
 
 
 def sample_initial(
@@ -468,12 +471,13 @@ def sample_initial(
 
     Both laws are invariant under a global phase and under lattice
     translations by construction.  Realization ``i`` uses the counter-based
-    Philox stream keyed ``(seed, i)``: the real parts of its modes, then the
-    imaginary parts (gaussian), or the phases (fixed-modulus).  The
-    realizations are drawn in blocks of about :data:`BLOCK_SITES` sites, with
-    one bit generator and one batched ``ifftn`` per block, and the blocks go
-    to a pool of ``threads`` threads; each field depends on its key alone, so
-    the ensemble is the same at any thread count.
+    Philox stream keyed ``(seed, i)``, for a seed in ``[0, 2**63)``: the real
+    parts of its modes, then the imaginary parts (gaussian), or the phases
+    (fixed-modulus).  The realizations are drawn in blocks of about
+    :data:`BLOCK_SITES` sites, with one bit generator and one batched
+    ``ifftn`` per block, and the blocks go to a pool of ``threads`` threads;
+    each field depends on its key alone, so the ensemble is the same at any
+    thread count.
     """
     spectrum = w0.values if isinstance(w0, Spectrum) else np.asarray(w0, dtype=float)
     if spectrum.shape != lattice.shape:
@@ -484,6 +488,8 @@ def sample_initial(
         raise ConfigError(f"unknown sampling family {family!r}; expected one of {_FAMILIES}")
     if n_realizations < 1:
         raise ConfigError("ensemble size must be at least 1")
+    if not 0 <= seed < _MAX_SEED:
+        raise ConfigError(f"seed must be an integer in [0, 2**63), got {seed!r}")
 
     amplitude = np.sqrt(lattice.size * spectrum)
     fields = np.empty((n_realizations,) + lattice.shape, dtype=complex)

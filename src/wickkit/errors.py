@@ -1,9 +1,14 @@
-"""Shared exception types, the checked readers of JSON input, and the step-count check."""
+"""Shared exception types, the checked JSON readers, the step-count check and the RK4 marcher.
+
+``rk4`` is the one RK4 loop of the package: the cumulant hierarchy, the
+kinetic equation and the decay of correlations all step with it, so it lives
+in this neutral module beside ``step_count``.
+"""
 
 import json
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
 
 class GuardError(ValueError):
@@ -58,3 +63,25 @@ def step_count(t_end: float, dt: float, where: str) -> int:
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end) or n_steps == 0 < t_end:
         raise ConfigError(f"{where}: end time {t_end!r} is not a whole number of steps of {dt!r}")
     return n_steps
+
+
+def rk4(rhs: Callable, y, t: float, h: float, n_steps: int, project: Callable | None = None) -> tuple[list, list]:
+    """March ``dy/dt = rhs(t, y)`` from ``(t, y)`` by ``n_steps`` classic RK4 steps of ``h``.
+
+    ``project`` maps each new state before it is stored and stepped on (the
+    start state is stored as given).  Returns the times and the states,
+    ``n_steps + 1`` of each, times accumulated as ``t += h``.
+    """
+    times, states = [t], [y]
+    for _ in range(n_steps):
+        k1 = rhs(t, y)
+        k2 = rhs(t + h / 2, y + h / 2 * k1)
+        k3 = rhs(t + h / 2, y + h / 2 * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if project is not None:
+            y = project(y)
+        t += h
+        times.append(t)
+        states.append(y)
+    return times, states

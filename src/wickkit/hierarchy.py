@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .cumulants import CumulantTable, MomentOracle, moments_from_cumulants
-from .errors import step_count
+from .errors import rk4, step_count
 from .indexing import EMPTY, Index, LabeledSeq, PartitionMemo, canonical_key
 from .wick import wick_product_expectation
 
@@ -76,13 +76,6 @@ class HierarchyState:
         return self.table.max_order
 
 
-def _pair_expectation(
-    table: CumulantTable, left: LabeledSeq, right: LabeledSeq, memo: PartitionMemo | None = None
-) -> complex:
-    """E[W[y^left] * W[y^right]] under the given cumulant table."""
-    return wick_product_expectation(table, [left, right], memo=memo)
-
-
 def hierarchy_rhs(
     model: AmplitudeModel,
     state: HierarchyState,
@@ -114,7 +107,7 @@ def hierarchy_rhs(
             amp = complex(term.amplitude(state.time, state.table))
             if amp == 0:
                 continue
-            total += amp * _pair_expectation(state.table, term.seq, rest, memo)
+            total += amp * wick_product_expectation(state.table, [term.seq, rest], memo=memo)
     return total
 
 
@@ -179,22 +172,10 @@ def integrate_hierarchy(
         return np.array(list(hierarchy_rhs_table(model, state, keys).values()), dtype=complex)
 
     n_steps = step_count(t_end, dt, "integrate_hierarchy (t_end, dt)")
-    h = t_end / max(n_steps, 1)
-    t = state0.time
-    vec = pack(state0.table)
-    states = [HierarchyState(table=unpack(vec), time=t)]
-    for _ in range(n_steps):
-        k1 = rhs(t, vec)
-        k2 = rhs(t + h / 2, vec + h / 2 * k1)
-        k3 = rhs(t + h / 2, vec + h / 2 * k2)
-        k4 = rhs(t + h, vec + h * k3)
-        vec = vec + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        if record:
-            states.append(HierarchyState(table=unpack(vec), time=t))
+    times, vecs = rk4(rhs, pack(state0.table), state0.time, t_end / max(n_steps, 1), n_steps)
     if record:
-        return [s.time for s in states], states
-    return HierarchyState(table=unpack(vec), time=t)
+        return times, [HierarchyState(table=unpack(v), time=t) for t, v in zip(times, vecs)]
+    return HierarchyState(table=unpack(vecs[-1]), time=times[-1])
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +238,7 @@ def duhamel_expand(
     for label, idx in target.elements:
         rest = target.without((label,))
         for term in model.terms.get(idx, ()):
-            pair0 = _pair_expectation(table0, term.seq, rest, memo)
+            pair0 = wick_product_expectation(table0, [term.seq, rest], memo=memo)
             amp_int = _quad_complex(lambda s: term.amplitude(s, table0), 0.0, t)
             first += pair0 * amp_int
 

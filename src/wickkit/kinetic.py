@@ -53,7 +53,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum
-from .errors import ConfigError, GuardError, step_count
+from .errors import ConfigError, GuardError, rk4, step_count
 
 __all__ = [
     "CollisionConfig",
@@ -444,24 +444,10 @@ def bp_solve(
     omega = config.omega()
     size = config.lattice.size
 
-    def rhs(w: np.ndarray) -> np.ndarray:
-        clamped = _clamp_spectrum(w)
-        return collision_operator(clamped, config).values
+    def rhs(tau: float, w: np.ndarray) -> np.ndarray:
+        return collision_operator(_clamp_spectrum(w), config).values
 
-    def record(traj: list[np.ndarray], w: np.ndarray) -> None:
-        traj.append(w.copy())
-
-    spectra: list[np.ndarray] = []
-    w = values.copy()
-    record(spectra, w)
-    for _ in range(n_steps):
-        k1 = rhs(w)
-        k2 = rhs(w + 0.5 * dtau * k1)
-        k3 = rhs(w + 0.5 * dtau * k2)
-        k4 = rhs(w + dtau * k3)
-        w = _clamp_spectrum(w + dtau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        record(spectra, w)
-
+    _, spectra = rk4(rhs, values, 0.0, dtau, n_steps, project=_clamp_spectrum)
     stacked = np.stack(spectra)
     flat = stacked.reshape(len(spectra), size)
     number = flat.mean(axis=1)
@@ -519,28 +505,19 @@ def correlation_decay(trajectory: BPTrajectory, config: CollisionConfig, ode_sub
         integral = integral + 0.5 * (taus[j] - taus[j - 1]) * (rates[j - 1] + rates[j])
         closed[j] = w0 * np.exp(-integral)
 
-    # ODE route: RK4 on dA/dtau = -A * Gamma_linear(tau)
+    # ODE route: RK4 on dA/dtau = -A * Gamma_linear(tau), one march per sampled interval
     ode = np.empty_like(rates)
     ode[0] = w0
-    a = w0.astype(float).copy()
     for j in range(1, len(taus)):
         t0, t1 = taus[j - 1], taus[j]
         g0, g1 = rates[j - 1], rates[j]
 
-        def gamma_at(t: float) -> np.ndarray:
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
             frac = (t - t0) / (t1 - t0)
-            return (1.0 - frac) * g0 + frac * g1
+            return -y * ((1.0 - frac) * g0 + frac * g1)
 
-        h = (t1 - t0) / ode_substeps
-        t = t0
-        for _ in range(ode_substeps):
-            s1 = -a * gamma_at(t)
-            s2 = -(a + 0.5 * h * s1) * gamma_at(t + 0.5 * h)
-            s3 = -(a + 0.5 * h * s2) * gamma_at(t + 0.5 * h)
-            s4 = -(a + h * s3) * gamma_at(t + h)
-            a = a + h / 6.0 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-            t += h
-        ode[j] = a
+        _, states = rk4(rhs, ode[j - 1], t0, (t1 - t0) / ode_substeps, ode_substeps)
+        ode[j] = states[-1]
     return CorrelationDecay(taus=taus.copy(), closed=closed, ode=ode)
 
 

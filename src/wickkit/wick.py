@@ -75,10 +75,6 @@ class WickPoly:
     def coeff(self, labels: Iterable[int]) -> complex:
         return self.terms.get(frozenset(labels), 0.0 + 0.0j)
 
-    @property
-    def degree(self) -> int:
-        return max((len(u) for u in self.terms), default=0)
-
     def top_coeff(self) -> complex:
         return self.coeff(self.ground.labels)
 

@@ -370,7 +370,7 @@ class TestHierarchyRhs:
 
 
 class TestWorkCounters:
-    """The manifest summary counts the distinct multisets and partition states, at any thread count."""
+    """The manifest summary's work counters and guard margins are the same at any thread count."""
 
     def summaries(self, tmp_path, kind: str, params: dict) -> list[dict]:
         out = []
@@ -408,6 +408,19 @@ class TestWorkCounters:
         # 400 realizations x 64 sites x (20 + 80) steps; dt 0.05 against max|omega| = 8
         summary = self.summaries(tmp_path, "kinetic-check", TestKineticCheck.PARAMS)
         assert (summary["site_steps"], summary["dt_max_omega"]) == (2_560_000, 0.4)
+
+    def test_bp_solve_reports_number_and_energy_drift(self, tmp_path):
+        # the collision sums conserve the number to rounding; the energy only
+        # up to the width of the broadened delta, so its drift is a real margin
+        params = dict(
+            EQL_BP_PARAMS,
+            delta={"model": "gaussian", "epsilon": 0.35},
+            w0={"kind": "cosine", "mean": 1.0, "amplitudes": [0.5, 0.25]},
+        )
+        summary = self.summaries(tmp_path, "bp-solve", params)
+        assert summary["n_steps"] == 4
+        assert summary["number_drift"] <= 1e-13
+        assert summary["energy_drift"] == pytest.approx(7.426415960081e-4, rel=1e-9)
 
     def test_hierarchy_counts(self, tmp_path):
         params = {"order": 3, "time": 0.5, "model": TestHierarchyRhs.MODEL, "table": TestHierarchyRhs.TABLE}
@@ -907,6 +920,11 @@ PROBES = [
     ("hierarchy-rhs", ("params", "model", "terms", 0, "seq"), [{"a": 1}]),
     ("estimate-w", ("params", "w0"), {"kind": "csv", "path": "word.csv"}),
     ("bp-solve", ("params", "dispersion"), {"kind": "zero", "second_shell": 0.25}),
+    # seeds past the int64 range, where numpy would read the Philox key as float64
+    ("estimate-w", ("seed",), 2**63),
+    ("estimate-w", ("seed",), 2**63 + 1),
+    ("estimate-w", ("seed",), 2**64 - 1),
+    ("estimate-w", ("seed",), 2**64),
 ]
 
 
@@ -1028,6 +1046,10 @@ class TestInputBoundary:
         trajectory.write_text("tau,k1,value\n0.0,0.0,1.0\n0.0,0.5,1.0\nzero,0.0,1.0\n")
         with pytest.raises(ConfigError, match=r"t\.csv row 4"):
             read_trajectory_csv(trajectory)
+
+    def test_largest_seed_runs(self, tmp_path):
+        code, stderr = run_in_process("estimate-w", replaced(boundary_config("estimate-w"), ("seed",), 2**63 - 1), tmp_path)
+        assert (code, stderr) == (0, "")
 
     def test_valid_boundary_configs_run(self, tmp_path):
         for kind in KINDS:

@@ -15,6 +15,9 @@ Oracles and frozen references used here:
 * scipy quadrature for the windowed time integral;
 * the exact equilibrium family W = 1/(beta (omega - mu)), whose bracket
   is beta * Omega * W W1 W2 W3 and therefore dies on the resonant set;
+* hand-written RK4 loops for the kinetic equation and the correlation
+  decay ODE, which ``bp_solve`` and ``correlation_decay`` must match bit for
+  bit through the shared ``errors.rk4`` marcher;
 * measured-and-frozen deterministic values for the energy-error scaling
   ratios, the pre-limit gap monotonicity fractions, and the dispersive
   bound example (all pure arithmetic, no sampling noise).
@@ -39,7 +42,7 @@ from wickkit.dnls import (
     sample_initial,
     zero_dispersion,
 )
-from wickkit.errors import ConfigError, GuardError
+from wickkit.errors import ConfigError, GuardError, rk4
 from wickkit.kinetic import (
     BPTrajectory,
     CollisionConfig,
@@ -507,6 +510,89 @@ def trajectory():
 @pytest.fixture(scope="module")
 def nn3_fit():
     return propagator_decay_fit(Lattice(dimension=3, side=32), nearest_neighbor_dispersion(3))
+
+
+def loop_bp_spectra(w0: np.ndarray, config: CollisionConfig, n_steps: int, dtau: float) -> np.ndarray:
+    """RK4 on dW/dtau = C(W), every stage input and every new state clamped, written out."""
+
+    def rhs(w):
+        return collision_operator(kinetic._clamp_spectrum(w), config).values
+
+    w = w0.copy()
+    spectra = [w.copy()]
+    for _ in range(n_steps):
+        k1 = rhs(w)
+        k2 = rhs(w + 0.5 * dtau * k1)
+        k3 = rhs(w + 0.5 * dtau * k2)
+        k4 = rhs(w + dtau * k3)
+        w = kinetic._clamp_spectrum(w + dtau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        spectra.append(w.copy())
+    return np.stack(spectra)
+
+
+def loop_decay_ode(taus: np.ndarray, rates: np.ndarray, w0: np.ndarray, substeps: int) -> np.ndarray:
+    """RK4 on dA/dtau = -A Gamma(tau), Gamma linear between the samples, written out."""
+    ode = np.empty_like(rates)
+    ode[0] = w0
+    a = w0.astype(float).copy()
+    for j in range(1, len(taus)):
+        t0, t1 = taus[j - 1], taus[j]
+        g0, g1 = rates[j - 1], rates[j]
+
+        def gamma_at(t):
+            frac = (t - t0) / (t1 - t0)
+            return (1.0 - frac) * g0 + frac * g1
+
+        h = (t1 - t0) / substeps
+        t = t0
+        for _ in range(substeps):
+            s1 = -a * gamma_at(t)
+            s2 = -(a + 0.5 * h * s1) * gamma_at(t + 0.5 * h)
+            s3 = -(a + 0.5 * h * s2) * gamma_at(t + 0.5 * h)
+            s4 = -(a + h * s3) * gamma_at(t + h)
+            a = a + h / 6.0 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+            t += h
+        ode[j] = a
+    return ode
+
+
+class TestRK4:
+    def test_project_maps_every_stored_state_and_is_stepped_on(self):
+        # dy/dt = 1 with project y -> y / 2: from 4, the steps store
+        # (4 + 1) / 2, (2.5 + 1) / 2, (1.75 + 1) / 2; the start is stored as given
+        inputs = []
+
+        def rhs(t, y):
+            inputs.append(y)
+            return np.ones_like(y)
+
+        times, states = rk4(rhs, np.array([4.0]), 0.0, 1.0, 3, project=lambda y: y / 2)
+        assert times == [0.0, 1.0, 2.0, 3.0]
+        assert [float(y[0]) for y in states] == [4.0, 2.5, 1.75, 1.375]
+        assert all(inputs[4 * i] is states[i] for i in range(3))
+
+    def test_stages_sit_at_the_rk4_times(self):
+        # with a right-hand side of t alone, each step is Simpson's rule, exact for 4 t^3
+        times, states = rk4(lambda t, y: 4.0 * t**3, 0.0, 1.0, 0.25, 8)
+        assert times[-1] == 3.0
+        assert states == pytest.approx([t**4 - 1.0 for t in times], rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "delta", [{"delta_model": "gaussian"}, {"delta_model": "fejer", "window_tau": 0.2, "window_coupling": 0.2}]
+    )
+    def test_bp_solve_matches_the_written_out_loop_bit_for_bit(self, delta):
+        lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
+        cfg = CollisionConfig(lattice=lat, dispersion=disp, **delta)
+        w0 = two_axis_spectrum(lat)
+        traj = bp_solve(w0, cfg, tau_end=0.5, dtau=0.05)
+        np.testing.assert_array_equal(traj.spectra, loop_bp_spectra(w0, cfg, 10, 0.05))
+
+    @pytest.mark.parametrize("substeps", [1, 7])
+    def test_decay_ode_matches_the_written_out_loop_bit_for_bit(self, trajectory, substeps):
+        traj, cfg, w0 = trajectory
+        decay = correlation_decay(traj, cfg, ode_substeps=substeps)
+        rates = np.stack([gamma_rate(w, cfg).values for w in traj.spectra])
+        np.testing.assert_array_equal(decay.ode, loop_decay_ode(traj.taus, rates, w0, substeps))
 
 
 class TestBPSolve:
