@@ -328,10 +328,16 @@ def _parse_w0(block, lattice: Lattice, dispersion: Dispersion, where: str) -> np
         values = params.spectrum(lattice, dispersion).values
     elif kind == "csv":
         _check_keys(block, f"{where}.w0", required=["kind", "path"])
-        _, values, _ = read_spectrum_csv(_path(block["path"], f"{where}.w0.path"))
+        k_rows, values, _ = read_spectrum_csv(_path(block["path"], f"{where}.w0.path"))
         if values.size != lattice.size:
             raise ConfigError(
                 f"{where}.w0: file has {values.size} rows, lattice has {lattice.size} sites"
+            )
+        # the writer's fractions parse back exactly, so the k columns must equal the grid
+        if not np.array_equal(k_rows, lattice.k_grid().reshape(-1, lattice.dimension)):
+            raise ConfigError(
+                f"{where}.w0: the file's k columns are not the momenta of the {lattice.dimension}-dimensional "
+                "lattice in row-major order"
             )
         values = values.reshape(lattice.shape)
     else:

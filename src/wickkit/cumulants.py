@@ -46,8 +46,6 @@ from .indexing import (
     partition_sums,
 )
 
-KappaFn = Callable[[LabeledSeq], complex]
-
 
 # ----------------------------------------------------------------------
 # moment oracles
@@ -330,9 +328,6 @@ class CumulantTable:
             return 0.0 + 0.0j
         return self.kappa_code(self.book.code(key))
 
-    def kappa_of(self, seq: LabeledSeq) -> complex:
-        return self.kappa(seq.indices())
-
     def to_json(self) -> dict[str, list[float]]:
         """The external form: canonical key string -> [re, im]."""
         return table_to_json(self.entries)
@@ -413,39 +408,19 @@ class CumulantEvaluator:
         return self.kappa_of(LabeledSeq.from_indices(key))
 
 
-def cumulants_from_moments(oracle: MomentOracle, seq: LabeledSeq) -> complex:
-    """The joint cumulant of ``seq`` under the given moment oracle."""
-    return CumulantEvaluator(oracle).kappa_of(seq)
-
-
-def as_kappa_fn(source) -> KappaFn:
-    """Normalize a cumulant source to a function LabeledSeq -> complex.
-
-    Accepts a CumulantTable, a MomentOracle (cumulants are then derived by
-    the recursion, memoized), a CumulantEvaluator, or a plain callable.
-    """
-    if isinstance(source, MomentOracle):
-        source = CumulantEvaluator(source)
-    if isinstance(source, (CumulantTable, CumulantEvaluator)):
-        return source.kappa_of
-    if callable(source):
-        return source
-    raise TypeError(f"cannot interpret {type(source).__name__} as cumulants")
-
-
 def coded_cumulants(source) -> tuple[Codebook, Callable[[int], complex]]:
     """``(book, kappa_code)`` for a cumulant source: the cumulant of each multiset code of ``book``.
 
-    Accepts what :func:`as_kappa_fn` accepts; a plain function of labeled
-    blocks is called once per distinct multiset, on its canonical key.
+    This is the one way cumulants are read.  A source is a
+    :class:`CumulantTable`, a :class:`CumulantEvaluator` or a
+    :class:`MomentOracle`, whose cumulants are then derived by the
+    recursion, memoized; anything else is a TypeError.
     """
     if isinstance(source, MomentOracle):
         source = CumulantEvaluator(source)
     if isinstance(source, (CumulantTable, CumulantEvaluator)):
         return source.book, source.kappa_code
-    kappa_of = as_kappa_fn(source)
-    book = Codebook()
-    return book, _by_code(lambda key: kappa_of(LabeledSeq.from_indices(key)), book)
+    raise TypeError(f"cannot interpret {type(source).__name__} as cumulants")
 
 
 def _coded_sum(
@@ -496,62 +471,11 @@ def cumulant_table_from_oracle(
     """Tabulate all cumulants over the given indices up to max_order."""
     ev = CumulantEvaluator(oracle)
     table = CumulantTable.empty(max_order=max_order, provenance=provenance)
-    pool = sorted(set(indices), key=lambda i: (type(i).__name__, repr(i)))
+    pool = canonical_key(set(indices))
     for order in range(1, max_order + 1):
         for combo in itertools.combinations_with_replacement(pool, order):
             table.set(combo, ev.kappa(combo))
     return table
-
-
-# ----------------------------------------------------------------------
-# multilinearity check
-
-
-@dataclass
-class MultilinearityReport:
-    ok: bool
-    max_rel_error: float
-    checks: list[tuple[tuple, int, float]]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def multilinearity_check(
-    source,
-    composite: Index,
-    combo: Sequence[tuple[complex, Index]],
-    seqs: Iterable[LabeledSeq],
-    rtol: float = 1e-10,
-) -> MultilinearityReport:
-    """Check kappa linearity in every slot holding the composite index.
-
-    For each sequence and each slot whose index equals ``composite``, compare
-    kappa[seq] against sum_m c_m * kappa[seq with that slot replaced by i_m].
-    The source must supply consistent cumulants for both the composite and
-    the replacement indices (e.g. via LinearCombinationOracle).
-    """
-    kappa_of = as_kappa_fn(source)
-    checks: list[tuple[tuple, int, float]] = []
-    worst = 0.0
-    for seq in seqs:
-        for label, idx in seq.elements:
-            if idx != composite:
-                continue
-            lhs = kappa_of(seq)
-            rhs = 0.0 + 0.0j
-            for c, repl in combo:
-                swapped = LabeledSeq(
-                    tuple(
-                        (lab, repl if lab == label else orig)
-                        for lab, orig in seq.elements
-                    )
-                )
-                rhs += complex(c) * kappa_of(swapped)
-            rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-            checks.append((seq.indices(), label, rel))
-            worst = max(worst, rel)
-    return MultilinearityReport(ok=worst <= rtol, max_rel_error=worst, checks=checks)
 
 
 # ----------------------------------------------------------------------

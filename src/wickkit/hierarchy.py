@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cumulants import CumulantTable, MomentOracle, moments_from_cumulants
+from .cumulants import CumulantBackedOracle, CumulantTable, MomentOracle
 from .errors import rk4, step_count
 from .indexing import EMPTY, Index, LabeledSeq, PartitionMemo, canonical_key
 from .wick import wick_product_expectation
@@ -58,7 +58,7 @@ class AmplitudeModel:
         for terms in self.terms.values():
             for term in terms:
                 seen.update(term.seq.indices())
-        return sorted(seen, key=lambda i: (type(i).__name__, repr(i)))
+        return list(canonical_key(seen))
 
 
 @dataclass
@@ -307,7 +307,10 @@ def appendix_b_model(
         sign * count * (remaining position moment),
 
     the moment read from the supplied oracle, or from the evolving cumulant
-    table when ``oracle`` is None.
+    table when ``oracle`` is None.  The amplitudes of one table, an RK4
+    stage, read their moments through one :class:`CumulantBackedOracle`, so
+    they share its partition sums; a table must not change once they have
+    read it.
     """
     if power < 2:
         raise ValueError("power must be at least 2")
@@ -319,12 +322,12 @@ def appendix_b_model(
 
     a = power
 
+    last: list = [None, oracle]  # the last table read and the oracle of its moments
+
     def moment_of(key: tuple, table: CumulantTable) -> complex:
-        if oracle is not None:
-            return 1.0 if not key else oracle.moment(key)
-        if not key:
-            return 1.0 + 0.0j
-        return moments_from_cumulants(table, LabeledSeq.from_indices(key))
+        if oracle is None and last[0] is not table:
+            last[:] = [table, CumulantBackedOracle(table)]
+        return last[1].moment(key) if key else 1.0
 
     terms: dict[Index, list[InteractionTerm]] = {}
     for n in range(n_particles):

@@ -5,9 +5,9 @@ which the same index may repeat.  To keep subsequences of repeated indices
 unambiguous, each occurrence carries a distinct integer label; collapsing
 (sort by label, drop labels) recovers the plain index sequence.  This module
 provides the sequence type plus the primitive operations the rest of the
-package is built on: merging, cancelling one occurrence, enumerating
-labeled subsequences and set partitions of the label set, and the
-partition-sum kernel behind every moment, cumulant and Wick expectation.
+package is built on: enumerating labeled subsequences and set partitions of
+the label set, and the partition-sum kernel behind every moment, cumulant
+and Wick expectation.
 
 Moments, cumulants and the partition sums of symmetric summands depend on a
 sequence only through its multiset of indices.  Inside the package such a
@@ -96,14 +96,6 @@ class LabeledSeq:
                 return idx
         raise KeyError(f"label {label} not in sequence")
 
-    def restrict(self, labels: Iterable[int]) -> "LabeledSeq":
-        """The labeled subsequence with the given labels (which must exist)."""
-        keep = set(labels)
-        missing = keep - set(self.labels)
-        if missing:
-            raise KeyError(f"labels {sorted(missing)} not in sequence")
-        return LabeledSeq(tuple(e for e in self.elements if e[0] in keep))
-
     def select(self, mask: int) -> "LabeledSeq":
         """The labeled subsequence picked by a bitmask over label rank.
 
@@ -135,20 +127,6 @@ class LabeledSeq:
 
 
 EMPTY = LabeledSeq(())
-
-
-def merge(a: LabeledSeq, b: LabeledSeq) -> LabeledSeq:
-    """Concatenate two sequences under fresh labels 1..len(a)+len(b).
-
-    The first ``len(a)`` labels collapse to ``a``'s index sequence and the
-    rest to ``b``'s, so cross-sequence label collisions cannot happen.
-    """
-    return LabeledSeq.from_indices(a.indices() + b.indices())
-
-
-def cancel(a: LabeledSeq, label: int) -> LabeledSeq:
-    """Remove the occurrence with the given label; no-op if absent."""
-    return LabeledSeq(tuple(e for e in a.elements if e[0] != label))
 
 
 def subsets(
@@ -389,31 +367,3 @@ def partition_sums(
         return acc
 
     return total
-
-
-def partition_sum(
-    seq: LabeledSeq,
-    kappa_of: Callable[[LabeledSeq], Any],
-    admissible: Callable[[int], object] | None = None,
-) -> complex:
-    """Sum over the set partitions of ``seq`` of prod over blocks of kappa.
-
-    ``kappa_of`` takes each block as a labeled subsequence, and
-    ``admissible(block_mask)`` filters the blocks as in
-    :func:`partition_sums`; the empty sequence sums to 1.
-    """
-    total = partition_sums(len(seq), lambda block: kappa_of(seq.select(block)), admissible)
-    return total((1 << len(seq)) - 1)
-
-
-def bell_number(n: int) -> int:
-    """Number of set partitions of an n-set, via the Bell triangle."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for value in row:
-            nxt.append(nxt[-1] + value)
-        row = nxt
-    return row[0]

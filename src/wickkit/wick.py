@@ -17,21 +17,21 @@ that meet I'.  Three equivalent constructions are provided:
 
 Monomials are keyed by label subsets of the ground sequence (not collapsed
 multisets), so repeated indices stay unambiguous.  The constructions run
-over label bitmasks (bit i is the i-th smallest ground label) and fetch each
-subset's moment or cumulant once per build; the partition sums, whose
-summands are symmetric, key their states by multiset code, so label subsets
-holding the same multiset are summed once.
+over label bitmasks (bit i is the i-th smallest ground label) and read each
+subset's moment or cumulant by the multiset code of the subset
+(:func:`wickkit.cumulants.coded_cumulants`, the one reader of a cumulant
+source); the partition sums, whose summands are symmetric, key their states
+by multiset code, so label subsets holding the same multiset are summed once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cumulants import MomentOracle, _as_index, _coded_sum, as_kappa_fn, coded_cumulants
+from .cumulants import MomentOracle, _as_index, _coded_sum, coded_cumulants
 from .errors import GuardError, _pair
 from .indexing import (
     EMPTY,
@@ -226,8 +226,8 @@ def wick_from_cumulants(source, seq: LabeledSeq) -> WickPoly:
 def wick_recursion_step(source, seq: LabeledSeq) -> WickPoly:
     """Construct W[y^I] by peeling the first element against cumulants."""
     _check_guard(seq)
-    kappa_of = as_kappa_fn(source)
-    kappas: dict[int, complex] = {}
+    book, kappa_code = coded_cumulants(source)
+    codes = mask_codes(book.slots(seq.indices()))
     memo: dict[int, dict[int, complex]] = {0: {0: 1.0 + 0.0j}}
 
     def build(mask: int) -> dict[int, complex]:
@@ -240,11 +240,9 @@ def wick_recursion_step(source, seq: LabeledSeq) -> WickPoly:
         # minus cumulant couplings of the first element into subsets of rest
         sub = 0
         while True:
-            block = first | sub
-            if block not in kappas:
-                kappas[block] = kappa_of(seq.select(block))
+            kappa = kappa_code(codes[first | sub])
             for v, c in build(rest ^ sub).items():
-                terms[v] = terms.get(v, 0.0 + 0.0j) - kappas[block] * c
+                terms[v] = terms.get(v, 0.0 + 0.0j) - kappa * c
             if sub == rest:
                 break
             sub = (sub - rest) & rest
@@ -316,13 +314,13 @@ def wick_product_expectation(
     def admissible(block: int) -> bool:
         return all(block & ~group for group in groups)
 
+    book, kappa_code = coded_cumulants(source)
     if memo is None:
         memo = PartitionMemo()
     keys = memo.book.slots(tags)
     full = sum(keys)
     if full in memo.totals:  # a shared memo has summed this merged multiset already
         return memo.totals[full]
-    book, kappa_code = coded_cumulants(source)
     slots = book.slots(idx for _, idx in tags)
     return _coded_sum(kappa_code, slots, memo, keys, admissible)
 
@@ -342,6 +340,12 @@ def gaussian_reference_wick(
     (y_i - mean_i) and each pair (a, b) contributes -covariance[a, b].
     For one standard variable this yields the probabilists' Hermite
     polynomials He_n.
+
+    This is library API, not a test oracle: it is the closed Gaussian
+    (Hermite) form of the paper, built from pairings alone with no cumulant
+    table or partition sum, and it is what the cumulant route is checked
+    against when only the first two cumulants are set (acceptance
+    criterion 03).
     """
     _check_guard(seq)
     mean = np.atleast_1d(np.asarray(mean, dtype=complex))
@@ -393,83 +397,3 @@ def gaussian_reference_wick(
                     coeff *= -mean[seq.index_at(u_labels[i])]
             terms[kept] = terms.get(kept, 0.0 + 0.0j) + coeff
     return WickPoly(seq, terms)
-
-
-# ----------------------------------------------------------------------
-# multiset polynomials and multilinearity
-
-
-def substitute_index(
-    mpoly: Mapping[tuple, complex],
-    composite: Index,
-    combo: Sequence[tuple[complex, Index]],
-) -> dict[tuple, complex]:
-    """Substitute y_composite = sum_m c_m y_{i_m} into a multiset polynomial."""
-    out: dict[tuple, complex] = {}
-    for key, coeff in mpoly.items():
-        slots = [i for i, idx in enumerate(key) if idx == composite]
-        if not slots:
-            out[key] = out.get(key, 0.0 + 0.0j) + coeff
-            continue
-        for choice in itertools.product(combo, repeat=len(slots)):
-            c = coeff
-            replaced = list(key)
-            for slot, (cm, im) in zip(slots, choice):
-                c *= complex(cm)
-                replaced[slot] = im
-            ckey = canonical_key(replaced)
-            out[ckey] = out.get(ckey, 0.0 + 0.0j) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def multiset_poly_distance(
-    a: Mapping[tuple, complex], b: Mapping[tuple, complex]
-) -> float:
-    """Max absolute coefficient difference over the union of monomials."""
-    worst = 0.0
-    for key in set(a) | set(b):
-        worst = max(worst, abs(a.get(key, 0.0) - b.get(key, 0.0)))
-    return worst
-
-
-@dataclass
-class WickMultilinearityReport:
-    ok: bool
-    max_abs_error: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def wick_multilinearity(
-    source,
-    seq: LabeledSeq,
-    slot_label: int,
-    combo: Sequence[tuple[complex, Index]],
-    atol: float = 1e-10,
-) -> WickMultilinearityReport:
-    """Check W is linear in the slot: with y_j = sum_m c_m y_{i_m} at
-    ``slot_label``, W[y^I] must equal sum_m c_m W[y^(I with j -> i_m)] as
-    polynomials in the base variables (composite occurrences substituted).
-
-    ``source`` must supply consistent cumulants for the composite and base
-    indices together (e.g. a LinearCombinationOracle).
-    """
-    composite = seq.index_at(slot_label)
-    lhs = substitute_index(
-        wick_from_cumulants(source, seq).multiset_terms(), composite, combo
-    )
-    rhs: dict[tuple, complex] = {}
-    for cm, im in combo:
-        swapped = LabeledSeq(
-            tuple(
-                (lab, im if lab == slot_label else idx) for lab, idx in seq.elements
-            )
-        )
-        part = substitute_index(
-            wick_from_cumulants(source, swapped).multiset_terms(), composite, combo
-        )
-        for k, v in part.items():
-            rhs[k] = rhs.get(k, 0.0 + 0.0j) + complex(cm) * v
-    err = multiset_poly_distance(lhs, {k: v for k, v in rhs.items() if v != 0})
-    return WickMultilinearityReport(ok=err <= atol, max_abs_error=err)

@@ -7,11 +7,13 @@ is checked against something it does not share internals with.
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from wickkit.cumulants import MomentOracle, TableOracle
+from wickkit.cumulants import MomentOracle, TableOracle, coded_cumulants
 from wickkit.indexing import LabeledSeq, canonical_key, partitions
+from wickkit.wick import wick_from_cumulants
 
 
 def mobius_cumulant(oracle, seq):
@@ -25,7 +27,7 @@ def mobius_cumulant(oracle, seq):
         m = len(part)
         term = complex((-1) ** (m - 1) * math.factorial(m - 1))
         for block in part:
-            term *= oracle.moment_of(seq.restrict(block))
+            term *= oracle.moment(canonical_key(seq.index_at(label) for label in block))
         total += term
     return total
 
@@ -130,6 +132,111 @@ def brute_wick_coefficients(kappa, indices):
             lambda key: -kappa(key), [], rest
         )
     return out
+
+
+# ----------------------------------------------------------------------
+# multilinearity checkers: cumulants and Wick polynomials are linear in
+# each slot, so a composite y_j = sum_m c_m y_{i_m} may be expanded slotwise
+
+
+@dataclass
+class MultilinearityReport:
+    ok: bool
+    max_rel_error: float
+    checks: list[tuple[tuple, int, float]]
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def multilinearity_check(source, composite, combo, seqs, rtol=1e-10):
+    """Check kappa linearity in every slot holding the composite index.
+
+    For each sequence and each slot whose index equals ``composite``, compare
+    kappa[seq] against sum_m c_m * kappa[seq with that slot replaced by i_m].
+    The source must supply consistent cumulants for both the composite and
+    the replacement indices (e.g. via LinearCombinationOracle).
+    """
+    book, kappa_code = coded_cumulants(source)
+    checks: list[tuple[tuple, int, float]] = []
+    worst = 0.0
+    for seq in seqs:
+        for label, idx in seq.elements:
+            if idx != composite:
+                continue
+            lhs = kappa_code(book.code(seq.indices()))
+            rhs = 0.0 + 0.0j
+            for c, repl in combo:
+                swapped = (repl if lab == label else orig for lab, orig in seq.elements)
+                rhs += complex(c) * kappa_code(book.code(swapped))
+            rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+            checks.append((seq.indices(), label, rel))
+            worst = max(worst, rel)
+    return MultilinearityReport(ok=worst <= rtol, max_rel_error=worst, checks=checks)
+
+
+def substitute_index(mpoly, composite, combo):
+    """Substitute y_composite = sum_m c_m y_{i_m} into a multiset polynomial."""
+    out: dict[tuple, complex] = {}
+    for key, coeff in mpoly.items():
+        slots = [i for i, idx in enumerate(key) if idx == composite]
+        if not slots:
+            out[key] = out.get(key, 0.0 + 0.0j) + coeff
+            continue
+        for choice in itertools.product(combo, repeat=len(slots)):
+            c = coeff
+            replaced = list(key)
+            for slot, (cm, im) in zip(slots, choice):
+                c *= complex(cm)
+                replaced[slot] = im
+            ckey = canonical_key(replaced)
+            out[ckey] = out.get(ckey, 0.0 + 0.0j) + c
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def multiset_poly_distance(a, b):
+    """Max absolute coefficient difference over the union of monomials."""
+    worst = 0.0
+    for key in set(a) | set(b):
+        worst = max(worst, abs(a.get(key, 0.0) - b.get(key, 0.0)))
+    return worst
+
+
+@dataclass
+class WickMultilinearityReport:
+    ok: bool
+    max_abs_error: float
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def wick_multilinearity(source, seq, slot_label, combo, atol=1e-10):
+    """Check W is linear in the slot: with y_j = sum_m c_m y_{i_m} at
+    ``slot_label``, W[y^I] must equal sum_m c_m W[y^(I with j -> i_m)] as
+    polynomials in the base variables (composite occurrences substituted).
+
+    ``source`` must supply consistent cumulants for the composite and base
+    indices together (e.g. a LinearCombinationOracle).
+    """
+    composite = seq.index_at(slot_label)
+    lhs = substitute_index(
+        wick_from_cumulants(source, seq).multiset_terms(), composite, combo
+    )
+    rhs: dict[tuple, complex] = {}
+    for cm, im in combo:
+        swapped = LabeledSeq(
+            tuple(
+                (lab, im if lab == slot_label else idx) for lab, idx in seq.elements
+            )
+        )
+        part = substitute_index(
+            wick_from_cumulants(source, swapped).multiset_terms(), composite, combo
+        )
+        for k, v in part.items():
+            rhs[k] = rhs.get(k, 0.0 + 0.0j) + complex(cm) * v
+    err = multiset_poly_distance(lhs, {k: v for k, v in rhs.items() if v != 0})
+    return WickMultilinearityReport(ok=err <= atol, max_abs_error=err)
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ from wickkit.cli import (
     run,
 )
 from wickkit.cumulants import CumulantTable
-from wickkit.dnls import Lattice, estimate_W, read_spectrum_csv, sample_initial
+from wickkit.dnls import Lattice, Spectrum, estimate_W, read_spectrum_csv, sample_initial, write_spectrum_csv, zero_dispersion
 from wickkit.errors import ConfigError, GuardError
 from wickkit.indexing import LabeledSeq
 from wickkit.kinetic import CollisionConfig, EquilibriumParams
@@ -920,6 +920,13 @@ PROBES = [
     ("hierarchy-rhs", ("params", "model", "terms", 0, "seq"), [{"a": 1}]),
     ("estimate-w", ("params", "w0"), {"kind": "csv", "path": "word.csv"}),
     ("bp-solve", ("params", "dispersion"), {"kind": "zero", "second_shell": 0.25}),
+    # a csv spectrum of another lattice with as many sites (8 x 8 for 4 x 4 x 4), and one with two rows swapped
+    ("estimate-w", ("params",), {
+        **BOUNDARY_CONFIGS["estimate-w"],
+        "lattice": {"dimension": 3, "side": 4},
+        "w0": {"kind": "csv", "path": "square.csv"},
+    }),
+    ("estimate-w", ("params", "w0"), {"kind": "csv", "path": "swapped.csv"}),
     # seeds past the int64 range, where numpy would read the Philox key as float64
     ("estimate-w", ("seed",), 2**63),
     ("estimate-w", ("seed",), 2**63 + 1),
@@ -964,10 +971,33 @@ class TestInputBoundary:
         rows = "".join(f"{i / 8!r},1.0,\n" for i in range(8))
         (tmp_path / "nan.csv").write_text("k1,value,stderr\n" + rows.replace("1.0,", "nan,", 1))
         (tmp_path / "word.csv").write_text("k1,value,stderr\n" + rows.replace("1.0,", "one,", 1))
+        write_spectrum_csv(Lattice(2, 8), Spectrum(np.ones((8, 8))), tmp_path / "square.csv")
+        lines = rows.splitlines()
+        (tmp_path / "swapped.csv").write_text("\n".join(["k1,value,stderr", lines[1], lines[0], *lines[2:]]) + "\n")
         code, stderr = run_in_process(kind, replaced(boundary_config(kind), path, value), tmp_path)
         assert code == 2, stderr
         assert_error_line(stderr, 2)
         assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    def test_csv_w0_from_the_spectrum_writer_reads_back_exactly(self, tmp_path, monkeypatch):
+        # the k rows are checked against the grid, so a file the package wrote
+        # must still pass and give the bytes of the spectrum it holds
+        monkeypatch.chdir(tmp_path)
+        config = boundary_config("estimate-w")
+        config["params"]["lattice"] = {"dimension": 2, "side": 4}
+        lattice = Lattice(2, 4)
+        cosine = {"kind": "cosine", "mean": 1.0, "amplitudes": [0.5, 0.25]}
+        values = cli._parse_w0(cosine, lattice, zero_dispersion(2), "w0")
+        write_spectrum_csv(lattice, Spectrum(values), tmp_path / "w0.csv")
+        outputs = []
+        for w0 in (cosine, {"kind": "csv", "path": "w0.csv"}):
+            config["params"]["w0"] = w0
+            run_dir = tmp_path / w0["kind"]
+            run_dir.mkdir()
+            code, stderr = run_in_process("estimate-w", config, run_dir)
+            assert code == 0, stderr
+            outputs.append((run_dir / "run" / "spectrum.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would be a second stderr line
     @pytest.mark.parametrize("kind", KINDS)

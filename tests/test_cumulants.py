@@ -14,16 +14,14 @@ from wickkit.cumulants import (
     LinearCombinationOracle,
     TableOracle,
     cumulant_table_from_oracle,
-    cumulants_from_moments,
     empirical_cumulant,
     gaussian_moment_oracle,
     moments_from_cumulants,
-    multilinearity_check,
 )
 from wickkit.errors import ConfigError
 from wickkit.indexing import EMPTY, LabeledSeq
 
-from _support import mobius_cumulant, random_moment_oracle, random_sequences
+from _support import mobius_cumulant, multilinearity_check, random_moment_oracle, random_sequences
 
 
 def seq(*idx):
@@ -44,35 +42,35 @@ def single_variable_oracle(m1, m2, m3=0.0, m4=0.0):
 class TestRecursionBasics:
     def test_first_order_is_the_mean(self):
         oracle = single_variable_oracle(0.7, 2.0)
-        assert cumulants_from_moments(oracle, seq("y")) == pytest.approx(0.7)
+        assert CumulantEvaluator(oracle).kappa_of(seq("y")) == pytest.approx(0.7)
 
     def test_second_order_is_the_variance(self):
         oracle = single_variable_oracle(0.5, 2.0)
-        kappa2 = cumulants_from_moments(oracle, seq("y", "y"))
+        kappa2 = CumulantEvaluator(oracle).kappa_of(seq("y", "y"))
         assert kappa2 == pytest.approx(2.0 - 0.25)
 
     def test_pair_covariance(self):
         oracle = TableOracle(
             {("a",): 1.0, ("b",): 2.0, ("a", "b"): 5.0}
         )
-        kappa = cumulants_from_moments(oracle, seq("a", "b"))
+        kappa = CumulantEvaluator(oracle).kappa_of(seq("a", "b"))
         assert kappa == pytest.approx(5.0 - 2.0)
 
     def test_standard_normal_fourth_cumulant_vanishes(self):
         # moments (0, 1, 0, 3) have kappa_4 = 0
         oracle = single_variable_oracle(0.0, 1.0, 0.0, 3.0)
-        kappa4 = cumulants_from_moments(oracle, seq("y", "y", "y", "y"))
+        kappa4 = CumulantEvaluator(oracle).kappa_of(seq("y", "y", "y", "y"))
         assert kappa4 == pytest.approx(0.0, abs=1e-14)
 
     def test_third_order_closed_form(self):
         m1, m2, m3 = 0.3, 1.1, 0.7
         oracle = single_variable_oracle(m1, m2, m3)
-        kappa3 = cumulants_from_moments(oracle, seq("y", "y", "y"))
+        kappa3 = CumulantEvaluator(oracle).kappa_of(seq("y", "y", "y"))
         assert kappa3 == pytest.approx(m3 - 3 * m2 * m1 + 2 * m1**3)
 
     def test_empty_cumulant_is_zero(self):
         oracle = single_variable_oracle(0.0, 1.0)
-        assert cumulants_from_moments(oracle, EMPTY) == 0.0
+        assert CumulantEvaluator(oracle).kappa_of(EMPTY) == 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -90,7 +88,7 @@ class TestAgainstMobiusOracle:
         rng = np.random.default_rng(100 + trial)
         oracle = random_moment_oracle(rng, max_order=6)
         for s in random_sequences(rng, max_len=6, count=8):
-            got = cumulants_from_moments(oracle, s)
+            got = CumulantEvaluator(oracle).kappa_of(s)
             want = mobius_cumulant(oracle, s)
             assert got == pytest.approx(want, abs=1e-11), s.indices()
 
@@ -144,7 +142,7 @@ class TestOracles:
         assert ev.kappa(("a", "b", "b", "a")) == pytest.approx(0.0, abs=1e-12)
         # marginals are untouched
         assert ev.kappa(("a", "a")) == pytest.approx(
-            cumulants_from_moments(oa, seq("a", "a")), abs=1e-12
+            CumulantEvaluator(oa).kappa_of(seq("a", "a")), abs=1e-12
         )
 
     def test_gaussian_oracle_isserlis(self):

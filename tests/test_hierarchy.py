@@ -11,6 +11,7 @@ Oracles used here:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from wickkit.cumulants import (
     CumulantTable,
     EnsembleOracle,
     LinearCombinationOracle,
+    TableOracle,
     cumulant_table_from_oracle,
 )
 from wickkit.hierarchy import (
@@ -38,9 +40,9 @@ from wickkit.hierarchy import (
     leibniz_wick_derivative,
 )
 from wickkit.indexing import EMPTY, LabeledSeq
-from wickkit.wick import substitute_index, wick_from_cumulants
+from wickkit.wick import wick_from_cumulants
 
-from _support import random_moment_oracle
+from _support import brute_product_expectation, random_moment_oracle, substitute_index
 
 
 def seq_of(*indices) -> LabeledSeq:
@@ -324,6 +326,34 @@ class TestQuarticChainModel:
         chain = appendix_b_model(3, power=4, couplings=lam3)
         assert len(chain.terms[("p", 1)]) == 20
         assert len(chain.terms[("p", 0)]) == 10
+
+    def test_table_amplitudes_read_each_tables_moments(self):
+        # amplitudes read from the evolving table keep one moment oracle for
+        # the last table; reading two tables in turn gives each its own moments
+        q0, q1 = ("q", 0), ("q", 1)
+        lam = np.array([[0.0, 0.9], [0.9, 0.0]])
+        model = appendix_b_model(2, power=4, couplings=lam)
+        rng = np.random.default_rng(12)
+        tables = []
+        for _ in range(2):
+            table = CumulantTable.empty(max_order=3)
+            for order in (1, 2, 3):
+                for key in itertools.combinations_with_replacement((q0, q1), order):
+                    table.set(key, complex(*rng.standard_normal(2)))
+            tables.append(table)
+        for table in (tables[0], tables[1], tables[0]):
+            # moments by brute force over the set partitions, fed through an explicit oracle
+            moments = {
+                key: brute_product_expectation(
+                    lambda m: table.kappa([i for i, n in m for _ in range(n)]), [], key
+                )
+                for order in (1, 2, 3)
+                for key in itertools.combinations_with_replacement((q0, q1), order)
+            }
+            reference = appendix_b_model(2, power=4, couplings=lam, oracle=TableOracle(moments))
+            for term, want in zip(model.terms[("p", 0)], reference.terms[("p", 0)]):
+                got = term.amplitude(0.0, table)
+                assert got == pytest.approx(want.amplitude(0.0, None), abs=1e-12)
 
     def test_universe_is_every_position_and_momentum(self):
         lam = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -7,29 +7,34 @@ import pytest
 
 from wickkit.cumulants import (
     CumulantEvaluator,
+    CumulantTable,
     LinearCombinationOracle,
     gaussian_moment_oracle,
     moments_from_cumulants,
 )
 from wickkit.errors import GuardError
-from wickkit.indexing import EMPTY, LabeledSeq, cancel, canonical_key, merge
+from wickkit.indexing import EMPTY, LabeledSeq, PartitionMemo, canonical_key
 from wickkit.wick import (
     WickPoly,
     gaussian_reference_wick,
     poly_add,
     poly_mul,
     relabel,
-    substitute_index,
     truncated_expectation,
     wick_derivative,
     wick_from_cumulants,
-    wick_multilinearity,
     wick_product_expectation,
     wick_recursion_step,
     wick_recursive,
 )
 
-from _support import mobius_cumulant, random_moment_oracle, random_sequences
+from _support import (
+    mobius_cumulant,
+    random_moment_oracle,
+    random_sequences,
+    substitute_index,
+    wick_multilinearity,
+)
 
 
 def seq(*idx):
@@ -245,7 +250,7 @@ class TestDerivative:
         for label, idx in s.elements:
             if idx != "a":
                 continue
-            sub = wick_recursive(oracle, cancel(s, label))
+            sub = wick_recursive(oracle, s.without((label,)))
             for key, c in sub.terms.items():
                 want[key] = want.get(key, 0.0 + 0.0j) + c
         keys = set(got.terms) | set(want)
@@ -346,6 +351,29 @@ class TestMultilinearity:
                 for p in probes
             )
             assert worst > 1e-5, sorted(key)
+
+
+class TestCumulantSources:
+    """A cumulant source is a table, an evaluator or a moment oracle, read by multiset code."""
+
+    BUILDS = {
+        "wick_from_cumulants": lambda source: wick_from_cumulants(source, seq("a", "b")),
+        "wick_recursion_step": lambda source: wick_recursion_step(source, seq("a", "b")),
+        "wick_product_expectation": lambda source: wick_product_expectation(source, [seq("a"), seq("b")]),
+        "moments_from_cumulants": lambda source: moments_from_cumulants(source, seq("a", "b")),
+    }
+
+    @pytest.mark.parametrize("name", BUILDS)
+    def test_plain_callable_is_refused(self, name):
+        with pytest.raises(TypeError):
+            self.BUILDS[name](lambda block: 1.0)
+
+    def test_plain_callable_is_refused_before_a_shared_memo_answers(self):
+        table = CumulantTable(entries={("a",): 0.5, ("a", "b"): 0.25})
+        memo = PartitionMemo()
+        wick_product_expectation(table, [seq("a"), seq("b")], memo=memo)
+        with pytest.raises(TypeError):
+            wick_product_expectation(lambda block: 1.0, [seq("a"), seq("b")], memo=memo)
 
 
 class TestPolyUtilities:
