@@ -11,8 +11,10 @@ from wickkit.errors import GuardError
 from wickkit.indexing import (
     EMPTY,
     LabeledSeq,
+    Codebook,
     Partition,
     canonical_key,
+    mask_codes,
     partition_sums,
     partitions,
     partitions_of,
@@ -72,6 +74,32 @@ class TestLabeledSeq:
     def test_canonical_key_mixed_types(self):
         # determinism, not semantic order: just require a stable result
         assert canonical_key([("q", 2), "x", 1]) == canonical_key([1, "x", ("q", 2)])
+
+    def test_select_keeps_labels(self):
+        s = LabeledSeq.from_indices(["a", "b", "a"])
+        sub = s.select(0b101)
+        assert sub.labels == (1, 3)
+        assert sub.indices() == ("a", "a")
+
+    def test_select_bits_follow_label_rank(self):
+        s = LabeledSeq(((2, "a"), (7, "b"), (9, "c")))
+        assert s.select(0b110) == LabeledSeq(((7, "b"), (9, "c")))
+        assert s.select(0) == EMPTY
+
+    def test_index_at_missing_label_raises(self):
+        s = LabeledSeq.from_indices(["a"])
+        assert s.index_at(1) == "a"
+        with pytest.raises(KeyError):
+            s.index_at(2)
+
+    def test_without_removes_one_occurrence(self):
+        s = LabeledSeq.from_indices(["a", "a", "b"])
+        assert s.without((2,)).indices() == ("a", "b")
+        assert s.without((2,)).labels == (1, 3)
+
+    def test_without_absent_label_is_noop(self):
+        s = LabeledSeq.from_indices(["a"])
+        assert s.without((7,)) == s
 
 
 class TestSubsets:
@@ -154,6 +182,17 @@ class TestPartitions:
             Partition((frozenset(),))
         with pytest.raises(ValueError):
             Partition((frozenset({1, 2}), frozenset({2, 3})))
+
+
+class TestBellNumber:
+    # the kernel up to its guard, keyed by mask and by the multiset code of
+    # one repeated index, where all masks of one size share a key
+    @pytest.mark.parametrize("n", range(13))
+    def test_against_frozen_sequence(self, n):
+        full = (1 << n) - 1
+        assert partition_sums(n, lambda block: 1.0)(full) == BELL[n]
+        codes = mask_codes(Codebook().slots(["a"] * n))
+        assert partition_sums(n, lambda block: 1.0, codes=codes)(full) == BELL[n]
 
 
 class TestPartitionSum:
