@@ -559,10 +559,10 @@ def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
             ensemble = integrate_ensemble(ensemble, dispersion, dt, record_every, threads=rc.threads)
         stack = FieldState(ensemble.fields, coupling=coupling)
         mass = ell2_mass(stack) / n_real
-        energy = hamiltonian(stack, lattice, dispersion) / n_real
+        energy = hamiltonian(stack, lattice, dispersion, threads=rc.threads) / n_real
         rows.append([repr(float(block * record_every * dt)), repr(mass), repr(energy)])
     _write_csv(out_dir / "observables.csv", ["time", "mean_mass", "mean_energy"], rows)
-    _write_spectrum(lattice, estimate_W(ensemble), out_dir / "spectrum.csv")
+    _write_spectrum(lattice, estimate_W(ensemble, threads=rc.threads), out_dir / "spectrum.csv")
     return {
         "outputs": ["observables.csv", "spectrum.csv"],
         "summary": {
@@ -592,7 +592,7 @@ def _run_estimate_w(rc: RunConfig, out_dir: Path) -> dict:
     ensemble = sample_initial(
         lattice, w0, n_real, seed=rc.seed, family=params.get("family", "gaussian"), threads=rc.threads,
     )
-    estimate = estimate_W(ensemble)
+    estimate = estimate_W(ensemble, threads=rc.threads)
     _write_spectrum(lattice, estimate, out_dir / "spectrum.csv")
     worst = float(np.max(np.abs(estimate.values - w0) / np.maximum(estimate.stderr, 1e-300)))
     return {
@@ -716,11 +716,12 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
 
     analytics = _map_in_order(analytic_for, lambdas, rc.threads)
     initial = sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, threads=rc.threads)
-    before = np.abs(initial.fourier()) ** 2 / lattice.size
+    before = np.abs(initial.fourier(rc.threads)) ** 2 / lattice.size
     results = []
     for coupling, n_steps, analytic in zip(lambdas, step_counts, analytics):
         start = replace(initial, coupling=coupling)
-        after = np.abs(integrate_ensemble(start, dispersion, dt, n_steps, threads=rc.threads).fourier()) ** 2
+        evolved = integrate_ensemble(start, dispersion, dt, n_steps, threads=rc.threads)
+        after = np.abs(evolved.fourier(rc.threads)) ** 2
         increments = (after / lattice.size - before) / tau
         mc_se = _jackknife_stderr(increments)
         resolved = int(np.sum(np.abs(analytic) > se_threshold * mc_se))

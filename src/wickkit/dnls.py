@@ -218,7 +218,7 @@ class FieldState:
 
     def fourier(self) -> np.ndarray:
         """psi_hat(k) = sum_x psi(x) exp(-i 2 pi k . x)."""
-        return np.fft.fftn(self.psi)
+        return _lattice_fft(self.psi, self.psi.ndim)
 
 
 @dataclass(frozen=True)
@@ -247,6 +247,8 @@ class LatticeEnsemble:
             raise ConfigError(
                 f"ensemble field array has shape {stacked.shape}, expected (n,) + {self.lattice.shape}"
             )
+        if not stacked.shape[0]:
+            raise ConfigError("ensemble size must be at least 1")
         object.__setattr__(self, "fields", stacked)
 
     @property
@@ -260,9 +262,21 @@ class LatticeEnsemble:
     def realization(self, index: int) -> FieldState:
         return FieldState(self.fields[index], time=self.time, coupling=self.coupling)
 
-    def fourier(self) -> np.ndarray:
-        """Per-realization Fourier fields, same stacked layout."""
-        return np.fft.fftn(self.fields, axes=self.spatial_axes)
+    def fourier(self, threads: int = 1) -> np.ndarray:
+        """Per-realization Fourier fields, same stacked layout.
+
+        The realizations are transformed in the blocks of
+        :func:`integrate_ensemble`, on a pool of ``threads`` threads; each
+        field's transform depends on that field alone, so the result is the
+        same at any thread count.
+        """
+        hats = np.empty_like(self.fields)
+
+        def run(rows: slice) -> None:
+            _lattice_fft(self.fields[rows], self.lattice.dimension, out=hats[rows])
+
+        map_in_order(run, _blocks(self.n_realizations, self.lattice), threads)
+        return hats
 
 
 @dataclass(frozen=True)
@@ -280,6 +294,41 @@ class Spectrum:
             if err.shape != values.shape:
                 raise ConfigError("spectrum stderr shape does not match values")
             object.__setattr__(self, "stderr", err)
+
+
+# ---------------------------------------------------------------------------
+# lattice transforms
+# ---------------------------------------------------------------------------
+
+
+def _lattice_fft(
+    src: np.ndarray,
+    dimension: int,
+    inverse: bool = False,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """``np.fft.fftn`` (or ``ifftn``) of ``src`` over its trailing ``dimension`` axes.
+
+    The transform runs as ``dimension`` 1-D passes over the last axis, whose
+    lines are contiguous.  Each pass writes ``work``, and one copy into
+    ``out`` moves the transformed axis to the front of the lattice axes, so
+    the next pass finds the next axis last and ``dimension`` passes restore
+    the order.  That is numpy's own axis order (last axis first) with the
+    same 1-D kernel on every line, so the result is bit-identical to
+    ``np.fft.fftn(src, axes=range(-dimension, 0))``.  The lattice axes must
+    all have one length, as on a :class:`Lattice`, so that a rotated array
+    keeps its shape.  ``out`` (returned) and ``work`` are allocated when not
+    given; ``out`` may be ``src``, ``work`` may not.
+    """
+    kernel = np.fft.ifft if inverse else np.fft.fft
+    out = np.empty(src.shape, dtype=complex) if out is None else out
+    work = np.empty_like(out) if work is None else work
+    for _ in range(dimension):
+        kernel(src, axis=-1, out=work)
+        np.copyto(out, np.moveaxis(work, -1, -dimension))
+        src = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +357,26 @@ def dnls_rhs(state: FieldState, lattice: Lattice, dispersion: Dispersion) -> np.
     if psi.shape != lattice.shape:
         raise ConfigError(f"field shape {psi.shape} does not match lattice shape {lattice.shape}")
     omega = dispersion.omega(lattice)
-    hop = np.fft.ifftn(omega * np.fft.fftn(psi))
+    hop = _lattice_fft(omega * _lattice_fft(psi, lattice.dimension), lattice.dimension, inverse=True)
     return -1j * (hop + state.coupling * np.abs(psi) ** 2 * psi)
+
+
+def _split_phase(
+    rate: float, rho: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """The nonlinear phase ``exp(-i rate rho)`` from a real ``cos`` and ``sin``.
+
+    With ``theta = (-rate) rho`` it is ``cos theta + i (sin theta + 0.0)``,
+    which has the bytes of ``np.exp(np.multiply(-1j * rate, rho))``: the
+    ``+ 0.0`` gives the ``+0`` imaginary part that the complex ``exp`` has
+    where ``theta`` is zero (``rho`` or ``rate`` zero).  ``out`` (complex,
+    returned) and ``work`` (real, for ``theta``) are allocated when not given.
+    """
+    out = np.empty(rho.shape, dtype=complex) if out is None else out
+    theta = np.multiply(-rate, rho, out=work)
+    np.cos(theta, out=out.real)
+    np.add(np.sin(theta, out=out.imag), 0.0, out=out.imag)
+    return out
 
 
 def integrate(
@@ -343,7 +410,11 @@ def integrate_ensemble(
     needs ``|dt| * max|omega| <= 0.5``.  The phase keeps |psi| fixed, so one
     step's closing half phase and the next one's opening half merge: after
     one opening half phase, each step is the linear flow and one phase
-    ``exp`` of ``rho = |psi|^2`` (a half one on the last step).
+    ``exp(-i h coupling rho)`` of ``rho = |psi|^2`` (a half one on the last
+    step).  The linear flow is a forward and an inverse :func:`_lattice_fft`
+    into buffers of the block, and the phase is a real ``cos`` and ``sin``
+    (:func:`_split_phase`); both have the bytes of ``np.fft.fftn``/``ifftn``
+    and of the complex ``exp``, signed zeros included.
 
     The realizations run in blocks of about :data:`BLOCK_SITES` sites, and
     each block takes every step of the call while it stays in cache; the
@@ -360,7 +431,7 @@ def integrate_ensemble(
     if n_steps < 0:
         raise ConfigError("n_steps must be nonnegative")
     linear = np.exp(-1j * dt * dispersion.omega(ensemble.lattice))
-    axes = ensemble.spatial_axes
+    dimension = ensemble.lattice.dimension
     coupling = ensemble.coupling
     fields = np.empty_like(ensemble.fields)
 
@@ -368,15 +439,15 @@ def integrate_ensemble(
         """Step one block into ``fields``; the sums of rho before the first step and after each."""
         sums = np.full(n_steps + 1, np.nan)
         start, psi = ensemble.fields[rows], fields[rows]
-        spectral, phase = np.empty_like(psi), np.empty_like(psi)
-        rho, imag2 = np.empty(psi.shape), np.empty(psi.shape)
+        spectral, work, phase = np.empty_like(psi), np.empty_like(psi), np.empty_like(psi)
+        rho, scratch = np.empty(psi.shape), np.empty(psi.shape)
 
         def density(field: np.ndarray) -> float:
-            np.add(np.square(field.real, out=rho), np.square(field.imag, out=imag2), out=rho)
+            np.add(np.square(field.real, out=rho), np.square(field.imag, out=scratch), out=rho)
             return rho.sum()
 
         def phase_of(h: float) -> np.ndarray:
-            return np.exp(np.multiply(-1j * (h * coupling), rho, out=phase), out=phase)
+            return _split_phase(h * coupling, rho, out=phase, work=scratch)
 
         # Keep the operand orders of the products below: a complex product can
         # differ in its last bit when its operands swap, and these orders keep
@@ -389,9 +460,9 @@ def integrate_ensemble(
             else:
                 psi[...] = start
             for step in range(1, n_steps + 1):
-                np.fft.fftn(psi, axes=axes, out=spectral)
+                _lattice_fft(psi, dimension, out=spectral, work=work)
                 np.multiply(linear, spectral, out=spectral)
-                np.fft.ifftn(spectral, axes=axes, out=psi)
+                _lattice_fft(spectral, dimension, inverse=True, out=psi, work=work)
                 sums[step] = density(psi)
                 if not math.isfinite(sums[step]):
                     break  # the later sums stay NaN
@@ -418,14 +489,17 @@ def integrate_ensemble(
     )
 
 
-def hamiltonian(state: FieldState, lattice: Lattice, dispersion: Dispersion) -> float:
+def hamiltonian(state: FieldState, lattice: Lattice, dispersion: Dispersion, threads: int = 1) -> float:
     """Conserved energy: mean_k omega |psi_hat|^2 + (coupling/2) sum_x |psi|^4.
 
     The transform runs over the trailing ``lattice.dimension`` axes, so
     ``state.psi`` may also be a stack of fields; the result is then the sum
-    of their energies.
+    of their energies.  A stack is transformed by
+    :meth:`LatticeEnsemble.fourier` on ``threads`` threads, with the same
+    result at any thread count.
     """
-    psi_hat = np.fft.fftn(state.psi, axes=tuple(range(-lattice.dimension, 0)))
+    stack = LatticeEnsemble(lattice, state.psi.reshape((-1,) + lattice.shape), r_integral=None)
+    psi_hat = stack.fourier(threads).reshape(state.psi.shape)
     omega = dispersion.omega(lattice)
     kinetic = float(np.sum(omega * np.abs(psi_hat) ** 2)) / lattice.size
     quartic = 0.5 * state.coupling * float(np.sum(np.abs(state.psi) ** 4))
@@ -474,10 +548,10 @@ def sample_initial(
     Philox stream keyed ``(seed, i)``, for a seed in ``[0, 2**63)``: the real
     parts of its modes, then the imaginary parts (gaussian), or the phases
     (fixed-modulus).  The realizations are drawn in blocks of about
-    :data:`BLOCK_SITES` sites, with one bit generator and one batched
-    ``ifftn`` per block, and the blocks go to a pool of ``threads`` threads;
-    each field depends on its key alone, so the ensemble is the same at any
-    thread count.
+    :data:`BLOCK_SITES` sites, with one bit generator and one inverse
+    :func:`_lattice_fft` per block, written straight into the ensemble, and
+    the blocks go to a pool of ``threads`` threads; each field depends on
+    its key alone, so the ensemble is the same at any thread count.
     """
     spectrum = w0.values if isinstance(w0, Spectrum) else np.asarray(w0, dtype=float)
     if spectrum.shape != lattice.shape:
@@ -493,7 +567,6 @@ def sample_initial(
 
     amplitude = np.sqrt(lattice.size * spectrum)
     fields = np.empty((n_realizations,) + lattice.shape, dtype=complex)
-    axes = tuple(range(1, lattice.dimension + 1))
     gaussian = family == "gaussian"
     draw_shape = ((2,) if gaussian else ()) + lattice.shape
 
@@ -515,7 +588,7 @@ def sample_initial(
             psi_hat = amplitude * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
         else:
             psi_hat = amplitude * np.exp(1j * draws)
-        fields[rows] = np.fft.ifftn(psi_hat, axes=axes)
+        _lattice_fft(psi_hat, lattice.dimension, inverse=True, out=fields[rows])
 
     map_in_order(draw, _blocks(n_realizations, lattice), threads)
     return LatticeEnsemble(
@@ -537,14 +610,16 @@ def _jackknife_stderr(samples: np.ndarray) -> np.ndarray:
     return np.sqrt((n - 1) / n * np.sum(dev**2, axis=0))
 
 
-def estimate_W(ensemble: LatticeEnsemble) -> Spectrum:
+def estimate_W(ensemble: LatticeEnsemble, threads: int = 1) -> Spectrum:
     """Empirical covariance spectrum  W(k) = mean_r |psi_hat(k)|^2 / L^d.
 
-    Jackknife standard errors over realizations are attached.
+    Jackknife standard errors over realizations are attached.  The fields
+    are transformed on ``threads`` threads (:meth:`LatticeEnsemble.fourier`),
+    with the same result at any thread count.
     """
     if ensemble.n_realizations < 2:
         raise ConfigError("estimate_W needs at least 2 realizations")
-    per_real = np.abs(ensemble.fourier()) ** 2 / ensemble.lattice.size
+    per_real = np.abs(ensemble.fourier(threads)) ** 2 / ensemble.lattice.size
     return Spectrum(values=per_real.mean(axis=0), stderr=_jackknife_stderr(per_real))
 
 
@@ -771,7 +846,7 @@ def translation_audit(ensemble: LatticeEnsemble, threshold: float = 4.0) -> Tran
 def free_propagator(lattice: Lattice, dispersion: Dispersion, t: float) -> np.ndarray:
     """p_t(x) = L^-d sum_k exp(i 2 pi k . x) exp(-i t omega(k))."""
     omega = dispersion.omega(lattice)
-    return np.fft.ifftn(np.exp(-1j * t * omega))
+    return _lattice_fft(np.exp(-1j * t * omega), lattice.dimension, inverse=True)
 
 
 @dataclass(frozen=True)
@@ -816,7 +891,7 @@ def propagator_decay_fit(
     times = np.linspace(0.0, t_max, n_samples)
     norms = np.empty(n_samples)
     for i, t in enumerate(times):
-        p_t = np.fft.ifftn(np.exp(-1j * t * omega))
+        p_t = _lattice_fft(np.exp(-1j * t * omega), lattice.dimension, inverse=True)
         norms[i] = float(np.sum(np.abs(p_t) ** 3))
 
     # group speed in sites per unit time, bounded by finite differences of
@@ -879,24 +954,22 @@ def pair_cluster_from_spectrum(lattice: Lattice, w0: np.ndarray | Spectrum) -> d
     spectrum = w0.values if isinstance(w0, Spectrum) else np.asarray(w0, dtype=float)
     if spectrum.shape != lattice.shape:
         raise ConfigError(f"spectrum shape {spectrum.shape} does not match lattice shape {lattice.shape}")
-    forward = np.fft.ifftn(spectrum.astype(complex))
+    forward = _lattice_fft(spectrum.astype(complex), lattice.dimension, inverse=True)
     return {(-1, 1): forward, (1, -1): np.conj(forward)}
 
 
-def _translation_averaged_pair(fields: np.ndarray, conj_first: bool, conj_second: bool, axes: tuple[int, ...]) -> np.ndarray:
+def _translation_averaged_pair(fields: np.ndarray, conj_first: bool, conj_second: bool, dimension: int) -> np.ndarray:
     """mean_r L^-d sum_y f1(y) f2(y + x) for the chosen conjugations.
 
     sum_y f1(y) f2(y + x) is the inverse transform of hat_f1(-k) hat_f2(k),
     and hat_f1(-k) = conj(fft(conj(f1)))(k) for arbitrary complex f1.
     """
-    size = 1
-    for axis in axes:
-        size *= fields.shape[axis]
+    size = fields[0].size
     first = np.conj(fields) if conj_first else fields
     second = np.conj(fields) if conj_second else fields
-    rev_hat_first = np.conj(np.fft.fftn(np.conj(first), axes=axes))
-    hat_second = np.fft.fftn(second, axes=axes)
-    corr = np.fft.ifftn(rev_hat_first * hat_second, axes=axes)
+    rev_hat_first = np.conj(_lattice_fft(np.conj(first), dimension))
+    hat_second = _lattice_fft(second, dimension)
+    corr = _lattice_fft(rev_hat_first * hat_second, dimension, inverse=True)
     return corr.mean(axis=0) / size
 
 
@@ -906,7 +979,6 @@ def empirical_pair_cluster(ensemble: LatticeEnsemble) -> dict[tuple[int, int], n
     Returns all four sign pairs; the fields are centered by their empirical
     scalar mean first, so singleton blocks drop out of the estimator exactly.
     """
-    axes = ensemble.spatial_axes
     centered = ensemble.fields - ensemble.fields.mean()
     table: dict[tuple[int, int], np.ndarray] = {}
     for signs, (c1, c2) in {
@@ -915,7 +987,7 @@ def empirical_pair_cluster(ensemble: LatticeEnsemble) -> dict[tuple[int, int], n
         (1, 1): (False, False),
         (-1, -1): (True, True),
     }.items():
-        table[signs] = _translation_averaged_pair(centered, c1, c2, axes)
+        table[signs] = _translation_averaged_pair(centered, c1, c2, ensemble.lattice.dimension)
     return table
 
 
@@ -995,7 +1067,7 @@ def empirical_fourth_cluster(
         key = (signs[i], signs[j])
         if key not in pair_table:
             pair_table[key] = _translation_averaged_pair(
-                centered, signs[i] == -1, signs[j] == -1, axes
+                centered, signs[i] == -1, signs[j] == -1, ensemble.lattice.dimension
             )
 
     offsets = _window_offsets(ensemble.lattice, window_radius)
@@ -1041,7 +1113,7 @@ def fixed_modulus_fourth_norm(lattice: Lattice, w0: np.ndarray | Spectrum) -> fl
     spectrum = w0.values if isinstance(w0, Spectrum) else np.asarray(w0, dtype=float)
     if spectrum.shape != lattice.shape:
         raise ConfigError(f"spectrum shape {spectrum.shape} does not match lattice shape {lattice.shape}")
-    profile = np.fft.ifftn(spectrum.astype(complex) ** 2)
+    profile = _lattice_fft(spectrum.astype(complex) ** 2, lattice.dimension, inverse=True)
     return float(lattice.size * np.sum(np.abs(profile)))
 
 

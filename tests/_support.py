@@ -258,3 +258,43 @@ def sampled_realization(spectrum, seed, index, family="gaussian"):
     else:
         modes = amplitude * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, spectrum.shape))
     return np.fft.ifftn(modes)
+
+
+# ----------------------------------------------------------------------
+# the DNLS split-step loop with whole-array numpy transforms
+
+
+def reference_split_steps(ensemble, dispersion, dt, n_steps):
+    """Fields and ``r_integral`` of ``integrate_ensemble`` run as one block.
+
+    The fused Strang loop (one opening half phase, then per step the linear
+    flow and one merged phase) with whole-array ``np.fft.fftn``/``ifftn`` and
+    the complex ``exp`` phase ``exp(-i h coupling rho)``, in the operand
+    orders of the package, so on an ensemble of one block its results must
+    agree byte for byte."""
+    linear = np.exp(-1j * dt * dispersion.omega(ensemble.lattice))
+    axes = ensemble.spatial_axes
+    coupling = ensemble.coupling
+    start = ensemble.fields
+
+    def density(psi):
+        return np.square(psi.real) + np.square(psi.imag)
+
+    def phase(h, rho):
+        return np.exp(np.multiply(-1j * (h * coupling), rho))
+
+    rho = density(start)
+    sums = [rho.sum()]
+    psi = np.multiply(phase(0.5 * dt, rho), start) if n_steps else start.copy()
+    for step in range(1, n_steps + 1):
+        psi = np.fft.ifftn(np.multiply(linear, np.fft.fftn(psi, axes=axes)), axes=axes)
+        rho = density(psi)
+        sums.append(rho.sum())
+        # np.multiply, not ``*``: numpy may run ``psi * <temporary>`` in place in
+        # the temporary, which swaps the operands and can move the last bit
+        psi = np.multiply(psi, phase(dt if step < n_steps else 0.5 * dt, rho))
+    rates = [2.0 * (total / start.size) for total in sums]
+    r_integral = ensemble.r_integral
+    for step in range(1, n_steps + 1):
+        r_integral += dt * 0.5 * (float(rates[step - 1]) + float(rates[step]))
+    return psi, r_integral

@@ -6,6 +6,9 @@ Oracles used here:
   * centered finite differences in time against the right-hand side,
   * the unfused Strang composition (half phase, linear step, half phase,
     with |psi|^2 recomputed for each phase) against the fused integrator,
+  * numpy's whole-array ``fftn``/``ifftn`` and complex ``exp``, byte for
+    byte, against the lattice transform, the real split phase and the
+    fused step loop built from them,
   * Richardson ratios for the second-order Hamiltonian drift,
   * direct position-space Fourier sums recomputing what the FFT routes
     produce (pair clustering norms, propagator at t=0),
@@ -59,7 +62,7 @@ from wickkit.dnls import (
 from wickkit import dnls
 from wickkit.errors import ConfigError, GuardError, step_count
 
-from _support import sampled_realization
+from _support import reference_split_steps, sampled_realization
 
 
 def smooth_spectrum(lattice: Lattice) -> np.ndarray:
@@ -333,6 +336,37 @@ class TestFusedIntegrator:
         one = LatticeEnsemble(lat, ens.fields[:1])
         assert integrate_ensemble(one, zero_dispersion(1), 0.05, 2).r_integral == pytest.approx(0.2 * 1e308 / 16)
 
+    @pytest.mark.parametrize(
+        "dim, n_real, coupling, dt",
+        [(3, 70, 0.6, 0.04), (3, 9, 0.0, 0.04), (2, 40, 0.8, 0.05), (2, 40, 0.0, -0.05), (2, 5, 0.5, -0.05)],
+    )
+    def test_has_the_bytes_of_the_whole_array_step_loop(self, dim, n_real, coupling, dt):
+        # 8^3 holds 64 realizations per block, so 70 make two blocks; 8^2 holds 512
+        lat = Lattice(dim, 8)
+        disp = nearest_neighbor_dispersion(dim)
+        ens = sample_initial(lat, smooth_spectrum(lat), n_real, seed=31, coupling=coupling)
+        out = integrate_ensemble(ens, disp, dt, 12, threads=2)
+        want_fields, want_r = reference_split_steps(ens, disp, dt, 12)
+        assert out.fields.tobytes() == want_fields.tobytes()
+        if n_real * lat.size <= dnls.BLOCK_SITES:  # one block sums rho as the oracle does
+            assert out.r_integral == want_r
+        else:
+            assert out.r_integral == pytest.approx(want_r, rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("coupling", [0.0, 0.5])
+    @pytest.mark.parametrize("make_disp", [zero_dispersion, nearest_neighbor_dispersion])
+    def test_has_the_bytes_of_the_whole_array_step_loop_on_a_single_site_field(self, dim, coupling, make_disp):
+        # a delta field holds exact zeros of either sign, where rho and so the phase angle vanish
+        lat = Lattice(dim, 8)
+        fields = np.zeros((3,) + lat.shape, dtype=complex)
+        fields[(slice(None),) + (0,) * dim] = [1.0, -0.5j, 0.25 - 0.75j]
+        ens = LatticeEnsemble(lat, fields, coupling=coupling)
+        disp = make_disp(dim)
+        out = integrate_ensemble(ens, disp, 0.04, 7)
+        want_fields, want_r = reference_split_steps(ens, disp, 0.04, 7)
+        assert out.fields.tobytes() == want_fields.tobytes() and out.r_integral == want_r
+
     def test_hamiltonian_of_a_stack_is_the_sum(self):
         lat = Lattice(2, 8)
         disp = next_nearest_dispersion(2)
@@ -341,6 +375,64 @@ class TestFusedIntegrator:
         stack = FieldState(ens.fields, coupling=0.4)
         assert hamiltonian(stack, lat, disp) == pytest.approx(sum(each), rel=1e-12)
         assert ell2_mass(stack) == pytest.approx(sum(ell2_mass(ens.realization(i)) for i in range(6)), rel=1e-12)
+
+
+class TestLatticeTransforms:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("side", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_has_the_bytes_of_numpy_fftn(self, dim, side, batch, inverse):
+        rng = np.random.default_rng([dim, side, len(batch)])
+        shape = batch + (side,) * dim
+        src = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = (np.fft.ifftn if inverse else np.fft.fftn)(src, axes=tuple(range(-dim, 0)))
+        assert dnls._lattice_fft(src, dim, inverse).tobytes() == want.tobytes()
+        in_place = src.copy()
+        dnls._lattice_fft(in_place, dim, inverse, out=in_place, work=np.empty_like(src))
+        assert in_place.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "rate",
+        # h * coupling for coupling 0 (either sign of dt), small and large steps, negative dt
+        [0.0, -0.0, 0.02, -0.02, 0.5 * -0.05 * 0.7, 3.0, 1e-300, -1e-300, 123.4],
+    )
+    def test_split_phase_has_the_bytes_of_the_complex_exp(self, rate):
+        rng = np.random.default_rng(3)
+        rho = np.concatenate(
+            [
+                [0.0, 5e-324, 1e-310, 1e-300, 0.5, 1.0, 2.5, 1e300],
+                np.abs(rng.standard_normal(2000)) * 3.0,
+                10.0 ** rng.uniform(-320.0, 300.0, 2000),
+            ]
+        )
+        want = np.exp(np.multiply(-1j * rate, rho))
+        assert dnls._split_phase(rate, rho).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ensemble_transforms_are_the_same_at_any_thread_count(self, monkeypatch, dim):
+        # blocks of 3 over 8 realizations; each consumer keeps numpy's whole-array bytes
+        lat = Lattice(dim, 4)
+        monkeypatch.setattr(dnls, "BLOCK_SITES", 3 * lat.size)
+        disp = next_nearest_dispersion(dim)
+        ens = sample_initial(lat, smooth_spectrum(lat), 8, seed=17, coupling=0.4)
+        hats = np.fft.fftn(ens.fields, axes=ens.spatial_axes)
+        per_real = np.abs(hats) ** 2 / lat.size
+        stack = FieldState(ens.fields, coupling=0.4)
+        energy = float(np.sum(disp.omega(lat) * np.abs(hats) ** 2)) / lat.size + 0.2 * float(
+            np.sum(np.abs(ens.fields) ** 4)
+        )
+        for threads in (1, 2, 3):
+            assert ens.fourier(threads).tobytes() == hats.tobytes()
+            spec = estimate_W(ens, threads=threads)
+            assert spec.values.tobytes() == per_real.mean(axis=0).tobytes()
+            assert hamiltonian(stack, lat, disp, threads=threads) == energy
+        assert ens.realization(5).fourier().tobytes() == hats[5].tobytes()
+
+    def test_empty_ensemble_is_a_config_error(self):
+        lat = Lattice(2, 4)
+        with pytest.raises(ConfigError, match="ensemble size must be at least 1"):
+            LatticeEnsemble(lat, np.empty((0,) + lat.shape, dtype=complex))
 
 
 class TestStepCount:
