@@ -33,6 +33,7 @@ import contextlib
 import json
 import sys
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -198,12 +199,19 @@ def load_run_config(
 # ---------------------------------------------------------------------------
 
 
-# the files the current run has (re)written; :func:`run` removes them if it fails
-_written: list[Path] = []
+# the files the current run has (re)written; :func:`run` binds a fresh list per
+# run, in its own context, and removes the files if the run fails
+_written: ContextVar[list[Path] | None] = ContextVar("wickkit_written", default=None)
+
+
+def _record_written(path: Path) -> None:
+    written = _written.get()
+    if written is not None:
+        written.append(path)
 
 
 def _write_text(path: Path, text: str) -> None:
-    _written.append(path)
+    _record_written(path)
     path.write_text(text)
 
 
@@ -227,7 +235,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]])
 def _write_spectrum(lattice: Lattice, spectrum, path: Path) -> None:
     # the writer checks the spectrum before it opens the file, so record it once written
     write_spectrum_csv(lattice, spectrum, path)
-    _written.append(path)
+    _record_written(path)
 
 
 def write_trajectory_csv(lattice: Lattice, trajectory: BPTrajectory, path: str | Path) -> None:
@@ -629,6 +637,11 @@ def _run_bp_solve(rc: RunConfig, out_dir: Path) -> dict:
             "n_steps": trajectory.n_steps,
             "number_drift": float(np.max(np.abs(trajectory.number - trajectory.number[0]))),
             "energy_drift": float(np.max(np.abs(trajectory.energy - trajectory.energy[0]))),
+            "time_nodes": trajectory.time_nodes,
+            "plan_kept": trajectory.plan_kept,
+            "rk4_stages": trajectory.rk4_stages,
+            "clamp_events": trajectory.clamp_events,
+            "min_w_before_clamp": trajectory.min_w_before_clamp,
         },
     }
 
@@ -787,7 +800,8 @@ def run(rc: RunConfig) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     # a manifest describes the run that wrote it; a failed rerun must not leave the old one
     (out_dir / "manifest.json").unlink(missing_ok=True)
-    _written.clear()
+    written: list[Path] = []
+    token = _written.set(written)
     started = time.perf_counter()
     try:
         report = _RUNNERS[rc.kind](rc, out_dir)
@@ -802,10 +816,12 @@ def run(rc: RunConfig) -> list[Path]:
         _write_json(out_dir / "manifest.json", manifest)
     except Exception:
         # a failed run leaves none of the files it wrote behind
-        for path in _written:
+        for path in written:
             with contextlib.suppress(OSError):
                 path.unlink()
         raise
+    finally:
+        _written.reset(token)
     return [out_dir / name for name in report["outputs"]] + [out_dir / "manifest.json"]
 
 

@@ -31,8 +31,11 @@ time weight, delta(x) = (1/pi) int_0^inf f(t) cos(t x) dt:
 Either way delta(Omega) becomes a weighted sum of cos(t_j Omega) over time
 nodes t_j, and at each node the exact momentum constraint
 k + k1 = k2 + k3 factorizes in position space: one engine evaluates every
-collision sum with four lattice FFTs per node instead of a double k-sum.
-The pre-limit kernel is 2 pi tau times the Fejér sums and shares it.
+collision sum with lattice FFTs per node instead of a double k-sum.  The
+part that does not depend on W (the phases exp(i t_j omega) and their
+transforms) is built once per config as its plan, so a call costs three
+lattice FFTs per node.  The pre-limit kernel is 2 pi tau times the Fejér
+sums and shares the engine.
 
 The loss rate is kept as the real (delta) part only:
 
@@ -49,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -128,6 +132,28 @@ class CollisionConfig:
         node_rule = _gaussian_time_nodes if self.delta_model == "gaussian" else _fejer_time_nodes
         return (self.omega(), *node_rule(self))
 
+    @cached_property
+    def _plan(self) -> tuple[tuple[np.ndarray, ...], ...] | None:
+        """The engine's node blocks, built once and kept read-only; None if they exceed _PLAN_BYTES."""
+        omega, nodes, _ = self._time_grid
+        if 3 * nodes.size * omega.size * np.dtype(complex).itemsize > _PLAN_BYTES:
+            return None
+        plan = tuple(_plan_blocks(*self._time_grid))
+        for block in plan:
+            for array in block:
+                array.flags.writeable = False
+        return plan
+
+    @property
+    def time_nodes(self) -> int:
+        """Number of time nodes of the energy delta, one engine pass each."""
+        return self._time_grid[1].size
+
+    @property
+    def plan_kept(self) -> bool:
+        """Whether the config keeps its engine plan between calls (it fits _PLAN_BYTES)."""
+        return self._plan is not None
+
     @property
     def window_support(self) -> float:
         """Time-window length T of the fejer model."""
@@ -193,8 +219,13 @@ def _spectrum_values(w: np.ndarray | Spectrum, lattice: Lattice) -> np.ndarray:
 
 # The engine evaluates its time nodes in blocks of (nodes, *lattice.shape)
 # arrays of at most this many complex elements (256 KB each, about L2 size),
-# so memory stays bounded whatever the node count and lattice size.
+# so the temporaries of a call stay bounded whatever the node count and
+# lattice size.
 _BLOCK_ELEMENTS = 1 << 14
+# A config keeps its plan (phase, e and conj(e) of every block) only if the
+# three arrays take at most this many bytes over all nodes; a larger plan is
+# rebuilt one block at a time on every call, so memory stays bounded.
+_PLAN_BYTES = 8 << 20
 # Gauss-Legendre nodes per Fejér panel at most; leggauss costs O(n^3).
 _PANEL_NODES = 256
 # More time nodes than this means a delta width far below what the grid can
@@ -257,38 +288,50 @@ def _fejer_time_nodes(config: CollisionConfig) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _time_domain_sums(
-    values: np.ndarray,
+def _plan_blocks(
     omega: np.ndarray,
     nodes: np.ndarray,
     weights: np.ndarray,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The W-independent part of the engine, one node block at a time.
+
+    Yields (weight, phase, e, conj(e)) with phase = e^{i t omega} and
+    e = sum_k phase e^{+i2pik.x}, for the nodes t of the block along a
+    leading axis.
+    """
+    axes = tuple(range(1, omega.ndim + 1))
+    block = max(1, _BLOCK_ELEMENTS // omega.size)
+    for start in range(0, nodes.size, block):
+        t = nodes[start:start + block].reshape((-1,) + (1,) * omega.ndim)
+        phase = np.exp(1j * t * omega)
+        e = np.fft.ifftn(phase, axes=axes, norm="forward")
+        yield weights[start:start + block].reshape(t.shape), phase, e, e.conj()
+
+
+def _time_domain_sums(
+    values: np.ndarray,
+    blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(gain sum, loss sum) for the energy delta sum_j weights[j] cos(nodes[j] x).
+    """(gain sum, loss sum) for the energy delta sum_j weight_j cos(t_j x) over the plan's blocks.
 
     gain(k) = sum delta(Omega) W1 W2 W3 and
     loss(k) = sum delta(Omega) [W2 W3 - W1 W3 - W1 W2], both over all
     (k1, k2) grid pairs with k3 = k + k1 - k2.  At each node t the exact
     momentum constraint k + k1 = k2 + k3 factorizes over position space:
     with u = sum_k W e^{i t omega} e^{+i2pik.x} and e the same sum without
-    W, the conjugates carry e^{-i t omega}, and four lattice FFTs per node
-    give both sums.  Nodes are batched along a leading axis; the weighted
-    node sum is a plain np.sum, so the result does not depend on BLAS
-    threads.
+    W (from the plan), the conjugates carry e^{-i t omega}, and three
+    lattice FFTs per node give both sums.  The weighted node sum is a plain
+    np.sum, so the result does not depend on BLAS threads.
     """
     axes = tuple(range(1, values.ndim + 1))
-    block = max(1, _BLOCK_ELEMENTS // values.size)
     gain = np.zeros(values.shape)
     loss = np.zeros(values.shape)
-    for start in range(0, nodes.size, block):
-        t = nodes[start:start + block].reshape((-1,) + (1,) * values.ndim)
-        weight = weights[start:start + block].reshape(t.shape)
-        phase = np.exp(1j * t * omega)
+    for weight, phase, e, e_conj in blocks:
         u = np.fft.ifftn(values * phase, axes=axes, norm="forward")
-        e = np.fft.ifftn(phase, axes=axes, norm="forward")
         v = u.conj()
         uv = u * v
         gain_term = np.fft.ifftn(uv * v, axes=axes)
-        loss_term = np.fft.ifftn(e * v * v - 2.0 * uv * e.conj(), axes=axes)
+        loss_term = np.fft.ifftn(e * v * v - 2.0 * uv * e_conj, axes=axes)
         gain += np.sum(weight * (phase * gain_term).real, axis=0)
         loss += np.sum(weight * (phase * loss_term).real, axis=0)
     return gain, loss
@@ -299,7 +342,9 @@ def _collision_sums(w: np.ndarray | Spectrum, config: CollisionConfig) -> tuple[
     values = _spectrum_values(w, config.lattice)
     if float(values.min()) < 0.0:
         raise ConfigError(f"spectrum has a negative entry: min W = {float(values.min()):.3g}")
-    gain_sum, loss_sum = _time_domain_sums(values, *config._time_grid)
+    plan = config._plan
+    blocks = plan if plan is not None else _plan_blocks(*config._time_grid)
+    gain_sum, loss_sum = _time_domain_sums(values, blocks)
     return values, gain_sum, loss_sum
 
 
@@ -389,7 +434,11 @@ class BPTrajectory:
 
     ``spectra[j]`` is W at ``taus[j]``; ``number`` and ``energy`` are the
     mean spectrum and mean omega-weighted spectrum, ``entropy`` is
-    sum_k ln W (finite only for strictly positive spectra).
+    sum_k ln W (finite only for strictly positive spectra).  The work
+    counters describe the solve: the config's ``time_nodes`` and whether it
+    kept its engine plan, the spectra (stage inputs and stored states) in
+    which clamping zeroed an entry, and the lowest value seen before
+    clamping.
     """
 
     taus: np.ndarray
@@ -397,10 +446,18 @@ class BPTrajectory:
     number: np.ndarray
     energy: np.ndarray
     entropy: np.ndarray
+    time_nodes: int = 0
+    plan_kept: bool = False
+    clamp_events: int = 0
+    min_w_before_clamp: float = math.inf
 
     @property
     def n_steps(self) -> int:
         return len(self.taus) - 1
+
+    @property
+    def rk4_stages(self) -> int:
+        return 4 * self.n_steps
 
     def spectrum_at(self, index: int) -> Spectrum:
         return Spectrum(values=self.spectra[index])
@@ -409,16 +466,28 @@ class BPTrajectory:
 _CLAMP_FLOOR = -1e-9
 
 
-def _clamp_spectrum(values: np.ndarray) -> np.ndarray:
+@dataclass
+class _ClampRecord:
+    """Counts of one solve's clamps: spectra with an entry zeroed, and the lowest value seen."""
+
+    events: int = 0
+    lowest: float = math.inf
+
+
+def _clamp_spectrum(values: np.ndarray, record: _ClampRecord | None = None) -> np.ndarray:
     """Zero out tiny negatives; reject genuinely negative or non-finite spectra."""
     if not np.all(np.isfinite(values)):
         raise GuardError("spectrum became non-finite during the solve")
     lowest = float(values.min())
+    if record is not None:
+        record.lowest = min(record.lowest, lowest)
     if lowest < _CLAMP_FLOOR:
         raise GuardError(
             f"spectrum went negative (min W = {lowest:.3g}); the time step is too large"
         )
     if lowest < 0.0:
+        if record is not None:
+            record.events += 1
         return np.where(values < 0.0, 0.0, values)
     return values
 
@@ -431,10 +500,10 @@ def bp_solve(
 ) -> BPTrajectory:
     """Integrate the kinetic equation dW/dtau = C(W) with fixed-step RK4.
 
-    Every stage input is clamped at zero from below (tolerating rounding
-    negatives down to -1e-9, rejecting worse as a step-size failure); the
-    particle-number, energy, and entropy functionals are recorded at every
-    accepted step.
+    Every stage input and every stored state is clamped at zero from below
+    (tolerating rounding negatives down to -1e-9, rejecting worse as a
+    step-size failure) and counted on the trajectory; the particle-number,
+    energy, and entropy functionals are recorded at every accepted step.
     """
     values = _spectrum_values(w0, config.lattice)
     if float(values.min()) < 0.0:
@@ -444,10 +513,15 @@ def bp_solve(
     omega = config.omega()
     size = config.lattice.size
 
-    def rhs(tau: float, w: np.ndarray) -> np.ndarray:
-        return collision_operator(_clamp_spectrum(w), config).values
+    clamps = _ClampRecord(lowest=float(values.min()))
 
-    _, spectra = rk4(rhs, values, 0.0, dtau, n_steps, project=_clamp_spectrum)
+    def clamp(w: np.ndarray) -> np.ndarray:
+        return _clamp_spectrum(w, clamps)
+
+    def rhs(tau: float, w: np.ndarray) -> np.ndarray:
+        return collision_operator(clamp(w), config).values
+
+    _, spectra = rk4(rhs, values, 0.0, dtau, n_steps, project=clamp)
     stacked = np.stack(spectra)
     flat = stacked.reshape(len(spectra), size)
     number = flat.mean(axis=1)
@@ -460,6 +534,10 @@ def bp_solve(
         number=number,
         energy=energy,
         entropy=entropy,
+        time_nodes=config.time_nodes,
+        plan_kept=config.plan_kept,
+        clamp_events=clamps.events,
+        min_w_before_clamp=clamps.lowest,
     )
 
 

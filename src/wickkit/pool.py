@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
@@ -13,8 +14,11 @@ def map_in_order(worker: Callable, items: Sequence, threads: int) -> list:
     the result list — and everything derived from it — is identical for any
     thread count; threads only change the wall-clock time.  Callers must not
     nest pools: a worker never calls this again with more than one thread.
+    At most ``min(threads, len(items), os.cpu_count())`` workers start, so a
+    large ``threads`` value costs no more threads than the machine has cores.
     """
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items))

@@ -298,3 +298,33 @@ def reference_split_steps(ensemble, dispersion, dt, n_steps):
     for step in range(1, n_steps + 1):
         r_integral += dt * 0.5 * (float(rates[step - 1]) + float(rates[step]))
     return psi, r_integral
+
+
+# ----------------------------------------------------------------------
+# the collision engine, rebuilding every W-independent array per call
+
+
+def reference_time_domain_sums(values, omega, nodes, weights, block_elements):
+    """(gain sum, loss sum) of the collision engine with nothing kept between calls.
+
+    Per block of at most ``block_elements`` node-site elements it builds the
+    phase ``exp(1j t omega)`` and ``e = ifftn(phase)`` inline and runs four
+    lattice FFTs per node, in the operand orders of the package, so the
+    package's plan-based sums must agree with it byte for byte."""
+    axes = tuple(range(1, values.ndim + 1))
+    block = max(1, block_elements // values.size)
+    gain = np.zeros(values.shape)
+    loss = np.zeros(values.shape)
+    for start in range(0, nodes.size, block):
+        t = nodes[start:start + block].reshape((-1,) + (1,) * values.ndim)
+        weight = weights[start:start + block].reshape(t.shape)
+        phase = np.exp(1j * t * omega)
+        u = np.fft.ifftn(values * phase, axes=axes, norm="forward")
+        e = np.fft.ifftn(phase, axes=axes, norm="forward")
+        v = u.conj()
+        uv = u * v
+        gain_term = np.fft.ifftn(uv * v, axes=axes)
+        loss_term = np.fft.ifftn(e * v * v - 2.0 * uv * e.conj(), axes=axes)
+        gain += np.sum(weight * (phase * gain_term).real, axis=0)
+        loss += np.sum(weight * (phase * loss_term).real, axis=0)
+    return gain, loss

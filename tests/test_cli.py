@@ -372,15 +372,16 @@ class TestHierarchyRhs:
 class TestWorkCounters:
     """The manifest summary's work counters and guard margins are the same at any thread count."""
 
-    def summaries(self, tmp_path, kind: str, params: dict) -> list[dict]:
+    def summaries(self, tmp_path, kind: str, params: dict) -> dict:
         out = []
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             path = write_config(
                 tmp_path / f"c{threads}.json", kind, params, threads=threads, out=str(tmp_path / f"run{threads}")
             )
             assert main([kind, "--config", str(path)]) == 0
             out.append(json.loads((tmp_path / f"run{threads}" / "manifest.json").read_text())["summary"])
-        assert out[0] == out[1]
+        texts = [json.dumps(summary, sort_keys=True) for summary in out]
+        assert texts == [texts[0]] * 3
         return out[0]
 
     @staticmethod
@@ -421,6 +422,22 @@ class TestWorkCounters:
         assert summary["n_steps"] == 4
         assert summary["number_drift"] <= 1e-13
         assert summary["energy_drift"] == pytest.approx(7.426415960081e-4, rel=1e-9)
+
+    def test_bp_solve_counts_engine_work_and_clamps(self, tmp_path):
+        # 83 midpoint nodes at epsilon 0.35 on 8^2 (plan 3 x 83 x 64 x 16 bytes);
+        # the cosine w0 has its minimum 1 - 0.5 - 0.25 and nothing is clamped
+        params = dict(
+            EQL_BP_PARAMS,
+            delta={"model": "gaussian", "epsilon": 0.35},
+            w0={"kind": "cosine", "mean": 1.0, "amplitudes": [0.5, 0.25]},
+        )
+        summary = self.summaries(tmp_path, "bp-solve", params)
+        assert {key: summary[key] for key in ("time_nodes", "plan_kept", "rk4_stages", "clamp_events")} == {
+            "time_nodes": 83, "plan_kept": True, "rk4_stages": 16, "clamp_events": 0,
+        }
+        assert summary["min_w_before_clamp"] == 0.25
+        # the counters live in the manifest only: summary.json and the trajectory keep their layout
+        assert sorted(json.loads((tmp_path / "run1" / "summary.json").read_text())) == ["energy", "entropy", "number", "taus"]
 
     def test_hierarchy_counts(self, tmp_path):
         params = {"order": 3, "time": 0.5, "model": TestHierarchyRhs.MODEL, "table": TestHierarchyRhs.TABLE}
@@ -1066,6 +1083,25 @@ class TestInputBoundary:
         code, stderr = run_in_process("wick-expand", boundary_config("wick-expand"), tmp_path)
         assert code == 3, stderr
         assert sorted(p.name for p in out.iterdir()) == ["foreign.txt", "old.csv"]
+
+    def test_a_run_inside_a_run_keeps_its_own_record_of_written_files(self, tmp_path, monkeypatch):
+        # the inner run succeeds and keeps its files; the outer run fails and
+        # removes only its own, whatever the inner run wrote in between
+        inner_dir = tmp_path / "inner"
+        inner_dir.mkdir()
+        inner_config = write_config(tmp_path / "inner.json", "wick-expand", boundary_config("wick-expand")["params"])
+
+        def outer(rc, out_dir):
+            cli._write_json(out_dir / "before.json", {"value": 1.0})
+            assert main(["wick-expand", "--config", str(inner_config), "--out", str(inner_dir)]) == 0
+            cli._write_json(out_dir / "after.json", {"value": 2.0})
+            raise GuardError("late failure")
+
+        monkeypatch.setitem(cli._RUNNERS, "cumulant-convert", outer)
+        code, stderr = run_in_process("cumulant-convert", boundary_config("cumulant-convert"), tmp_path)
+        assert code == 3, stderr
+        assert not any((tmp_path / "run").iterdir())
+        assert sorted(p.name for p in inner_dir.iterdir()) == ["manifest.json", "wick_poly.json"]
 
     def test_csv_readers_name_the_file_and_row(self, tmp_path):
         spectrum = tmp_path / "s.csv"

@@ -8,6 +8,9 @@ Oracles and frozen references used here:
   reference for the time-domain FFT engine on larger grids: weighted by the
   delta models for the collision sums, by ``prelimit_window`` for the
   pre-limit kernel;
+* the engine with nothing kept between calls
+  (``_support.reference_time_domain_sums``), which the plan-based sums must
+  match byte for byte, with the plan kept or over the budget;
 * closed-form identities: flat spectra annihilate the bracket, the plain
   k-sum of the operator cancels pairwise, C = gain - 2 W Gamma by
   regrouping, Gamma(cW) = c^2 Gamma(W), and prelimit_kernel / tau equals
@@ -26,6 +29,10 @@ Oracles and frozen references used here:
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +63,8 @@ from wickkit.kinetic import (
     prelimit_kernel,
     prelimit_window,
 )
+
+from _support import reference_time_domain_sums
 
 
 def brute_collision(w: np.ndarray, config: CollisionConfig) -> np.ndarray:
@@ -192,12 +201,104 @@ class TestCollisionConfig:
         original = getattr(kinetic, builder)
         monkeypatch.setattr(kinetic, builder, lambda config: calls.append(1) or original(config))
         window = {"window_tau": 0.2, "window_coupling": 0.2} if model == "fejer" else {}
+        plans = []
+        original_blocks = kinetic._plan_blocks
+        monkeypatch.setattr(kinetic, "_plan_blocks", lambda *grid: plans.append(1) or original_blocks(*grid))
         cfg = CollisionConfig(lattice=lat, dispersion=disp, delta_model=model, **window)
         w = two_axis_spectrum(lat)
         first = collision_operator(w, cfg).values
         assert np.array_equal(gamma_rate(w, cfg).values, gamma_rate(w, cfg).values)
         assert np.array_equal(collision_operator(w, cfg).values, first)
-        assert len(calls) == 1
+        # the phases and their transforms too: one plan, built on the first call
+        assert len(calls) == 1 and len(plans) == 1 and cfg.plan_kept
+
+
+def plan_configs() -> list[CollisionConfig]:
+    """Engine configs of one and several node blocks, both delta models, d = 1-3."""
+    nn2 = nearest_neighbor_dispersion(2)
+    fejer = {"delta_model": "fejer", "window_tau": 0.2, "window_coupling": 0.2}
+    return [
+        CollisionConfig(lattice=Lattice(dimension=1, side=8), dispersion=nearest_neighbor_dispersion(1)),
+        CollisionConfig(lattice=Lattice(dimension=2, side=16), dispersion=nn2, epsilon=0.35),
+        CollisionConfig(lattice=Lattice(dimension=2, side=8), dispersion=nn2, **fejer),
+        CollisionConfig(lattice=Lattice(dimension=3, side=4), dispersion=nearest_neighbor_dispersion(3), **fejer),
+    ]
+
+
+def engine_bytes(w: np.ndarray, config: CollisionConfig) -> bytes:
+    return b"".join(f(w, config).values.tobytes() for f in (collision_operator, collision_gain, gamma_rate))
+
+
+class TestEnginePlan:
+    """The W-independent phases and transforms are built once per config, with the same bytes."""
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("budget", ["kept", "over"])
+    def test_sums_have_the_bytes_of_the_per_call_engine(self, index, budget, monkeypatch):
+        if budget == "over":
+            monkeypatch.setattr(kinetic, "_PLAN_BYTES", 0)
+        cfg = plan_configs()[index]
+        w = two_axis_spectrum(cfg.lattice) * (1.0 + 0.1 * np.sin(np.arange(cfg.lattice.size))).reshape(cfg.lattice.shape)
+        for _ in range(2):  # the call that builds the plan and one that reuses it
+            _, gain, loss = kinetic._collision_sums(w, cfg)
+            reference = reference_time_domain_sums(w, *cfg._time_grid, kinetic._BLOCK_ELEMENTS)
+            assert (gain.tobytes(), loss.tobytes()) == tuple(a.tobytes() for a in reference)
+        assert cfg.plan_kept == (budget == "kept")
+
+    def test_config_over_the_budget_keeps_no_plan_and_gives_the_same_bytes(self, monkeypatch):
+        cfg = plan_configs()[1]
+        w = two_axis_spectrum(cfg.lattice)
+        kept = engine_bytes(w, cfg)
+        assert cfg.plan_kept and len(cfg._plan) == 2  # 83 nodes of 256 sites: two blocks
+        monkeypatch.setattr(kinetic, "_PLAN_BYTES", 0)
+        builds = []
+        original_blocks = kinetic._plan_blocks
+        monkeypatch.setattr(kinetic, "_plan_blocks", lambda *grid: builds.append(1) or original_blocks(*grid))
+        over = replace(cfg)
+        assert engine_bytes(w, over) == kept
+        assert not over.plan_kept and over._plan is None
+        assert len(builds) == 3  # rebuilt block by block on every call
+
+    def test_plan_fits_the_budget_at_three_complex_arrays_per_node_and_site(self, monkeypatch):
+        cfg = plan_configs()[1]
+        need = 3 * cfg.time_nodes * cfg.lattice.size * 16
+        assert need == 1_019_904
+        monkeypatch.setattr(kinetic, "_PLAN_BYTES", need - 1)
+        assert not replace(cfg).plan_kept
+        monkeypatch.setattr(kinetic, "_PLAN_BYTES", need)
+        assert replace(cfg).plan_kept
+
+    def test_plan_arrays_are_not_writeable(self):
+        cfg = plan_configs()[2]
+        plan = cfg._plan
+        assert plan and all(len(block) == 4 for block in plan)
+        for block in plan:
+            for array in block:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 0.0
+
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_threads_sharing_a_fresh_config_get_the_single_threaded_bytes(self, index):
+        expected = engine_bytes(two_axis_spectrum(plan_configs()[index].lattice), plan_configs()[index])
+        shared = plan_configs()[index]
+        w = two_axis_spectrum(shared.lattice)
+        start = threading.Barrier(3)
+
+        def call(_):
+            start.wait(timeout=30)
+            return engine_bytes(w, shared)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [pool.submit(call, i) for i in range(3)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 3
+        assert shared.plan_kept
 
 
 class TestEquilibrium:
@@ -649,6 +750,37 @@ class TestBPSolve:
         spike[0, 0] = 1e110
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GuardError, match="non-finite"):
             bp_solve(spike, cfg, tau_end=0.05, dtau=0.05)
+
+    def test_clamp_counts_an_input_holding_a_rounding_negative(self):
+        record = kinetic._ClampRecord()
+        clamped = kinetic._clamp_spectrum(np.array([[0.5, -1e-12], [2.0, 0.0]]), record)
+        assert clamped.tolist() == [[0.5, 0.0], [2.0, 0.0]]
+        assert (record.events, record.lowest) == (1, -1e-12)
+        kinetic._clamp_spectrum(clamped, record)
+        assert (record.events, record.lowest) == (1, -1e-12)
+        with pytest.raises(GuardError):
+            kinetic._clamp_spectrum(np.array([1.0, -2e-9]), record)
+        assert (record.events, record.lowest) == (1, -2e-9)
+
+    def test_counts_the_clamped_stages_and_states(self, monkeypatch):
+        # dW/dtau = -2e-11 everywhere: from W = 1e-13 at one site, stages 2-4 of
+        # the one step and the stored state dip below zero and are clamped
+        lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
+        cfg = CollisionConfig(lattice=lat, dispersion=disp)
+        monkeypatch.setattr(kinetic, "collision_operator", lambda w, config: Spectrum(values=np.full(w.shape, -2e-11)))
+        w0 = np.ones(lat.shape)
+        w0[0, 0] = 1e-13
+        traj = bp_solve(w0, cfg, tau_end=0.05, dtau=0.05)
+        assert traj.clamp_events == 4
+        assert traj.min_w_before_clamp == pytest.approx(1e-13 - 0.05 * 2e-11, rel=1e-6)
+        assert traj.spectra[1, 0, 0] == 0.0
+        assert (traj.rk4_stages, traj.time_nodes) == (4, cfg.time_nodes)
+
+    def test_work_counters_of_a_solve(self, trajectory):
+        traj, cfg, w0 = trajectory
+        assert (traj.time_nodes, traj.plan_kept, traj.rk4_stages) == (cfg.time_nodes, True, 80)
+        assert traj.clamp_events == 0
+        assert traj.min_w_before_clamp == float(w0.min())
 
     def test_rejects_bad_arguments(self):
         lat, disp = Lattice(dimension=2, side=8), nearest_neighbor_dispersion(2)
