@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -226,7 +227,12 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
     """Write rows of ``repr(float)`` cells; a non-finite cell is a GuardError and nothing is written."""
-    body = "".join(",".join(row) + "\n" for row in rows)
+    _write_lines(path, header, [",".join(row) for row in rows])
+
+
+def _write_lines(path: Path, header: Sequence[str], lines: Sequence[str]) -> None:
+    """Write CSV lines of ``repr(float)`` cells under the header, guarded as :func:`_write_csv`."""
+    body = "".join(line + "\n" for line in lines)
     if "nan" in body or "inf" in body:  # repr spells the non-finite floats nan, inf and -inf
         raise GuardError(f"{path.name}: a result is not finite")
     _write_text(path, ",".join(header) + "\n" + body)
@@ -246,15 +252,15 @@ def write_trajectory_csv(lattice: Lattice, trajectory: BPTrajectory, path: str |
     repr, so equal trajectories give byte-identical files.
     """
     header = ["tau"] + [f"k{i + 1}" for i in range(lattice.dimension)] + ["value"]
-    rows = []
+    ks = lattice.k_cells()
+    lines: list[str] = []
     for step, tau in enumerate(trajectory.taus):
         values = trajectory.spectra[step]
         if values.shape != lattice.shape:
             raise ConfigError("trajectory spectra do not match the lattice shape")
-        for site in np.ndindex(lattice.shape):
-            ks = [repr(component / lattice.side) for component in site]
-            rows.append([repr(float(tau))] + ks + [repr(float(values[site]))])
-    _write_csv(Path(path), header, rows)
+        t = repr(float(tau))
+        lines += [f"{t},{k},{v!r}" for k, v in zip(ks, np.asarray(values, dtype=float).ravel().tolist())]
+    _write_lines(Path(path), header, lines)
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -532,11 +538,12 @@ def _run_hierarchy_rhs(rc: RunConfig, out_dir: Path) -> dict:
     state = HierarchyState(table=table, time=_number(params.get("time", 0.0), "hierarchy-rhs: time"))
     targets = all_keys_up_to(model.universe(), order)
     memo = PartitionMemo()
-    rhs = hierarchy_rhs_table(model, state, targets, memo)
+    pair_work = {"pair_expectations": 0, "pair_memo_hits": 0}
+    rhs = hierarchy_rhs_table(model, state, targets, memo, pair_work)
     _write_json(out_dir / "rhs_table.json", table_to_json(rhs))
     return {
         "outputs": ["rhs_table.json"],
-        "summary": {"targets": len(rhs), "order": order, **_partition_work(memo)},
+        "summary": {"targets": len(rhs), "order": order, **_partition_work(memo), **pair_work},
     }
 
 
@@ -825,7 +832,9 @@ def run(rc: RunConfig) -> list[Path]:
     return [out_dir / name for name in report["outputs"]] + [out_dir / "manifest.json"]
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it holds no state between parses."""
     parser = argparse.ArgumentParser(
         prog="wickkit",
         description="Deterministic batch runs of the wickkit library modules.",
@@ -838,7 +847,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     subparsers = parser.add_subparsers(dest="kind", required=True)
     for kind in KINDS:
         subparsers.add_parser(kind, parents=[common], help=f"run a {kind} experiment")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         rc = load_run_config(
             args.config, kind=args.kind, seed=args.seed, threads=args.threads, out=args.out,

@@ -244,8 +244,8 @@ class EnsembleOracle(MomentOracle):
 # cumulant tables
 
 
-def _key_to_str(key: tuple) -> str:
-    return json.dumps(list(key), separators=(",", ":"))
+#: the compact encoder of table keys, built once: ``json.dumps`` builds one per call
+_KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _as_index(token):
@@ -269,10 +269,11 @@ def table_from_json(data) -> dict[tuple, complex]:
 
 def table_to_json(entries: Mapping[tuple, complex]) -> dict[str, list[float]]:
     """The external table form of ``entries``, keys in sorted string order."""
+    texts = sorted(((_KEY_ENCODER.encode(list(key)), key) for key in entries), key=lambda item: item[0])
     out = {}
-    for key in sorted(entries, key=_key_to_str):
+    for text, key in texts:
         value = complex(entries[key])
-        out[_key_to_str(key)] = [value.real, value.imag]
+        out[text] = [value.real, value.imag]
     return out
 
 
@@ -442,8 +443,11 @@ def _coded_sum(
     if full in memo.totals:
         return memo.totals[full]
     codes = mask_codes(keys)
-    kappas = codes if keys is slots else mask_codes(slots)
-    total = partition_sums(len(keys), lambda block: kappa_code(kappas[block]), admissible, codes, memo)
+    if keys is slots:
+        weight = lambda block: kappa_code(codes[block])
+    else:  # a block's weight is read once per key, so its code is summed only then
+        weight = lambda block: kappa_code(sum(s for i, s in enumerate(slots) if block >> i & 1))
+    total = partition_sums(len(keys), weight, admissible, codes, memo)
     return total(len(codes) - 1)
 
 

@@ -121,6 +121,11 @@ class Lattice:
         """All sites in row-major order, starting at the origin."""
         return iter(np.ndindex(self.shape))
 
+    def k_cells(self) -> list[str]:
+        """Each site's dual momentum as CSV cells (``repr`` of the fractions), in row-major order."""
+        ticks = [repr(j / self.side) for j in range(self.side)]
+        return [",".join(cells) for cells in itertools.product(ticks, repeat=self.dimension)]
+
 
 @dataclass(frozen=True)
 class Dispersion:
@@ -1209,13 +1214,13 @@ def write_spectrum_csv(lattice: Lattice, spectrum: Spectrum, path: str | Path) -
         if part is not None and not np.all(np.isfinite(part)):
             raise GuardError(f"{Path(path).name}: the spectrum is not finite")
     header = ",".join(f"k{i + 1}" for i in range(lattice.dimension)) + ",value,stderr"
-    lines = [header]
-    for site in np.ndindex(lattice.shape):
-        ks = [repr(component / lattice.side) for component in site]
-        value = repr(float(spectrum.values[site]))
-        err = repr(float(spectrum.stderr[site])) if spectrum.stderr is not None else ""
-        lines.append(",".join(ks + [value, err]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = np.asarray(spectrum.values, dtype=float).ravel().tolist()
+    if spectrum.stderr is None:
+        lines = [f"{k},{v!r}," for k, v in zip(lattice.k_cells(), values)]
+    else:
+        errs = np.asarray(spectrum.stderr, dtype=float).ravel().tolist()
+        lines = [f"{k},{v!r},{e!r}" for k, v, e in zip(lattice.k_cells(), values, errs)]
+    Path(path).write_text(header + "\n" + "".join(line + "\n" for line in lines))
 
 
 def _csv_floats(cells: list[str], path: str | Path, row: int) -> list[float]:

@@ -10,6 +10,17 @@ law), the joint cumulants obey the closed hierarchy
 where the pair expectation expands into the partition sum over cumulants in
 which no block may sit inside a single Wick factor.  Truncation closes the
 hierarchy: cumulants above the state table's max order read as zero.
+
+That sum depends on the two Wick factors' multisets alone, so every route to
+the right-hand side goes through a :class:`HierarchyPlan`, which codes each
+(target, slot, drive) pair by multiset-code arithmetic and keeps the
+distinct amplitudes.  An evaluation calls each amplitude once and sums each
+distinct pair once against the state's partition-sum memo, then adds every
+target's terms in (slot, drive) order, so every result keeps the bytes of
+the term-by-term loop.  :func:`hierarchy_rhs` plans one target;
+:func:`hierarchy_rhs_table` runs it per target over one shared memo;
+:func:`integrate_hierarchy` builds one plan for all its keys and evaluates
+it on every RK4 stage, against a fresh memo per stage.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import numpy as np
 
 from .cumulants import CumulantBackedOracle, CumulantTable, MomentOracle
 from .errors import rk4, step_count
-from .indexing import EMPTY, Index, LabeledSeq, PartitionMemo, canonical_key
+from .indexing import EMPTY, Codebook, Index, LabeledSeq, PartitionMemo, canonical_key
 from .wick import wick_product_expectation
 
 Amplitude = Callable[[float, CumulantTable], complex]
@@ -76,39 +87,125 @@ class HierarchyState:
         return self.table.max_order
 
 
+class HierarchyPlan:
+    """The right-hand sides of a family of targets under one model, planned by pair code.
+
+    Each (target, slot, drive) term of the hierarchy is the drive's amplitude
+    times the pair expectation E[W[y^I] W[y^(I' minus i)]].  That sum sees the
+    two Wick factors only through their multisets, so the plan codes every
+    pair once, in ``book``, as in :func:`wickkit.wick.wick_product_expectation`
+    (each element tagged with its factor, 0 for the drive and 1 for the
+    target's rest): the target's code minus the slot's plus the drive's.  It
+    also keeps the distinct amplitude callables, in the order of their first
+    call, and every term in the order (target, slot, drive).
+
+    A plan holds no values and may serve any number of states, for example
+    every stage of an RK4 march.
+    """
+
+    def __init__(
+        self, model: AmplitudeModel, targets: Sequence[LabeledSeq], book: Codebook | None = None
+    ) -> None:
+        self.book = book = Codebook() if book is None else book
+        self.order = max(map(len, targets), default=0)
+        self.amplitudes: list[Amplitude] = []
+        amplitude_at: dict[int, int] = {}  # by id of the callable, kept alive in self.amplitudes
+        pair_at: dict[int, int] = {}  # pair code -> its position, in order of first use
+        # per driven index: (amplitude position, drive code, drive sequence) of each drive
+        drives: dict[Index, list[tuple[int, int, LabeledSeq]]] = {}
+        # per term: amplitude position, pair position, and (target, slot, drive sequence)
+        self._amplitude: list[int] = []
+        self._pair: list[int] = []
+        self._where: list[tuple[LabeledSeq, int, LabeledSeq]] = []
+        self._ends: list[int] = []  # one past each target's last term
+        for target in targets:
+            slots = book.slots([(1, idx) for _, idx in target.elements])
+            full = sum(slots)
+            for i, (_, idx) in enumerate(target.elements):
+                row = drives.get(idx)
+                if row is None:
+                    row = drives[idx] = []
+                    for term in model.terms.get(idx, ()):
+                        a = amplitude_at.setdefault(id(term.amplitude), len(self.amplitudes))
+                        if a == len(self.amplitudes):
+                            self.amplitudes.append(term.amplitude)
+                        row.append((a, sum(book.slots([(0, j) for _, j in term.seq.elements])), term.seq))
+                rest = full - slots[i]
+                for a, drive, seq in row:
+                    self._amplitude.append(a)
+                    self._pair.append(pair_at.setdefault(rest + drive, len(pair_at)))
+                    self._where.append((target, i, seq))
+            self._ends.append(len(self._pair))
+        self.pair_codes = list(pair_at)
+
+    def evaluate(self, state: HierarchyState, memo: PartitionMemo) -> tuple[list[complex], dict[str, int]]:
+        """The right-hand side of every target at the state, and the pair work done.
+
+        Three passes: each amplitude is called once; each pair code that a
+        term with a nonzero amplitude needs is looked up in ``memo``, whose
+        book must be the plan's, and only a miss runs the partition sum, for
+        the first such term in (target, slot, drive) order; each target then
+        adds its terms in that order.  So every value is the one the
+        term-by-term loop gives over the same memo.  The work dict counts the
+        distinct pair codes needed (``pair_expectations``) and those the
+        memo already held (``pair_memo_hits``).
+        """
+        if memo.book is not self.book:
+            raise ValueError("the memo was made for another code book")
+        if self.order > state.order_cap:
+            raise ValueError(f"target order {self.order} exceeds the closure cap {state.order_cap}")
+        t, table = state.time, state.table
+        amps = [complex(amplitude(t, table)) for amplitude in self.amplitudes]
+        values: list[complex | None] = [None] * len(self.pair_codes)
+        totals = memo.totals
+        needed = hits = 0
+        for a, p, where in zip(self._amplitude, self._pair, self._where):
+            if values[p] is not None or amps[a] == 0:
+                continue
+            needed += 1
+            value = totals.get(self.pair_codes[p])
+            if value is None:
+                target, i, seq = where
+                rest = target.select(((1 << len(target)) - 1) ^ (1 << i))
+                value = wick_product_expectation(table, [seq, rest], memo=memo)
+            else:
+                hits += 1
+            values[p] = value
+        out = []
+        start = 0
+        for end in self._ends:
+            total = 0.0 + 0.0j
+            for a, p in zip(self._amplitude[start:end], self._pair[start:end]):
+                amp = amps[a]
+                if amp != 0:
+                    total += amp * values[p]
+            out.append(total)
+            start = end
+        return out, {"pair_expectations": needed, "pair_memo_hits": hits}
+
+
 def hierarchy_rhs(
     model: AmplitudeModel,
     state: HierarchyState,
     target: LabeledSeq,
     memo: PartitionMemo | None = None,
+    work: dict[str, int] | None = None,
 ) -> complex:
     """d/dt kappa[target] under the model, at the state's time and table.
 
     ``memo`` lets the right-hand sides over one state share the states of
     their pair expectations (see :func:`hierarchy_rhs_table`); it must not
     outlive the state's table.  By default the pair expectations of this one
-    target share a memo.
+    target share a memo.  ``work``, when given, gains the target's pair
+    counts (see :meth:`HierarchyPlan.evaluate`).
     """
-    if len(target) == 0:
-        return 0.0 + 0.0j
-    if len(target) > state.order_cap:
-        raise ValueError(
-            f"target order {len(target)} exceeds the closure cap {state.order_cap}"
-        )
     if memo is None:
         memo = PartitionMemo()
-    total = 0.0 + 0.0j
-    for label, idx in target.elements:
-        drives = model.terms.get(idx, ())
-        if not drives:
-            continue
-        rest = target.without((label,))
-        for term in drives:
-            amp = complex(term.amplitude(state.time, state.table))
-            if amp == 0:
-                continue
-            total += amp * wick_product_expectation(state.table, [term.seq, rest], memo=memo)
-    return total
+    values, counts = HierarchyPlan(model, [target], memo.book).evaluate(state, memo)
+    if work is not None:
+        for name, count in counts.items():
+            work[name] = work.get(name, 0) + count
+    return values[0]
 
 
 def hierarchy_rhs_table(
@@ -116,18 +213,20 @@ def hierarchy_rhs_table(
     state: HierarchyState,
     targets: Iterable[tuple],
     memo: PartitionMemo | None = None,
+    work: dict[str, int] | None = None,
 ) -> dict[tuple, complex]:
-    """The right-hand side for a family of canonical target keys.
+    """The right-hand side for a family of canonical target keys, by :func:`hierarchy_rhs`.
 
     All the pair expectations share one memo, ``memo`` or a fresh one, which
-    must not outlive the state's table.
+    must not outlive the state's table, so a pair that an earlier target
+    summed is a memo hit.  ``work``, when given, gains the pair counts
+    summed over the targets.
     """
     if memo is None:
         memo = PartitionMemo()
     out = {}
-    for key in targets:
-        key = canonical_key(key)
-        out[key] = hierarchy_rhs(model, state, LabeledSeq.from_indices(key), memo)
+    for key in dict.fromkeys(canonical_key(key) for key in targets):
+        out[key] = hierarchy_rhs(model, state, LabeledSeq.from_indices(key), memo, work)
     return out
 
 
@@ -166,10 +265,12 @@ def integrate_hierarchy(
             entries=dict(zip(keys, vec)), max_order=cap, provenance=provenance
         )
 
+    plan = HierarchyPlan(model, [LabeledSeq.from_indices(key) for key in keys])
+
     def rhs(t: float, vec: np.ndarray) -> np.ndarray:
-        # one memo per stage: it lives exactly as long as the stage's table
+        # one memo per stage, so it lives exactly as long as the stage's table
         state = HierarchyState(table=unpack(vec), time=t)
-        return np.array(list(hierarchy_rhs_table(model, state, keys).values()), dtype=complex)
+        return np.array(plan.evaluate(state, PartitionMemo(plan.book))[0], dtype=complex)
 
     n_steps = step_count(t_end, dt, "integrate_hierarchy (t_end, dt)")
     times, vecs = rk4(rhs, pack(state0.table), state0.time, t_end / max(n_steps, 1), n_steps)

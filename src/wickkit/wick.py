@@ -302,17 +302,15 @@ def wick_product_expectation(
     their states (every pair expectation of a hierarchy right-hand side, for
     example); by default each call has its own.
     """
-    groups: list[int] = []  # label bitmask of each Wick group
     tags: list[tuple] = []  # (Wick group or None for the tail, index) per element
-    for g, piece in enumerate((*blocks, tail)):
-        if g == len(blocks):
-            g = None
-        else:
-            groups.append(((1 << len(piece)) - 1) << len(tags))
-        tags.extend((g, idx) for idx in piece.indices())
+    outside: list[int] = []  # per Wick group, the labels not in it, as a bitmask
+    for g, piece in enumerate(blocks):
+        outside.append(~(((1 << len(piece)) - 1) << len(tags)))
+        tags += [(g, idx) for _, idx in piece.elements]
+    tags += [(None, idx) for _, idx in tail.elements]
 
     def admissible(block: int) -> bool:
-        return all(block & ~group for group in groups)
+        return all(block & labels for labels in outside)
 
     book, kappa_code = coded_cumulants(source)
     if memo is None:
@@ -321,7 +319,7 @@ def wick_product_expectation(
     full = sum(keys)
     if full in memo.totals:  # a shared memo has summed this merged multiset already
         return memo.totals[full]
-    slots = book.slots(idx for _, idx in tags)
+    slots = book.slots([idx for _, idx in tags])
     return _coded_sum(kappa_code, slots, memo, keys, admissible)
 
 

@@ -5,15 +5,18 @@ is checked against something it does not share internals with.
 """
 
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from wickkit.cumulants import MomentOracle, TableOracle, coded_cumulants
-from wickkit.indexing import LabeledSeq, canonical_key, partitions
-from wickkit.wick import wick_from_cumulants
+from wickkit.cumulants import CumulantTable, MomentOracle, TableOracle, coded_cumulants
+from wickkit.errors import rk4, step_count
+from wickkit.hierarchy import HierarchyState, all_keys_up_to
+from wickkit.indexing import LabeledSeq, PartitionMemo, canonical_key, partitions
+from wickkit.wick import wick_from_cumulants, wick_product_expectation
 
 
 def mobius_cumulant(oracle, seq):
@@ -328,3 +331,90 @@ def reference_time_domain_sums(values, omega, nodes, weights, block_elements):
         gain += np.sum(weight * (phase * gain_term).real, axis=0)
         loss += np.sum(weight * (phase * loss_term).real, axis=0)
     return gain, loss
+
+
+# ----------------------------------------------------------------------
+# the hierarchy right-hand side, term by term
+
+
+def reference_hierarchy_rhs(model, state, target, memo=None):
+    """d/dt kappa[target] with the amplitude and the pair expectation called afresh per (slot, drive).
+
+    This is the loop the package ran before it planned the right-hand side
+    by pair code, kept as the byte oracle of ``HierarchyPlan``: over one memo
+    it makes the same sums in the same order."""
+    if len(target) == 0:
+        return 0.0 + 0.0j
+    if len(target) > state.order_cap:
+        raise ValueError(f"target order {len(target)} exceeds the closure cap {state.order_cap}")
+    if memo is None:
+        memo = PartitionMemo()
+    total = 0.0 + 0.0j
+    for label, idx in target.elements:
+        drives = model.terms.get(idx, ())
+        if not drives:
+            continue
+        rest = target.without((label,))
+        for term in drives:
+            amp = complex(term.amplitude(state.time, state.table))
+            if amp == 0:
+                continue
+            total += amp * wick_product_expectation(state.table, [term.seq, rest], memo=memo)
+    return total
+
+
+def reference_integrate_hierarchy(model, state0, t_end, dt):
+    """The final table of the RK4 march with every stage's right-hand sides
+    from :func:`reference_hierarchy_rhs` over one fresh memo per stage."""
+    cap = state0.order_cap
+    keys = all_keys_up_to(model.universe(), cap)
+
+    def table_of(vec):
+        return CumulantTable(entries=dict(zip(keys, vec)), max_order=cap, provenance=state0.table.provenance)
+
+    def rhs(t, vec):
+        state, memo = HierarchyState(table=table_of(vec), time=t), PartitionMemo()
+        return np.array(
+            [reference_hierarchy_rhs(model, state, LabeledSeq.from_indices(key), memo) for key in keys], dtype=complex
+        )
+
+    n_steps = step_count(t_end, dt, "reference march")
+    vec0 = np.array([state0.table.kappa(key) for key in keys], dtype=complex)
+    _, vecs = rk4(rhs, vec0, state0.time, t_end / max(n_steps, 1), n_steps)
+    return table_of(vecs[-1])
+
+
+# ----------------------------------------------------------------------
+# the writers' formatters, cell by cell
+
+
+def reference_table_to_json(entries):
+    """The external table form with each key formatted by ``json.dumps``, twice."""
+    def text(key):
+        return json.dumps(list(key), separators=(",", ":"))
+
+    return {text(key): [complex(entries[key]).real, complex(entries[key]).imag] for key in sorted(entries, key=text)}
+
+
+def reference_trajectory_csv(lattice, trajectory):
+    """The trajectory CSV text, formatted site by site."""
+    header = ["tau"] + [f"k{i + 1}" for i in range(lattice.dimension)] + ["value"]
+    rows = []
+    for step, tau in enumerate(trajectory.taus):
+        values = trajectory.spectra[step]
+        for site in np.ndindex(lattice.shape):
+            ks = [repr(component / lattice.side) for component in site]
+            rows.append([repr(float(tau))] + ks + [repr(float(values[site]))])
+    return ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def reference_spectrum_csv(lattice, spectrum):
+    """The spectrum CSV text, formatted site by site."""
+    header = ",".join(f"k{i + 1}" for i in range(lattice.dimension)) + ",value,stderr"
+    lines = [header]
+    for site in np.ndindex(lattice.shape):
+        ks = [repr(component / lattice.side) for component in site]
+        value = repr(float(spectrum.values[site]))
+        err = repr(float(spectrum.stderr[site])) if spectrum.stderr is not None else ""
+        lines.append(",".join(ks + [value, err]))
+    return "\n".join(lines) + "\n"

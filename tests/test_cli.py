@@ -48,8 +48,10 @@ from wickkit.cumulants import CumulantTable
 from wickkit.dnls import Lattice, Spectrum, estimate_W, read_spectrum_csv, sample_initial, write_spectrum_csv, zero_dispersion
 from wickkit.errors import ConfigError, GuardError
 from wickkit.indexing import LabeledSeq
-from wickkit.kinetic import CollisionConfig, EquilibriumParams
+from wickkit.kinetic import BPTrajectory, CollisionConfig, EquilibriumParams
 from wickkit.wick import WickPoly, wick_from_cumulants
+
+from _support import reference_spectrum_csv, reference_trajectory_csv
 
 
 def write_config(path: Path, kind: str, params: dict, **top) -> Path:
@@ -442,7 +444,10 @@ class TestWorkCounters:
     def test_hierarchy_counts(self, tmp_path):
         params = {"order": 3, "time": 0.5, "model": TestHierarchyRhs.MODEL, "table": TestHierarchyRhs.TABLE}
         summary = self.summaries(tmp_path, "hierarchy-rhs", params)
-        assert summary == {"targets": 9, "order": 3, "multisets_evaluated": 20, "partition_states": 20}
+        assert summary == {
+            "targets": 9, "order": 3, "multisets_evaluated": 20, "partition_states": 20,
+            "pair_expectations": 18, "pair_memo_hits": 0,
+        }
 
 
 class TestDnlsSimulate:
@@ -709,6 +714,53 @@ class TestKineticCheck:
         assert not (tmp_path / "run" / "kinetic_check.csv").exists()
 
 
+class TestCsvWriters:
+    """The bulk writers against the site-by-site formatters of ``_support``, byte for byte."""
+
+    @staticmethod
+    def awkward_values(rng, shape):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        values.flat[0] = -0.0
+        values.flat[-1] = 3.0
+        return values
+
+    @pytest.mark.parametrize("dimension, side", [(1, 128), (2, 16), (3, 4)])
+    def test_trajectory_bytes(self, tmp_path, dimension, side):
+        lattice = Lattice(dimension, side)
+        rng = np.random.default_rng(dimension)
+        spectra = np.stack([self.awkward_values(rng, lattice.shape) for _ in range(3)])
+        taus = np.array([0.0, 0.1, 1e-17])
+        zeros = np.zeros(3)
+        for trajectory in (
+            BPTrajectory(taus, spectra, zeros, zeros, zeros),
+            BPTrajectory(taus, np.arange(spectra.size).reshape(spectra.shape), zeros, zeros, zeros),
+        ):
+            cli.write_trajectory_csv(lattice, trajectory, tmp_path / "t.csv")
+            assert (tmp_path / "t.csv").read_text() == reference_trajectory_csv(lattice, trajectory)
+
+    @pytest.mark.parametrize("dimension, side", [(1, 128), (2, 16), (3, 4)])
+    def test_spectrum_bytes(self, tmp_path, dimension, side):
+        lattice = Lattice(dimension, side)
+        rng = np.random.default_rng(10 + dimension)
+        values = self.awkward_values(rng, lattice.shape)
+        for spectrum in (Spectrum(values), Spectrum(values, np.abs(self.awkward_values(rng, lattice.shape)))):
+            write_spectrum_csv(lattice, spectrum, tmp_path / "w.csv")
+            assert (tmp_path / "w.csv").read_text() == reference_spectrum_csv(lattice, spectrum)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_writes_nothing(self, tmp_path, bad):
+        lattice = Lattice(2, 4)
+        spectra = np.ones((2,) + lattice.shape)
+        spectra[1, 2, 3] = bad
+        zeros = np.zeros(2)
+        with pytest.raises(GuardError, match="not finite"):
+            cli.write_trajectory_csv(lattice, BPTrajectory(np.array([0.0, 0.5]), spectra, zeros, zeros, zeros),
+                                     tmp_path / "t.csv")
+        with pytest.raises(GuardError, match="not finite"):
+            write_spectrum_csv(lattice, Spectrum(spectra[1]), tmp_path / "w.csv")
+        assert not list(tmp_path.iterdir())
+
+
 class TestMainPlumbing:
     def test_missing_config_file_is_an_io_error(self, tmp_path):
         assert main(["bp-solve", "--config", str(tmp_path / "nope.json")]) == 4
@@ -717,6 +769,37 @@ class TestMainPlumbing:
         path = write_config(tmp_path / "c.json", "bp-solve", EQL_BP_PARAMS)
         code = main(["bp-solve", "--config", str(path), "--out", "/proc/nope/x"])
         assert code == 4
+
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        wick = write_config(
+            tmp_path / "w.json", "wick-expand", {"indices": [1], "cumulants": {"[1]": [0.25, 0.0]}}, out="from_config"
+        )
+        hier = write_config(
+            tmp_path / "h.json", "hierarchy-rhs",
+            {"order": 2, "model": TestHierarchyRhs.MODEL, "table": TestHierarchyRhs.TABLE}, seed=4, threads=2,
+        )
+        assert main(["wick-expand", "--config", str(wick), "--seed", "9", "--out", "first"]) == 0
+        assert main(["hierarchy-rhs", "--config", str(hier), "--out", "second"]) == 0
+        assert main(["wick-expand", "--config", str(wick), "--threads", "3"]) == 0
+        echoed = {
+            name: json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+            for name in ("first", "second", "from_config")
+        }
+        # each call sees its own kind and overrides, none of an earlier call's
+        assert [(c["kind"], c["seed"], c["threads"]) for c in echoed.values()] == [
+            ("wick-expand", 9, 1), ("hierarchy-rhs", 4, 2), ("wick-expand", 0, 3),
+        ]
+        assert cli._parser() is cli._parser()
+        for argv in (
+            ["hierarchy-rhs", "--config", str(hier), "--threads", "two"],
+            ["wick-expand"],
+            ["wick-expand", "--config", str(wick), "--color"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert main(["hierarchy-rhs", "--config", str(hier), "--out", "third"]) == 0
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

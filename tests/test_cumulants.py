@@ -1,6 +1,7 @@
 """Tests for moment oracles, cumulant recursion, conversions, and estimators."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -17,11 +18,18 @@ from wickkit.cumulants import (
     empirical_cumulant,
     gaussian_moment_oracle,
     moments_from_cumulants,
+    table_to_json,
 )
 from wickkit.errors import ConfigError
 from wickkit.indexing import EMPTY, LabeledSeq
 
-from _support import mobius_cumulant, multilinearity_check, random_moment_oracle, random_sequences
+from _support import (
+    mobius_cumulant,
+    multilinearity_check,
+    random_moment_oracle,
+    random_sequences,
+    reference_table_to_json,
+)
 
 
 def seq(*idx):
@@ -183,6 +191,18 @@ class TestCumulantTable:
         back = CumulantTable.from_json(data, max_order=2)
         assert back.kappa(("a", "b")) == 1.5 + 0.5j
         assert back.kappa((("q", 1),)) == 2.0
+
+    def test_json_writer_keeps_the_order_and_bytes_of_json_dumps_per_key(self):
+        # ints, strings with escapes, floats and nested lists, and keys whose texts sort apart from their items
+        entries = {
+            (10,): 1.0, (9,): -0.0, (2, 10): 3.5 - 1j, (1.5, 1e-7, -0.0): 2j,
+            ("b",): 0.25, ("a", 'q"uote', "é"): 1e300, (("q", 1), ("p", (0, 1))): -7.0,
+            ((), ("x",)): 0.1 + 0.2j, (True, None): 4.0,
+        }
+        got = table_to_json(entries)
+        want = reference_table_to_json(entries)
+        assert list(got) == list(want)
+        assert json.dumps(got) == json.dumps(want)
 
     @pytest.mark.parametrize(
         "data",

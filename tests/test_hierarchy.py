@@ -25,9 +25,11 @@ from wickkit.cumulants import (
     TableOracle,
     cumulant_table_from_oracle,
 )
+from wickkit import hierarchy
 from wickkit.hierarchy import (
     AmplitudeModel,
     DuhamelExpansion,
+    HierarchyPlan,
     HierarchyState,
     InteractionTerm,
     all_keys_up_to,
@@ -39,10 +41,17 @@ from wickkit.hierarchy import (
     integrate_hierarchy,
     leibniz_wick_derivative,
 )
-from wickkit.indexing import EMPTY, LabeledSeq
-from wickkit.wick import wick_from_cumulants
+from wickkit.indexing import EMPTY, LabeledSeq, PartitionMemo
+from wickkit.wick import wick_from_cumulants, wick_product_expectation
 
-from _support import brute_product_expectation, random_moment_oracle, substitute_index
+from _support import (
+    brute_product_expectation,
+    multiset,
+    random_moment_oracle,
+    reference_hierarchy_rhs,
+    reference_integrate_hierarchy,
+    substitute_index,
+)
 
 
 def seq_of(*indices) -> LabeledSeq:
@@ -123,6 +132,210 @@ class TestRhsHandValues:
         got = hierarchy_rhs(model, state, seq_of("x", "x"))
         # 2 slots * k_xx(amplitude) * k_xx(pair expectation)
         assert got == pytest.approx(2 * 0.9 * 0.9)
+
+
+def as_bytes(values) -> list[tuple[str, str]]:
+    """Complex values by their exact bits (``hex`` tells -0.0 from 0.0)."""
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+def counting(amplitude, calls: list):
+    def counted(t, table):
+        calls.append(t)
+        return amplitude(t, table)
+
+    return counted
+
+
+def bench_size_model(seed: int = 3) -> tuple[AmplitudeModel, HierarchyState]:
+    """Three variables with drives of degrees 1, 1, 2, 2, 3 and 3 each and an order-5 table."""
+    rng = np.random.default_rng(seed)
+    terms = {
+        index: [
+            InteractionTerm(
+                seq_of(*(int(i) for i in rng.integers(1, 4, degree))),
+                constant_amplitude(complex(*rng.uniform(-0.5, 0.5, 2))),
+            )
+            for degree in (1, 1, 2, 2, 3, 3)
+        ]
+        for index in (1, 2, 3)
+    }
+    table = CumulantTable(
+        entries={key: complex(*rng.uniform(-0.5, 0.5, 2)) for key in all_keys_up_to((1, 2, 3), 5)},
+        max_order=5,
+    )
+    return AmplitudeModel(terms=terms), HierarchyState(table=table, time=0.0)
+
+
+class TestHierarchyPlan:
+    """The plan against the term-by-term loop (``reference_hierarchy_rhs``), byte for byte."""
+
+    @pytest.fixture()
+    def labelled(self):
+        """String indices, repeats, an empty drive, a drive on an index no target holds, and zeros."""
+        table = CumulantTable(
+            entries={
+                key: complex(0.1 * (n + 1), -0.05 * n)
+                for n, key in enumerate(all_keys_up_to(("a", "b"), 4))
+            },
+            max_order=4,
+        )
+        model = AmplitudeModel(
+            terms={
+                "a": [
+                    InteractionTerm(EMPTY, constant_amplitude(0.7)),
+                    InteractionTerm(seq_of("b", "a"), constant_amplitude(0.0)),
+                    InteractionTerm(seq_of("a", "a", "b"), lambda t, tab: tab.kappa(("a", "b"))),
+                ],
+                "b": [
+                    InteractionTerm(seq_of("a"), constant_amplitude(-1.3 + 0.4j)),
+                    InteractionTerm(seq_of("b", "b"), lambda t, tab: 0.0 if t < 1.0 else 0.5),
+                ],
+                "c": [InteractionTerm(seq_of("a"), constant_amplitude(2.0))],
+            }
+        )
+        return model, table
+
+    @pytest.mark.parametrize("time", [0.0, 1.5])
+    def test_table_has_the_bytes_of_the_term_by_term_loop(self, labelled, time):
+        model, table = labelled
+        state = HierarchyState(table=table, time=time)
+        keys = all_keys_up_to(("a", "b"), 4)
+        memo = PartitionMemo()
+        want = [reference_hierarchy_rhs(model, state, seq_of(*key), memo) for key in keys]
+        got = hierarchy_rhs_table(model, state, keys)
+        assert list(got) == keys
+        assert as_bytes(got.values()) == as_bytes(want)
+
+    def test_a_caller_memo_is_shared_as_by_the_loop(self, labelled):
+        model, table = labelled
+        state = HierarchyState(table=table, time=1.5)
+        keys = all_keys_up_to(("a", "b"), 4)
+        mine, theirs = PartitionMemo(), PartitionMemo()
+        # a memo already filled by part of the family, then the whole family and a target again
+        want = [reference_hierarchy_rhs(model, state, seq_of(*key), theirs) for key in keys[6:] + keys]
+        got = list(hierarchy_rhs_table(model, state, keys[6:], mine).values())
+        got += hierarchy_rhs_table(model, state, keys, mine).values()
+        assert as_bytes(got) == as_bytes(want)
+        # the same states, summed in the same order
+        assert [mine.book.key(code) for code in mine.totals] == [theirs.book.key(code) for code in theirs.totals]
+        target = LabeledSeq(((3, "b"), (8, "a"), (9, "b")))
+        assert as_bytes([hierarchy_rhs(model, state, target, mine)]) == as_bytes(
+            [reference_hierarchy_rhs(model, state, target, theirs)]
+        )
+
+    def test_a_labelled_target_has_the_bytes_of_the_loop(self, labelled):
+        model, table = labelled
+        state = HierarchyState(table=table, time=1.5)
+        for target in (LabeledSeq(((2, "a"), (5, "b"), (11, "a"))), seq_of("b", "a", "a", "b"), EMPTY):
+            got = hierarchy_rhs(model, state, target)
+            assert as_bytes([got]) == as_bytes([reference_hierarchy_rhs(model, state, target)])
+
+    def test_a_memo_of_another_book_is_refused(self, labelled):
+        model, table = labelled
+        plan = HierarchyPlan(model, [seq_of("a", "b")])
+        with pytest.raises(ValueError, match="another code book"):
+            plan.evaluate(HierarchyState(table=table), PartitionMemo())
+
+    def test_each_amplitude_is_called_once_per_stage(self):
+        calls: list[float] = []
+        shared = counting(constant_amplitude(0.2), calls)
+        model = AmplitudeModel(
+            terms={
+                "x": [
+                    InteractionTerm(seq_of("y"), shared),
+                    InteractionTerm(seq_of("x", "y"), counting(constant_amplitude(-0.1), calls)),
+                ],
+                "y": [
+                    InteractionTerm(seq_of("x"), shared),
+                    InteractionTerm(EMPTY, counting(lambda t, tab: tab.kappa(("x",)), calls)),
+                ],
+            }
+        )
+        table = CumulantTable(
+            entries={key: 0.1 * len(key) for key in all_keys_up_to(("x", "y"), 3)}, max_order=3
+        )
+        keys = all_keys_up_to(("x", "y"), 3)
+        hierarchy_rhs_table(model, HierarchyState(table), keys)
+        # per target, the distinct callables on the drives of its indices
+        assert len(calls) == sum(len({id(term.amplitude) for idx in key for term in model.terms[idx]}) for key in keys)
+        calls.clear()
+        integrate_hierarchy(model, HierarchyState(table), t_end=0.05, dt=0.01)
+        assert len(calls) == 5 * 4 * 3  # 5 RK4 steps of 4 stages, three distinct callables
+
+    def test_the_kernel_runs_once_per_pair_code_the_memo_lacks(self, monkeypatch):
+        model, state = bench_size_model()
+        keys = all_keys_up_to((1, 2, 3), 5)
+        runs = []
+        monkeypatch.setattr(
+            hierarchy, "wick_product_expectation", lambda *args, **kw: runs.append(1) or wick_product_expectation(*args, **kw)
+        )
+        memo = PartitionMemo()
+        plan = HierarchyPlan(model, [seq_of(*key) for key in keys], memo.book)
+        _, work = plan.evaluate(state, memo)
+        # the distinct (drive, rest) multiset pairs, counted without the plan
+        pairs = {
+            (multiset(term.seq.indices()), multiset(key[:i] + key[i + 1:]))
+            for key in keys
+            for i, idx in enumerate(key)
+            for term in model.terms[idx]
+        }
+        n_terms = sum(len(model.terms[idx]) for key in keys for idx in key)
+        assert n_terms == 1260
+        assert work["pair_expectations"] == len(pairs)
+        assert len(runs) == work["pair_expectations"] - work["pair_memo_hits"] < n_terms
+        runs.clear()
+        _, again = plan.evaluate(state, memo)
+        assert not runs and again["pair_memo_hits"] == again["pair_expectations"] == work["pair_expectations"]
+        # target by target, a pair an earlier target summed is a hit
+        runs.clear()
+        per_target = {}
+        hierarchy_rhs_table(model, state, keys, work=per_target)
+        assert len(runs) == per_target["pair_expectations"] - per_target["pair_memo_hits"] == len(pairs)
+
+    def test_march_has_the_bytes_of_the_term_by_term_march(self):
+        lam = np.array([[0.0, 0.9], [0.9, 0.0]])
+        model = appendix_b_model(2, power=4, couplings=lam)
+        rng = np.random.default_rng(5)
+        table0 = CumulantTable.empty(max_order=3)
+        for key in all_keys_up_to(model.universe(), 3):
+            table0.set(key, 0.1 * complex(*rng.standard_normal(2)))
+        final = integrate_hierarchy(model, HierarchyState(table0), t_end=0.03, dt=0.01)
+        want = reference_integrate_hierarchy(model, HierarchyState(table0), t_end=0.03, dt=0.01)
+        keys = all_keys_up_to(model.universe(), 3)
+        assert len(keys) == 34
+        assert as_bytes(final.table.kappa(key) for key in keys) == as_bytes(want.kappa(key) for key in keys)
+
+    def test_one_plan_serves_tables_of_any_code_order(self, labelled):
+        model, table = labelled
+        keys = all_keys_up_to(("a", "b"), 4)
+        plan = HierarchyPlan(model, [seq_of(*key) for key in keys])
+        tables = [CumulantTable.empty(max_order=4), CumulantTable.empty(max_order=4)]
+        for entries in (dict(table.entries), dict(reversed(table.entries.items()))):
+            tables.append(CumulantTable(entries={key: 2.0 * v - 0.1j for key, v in entries.items()}, max_order=4))
+        for table in tables:
+            state = HierarchyState(table=table, time=1.5)
+            got, _ = plan.evaluate(state, PartitionMemo(plan.book))
+            memo = PartitionMemo()
+            want = [reference_hierarchy_rhs(model, state, seq_of(*key), memo) for key in keys]
+            assert as_bytes(got) == as_bytes(want)
+
+    def test_march_across_a_zero_amplitude_switch(self, labelled):
+        model, table = labelled
+        state0 = HierarchyState(table=table, time=0.96)  # the "b", "b" drive switches on at t = 1
+        want = reference_integrate_hierarchy(model, state0, t_end=0.08, dt=0.02)
+        final = integrate_hierarchy(model, state0, t_end=0.08, dt=0.02)
+        keys = all_keys_up_to(model.universe(), 4)
+        assert as_bytes(final.table.kappa(key) for key in keys) == as_bytes(want.kappa(key) for key in keys)
+
+    def test_the_table_runs_hierarchy_rhs_once_per_target(self, monkeypatch):
+        model, state = bench_size_model()
+        keys = all_keys_up_to((1, 2, 3), 3)
+        seen = []
+        rhs = hierarchy.hierarchy_rhs
+        monkeypatch.setattr(hierarchy, "hierarchy_rhs", lambda m, s, target, *rest: seen.append(target.indices()) or rhs(m, s, target, *rest))
+        hierarchy_rhs_table(model, state, keys + keys[:3])
+        assert seen == keys
 
 
 class TestKeyEnumeration:
