@@ -56,7 +56,6 @@ from .dnls import (
     FieldState,
     Lattice,
     _csv_floats,
-    _jackknife_stderr,
     ell2_mass,
     estimate_W,
     hamiltonian,
@@ -68,7 +67,7 @@ from .dnls import (
     read_spectrum_csv,
     zero_dispersion,
 )
-from .errors import ConfigError, GuardError, _json, _number, _numbers, _object, _pair, step_count
+from .errors import ConfigError, GuardError, _json, _number, _numbers, _object, _pair, mean_stderr, step_count
 from .hierarchy import (
     AmplitudeModel,
     HierarchyState,
@@ -736,14 +735,13 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
 
     analytics = _map_in_order(analytic_for, lambdas, rc.threads)
     initial = sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, threads=rc.threads)
-    before = np.abs(initial.fourier(rc.threads)) ** 2 / lattice.size
+    before = initial.mode_power(rc.threads)
     results = []
     for coupling, n_steps, analytic in zip(lambdas, step_counts, analytics):
         start = replace(initial, coupling=coupling)
         evolved = integrate_ensemble(start, dispersion, dt, n_steps, threads=rc.threads)
-        after = np.abs(evolved.fourier(rc.threads)) ** 2
-        increments = (after / lattice.size - before) / tau
-        mc_se = _jackknife_stderr(increments)
+        increments = (evolved.mode_power(rc.threads) - before) / tau
+        mc_se = mean_stderr(increments)
         resolved = int(np.sum(np.abs(analytic) > se_threshold * mc_se))
         results.append((analytic, increments.mean(axis=0), mc_se, resolved))
 

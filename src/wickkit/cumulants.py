@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GuardError, _json, _object, _pair
+from .errors import ConfigError, GuardError, _json, _object, _pair, jackknife_stderr, loo_means
 from .indexing import (
     SUBSET_GUARD,
     Codebook,
@@ -236,8 +236,7 @@ class EnsembleOracle(MomentOracle):
 
     def loo_moment(self, key: tuple) -> np.ndarray:
         """Length-n array of leave-one-out sample means."""
-        p = self._products(key)
-        return (p.sum() - p) / (self.n - 1)
+        return loo_means(self._products(key))
 
 
 # ----------------------------------------------------------------------
@@ -501,8 +500,4 @@ def empirical_cumulant(
     slots = book.slots(seq.indices())
     value = complex(_kappa_recursive(_by_code(ensemble.moment, book), slots, {}))
     loo = _kappa_recursive(_by_code(ensemble.loo_moment, book), slots, {})
-    loo = np.asarray(loo, dtype=complex)
-    n = ensemble.n
-    center = loo.mean()
-    se = float(np.sqrt((n - 1) / n * np.sum(np.abs(loo - center) ** 2)))
-    return value, se
+    return value, float(jackknife_stderr(np.asarray(loo, dtype=complex)))

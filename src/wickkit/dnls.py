@@ -32,7 +32,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, GuardError
+from .errors import ConfigError, GuardError, jackknife_stderr, loo_means, mean_stderr
 from .pool import map_in_order
 
 __all__ = [
@@ -283,6 +283,10 @@ class LatticeEnsemble:
         map_in_order(run, _blocks(self.n_realizations, self.lattice), threads)
         return hats
 
+    def mode_power(self, threads: int = 1) -> np.ndarray:
+        """Per-realization mode power ``|psi_hat(k)|^2 / L^d``, whose mean is W(k)."""
+        return np.abs(self.fourier(threads)) ** 2 / self.lattice.size
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -299,6 +303,16 @@ class Spectrum:
             if err.shape != values.shape:
                 raise ConfigError("spectrum stderr shape does not match values")
             object.__setattr__(self, "stderr", err)
+
+
+def _spectrum_values(w: np.ndarray | Spectrum, lattice: Lattice) -> np.ndarray:
+    """The values of a spectrum on ``lattice``; a ConfigError unless the shape fits and every value is finite."""
+    values = w.values if isinstance(w, Spectrum) else np.asarray(w, dtype=float)
+    if values.shape != lattice.shape:
+        raise ConfigError(f"spectrum shape {values.shape} does not match lattice shape {lattice.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("spectrum has a non-finite entry")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +572,7 @@ def sample_initial(
     the blocks go to a pool of ``threads`` threads; each field depends on
     its key alone, so the ensemble is the same at any thread count.
     """
-    spectrum = w0.values if isinstance(w0, Spectrum) else np.asarray(w0, dtype=float)
-    if spectrum.shape != lattice.shape:
-        raise ConfigError(f"spectrum shape {spectrum.shape} does not match lattice shape {lattice.shape}")
+    spectrum = _spectrum_values(w0, lattice)
     if np.any(spectrum < 0.0):
         raise ConfigError("initial spectrum has a negative entry")
     if family not in _FAMILIES:
@@ -606,15 +618,6 @@ def sample_initial(
     )
 
 
-def _jackknife_stderr(samples: np.ndarray) -> np.ndarray:
-    """Jackknife standard error of the mean along axis 0."""
-    n = samples.shape[0]
-    total = samples.sum(axis=0)
-    loo = (total[None, ...] - samples) / (n - 1)
-    dev = loo - loo.mean(axis=0)
-    return np.sqrt((n - 1) / n * np.sum(dev**2, axis=0))
-
-
 def estimate_W(ensemble: LatticeEnsemble, threads: int = 1) -> Spectrum:
     """Empirical covariance spectrum  W(k) = mean_r |psi_hat(k)|^2 / L^d.
 
@@ -624,8 +627,8 @@ def estimate_W(ensemble: LatticeEnsemble, threads: int = 1) -> Spectrum:
     """
     if ensemble.n_realizations < 2:
         raise ConfigError("estimate_W needs at least 2 realizations")
-    per_real = np.abs(ensemble.fourier(threads)) ** 2 / ensemble.lattice.size
-    return Spectrum(values=per_real.mean(axis=0), stderr=_jackknife_stderr(per_real))
+    per_real = ensemble.mode_power(threads)
+    return Spectrum(values=per_real.mean(axis=0), stderr=mean_stderr(per_real))
 
 
 # ---------------------------------------------------------------------------
@@ -698,16 +701,6 @@ def _safe_z(mean: np.ndarray, stderr: np.ndarray) -> np.ndarray:
     return z
 
 
-def _component_z(component: np.ndarray) -> tuple[float, float]:
-    """(stderr, z) for the mean of one real component across realizations."""
-    n = component.shape[0]
-    mean = float(component.mean())
-    se = float(component.std(ddof=1)) / math.sqrt(n)
-    if se == 0.0:
-        return 0.0, 0.0 if abs(mean) < 1e-13 else math.inf
-    return se, abs(mean) / se
-
-
 def gauge_audit(ensemble: LatticeEnsemble, max_order: int = 4, threshold: float = 4.0) -> GaugeAuditReport:
     """Check that phase-unbalanced moments vanish within ``threshold`` errors.
 
@@ -749,15 +742,16 @@ def gauge_audit(ensemble: LatticeEnsemble, max_order: int = 4, threshold: float 
                 for site, sign in zip(sites, signs):
                     picked = fields if sign == 1 else conj_fields
                     product = product * picked[(slice(None),) + site]
-                se_re, z_re = _component_z(product.real)
-                se_im, z_im = _component_z(product.imag)
+                # (n, 2) with contiguous columns, so each column sums as the 1-D part would
+                parts = np.stack((product.real, product.imag)).T
+                se = mean_stderr(parts)
                 probes.append(
                     GaugeProbe(
                         sites=sites,
                         signs=signs,
                         value=complex(product.mean()),
-                        stderr=(se_re, se_im),
-                        zscore=max(z_re, z_im),
+                        stderr=(float(se[0]), float(se[1])),
+                        zscore=float(_safe_z(parts.mean(axis=0), se).max()),
                     )
                 )
     return GaugeAuditReport(probes=tuple(probes), threshold=float(threshold))
@@ -807,24 +801,16 @@ def translation_audit(ensemble: LatticeEnsemble, threshold: float = 4.0) -> Tran
     flagged: list[tuple[tuple[int, int], tuple[int, int], float]] = []
     max_z = 0.0
     pairs_checked = 0
-    chunk = max(1, (1 << 22) // (size * size))
+    # (n, rows, size) blocks of at most 2**22 elements, or one k1 row if a row is larger
+    rows = max(1, (1 << 22) // (n * size))
     for sign_pair, left in (((1, 1), hats), ((-1, 1), np.conj(hats))):
-        total = np.zeros((size, size), dtype=complex)
-        sq_re = np.zeros((size, size))
-        sq_im = np.zeros((size, size))
-        for start in range(0, n, chunk):
-            block = np.einsum("ri,rj->rij", left[start : start + chunk], hats[start : start + chunk])
-            total += block.sum(axis=0)
-            sq_re += np.sum(block.real**2, axis=0)
-            sq_im += np.sum(block.imag**2, axis=0)
-        mean = total / n
-        var_re = np.maximum(sq_re - n * mean.real**2, 0.0) / (n - 1)
-        var_im = np.maximum(sq_im - n * mean.imag**2, 0.0) / (n - 1)
-        se_re = np.sqrt(var_re / n)
-        se_im = np.sqrt(var_im / n)
-        z_re = _safe_z(mean.real, se_re)
-        z_im = _safe_z(mean.imag, se_im)
-        z = np.maximum(z_re, z_im)
+        z = np.empty((size, size))
+        for start in range(0, size, rows):
+            block = left[:, start : start + rows, None] * hats[:, None, :]
+            z[start : start + rows] = np.maximum(
+                _safe_z(block.real.mean(axis=0), mean_stderr(block.real)),
+                _safe_z(block.imag.mean(axis=0), mean_stderr(block.imag)),
+            )
         if sign_pair == (1, 1):
             on_support = minus_k[:, None] == np.arange(size)[None, :]
         else:
@@ -896,8 +882,7 @@ def propagator_decay_fit(
     times = np.linspace(0.0, t_max, n_samples)
     norms = np.empty(n_samples)
     for i, t in enumerate(times):
-        p_t = _lattice_fft(np.exp(-1j * t * omega), lattice.dimension, inverse=True)
-        norms[i] = float(np.sum(np.abs(p_t) ** 3))
+        norms[i] = float(np.sum(np.abs(free_propagator(lattice, dispersion, t)) ** 3))
 
     # group speed in sites per unit time, bounded by finite differences of
     # omega on the dual grid (exact enough for a revival-time estimate)
@@ -956,9 +941,7 @@ def pair_cluster_from_spectrum(lattice: Lattice, w0: np.ndarray | Spectrum) -> d
     opposite ordering is its complex conjugate, and phase-unbalanced pairs
     vanish identically (they are omitted here).
     """
-    spectrum = w0.values if isinstance(w0, Spectrum) else np.asarray(w0, dtype=float)
-    if spectrum.shape != lattice.shape:
-        raise ConfigError(f"spectrum shape {spectrum.shape} does not match lattice shape {lattice.shape}")
+    spectrum = _spectrum_values(w0, lattice)
     forward = _lattice_fft(spectrum.astype(complex), lattice.dimension, inverse=True)
     return {(-1, 1): forward, (1, -1): np.conj(forward)}
 
@@ -1019,22 +1002,9 @@ def coincident_fourth_cumulant(ensemble: LatticeEnsemble) -> ScalarEstimate:
     m4 = (np.abs(z) ** 4).mean(axis=axes)  # per realization
     m2 = (np.abs(z) ** 2).mean(axis=axes)
     mpp = (z**2).mean(axis=axes)
-
-    def statistic(m4_: np.ndarray, m2_: np.ndarray, mpp_: np.ndarray) -> float:
-        return float(m4_.mean() - 2.0 * m2_.mean() ** 2 - abs(mpp_.mean()) ** 2)
-
-    n = ensemble.n_realizations
-    full = statistic(m4, m2, mpp)
-    loo = np.empty(n)
-    sum4, sum2, sump = m4.sum(), m2.sum(), mpp.sum()
-    for i in range(n):
-        loo[i] = float(
-            (sum4 - m4[i]) / (n - 1)
-            - 2.0 * ((sum2 - m2[i]) / (n - 1)) ** 2
-            - abs((sump - mpp[i]) / (n - 1)) ** 2
-        )
-    stderr = math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
-    return ScalarEstimate(value=full, stderr=stderr)
+    full = float(m4.mean() - 2.0 * m2.mean() ** 2 - abs(mpp.mean()) ** 2)
+    loo = loo_means(m4) - 2.0 * loo_means(m2) ** 2 - np.abs(loo_means(mpp)) ** 2
+    return ScalarEstimate(value=full, stderr=float(jackknife_stderr(loo)))
 
 
 def _window_offsets(lattice: Lattice, radius: int) -> list[tuple[int, ...]]:
@@ -1115,9 +1085,7 @@ def fixed_modulus_fourth_norm(lattice: Lattice, w0: np.ndarray | Spectrum) -> fl
     -L^-d (ifft W^2)(v); summing |kappa| over the free positions gives
     L^d sum_v |(ifft W^2)(v)|.
     """
-    spectrum = w0.values if isinstance(w0, Spectrum) else np.asarray(w0, dtype=float)
-    if spectrum.shape != lattice.shape:
-        raise ConfigError(f"spectrum shape {spectrum.shape} does not match lattice shape {lattice.shape}")
+    spectrum = _spectrum_values(w0, lattice)
     profile = _lattice_fft(spectrum.astype(complex) ** 2, lattice.dimension, inverse=True)
     return float(lattice.size * np.sum(np.abs(profile)))
 

@@ -1,14 +1,18 @@
-"""Shared exception types, the checked JSON readers, the step-count check and the RK4 marcher.
+"""Shared exception types, the checked JSON readers, the step-count check, the RK4 marcher and the jackknife.
 
 ``rk4`` is the one RK4 loop of the package: the cumulant hierarchy, the
 kinetic equation and the decay of correlations all step with it, so it lives
-in this neutral module beside ``step_count``.
+in this neutral module beside ``step_count``.  ``jackknife_stderr`` is the one
+Monte Carlo error formula, for the same reason: the empirical cumulants and
+the lattice ensembles both use it, and ``cumulants`` does not import ``dnls``.
 """
 
 import json
 import math
 import sys
 from collections.abc import Callable, Mapping
+
+import numpy as np
 
 
 class GuardError(ValueError):
@@ -85,3 +89,24 @@ def rk4(rhs: Callable, y, t: float, h: float, n_steps: int, project: Callable | 
         times.append(t)
         states.append(y)
     return times, states
+
+
+def loo_means(samples: np.ndarray) -> np.ndarray:
+    """The n leave-one-out means ``(sum(x) - x_i) / (n - 1)`` along axis 0."""
+    return (samples.sum(axis=0)[None, ...] - samples) / (samples.shape[0] - 1)
+
+
+def jackknife_stderr(loo: np.ndarray) -> np.ndarray:
+    """Jackknife standard error along axis 0 from the n leave-one-out values of a statistic.
+
+    ``sqrt((n - 1) / n * sum |loo - mean(loo)|^2)``; a complex statistic adds
+    the spreads of its real and imaginary parts.
+    """
+    n = loo.shape[0]
+    dev = loo - loo.mean(axis=0)
+    return np.sqrt((n - 1) / n * np.sum(np.abs(dev) ** 2, axis=0))
+
+
+def mean_stderr(samples: np.ndarray) -> np.ndarray:
+    """Jackknife standard error of the mean along axis 0, which is ``std(ddof=1) / sqrt(n)``."""
+    return jackknife_stderr(loo_means(samples))

@@ -56,7 +56,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum
+from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum, _spectrum_values
 from .errors import ConfigError, GuardError, rk4, step_count
 
 __all__ = [
@@ -206,15 +206,6 @@ class EquilibriumParams:
 # ---------------------------------------------------------------------------
 # collision sums
 # ---------------------------------------------------------------------------
-
-
-def _spectrum_values(w: np.ndarray | Spectrum, lattice: Lattice) -> np.ndarray:
-    values = w.values if isinstance(w, Spectrum) else np.asarray(w, dtype=float)
-    if values.shape != lattice.shape:
-        raise ConfigError(f"spectrum shape {values.shape} does not match lattice shape {lattice.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ConfigError("spectrum has a non-finite entry")
-    return values
 
 
 # The engine evaluates its time nodes in blocks of (nodes, *lattice.shape)

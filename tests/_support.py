@@ -263,6 +263,26 @@ def sampled_realization(spectrum, seed, index, family="gaussian"):
     return np.fft.ifftn(modes)
 
 
+def reference_coincident_fourth_stderr(ensemble):
+    """Jackknife error of ``coincident_fourth_cumulant``, one leave-one-out
+    statistic per realization in a Python loop."""
+    axes = ensemble.spatial_axes
+    z = ensemble.fields - ensemble.fields.mean()
+    m4 = (np.abs(z) ** 4).mean(axis=axes)
+    m2 = (np.abs(z) ** 2).mean(axis=axes)
+    mpp = (z**2).mean(axis=axes)
+    n = ensemble.n_realizations
+    loo = np.empty(n)
+    sum4, sum2, sump = m4.sum(), m2.sum(), mpp.sum()
+    for i in range(n):
+        loo[i] = float(
+            (sum4 - m4[i]) / (n - 1)
+            - 2.0 * ((sum2 - m2[i]) / (n - 1)) ** 2
+            - abs((sump - mpp[i]) / (n - 1)) ** 2
+        )
+    return math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
+
+
 # ----------------------------------------------------------------------
 # the DNLS split-step loop with whole-array numpy transforms
 

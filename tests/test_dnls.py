@@ -62,7 +62,7 @@ from wickkit.dnls import (
 from wickkit import dnls
 from wickkit.errors import ConfigError, GuardError, step_count
 
-from _support import reference_split_steps, sampled_realization
+from _support import reference_coincident_fourth_stderr, reference_split_steps, sampled_realization
 
 
 def smooth_spectrum(lattice: Lattice) -> np.ndarray:
@@ -503,12 +503,36 @@ class TestSampling:
         est = coincident_fourth_cumulant(ens)
         assert abs(est.value) < 4.0 * est.stderr
 
+    @pytest.mark.parametrize("family, seed", [("fixed-modulus", 8), ("gaussian", 42)])
+    def test_coincident_fourth_stderr_matches_loop_oracle(self, family, seed):
+        lat = Lattice(2, 4)
+        ens = sample_initial(lat, smooth_spectrum(lat), 700, seed=seed, family=family)
+        want = reference_coincident_fourth_stderr(ens)
+        assert coincident_fourth_cumulant(ens).stderr == pytest.approx(want, rel=1e-12)
+
     def test_rejects_negative_spectrum(self):
         lat = Lattice(1, 16)
         w0 = smooth_spectrum(lat)
         w0[3] = -0.01
         with pytest.raises(ConfigError):
             sample_initial(lat, w0, 10, seed=0)
+
+    @pytest.mark.parametrize("reader", ["sample_initial", "pair_cluster_from_spectrum", "fixed_modulus_fourth_norm"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_spectrum_readers_reject_non_finite_entries(self, reader, bad):
+        lat = Lattice(1, 8)
+        w0 = np.full(8, 0.5)
+        w0[2] = bad
+        call = {
+            "sample_initial": lambda w: sample_initial(lat, w, 4, seed=0),
+            "pair_cluster_from_spectrum": lambda w: pair_cluster_from_spectrum(lat, w),
+            "fixed_modulus_fourth_norm": lambda w: fixed_modulus_fourth_norm(lat, w),
+        }[reader]
+        for w in (w0, Spectrum(values=w0)):
+            with pytest.raises(ConfigError, match="non-finite"):
+                call(w)
+        with pytest.raises(ConfigError, match="does not match lattice shape"):
+            call(np.ones(4))
 
     def test_rejects_unknown_family(self):
         lat = Lattice(1, 16)
@@ -622,6 +646,17 @@ class TestGaugeAudit:
         ens = sample_initial(lat, smooth_spectrum(lat), 5, seed=1)
         with pytest.raises(ConfigError):
             gauge_audit(ens, max_order=0)
+
+    def test_probe_stderr_is_the_sample_std_error_per_component(self):
+        lat = Lattice(1, 8)
+        ens = sample_initial(lat, smooth_spectrum(lat), 400, seed=3)
+        for probe in gauge_audit(ens, max_order=3).probes:
+            product = np.ones(400, dtype=complex)
+            for site, sign in zip(probe.sites, probe.signs):
+                column = ens.fields[(slice(None),) + site]
+                product = product * (column if sign == 1 else np.conj(column))
+            for got, part in zip(probe.stderr, (product.real, product.imag)):
+                assert got == pytest.approx(float(part.std(ddof=1)) / math.sqrt(400), rel=1e-12)
 
 
 class TestTranslationAudit:
