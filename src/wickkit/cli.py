@@ -34,7 +34,6 @@ import functools
 import json
 import sys
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -55,7 +54,6 @@ from .dnls import (
     Dispersion,
     FieldState,
     Lattice,
-    _csv_floats,
     ell2_mass,
     estimate_W,
     hamiltonian,
@@ -67,7 +65,10 @@ from .dnls import (
     read_spectrum_csv,
     zero_dispersion,
 )
-from .errors import ConfigError, GuardError, _json, _number, _numbers, _object, _pair, mean_stderr, step_count
+from .errors import (
+    ConfigError, GuardError, _json, _number, _numbers, _object, _pair, _write_json, _written, mean_stderr, read_csv,
+    step_count, write_csv,
+)
 from .hierarchy import (
     AmplitudeModel,
     HierarchyState,
@@ -199,50 +200,6 @@ def load_run_config(
 # ---------------------------------------------------------------------------
 
 
-# the files the current run has (re)written; :func:`run` binds a fresh list per
-# run, in its own context, and removes the files if the run fails
-_written: ContextVar[list[Path] | None] = ContextVar("wickkit_written", default=None)
-
-
-def _record_written(path: Path) -> None:
-    written = _written.get()
-    if written is not None:
-        written.append(path)
-
-
-def _write_text(path: Path, text: str) -> None:
-    _record_written(path)
-    path.write_text(text)
-
-
-def _write_json(path: Path, obj) -> None:
-    """Write ``obj`` as JSON; a non-finite number is a GuardError and nothing is written."""
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as err:
-        raise GuardError(f"{path.name}: a result is not finite ({err})") from None
-    _write_text(path, text + "\n")
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    """Write rows of ``repr(float)`` cells; a non-finite cell is a GuardError and nothing is written."""
-    _write_lines(path, header, [",".join(row) for row in rows])
-
-
-def _write_lines(path: Path, header: Sequence[str], lines: Sequence[str]) -> None:
-    """Write CSV lines of ``repr(float)`` cells under the header, guarded as :func:`_write_csv`."""
-    body = "".join(line + "\n" for line in lines)
-    if "nan" in body or "inf" in body:  # repr spells the non-finite floats nan, inf and -inf
-        raise GuardError(f"{path.name}: a result is not finite")
-    _write_text(path, ",".join(header) + "\n" + body)
-
-
-def _write_spectrum(lattice: Lattice, spectrum, path: Path) -> None:
-    # the writer checks the spectrum before it opens the file, so record it once written
-    write_spectrum_csv(lattice, spectrum, path)
-    _record_written(path)
-
-
 def write_trajectory_csv(lattice: Lattice, trajectory: BPTrajectory, path: str | Path) -> None:
     """Write a kinetic trajectory as rows of (tau, k components..., value).
 
@@ -250,45 +207,27 @@ def write_trajectory_csv(lattice: Lattice, trajectory: BPTrajectory, path: str |
     row-major dual-grid order within each time slice; float formatting is
     repr, so equal trajectories give byte-identical files.
     """
+    steps = len(trajectory.taus)
+    spectra = np.asarray(trajectory.spectra, dtype=float)
+    if spectra.shape != (steps,) + lattice.shape:
+        raise ConfigError("trajectory spectra do not match the lattice shape")
     header = ["tau"] + [f"k{i + 1}" for i in range(lattice.dimension)] + ["value"]
-    ks = lattice.k_cells()
-    lines: list[str] = []
-    for step, tau in enumerate(trajectory.taus):
-        values = trajectory.spectra[step]
-        if values.shape != lattice.shape:
-            raise ConfigError("trajectory spectra do not match the lattice shape")
-        t = repr(float(tau))
-        lines += [f"{t},{k},{v!r}" for k, v in zip(ks, np.asarray(values, dtype=float).ravel().tolist())]
-    _write_lines(Path(path), header, lines)
+    taus = np.repeat(np.asarray(trajectory.taus, dtype=float), lattice.size)
+    write_csv(Path(path), header, [taus, lattice.k_cells() * steps, spectra])
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse a trajectory CSV back into (taus, k rows, values[step, site])."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise ConfigError(f"{path} is empty")
-    header = lines[0].split(",")
-    if header[0] != "tau" or header[-1] != "value":
+    """Parse a trajectory CSV back into (taus, k rows, values[step, site]); a ragged file is a ConfigError."""
+    header, rows = read_csv(Path(path))
+    if header[0] != "tau" or header[-1] != "value" or not len(rows):
         raise ConfigError(f"{path} does not look like a trajectory CSV")
-    dim = len(header) - 2
-    taus: list[float] = []
-    k_rows: list[list[float]] = []
-    blocks: list[list[float]] = []
-    for row, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != dim + 2:
-            raise ConfigError(f"malformed trajectory row: {line!r}")
-        tau, *ks, value = _csv_floats(parts, path, row)
-        if not taus or tau != taus[-1]:
-            taus.append(tau)
-            blocks.append([])
-        if len(taus) == 1:
-            k_rows.append(ks)
-        blocks[-1].append(value)
-    sizes = {len(b) for b in blocks}
-    if len(sizes) != 1:
-        raise ConfigError(f"{path} has ragged time slices")
-    return np.asarray(taus), np.asarray(k_rows), np.asarray(blocks)
+    sites = int(np.argmax(rows[:, 0] != rows[0, 0])) or len(rows)  # the rows of the first slice
+    slices = rows[: len(rows) - len(rows) % sites].reshape(-1, sites, len(header))
+    taus = slices[:, 0, 0]
+    ragged = len(rows) % sites or np.any(slices[:, :, 0] != taus[:, None]) or len(set(taus.tolist())) < len(taus)
+    if ragged or np.any(slices[:, :, 1:-1] != slices[0, :, 1:-1]):
+        raise ConfigError(f"{path} has ragged time slices: each tau needs one slice with the first slice's k rows")
+    return taus, slices[0, :, 1:-1], slices[:, :, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +281,11 @@ def _parse_w0(block, lattice: Lattice, dispersion: Dispersion, where: str) -> np
     elif kind == "csv":
         _check_keys(block, f"{where}.w0", required=["kind", "path"])
         k_rows, values, _ = read_spectrum_csv(_path(block["path"], f"{where}.w0.path"))
-        if values.size != lattice.size:
-            raise ConfigError(
-                f"{where}.w0: file has {values.size} rows, lattice has {lattice.size} sites"
-            )
         # the writer's fractions parse back exactly, so the k columns must equal the grid
         if not np.array_equal(k_rows, lattice.k_grid().reshape(-1, lattice.dimension)):
             raise ConfigError(
-                f"{where}.w0: the file's k columns are not the momenta of the {lattice.dimension}-dimensional "
-                "lattice in row-major order"
+                f"{where}.w0: the file's {len(k_rows)} k rows are not the {lattice.size} momenta of the "
+                f"{lattice.dimension}-dimensional lattice in row-major order"
             )
         values = values.reshape(lattice.shape)
     else:
@@ -567,20 +502,20 @@ def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
         lattice, w0, n_real, seed=rc.seed,
         family=params.get("family", "gaussian"), coupling=coupling, threads=rc.threads,
     )
-    rows = []
+    records = []
     for block in range(n_steps // record_every + 1):
         if block:
             ensemble = integrate_ensemble(ensemble, dispersion, dt, record_every, threads=rc.threads)
         stack = FieldState(ensemble.fields, coupling=coupling)
         mass = ell2_mass(stack) / n_real
         energy = hamiltonian(stack, lattice, dispersion, threads=rc.threads) / n_real
-        rows.append([repr(float(block * record_every * dt)), repr(mass), repr(energy)])
-    _write_csv(out_dir / "observables.csv", ["time", "mean_mass", "mean_energy"], rows)
-    _write_spectrum(lattice, estimate_W(ensemble, threads=rc.threads), out_dir / "spectrum.csv")
+        records.append((block * record_every * dt, mass, energy))
+    write_csv(out_dir / "observables.csv", ["time", "mean_mass", "mean_energy"], [*np.array(records).T])
+    write_spectrum_csv(lattice, estimate_W(ensemble, threads=rc.threads), out_dir / "spectrum.csv")
     return {
         "outputs": ["observables.csv", "spectrum.csv"],
         "summary": {
-            "n_steps": n_steps, "records": len(rows), "final_mean_mass": mass,
+            "n_steps": n_steps, "records": len(records), "final_mean_mass": mass,
             **_stepping_work(lattice, dispersion, dt, n_real * n_steps),
         },
     }
@@ -607,7 +542,7 @@ def _run_estimate_w(rc: RunConfig, out_dir: Path) -> dict:
         lattice, w0, n_real, seed=rc.seed, family=params.get("family", "gaussian"), threads=rc.threads,
     )
     estimate = estimate_W(ensemble, threads=rc.threads)
-    _write_spectrum(lattice, estimate, out_dir / "spectrum.csv")
+    write_spectrum_csv(lattice, estimate, out_dir / "spectrum.csv")
     worst = float(np.max(np.abs(estimate.values - w0) / np.maximum(estimate.stderr, 1e-300)))
     return {
         "outputs": ["spectrum.csv"],
@@ -676,21 +611,17 @@ def _run_bp_compare(rc: RunConfig, out_dir: Path) -> dict:
     def gaps_for(coupling: float) -> np.ndarray:
         return prelimit_kernel(w0, coupling, tau, config).values / tau - reference
 
-    gap_fields = _map_in_order(gaps_for, lambdas, rc.threads)
-    rows = []
-    for coupling, gaps in zip(lambdas, gap_fields):
-        rows.append(
-            [
-                repr(coupling),
-                repr(float(np.max(np.abs(gaps)))),
-                repr(float(np.sqrt(np.mean(gaps**2)))),
-                repr(float(np.mean(np.abs(gaps)))),
-            ]
-        )
-    _write_csv(out_dir / "convergence.csv", ["lambda", "sup_gap", "rms_gap", "mean_abs_gap"], rows)
+    gaps = np.array(
+        [
+            [np.max(np.abs(field)), np.sqrt(np.mean(field**2)), np.mean(np.abs(field))]
+            for field in _map_in_order(gaps_for, lambdas, rc.threads)
+        ]
+    )
+    header = ["lambda", "sup_gap", "rms_gap", "mean_abs_gap"]
+    write_csv(out_dir / "convergence.csv", header, [np.array(lambdas), *gaps.T])
     return {
         "outputs": ["convergence.csv"],
-        "summary": {"lambdas": len(lambdas), "final_sup_gap": float(rows[-1][1])},
+        "summary": {"lambdas": len(lambdas), "final_sup_gap": float(gaps[-1, 0])},
     }
 
 
@@ -736,23 +667,13 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
     analytics = _map_in_order(analytic_for, lambdas, rc.threads)
     initial = sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, threads=rc.threads)
     before = initial.mode_power(rc.threads)
-    results = []
+    mc_means, mc_ses, resolved_counts = [], [], {}
     for coupling, n_steps, analytic in zip(lambdas, step_counts, analytics):
         start = replace(initial, coupling=coupling)
         evolved = integrate_ensemble(start, dispersion, dt, n_steps, threads=rc.threads)
         increments = (evolved.mode_power(rc.threads) - before) / tau
         mc_se = mean_stderr(increments)
         resolved = int(np.sum(np.abs(analytic) > se_threshold * mc_se))
-        results.append((analytic, increments.mean(axis=0), mc_se, resolved))
-
-    header = (
-        ["lambda"]
-        + [f"k{i + 1}" for i in range(lattice.dimension)]
-        + ["collision", "prelimit", "mc_mean", "mc_se", "gap"]
-    )
-    rows = []
-    resolved_counts = {}
-    for coupling, (analytic, mc_mean, mc_se, resolved) in zip(lambdas, results):
         if resolved < min_resolved:
             raise ConfigError(
                 f"kinetic-check: ensemble too small for the requested error bars "
@@ -760,19 +681,16 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
                 f"{se_threshold} standard errors; need {min_resolved})"
             )
         resolved_counts[repr(coupling)] = resolved
-        for site in np.ndindex(lattice.shape):
-            rows.append(
-                [repr(coupling)]
-                + [repr(component / lattice.side) for component in site]
-                + [
-                    repr(float(reference[site])),
-                    repr(float(analytic[site])),
-                    repr(float(mc_mean[site])),
-                    repr(float(mc_se[site])),
-                    repr(float(mc_mean[site] - reference[site])),
-                ]
-            )
-    _write_csv(out_dir / "kinetic_check.csv", header, rows)
+        mc_means.append(increments.mean(axis=0))
+        mc_ses.append(mc_se)
+
+    mc_mean = np.array(mc_means)
+    write_csv(
+        out_dir / "kinetic_check.csv",
+        ["lambda", *(f"k{i + 1}" for i in range(lattice.dimension)), "collision", "prelimit", "mc_mean", "mc_se", "gap"],
+        [np.repeat(lambdas, lattice.size), lattice.k_cells() * len(lambdas), np.broadcast_to(reference, mc_mean.shape),
+         np.array(analytics), mc_mean, np.array(mc_ses), mc_mean - reference],
+    )
     return {
         "outputs": ["kinetic_check.csv"],
         "summary": {

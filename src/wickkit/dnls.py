@@ -24,7 +24,6 @@ Conventions
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +31,10 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, GuardError, jackknife_stderr, loo_means, mean_stderr
+from .errors import (
+    ConfigError, GuardError, _json, _number, _object, _write_json, jackknife_stderr, loo_means, mean_stderr, read_csv,
+    write_csv,
+)
 from .pool import map_in_order
 
 __all__ = [
@@ -1103,15 +1105,12 @@ def save_ensemble(ensemble: LatticeEnsemble, directory: str | Path) -> Path:
 
     Arrays are written little-endian complex128, row-major; the manifest
     records the lattice, coupling, time, seeds, and density history needed
-    to reconstruct the ensemble exactly.
+    to reconstruct the ensemble exactly.  A non-finite manifest entry is a
+    GuardError, and nothing is written.
     """
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
-    files = []
-    for index in range(ensemble.n_realizations):
-        name = f"realization_{index:05d}.npy"
-        np.save(target / name, ensemble.fields[index].astype("<c16"))
-        files.append(name)
+    files = [f"realization_{index:05d}.npy" for index in range(ensemble.n_realizations)]
     manifest = {
         "schema_version": _SCHEMA_VERSION,
         "kind": "lattice_ensemble",
@@ -1128,7 +1127,9 @@ def save_ensemble(ensemble: LatticeEnsemble, directory: str | Path) -> Path:
         "files": files,
     }
     manifest_path = target / _MANIFEST_NAME
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(manifest_path, manifest)  # first, so a non-finite entry writes nothing
+    for name, field in zip(files, ensemble.fields):
+        np.save(target / name, field.astype("<c16"))
     return manifest_path
 
 
@@ -1138,14 +1139,21 @@ def load_ensemble(directory: str | Path) -> LatticeEnsemble:
     manifest_path = target / _MANIFEST_NAME
     if not manifest_path.is_file():
         raise ConfigError(f"no {_MANIFEST_NAME} in {target}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _object(_json(manifest_path.read_text(), str(manifest_path)), str(manifest_path))
     if manifest.get("kind") != "lattice_ensemble":
         raise ConfigError(f"{manifest_path} does not describe a lattice ensemble")
     if manifest.get("schema_version") != _SCHEMA_VERSION:
         raise ConfigError(f"unsupported ensemble schema version {manifest.get('schema_version')}")
-    lattice = Lattice(int(manifest["dimension"]), int(manifest["side"]))
-    files = manifest["files"]
-    if len(files) != int(manifest["n_realizations"]):
+
+    def entry(key: str, integer: bool = False, optional: bool = False):
+        raw = manifest.get(key)  # a missing key reads as None
+        return None if optional and raw is None else _number(raw, f"{manifest_path}: {key}", integer=integer)
+
+    lattice = Lattice(entry("dimension", integer=True), entry("side", integer=True))
+    files = manifest.get("files")
+    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+        raise ConfigError(f"{manifest_path}: files must be a list of file names")
+    if len(files) != entry("n_realizations", integer=True):
         raise ConfigError("manifest file list does not match the declared ensemble size")
     fields = np.empty((len(files),) + lattice.shape, dtype=complex)
     for index, name in enumerate(files):
@@ -1156,15 +1164,13 @@ def load_ensemble(directory: str | Path) -> LatticeEnsemble:
         if arr.shape != lattice.shape:
             raise ConfigError(f"{path} has shape {arr.shape}, expected {lattice.shape}")
         fields[index] = arr
-    seed = manifest.get("master_seed")
-    r_integral = manifest.get("r_integral")
     return LatticeEnsemble(
         lattice=lattice,
         fields=fields,
-        time=float(manifest["time"]),
-        coupling=float(manifest["coupling"]),
-        master_seed=None if seed is None else int(seed),
-        r_integral=None if r_integral is None else float(r_integral),
+        time=entry("time"),
+        coupling=entry("coupling"),
+        master_seed=entry("master_seed", integer=True, optional=True),
+        r_integral=entry("r_integral", optional=True),
     )
 
 
@@ -1178,46 +1184,15 @@ def write_spectrum_csv(lattice: Lattice, spectrum: Spectrum, path: str | Path) -
     """
     if spectrum.values.shape != lattice.shape:
         raise ConfigError("spectrum shape does not match lattice shape")
-    for part in (spectrum.values, spectrum.stderr):
-        if part is not None and not np.all(np.isfinite(part)):
-            raise GuardError(f"{Path(path).name}: the spectrum is not finite")
-    header = ",".join(f"k{i + 1}" for i in range(lattice.dimension)) + ",value,stderr"
-    values = np.asarray(spectrum.values, dtype=float).ravel().tolist()
-    if spectrum.stderr is None:
-        lines = [f"{k},{v!r}," for k, v in zip(lattice.k_cells(), values)]
-    else:
-        errs = np.asarray(spectrum.stderr, dtype=float).ravel().tolist()
-        lines = [f"{k},{v!r},{e!r}" for k, v, e in zip(lattice.k_cells(), values, errs)]
-    Path(path).write_text(header + "\n" + "".join(line + "\n" for line in lines))
-
-
-def _csv_floats(cells: list[str], path: str | Path, row: int) -> list[float]:
-    try:
-        return [float(cell) for cell in cells]
-    except ValueError:
-        raise ConfigError(f"{path} row {row}: {','.join(cells)!r} holds a cell that is not a number") from None
+    header = [f"k{i + 1}" for i in range(lattice.dimension)] + ["value", "stderr"]
+    stderr = [""] * lattice.size if spectrum.stderr is None else spectrum.stderr
+    write_csv(Path(path), header, [lattice.k_cells(), spectrum.values, stderr])
 
 
 def read_spectrum_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Parse a spectrum CSV back into (k rows, values, stderr or None)."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
-        raise ConfigError(f"{path} is empty")
-    header = lines[0].split(",")
+    """Parse a spectrum CSV back into (k rows, values, stderr), stderr None when its cells are all empty."""
+    header, rows = read_csv(Path(path), optional="stderr")
     if header[-2:] != ["value", "stderr"]:
         raise ConfigError(f"{path} does not look like a spectrum CSV")
     dim = len(header) - 2
-    k_rows, values, errors = [], [], []
-    has_err = True
-    for row, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != dim + 2:
-            raise ConfigError(f"malformed spectrum row: {line!r}")
-        k_rows.append(_csv_floats(parts[:dim], path, row))
-        values.extend(_csv_floats(parts[dim : dim + 1], path, row))
-        if parts[dim + 1] == "":
-            has_err = False
-        else:
-            errors.extend(_csv_floats(parts[dim + 1 :], path, row))
-    stderr = np.asarray(errors) if has_err else None
-    return np.asarray(k_rows), np.asarray(values), stderr
+    return rows[:, :dim], rows[:, dim], rows[:, dim + 1] if rows.shape[1] > dim + 1 else None

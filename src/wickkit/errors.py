@@ -1,16 +1,21 @@
-"""Shared exception types, the checked JSON readers, the step-count check, the RK4 marcher and the jackknife.
+"""Shared exception types, the checked file readers and writers, the step-count check, RK4 and the jackknife.
 
-``rk4`` is the one RK4 loop of the package: the cumulant hierarchy, the
-kinetic equation and the decay of correlations all step with it, so it lives
-in this neutral module beside ``step_count``.  ``jackknife_stderr`` is the one
-Monte Carlo error formula, for the same reason: the empirical cumulants and
-the lattice ensembles both use it, and ``cumulants`` does not import ``dnls``.
+Every JSON and CSV file of the package is read and written here; the writers
+refuse a non-finite number before they open a file, and record each path for
+a failed CLI run to remove.  ``rk4`` is the one RK4 loop of the package: the
+cumulant hierarchy, the kinetic equation and the decay of correlations all
+step with it, so it lives in this neutral module beside ``step_count``.
+``jackknife_stderr`` is the one Monte Carlo error formula, for the same
+reason: the empirical cumulants and the lattice ensembles both use it, and
+``cumulants`` does not import ``dnls``.
 """
 
 import json
 import math
 import sys
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
+from contextvars import ContextVar
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +60,69 @@ def _pair(raw, what: str) -> complex:
     if not isinstance(raw, list) or len(raw) != 2:
         raise ConfigError(f"{what} must be a [re, im] pair of numbers, got {raw!r}")
     return complex(*_numbers(raw, what))
+
+
+# the files the current run has (re)written; ``cli.run`` binds a fresh list per
+# run, in its own context, and removes the files if the run fails
+_written: ContextVar[list[Path] | None] = ContextVar("wickkit_written", default=None)
+
+
+def _write_text(path: Path, text: str) -> None:
+    written = _written.get()
+    if written is not None:
+        written.append(path)
+    path.write_text(text)
+
+
+def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` as JSON; a non-finite number is a GuardError and nothing is written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise GuardError(f"{path.name}: a result is not finite ({err})") from None
+    _write_text(path, text + "\n")
+
+
+def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns under ``header``; a non-finite float is a GuardError and nothing is written.
+
+    A numpy array is a float column, written in C order as ``repr(float)``
+    cells; any other column is a list of strings, written as given (a string
+    may hold several cells, such as a lattice site's k components).
+    """
+    cells = []
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            column = column.astype(float, copy=False).ravel()
+            if not np.all(np.isfinite(column)):
+                raise GuardError(f"{path.name}: a result is not finite")
+            column = [repr(v) for v in column.tolist()]
+        cells.append(column)
+    body = "".join(",".join(row) + "\n" for row in zip(*cells, strict=True))
+    _write_text(path, ",".join(header) + "\n" + body)
+
+
+def read_csv(path: Path, optional: str | None = None) -> tuple[list[str], np.ndarray]:
+    """The header and a (rows, columns) float array of a CSV table of numbers.
+
+    Each row needs one number per header name (``nan`` and ``inf`` count),
+    else a ConfigError names the row.  Only the ``optional`` column may be
+    empty, and then on every row: it is left out of the array.
+    """
+    first, *lines = path.read_text().strip().splitlines() or [""]
+    header = first.split(",")
+    skip = header.index(optional) if optional in header else None
+    empty = skip is not None and bool(lines) and all(line.split(",")[skip:skip + 1] == [""] for line in lines)
+    numbers = []
+    for row, line in enumerate(lines, start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"{path} row {row}: {len(cells)} cells under a header of {len(header)}")
+        try:
+            numbers.append([float(cell) for col, cell in enumerate(cells) if not (empty and col == skip)])
+        except ValueError:
+            raise ConfigError(f"{path} row {row}: {line!r} holds a cell that is not a number") from None
+    return header, np.array(numbers, dtype=float).reshape(len(numbers), len(header) - empty)
 
 
 def step_count(t_end: float, dt: float, where: str) -> int:
@@ -102,11 +170,19 @@ def jackknife_stderr(loo: np.ndarray) -> np.ndarray:
     ``sqrt((n - 1) / n * sum |loo - mean(loo)|^2)``; a complex statistic adds
     the spreads of its real and imaginary parts.
     """
-    n = loo.shape[0]
-    dev = loo - loo.mean(axis=0)
-    return np.sqrt((n - 1) / n * np.sum(np.abs(dev) ** 2, axis=0))
+    return _spread(loo - loo.mean(axis=0))
+
+
+def _spread(dev: np.ndarray) -> np.ndarray:
+    """``sqrt((n - 1) / n * sum |dev|^2)`` along axis 0; a real ``dev`` is squared in place."""
+    n = dev.shape[0]
+    # |x|^2 of a real x is x^2 to the bit; a complex one keeps np.abs for its bytes
+    square = np.abs(dev) ** 2 if np.iscomplexobj(dev) else np.square(dev, out=dev)
+    return np.sqrt((n - 1) / n * np.sum(square, axis=0))
 
 
 def mean_stderr(samples: np.ndarray) -> np.ndarray:
     """Jackknife standard error of the mean along axis 0, which is ``std(ddof=1) / sqrt(n)``."""
-    return jackknife_stderr(loo_means(samples))
+    loo = loo_means(samples)
+    loo -= loo.mean(axis=0)
+    return _spread(loo)

@@ -416,6 +416,10 @@ def reference_table_to_json(entries):
     return {text(key): [complex(entries[key]).real, complex(entries[key]).imag] for key in sorted(entries, key=text)}
 
 
+def _csv_text(header, rows):
+    return ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
 def reference_trajectory_csv(lattice, trajectory):
     """The trajectory CSV text, formatted site by site."""
     header = ["tau"] + [f"k{i + 1}" for i in range(lattice.dimension)] + ["value"]
@@ -425,7 +429,51 @@ def reference_trajectory_csv(lattice, trajectory):
         for site in np.ndindex(lattice.shape):
             ks = [repr(component / lattice.side) for component in site]
             rows.append([repr(float(tau))] + ks + [repr(float(values[site]))])
-    return ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    return _csv_text(header, rows)
+
+
+def reference_observables_csv(times, masses, energies):
+    """The dnls-simulate observables text, formatted record by record."""
+    rows = [[repr(float(t)), repr(m), repr(e)] for t, m, e in zip(times, masses, energies)]
+    return _csv_text(["time", "mean_mass", "mean_energy"], rows)
+
+
+def reference_convergence_csv(lambdas, gap_fields):
+    """The bp-compare convergence text, formatted coupling by coupling."""
+    rows = [
+        [
+            repr(coupling),
+            repr(float(np.max(np.abs(gaps)))),
+            repr(float(np.sqrt(np.mean(gaps**2)))),
+            repr(float(np.mean(np.abs(gaps)))),
+        ]
+        for coupling, gaps in zip(lambdas, gap_fields)
+    ]
+    return _csv_text(["lambda", "sup_gap", "rms_gap", "mean_abs_gap"], rows)
+
+
+def reference_kinetic_check_csv(lattice, lambdas, reference, analytics, mc_means, mc_ses):
+    """The kinetic-check table text, formatted site by site for each coupling."""
+    header = (
+        ["lambda"]
+        + [f"k{i + 1}" for i in range(lattice.dimension)]
+        + ["collision", "prelimit", "mc_mean", "mc_se", "gap"]
+    )
+    rows = []
+    for coupling, analytic, mc_mean, mc_se in zip(lambdas, analytics, mc_means, mc_ses):
+        for site in np.ndindex(lattice.shape):
+            rows.append(
+                [repr(coupling)]
+                + [repr(component / lattice.side) for component in site]
+                + [
+                    repr(float(reference[site])),
+                    repr(float(analytic[site])),
+                    repr(float(mc_mean[site])),
+                    repr(float(mc_se[site])),
+                    repr(float(mc_mean[site] - reference[site])),
+                ]
+            )
+    return _csv_text(header, rows)
 
 
 def reference_spectrum_csv(lattice, spectrum):

@@ -28,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,7 +52,13 @@ from wickkit.indexing import LabeledSeq
 from wickkit.kinetic import BPTrajectory, CollisionConfig, EquilibriumParams
 from wickkit.wick import WickPoly, wick_from_cumulants
 
-from _support import reference_spectrum_csv, reference_trajectory_csv
+from _support import (
+    reference_convergence_csv,
+    reference_kinetic_check_csv,
+    reference_observables_csv,
+    reference_spectrum_csv,
+    reference_trajectory_csv,
+)
 
 
 def write_config(path: Path, kind: str, params: dict, **top) -> Path:
@@ -747,18 +754,100 @@ class TestCsvWriters:
             write_spectrum_csv(lattice, spectrum, tmp_path / "w.csv")
             assert (tmp_path / "w.csv").read_text() == reference_spectrum_csv(lattice, spectrum)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_a_non_finite_value_writes_nothing(self, tmp_path, bad):
+    def test_observables_bytes(self, tmp_path, monkeypatch):
+        masses, energies = spy(monkeypatch, "ell2_mass"), spy(monkeypatch, "hamiltonian")
+        params = TestDnlsSimulate.PARAMS
+        path = write_config(tmp_path / "c.json", "dnls-simulate", params, seed=5)
+        assert main(["dnls-simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        n_real = params["n_realizations"]
+        times = [block * params["record_every"] * params["dt"] for block in range(len(masses))]
+        want = reference_observables_csv(times, [m / n_real for _, m in masses], [e / n_real for _, e in energies])
+        assert len(masses) == 5 and (tmp_path / "run" / "observables.csv").read_text() == want
+
+    def test_convergence_bytes(self, tmp_path, monkeypatch):
+        reference, kernels = spy(monkeypatch, "collision_operator"), spy(monkeypatch, "prelimit_kernel")
+        params = TestBpCompare.PARAMS
+        path = write_config(tmp_path / "c.json", "bp-compare", params)
+        assert main(["bp-compare", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        gaps = [kernel.values / params["tau"] - reference[0][1].values for _, kernel in kernels]
+        want = reference_convergence_csv(params["lambda_list"], gaps)
+        assert (tmp_path / "run" / "convergence.csv").read_text() == want
+
+    def test_kinetic_check_bytes(self, tmp_path, monkeypatch):
+        reference, kernels = spy(monkeypatch, "collision_operator"), spy(monkeypatch, "prelimit_kernel")
+        errors = spy(monkeypatch, "mean_stderr")
+        params = TestKineticCheck.PARAMS
+        path = write_config(tmp_path / "c.json", "kinetic-check", params, seed=11)
+        assert main(["kinetic-check", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        want = reference_kinetic_check_csv(
+            Lattice(**params["lattice"]), params["coupling_list"], reference[0][1].values,
+            [kernel.values / params["tau"] for _, kernel in kernels],
+            [args[0].mean(axis=0) for args, _ in errors], [se for _, se in errors],
+        )
+        assert (tmp_path / "run" / "kinetic_check.csv").read_text() == want
+
+    @staticmethod
+    def write_trajectory(out, monkeypatch, bad):
         lattice = Lattice(2, 4)
         spectra = np.ones((2,) + lattice.shape)
         spectra[1, 2, 3] = bad
         zeros = np.zeros(2)
+        cli.write_trajectory_csv(lattice, BPTrajectory(np.array([0.0, 0.5]), spectra, zeros, zeros, zeros), out / "t.csv")
+
+    @staticmethod
+    def write_spectrum_value(out, monkeypatch, bad):
+        values = np.ones((4, 4))
+        values[2, 3] = bad
+        write_spectrum_csv(Lattice(2, 4), Spectrum(values), out / "w.csv")
+
+    @staticmethod
+    def write_spectrum_stderr(out, monkeypatch, bad):
+        errors = np.ones((4, 4))
+        errors[2, 3] = bad
+        write_spectrum_csv(Lattice(2, 4), Spectrum(np.ones((4, 4)), errors), out / "w.csv")
+
+    @staticmethod
+    def write_observables(out, monkeypatch, bad):
+        monkeypatch.setattr(cli, "hamiltonian", lambda *args, **kwargs: bad)
+        run(RunConfig("dnls-simulate", TestDnlsSimulate.PARAMS, out=str(out)))
+
+    @staticmethod
+    def write_convergence(out, monkeypatch, bad):
+        monkeypatch.setattr(cli, "collision_operator", lambda w0, config: SimpleNamespace(values=np.full(w0.shape, bad)))
+        run(RunConfig("bp-compare", TestBpCompare.PARAMS, out=str(out)))
+
+    @staticmethod
+    def write_kinetic_check(out, monkeypatch, bad):
+        monkeypatch.setattr(cli, "collision_operator", lambda w0, config: SimpleNamespace(values=np.full(w0.shape, bad)))
+        params = dict(TestKineticCheck.PARAMS, n_realizations=8, se_threshold=0.0)
+        run(RunConfig("kinetic-check", params, out=str(out)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "writer",
+        [
+            "write_trajectory", "write_spectrum_value", "write_spectrum_stderr",
+            "write_observables", "write_convergence", "write_kinetic_check",
+        ],
+    )
+    def test_a_non_finite_value_writes_nothing(self, tmp_path, monkeypatch, writer, bad):
         with pytest.raises(GuardError, match="not finite"):
-            cli.write_trajectory_csv(lattice, BPTrajectory(np.array([0.0, 0.5]), spectra, zeros, zeros, zeros),
-                                     tmp_path / "t.csv")
-        with pytest.raises(GuardError, match="not finite"):
-            write_spectrum_csv(lattice, Spectrum(spectra[1]), tmp_path / "w.csv")
+            getattr(self, writer)(tmp_path, monkeypatch, bad)
         assert not list(tmp_path.iterdir())
+
+
+def spy(monkeypatch, name: str) -> list:
+    """Record each call of ``cli.<name>`` as (args, result)."""
+    calls = []
+    real = getattr(cli, name)
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(cli, name, recording)
+    return calls
 
 
 class TestMainPlumbing:
@@ -1027,6 +1116,8 @@ PROBES = [
         "w0": {"kind": "csv", "path": "square.csv"},
     }),
     ("estimate-w", ("params", "w0"), {"kind": "csv", "path": "swapped.csv"}),
+    # a csv spectrum whose stderr column is empty on some rows only
+    ("estimate-w", ("params", "w0"), {"kind": "csv", "path": "ragged.csv"}),
     # seeds past the int64 range, where numpy would read the Philox key as float64
     ("estimate-w", ("seed",), 2**63),
     ("estimate-w", ("seed",), 2**63 + 1),
@@ -1074,6 +1165,7 @@ class TestInputBoundary:
         write_spectrum_csv(Lattice(2, 8), Spectrum(np.ones((8, 8))), tmp_path / "square.csv")
         lines = rows.splitlines()
         (tmp_path / "swapped.csv").write_text("\n".join(["k1,value,stderr", lines[1], lines[0], *lines[2:]]) + "\n")
+        (tmp_path / "ragged.csv").write_text("k1,value,stderr\n" + rows.replace("1.0,", "1.0,0.5", 3))
         code, stderr = run_in_process(kind, replaced(boundary_config(kind), path, value), tmp_path)
         assert code == 2, stderr
         assert_error_line(stderr, 2)
@@ -1195,6 +1287,26 @@ class TestInputBoundary:
         trajectory.write_text("tau,k1,value\n0.0,0.0,1.0\n0.0,0.5,1.0\nzero,0.0,1.0\n")
         with pytest.raises(ConfigError, match=r"t\.csv row 4"):
             read_trajectory_csv(trajectory)
+
+    @pytest.mark.parametrize(
+        "reader, text, match",
+        [
+            (read_spectrum_csv, "k1,value,stderr\n0.0,1.0,0.1\n0.5,1.0,\n", r"row 3"),
+            (read_spectrum_csv, "k1,value,stderr\n0.0,1.0,0.1\n0.5,1.0\n", r"row 3: 2 cells"),
+            (read_trajectory_csv, "tau,k1,value\n0.0,0.0,1.0\n0.0,0.5,1.0\n0.1,0.5,1.0\n0.1,0.0,1.0\n", "ragged"),
+            (
+                read_trajectory_csv,
+                "tau,k1,value\n0.0,0.0,1.0\n0.0,0.5,1.0\n0.1,0.0,1.0\n0.1,0.5,1.0\n0.0,0.0,1.0\n0.0,0.5,1.0\n",
+                "ragged",
+            ),
+        ],
+        ids=["stderr-on-some-rows", "short-row", "slice-k-rows-differ", "tau-comes-back"],
+    )
+    def test_ragged_csv_files_are_refused(self, tmp_path, reader, text, match):
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            reader(path)
 
     def test_largest_seed_runs(self, tmp_path):
         code, stderr = run_in_process("estimate-w", replaced(boundary_config("estimate-w"), ("seed",), 2**63 - 1), tmp_path)

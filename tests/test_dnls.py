@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -806,6 +807,25 @@ class TestPersistence:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ConfigError):
             load_ensemble(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda text: text[:-3], lambda text: text.replace('"files"', '"file_list"')],
+        ids=["invalid-json", "no-files-key"],
+    )
+    def test_malformed_manifest_is_a_config_error(self, tmp_path, edit):
+        save_ensemble(sample_initial(Lattice(1, 8), np.full(8, 0.5), 3, seed=3), tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(edit(manifest.read_text()))
+        with pytest.raises(ConfigError):
+            load_ensemble(tmp_path)
+
+    @pytest.mark.parametrize("field", ["coupling", "time", "r_integral"])
+    def test_non_finite_manifest_entry_writes_nothing(self, tmp_path, field):
+        ens = replace(sample_initial(Lattice(1, 8), np.full(8, 0.5), 3, seed=3), **{field: math.nan})
+        with pytest.raises(GuardError, match="not finite"):
+            save_ensemble(ens, tmp_path / "ens")
+        assert not any((tmp_path / "ens").iterdir())
 
     def test_truncated_directory_is_detected(self, tmp_path):
         lat = Lattice(1, 8)

@@ -27,6 +27,18 @@ class TestJackknife:
         samples = np.random.default_rng(11).exponential(2.0, size=shape)
         assert mean_stderr(samples).tobytes() == spelled_out_mean_stderr(samples).tobytes()
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_leave_one_out_form_keeps_the_spelled_out_bytes_and_its_input(self, dtype):
+        rng = np.random.default_rng(14)
+        loo = rng.standard_normal((500, 6)).astype(dtype)
+        if dtype is complex:
+            loo += 1j * rng.standard_normal((500, 6))
+        kept = loo.copy()
+        dev = loo - loo.mean(axis=0)
+        want = np.sqrt((500 - 1) / 500 * np.sum(np.abs(dev) ** 2, axis=0))
+        assert jackknife_stderr(loo).tobytes() == want.tobytes()
+        assert np.array_equal(loo, kept)
+
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_mean_form_is_the_sample_std_error(self, shape, dtype):
