@@ -19,7 +19,10 @@ round-trip float repr, sorted JSON keys): identical configs produce
 byte-identical result files, independent of the thread count.  Only the
 manifest's ``timings`` block varies between reruns.
 
-Every number in a config is a finite JSON number (not a string or a bool);
+Every runner reads its config through ``errors.Block`` before the first
+numerics: each JSON object, at every level, accepts exactly the keys its
+kind reads, and a missing required key or a stray one is refused.  Every
+number in a config is a finite JSON number (not a string or a bool);
 integer fields take only JSON integers.  Exit codes: 0 success, 2 malformed,
 mistyped or non-finite input, 3 a numeric guard tripped during the run, 4 I/O
 failure.  Failures print a one-line JSON error report to stderr.
@@ -51,6 +54,7 @@ from .cumulants import (
     table_to_json,
 )
 from .dnls import (
+    _FAMILIES,
     Dispersion,
     FieldState,
     Lattice,
@@ -66,7 +70,7 @@ from .dnls import (
     zero_dispersion,
 )
 from .errors import (
-    ConfigError, GuardError, _json, _number, _numbers, _object, _pair, _write_json, _written, mean_stderr, read_csv,
+    _REQUIRED, Block, ConfigError, GuardError, _json, _number, _object, _write_json, _written, mean_stderr, read_csv,
     step_count, write_csv,
 )
 from .hierarchy import (
@@ -133,7 +137,8 @@ class RunConfig:
             raise ConfigError(f"unknown run kind {self.kind!r}; expected one of {KINDS}")
         _number(self.seed, "seed", integer=True, low=0)
         _number(self.threads, "threads", integer=True, low=1)
-        _path(self.out, "out")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
         _object(self.params, "params")
 
     def echo(self) -> dict:
@@ -148,17 +153,6 @@ class RunConfig:
         }
 
 
-def _check_keys(block: Mapping, where: str, required: Sequence[str], optional: Sequence[str] = ()) -> None:
-    """Strict schema check: every required key present, no stray keys."""
-    missing = [k for k in required if k not in block]
-    if missing:
-        raise ConfigError(f"{where}: missing required key(s) {missing}")
-    allowed = set(required) | set(optional)
-    unknown = [k for k in block if k not in allowed]
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
-
-
 def load_run_config(
     path: str | Path,
     kind: str | None = None,
@@ -171,28 +165,21 @@ def load_run_config(
     A manifest written by a previous run is accepted too: its echoed config
     block is unwrapped, which is what makes replay a one-liner.
     """
-    data = _object(_json(Path(path).read_text(), f"config {path}"), f"config {path}")
+    where = f"config {path}"
+    data = _object(_json(Path(path).read_text(), where), where)
     if "package_version" in data and "config" in data:
-        data = _object(data["config"], f"the config block of manifest {path}")
-    _check_keys(
-        data, f"config {path}",
-        required=["schema_version", "kind", "params"],
-        optional=["seed", "threads", "out"],
-    )
-    if _number(data["schema_version"], "schema_version", integer=True) != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config schema_version {data['schema_version']!r} is not supported; "
-            f"this tool reads version {SCHEMA_VERSION}"
-        )
-    if kind is not None and data["kind"] != kind:
-        raise ConfigError(f"config kind {data['kind']!r} does not match subcommand {kind!r}")
-    return RunConfig(
-        kind=data["kind"],
-        params=data["params"],
-        seed=data.get("seed", 0) if seed is None else seed,
-        threads=data.get("threads", 1) if threads is None else threads,
-        out=data.get("out", "out") if out is None else out,
-    )
+        data, where = data["config"], f"the config block of manifest {path}"
+    with Block(data, where) as config:
+        if (version := config.integer("schema_version")) != SCHEMA_VERSION:
+            raise ConfigError(f"config schema_version {version} is not supported; this tool reads {SCHEMA_VERSION} only")
+        fields = {"kind": config.get("kind"), "params": config.get("params")}
+        if kind is not None and fields["kind"] != kind:
+            raise ConfigError(f"config kind {fields['kind']!r} does not match subcommand {kind!r}")
+        # a flag overrides the file's value, but the file's key is read either way
+        for key, flag, default in (("seed", seed, 0), ("threads", threads, 1), ("out", out, "out")):
+            value = config.get(key, default)
+            fields[key] = value if flag is None else flag
+    return RunConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -235,132 +222,76 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.nd
 # ---------------------------------------------------------------------------
 
 
-def _parse_lattice(block, where: str) -> Lattice:
-    _check_keys(_object(block, f"{where}.lattice"), f"{where}.lattice", required=["dimension", "side"])
-    return Lattice(*(_number(block[k], f"{where}.lattice.{k}", integer=True) for k in ("dimension", "side")))
+def _parse_system(params: Block) -> tuple[Lattice, Dispersion, np.ndarray]:
+    """The ``lattice``, ``dispersion`` and ``w0`` blocks of a run, parsed in that order."""
+    with params.block("lattice") as block:
+        lattice = Lattice(block.integer("dimension"), block.integer("side"))
+    dispersion = _parse_dispersion(params.block("dispersion"), lattice.dimension)
+    return lattice, dispersion, _parse_w0(params.block("w0"), lattice, dispersion)
 
 
-def _parse_dispersion(block, dimension: int, where: str) -> Dispersion:
-    kind = _object(block, f"{where}.dispersion").get("kind")
-    optional = ["second_shell"] if kind == "next-nearest" else []  # only that symbol has a second shell
-    _check_keys(block, f"{where}.dispersion", required=["kind"], optional=optional)
-    if kind == "nearest-neighbor":
-        return nearest_neighbor_dispersion(dimension)
-    if kind == "next-nearest":
-        shell = _number(block.get("second_shell", 0.25), f"{where}.dispersion.second_shell")
-        return next_nearest_dispersion(dimension, second_shell=shell)
-    if kind == "zero":
-        return zero_dispersion(dimension)
-    raise ConfigError(
-        f"{where}: unknown dispersion kind {kind!r}; "
-        "expected nearest-neighbor | next-nearest | zero"
-    )
+def _parse_dispersion(block: Block, dimension: int) -> Dispersion:
+    with block:
+        kind = block.choice("kind", ("nearest-neighbor", "next-nearest", "zero"))
+        if kind == "next-nearest":  # only that symbol has a second shell
+            return next_nearest_dispersion(dimension, second_shell=block.number("second_shell", 0.25))
+    return nearest_neighbor_dispersion(dimension) if kind == "nearest-neighbor" else zero_dispersion(dimension)
 
 
-def _parse_w0(block, lattice: Lattice, dispersion: Dispersion, where: str) -> np.ndarray:
+def _parse_w0(w0: Block, lattice: Lattice, dispersion: Dispersion) -> np.ndarray:
     """Initial spectrum descriptors: flat | cosine | equilibrium | csv; the result is finite."""
-    kind = _object(block, f"{where}.w0").get("kind")
-    if kind == "flat":
-        _check_keys(block, f"{where}.w0", required=["kind", "value"])
-        values = np.full(lattice.shape, _number(block["value"], f"{where}.w0.value"))
-    elif kind == "cosine":
-        _check_keys(block, f"{where}.w0", required=["kind", "mean", "amplitudes"])
-        amps = _numbers(block["amplitudes"], f"{where}.w0.amplitudes")
-        if len(amps) != lattice.dimension:
-            raise ConfigError(
-                f"{where}.w0: cosine needs {lattice.dimension} amplitudes, got {len(amps)}"
-            )
-        grid = lattice.k_grid()
-        values = np.full(lattice.shape, _number(block["mean"], f"{where}.w0.mean"))
-        for axis, amp in enumerate(amps):
-            values = values + amp * np.cos(2.0 * np.pi * grid[..., axis])
-    elif kind == "equilibrium":
-        _check_keys(block, f"{where}.w0", required=["kind", "beta", "mu"])
-        params = EquilibriumParams(_number(block["beta"], f"{where}.w0.beta"), _number(block["mu"], f"{where}.w0.mu"))
-        values = params.spectrum(lattice, dispersion).values
-    elif kind == "csv":
-        _check_keys(block, f"{where}.w0", required=["kind", "path"])
-        k_rows, values, _ = read_spectrum_csv(_path(block["path"], f"{where}.w0.path"))
-        # the writer's fractions parse back exactly, so the k columns must equal the grid
-        if not np.array_equal(k_rows, lattice.k_grid().reshape(-1, lattice.dimension)):
-            raise ConfigError(
-                f"{where}.w0: the file's {len(k_rows)} k rows are not the {lattice.size} momenta of the "
-                f"{lattice.dimension}-dimensional lattice in row-major order"
-            )
-        values = values.reshape(lattice.shape)
-    else:
-        raise ConfigError(
-            f"{where}: unknown w0 kind {kind!r}; expected flat | cosine | equilibrium | csv"
-        )
+    with w0:
+        kind = w0.choice("kind", ("flat", "cosine", "equilibrium", "csv"))
+        if kind == "flat":
+            values = np.full(lattice.shape, w0.number("value"))
+        elif kind == "cosine":
+            amps = w0.numbers("amplitudes")
+            if len(amps) != lattice.dimension:
+                raise ConfigError(f"{w0.where}: cosine needs {lattice.dimension} amplitudes, got {len(amps)}")
+            grid = lattice.k_grid()
+            values = np.full(lattice.shape, w0.number("mean"))
+            for axis, amp in enumerate(amps):
+                values = values + amp * np.cos(2.0 * np.pi * grid[..., axis])
+        elif kind == "equilibrium":
+            values = EquilibriumParams(w0.number("beta"), w0.number("mu")).spectrum(lattice, dispersion).values
+        else:
+            k_rows, values, _ = read_spectrum_csv(w0.path("path"))
+            # the writer's fractions parse back exactly, so the k columns must equal the grid
+            if not np.array_equal(k_rows, lattice.k_grid().reshape(-1, lattice.dimension)):
+                raise ConfigError(
+                    f"{w0.where}: the file's {len(k_rows)} k rows are not the {lattice.size} momenta of the "
+                    f"{lattice.dimension}-dimensional lattice in row-major order"
+                )
+            values = values.reshape(lattice.shape)
     if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{where}.w0: the initial spectrum has a non-finite entry")
+        raise ConfigError(f"{w0.where}: the initial spectrum has a non-finite entry")
     return values
 
 
-def _parse_system(params: Mapping, where: str) -> tuple[Lattice, Dispersion, np.ndarray]:
-    """The ``lattice``, ``dispersion`` and ``w0`` blocks of a run, parsed in that order."""
-    lattice = _parse_lattice(params["lattice"], where)
-    dispersion = _parse_dispersion(params["dispersion"], lattice.dimension, where)
-    return lattice, dispersion, _parse_w0(params["w0"], lattice, dispersion, where)
-
-
-def _path(raw, what: str) -> Path:
-    if not isinstance(raw, str):
-        raise ConfigError(f"{what} must be a path string, got {raw!r}")
-    return Path(raw)
-
-
-def _index_list(raw, what: str) -> list:
+def _index_list(block: Block, key: str) -> list:
+    raw = block.get(key)
     if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{what} must be a nonempty list of indices, got {raw!r}")
+        raise ConfigError(f"{block.name(key)} must be a nonempty list of indices, got {raw!r}")
     return [_as_index(token) for token in raw]
 
 
-# Values of the optional ``method`` key.  It selects nothing, since every
-# collision sum runs on one time-domain engine, but configs and manifests
-# written by earlier versions carry it, so it is still accepted and checked.
-_COLLISION_METHODS = ("direct", "fft")
-
-
 def _parse_collision(
-    lattice: Lattice,
-    dispersion: Dispersion,
-    delta_block,
-    method,
-    where: str,
+    params: Block, key: str, lattice: Lattice, dispersion: Dispersion, default=_REQUIRED,
 ) -> CollisionConfig:
-    """Build a CollisionConfig from a delta-model descriptor (``method`` is only checked)."""
-    model = _object(delta_block, f"{where}.delta").get("model")
-    if model == "gaussian":
-        _check_keys(delta_block, f"{where}.delta", required=["model"], optional=["epsilon"])
-        eps = delta_block.get("epsilon")
-        kwargs = {"delta_model": "gaussian", "epsilon": None if eps is None else _number(eps, f"{where}.delta.epsilon")}
-    elif model == "fejer":
-        _check_keys(
-            delta_block, f"{where}.delta",
-            required=["model", "window_tau", "window_coupling"],
-        )
-        kwargs = {
-            "delta_model": "fejer",
-            "window_tau": _number(delta_block["window_tau"], f"{where}.delta.window_tau"),
-            "window_coupling": _number(delta_block["window_coupling"], f"{where}.delta.window_coupling"),
-        }
-    else:
-        raise ConfigError(f"{where}: unknown delta model {model!r}; expected gaussian | fejer")
-    if method is not None and method not in _COLLISION_METHODS:
-        raise ConfigError(f"{where}: unknown method {method!r}; expected one of {_COLLISION_METHODS}")
-    return CollisionConfig(lattice=lattice, dispersion=dispersion, **kwargs)
+    """A CollisionConfig from the run's delta-model descriptor ``key``.
 
-
-def _load_block(params: Mapping, name: str, where: str):
-    """Fetch a JSON block given inline (``name``) or by file (``name_path``)."""
-    inline = params.get(name)
-    path = params.get(f"{name}_path")
-    if (inline is None) == (path is None):
-        raise ConfigError(f"{where}: supply exactly one of {name!r} or '{name}_path'")
-    if inline is not None:
-        return inline
-    return _json(_path(path, f"{where}: {name}_path").read_text(), f"{where}: {path}")
+    The run's ``method`` key selects nothing, since every collision sum runs
+    on one time-domain engine, but configs and manifests written by earlier
+    versions carry it, so it is still read and checked.
+    """
+    params.choice("method", ("direct", "fft"), None)
+    with params.block(key, default) as delta:
+        model = delta.choice("model", ("gaussian", "fejer"))
+        if model == "gaussian":
+            widths = {"epsilon": delta.number("epsilon", None)}
+        else:
+            widths = {"window_tau": delta.number("window_tau"), "window_coupling": delta.number("window_coupling")}
+    return CollisionConfig(lattice=lattice, dispersion=dispersion, delta_model=model, **widths)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +301,9 @@ def _load_block(params: Mapping, name: str, where: str):
 
 def _run_wick_expand(rc: RunConfig, out_dir: Path) -> dict:
     """Expand the Wick polynomial of an index sequence over a cumulant table."""
-    params = rc.params
-    _check_keys(
-        params, "wick-expand params",
-        required=["indices"], optional=["cumulants", "cumulants_path"],
-    )
-    indices = _index_list(params["indices"], "wick-expand: indices")
-    table = CumulantTable.from_json(_load_block(params, "cumulants", "wick-expand"))
+    with Block(rc.params, "wick-expand params") as params:
+        indices = _index_list(params, "indices")
+        table = CumulantTable.from_json(params.inline_or_file("cumulants"))
     poly = wick_from_cumulants(table, LabeledSeq.from_indices(indices))
     _write_json(out_dir / "wick_poly.json", poly.to_json())
     return {
@@ -387,13 +314,9 @@ def _run_wick_expand(rc: RunConfig, out_dir: Path) -> dict:
 
 def _run_cumulant_convert(rc: RunConfig, out_dir: Path) -> dict:
     """Convert a moment table to cumulants, or a cumulant table to moments."""
-    params = rc.params
-    _check_keys(
-        params, "cumulant-convert params",
-        required=["direction"], optional=["table", "table_path"],
-    )
-    direction = params["direction"]
-    entries = table_from_json(_load_block(params, "table", "cumulant-convert"))
+    with Block(rc.params, "cumulant-convert params") as params:
+        direction = params.choice("direction", ("moments-to-cumulants", "cumulants-to-moments"))
+        entries = table_from_json(params.inline_or_file("table"))
     keys = list(entries)
     if direction == "moments-to-cumulants":
         oracle = TableOracle(entries)
@@ -405,18 +328,13 @@ def _run_cumulant_convert(rc: RunConfig, out_dir: Path) -> dict:
                 f"cumulant-convert: moment table is missing the sub-moment {err.args[0]!r}"
             ) from err
         work = {"multisets_evaluated": len(evaluator.memo), "partition_states": 0}
-    elif direction == "cumulants-to-moments":
+    else:
         table = CumulantTable(entries=entries)
         memo = PartitionMemo(table.book)  # every moment is a symmetric sum over this one table
         converted = {
             key: moments_from_cumulants(table, LabeledSeq.from_indices(key), memo) for key in keys
         }
         work = _partition_work(memo)
-    else:
-        raise ConfigError(
-            f"cumulant-convert: unknown direction {direction!r}; "
-            "expected moments-to-cumulants | cumulants-to-moments"
-        )
     _write_json(out_dir / "converted.json", table_to_json(converted))
     return {"outputs": ["converted.json"], "summary": {"entries": len(converted), **work}}
 
@@ -426,50 +344,37 @@ def _partition_work(memo: PartitionMemo) -> dict:
     return {"multisets_evaluated": len(memo.weights), "partition_states": len(memo.totals) - 1}
 
 
-def _amplitude_from_descriptor(block, where: str):
+def _amplitude_from_descriptor(amplitude: Block):
     """Amplitude descriptors: constant | phase (e^{i omega t}) | table-driven."""
-    kind = _object(block, where).get("type")
-    if kind == "constant":
-        _check_keys(block, where, required=["type", "value"])
-        return constant_amplitude(_pair(block["value"], f"{where}.value"))
-    if kind == "phase":
-        _check_keys(block, where, required=["type", "omega"], optional=["scale"])
-        s = _pair(block.get("scale", [1.0, 0.0]), f"{where}.scale")
-        omega = _number(block["omega"], f"{where}.omega")
-        return lambda t, table: s * cmath.exp(1j * omega * t)
-    if kind == "table":
-        _check_keys(block, where, required=["type", "key"], optional=["scale"])
-        s = _pair(block.get("scale", [1.0, 0.0]), f"{where}.scale")
-        key = tuple(_index_list(block["key"], f"{where}.key"))
+    with amplitude:
+        kind = amplitude.choice("type", ("constant", "phase", "table"))
+        if kind == "constant":
+            return constant_amplitude(amplitude.pair("value"))
+        s = amplitude.pair("scale", [1.0, 0.0])
+        if kind == "phase":
+            omega = amplitude.number("omega")
+            return lambda t, table: s * cmath.exp(1j * omega * t)
+        key = tuple(_index_list(amplitude, "key"))
         return lambda t, table: s * table.kappa(key)
-    raise ConfigError(f"{where}: unknown amplitude type {kind!r}; expected constant | phase | table")
 
 
 def _run_hierarchy_rhs(rc: RunConfig, out_dir: Path) -> dict:
     """Evaluate the cumulant-hierarchy right-hand side for one model state."""
-    params = rc.params
-    _check_keys(
-        params, "hierarchy-rhs params",
-        required=["order"],
-        optional=["model", "model_path", "table", "table_path", "time"],
-    )
-    order = _number(params["order"], "hierarchy-rhs: order", integer=True, low=1)
-    model_json = _object(_load_block(params, "model", "hierarchy-rhs"), "hierarchy-rhs: model")
-    _check_keys(model_json, "hierarchy-rhs model", required=["terms"])
-    if not isinstance(model_json["terms"], list):
-        raise ConfigError("hierarchy-rhs: model terms must be a list")
-    terms: dict = {}
-    for pos, item in enumerate(model_json["terms"]):
-        where = f"hierarchy-rhs model terms[{pos}]"
-        _check_keys(_object(item, where), where, required=["index", "seq", "amplitude"])
-        term = InteractionTerm(
-            seq=LabeledSeq.from_indices(_index_list(item["seq"], f"{where}.seq")),
-            amplitude=_amplitude_from_descriptor(item["amplitude"], f"{where}.amplitude"),
-        )
-        terms.setdefault(_as_index(item["index"]), []).append(term)
-    model = AmplitudeModel(terms=terms)
-    table = CumulantTable.from_json(_load_block(params, "table", "hierarchy-rhs"), max_order=order)
-    state = HierarchyState(table=table, time=_number(params.get("time", 0.0), "hierarchy-rhs: time"))
+    with Block(rc.params, "hierarchy-rhs params") as params:
+        order = params.integer("order", low=1)
+        terms: dict = {}
+        with Block(params.inline_or_file("model"), params.name("model")) as spec:
+            items = spec.get("terms")
+            if not isinstance(items, list):
+                raise ConfigError(f"{spec.name('terms')} must be a list, got {items!r}")
+            for pos, item in enumerate(items):
+                with Block(item, f"{spec.name('terms')}[{pos}]") as entry:
+                    seq = LabeledSeq.from_indices(_index_list(entry, "seq"))
+                    term = InteractionTerm(seq=seq, amplitude=_amplitude_from_descriptor(entry.block("amplitude")))
+                    terms.setdefault(_as_index(entry.get("index")), []).append(term)
+        model = AmplitudeModel(terms=terms)
+        table = CumulantTable.from_json(params.inline_or_file("table"), max_order=order)
+        state = HierarchyState(table=table, time=params.number("time", 0.0))
     targets = all_keys_up_to(model.universe(), order)
     memo = PartitionMemo()
     pair_work = {"pair_expectations": 0, "pair_memo_hits": 0}
@@ -483,24 +388,19 @@ def _run_hierarchy_rhs(rc: RunConfig, out_dir: Path) -> dict:
 
 def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
     """Evolve a sampled ensemble, recording observables and the final spectrum."""
-    params = rc.params
-    _check_keys(
-        params, "dnls-simulate params",
-        required=["lattice", "dispersion", "coupling", "w0", "n_realizations", "dt", "t_end"],
-        optional=["family", "record_every"],
-    )
-    lattice, dispersion, w0 = _parse_system(params, "dnls-simulate")
-    coupling = _number(params["coupling"], "dnls-simulate: coupling")
-    n_real = _number(params["n_realizations"], "dnls-simulate: n_realizations", integer=True, low=2)
-    dt = _number(params["dt"], "dnls-simulate: dt")
-    n_steps = step_count(_number(params["t_end"], "dnls-simulate: t_end", low=0.0, strict=True), dt, "dnls-simulate")
-    record_every = _number(params.get("record_every", 1), "dnls-simulate: record_every", integer=True, low=1)
-    if n_steps % record_every:
-        raise ConfigError("dnls-simulate: record_every must divide the step count")
+    with Block(rc.params, "dnls-simulate params") as params:
+        lattice, dispersion, w0 = _parse_system(params)
+        coupling = params.number("coupling")
+        n_real = params.integer("n_realizations", low=2)
+        dt = params.number("dt")
+        n_steps = step_count(params.number("t_end", low=0.0, strict=True), dt, "dnls-simulate")
+        record_every = params.integer("record_every", 1, low=1)
+        if n_steps % record_every:
+            raise ConfigError("dnls-simulate: record_every must divide the step count")
+        family = params.choice("family", _FAMILIES, "gaussian")
 
     ensemble = sample_initial(
-        lattice, w0, n_real, seed=rc.seed,
-        family=params.get("family", "gaussian"), coupling=coupling, threads=rc.threads,
+        lattice, w0, n_real, seed=rc.seed, family=family, coupling=coupling, threads=rc.threads,
     )
     records = []
     for block in range(n_steps // record_every + 1):
@@ -531,16 +431,11 @@ def _stepping_work(lattice: Lattice, dispersion: Dispersion, dt: float, realizat
 
 def _run_estimate_w(rc: RunConfig, out_dir: Path) -> dict:
     """Sample an initial ensemble and estimate its covariance spectrum."""
-    params = rc.params
-    _check_keys(
-        params, "estimate-w params",
-        required=["lattice", "dispersion", "w0", "n_realizations"], optional=["family"],
-    )
-    lattice, _, w0 = _parse_system(params, "estimate-w")
-    n_real = _number(params["n_realizations"], "estimate-w: n_realizations", integer=True, low=2)
-    ensemble = sample_initial(
-        lattice, w0, n_real, seed=rc.seed, family=params.get("family", "gaussian"), threads=rc.threads,
-    )
+    with Block(rc.params, "estimate-w params") as params:
+        lattice, _, w0 = _parse_system(params)
+        n_real = params.integer("n_realizations", low=2)
+        family = params.choice("family", _FAMILIES, "gaussian")
+    ensemble = sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, threads=rc.threads)
     estimate = estimate_W(ensemble, threads=rc.threads)
     write_spectrum_csv(lattice, estimate, out_dir / "spectrum.csv")
     worst = float(np.max(np.abs(estimate.values - w0) / np.maximum(estimate.stderr, 1e-300)))
@@ -552,15 +447,10 @@ def _run_estimate_w(rc: RunConfig, out_dir: Path) -> dict:
 
 def _run_bp_solve(rc: RunConfig, out_dir: Path) -> dict:
     """Integrate the kinetic equation and emit the trajectory + summary."""
-    params = rc.params
-    _check_keys(
-        params, "bp-solve params",
-        required=["lattice", "dispersion", "delta", "w0", "tau_end", "dtau"],
-        optional=["method"],
-    )
-    lattice, dispersion, w0 = _parse_system(params, "bp-solve")
-    config = _parse_collision(lattice, dispersion, params["delta"], params.get("method"), "bp-solve")
-    tau_end, dtau = _number(params["tau_end"], "bp-solve: tau_end"), _number(params["dtau"], "bp-solve: dtau")
+    with Block(rc.params, "bp-solve params") as params:
+        lattice, dispersion, w0 = _parse_system(params)
+        config = _parse_collision(params, "delta", lattice, dispersion)
+        tau_end, dtau = params.number("tau_end"), params.number("dtau")
     trajectory = bp_solve(w0, config, tau_end=tau_end, dtau=dtau)
     write_trajectory_csv(lattice, trajectory, out_dir / "trajectory.csv")
     _write_json(
@@ -594,18 +484,11 @@ def _run_bp_compare(rc: RunConfig, out_dir: Path) -> dict:
     time-averaged first-order kernel divided by tau approaches the collision
     operator computed with the configured reference delta model.
     """
-    params = rc.params
-    _check_keys(
-        params, "bp-compare params",
-        required=["lattice", "dispersion", "w0", "tau", "lambda_list", "reference_delta"],
-        optional=["method"],
-    )
-    lattice, dispersion, w0 = _parse_system(params, "bp-compare")
-    tau = _number(params["tau"], "bp-compare: tau", low=0.0, strict=True)
-    lambdas = _numbers(params["lambda_list"], "bp-compare: lambda_list", low=0.0, strict=True)
-    config = _parse_collision(
-        lattice, dispersion, params["reference_delta"], params.get("method"), "bp-compare",
-    )
+    with Block(rc.params, "bp-compare params") as params:
+        lattice, dispersion, w0 = _parse_system(params)
+        tau = params.number("tau", low=0.0, strict=True)
+        lambdas = params.numbers("lambda_list", low=0.0, strict=True)
+        config = _parse_collision(params, "reference_delta", lattice, dispersion)
     reference = collision_operator(w0, config).values
 
     def gaps_for(coupling: float) -> np.ndarray:
@@ -638,22 +521,16 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
     comparable realization by realization.  The couplings run one after
     another, each one's realization blocks on the thread pool.
     """
-    params = rc.params
-    _check_keys(
-        params, "kinetic-check params",
-        required=["lattice", "dispersion", "w0", "coupling_list", "tau", "dt", "n_realizations"],
-        optional=["family", "reference_delta", "method", "se_threshold", "min_resolved_modes"],
-    )
-    lattice, dispersion, w0 = _parse_system(params, "kinetic-check")
-    tau = _number(params["tau"], "kinetic-check: tau", low=0.0, strict=True)
-    dt = _number(params["dt"], "kinetic-check: dt")
-    lambdas = _numbers(params["coupling_list"], "kinetic-check: coupling_list", low=0.0, strict=True)
-    n_real = _number(params["n_realizations"], "kinetic-check: n_realizations", integer=True, low=2)
-    family = params.get("family", "gaussian")
-    se_threshold = _number(params.get("se_threshold", 3.0), "kinetic-check: se_threshold")
-    min_resolved = _number(params.get("min_resolved_modes", 1), "kinetic-check: min_resolved_modes", integer=True)
-    delta_block = params.get("reference_delta", {"model": "gaussian"})
-    config = _parse_collision(lattice, dispersion, delta_block, params.get("method"), "kinetic-check")
+    with Block(rc.params, "kinetic-check params") as params:
+        lattice, dispersion, w0 = _parse_system(params)
+        tau = params.number("tau", low=0.0, strict=True)
+        dt = params.number("dt")
+        lambdas = params.numbers("coupling_list", low=0.0, strict=True)
+        n_real = params.integer("n_realizations", low=2)
+        family = params.choice("family", _FAMILIES, "gaussian")
+        se_threshold = params.number("se_threshold", 3.0, low=0.0)
+        min_resolved = params.integer("min_resolved_modes", 1, low=0)
+        config = _parse_collision(params, "reference_delta", lattice, dispersion, {"model": "gaussian"})
     reference = collision_operator(w0, config).values
 
     step_counts = [

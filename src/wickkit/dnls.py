@@ -32,8 +32,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import (
-    ConfigError, GuardError, _json, _number, _object, _write_json, jackknife_stderr, loo_means, mean_stderr, read_csv,
-    write_csv,
+    Block, ConfigError, GuardError, _json, _write_json, jackknife_stderr, loo_means, mean_stderr, read_csv, write_csv,
 )
 from .pool import map_in_order
 
@@ -1139,22 +1138,24 @@ def load_ensemble(directory: str | Path) -> LatticeEnsemble:
     manifest_path = target / _MANIFEST_NAME
     if not manifest_path.is_file():
         raise ConfigError(f"no {_MANIFEST_NAME} in {target}")
-    manifest = _object(_json(manifest_path.read_text(), str(manifest_path)), str(manifest_path))
-    if manifest.get("kind") != "lattice_ensemble":
-        raise ConfigError(f"{manifest_path} does not describe a lattice ensemble")
-    if manifest.get("schema_version") != _SCHEMA_VERSION:
-        raise ConfigError(f"unsupported ensemble schema version {manifest.get('schema_version')}")
-
-    def entry(key: str, integer: bool = False, optional: bool = False):
-        raw = manifest.get(key)  # a missing key reads as None
-        return None if optional and raw is None else _number(raw, f"{manifest_path}: {key}", integer=integer)
-
-    lattice = Lattice(entry("dimension", integer=True), entry("side", integer=True))
-    files = manifest.get("files")
-    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
-        raise ConfigError(f"{manifest_path}: files must be a list of file names")
-    if len(files) != entry("n_realizations", integer=True):
-        raise ConfigError("manifest file list does not match the declared ensemble size")
+    with Block(_json(manifest_path.read_text(), str(manifest_path)), str(manifest_path)) as manifest:
+        manifest.choice("kind", ("lattice_ensemble",))
+        if (version := manifest.integer("schema_version")) != _SCHEMA_VERSION:
+            raise ConfigError(f"unsupported ensemble schema version {version}")
+        lattice = Lattice(manifest.integer("dimension"), manifest.integer("side"))
+        files = manifest.get("files")
+        if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+            raise ConfigError(f"{manifest.name('files')} must be a list of file names")
+        if len(files) != manifest.integer("n_realizations"):
+            raise ConfigError("manifest file list does not match the declared ensemble size")
+        for key, value in (("dtype", "complex128"), ("byte_order", "little"), ("layout", "row-major")):
+            manifest.choice(key, (value,))
+        scalars = {
+            "time": manifest.number("time"),
+            "coupling": manifest.number("coupling"),
+            "master_seed": manifest.integer("master_seed", None),
+            "r_integral": manifest.number("r_integral", None),
+        }
     fields = np.empty((len(files),) + lattice.shape, dtype=complex)
     for index, name in enumerate(files):
         path = target / name
@@ -1164,14 +1165,7 @@ def load_ensemble(directory: str | Path) -> LatticeEnsemble:
         if arr.shape != lattice.shape:
             raise ConfigError(f"{path} has shape {arr.shape}, expected {lattice.shape}")
         fields[index] = arr
-    return LatticeEnsemble(
-        lattice=lattice,
-        fields=fields,
-        time=entry("time"),
-        coupling=entry("coupling"),
-        master_seed=entry("master_seed", integer=True, optional=True),
-        r_integral=entry("r_integral", optional=True),
-    )
+    return LatticeEnsemble(lattice=lattice, fields=fields, **scalars)
 
 
 def write_spectrum_csv(lattice: Lattice, spectrum: Spectrum, path: str | Path) -> None:

@@ -1,8 +1,10 @@
-"""Shared exception types, the checked file readers and writers, the step-count check, RK4 and the jackknife.
+"""Shared exception types, the checked input readers and file writers, the step-count check, RK4 and the jackknife.
 
 Every JSON and CSV file of the package is read and written here; the writers
 refuse a non-finite number before they open a file, and record each path for
-a failed CLI run to remove.  ``rk4`` is the one RK4 loop of the package: the
+a failed CLI run to remove.  ``Block`` reads a JSON object from outside the
+program key by key, so each config block accepts exactly the keys its code
+reads.  ``rk4`` is the one RK4 loop of the package: the
 cumulant hierarchy, the kinetic equation and the decay of correlations all
 step with it, so it lives in this neutral module beside ``step_count``.
 ``jackknife_stderr`` is the one Monte Carlo error formula, for the same
@@ -12,6 +14,7 @@ reason: the empirical cumulants and the lattice ensembles both use it, and
 
 import json
 import math
+import re
 import sys
 from collections.abc import Callable, Mapping, Sequence
 from contextvars import ContextVar
@@ -62,6 +65,78 @@ def _pair(raw, what: str) -> complex:
     return complex(*_numbers(raw, what))
 
 
+_REQUIRED = object()  # the default of a read whose key must be present
+
+
+class Block:
+    """A JSON object from outside the program, read key by key inside ``with``.
+
+    Each typed read checks one value and names its full key path.  A read
+    without a default is a required key; where the default is None, a JSON
+    null reads as the key left out.  Leaving the ``with`` block refuses every
+    key that no read asked for, so the object accepts exactly the keys its
+    code reads; an error raised inside the block is reported instead.
+    """
+
+    def __init__(self, raw, where: str) -> None:
+        self.raw, self.where, self.read = _object(raw, where), where, set()
+
+    def __enter__(self) -> "Block":
+        return self
+
+    def __exit__(self, error_type, *_) -> None:
+        unknown = [key for key in self.raw if key not in self.read]
+        if error_type is None and unknown:
+            raise ConfigError(f"{self.where}: unknown key(s) {unknown}; allowed: {sorted(self.read)}")
+
+    def name(self, key: str) -> str:
+        return f"{self.where}.{key}"
+
+    def get(self, key: str, default=_REQUIRED):
+        """The raw value of ``key``: ``default`` if it is left out, a ConfigError if it is required."""
+        self.read.add(key)
+        if key in self.raw:
+            return self.raw[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.where}: missing required key {key!r}")
+        return default
+
+    def number(self, key: str, default=_REQUIRED, low: float = -math.inf, strict: bool = False, integer: bool = False):
+        raw = self.get(key, default)
+        return None if raw is None and default is None else _number(raw, self.name(key), integer, low, strict)
+
+    def integer(self, key: str, default=_REQUIRED, low: float = -math.inf) -> int | None:
+        return self.number(key, default, low, integer=True)
+
+    def numbers(self, key: str, low: float = -math.inf, strict: bool = False) -> list[float]:
+        return _numbers(self.get(key), self.name(key), low=low, strict=strict)
+
+    def pair(self, key: str, default=_REQUIRED) -> complex:
+        return _pair(self.get(key, default), self.name(key))
+
+    def path(self, key: str) -> Path:
+        raw = self.get(key)
+        if not isinstance(raw, str):
+            raise ConfigError(f"{self.name(key)} must be a path string, got {raw!r}")
+        return Path(raw)
+
+    def choice(self, key: str, options: Sequence[str], default=_REQUIRED) -> str | None:
+        raw = self.get(key, default)
+        if raw not in options and not (raw is None and default is None):
+            raise ConfigError(f"{self.name(key)} must be one of {' | '.join(options)}, got {raw!r}")
+        return raw
+
+    def block(self, key: str, default=_REQUIRED) -> "Block":
+        return Block(self.get(key, default), self.name(key))
+
+    def inline_or_file(self, key: str):
+        """The JSON value given inline as ``key`` or in the file named by ``key_path``: exactly one of the two."""
+        inline, path = self.get(key, None), self.get(f"{key}_path", None)
+        if (inline is None) == (path is None):
+            raise ConfigError(f"{self.where}: supply exactly one of {key!r} or '{key}_path'")
+        return inline if path is None else _json(self.path(f"{key}_path").read_text(), f"{self.where}: {path}")
+
+
 # the files the current run has (re)written; ``cli.run`` binds a fresh list per
 # run, in its own context, and removes the files if the run fails
 _written: ContextVar[list[Path] | None] = ContextVar("wickkit_written", default=None)
@@ -102,14 +177,20 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     _write_text(path, ",".join(header) + "\n" + body)
 
 
+# a plain decimal number, as ``repr(float)`` writes it, or one of nan, inf, -inf;
+# ``float`` alone would also take ``1_0``, `` 1.0`` and ``Infinity``
+_CELL = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|nan|-?inf")
+
+
 def read_csv(path: Path, optional: str | None = None) -> tuple[list[str], np.ndarray]:
     """The header and a (rows, columns) float array of a CSV table of numbers.
 
-    Each row needs one number per header name (``nan`` and ``inf`` count),
-    else a ConfigError names the row.  Only the ``optional`` column may be
-    empty, and then on every row: it is left out of the array.
+    Each row needs one number per header name, written as a plain decimal
+    number or as ``nan``, ``inf`` or ``-inf``, else a ConfigError names the
+    row.  Only the ``optional`` column may be empty, and then on every row:
+    it is left out of the array.
     """
-    first, *lines = path.read_text().strip().splitlines() or [""]
+    first, *lines = path.read_text().strip("\n").splitlines() or [""]
     header = first.split(",")
     skip = header.index(optional) if optional in header else None
     empty = skip is not None and bool(lines) and all(line.split(",")[skip:skip + 1] == [""] for line in lines)
@@ -118,10 +199,10 @@ def read_csv(path: Path, optional: str | None = None) -> tuple[list[str], np.nda
         cells = line.split(",")
         if len(cells) != len(header):
             raise ConfigError(f"{path} row {row}: {len(cells)} cells under a header of {len(header)}")
-        try:
-            numbers.append([float(cell) for col, cell in enumerate(cells) if not (empty and col == skip)])
-        except ValueError:
-            raise ConfigError(f"{path} row {row}: {line!r} holds a cell that is not a number") from None
+        kept = [cell for col, cell in enumerate(cells) if not (empty and col == skip)]
+        if not all(_CELL.fullmatch(cell) for cell in kept):
+            raise ConfigError(f"{path} row {row}: {line!r} holds a cell that is not a number")
+        numbers.append([float(cell) for cell in kept])
     return header, np.array(numbers, dtype=float).reshape(len(numbers), len(header) - empty)
 
 

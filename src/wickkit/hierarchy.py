@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .cumulants import CumulantBackedOracle, CumulantTable, MomentOracle
-from .errors import rk4, step_count
+from .errors import ConfigError, rk4, step_count
 from .indexing import EMPTY, Codebook, Index, LabeledSeq, PartitionMemo, canonical_key
 from .wick import wick_product_expectation
 
@@ -230,10 +230,17 @@ def hierarchy_rhs_table(
     return out
 
 
+# The most keys ``all_keys_up_to`` builds: a million multiset tuples take a few
+# hundred MB, and a larger hierarchy is out of reach of its right-hand side anyway.
+MAX_KEYS = 1_000_000
+
+
 def all_keys_up_to(indices: Sequence[Index], order: int) -> list[tuple]:
-    """All canonical multiset keys over the indices with 1 <= length <= order."""
+    """All canonical multiset keys over the indices with 1 <= length <= order; over ``MAX_KEYS`` is a ConfigError."""
     # combinations of the sorted pool come out sorted, so they are canonical
     pool = canonical_key(set(indices))
+    if math.comb(len(pool) + order, order) - 1 > MAX_KEYS:  # counted before any key is built
+        raise ConfigError(f"{len(pool)} variables up to order {order} give more than {MAX_KEYS} multiset keys")
     keys = []
     for r in range(1, order + 1):
         keys.extend(itertools.combinations_with_replacement(pool, r))

@@ -20,10 +20,14 @@ from __future__ import annotations
 import cmath
 import contextlib
 import copy
+import functools
 import io
 import itertools
 import json
 import math
+import operator
+import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -35,6 +39,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wickkit
 from wickkit import cli, dnls
 from wickkit.cli import (
     KINDS,
@@ -47,7 +52,7 @@ from wickkit.cli import (
 )
 from wickkit.cumulants import CumulantTable
 from wickkit.dnls import Lattice, Spectrum, estimate_W, read_spectrum_csv, sample_initial, write_spectrum_csv, zero_dispersion
-from wickkit.errors import ConfigError, GuardError
+from wickkit.errors import Block, ConfigError, GuardError
 from wickkit.indexing import LabeledSeq
 from wickkit.kinetic import BPTrajectory, CollisionConfig, EquilibriumParams
 from wickkit.wick import WickPoly, wick_from_cumulants
@@ -1123,6 +1128,20 @@ PROBES = [
     ("estimate-w", ("seed",), 2**63 + 1),
     ("estimate-w", ("seed",), 2**64 - 1),
     ("estimate-w", ("seed",), 2**64),
+    # a csv cell that Python's float alone reads (0_5 as 5.0)
+    ("estimate-w", ("params", "w0"), {"kind": "csv", "path": "underscore.csv"}),
+    # negative thresholds would switch the resolution check off
+    ("kinetic-check", ("params", "se_threshold"), -1),
+    ("kinetic-check", ("params", "min_resolved_modes"), -1),
+]
+
+# Every JSON object of every boundary config, as (kind, key path); each one
+# must refuse a key that its runner does not read.
+OBJECT_SITES = [
+    (kind, path)
+    for kind in KINDS
+    for path in [(), *key_paths(boundary_config(kind))]
+    if isinstance(functools.reduce(operator.getitem, path, boundary_config(kind)), dict)
 ]
 
 
@@ -1166,10 +1185,35 @@ class TestInputBoundary:
         lines = rows.splitlines()
         (tmp_path / "swapped.csv").write_text("\n".join(["k1,value,stderr", lines[1], lines[0], *lines[2:]]) + "\n")
         (tmp_path / "ragged.csv").write_text("k1,value,stderr\n" + rows.replace("1.0,", "1.0,0.5", 3))
+        (tmp_path / "underscore.csv").write_text("k1,value,stderr\n" + rows.replace("1.0,", "0_5,", 1))
         code, stderr = run_in_process(kind, replaced(boundary_config(kind), path, value), tmp_path)
         assert code == 2, stderr
         assert_error_line(stderr, 2)
         assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    @pytest.mark.parametrize("kind, path", OBJECT_SITES, ids=[f"{k}:{'.'.join(map(str, p)) or 'top'}" for k, p in OBJECT_SITES])
+    def test_an_unknown_key_exits_2_without_results(self, tmp_path, kind, path):
+        code, stderr = run_in_process(kind, replaced(boundary_config(kind), path + ("bogus",), 1), tmp_path)
+        assert code == 2, stderr
+        assert_error_line(stderr, 2)
+        assert "bogus" in json.loads(stderr)["message"]
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    def test_a_hierarchy_over_the_key_budget_exits_2_under_a_memory_limit(self, tmp_path):
+        # two variables up to order 100000 are 5e9 keys: counted first, never built
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(replaced(boundary_config("hierarchy-rhs"), ("params", "order"), 100_000)))
+        limit = 2 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "wickkit.cli", "hierarchy-rhs", "--config", str(config), "--out", str(tmp_path / "run")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(wickkit.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert_error_line(proc.stderr, 2)
+        assert not any((tmp_path / "run").iterdir())
 
     def test_csv_w0_from_the_spectrum_writer_reads_back_exactly(self, tmp_path, monkeypatch):
         # the k rows are checked against the grid, so a file the package wrote
@@ -1179,7 +1223,7 @@ class TestInputBoundary:
         config["params"]["lattice"] = {"dimension": 2, "side": 4}
         lattice = Lattice(2, 4)
         cosine = {"kind": "cosine", "mean": 1.0, "amplitudes": [0.5, 0.25]}
-        values = cli._parse_w0(cosine, lattice, zero_dispersion(2), "w0")
+        values = cli._parse_w0(Block(cosine, "w0"), lattice, zero_dispersion(2))
         write_spectrum_csv(lattice, Spectrum(values), tmp_path / "w0.csv")
         outputs = []
         for w0 in (cosine, {"kind": "csv", "path": "w0.csv"}):

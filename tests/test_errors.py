@@ -1,11 +1,12 @@
-"""The jackknife error routine shared by every Monte Carlo error bar."""
+"""The shared input readers and the jackknife error routine behind every Monte Carlo error bar."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from wickkit.errors import jackknife_stderr, mean_stderr
+from wickkit.errors import Block, ConfigError, jackknife_stderr, mean_stderr, read_csv, write_csv
 
 
 def spelled_out_mean_stderr(samples):
@@ -56,3 +57,65 @@ class TestJackknife:
         loo = np.array([np.var(np.delete(x, i)) for i in range(n)])
         want = math.sqrt((n - 1) / n * sum((v - loo.mean()) ** 2 for v in loo))
         assert float(jackknife_stderr(loo)) == pytest.approx(want, rel=1e-12)
+
+
+class TestBlock:
+    def test_reads_name_their_full_key_path(self):
+        with pytest.raises(ConfigError, match=r"run params\.lattice\.side must be a finite JSON integer"):
+            with Block({"lattice": {"side": 8.5}}, "run params") as params:
+                with params.block("lattice") as lattice:
+                    lattice.integer("side")
+
+    def test_a_read_without_a_default_is_a_required_key(self):
+        with pytest.raises(ConfigError, match="missing required key 'tau'"):
+            with Block({}, "run params") as params:
+                params.number("tau")
+
+    def test_leaving_the_block_refuses_every_key_no_read_asked_for(self):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['bogus'\]; allowed: \['dt', 'tau'\]"):
+            with Block({"tau": 1.0, "bogus": 1}, "run params") as params:
+                assert params.number("tau") == 1.0
+                assert params.number("dt", 0.5) == 0.5
+
+    def test_an_error_inside_the_block_is_reported_instead(self):
+        with pytest.raises(ConfigError, match="must be one of a | b"):
+            with Block({"mode": "c", "bogus": 1}, "run params") as params:
+                params.choice("mode", ("a", "b"))
+
+    def test_null_reads_as_left_out_only_where_the_default_is_none(self):
+        with Block({"epsilon": None, "method": None}, "delta") as block:
+            assert block.number("epsilon", None) is None
+            assert block.choice("method", ("direct", "fft"), None) is None
+        with pytest.raises(ConfigError, match="delta.width must be a finite JSON number"):
+            with Block({"width": None}, "delta") as block:
+                block.number("width", 0.25)
+
+    def test_inline_or_file_takes_exactly_one(self, tmp_path):
+        (tmp_path / "t.json").write_text(json.dumps({"[1]": [1.0, 0.0]}))
+        with Block({"table_path": str(tmp_path / "t.json")}, "params") as params:
+            assert params.inline_or_file("table") == {"[1]": [1.0, 0.0]}
+        for raw in ({}, {"table": {}, "table_path": "t.json"}):
+            with pytest.raises(ConfigError, match="supply exactly one"):
+                with Block(raw, "params") as params:
+                    params.inline_or_file("table")
+
+
+class TestReadCsv:
+    def test_every_written_float_reads_back(self, tmp_path):
+        bits = np.random.default_rng(15).integers(0, 2**63, size=4000, dtype=np.int64)
+        values = bits.view(float)
+        values = np.concatenate([values[np.isfinite(values)], [0.0, -0.0, 1e-300, 5e-324, 1e16, 0.1, -2.5]])
+        write_csv(tmp_path / "v.csv", ["value"], [values])
+        header, rows = read_csv(tmp_path / "v.csv")
+        assert header == ["value"] and rows[:, 0].tobytes() == values.tobytes()
+
+    def test_nan_and_inf_read_as_numbers(self, tmp_path):
+        (tmp_path / "v.csv").write_text("a,b,c\nnan,inf,-inf\n")
+        assert read_csv(tmp_path / "v.csv")[1].tolist()[0][1:] == [math.inf, -math.inf]
+
+    @pytest.mark.parametrize("cell", ["0_5", " 1.0", "1.0 ", "Infinity", "NaN", "+1.0", "1e", "."])
+    def test_a_cell_that_is_not_a_plain_number_is_refused(self, tmp_path, cell):
+        # Python's float alone takes the first six
+        (tmp_path / "v.csv").write_text(f"a,b\n1.0,{cell}\n")
+        with pytest.raises(ConfigError, match="row 2"):
+            read_csv(tmp_path / "v.csv")
