@@ -175,11 +175,11 @@ def load_run_config(
         fields = {"kind": config.get("kind"), "params": config.get("params")}
         if kind is not None and fields["kind"] != kind:
             raise ConfigError(f"config kind {fields['kind']!r} does not match subcommand {kind!r}")
-        # a flag overrides the file's value, but the file's key is read either way
-        for key, flag, default in (("seed", seed, 0), ("threads", threads, 1), ("out", out, "out")):
-            value = config.get(key, default)
-            fields[key] = value if flag is None else flag
-    return RunConfig(**fields)
+        for key, default in (("seed", 0), ("threads", 1), ("out", "out")):
+            fields[key] = config.get(key, default)
+    # the file's values are checked even where a flag overrides them
+    flags = {"seed": seed, "threads": threads, "out": out}
+    return replace(RunConfig(**fields), **{key: flag for key, flag in flags.items() if flag is not None})
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, GuardError, _json, _object, _pair, jackknife_stderr, loo_means
 from .indexing import (
+    CODE_BITS,
     SUBSET_GUARD,
     Codebook,
     Index,
@@ -207,36 +208,61 @@ class LinearCombinationOracle(MomentOracle):
 class EnsembleOracle(MomentOracle):
     """Empirical moments of a finite ensemble of joint realizations.
 
-    ``samples`` maps each index to a length-n complex array; the moment of a
-    key is the sample mean of the realization-wise product.  Leave-one-out
-    means are exposed for jackknifing.
+    ``samples`` maps each index to an ``(n,)`` or ``(n, m)`` complex array,
+    all of one shape: n realizations of m samples each (the sites of one
+    lattice field, say; an ``(n,)`` array is ``(n, 1)``).  The moment of a
+    key is the mean over m of the sample-wise product within each
+    realization, then the mean over the n realizations; the leave-one-out
+    moments drop one realization each, for jackknifing.  Products are kept
+    by multiset code of ``book``, each built from the product of its first
+    k - 1 indices in id order; a product is stored only once a longer one
+    is built on it, while the per-realization means of every code are kept.
     """
 
     def __init__(self, samples: Mapping[Index, np.ndarray]):
-        self.samples = {i: np.asarray(v, dtype=complex) for i, v in samples.items()}
-        sizes = {v.shape for v in self.samples.values()}
-        if len(sizes) != 1 or any(len(s) != 1 for s in sizes):
-            raise ValueError("all sample arrays must be 1-d of equal length")
-        self.n = next(iter(sizes))[0]
+        arrays = {i: np.asarray(v, dtype=complex) for i, v in samples.items()}
+        shapes = {v.shape for v in arrays.values()}
+        if len(shapes) != 1 or len(next(iter(shapes))) not in (1, 2):
+            raise ValueError("the sample arrays must all have one (n,) or (n, m) shape")
+        self.n = next(iter(shapes))[0]
         if self.n < 2:
             raise ValueError("need at least two realizations")
-        self._prod_cache: dict[tuple, np.ndarray] = {}
+        self.book = Codebook()
+        self._products = {slot: v.reshape(self.n, -1) for slot, v in zip(self.book.slots(arrays), arrays.values())}
+        self._means: dict[int, np.ndarray] = {0: np.ones(self.n)}
 
-    def _products(self, key: tuple) -> np.ndarray:
-        key = canonical_key(key)
-        if key not in self._prod_cache:
-            out = np.ones(self.n, dtype=complex)
-            for idx in key:
-                out = out * self.samples[idx]
-            self._prod_cache[key] = out
-        return self._prod_cache[key]
+    def _product(self, code: int, keep: bool = False) -> np.ndarray:
+        """The ``(n, m)`` sample-wise product of a code's indices."""
+        out = self._products.get(code)
+        if out is None:
+            top = 1 << (code.bit_length() - 1) // CODE_BITS * CODE_BITS  # the last index's slot
+            if top not in self._products:
+                raise KeyError(self.book.key(top)[0])
+            out = self._product(code - top, keep=True) * self._products[top]
+            if keep:
+                self._products[code] = out
+        return out
+
+    def _realization_means(self, code: int) -> np.ndarray:
+        if code not in self._means:
+            self._means[code] = self._product(code).mean(axis=1)
+        return self._means[code]
+
+    def _moment_code(self, code: int) -> complex:
+        return complex(self._realization_means(code).mean())
+
+    def _loo_moment_code(self, code: int) -> np.ndarray:
+        return loo_means(self._realization_means(code))
 
     def moment(self, key: tuple) -> complex:
-        return complex(self._products(key).mean())
+        return self._moment_code(self.book.code(key))
 
     def loo_moment(self, key: tuple) -> np.ndarray:
-        """Length-n array of leave-one-out sample means."""
-        return loo_means(self._products(key))
+        """Length-n array of leave-one-out moments."""
+        return self._loo_moment_code(self.book.code(key))
+
+    def coded_moments(self) -> tuple[Codebook, Callable[[int], complex]]:
+        return self.book, self._moment_code
 
 
 # ----------------------------------------------------------------------
@@ -493,11 +519,11 @@ def empirical_cumulant(
     The estimate applies the moment-cumulant recursion to full-sample means;
     the standard error reruns the recursion on all n leave-one-out means at
     once (the recursion is arithmetic in the moments, so it vectorizes) and
-    applies the jackknife formula.  The returned error is
+    applies the jackknife formula, so every moment, the means included, is
+    re-estimated without each realization in turn.  The returned error is
     sqrt(var_re + var_im) of the jackknife distribution.
     """
-    book = Codebook()
-    slots = book.slots(seq.indices())
-    value = complex(_kappa_recursive(_by_code(ensemble.moment, book), slots, {}))
-    loo = _kappa_recursive(_by_code(ensemble.loo_moment, book), slots, {})
+    slots = ensemble.book.slots(seq.indices())
+    value = complex(_kappa_recursive(ensemble._moment_code, slots, {}))
+    loo = _kappa_recursive(ensemble._loo_moment_code, slots, {})
     return value, float(jackknife_stderr(np.asarray(loo, dtype=complex)))

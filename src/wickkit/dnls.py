@@ -31,9 +31,11 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from .cumulants import CumulantEvaluator, EnsembleOracle, empirical_cumulant
 from .errors import (
-    Block, ConfigError, GuardError, _json, _write_json, jackknife_stderr, loo_means, mean_stderr, read_csv, write_csv,
+    Block, ConfigError, GuardError, _json, _write_json, mean_stderr, read_csv, write_csv,
 )
+from .indexing import LabeledSeq
 from .pool import map_in_order
 
 __all__ = [
@@ -837,7 +839,11 @@ def translation_audit(ensemble: LatticeEnsemble, threshold: float = 4.0) -> Tran
 
 def free_propagator(lattice: Lattice, dispersion: Dispersion, t: float) -> np.ndarray:
     """p_t(x) = L^-d sum_k exp(i 2 pi k . x) exp(-i t omega(k))."""
-    omega = dispersion.omega(lattice)
+    return _propagator(lattice, dispersion.omega(lattice), t)
+
+
+def _propagator(lattice: Lattice, omega: np.ndarray, t: float) -> np.ndarray:
+    """:func:`free_propagator` with the dispersion symbol ``omega`` already computed."""
     return _lattice_fft(np.exp(-1j * t * omega), lattice.dimension, inverse=True)
 
 
@@ -883,7 +889,7 @@ def propagator_decay_fit(
     times = np.linspace(0.0, t_max, n_samples)
     norms = np.empty(n_samples)
     for i, t in enumerate(times):
-        norms[i] = float(np.sum(np.abs(free_propagator(lattice, dispersion, t)) ** 3))
+        norms[i] = float(np.sum(np.abs(_propagator(lattice, omega, t)) ** 3))
 
     # group speed in sites per unit time, bounded by finite differences of
     # omega on the dual grid (exact enough for a revival-time estimate)
@@ -980,32 +986,22 @@ def empirical_pair_cluster(ensemble: LatticeEnsemble) -> dict[tuple[int, int], n
     return table
 
 
-@dataclass(frozen=True)
-class ScalarEstimate:
-    """A Monte Carlo scalar with its jackknife standard error."""
-
-    value: float
-    stderr: float
-
-
-def coincident_fourth_cumulant(ensemble: LatticeEnsemble) -> ScalarEstimate:
+def coincident_fourth_cumulant(ensemble: LatticeEnsemble) -> tuple[float, float]:
     """kappa(conj psi, conj psi, psi, psi) at a single site, site-averaged.
 
-    Uses the centered estimator  E|z|^4 - 2 (E|z|^2)^2 - |E z^2|^2, with all
-    moments averaged over sites and realizations; the error is a jackknife
-    over realizations.  A circular Gaussian law gives zero; the fixed-modulus
-    family gives  -L^-2d sum_k W(k)^2 < 0.
+    ``(value, stderr)`` of :func:`wickkit.cumulants.empirical_cumulant` over
+    the realizations, each with its lattice sites as the samples of the
+    conjugated (-1) and the plain (+1) field: every moment is averaged over
+    sites and realizations, and the error is a jackknife over realizations
+    that re-estimates every moment, the mean included.  A circular Gaussian
+    law gives zero; the fixed-modulus family gives  -L^-2d sum_k W(k)^2 < 0.
     """
     if ensemble.n_realizations < 2:
         raise ConfigError("coincident_fourth_cumulant needs at least 2 realizations")
-    axes = ensemble.spatial_axes
-    z = ensemble.fields - ensemble.fields.mean()
-    m4 = (np.abs(z) ** 4).mean(axis=axes)  # per realization
-    m2 = (np.abs(z) ** 2).mean(axis=axes)
-    mpp = (z**2).mean(axis=axes)
-    full = float(m4.mean() - 2.0 * m2.mean() ** 2 - abs(mpp.mean()) ** 2)
-    loo = loo_means(m4) - 2.0 * loo_means(m2) ** 2 - np.abs(loo_means(mpp)) ** 2
-    return ScalarEstimate(value=full, stderr=float(jackknife_stderr(loo)))
+    fields = ensemble.fields.reshape(ensemble.n_realizations, -1)
+    oracle = EnsembleOracle({-1: np.conj(fields), 1: fields})
+    value, stderr = empirical_cumulant(oracle, LabeledSeq.from_indices((-1, -1, 1, 1)))
+    return value.real, stderr
 
 
 def _window_offsets(lattice: Lattice, radius: int) -> list[tuple[int, ...]]:
@@ -1022,10 +1018,11 @@ def empirical_fourth_cluster(
 
     Estimates kappa(psi^(s1)(0), psi^(s2)(x2), psi^(s3)(x3), psi^(s4)(x4))
     for offsets in the l-infinity window of the given radius, translation-
-    and ensemble-averaged.  Fields are centered first, so only pair-pair
-    partitions are subtracted from the fourth moment.  Returns the offset
-    list and the value array of shape (len(offsets),) * 3 indexed by
-    (x2, x3, x4).
+    and ensemble-averaged: the cumulant recursion over an ensemble oracle
+    whose index (s, x) is the centered field rolled by x, conjugated for
+    s = -1, with the lattice sites as the samples of each realization.
+    Returns the offset list and the value array of shape
+    (len(offsets),) * 3 indexed by (x2, x3, x4).
 
     Cost grows as the cube of the window volume; intended for small windows
     on small lattices.
@@ -1036,44 +1033,18 @@ def empirical_fourth_cluster(
         raise ConfigError("window does not fit on the lattice")
     axes = ensemble.spatial_axes
     centered = ensemble.fields - ensemble.fields.mean()
-
-    # translation-averaged pair moments for every needed sign pair, full grid
-    pair_table: dict[tuple[int, int], np.ndarray] = {}
-    for i, j in itertools.combinations(range(4), 2):
-        key = (signs[i], signs[j])
-        if key not in pair_table:
-            pair_table[key] = _translation_averaged_pair(
-                centered, signs[i] == -1, signs[j] == -1, ensemble.lattice.dimension
-            )
-
+    by_sign = {1: centered, -1: np.conj(centered)}
     offsets = _window_offsets(ensemble.lattice, window_radius)
-    n_off = len(offsets)
-    shifted = {
-        offset: np.roll(centered, tuple(-o for o in offset), axis=axes) for offset in offsets
+    samples = {
+        (s, offset): np.roll(by_sign[s], tuple(-o for o in offset), axis=axes).reshape(ensemble.n_realizations, -1)
+        for s in set(signs)
+        for offset in offsets
     }
-
-    def pair_value(slot_a: int, slot_b: int, off_a: tuple[int, ...], off_b: tuple[int, ...]) -> complex:
-        rel = tuple((b - a) % ensemble.lattice.side for a, b in zip(off_a, off_b))
-        return complex(pair_table[(signs[slot_a], signs[slot_b])][rel])
-
-    values = np.empty((n_off, n_off, n_off), dtype=complex)
+    evaluator = CumulantEvaluator(EnsembleOracle(samples))
     origin = (0,) * ensemble.lattice.dimension
-    conj2 = {offset: (np.conj(arr) if signs[1] == -1 else arr) for offset, arr in shifted.items()}
-    conj3 = {offset: (np.conj(arr) if signs[2] == -1 else arr) for offset, arr in shifted.items()}
-    conj4 = {offset: (np.conj(arr) if signs[3] == -1 else arr) for offset, arr in shifted.items()}
-    base = np.conj(centered) if signs[0] == -1 else centered
-    for i2, x2 in enumerate(offsets):
-        partial = base * conj2[x2]
-        for i3, x3 in enumerate(offsets):
-            partial3 = partial * conj3[x3]
-            for i4, x4 in enumerate(offsets):
-                m4 = complex((partial3 * conj4[x4]).mean(axis=axes).mean())
-                pairings = (
-                    pair_value(0, 1, origin, x2) * pair_value(2, 3, x3, x4)
-                    + pair_value(0, 2, origin, x3) * pair_value(1, 3, x2, x4)
-                    + pair_value(0, 3, origin, x4) * pair_value(1, 2, x2, x3)
-                )
-                values[i2, i3, i4] = m4 - pairings
+    values = np.empty((len(offsets),) * 3, dtype=complex)
+    for (i2, x2), (i3, x3), (i4, x4) in itertools.product(enumerate(offsets), repeat=3):
+        values[i2, i3, i4] = evaluator.kappa([(signs[0], origin), (signs[1], x2), (signs[2], x3), (signs[3], x4)])
     return offsets, values
 
 

@@ -175,14 +175,6 @@ class CollisionConfig:
             return self.resolved_epsilon()
         return 2.0 * math.pi / self.window_support
 
-    def delta_weights(self, omega_gap: np.ndarray) -> np.ndarray:
-        """Unit-mass even energy kernel evaluated at Omega values."""
-        if self.delta_model == "gaussian":
-            eps = self.resolved_epsilon()
-            return np.exp(-(omega_gap**2) / (2.0 * eps**2)) / (eps * math.sqrt(2.0 * math.pi))
-        support = self.window_support
-        return (support / (2.0 * math.pi)) * np.sinc(support * omega_gap / (2.0 * math.pi)) ** 2
-
 
 @dataclass(frozen=True)
 class EquilibriumParams:

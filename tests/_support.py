@@ -264,22 +264,20 @@ def sampled_realization(spectrum, seed, index, family="gaussian"):
 
 
 def reference_coincident_fourth_stderr(ensemble):
-    """Jackknife error of ``coincident_fourth_cumulant``, one leave-one-out
-    statistic per realization in a Python loop."""
+    """Delete-one jackknife error of ``coincident_fourth_cumulant``: in a
+    Python loop, each realization is dropped in turn and the whole estimator,
+    centering included, is recomputed as  E|z|^4 - 2 (E|z|^2)^2 - |E z^2|^2
+    on the fields that remain."""
     axes = ensemble.spatial_axes
-    z = ensemble.fields - ensemble.fields.mean()
-    m4 = (np.abs(z) ** 4).mean(axis=axes)
-    m2 = (np.abs(z) ** 2).mean(axis=axes)
-    mpp = (z**2).mean(axis=axes)
     n = ensemble.n_realizations
     loo = np.empty(n)
-    sum4, sum2, sump = m4.sum(), m2.sum(), mpp.sum()
     for i in range(n):
-        loo[i] = float(
-            (sum4 - m4[i]) / (n - 1)
-            - 2.0 * ((sum2 - m2[i]) / (n - 1)) ** 2
-            - abs((sump - mpp[i]) / (n - 1)) ** 2
-        )
+        fields = np.delete(ensemble.fields, i, axis=0)
+        z = fields - fields.mean()
+        m4 = (np.abs(z) ** 4).mean(axis=axes).mean()
+        m2 = (np.abs(z) ** 2).mean(axis=axes).mean()
+        mpp = (z**2).mean(axis=axes).mean()
+        loo[i] = float(m4 - 2.0 * m2**2 - abs(mpp) ** 2)
     return math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
 
 
@@ -325,6 +323,17 @@ def reference_split_steps(ensemble, dispersion, dt, n_steps):
 
 # ----------------------------------------------------------------------
 # the collision engine, rebuilding every W-independent array per call
+
+
+def delta_weights(config, omega_gap):
+    """The unit-mass even energy kernel of a ``CollisionConfig`` at Omega
+    values: a Gaussian of width ``resolved_epsilon()``, or the Fejer kernel
+    of the config's time window."""
+    if config.delta_model == "gaussian":
+        eps = config.resolved_epsilon()
+        return np.exp(-(omega_gap**2) / (2.0 * eps**2)) / (eps * math.sqrt(2.0 * math.pi))
+    support = config.window_support
+    return (support / (2.0 * math.pi)) * np.sinc(support * omega_gap / (2.0 * math.pi)) ** 2
 
 
 def reference_time_domain_sums(values, omega, nodes, weights, block_elements):

@@ -33,6 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -1049,13 +1050,13 @@ def replaced(config: dict, path: tuple, value) -> dict:
     return out
 
 
-def run_in_process(kind: str, config: dict, directory: Path) -> tuple[int, str]:
+def run_in_process(kind: str, config: dict, directory: Path, flags: Sequence[str] = ()) -> tuple[int, str]:
     """Write the config, run the ``kind`` subcommand on it in-process, return (exit code, stderr)."""
     path = directory / "c.json"
     path.write_text(json.dumps(config))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main([kind, "--config", str(path), "--out", str(directory / "run")])
+        code = main([kind, "--config", str(path), *flags, "--out", str(directory / "run")])
     return code, err.getvalue()
 
 
@@ -1197,6 +1198,15 @@ class TestInputBoundary:
         assert code == 2, stderr
         assert_error_line(stderr, 2)
         assert "bogus" in json.loads(stderr)["message"]
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    @pytest.mark.parametrize("key, value", [("seed", "x"), ("threads", -5), ("out", 5)])
+    def test_a_bad_file_value_under_its_flag_exits_2_without_results(self, tmp_path, key, value):
+        config = replaced(boundary_config("wick-expand"), (key,), value)
+        code, stderr = run_in_process("wick-expand", config, tmp_path, ["--seed", "3", "--threads", "1"])
+        assert code == 2, stderr
+        assert_error_line(stderr, 2)
+        assert key in json.loads(stderr)["message"]
         assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
 
     def test_a_hierarchy_over_the_key_budget_exits_2_under_a_memory_limit(self, tmp_path):

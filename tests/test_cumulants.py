@@ -304,11 +304,45 @@ class TestEmpirical:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EnsembleOracle({"a": np.ones((4, 2))})
+            EnsembleOracle({"a": np.ones((4, 2, 2))})
         with pytest.raises(ValueError):
             EnsembleOracle({"a": np.ones(4), "b": np.ones(5)})
         with pytest.raises(ValueError):
             EnsembleOracle({"a": np.ones(1)})
+        with pytest.raises(ValueError):  # n differs
+            EnsembleOracle({"a": np.ones((4, 3)), "b": np.ones((5, 3))})
+        with pytest.raises(ValueError):  # m differs
+            EnsembleOracle({"a": np.ones((4, 3)), "b": np.ones((4, 2))})
+        with pytest.raises(ValueError):  # (n,) beside (n, 1)
+            EnsembleOracle({"a": np.ones(4), "b": np.ones((4, 1))})
+        with pytest.raises(KeyError):
+            EnsembleOracle({"a": np.ones(4)}).moment(("a", "b"))
+
+    def test_one_sample_per_realization_is_the_flat_oracle(self):
+        rng = np.random.default_rng(31)
+        y = rng.standard_normal((3, 500)) + 1j * rng.standard_normal((3, 500))
+        flat = EnsembleOracle({"a": y[0], "b": y[1], "c": y[2]})
+        grouped = EnsembleOracle({"a": y[0][:, None], "b": y[1][:, None], "c": y[2][:, None]})
+        for key in [("a",), ("a", "b"), ("a", "a", "c"), ("a", "b", "b", "c"), ("c", "c", "c", "c")]:
+            assert grouped.moment(key) == flat.moment(key)
+            assert grouped.loo_moment(key).tobytes() == flat.loo_moment(key).tobytes()
+            assert empirical_cumulant(grouped, seq(*key)) == empirical_cumulant(flat, seq(*key))
+
+    def test_grouped_moments_average_within_then_across_realizations(self):
+        rng = np.random.default_rng(32)
+        u = rng.standard_normal((40, 6)) + 1j * rng.standard_normal((40, 6))
+        v = np.conj(u) + 0.3 * rng.standard_normal((40, 6))
+        oracle = EnsembleOracle({"u": u, "v": v})
+        per_realization = (u * u * v).mean(axis=1)
+        assert oracle.moment(("u", "v", "u")) == pytest.approx(per_realization.mean(), rel=1e-14)
+        # leave-one-out drops a whole realization, all its samples at once
+        want = [np.delete(per_realization, i).mean() for i in range(40)]
+        assert np.allclose(oracle.loo_moment(("u", "u", "v")), want, rtol=1e-13, atol=0.0)
+        # the cumulant sees the 240 samples as one pooled sample, each
+        # realization weighted equally
+        pooled = EnsembleOracle({"u": u.ravel(), "v": v.ravel()})
+        value, _ = empirical_cumulant(oracle, seq("u", "v", "u", "v"))
+        assert value == pytest.approx(empirical_cumulant(pooled, seq("u", "v", "u", "v"))[0], rel=1e-12)
 
 
 def test_table_from_oracle_covers_all_keys():

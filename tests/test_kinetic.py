@@ -6,8 +6,8 @@ Oracles and frozen references used here:
   implementation, with the delta kernels written out inline);
 * the direct double k-sum with any frequency kernel (``direct_sums``), the
   reference for the time-domain FFT engine on larger grids: weighted by the
-  delta models for the collision sums, by ``prelimit_window`` for the
-  pre-limit kernel;
+  delta models (``_support.delta_weights``) for the collision sums, by
+  ``prelimit_window`` for the pre-limit kernel;
 * the engine with nothing kept between calls
   (``_support.reference_time_domain_sums``), which the plan-based sums must
   match byte for byte, with the plan kept or over the budget;
@@ -28,6 +28,7 @@ Oracles and frozen references used here:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -64,7 +65,7 @@ from wickkit.kinetic import (
     prelimit_window,
 )
 
-from _support import reference_time_domain_sums
+from _support import delta_weights, reference_time_domain_sums
 
 
 def brute_collision(w: np.ndarray, config: CollisionConfig) -> np.ndarray:
@@ -410,7 +411,7 @@ class TestFFTPath:
             CollisionConfig(lattice=lat, dispersion=disp),
             CollisionConfig(lattice=lat, dispersion=disp, delta_model="fejer", window_tau=0.25, window_coupling=0.35),
         ):
-            gain, loss = direct_sums(w, lat, cfg.omega(), cfg.delta_weights)
+            gain, loss = direct_sums(w, lat, cfg.omega(), functools.partial(delta_weights, cfg))
             cd = 4.0 * math.pi / lat.size**2 * (gain + w * loss)
             cf = collision_operator(w, cfg).values
             assert np.max(np.abs(cd - cf)) < 1e-12 * np.max(np.abs(cd))
@@ -431,7 +432,7 @@ class TestFFTPath:
             lattice=lat, dispersion=disp, delta_model="fejer", window_tau=support, window_coupling=1.0
         )
         w = 0.2 + np.random.default_rng(16).random(lat.shape)
-        gain, loss = direct_sums(w, lat, cfg.omega(), cfg.delta_weights)
+        gain, loss = direct_sums(w, lat, cfg.omega(), functools.partial(delta_weights, cfg))
         cg = collision_gain(w, cfg).values / (4.0 * math.pi / lat.size**2)
         cl = gamma_rate(w, cfg).values / (-2.0 * math.pi / lat.size**2)
         assert np.max(np.abs(cg - gain)) <= 1e-12 * np.max(np.abs(gain))
