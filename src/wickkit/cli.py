@@ -438,7 +438,9 @@ def _run_estimate_w(rc: RunConfig, out_dir: Path) -> dict:
     ensemble = sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, threads=rc.threads)
     estimate = estimate_W(ensemble, threads=rc.threads)
     write_spectrum_csv(lattice, estimate, out_dir / "spectrum.csv")
-    worst = float(np.max(np.abs(estimate.values - w0) / np.maximum(estimate.stderr, 1e-300)))
+    # a deterministic family has stderr 0, so the gap is measured against w0's rounding scale
+    floor = np.maximum(8.0 * np.finfo(float).eps * np.abs(w0), 1e-300)
+    worst = float(np.max(np.abs(estimate.values - w0) / np.maximum(estimate.stderr, floor)))
     return {
         "outputs": ["spectrum.csv"],
         "summary": {"n_realizations": n_real, "max_zscore_vs_w0": worst},

@@ -92,7 +92,7 @@ class TableOracle(MomentOracle):
     def __init__(self, entries: Mapping[tuple, complex]):
         self.book = Codebook()
         self._by_code = {self.book.code(k): complex(v) for k, v in entries.items()}
-        if self._by_code.get(0, 1.0) != 1.0:
+        if self._by_code.setdefault(0, 1.0 + 0.0j) != 1.0:  # an absent empty moment reads as 1
             raise ConfigError("the empty moment must equal 1")
 
     def _moment_code(self, code: int) -> complex:
@@ -524,6 +524,8 @@ def empirical_cumulant(
     sqrt(var_re + var_im) of the jackknife distribution.
     """
     slots = ensemble.book.slots(seq.indices())
+    if not slots:  # the empty cumulant is 0 by definition, on every sample
+        return 0.0 + 0.0j, 0.0
     value = complex(_kappa_recursive(ensemble._moment_code, slots, {}))
     loo = _kappa_recursive(ensemble._loo_moment_code, slots, {})
     return value, float(jackknife_stderr(np.asarray(loo, dtype=complex)))

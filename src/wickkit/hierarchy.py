@@ -17,10 +17,10 @@ the right-hand side goes through a :class:`HierarchyPlan`, which codes each
 distinct amplitudes.  An evaluation calls each amplitude once and sums each
 distinct pair once against the state's partition-sum memo, then adds every
 target's terms in (slot, drive) order, so every result keeps the bytes of
-the term-by-term loop.  :func:`hierarchy_rhs` plans one target;
-:func:`hierarchy_rhs_table` runs it per target over one shared memo;
-:func:`integrate_hierarchy` builds one plan for all its keys and evaluates
-it on every RK4 stage, against a fresh memo per stage.
+the term-by-term loop.  :func:`hierarchy_rhs` plans one target and
+:func:`hierarchy_rhs_table` its distinct targets, over one memo;
+:func:`integrate_hierarchy` plans all its keys once and evaluates the plan
+on every RK4 stage, against a fresh memo per stage.
 """
 
 from __future__ import annotations
@@ -185,27 +185,15 @@ class HierarchyPlan:
 
 
 def hierarchy_rhs(
-    model: AmplitudeModel,
-    state: HierarchyState,
-    target: LabeledSeq,
-    memo: PartitionMemo | None = None,
-    work: dict[str, int] | None = None,
+    model: AmplitudeModel, state: HierarchyState, target: LabeledSeq, memo: PartitionMemo | None = None
 ) -> complex:
-    """d/dt kappa[target] under the model, at the state's time and table.
+    """d/dt kappa[target] under the model at the state, by a one-target plan over ``memo`` or a fresh one.
 
-    ``memo`` lets the right-hand sides over one state share the states of
-    their pair expectations (see :func:`hierarchy_rhs_table`); it must not
-    outlive the state's table.  By default the pair expectations of this one
-    target share a memo.  ``work``, when given, gains the target's pair
-    counts (see :meth:`HierarchyPlan.evaluate`).
+    A memo shared by the right-hand sides over one state must not outlive the state's table.
     """
     if memo is None:
         memo = PartitionMemo()
-    values, counts = HierarchyPlan(model, [target], memo.book).evaluate(state, memo)
-    if work is not None:
-        for name, count in counts.items():
-            work[name] = work.get(name, 0) + count
-    return values[0]
+    return HierarchyPlan(model, [target], memo.book).evaluate(state, memo)[0][0]
 
 
 def hierarchy_rhs_table(
@@ -215,19 +203,20 @@ def hierarchy_rhs_table(
     memo: PartitionMemo | None = None,
     work: dict[str, int] | None = None,
 ) -> dict[tuple, complex]:
-    """The right-hand side for a family of canonical target keys, by :func:`hierarchy_rhs`.
+    """The right-hand side for a family of target keys, by one plan over the distinct canonical keys.
 
     All the pair expectations share one memo, ``memo`` or a fresh one, which
-    must not outlive the state's table, so a pair that an earlier target
-    summed is a memo hit.  ``work``, when given, gains the pair counts
-    summed over the targets.
+    must not outlive the state's table.  ``work``, when given, is updated with
+    the plan's pair counts (see :meth:`HierarchyPlan.evaluate`).
     """
     if memo is None:
         memo = PartitionMemo()
-    out = {}
-    for key in dict.fromkeys(canonical_key(key) for key in targets):
-        out[key] = hierarchy_rhs(model, state, LabeledSeq.from_indices(key), memo, work)
-    return out
+    keys = list(dict.fromkeys(canonical_key(key) for key in targets))
+    plan = HierarchyPlan(model, [LabeledSeq.from_indices(key) for key in keys], memo.book)
+    values, counts = plan.evaluate(state, memo)
+    if work is not None:
+        work.update(counts)
+    return dict(zip(keys, values))
 
 
 # The most keys ``all_keys_up_to`` builds: a million multiset tuples take a few

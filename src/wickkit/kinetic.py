@@ -320,11 +320,17 @@ def _time_domain_sums(
     return gain, loss
 
 
-def _collision_sums(w: np.ndarray | Spectrum, config: CollisionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, gain sum, loss sum) on the time nodes of the config's delta model."""
-    values = _spectrum_values(w, config.lattice)
+def _nonnegative_values(w: np.ndarray | Spectrum, lattice: Lattice) -> np.ndarray:
+    """The spectrum's values on the lattice; a negative entry is a ConfigError."""
+    values = _spectrum_values(w, lattice)
     if float(values.min()) < 0.0:
         raise ConfigError(f"spectrum has a negative entry: min W = {float(values.min()):.3g}")
+    return values
+
+
+def _collision_sums(w: np.ndarray | Spectrum, config: CollisionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, gain sum, loss sum) on the time nodes of the config's delta model."""
+    values = _nonnegative_values(w, config.lattice)
     plan = config._plan
     blocks = plan if plan is not None else _plan_blocks(*config._time_grid)
     gain_sum, loss_sum = _time_domain_sums(values, blocks)
@@ -392,7 +398,8 @@ def prelimit_kernel(
     increment W_t - W_0 whose ratio to tau approaches C(W) as the coupling
     goes to zero.  Since window = 2 pi tau * unit-mass Fejér kernel of
     support T, this is tau times the Fejér collision sums; only the lattice
-    and dispersion of ``config`` are used.
+    and dispersion of ``config`` are used.  The window's config serves this
+    one call, so its node blocks are streamed, never kept as a plan.
     """
     window = CollisionConfig(
         lattice=config.lattice,
@@ -401,7 +408,8 @@ def prelimit_kernel(
         window_tau=tau,
         window_coupling=coupling,
     )
-    values, gain_sum, loss_sum = _collision_sums(w, window)
+    values = _nonnegative_values(w, config.lattice)
+    gain_sum, loss_sum = _time_domain_sums(values, _plan_blocks(*window._time_grid))
     scale = 4.0 * math.pi * tau / config.lattice.size**2
     return Spectrum(values=scale * (gain_sum + values * loss_sum))
 
@@ -488,9 +496,7 @@ def bp_solve(
     step-size failure) and counted on the trajectory; the particle-number,
     energy, and entropy functionals are recorded at every accepted step.
     """
-    values = _spectrum_values(w0, config.lattice)
-    if float(values.min()) < 0.0:
-        raise ConfigError(f"initial spectrum has a negative entry: min W = {float(values.min()):.3g}")
+    values = _nonnegative_values(w0, config.lattice)
     n_steps = step_count(tau_end, dtau, "bp_solve (tau_end, dtau)")
 
     omega = config.omega()

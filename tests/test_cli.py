@@ -553,6 +553,20 @@ class TestEstimateW:
         assert np.array_equal(values, expected.values)
         assert np.array_equal(stderr, expected.stderr)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_a_fixed_modulus_ensemble_is_within_rounding_of_w0(self, tmp_path, scale):
+        # every mode power is w0 up to rounding, so the jackknife stderr is 0 or of rounding size
+        params = dict(
+            self.PARAMS,
+            w0={"kind": "cosine", "mean": scale, "amplitudes": [0.4 * scale]},
+            n_realizations=50,
+            family="fixed-modulus",
+        )
+        path = write_config(tmp_path / "c.json", "estimate-w", params, seed=3, out=str(tmp_path / "run"))
+        assert main(["estimate-w", "--config", str(path)]) == 0
+        z = json.loads((tmp_path / "run" / "manifest.json").read_text())["summary"]["max_zscore_vs_w0"]
+        assert math.isfinite(z) and z <= 1.0
+
 
 EQL_BP_PARAMS = {
     "lattice": {"dimension": 2, "side": 8},

@@ -135,6 +135,10 @@ class TestOracles:
         ):
             assert oracle.moment_of(EMPTY) == 1.0
 
+    def test_an_absent_empty_moment_reads_as_one(self):
+        for oracle in (TableOracle({(1,): 0.5}), EnsembleOracle({1: np.arange(4.0)})):
+            assert oracle.moment(()) == 1.0
+
     def test_table_oracle_rejects_bad_empty_entry(self):
         with pytest.raises(ValueError):
             TableOracle({(): 2.0})
@@ -265,6 +269,11 @@ class TestMultilinearity:
 
 
 class TestEmpirical:
+    def test_empty_cumulant_is_zero_with_no_error(self):
+        ens = EnsembleOracle({"y": np.random.default_rng(1).standard_normal((8, 3))})
+        assert empirical_cumulant(ens, EMPTY) == (0.0, 0.0)
+        assert CumulantEvaluator(ens).kappa(()) == 0.0
+
     def test_constant_ensemble(self):
         ens = EnsembleOracle({"c": np.full(64, 2.5 + 1.0j)})
         val, se = empirical_cumulant(ens, seq("c"))

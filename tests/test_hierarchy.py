@@ -257,8 +257,7 @@ class TestHierarchyPlan:
         )
         keys = all_keys_up_to(("x", "y"), 3)
         hierarchy_rhs_table(model, HierarchyState(table), keys)
-        # per target, the distinct callables on the drives of its indices
-        assert len(calls) == sum(len({id(term.amplitude) for idx in key for term in model.terms[idx]}) for key in keys)
+        assert len(calls) == 3  # one plan over all the targets: three distinct callables
         calls.clear()
         integrate_hierarchy(model, HierarchyState(table), t_end=0.05, dt=0.01)
         assert len(calls) == 5 * 4 * 3  # 5 RK4 steps of 4 stages, three distinct callables
@@ -287,7 +286,7 @@ class TestHierarchyPlan:
         runs.clear()
         _, again = plan.evaluate(state, memo)
         assert not runs and again["pair_memo_hits"] == again["pair_expectations"] == work["pair_expectations"]
-        # target by target, a pair an earlier target summed is a hit
+        # the table sums each distinct pair once, over a fresh memo
         runs.clear()
         per_target = {}
         hierarchy_rhs_table(model, state, keys, work=per_target)
@@ -328,14 +327,19 @@ class TestHierarchyPlan:
         keys = all_keys_up_to(model.universe(), 4)
         assert as_bytes(final.table.kappa(key) for key in keys) == as_bytes(want.kappa(key) for key in keys)
 
-    def test_the_table_runs_hierarchy_rhs_once_per_target(self, monkeypatch):
+    def test_the_table_builds_one_plan_over_its_distinct_targets(self, monkeypatch):
         model, state = bench_size_model()
         keys = all_keys_up_to((1, 2, 3), 3)
-        seen = []
-        rhs = hierarchy.hierarchy_rhs
-        monkeypatch.setattr(hierarchy, "hierarchy_rhs", lambda m, s, target, *rest: seen.append(target.indices()) or rhs(m, s, target, *rest))
-        hierarchy_rhs_table(model, state, keys + keys[:3])
-        assert seen == keys
+        plans = []
+        plan_class = hierarchy.HierarchyPlan
+
+        def recording(m, targets, book=None):
+            plans.append([target.indices() for target in targets])
+            return plan_class(m, targets, book)
+
+        monkeypatch.setattr(hierarchy, "HierarchyPlan", recording)
+        hierarchy_rhs_table(model, state, keys + [tuple(reversed(key)) for key in keys[-3:]])
+        assert plans == [keys]
 
 
 class TestKeyEnumeration:

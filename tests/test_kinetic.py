@@ -589,6 +589,24 @@ class TestPrelimitKernel:
             monotone = (gaps[1] < gaps[0]) & (gaps[2] < gaps[1])
             assert monotone.mean() >= floor
 
+    def test_the_window_is_streamed_with_the_bytes_of_a_kept_plan(self, monkeypatch):
+        lat, disp = Lattice(dimension=2, side=16), nearest_neighbor_dispersion(2)
+        cfg = CollisionConfig(lattice=lat, dispersion=disp)
+        w = two_axis_spectrum(lat)
+        tau = 0.2
+        want = []
+        for coupling in (0.5, 0.25, 0.125):
+            fejer = CollisionConfig(lattice=lat, dispersion=disp, delta_model="fejer", window_tau=tau, window_coupling=coupling)
+            values, gain, loss = kinetic._collision_sums(w, fejer)
+            assert fejer.plan_kept
+            want.append((4.0 * math.pi * tau / lat.size**2 * (gain + values * loss)).tobytes())
+        built = []
+        plan = kinetic.CollisionConfig.__dict__["_plan"].func
+        monkeypatch.setattr(kinetic.CollisionConfig, "_plan", property(lambda config: built.append(config) or plan(config)))
+        got = [prelimit_kernel(w, coupling, tau, cfg).values.tobytes() for coupling in (0.5, 0.25, 0.125)]
+        assert got == want
+        assert built == []
+
     def test_rejects_bad_inputs(self):
         lat, disp = Lattice(dimension=1, side=8), nearest_neighbor_dispersion(1)
         cfg = CollisionConfig(lattice=lat, dispersion=disp)
