@@ -23,6 +23,8 @@ Conventions
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -323,34 +325,57 @@ def _spectrum_values(w: np.ndarray | Spectrum, lattice: Lattice) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _load_pocketfft():
+    """scipy's compiled ``pypocketfft`` extension, loaded by file path.
+
+    Importing ``scipy.fft`` costs 0.2-0.35 s per process; loading the
+    extension alone costs a few milliseconds, so it is loaded from its file
+    and no scipy package is imported.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("wickkit needs scipy, which is not installed")
+    name = "pypocketfft" + importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = Path(scipy.submodule_search_locations[0], "fft", "_pocketfft", name)
+    if not path.is_file():
+        raise ImportError(f"wickkit needs scipy's compiled pocketfft extension at {path}")
+    spec = importlib.util.spec_from_file_location("pypocketfft", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_pocketfft = _load_pocketfft()
+
+
 def _lattice_fft(
     src: np.ndarray,
     dimension: int,
     inverse: bool = False,
     out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    norm: str = "backward",
 ) -> np.ndarray:
     """``np.fft.fftn`` (or ``ifftn``) of ``src`` over its trailing ``dimension`` axes.
 
-    The transform runs as ``dimension`` 1-D passes over the last axis, whose
-    lines are contiguous.  Each pass writes ``work``, and one copy into
-    ``out`` moves the transformed axis to the front of the lattice axes, so
-    the next pass finds the next axis last and ``dimension`` passes restore
-    the order.  That is numpy's own axis order (last axis first) with the
-    same 1-D kernel on every line, so the result is bit-identical to
-    ``np.fft.fftn(src, axes=range(-dimension, 0))``.  The lattice axes must
-    all have one length, as on a :class:`Lattice`, so that a rotated array
-    keeps its shape.  ``out`` (returned) and ``work`` are allocated when not
-    given; ``out`` may be ``src``, ``work`` may not.
+    The transform is one n-D pocketfft call over the lattice axes, last axis
+    first as in numpy, on one thread (``--threads`` parallelizes over
+    blocks).  Its 1-D kernel is the pocketfft code numpy runs, and on a
+    :class:`Lattice` every side is a power of two, so the single ``1/N``
+    scale of the inverse is numpy's per-axis ``1/n`` scales exactly: the
+    result is bit-identical to ``np.fft.fftn(src, axes=range(-dimension,
+    0), norm=norm)`` (or ``ifftn``).  ``norm="forward"`` makes the inverse
+    unscaled.  ``out`` (returned) is allocated when not given and may be
+    ``src``.
     """
-    kernel = np.fft.ifft if inverse else np.fft.fft
-    out = np.empty(src.shape, dtype=complex) if out is None else out
-    work = np.empty_like(out) if work is None else work
-    for _ in range(dimension):
-        kernel(src, axis=-1, out=work)
-        np.copyto(out, np.moveaxis(work, -1, -dimension))
-        src = out
-    return out
+    scaled = inverse == (norm == "backward")
+    return _pocketfft.c2c(
+        np.asarray(src, dtype=complex),
+        axes=tuple(range(-1, -dimension - 1, -1)),
+        forward=not inverse,
+        inorm=2 if scaled else 0,
+        out=out,
+        nthreads=1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +486,7 @@ def integrate_ensemble(
         """Step one block into ``fields``; the sums of rho before the first step and after each."""
         sums = np.full(n_steps + 1, np.nan)
         start, psi = ensemble.fields[rows], fields[rows]
-        spectral, work, phase = np.empty_like(psi), np.empty_like(psi), np.empty_like(psi)
+        spectral, phase = np.empty_like(psi), np.empty_like(psi)
         rho, scratch = np.empty(psi.shape), np.empty(psi.shape)
 
         def density(field: np.ndarray) -> float:
@@ -482,9 +507,9 @@ def integrate_ensemble(
             else:
                 psi[...] = start
             for step in range(1, n_steps + 1):
-                _lattice_fft(psi, dimension, out=spectral, work=work)
+                _lattice_fft(psi, dimension, out=spectral)
                 np.multiply(linear, spectral, out=spectral)
-                _lattice_fft(spectral, dimension, inverse=True, out=psi, work=work)
+                _lattice_fft(spectral, dimension, inverse=True, out=psi)
                 sums[step] = density(psi)
                 if not math.isfinite(sums[step]):
                     break  # the later sums stay NaN
@@ -570,10 +595,11 @@ def sample_initial(
     Philox stream keyed ``(seed, i)``, for a seed in ``[0, 2**63)``: the real
     parts of its modes, then the imaginary parts (gaussian), or the phases
     (fixed-modulus).  The realizations are drawn in blocks of about
-    :data:`BLOCK_SITES` sites, with one bit generator and one inverse
-    :func:`_lattice_fft` per block, written straight into the ensemble, and
-    the blocks go to a pool of ``threads`` threads; each field depends on
-    its key alone, so the ensemble is the same at any thread count.
+    :data:`BLOCK_SITES` sites, with one bit generator per block; the modes
+    are built in the block's rows of the ensemble (:func:`_modes`) and one
+    inverse :func:`_lattice_fft` transforms them there in place.  The blocks
+    go to a pool of ``threads`` threads; each field depends on its key
+    alone, so the ensemble is the same at any thread count.
     """
     spectrum = _spectrum_values(w0, lattice)
     if np.any(spectrum < 0.0):
@@ -604,11 +630,8 @@ def sample_initial(
                 rng.standard_normal(out=draws[row])  # real parts, then imaginary parts
             else:
                 draws[row] = rng.uniform(0.0, 2.0 * np.pi, lattice.shape)
-        if gaussian:
-            psi_hat = amplitude * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
-        else:
-            psi_hat = amplitude * np.exp(1j * draws)
-        _lattice_fft(psi_hat, lattice.dimension, inverse=True, out=fields[rows])
+        psi_hat = _modes(amplitude, draws, gaussian, out=fields[rows])
+        _lattice_fft(psi_hat, lattice.dimension, inverse=True, out=psi_hat)
 
     map_in_order(draw, _blocks(n_realizations, lattice), threads)
     return LatticeEnsemble(
@@ -619,6 +642,26 @@ def sample_initial(
         master_seed=int(seed),
         r_integral=0.0,
     )
+
+
+def _modes(amplitude: np.ndarray, draws: np.ndarray, gaussian: bool, out: np.ndarray) -> np.ndarray:
+    """The mode block ``amplitude * (a + 1j b) / √2`` (gaussian) or ``amplitude * exp(1j phase)``, in ``out``.
+
+    ``draws`` stacks ``(a, b)`` along axis 1 (gaussian) or holds the phases.
+    No full-size temporary is built: each step is numpy's own complex
+    arithmetic written out on ``out``, so the bytes are those of the
+    expressions, signed zeros included.  ``1j x`` of a real ``x`` is
+    ``(0 x - 0) + i (0 + x)``; adding the real ``a`` adds to the real part
+    only; ``amplitude`` and ``√2`` act as the complex ``amplitude + 0j`` and
+    ``√2 + 0j``.
+    """
+    turned = draws[:, 1] if gaussian else draws  # the draws that 1j multiplies
+    np.subtract(np.multiply(0.0, turned, out=out.real), 0.0, out=out.real)
+    np.add(turned, 0.0, out=out.imag)
+    if not gaussian:
+        return np.multiply(amplitude, np.exp(out, out=out), out=out)
+    np.add(draws[:, 0], out.real, out=out.real)
+    return np.divide(np.multiply(amplitude, out, out=out), np.sqrt(2.0) + 0j, out=out)
 
 
 def estimate_W(ensemble: LatticeEnsemble, threads: int = 1) -> Spectrum:

@@ -251,19 +251,39 @@ def jackknife_stderr(loo: np.ndarray) -> np.ndarray:
     ``sqrt((n - 1) / n * sum |loo - mean(loo)|^2)``; a complex statistic adds
     the spreads of its real and imaginary parts.
     """
-    return _spread(loo - loo.mean(axis=0))
+    return _spread(lambda: loo - loo.mean(axis=0))
 
 
-def _spread(dev: np.ndarray) -> np.ndarray:
-    """``sqrt((n - 1) / n * sum |dev|^2)`` along axis 0; a real ``dev`` is squared in place."""
+def _spread(deviations: Callable[[], np.ndarray]) -> np.ndarray:
+    """``sqrt((n - 1) / n * sum |dev|^2)`` along axis 0 of ``dev = deviations()``.
+
+    A real ``dev`` is squared in place.  Where that sum overflows although
+    every deviation is finite (values above about 1e154), the spread is
+    recomputed from a fresh ``dev`` divided by its largest magnitude and
+    scaled back; every other entry keeps the bytes of the plain formula.
+    """
+    dev = deviations()
     n = dev.shape[0]
     # |x|^2 of a real x is x^2 to the bit; a complex one keeps np.abs for its bytes
-    square = np.abs(dev) ** 2 if np.iscomplexobj(dev) else np.square(dev, out=dev)
-    return np.sqrt((n - 1) / n * np.sum(square, axis=0))
+    with np.errstate(over="ignore"):
+        square = np.abs(dev) ** 2 if np.iscomplexobj(dev) else np.square(dev, out=dev)
+        spread = np.sqrt((n - 1) / n * np.sum(square, axis=0))
+    overflowed = ~np.isfinite(spread)
+    if not overflowed.any():
+        return spread
+    with np.errstate(all="ignore"):  # the columns kept below have 0 < scale < inf
+        dev = deviations()
+        scale = np.max(np.abs(dev), axis=0)
+        scaled = scale * np.sqrt((n - 1) / n * np.sum(np.abs(dev / scale) ** 2, axis=0))
+    return np.where(overflowed & np.isfinite(scale), scaled, spread)
 
 
 def mean_stderr(samples: np.ndarray) -> np.ndarray:
     """Jackknife standard error of the mean along axis 0, which is ``std(ddof=1) / sqrt(n)``."""
-    loo = loo_means(samples)
-    loo -= loo.mean(axis=0)
-    return _spread(loo)
+
+    def deviations() -> np.ndarray:
+        loo = loo_means(samples)
+        loo -= loo.mean(axis=0)
+        return loo
+
+    return _spread(deviations)

@@ -31,11 +31,12 @@ time weight, delta(x) = (1/pi) int_0^inf f(t) cos(t x) dt:
 Either way delta(Omega) becomes a weighted sum of cos(t_j Omega) over time
 nodes t_j, and at each node the exact momentum constraint
 k + k1 = k2 + k3 factorizes in position space: one engine evaluates every
-collision sum with lattice FFTs per node instead of a double k-sum.  The
-part that does not depend on W (the phases exp(i t_j omega) and their
-transforms) is built once per config as its plan, so a call costs three
-lattice FFTs per node.  The pre-limit kernel is 2 pi tau times the Fejér
-sums and shares the engine.
+collision sum with lattice FFTs per node instead of a double k-sum.  Each
+lattice FFT is ``dnls._lattice_fft``, one n-D pocketfft call over a block of
+nodes, the same transform as the DNLS split step's.  The part that does not
+depend on W (the phases exp(i t_j omega) and their transforms) is built once
+per config as its plan, so a call costs three lattice FFTs per node.  The
+pre-limit kernel is 2 pi tau times the Fejér sums and shares the engine.
 
 The loss rate is kept as the real (delta) part only:
 
@@ -56,7 +57,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum, _spectrum_values
+from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum, _lattice_fft, _spectrum_values
 from .errors import ConfigError, GuardError, rk4, step_count
 
 __all__ = [
@@ -282,12 +283,11 @@ def _plan_blocks(
     e = sum_k phase e^{+i2pik.x}, for the nodes t of the block along a
     leading axis.
     """
-    axes = tuple(range(1, omega.ndim + 1))
     block = max(1, _BLOCK_ELEMENTS // omega.size)
     for start in range(0, nodes.size, block):
         t = nodes[start:start + block].reshape((-1,) + (1,) * omega.ndim)
         phase = np.exp(1j * t * omega)
-        e = np.fft.ifftn(phase, axes=axes, norm="forward")
+        e = _lattice_fft(phase, omega.ndim, inverse=True, norm="forward")
         yield weights[start:start + block].reshape(t.shape), phase, e, e.conj()
 
 
@@ -306,15 +306,15 @@ def _time_domain_sums(
     lattice FFTs per node give both sums.  The weighted node sum is a plain
     np.sum, so the result does not depend on BLAS threads.
     """
-    axes = tuple(range(1, values.ndim + 1))
+    dimension = values.ndim
     gain = np.zeros(values.shape)
     loss = np.zeros(values.shape)
     for weight, phase, e, e_conj in blocks:
-        u = np.fft.ifftn(values * phase, axes=axes, norm="forward")
+        u = _lattice_fft(values * phase, dimension, inverse=True, norm="forward")
         v = u.conj()
         uv = u * v
-        gain_term = np.fft.ifftn(uv * v, axes=axes)
-        loss_term = np.fft.ifftn(e * v * v - 2.0 * uv * e_conj, axes=axes)
+        gain_term = _lattice_fft(uv * v, dimension, inverse=True)
+        loss_term = _lattice_fft(e * v * v - 2.0 * uv * e_conj, dimension, inverse=True)
         gain += np.sum(weight * (phase * gain_term).real, axis=0)
         loss += np.sum(weight * (phase * loss_term).real, axis=0)
     return gain, loss

@@ -1376,6 +1376,16 @@ class TestInputBoundary:
         with pytest.raises(ConfigError, match=match):
             reader(path)
 
+    def test_huge_spectrum_keeps_a_finite_stderr(self, tmp_path):
+        # squares of the jackknife deviations overflow above about 1e154
+        config = boundary_config("estimate-w")
+        config["params"].update(lattice={"dimension": 1, "side": 16}, n_realizations=50,
+                                w0={"kind": "flat", "value": 1e155})
+        code, stderr = run_in_process("estimate-w", config, tmp_path)
+        assert (code, stderr) == (0, "")
+        _, values, stderr = read_spectrum_csv(tmp_path / "run" / "spectrum.csv")
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(stderr)) and np.all(stderr > 0.0)
+
     def test_largest_seed_runs(self, tmp_path):
         code, stderr = run_in_process("estimate-w", replaced(boundary_config("estimate-w"), ("seed",), 2**63 - 1), tmp_path)
         assert (code, stderr) == (0, "")

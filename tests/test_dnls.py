@@ -24,6 +24,7 @@ Oracles used here:
 
 from __future__ import annotations
 
+import importlib.machinery
 import math
 import sys
 from dataclasses import replace
@@ -384,18 +385,25 @@ class TestFusedIntegrator:
 
 class TestLatticeTransforms:
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("side", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("side", [2, 4, 8, 16, 32, 64])
     @pytest.mark.parametrize("batch", [(), (3,)])
     @pytest.mark.parametrize("inverse", [False, True])
     def test_has_the_bytes_of_numpy_fftn(self, dim, side, batch, inverse):
         rng = np.random.default_rng([dim, side, len(batch)])
         shape = batch + (side,) * dim
         src = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        want = (np.fft.ifftn if inverse else np.fft.fftn)(src, axes=tuple(range(-dim, 0)))
-        assert dnls._lattice_fft(src, dim, inverse).tobytes() == want.tobytes()
-        in_place = src.copy()
-        dnls._lattice_fft(in_place, dim, inverse, out=in_place, work=np.empty_like(src))
-        assert in_place.tobytes() == want.tobytes()
+        # the unscaled inverse (norm="forward") is the one the collision engine uses
+        for norm in ("backward", "forward") if inverse else ("backward",):
+            want = (np.fft.ifftn if inverse else np.fft.fftn)(src, axes=tuple(range(-dim, 0)), norm=norm)
+            assert dnls._lattice_fft(src, dim, inverse, norm=norm).tobytes() == want.tobytes()
+            in_place = src.copy()
+            dnls._lattice_fft(in_place, dim, inverse, out=in_place, norm=norm)
+            assert in_place.tobytes() == want.tobytes()
+
+    def test_a_missing_pocketfft_extension_is_an_import_error_that_names_its_path(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent.so"])
+        with pytest.raises(ImportError, match=r"_pocketfft[/\\]pypocketfft\.absent\.so"):
+            dnls._load_pocketfft()
 
     @pytest.mark.parametrize(
         "rate",
@@ -466,16 +474,36 @@ class TestSampling:
 
     @pytest.mark.parametrize("family", ["gaussian", "fixed-modulus"])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_each_realization_is_its_own_keyed_draw(self, monkeypatch, family, threads):
-        # blocks of 3 over 8 realizations: the rekeyed generator and the batched
-        # inverse FFT give what a fresh Philox(key=[seed, i]) gives alone
+    @pytest.mark.parametrize("zero_modes", [False, True])
+    def test_each_realization_is_its_own_keyed_draw(self, monkeypatch, family, threads, zero_modes):
+        # blocks of 3 over 8 realizations: the rekeyed generator, the modes built
+        # in the ensemble and the batched inverse FFT give the bytes of a fresh
+        # Philox(key=[seed, i]) alone, also where w0 is zero
         lat = Lattice(2, 4)
         monkeypatch.setattr(dnls, "BLOCK_SITES", 3 * lat.size)
         w0 = smooth_spectrum(lat)
+        if zero_modes:
+            w0.flat[::3] = 0.0
         ens = sample_initial(lat, w0, 8, seed=97, family=family, threads=threads)
         for i in range(8):
-            want = sampled_realization(w0, 97, i, family)
-            assert np.max(np.abs(ens.fields[i] - want)) < 1e-13 * float(np.max(np.abs(want)))
+            assert ens.fields[i].tobytes() == sampled_realization(w0, 97, i, family).tobytes()
+
+    def test_mode_block_has_the_bytes_of_the_numpy_expressions(self):
+        # signed zeros in both draws and zero amplitudes, which a Philox stream
+        # practically never yields
+        rng = np.random.default_rng(8)
+        shape = (5, 4, 4)
+        amplitude = np.abs(rng.standard_normal(shape[1:]))
+        amplitude[0, :3] = 0.0
+        draws = rng.standard_normal((shape[0], 2) + shape[1:])
+        draws[0, :, 0, :4] = [[0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]]
+        draws[1, :, 0, :2] = -0.0
+        want = amplitude * (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+        assert dnls._modes(amplitude, draws, True, np.empty(shape, dtype=complex)).tobytes() == want.tobytes()
+        phases = rng.uniform(0.0, 2.0 * np.pi, shape)
+        phases[0, 0, :2] = [0.0, -0.0]
+        want = amplitude * np.exp(1j * phases)
+        assert dnls._modes(amplitude, phases, False, np.empty(shape, dtype=complex)).tobytes() == want.tobytes()
 
     def test_estimate_w_recovers_spectrum(self):
         lat = Lattice(1, 16)

@@ -50,6 +50,19 @@ class TestJackknife:
         want = samples.std(axis=0, ddof=1) / math.sqrt(shape[0])
         assert np.allclose(mean_stderr(samples), want, rtol=1e-12, atol=0.0)
 
+    def test_mean_form_rescales_deviations_whose_squares_overflow(self):
+        # squares of 1e160-scale deviations overflow; the rescaled sum is finite,
+        # and the in-range column keeps the bytes of the plain formula
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((200, 2))
+        huge = x * np.array([1e160, 1.0])
+        with np.errstate(over="raise"):
+            se = mean_stderr(huge)
+        assert np.all(np.isfinite(se))
+        assert se[0] == pytest.approx(1e160 * float(mean_stderr(x[:, 0])), rel=1e-13)
+        assert se[1:].tobytes() == spelled_out_mean_stderr(x)[1:].tobytes()
+        assert float(jackknife_stderr(huge[:, 0] + 1e160j)) == pytest.approx(float(jackknife_stderr(x[:, 0])) * 1e160, rel=1e-13)
+
     def test_leave_one_out_form_of_a_nonlinear_statistic(self):
         # the variance's leave-one-out values, against the textbook jackknife
         x = np.random.default_rng(13).standard_normal(40)

@@ -420,6 +420,25 @@ class TestFFTPath:
             assert np.max(np.abs(gd - gf)) < 1e-12 * np.max(np.abs(gd))
 
     @pytest.mark.parametrize(
+        "side,model", [(16, "gaussian"), (8, "fejer")], ids=["2d16-gaussian", "2d8-fejer"]
+    )
+    def test_has_the_bytes_of_the_numpy_fft_engine(self, side, model):
+        # the engine on np.fft.ifftn (``reference_time_domain_sums``) gives the
+        # same bytes as the one n-D pocketfft call per lattice transform
+        lat, disp = Lattice(dimension=2, side=side), nearest_neighbor_dispersion(2)
+        delta = {"epsilon": 0.35} if model == "gaussian" else {"delta_model": "fejer", "window_tau": 0.2, "window_coupling": 0.2}
+        cfg = CollisionConfig(lattice=lat, dispersion=disp, **delta)
+        w = 0.2 + np.random.default_rng(17).random(lat.shape)
+        gain, loss = reference_time_domain_sums(w, *cfg._time_grid, kinetic._BLOCK_ELEMENTS)
+        want = 4.0 * math.pi / lat.size**2 * (gain + w * loss)
+        assert collision_operator(w, cfg).values.tobytes() == want.tobytes()
+        coupling, tau = 0.5, 0.1
+        window = CollisionConfig(lattice=lat, dispersion=disp, delta_model="fejer", window_tau=tau, window_coupling=coupling)
+        gain, loss = reference_time_domain_sums(w, *window._time_grid, kinetic._BLOCK_ELEMENTS)
+        want = 4.0 * math.pi * tau / lat.size**2 * (gain + w * loss)
+        assert prelimit_kernel(w, coupling, tau, cfg).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
         "dim,side,support",
         [(1, 64, 25.0), (2, 16, 6.4), (2, 8, 12.0), (1, 16, 100.0)],
         ids=["1d64-T25", "2d16-T6.4", "2d8-T12", "1d16-T100-panels"],
