@@ -319,15 +319,19 @@ def _run_cumulant_convert(rc: RunConfig, out_dir: Path) -> dict:
         entries = table_from_json(params.inline_or_file("table"))
     keys = list(entries)
     if direction == "moments-to-cumulants":
-        oracle = TableOracle(entries)
-        evaluator = CumulantEvaluator(oracle)
+        evaluator = CumulantEvaluator(TableOracle(entries))
+        book = evaluator.book
         try:
-            converted = {key: evaluator.kappa(key) for key in keys}
+            converted = {key: evaluator.kappa_code(book.code(key)) for key in keys}
         except KeyError as err:
             raise ConfigError(
                 f"cumulant-convert: moment table is missing the sub-moment {err.args[0]!r}"
             ) from err
-        work = {"multisets_evaluated": len(evaluator.memo), "partition_states": 0}
+        work = {
+            "multisets_evaluated": len(evaluator.memo),
+            "recursion_terms": evaluator.recursion_terms,
+            "partition_states": 0,
+        }
     else:
         table = CumulantTable(entries=entries)
         memo = PartitionMemo(table.book)  # every moment is a symmetric sum over this one table

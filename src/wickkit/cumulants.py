@@ -7,10 +7,11 @@ first-element recursion
     kappa[I] = E[y^I] - sum over E with x in E, E proper subset of I of
                E[y^(I minus E)] * kappa[E],
 
-where x is the first-labeled element of I, with kappa[empty] := 0 by
-convention; E ranges over the label bitmasks of I that hold x, and each
-subset's moment is fetched once per call.  Moments are recovered from
-cumulants by the partition sum
+where x is an element of I whose index has the lowest code-book id, with
+kappa[empty] := 0 by convention.  A term depends on E only through its multiset, so the sum
+runs over the distinct sub-multisets that hold x, each weighted by the
+binomial count of the label subsets it stands for (:func:`_kappa_recursive`).
+Moments are recovered from cumulants by the partition sum
 E[y^I] = sum over set partitions pi of I of prod over blocks A of kappa[A],
 evaluated by the bitmask kernel :func:`wickkit.indexing.partition_sums`
 (one cumulant lookup per block, each remaining subset summed once).  Both
@@ -372,66 +373,109 @@ class CumulantTable:
 # conversions
 
 
-def _kappa_recursive(moment: Callable[[int], object], slots: Sequence[int], memo: dict):
-    """First-element cumulant recursion; works for scalar or array moments.
+def _blocks(code: int) -> tuple[list[int], list[int]]:
+    """The blocks of the cumulant recursion of a multiset code R, and their label counts.
 
-    ``slots`` are the multiset codes of the sequence's elements, so a
-    subset, a label bitmask, has the code ``codes[mask]``; ``moment(code)``
-    is the joint moment of a code, and ``memo`` maps codes to cumulants and
-    may be shared between calls over one code book.
+    The blocks are the distinct sub-multisets B of R, other than R, that
+    hold R's first (lowest) id f: one f plus a sub-multiset of R minus that
+    f.  The count of B, prod over ids i of binom(r_i - [i = f], b_i - [i = f]),
+    is the number of label subsets of R that hold R's first label and have
+    the multiset B.  Both lists grow by doubling, id by id from f on: with
+    r copies of an id left to place (r_i, or r_f - 1 for f), the blocks built
+    so far get j more copies for j = 0 .. r in turn, their counts times
+    binom(r, j).  With every count 1, the blocks therefore come in the
+    ascending order of their label masks.
     """
-    if not slots:
-        return 0.0
-    if len(slots) > SUBSET_GUARD:
-        raise GuardError(f"cumulant recursion guard: {len(slots)} > {SUBSET_GUARD}")
-    full = sum(slots)
-    if full in memo:
-        return memo[full]
-    codes = mask_codes(slots)
+    shift = (code & -code).bit_length() - 1 & -CODE_BITS
+    slot = 1 << shift
+    codes, counts = [slot], [1]
+    rest = (code >> shift) - 1  # the fields of R minus one f, from f's on
+    for r in rest.to_bytes((rest.bit_length() + 7) // 8, "little"):
+        if r == 1:
+            codes += [c + slot for c in codes]
+            counts += counts
+        elif r:
+            row = [math.comb(r, j) for j in range(r + 1)]
+            codes = [c + j * slot for j in range(r + 1) for c in codes]
+            counts = [w * m for m in row for w in counts]
+        slot <<= CODE_BITS
+    codes.pop()  # R itself
+    counts.pop()
+    return codes, counts
 
-    def kappa(mask: int):
-        code = codes[mask]
-        if code not in memo:
-            first = mask & -mask
-            rest = mask ^ first
-            total = moment(code)
-            sub = 0
-            while sub != rest:  # E = first + sub, E = I excluded
-                e = first | sub
-                k = memo.get(codes[e])
-                if k is None:
-                    k = kappa(e)
-                total = total - moment(codes[mask ^ e]) * k
-                sub = (sub - rest) & rest
-            memo[code] = total
-        return memo[code]
 
-    return kappa(len(codes) - 1)
+def _kappa_recursive(moment: Callable[[int], object], code: int, memo: dict) -> tuple[object, int]:
+    """The cumulant of a multiset code by recursion over its sub-multisets.
+
+    With f the first (lowest) id of the multiset R,
+
+        kappa(R) = m(R) - sum over B of C(B) * m(R - B) * kappa(B),
+
+    B over the blocks of :func:`_blocks`, each distinct sub-multiset once
+    and C(B) its label count.  This is the first-element recursion over the
+    label subsets of R with equal blocks grouped; kappa(empty) = 0.  A
+    multiset of n elements has at most 2**(n - 1) blocks, and R may hold at
+    most ``SUBSET_GUARD`` elements.  ``moment(code)`` is the joint moment of
+    a code, scalar or array (the recursion is arithmetic in the moments);
+    ``memo`` maps codes to cumulants and may be shared between calls over
+    one code book.  Returns the cumulant and the number of (multiset, block)
+    terms this call summed.
+    """
+    if code in memo:
+        return memo[code], 0
+    if not code:
+        return 0.0, 0
+    n = sum(code.to_bytes((code.bit_length() + 7) // 8, "little"))
+    if n > SUBSET_GUARD:
+        raise GuardError(f"cumulant recursion guard: {n} > {SUBSET_GUARD}")
+    get = memo.get
+    terms = 0
+
+    def kappa(code: int):
+        nonlocal terms
+        blocks, counts = _blocks(code)
+        terms += len(blocks)
+        total = moment(code)
+        for block, count in zip(blocks, counts):
+            k = get(block)
+            if k is None:
+                k = kappa(block)
+            if count == 1:
+                total = total - moment(code - block) * k
+            else:
+                total = total - count * (moment(code - block) * k)
+        memo[code] = total
+        return total
+
+    return kappa(code), terms
 
 
 class CumulantEvaluator:
     """Memoized cumulants of a moment oracle.
 
     ``memo`` maps the multiset codes of the oracle's ``book`` to cumulants;
-    each distinct multiset is evaluated once.
+    each distinct multiset is evaluated once, by :func:`_kappa_recursive`
+    over its distinct sub-multisets.  ``recursion_terms`` counts the
+    (multiset, block) terms summed so far.
     """
 
     def __init__(self, oracle: MomentOracle):
         self.oracle = oracle
         self.book, self._moment = oracle.coded_moments()
         self.memo: dict[int, complex] = {}
+        self.recursion_terms = 0
 
     def kappa_code(self, code: int) -> complex:
         """The cumulant of a multiset code in ``book``."""
-        if code in self.memo:
-            return self.memo[code]
-        return _kappa_recursive(self._moment, self.book.slots_of(code), self.memo)
+        value, terms = _kappa_recursive(self._moment, code, self.memo)
+        self.recursion_terms += terms
+        return value
 
     def kappa_of(self, seq: LabeledSeq) -> complex:
-        return _kappa_recursive(self._moment, self.book.slots(seq.indices()), self.memo)
+        return self.kappa_code(self.book.code(seq.indices()))
 
     def kappa(self, key: Iterable[Index]) -> complex:
-        return self.kappa_of(LabeledSeq.from_indices(key))
+        return self.kappa_code(self.book.code(key))
 
 
 def coded_cumulants(source) -> tuple[Codebook, Callable[[int], complex]]:
@@ -523,9 +567,9 @@ def empirical_cumulant(
     re-estimated without each realization in turn.  The returned error is
     sqrt(var_re + var_im) of the jackknife distribution.
     """
-    slots = ensemble.book.slots(seq.indices())
-    if not slots:  # the empty cumulant is 0 by definition, on every sample
+    code = ensemble.book.code(seq.indices())
+    if not code:  # the empty cumulant is 0 by definition, on every sample
         return 0.0 + 0.0j, 0.0
-    value = complex(_kappa_recursive(ensemble._moment_code, slots, {}))
-    loo = _kappa_recursive(ensemble._loo_moment_code, slots, {})
+    value = complex(_kappa_recursive(ensemble._moment_code, code, {})[0])
+    loo = _kappa_recursive(ensemble._loo_moment_code, code, {})[0]
     return value, float(jackknife_stderr(np.asarray(loo, dtype=complex)))

@@ -28,12 +28,17 @@ from .errors import GuardError
 
 Index = Hashable
 
-#: enumeration guards: subsets are 2**n, partitions are Bell(n)
+#: enumeration guards: subsets are 2**n, partitions are Bell(n).  SUBSET_GUARD
+#: also caps the length of a key of the cumulant recursion, which sums one
+#: term per distinct block: fewer than prod(count + 1) over the key's
+#: indices, so at most 2**19 on a key of 20 distinct indices
 SUBSET_GUARD = 20
 PARTITION_GUARD = 12
 
 #: bits per count in a multiset code (:class:`Codebook`); every coded
-#: sequence is far shorter than 2**CODE_BITS, given the guards above
+#: sequence is far shorter than 2**CODE_BITS, given the guards above.  A
+#: field is one byte, so the cumulant recursion reads a code's counts as
+#: the bytes of ``code.to_bytes``
 CODE_BITS = 8
 _FIELD = (1 << CODE_BITS) - 1
 

@@ -35,6 +35,39 @@ def mobius_cumulant(oracle, seq):
     return total
 
 
+def reference_kappa_by_subsets(moment, slots, memo):
+    """The first-element cumulant recursion over label subsets, for scalar or array moments.
+
+    kappa[I] = m(I) - sum over the label subsets E of I that hold I's first
+    label, E != I, of m(I minus E) * kappa[E].  ``slots`` are the multiset
+    codes of I's elements, ``moment(code)`` is the joint moment of a code and
+    ``memo`` maps codes to cumulants.  Every label subset is its own term,
+    equal multisets included, so a subset of k labels sums 2**(k - 1) - 1
+    terms; the package groups equal blocks instead.
+    """
+    if not slots:
+        return 0.0
+    codes = [0]
+    for slot in slots:
+        codes += [code + slot for code in codes]
+
+    def kappa(mask):
+        code = codes[mask]
+        if code not in memo:
+            first = mask & -mask
+            rest = mask ^ first
+            total = moment(code)
+            sub = 0
+            while sub != rest:
+                block = first | sub
+                total = total - moment(codes[mask ^ block]) * kappa(block)
+                sub = (sub - rest) & rest
+            memo[code] = total
+        return memo[code]
+
+    return kappa(len(codes) - 1)
+
+
 def random_moment_oracle(rng, alphabet=("a", "b", "c"), max_order=8, scale=0.5):
     """Arbitrary (formal) moment assignment: complex Gaussian entries on all
     multisets up to max_order.  Every combinatorial identity in the package

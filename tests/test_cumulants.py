@@ -2,10 +2,14 @@
 
 import itertools
 import json
+import math
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from wickkit import cumulants
 from wickkit.cumulants import (
     CumulantBackedOracle,
     CumulantEvaluator,
@@ -20,14 +24,15 @@ from wickkit.cumulants import (
     moments_from_cumulants,
     table_to_json,
 )
-from wickkit.errors import ConfigError
-from wickkit.indexing import EMPTY, LabeledSeq
+from wickkit.errors import ConfigError, GuardError, jackknife_stderr
+from wickkit.indexing import EMPTY, SUBSET_GUARD, Codebook, LabeledSeq
 
 from _support import (
     mobius_cumulant,
     multilinearity_check,
     random_moment_oracle,
     random_sequences,
+    reference_kappa_by_subsets,
     reference_table_to_json,
 )
 
@@ -88,6 +93,88 @@ class TestRecursionBasics:
         vals = {ev.kappa_of(LabeledSeq.from_indices(p)) for p in
                 itertools.permutations(base)}
         assert len(vals) == 1  # memoized on the multiset key: identical objects
+
+
+def touchard(n: int, lam: float) -> float:
+    """E[N^n] for N ~ Poisson(lam): sum over k of S(n, k) lam^k, S the Stirling numbers of the second kind."""
+    row = [1]  # S(0, k)
+    for i in range(1, n + 1):
+        row = [0] + [j * (row[j] if j < len(row) else 0) + row[j - 1] for j in range(1, i + 1)]
+    return sum(s * lam**k for k, s in enumerate(row))
+
+
+class TestSubMultisetRecursion:
+    """The recursion over distinct sub-multisets against the label-subset recursion it groups."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n_variables", [2, 3, 4])
+    def test_matches_the_subset_route_on_closed_tables(self, n_variables, seed):
+        rng = np.random.default_rng(1000 * n_variables + seed)
+        keys = [k for r in range(1, 9) for k in itertools.combinations_with_replacement(range(n_variables), r)]
+        oracle = TableOracle({k: 0.5 * complex(*rng.standard_normal(2)) for k in keys})
+        book, moment = oracle.coded_moments()
+        memo = {}
+        want = {k: reference_kappa_by_subsets(moment, book.slots(k), memo) for k in keys}
+        evaluator = CumulantEvaluator(oracle)
+        # keys in reverse, so the longest key fills the memo and the rest are hits
+        got = {k: evaluator.kappa(k) for k in reversed(keys)}
+        scale = max(abs(v) for v in want.values())
+        assert max(abs(got[k] - want[k]) for k in keys) <= 1e-12 * scale
+
+    def test_matches_the_subset_route_on_leave_one_out_arrays(self):
+        rng = np.random.default_rng(77)
+        samples = {i: rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5)) for i in "uvw"}
+        ensemble = EnsembleOracle(samples)
+        for key in [("u",), ("u", "u", "v"), ("u", "v", "w"), ("w", "v", "u", "u", "v"), ("u",) * 3 + ("v",) * 2 + ("w",)]:
+            code = ensemble.book.code(key)
+            loo, _ = cumulants._kappa_recursive(ensemble._loo_moment_code, code, {})
+            want = reference_kappa_by_subsets(ensemble._loo_moment_code, ensemble.book.slots(key), {})
+            assert loo.shape == (12,)
+            assert np.max(np.abs(loo - want)) <= 1e-12 * np.max(np.abs(want))
+            value, stderr = empirical_cumulant(ensemble, seq(*key))
+            scalar = reference_kappa_by_subsets(ensemble._moment_code, ensemble.book.slots(key), {})
+            assert abs(value - scalar) <= 1e-12 * abs(scalar)
+            assert stderr == pytest.approx(float(jackknife_stderr(want)), rel=1e-12)
+
+    @pytest.mark.parametrize("counts", [(1,), (3,), (1, 1, 1, 1), (2, 1, 3), (4, 2, 2, 1)])
+    def test_blocks_are_the_distinct_label_subsets_with_their_counts(self, counts):
+        # brute force: every label subset that holds the first label, by multiset
+        labels = [i for i, r in enumerate(counts) for _ in range(r)]
+        book = Codebook()
+        code = book.code(labels)
+        want = Counter()
+        for mask in range(1, 1 << len(labels)):
+            if mask & 1 and mask != (1 << len(labels)) - 1:
+                want[book.code(labels[i] for i in range(len(labels)) if mask >> i & 1)] += 1
+        blocks, label_counts = cumulants._blocks(code)
+        assert len(set(blocks)) == len(blocks)
+        assert dict(zip(blocks, label_counts)) == want
+        assert sum(label_counts) == 2 ** (len(labels) - 1) - 1
+
+    def test_long_keys_of_independent_poisson_variables(self):
+        # a 20-entry key over three independent Poisson variables, every
+        # sub-multiset's moment a product of Touchard polynomials: each
+        # cumulant of one variable is its rate, each mixed cumulant is 0
+        rates = (0.5, 1.0, 1.5)
+        counts = (7, 7, 6)
+        table = {}
+        for powers in itertools.product(*(range(r + 1) for r in counts)):
+            if any(powers):
+                key = tuple(i for i, p in enumerate(powers) for _ in range(p))
+                table[key] = math.prod(touchard(p, lam) for p, lam in zip(powers, rates))
+        full = tuple(i for i, r in enumerate(counts) for _ in range(r))
+        assert len(full) == SUBSET_GUARD
+        started = time.perf_counter()
+        evaluator = CumulantEvaluator(TableOracle(table))
+        evaluator.kappa(full)
+        assert time.perf_counter() - started < 1.0
+        scale = max(abs(v) for v in table.values())
+        for key in table:
+            want = rates[key[0]] if len(set(key)) == 1 else 0.0
+            assert abs(evaluator.kappa(key) - want) <= 1e-10 * scale, key
+        assert len(evaluator.memo) == len(table)
+        with pytest.raises(GuardError, match=f"cumulant recursion guard: 21 > {SUBSET_GUARD}"):
+            evaluator.kappa(full + (0,))
 
 
 class TestAgainstMobiusOracle:
