@@ -14,10 +14,11 @@ Each run is described by a JSON config file::
 ``--seed``, ``--threads`` and ``--out`` flags override the config values.
 Every runner writes its result files plus a ``manifest.json`` that echoes the
 complete effective config, so a manifest can be fed back via ``--config`` to
-replay the run.  Result files are formatted deterministically (shortest
-round-trip float repr, sorted JSON keys): identical configs produce
-byte-identical result files, independent of the thread count.  Only the
-manifest's ``timings`` block varies between reruns.
+replay the run.  Result files are formatted deterministically: a JSON file
+is one line of sorted keys, a CSV file one row per line, and every float is
+its shortest round-trip repr.  Identical configs produce byte-identical
+result files, independent of the thread count.  Only the manifest's
+``timings`` block varies between reruns.
 
 Every runner reads its config through ``errors.Block`` before the first
 numerics: each JSON object, at every level, accepts exactly the keys its
@@ -142,14 +143,18 @@ class RunConfig:
         _object(self.params, "params")
 
     def echo(self) -> dict:
-        """The complete effective config, replayable via ``--config``."""
+        """The complete effective config, replayable via ``--config``.
+
+        ``params`` is the tree as read, not a copy: the runners read it only
+        through ``errors.Block``, which never changes it.
+        """
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "seed": self.seed,
             "threads": self.threads,
             "out": self.out,
-            "params": json.loads(json.dumps(self.params)),
+            "params": self.params,
         }
 
 
@@ -368,10 +373,7 @@ def _run_hierarchy_rhs(rc: RunConfig, out_dir: Path) -> dict:
         order = params.integer("order", low=1)
         terms: dict = {}
         with Block(params.inline_or_file("model"), params.name("model")) as spec:
-            items = spec.get("terms")
-            if not isinstance(items, list):
-                raise ConfigError(f"{spec.name('terms')} must be a list, got {items!r}")
-            for pos, item in enumerate(items):
+            for pos, item in enumerate(spec.sequence("terms")):
                 with Block(item, f"{spec.name('terms')}[{pos}]") as entry:
                     seq = LabeledSeq.from_indices(_index_list(entry, "seq"))
                     term = InteractionTerm(seq=seq, amplitude=_amplitude_from_descriptor(entry.block("amplitude")))

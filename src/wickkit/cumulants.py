@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -93,6 +94,8 @@ class TableOracle(MomentOracle):
     def __init__(self, entries: Mapping[tuple, complex]):
         self.book = Codebook()
         self._by_code = {self.book.code(k): complex(v) for k, v in entries.items()}
+        if len(self._by_code) < len(entries):
+            raise _collision(entries, self.book.code)
         if self._by_code.setdefault(0, 1.0 + 0.0j) != 1.0:  # an absent empty moment reads as 1
             raise ConfigError("the empty moment must equal 1")
 
@@ -272,6 +275,8 @@ class EnsembleOracle(MomentOracle):
 
 #: the compact encoder of table keys, built once: ``json.dumps`` builds one per call
 _KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))
+#: the types of a plain JSON number (a bool is neither), and the largest finite float
+_PLAIN, _MAX = (int, float), sys.float_info.max
 
 
 def _as_index(token):
@@ -282,14 +287,48 @@ def _as_index(token):
     return token
 
 
+def _collision(keys: Iterable, same: Callable) -> ConfigError:
+    """The error naming the first two of ``keys`` that ``same`` maps to one value.
+
+    Called only once a table is seen to have fewer distinct ``same`` values
+    than keys, so an accepted table pays one length comparison.
+    """
+    seen = {}
+    for key in keys:
+        if (value := same(key)) in seen:
+            return ConfigError(f"table keys {seen[value]!r} and {key!r} name the same multiset")
+        seen[value] = key
+    return ConfigError("two table keys name the same multiset")
+
+
 def table_from_json(data) -> dict[tuple, complex]:
-    """The checked entries of the external form ``{"[i, j, ...]": [re, im]}``, keys as written."""
+    """The checked entries of the external form ``{"[i, j, ...]": [re, im]}``, keys as written.
+
+    An entry of two finite plain numbers is checked inline; any other value
+    goes through ``_pair``, which names the entry, so the text of an error
+    is built only for an entry that needs it.  Two keys that spell one index
+    sequence (``"[1,2]"`` and ``"[1, 2]"``) are a ConfigError.
+    """
+    table = _object(data, "a table")
     entries = {}
-    for text, value in _object(data, "a table").items():
-        key = _json(text, f"table key {text!r}")
-        if not isinstance(key, list):
+    for text, value in table.items():
+        try:
+            key = json.loads(text)
+        except json.JSONDecodeError:
+            key = _json(text, f"table key {text!r}")  # raises, naming the key
+        if type(key) is not list:
             raise ConfigError(f"table key {text!r} must be a JSON list of indices")
-        entries[tuple(_as_index(t) for t in key)] = _pair(value, f"table entry {text}")
+        if (
+            type(value) is list and len(value) == 2
+            and type(value[0]) in _PLAIN and type(value[1]) in _PLAIN
+            and -_MAX <= value[0] <= _MAX and -_MAX <= value[1] <= _MAX
+        ):
+            pair = complex(value[0], value[1])
+        else:
+            pair = _pair(value, f"table entry {text}")
+        entries[tuple(map(_as_index, key))] = pair
+    if len(entries) < len(table):
+        raise _collision(table, lambda text: tuple(map(_as_index, json.loads(text))))
     return entries
 
 
@@ -321,6 +360,8 @@ class CumulantTable:
 
     def __post_init__(self) -> None:
         entries = {canonical_key(k): complex(v) for k, v in self.entries.items()}
+        if len(entries) < len(self.entries):
+            raise _collision(self.entries, canonical_key)
         if self.max_order is None:
             self.max_order = max((len(k) for k in entries), default=0)
         for k in entries:

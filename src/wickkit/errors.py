@@ -44,19 +44,35 @@ def _object(raw, what: str) -> Mapping:
     return raw
 
 
-def _number(raw, what: str, integer: bool = False, low: float = -math.inf, strict: bool = False):
-    """A JSON number, not a bool or a string, finite and >= ``low`` (> if ``strict``); an int if ``integer``."""
+def _is_number(raw, integer: bool = False, low: float = -math.inf, strict: bool = False) -> bool:
+    """Whether ``raw`` is a JSON number, not a bool or a string, finite and >= ``low`` (> if ``strict``).
+
+    With ``integer`` it must be an int.
+    """
     typed = isinstance(raw, int if integer else (int, float)) and not isinstance(raw, bool)
-    if not (typed and abs(raw) <= sys.float_info.max and (raw > low if strict else raw >= low)):
-        bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
-        raise ConfigError(f"{what} must be a finite JSON {'integer' if integer else 'number'}{bound}, got {raw!r}")
+    return typed and abs(raw) <= sys.float_info.max and (raw > low if strict else raw >= low)
+
+
+def _not_a_number(raw, what: str, integer: bool, low: float, strict: bool) -> ConfigError:
+    bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+    return ConfigError(f"{what} must be a finite JSON {'integer' if integer else 'number'}{bound}, got {raw!r}")
+
+
+def _number(raw, what: str, integer: bool = False, low: float = -math.inf, strict: bool = False):
+    """``raw`` if ``_is_number`` accepts it, a float unless ``integer``; else a ConfigError naming ``what``."""
+    if not _is_number(raw, integer, low, strict):
+        raise _not_a_number(raw, what, integer, low, strict)
     return raw if integer else float(raw)
 
 
 def _numbers(raw, what: str, low: float = -math.inf, strict: bool = False) -> list[float]:
+    """A nonempty list of numbers as floats; the path of a refused entry is spelled out only then."""
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{what} must be a nonempty list of numbers, got {raw!r}")
-    return [_number(v, f"{what}[{i}]", low=low, strict=strict) for i, v in enumerate(raw)]
+    for i, v in enumerate(raw):
+        if not _is_number(v, low=low, strict=strict):
+            raise _not_a_number(v, f"{what}[{i}]", False, low, strict)
+    return [float(v) for v in raw]
 
 
 def _pair(raw, what: str) -> complex:
@@ -114,6 +130,13 @@ class Block:
     def pair(self, key: str, default=_REQUIRED) -> complex:
         return _pair(self.get(key, default), self.name(key))
 
+    def sequence(self, key: str) -> list:
+        """The JSON list under ``key``, possibly empty; its items are the caller's to check."""
+        raw = self.get(key)
+        if not isinstance(raw, list):
+            raise ConfigError(f"{self.name(key)} must be a list, got {raw!r}")
+        return raw
+
     def path(self, key: str) -> Path:
         raw = self.get(key)
         if not isinstance(raw, str):
@@ -150,9 +173,14 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    """Write ``obj`` as JSON; a non-finite number is a GuardError and nothing is written."""
+    """Write ``obj`` as one line of JSON with sorted keys; a non-finite number is a GuardError and nothing is written.
+
+    Without ``indent`` the stdlib encodes in C.  Floats come out as
+    ``float.__repr__`` writes them, the shortest text that reads back to the
+    same bits, so the file is a function of ``obj`` alone.
+    """
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
     except ValueError as err:
         raise GuardError(f"{path.name}: a result is not finite ({err})") from None
     _write_text(path, text + "\n")
@@ -171,10 +199,10 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
             column = column.astype(float, copy=False).ravel()
             if not np.all(np.isfinite(column)):
                 raise GuardError(f"{path.name}: a result is not finite")
-            column = [repr(v) for v in column.tolist()]
+            column = list(map(repr, column.tolist()))
         cells.append(column)
-    body = "".join(",".join(row) + "\n" for row in zip(*cells, strict=True))
-    _write_text(path, ",".join(header) + "\n" + body)
+    rows = map(",".join, zip(*cells, strict=True))
+    _write_text(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
 # a plain decimal number, as ``repr(float)`` writes it, or one of nan, inf, -inf;

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .cumulants import MomentOracle, _as_index, _coded_sum, coded_cumulants
-from .errors import GuardError, _pair
+from .errors import Block, ConfigError, GuardError, _number
 from .indexing import (
     EMPTY,
     Index,
@@ -126,12 +126,37 @@ class WickPoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "WickPoly":
-        ground = LabeledSeq(tuple((lab, _as_index(idx)) for lab, idx in data["ground"]))
-        terms = {
-            frozenset(t["subset"]): _pair(t["coeff"], "a Wick coefficient")
-            for t in data["terms"]
-        }
-        return cls(ground=ground, terms=terms)
+        """The polynomial of the external form of :meth:`to_json`, read through ``errors.Block``.
+
+        A missing, mistyped or stray key, a label that is not a positive
+        integer, a repeated label or subset, or a term outside the ground is
+        a ConfigError; the checks name the key path where they can.
+        """
+        with Block(data, "Wick polynomial") as poly:
+            ground = []
+            for pos, pair in enumerate(poly.sequence("ground")):
+                where = f"{poly.name('ground')}[{pos}]"
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ConfigError(f"{where} must be a [label, index] pair, got {pair!r}")
+                ground.append((_number(pair[0], f"{where}[0]", integer=True, low=1), _as_index(pair[1])))
+            items = poly.sequence("terms")
+            terms = {}
+            for pos, item in enumerate(items):
+                with Block(item, f"{poly.name('terms')}[{pos}]") as term:
+                    where = term.name("subset")
+                    labels = [
+                        _number(label, f"{where}[{i}]", integer=True, low=1)
+                        for i, label in enumerate(term.sequence("subset"))
+                    ]
+                    if len(set(labels)) < len(labels):
+                        raise ConfigError(f"{where} repeats a label: {labels}")
+                    terms[frozenset(labels)] = term.pair("coeff")
+            if len(terms) < len(items):
+                raise ConfigError(f"{poly.name('terms')}: two terms have the same subset")
+        try:
+            return cls(ground=LabeledSeq(tuple(ground)), terms=terms)
+        except ValueError as err:  # a repeated label, or a term outside the ground
+            raise ConfigError(f"Wick polynomial: {err}") from None
 
 
 def poly_add(a: WickPoly, b: WickPoly, ca: complex = 1.0, cb: complex = 1.0) -> WickPoly:

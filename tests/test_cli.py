@@ -1313,6 +1313,45 @@ class TestInputBoundary:
         assert_error_line(stderr, 3)
         assert not any((tmp_path / "run").iterdir())
 
+    @pytest.mark.parametrize("spelling", ["[2,1]", "[1, 2]"])
+    @pytest.mark.parametrize(
+        "kind, direction, site",
+        [
+            ("wick-expand", None, "cumulants"),
+            ("cumulant-convert", "moments-to-cumulants", "table"),
+            ("cumulant-convert", "cumulants-to-moments", "table"),
+            ("hierarchy-rhs", None, "table"),
+        ],
+        ids=["wick-expand", "moments-to-cumulants", "cumulants-to-moments", "hierarchy-rhs"],
+    )
+    def test_two_keys_of_one_multiset_exit_2_without_results(self, tmp_path, kind, direction, site, spelling):
+        # each boundary table holds "[1,2]"; a second spelling of it must not overwrite it silently
+        config = boundary_config(kind)
+        if direction is not None:
+            config["params"]["direction"] = direction
+        assert "[1,2]" in config["params"][site]
+        config["params"][site][spelling] = [0.68, 0.0]
+        code, stderr = run_in_process(kind, config, tmp_path)
+        assert code == 2, stderr
+        assert_error_line(stderr, 2)
+        assert "name the same multiset" in json.loads(stderr)["message"]
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    @pytest.mark.parametrize("kind", ["wick-expand", "cumulant-convert", "hierarchy-rhs"])
+    def test_json_results_are_one_line_and_a_manifest_replays_them(self, tmp_path, kind):
+        config = boundary_config(kind)
+        code, stderr = run_in_process(kind, config, tmp_path)
+        assert (code, stderr) == (0, "")
+        run_dir = tmp_path / "run"
+        for written in run_dir.iterdir():
+            text = written.read_text()
+            assert text.endswith("}\n") and text.count("\n") == 1, written.name
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["config"]["params"] == config["params"]
+        replay = tmp_path / "replay"
+        assert main([kind, "--config", str(run_dir / "manifest.json"), "--out", str(replay)]) == 0
+        assert result_files(replay) == result_files(run_dir)
+
     def test_failed_run_removes_only_the_files_it_wrote(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
         out.mkdir()

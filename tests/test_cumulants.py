@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import time
 from collections import Counter
 
@@ -314,6 +315,54 @@ class TestCumulantTable:
     def test_json_reader_rejects_malformed_tables(self, data):
         with pytest.raises(ConfigError):
             CumulantTable.from_json(data, max_order=2)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1], r"a table must be a JSON object, got \[1\]"),
+            ({"[1": [0.1, 0.0]}, r"table key '\[1' is not valid JSON: "),
+            ({"5": [0.1, 0.0]}, r"table key '5' must be a JSON list of indices"),
+            ({"[1]": [0.1]}, r"table entry \[1\] must be a \[re, im\] pair of numbers, got \[0\.1\]"),
+            ({"[1]": "x"}, r"table entry \[1\] must be a \[re, im\] pair of numbers, got 'x'"),
+            ({"[1]": [float("nan"), 0.0]}, r"table entry \[1\]\[0\] must be a finite JSON number, got nan"),
+            ({"[1]": [0.0, -float("inf")]}, r"table entry \[1\]\[1\] must be a finite JSON number, got -inf"),
+            ({"[1]": [0.0, True]}, r"table entry \[1\]\[1\] must be a finite JSON number, got True"),
+            ({"[1]": [10**309, 0.0]}, r"table entry \[1\]\[0\] must be a finite JSON number, got 1000"),
+            ({"[1]": ["0.5", 0.0]}, r"table entry \[1\]\[0\] must be a finite JSON number, got '0\.5'"),
+        ],
+    )
+    def test_json_reader_errors_name_the_entry(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            CumulantTable.from_json(data, max_order=2)
+
+    def test_json_reader_takes_plain_numbers_to_the_bit(self):
+        data = {"[1]": [1, -2], "[2]": [5e-324, -0.0], "[1,2]": [1.7976931348623157e308, 0.1 + 0.2]}
+        table = cumulants.table_from_json(data)
+        assert table == {(1,): 1 - 2j, (2,): complex(5e-324, -0.0), (1, 2): complex(1.7976931348623157e308, 0.1 + 0.2)}
+        assert math.copysign(1.0, table[(2,)].imag) == -1.0
+        assert type(table[(1,)].real) is float
+
+    @pytest.mark.parametrize(
+        "data, first, second",
+        [
+            ({"[1,2]": [0.5, 0.0], "[2,1]": [0.7, 0.0]}, "(1, 2)", "(2, 1)"),
+            ({"[1,2]": [0.5, 0.0], "[1, 2]": [0.7, 0.0]}, "'[1,2]'", "'[1, 2]'"),
+            ({"[1]": [0.5, 0.0], "[1.0]": [0.7, 0.0]}, "'[1]'", "'[1.0]'"),
+        ],
+    )
+    def test_two_keys_of_one_multiset_are_refused(self, data, first, second):
+        message = re.escape(f"table keys {first} and {second} name the same multiset")
+        with pytest.raises(ConfigError, match=message):
+            CumulantTable.from_json(data)
+        with pytest.raises(ConfigError, match=message):
+            TableOracle(cumulants.table_from_json(data))
+
+    def test_library_tables_refuse_two_keys_of_one_multiset(self):
+        entries = {(1, 2): 0.5, (3,): 0.1, (2, 1): 0.7}
+        with pytest.raises(ConfigError, match=r"table keys \(1, 2\) and \(2, 1\) name the same multiset"):
+            CumulantTable(entries=entries)
+        with pytest.raises(ConfigError, match=r"table keys \(1, 2\) and \(2, 1\) name the same multiset"):
+            TableOracle(entries)
 
     def test_input_errors_are_config_errors(self):
         t = CumulantTable.empty(max_order=2)

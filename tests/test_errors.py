@@ -2,11 +2,14 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from wickkit.errors import Block, ConfigError, jackknife_stderr, mean_stderr, read_csv, write_csv
+from wickkit.errors import (
+    Block, ConfigError, GuardError, _write_json, jackknife_stderr, mean_stderr, read_csv, write_csv,
+)
 
 
 def spelled_out_mean_stderr(samples):
@@ -111,6 +114,43 @@ class TestBlock:
             with pytest.raises(ConfigError, match="supply exactly one"):
                 with Block(raw, "params") as params:
                     params.inline_or_file("table")
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestJsonWriter:
+    EDGES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1e-7, 1e16, 123456789.125]
+
+    def test_float_bits_survive_a_write_and_read(self, tmp_path):
+        path = tmp_path / "floats.json"
+        _write_json(path, {"values": self.EDGES, "pair": [-0.0, 0.1 + 0.2]})
+        back = json.loads(path.read_text())
+        assert [bits(v) for v in back["values"]] == [bits(v) for v in self.EDGES]
+        assert [bits(v) for v in back["pair"]] == [bits(-0.0), bits(0.1 + 0.2)]
+        # each float is its shortest round-trip repr, as the indented stdlib encoder wrote it
+        assert json.dumps(back["values"]) == "[" + ", ".join(map(repr, self.EDGES)) + "]"
+
+    def test_keys_come_out_sorted_on_one_line(self, tmp_path):
+        path = tmp_path / "sorted.json"
+        _write_json(path, {"b": 1, "a": {"d": [1.5, "x"], "c": None}, "B": True})
+        assert path.read_text() == '{"B": true, "a": {"c": null, "d": [1.5, "x"]}, "b": 1}\n'
+
+    def test_parses_to_the_object_the_indented_encoder_wrote(self, tmp_path):
+        obj = {"table": {f"[{i}]": [i / 7, -i * 1e-300] for i in range(20)}, "n": 3, "name": "a\nb"}
+        path = tmp_path / "layout.json"
+        _write_json(path, obj)
+        text = path.read_text()
+        assert text.count("\n") == 1
+        assert json.loads(text) == json.loads(json.dumps(obj, indent=2, sort_keys=True)) == obj
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_number_is_a_guard_error_and_no_file(self, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        with pytest.raises(GuardError, match=r"bad\.json: a result is not finite"):
+            _write_json(path, {"ok": 1.0, "nested": [{"value": [0.0, bad]}]})
+        assert not path.exists()
 
 
 class TestReadCsv:

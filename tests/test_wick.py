@@ -1,6 +1,9 @@
 """Tests for Wick polynomial construction, expectations, and identities."""
 
+import copy
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from wickkit.cumulants import (
     gaussian_moment_oracle,
     moments_from_cumulants,
 )
-from wickkit.errors import GuardError
+from wickkit.errors import ConfigError, GuardError
 from wickkit.indexing import EMPTY, LabeledSeq, PartitionMemo, canonical_key
 from wickkit.wick import (
     WickPoly,
@@ -394,6 +397,47 @@ class TestPolyUtilities:
         back = WickPoly.from_json(w.to_json())
         assert back.ground.indices() == (("q", 1), "x")
         assert back.coeff(()) == -2.0 + 1.0j
+
+    GOOD = {
+        "ground": [[1, "a"], [2, "b"]],
+        "terms": [{"subset": [1, 2], "coeff": [1.0, 0.0]}, {"subset": [], "coeff": [0.5, 0]}],
+    }
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("ground",), None, r"Wick polynomial: missing required key 'ground'"),
+            (("terms", 0, "coeff"), None, r"Wick polynomial\.terms\[0\]: missing required key 'coeff'"),
+            (("ground",), 5, r"Wick polynomial\.ground must be a list, got 5"),
+            (("terms",), {}, r"Wick polynomial\.terms must be a list"),
+            (("ground", 1), [2], r"Wick polynomial\.ground\[1\] must be a \[label, index\] pair"),
+            (("ground", 1, 0), "2", r"Wick polynomial\.ground\[1\]\[0\] must be a finite JSON integer >= 1"),
+            (("ground", 1, 0), 1, r"Wick polynomial: labels must be distinct"),
+            (("ground", 1, 1), {"x": 1}, r"an index must be a finite number"),
+            (("terms", 0, "subset"), [1, 3], r"Wick polynomial: term \[1, 3\] not within ground labels"),
+            (("terms", 0, "subset"), [1, 1], r"Wick polynomial\.terms\[0\]\.subset repeats a label"),
+            (("terms", 0, "subset"), [True], r"Wick polynomial\.terms\[0\]\.subset\[0\] must be a finite JSON integer"),
+            (("terms", 1, "subset"), [2, 1], r"Wick polynomial\.terms: two terms have the same subset"),
+            (("terms", 1, "coeff"), [float("nan"), 0.0], r"Wick polynomial\.terms\[1\]\.coeff\[0\] must be a finite"),
+            (("terms", 1, "coeff"), 0.5, r"Wick polynomial\.terms\[1\]\.coeff must be a \[re, im\] pair"),
+            (("extra",), 1, r"Wick polynomial: unknown key\(s\) \['extra'\]"),
+            (("terms", 0, "stray"), 1, r"Wick polynomial\.terms\[0\]: unknown key\(s\) \['stray'\]"),
+        ],
+    )
+    def test_json_reader_names_the_key_path(self, path, value, message):
+        data = copy.deepcopy(self.GOOD)
+        node = functools.reduce(operator.getitem, path[:-1], data)
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        with pytest.raises(ConfigError, match=message):
+            WickPoly.from_json(data)
+
+    def test_json_reader_takes_the_writer_form(self):
+        poly = WickPoly.from_json(self.GOOD)
+        assert poly.ground.indices() == ("a", "b")
+        assert poly.terms == {frozenset({1, 2}): 1.0, frozenset(): 0.5}
 
     def test_poly_add_scale(self):
         g = seq("a", "b")
