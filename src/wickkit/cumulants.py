@@ -1,8 +1,10 @@
 """Joint moments and cumulants of finite index sequences.
 
 A *moment oracle* maps a collapsed index multiset to the joint moment
-E[y^I]; everything else is derived from it.  Cumulants are computed by the
-first-element recursion
+E[y^I]; everything else is derived from it.  An oracle is read one way:
+through ``moment_code``, by the multiset code of its ``book`` (see
+:class:`MomentOracle`).  Cumulants are computed by the first-element
+recursion
 
     kappa[I] = E[y^I] - sum over E with x in E, E proper subset of I of
                E[y^(I minus E)] * kappa[E],
@@ -19,8 +21,8 @@ directions are permutation invariant, so every memo, moment cache and table
 lookup inside them is keyed by multiset code (:class:`Codebook`): a table or
 an evaluator interns its indices once, and a block's code is one addition.
 Canonical keys (sorted tuples) are the public key form of ``moment``,
-``kappa`` and ``entries`` and of the JSON tables; a generic oracle gets one
-decoded canonical key per distinct multiset.
+``kappa`` and ``entries`` and of the JSON tables; an oracle defined by key
+is asked once per distinct multiset, with its decoded canonical key.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -54,62 +57,54 @@ from .indexing import (
 # moment oracles
 
 
-def _by_code(of_key: Callable[[tuple], object], book: Codebook) -> Callable[[int], object]:
-    """``of_key(key)`` as a function of multiset codes in ``book``.
-
-    Each code is decoded to its canonical key once; the empty code gives 1,
-    the empty moment.
-    """
-    cache: dict[int, object] = {0: 1.0}
-
-    def of_code(code: int):
-        if code not in cache:
-            cache[code] = of_key(book.key(code))
-        return cache[code]
-
-    return of_code
-
-
 class MomentOracle:
-    """Source of joint moments, queried by collapsed multiset key."""
+    """Source of joint moments, read by multiset code of its ``book``.
+
+    ``moment_code(code)`` is E[y^I] for the multiset I of a code in
+    ``book``; the key forms :meth:`moment` and :meth:`moment_of` code their
+    argument and read it.  A subclass overrides exactly one of
+    :meth:`moment_code`, over a book of its own, and :meth:`moment`, by
+    canonical key.  For the latter the default ``moment_code`` decodes each
+    code once, through ``book.key``, and keeps the moment it is given; code 0
+    reads 1.
+    """
+
+    @cached_property
+    def book(self) -> Codebook:
+        return Codebook()
+
+    @cached_property
+    def _moments(self) -> dict[int, complex]:
+        return {0: 1.0}
+
+    def moment_code(self, code: int) -> complex:
+        moments = self._moments
+        if code not in moments:
+            moments[code] = self.moment(self.book.key(code))
+        return moments[code]
 
     def moment(self, key: tuple) -> complex:
-        raise NotImplementedError
+        return self.moment_code(self.book.code(key))
 
     def moment_of(self, seq: LabeledSeq) -> complex:
-        # E[y^empty] = 1 is definitional and shared by every oracle
-        if not seq:
-            return 1.0
-        return self.moment(seq.key())
-
-    def coded_moments(self) -> tuple[Codebook, Callable[[int], complex]]:
-        """A code book and the moment as a function of its multiset codes."""
-        book = Codebook()
-        return book, _by_code(self.moment, book)
+        return self.moment_code(self.book.code(seq.indices()))
 
 
 class TableOracle(MomentOracle):
     """Moments read from an explicit mapping of index keys to values."""
 
     def __init__(self, entries: Mapping[tuple, complex]):
-        self.book = Codebook()
         self._by_code = {self.book.code(k): complex(v) for k, v in entries.items()}
         if len(self._by_code) < len(entries):
             raise _collision(entries, self.book.code)
         if self._by_code.setdefault(0, 1.0 + 0.0j) != 1.0:  # an absent empty moment reads as 1
             raise ConfigError("the empty moment must equal 1")
 
-    def _moment_code(self, code: int) -> complex:
+    def moment_code(self, code: int) -> complex:
         try:
             return self._by_code[code]
         except KeyError:
             raise KeyError(self.book.key(code)) from None
-
-    def moment(self, key: tuple) -> complex:
-        return self._moment_code(self.book.code(key))
-
-    def coded_moments(self) -> tuple[Codebook, Callable[[int], complex]]:
-        return self.book, self._moment_code
 
 
 class CumulantBackedOracle(MomentOracle):
@@ -123,16 +118,11 @@ class CumulantBackedOracle(MomentOracle):
 
     def __init__(self, table: "CumulantTable"):
         self.table = table
+        self.book = table.book
         self._memo = PartitionMemo(table.book)
 
-    def _moment_code(self, code: int) -> complex:
-        return _coded_sum(self.table.kappa_code, self.table.book.slots_of(code), self._memo)
-
-    def moment(self, key: tuple) -> complex:
-        return self._moment_code(self.table.book.code(key))
-
-    def coded_moments(self) -> tuple[Codebook, Callable[[int], complex]]:
-        return self.table.book, self._moment_code
+    def moment_code(self, code: int) -> complex:
+        return _coded_sum(self.table.kappa_code, self.book.slots_of(code), self._memo)
 
 
 def gaussian_moment_oracle(
@@ -143,7 +133,7 @@ def gaussian_moment_oracle(
     ``cov[(i, j)]`` is the joint second cumulant of y_i and y_j; symmetric
     completion is applied, and all cumulants above order two vanish.
     """
-    table = CumulantTable.empty(max_order=2, provenance="analytic")
+    table = CumulantTable.empty(max_order=2)
     for i, v in mean.items():
         table.set((i,), v)
     for (i, j), v in cov.items():
@@ -231,7 +221,6 @@ class EnsembleOracle(MomentOracle):
         self.n = next(iter(shapes))[0]
         if self.n < 2:
             raise ValueError("need at least two realizations")
-        self.book = Codebook()
         self._products = {slot: v.reshape(self.n, -1) for slot, v in zip(self.book.slots(arrays), arrays.values())}
         self._means: dict[int, np.ndarray] = {0: np.ones(self.n)}
 
@@ -252,21 +241,16 @@ class EnsembleOracle(MomentOracle):
             self._means[code] = self._product(code).mean(axis=1)
         return self._means[code]
 
-    def _moment_code(self, code: int) -> complex:
+    def moment_code(self, code: int) -> complex:
         return complex(self._realization_means(code).mean())
 
-    def _loo_moment_code(self, code: int) -> np.ndarray:
+    def loo_moment_code(self, code: int) -> np.ndarray:
+        """Length-n array of the leave-one-out moments of a code."""
         return loo_means(self._realization_means(code))
-
-    def moment(self, key: tuple) -> complex:
-        return self._moment_code(self.book.code(key))
 
     def loo_moment(self, key: tuple) -> np.ndarray:
         """Length-n array of leave-one-out moments."""
-        return self._loo_moment_code(self.book.code(key))
-
-    def coded_moments(self) -> tuple[Codebook, Callable[[int], complex]]:
-        return self.book, self._moment_code
+        return self.loo_moment_code(self.book.code(key))
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +331,6 @@ class CumulantTable:
     """Joint cumulants stored under canonical multiset keys.
 
     Keys longer than ``max_order`` read as zero, as does the empty key.
-    ``provenance`` is a free-form tag ("analytic", "empirical", ...).
     Lookups go through the multiset codes of the table's ``book``.
     ``entries`` is a read-only view under canonical keys; change the table
     through :meth:`set`, which keeps it and the coded store in step.
@@ -355,8 +338,6 @@ class CumulantTable:
 
     entries: Mapping[tuple, complex] = field(default_factory=dict)
     max_order: int | None = None
-    provenance: str = "analytic"
-    errors: dict[tuple, float] | None = None
 
     def __post_init__(self) -> None:
         entries = {canonical_key(k): complex(v) for k, v in self.entries.items()}
@@ -375,8 +356,8 @@ class CumulantTable:
         self._by_code = {self.book.code(k): v for k, v in entries.items()}
 
     @classmethod
-    def empty(cls, max_order: int, provenance: str = "analytic") -> "CumulantTable":
-        return cls(entries={}, max_order=max_order, provenance=provenance)
+    def empty(cls, max_order: int) -> "CumulantTable":
+        return cls(entries={}, max_order=max_order)
 
     def set(self, key: Iterable[Index], value: complex) -> None:
         key = canonical_key(key)
@@ -401,13 +382,8 @@ class CumulantTable:
         return table_to_json(self.entries)
 
     @classmethod
-    def from_json(
-        cls,
-        data: Mapping[str, Sequence[float]],
-        max_order: int | None = None,
-        provenance: str = "analytic",
-    ) -> "CumulantTable":
-        return cls(entries=table_from_json(data), max_order=max_order, provenance=provenance)
+    def from_json(cls, data: Mapping[str, Sequence[float]], max_order: int | None = None) -> "CumulantTable":
+        return cls(entries=table_from_json(data), max_order=max_order)
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +478,7 @@ class CumulantEvaluator:
 
     def __init__(self, oracle: MomentOracle):
         self.oracle = oracle
-        self.book, self._moment = oracle.coded_moments()
+        self.book, self._moment = oracle.book, oracle.moment_code
         self.memo: dict[int, complex] = {}
         self.recursion_terms = 0
 
@@ -576,15 +552,10 @@ def moments_from_cumulants(source, seq: LabeledSeq, memo: PartitionMemo | None =
     return _coded_sum(kappa_code, book.slots(seq.indices()), memo)
 
 
-def cumulant_table_from_oracle(
-    oracle: MomentOracle,
-    indices: Sequence[Index],
-    max_order: int,
-    provenance: str = "analytic",
-) -> CumulantTable:
+def cumulant_table_from_oracle(oracle: MomentOracle, indices: Sequence[Index], max_order: int) -> CumulantTable:
     """Tabulate all cumulants over the given indices up to max_order."""
     ev = CumulantEvaluator(oracle)
-    table = CumulantTable.empty(max_order=max_order, provenance=provenance)
+    table = CumulantTable.empty(max_order=max_order)
     pool = canonical_key(set(indices))
     for order in range(1, max_order + 1):
         for combo in itertools.combinations_with_replacement(pool, order):
@@ -611,6 +582,6 @@ def empirical_cumulant(
     code = ensemble.book.code(seq.indices())
     if not code:  # the empty cumulant is 0 by definition, on every sample
         return 0.0 + 0.0j, 0.0
-    value = complex(_kappa_recursive(ensemble._moment_code, code, {})[0])
-    loo = _kappa_recursive(ensemble._loo_moment_code, code, {})[0]
+    value = complex(_kappa_recursive(ensemble.moment_code, code, {})[0])
+    loo = _kappa_recursive(ensemble.loo_moment_code, code, {})[0]
     return value, float(jackknife_stderr(np.asarray(loo, dtype=complex)))

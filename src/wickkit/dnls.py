@@ -35,7 +35,7 @@ import numpy as np
 
 from .cumulants import CumulantEvaluator, EnsembleOracle, empirical_cumulant
 from .errors import (
-    Block, ConfigError, GuardError, _json, _write_json, mean_stderr, read_csv, write_csv,
+    Block, ConfigError, GuardError, _json, _write_json, jackknife_stderr, mean_stderr, read_csv, write_csv,
 )
 from .indexing import LabeledSeq
 from .pool import map_in_order
@@ -320,6 +320,14 @@ def _spectrum_values(w: np.ndarray | Spectrum, lattice: Lattice) -> np.ndarray:
     return values
 
 
+def _nonnegative_values(w: np.ndarray | Spectrum, lattice: Lattice) -> np.ndarray:
+    """The spectrum's values on the lattice, as :func:`_spectrum_values`; a negative entry is a ConfigError."""
+    values = _spectrum_values(w, lattice)
+    if float(values.min()) < 0.0:
+        raise ConfigError(f"spectrum has a negative entry: min W = {float(values.min()):.3g}")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # lattice transforms
 # ---------------------------------------------------------------------------
@@ -601,9 +609,7 @@ def sample_initial(
     go to a pool of ``threads`` threads; each field depends on its key
     alone, so the ensemble is the same at any thread count.
     """
-    spectrum = _spectrum_values(w0, lattice)
-    if np.any(spectrum < 0.0):
-        raise ConfigError("initial spectrum has a negative entry")
+    spectrum = _nonnegative_values(w0, lattice)
     if family not in _FAMILIES:
         raise ConfigError(f"unknown sampling family {family!r}; expected one of {_FAMILIES}")
     if n_realizations < 1:
@@ -769,8 +775,9 @@ def gauge_audit(ensemble: LatticeEnsemble, max_order: int = 4, threshold: float 
 
     probes: list[GaugeProbe] = []
     seen: set[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = set()
-    fields = ensemble.fields
-    conj_fields = np.conj(fields)
+    pool = np.stack([ensemble.fields[(slice(None),) + site] for site in site_pool], axis=1)
+    columns = {1: pool, -1: np.conj(pool)}  # the conjugates once, of the pool's sites alone
+    oracle = EnsembleOracle({(sign, site): columns[sign][:, j] for sign in (1, -1) for j, site in enumerate(site_pool)})
     for order in range(1, max_order + 1):
         families = [
             tuple(site_pool[0] for _ in range(order)),  # coinciding sites
@@ -784,20 +791,17 @@ def gauge_audit(ensemble: LatticeEnsemble, max_order: int = 4, threshold: float 
                 if key in seen:
                     continue
                 seen.add(key)
-                product = np.ones(fields.shape[0], dtype=complex)
-                for site, sign in zip(sites, signs):
-                    picked = fields if sign == 1 else conj_fields
-                    product = product * picked[(slice(None),) + site]
-                # (n, 2) with contiguous columns, so each column sums as the 1-D part would
-                parts = np.stack((product.real, product.imag)).T
-                se = mean_stderr(parts)
+                code = oracle.book.code(zip(signs, sites))
+                value = oracle.moment_code(code)
+                loo = oracle.loo_moment_code(code)
+                se = jackknife_stderr(np.stack((loo.real, loo.imag), axis=1))
                 probes.append(
                     GaugeProbe(
                         sites=sites,
                         signs=signs,
-                        value=complex(product.mean()),
+                        value=value,
                         stderr=(float(se[0]), float(se[1])),
-                        zscore=float(_safe_z(parts.mean(axis=0), se).max()),
+                        zscore=float(_safe_z(np.array([value.real, value.imag]), se).max()),
                     )
                 )
     return GaugeAuditReport(probes=tuple(probes), threshold=float(threshold))

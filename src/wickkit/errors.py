@@ -31,11 +31,26 @@ class ConfigError(ValueError):
     """A run configuration is malformed or inconsistent."""
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of a JSON object's key-value pairs; a repeated key is a KeyError naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        raise KeyError(next(key for key, _ in pairs if key in seen or seen.add(key)))
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _json(text: str, what: str):
+    """The value of a JSON text; invalid JSON, or a key repeated within one object, is a ConfigError."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{what} is not valid JSON: {err}") from err
+    except KeyError as err:
+        raise ConfigError(f"{what} repeats the key {err.args[0]!r} within one JSON object") from None
 
 
 def _object(raw, what: str) -> Mapping:

@@ -251,15 +251,12 @@ def integrate_hierarchy(
     """
     cap = state0.order_cap
     keys = all_keys_up_to(model.universe(), cap)
-    provenance = state0.table.provenance
 
     def pack(table: CumulantTable) -> np.ndarray:
         return np.array([table.kappa(k) for k in keys], dtype=complex)
 
     def unpack(vec: np.ndarray) -> CumulantTable:
-        return CumulantTable(
-            entries=dict(zip(keys, vec)), max_order=cap, provenance=provenance
-        )
+        return CumulantTable(entries=dict(zip(keys, vec)), max_order=cap)
 
     plan = HierarchyPlan(model, [LabeledSeq.from_indices(key) for key in keys])
 

@@ -57,7 +57,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum, _lattice_fft, _spectrum_values
+from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum, _lattice_fft, _nonnegative_values
 from .errors import ConfigError, GuardError, rk4, step_count
 
 __all__ = [
@@ -318,14 +318,6 @@ def _time_domain_sums(
         gain += np.sum(weight * (phase * gain_term).real, axis=0)
         loss += np.sum(weight * (phase * loss_term).real, axis=0)
     return gain, loss
-
-
-def _nonnegative_values(w: np.ndarray | Spectrum, lattice: Lattice) -> np.ndarray:
-    """The spectrum's values on the lattice; a negative entry is a ConfigError."""
-    values = _spectrum_values(w, lattice)
-    if float(values.min()) < 0.0:
-        raise ConfigError(f"spectrum has a negative entry: min W = {float(values.min()):.3g}")
-    return values
 
 
 def _collision_sums(w: np.ndarray | Spectrum, config: CollisionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

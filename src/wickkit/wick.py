@@ -94,7 +94,7 @@ class WickPoly:
         Each term's moment is fetched by the multiset code of its indices
         plus ``extra``'s, so no key is sorted per term.
         """
-        book, moment_code = oracle.coded_moments()
+        book, moment_code = oracle.book, oracle.moment_code
         # coding the whole ground with the extra checks the largest multiset any term reaches
         book.code(self.ground.indices() + extra.indices())
         slot = dict(zip(self.ground.labels, book.slots(self.ground.indices())))
@@ -215,7 +215,7 @@ def _poly_of_masks(seq: LabeledSeq, terms: Mapping[int, complex]) -> WickPoly:
 def wick_recursive(oracle: MomentOracle, seq: LabeledSeq) -> WickPoly:
     """Construct W[y^I] by the defining moment recursion."""
     _check_guard(seq)
-    book, moment_code = oracle.coded_moments()
+    book, moment_code = oracle.book, oracle.moment_code
     codes = mask_codes(book.slots(seq.indices()))
     moments: dict[int, complex] = {}
     memo: dict[int, dict[int, complex]] = {}

@@ -432,7 +432,7 @@ def reference_integrate_hierarchy(model, state0, t_end, dt):
     keys = all_keys_up_to(model.universe(), cap)
 
     def table_of(vec):
-        return CumulantTable(entries=dict(zip(keys, vec)), max_order=cap, provenance=state0.table.provenance)
+        return CumulantTable(entries=dict(zip(keys, vec)), max_order=cap)
 
     def rhs(t, vec):
         state, memo = HierarchyState(table=table_of(vec), time=t), PartitionMemo()

@@ -1337,6 +1337,37 @@ class TestInputBoundary:
         assert "name the same multiset" in json.loads(stderr)["message"]
         assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
 
+    @pytest.mark.parametrize(
+        "kind, opening, repeated",
+        [
+            ("wick-expand", "{", '"seed": 9, '),
+            ("estimate-w", '"lattice": {', '"side": 16, '),
+            ("cumulant-convert", '"table": {', '"[1,2]": [0.68, 0.0], '),
+        ],
+        ids=["top", "params.lattice", "table"],
+    )
+    def test_a_repeated_json_key_exits_2_without_results(self, tmp_path, kind, opening, repeated):
+        # json.dumps cannot repeat a key, so the second copy is spliced in after the object's first brace
+        text = json.dumps(boundary_config(kind))
+        assert repeated.split(":")[0] in text.split(opening, 1)[1]
+        (tmp_path / "c.json").write_text(text.replace(opening, opening + repeated, 1))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([kind, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "run")])
+        assert code == 2, err.getvalue()
+        assert_error_line(err.getvalue(), 2)
+        assert f"repeats the key {json.loads(repeated.split(':')[0])!r}" in json.loads(err.getvalue())["message"]
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    def test_a_repeated_key_in_an_ensemble_manifest_is_a_config_error(self, tmp_path):
+        dnls.save_ensemble(sample_initial(Lattice(1, 8), np.full(8, 0.5), 3, seed=3, coupling=0.4), tmp_path)
+        manifest = tmp_path / "manifest.json"
+        text = manifest.read_text()
+        assert text.count('"coupling": 0.4, ') == 1
+        manifest.write_text(text.replace('"coupling": 0.4, ', '"coupling": 0.4, "coupling": 0.9, '))
+        with pytest.raises(ConfigError, match="repeats the key 'coupling'"):
+            dnls.load_ensemble(tmp_path)
+
     @pytest.mark.parametrize("kind", ["wick-expand", "cumulant-convert", "hierarchy-rhs"])
     def test_json_results_are_one_line_and_a_manifest_replays_them(self, tmp_path, kind):
         config = boundary_config(kind)

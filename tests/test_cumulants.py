@@ -26,9 +26,11 @@ from wickkit.cumulants import (
     table_to_json,
 )
 from wickkit.errors import ConfigError, GuardError, jackknife_stderr
-from wickkit.indexing import EMPTY, SUBSET_GUARD, Codebook, LabeledSeq
+from wickkit.indexing import EMPTY, SUBSET_GUARD, Codebook, LabeledSeq, canonical_key
+from wickkit.wick import wick_recursive
 
 from _support import (
+    PolynomialOracle,
     mobius_cumulant,
     multilinearity_check,
     random_moment_oracle,
@@ -113,7 +115,7 @@ class TestSubMultisetRecursion:
         rng = np.random.default_rng(1000 * n_variables + seed)
         keys = [k for r in range(1, 9) for k in itertools.combinations_with_replacement(range(n_variables), r)]
         oracle = TableOracle({k: 0.5 * complex(*rng.standard_normal(2)) for k in keys})
-        book, moment = oracle.coded_moments()
+        book, moment = oracle.book, oracle.moment_code
         memo = {}
         want = {k: reference_kappa_by_subsets(moment, book.slots(k), memo) for k in keys}
         evaluator = CumulantEvaluator(oracle)
@@ -128,12 +130,12 @@ class TestSubMultisetRecursion:
         ensemble = EnsembleOracle(samples)
         for key in [("u",), ("u", "u", "v"), ("u", "v", "w"), ("w", "v", "u", "u", "v"), ("u",) * 3 + ("v",) * 2 + ("w",)]:
             code = ensemble.book.code(key)
-            loo, _ = cumulants._kappa_recursive(ensemble._loo_moment_code, code, {})
-            want = reference_kappa_by_subsets(ensemble._loo_moment_code, ensemble.book.slots(key), {})
+            loo, _ = cumulants._kappa_recursive(ensemble.loo_moment_code, code, {})
+            want = reference_kappa_by_subsets(ensemble.loo_moment_code, ensemble.book.slots(key), {})
             assert loo.shape == (12,)
             assert np.max(np.abs(loo - want)) <= 1e-12 * np.max(np.abs(want))
             value, stderr = empirical_cumulant(ensemble, seq(*key))
-            scalar = reference_kappa_by_subsets(ensemble._moment_code, ensemble.book.slots(key), {})
+            scalar = reference_kappa_by_subsets(ensemble.moment_code, ensemble.book.slots(key), {})
             assert abs(value - scalar) <= 1e-12 * abs(scalar)
             assert stderr == pytest.approx(float(jackknife_stderr(want)), rel=1e-12)
 
@@ -254,6 +256,63 @@ class TestOracles:
         ev = CumulantEvaluator(g)
         assert ev.kappa(("y",) * 3) == pytest.approx(0.0, abs=1e-12)
         assert ev.kappa(("y",) * 4) == pytest.approx(0.0, abs=1e-12)
+
+
+def _atoms(rng, indices):
+    return {i: rng.standard_normal(6) + 1j * rng.standard_normal(6) for i in indices}
+
+
+#: one oracle of each kind over the indices "a" and "b", built from a seeded generator
+PROTOCOL_ORACLES = {
+    "table": lambda rng: random_moment_oracle(rng, alphabet=("a", "b"), max_order=4),
+    "cumulant-backed": lambda rng: gaussian_moment_oracle({"a": 0.3, "b": -0.2j}, {("a", "a"): 1.1, ("a", "b"): 0.4 + 0.1j}),
+    "ensemble": lambda rng: EnsembleOracle({i: rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)) for i in "ab"}),
+    "independent-product": lambda rng: IndependentProductOracle(
+        [(("a",), random_moment_oracle(rng, alphabet=("a",), max_order=4)), (("b",), PolynomialOracle(_atoms(rng, "b")))]
+    ),
+    "linear-combination": lambda rng: LinearCombinationOracle(PolynomialOracle(_atoms(rng, "ac")), "b", [(0.5, "a"), (2.0 - 1.0j, "c")]),
+    "polynomial": lambda rng: PolynomialOracle(_atoms(rng, "ab")),
+}
+KEY_ONLY_ORACLES = ["independent-product", "linear-combination", "polynomial"]
+
+
+class TestMomentOracleProtocol:
+    """Every oracle is read through ``book`` and ``moment_code``; the key forms agree with it."""
+
+    @pytest.mark.parametrize("name", PROTOCOL_ORACLES)
+    def test_key_forms_read_the_coded_moment(self, name):
+        oracle = PROTOCOL_ORACLES[name](np.random.default_rng(5))
+        overrides = {method for method in ("moment", "moment_code") if method in vars(type(oracle))}
+        assert len(overrides) == 1, overrides
+        for order in range(1, 5):
+            for key in itertools.combinations_with_replacement("ab", order):
+                coded = oracle.moment_code(oracle.book.code(key))
+                assert oracle.moment(key) == coded == oracle.moment_of(seq(*reversed(key)))
+        assert oracle.moment(()) == oracle.moment_code(0) == oracle.moment_of(EMPTY) == 1.0
+
+    @pytest.mark.parametrize("name", KEY_ONLY_ORACLES)
+    def test_a_key_only_oracle_is_read_once_per_multiset(self, name):
+        oracle = PROTOCOL_ORACLES[name](np.random.default_rng(6))
+        calls = Counter()
+        by_key = oracle.moment
+
+        def counted(key):
+            calls[canonical_key(key)] += 1
+            return by_key(key)
+
+        oracle.moment = counted  # the instance attribute is what the default moment_code calls
+        CumulantEvaluator(oracle).kappa(("a", "b", "a"))
+        CumulantEvaluator(oracle).kappa(("b", "a", "b", "a"))
+        wick_recursive(oracle, seq("a", "b", "b"))
+        assert set(calls.values()) == {1}, calls
+        assert len(calls) == 8  # a, b, aa, ab, bb, aab, abb and aabb
+
+    def test_a_table_miss_names_the_canonical_key(self):
+        oracle = TableOracle({(1,): 0.5, (2,): 0.1})
+        for read in (lambda: oracle.moment((2, 1, 1)), lambda: oracle.moment_of(seq(2, 1, 1))):
+            with pytest.raises(KeyError) as err:
+                read()
+            assert err.value.args == ((1, 1, 2),)
 
 
 class TestCumulantTable:

@@ -690,6 +690,7 @@ class TestGaugeAudit:
             for site, sign in zip(probe.sites, probe.signs):
                 column = ens.fields[(slice(None),) + site]
                 product = product * (column if sign == 1 else np.conj(column))
+            assert probe.value == pytest.approx(complex(product.mean()), rel=1e-12)
             for got, part in zip(probe.stderr, (product.real, product.imag)):
                 assert got == pytest.approx(float(part.std(ddof=1)) / math.sqrt(400), rel=1e-12)
 

@@ -795,6 +795,4 @@ class TestEmpiricalLawFollowsTheHierarchy:
     @staticmethod
     def snapshot(yu, yv) -> CumulantTable:
         oracle = EnsembleOracle({"u": yu, "v": yv})
-        return cumulant_table_from_oracle(
-            oracle, ["u", "v"], max_order=4, provenance="empirical"
-        )
+        return cumulant_table_from_oracle(oracle, ["u", "v"], max_order=4)
