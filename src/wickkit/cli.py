@@ -57,7 +57,6 @@ from .cumulants import (
 from .dnls import (
     _FAMILIES,
     Dispersion,
-    FieldState,
     Lattice,
     ell2_mass,
     estimate_W,
@@ -412,9 +411,8 @@ def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
     for block in range(n_steps // record_every + 1):
         if block:
             ensemble = integrate_ensemble(ensemble, dispersion, dt, record_every, threads=rc.threads)
-        stack = FieldState(ensemble.fields, coupling=coupling)
-        mass = ell2_mass(stack) / n_real
-        energy = hamiltonian(stack, lattice, dispersion, threads=rc.threads) / n_real
+        mass = ell2_mass(ensemble) / n_real
+        energy = hamiltonian(ensemble, dispersion, threads=rc.threads) / n_real
         records.append((block * record_every * dt, mass, energy))
     write_csv(out_dir / "observables.csv", ["time", "mean_mass", "mean_energy"], [*np.array(records).T])
     write_spectrum_csv(lattice, estimate_W(ensemble, threads=rc.threads), out_dir / "spectrum.csv")

@@ -19,6 +19,9 @@ Conventions
   conjugate (-1); in Fourier space ``conj(psi_hat(k, s)) = psi_hat(-k, -s)``.
 * The covariance spectrum is ``W(k) = E|psi_hat(k)|^2 / L^d``, which is real,
   and the mean density is ``E|psi(x)|^2 = mean_k W(k)``.
+* :class:`LatticeEnsemble` is the one field container: a single realization
+  is an ensemble of one.  ``dnls_rhs`` returns the right-hand side of every
+  field, and ``hamiltonian`` and ``ell2_mass`` sum over the realizations.
 """
 
 from __future__ import annotations
@@ -43,14 +46,12 @@ from .pool import map_in_order
 __all__ = [
     "Lattice",
     "Dispersion",
-    "FieldState",
     "LatticeEnsemble",
     "Spectrum",
     "nearest_neighbor_dispersion",
     "next_nearest_dispersion",
     "zero_dispersion",
     "dnls_rhs",
-    "integrate",
     "integrate_ensemble",
     "BLOCK_SITES",
     "sample_initial",
@@ -72,7 +73,6 @@ __all__ = [
     "fixed_modulus_fourth_norm",
     "hamiltonian",
     "ell2_mass",
-    "mean_density",
     "save_ensemble",
     "load_ensemble",
     "write_spectrum_csv",
@@ -112,11 +112,6 @@ class Lattice:
         """Total number of sites (and of dual momenta)."""
         return self.side**self.dimension
 
-    @property
-    def axes(self) -> tuple[int, ...]:
-        """The array axes a field over this lattice occupies (all of them)."""
-        return tuple(range(self.dimension))
-
     def k_grid(self) -> np.ndarray:
         """Dual momenta as fractions, shape ``shape + (dimension,)``."""
         ticks = [np.arange(self.side) / self.side] * self.dimension
@@ -136,8 +131,9 @@ class Lattice:
 class Dispersion:
     """Symmetric, finitely supported hopping amplitude and its symbol.
 
-    ``hopping`` maps integer offsets to real coefficients and must satisfy
-    ``alpha(-x) == alpha(x)``, which makes the symbol
+    ``hopping`` maps tuples of ``int`` (or numpy integer) offsets to real
+    coefficients and must satisfy ``alpha(-x) == alpha(x)``, which makes the
+    symbol
 
         omega(k) = sum_x alpha(x) cos(2 pi k . x)
 
@@ -152,7 +148,11 @@ class Dispersion:
             raise ConfigError(f"dispersion dimension must be 1, 2, or 3, got {self.dimension}")
         cleaned: dict[tuple[int, ...], float] = {}
         for offset, coeff in self.hopping.items():
-            key = tuple(int(c) for c in offset)
+            if not isinstance(offset, tuple) or not all(
+                isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in offset
+            ):
+                raise ConfigError(f"hopping offset {offset!r} must be a tuple of integers")
+            key = tuple(map(int, offset))
             if len(key) != self.dimension:
                 raise ConfigError(f"hopping offset {offset} does not have {self.dimension} components")
             value = float(coeff)
@@ -216,22 +216,6 @@ def zero_dispersion(dimension: int) -> Dispersion:
 
 
 @dataclass(frozen=True)
-class FieldState:
-    """One realization of the lattice field at a fixed time."""
-
-    psi: np.ndarray
-    time: float = 0.0
-    coupling: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "psi", np.asarray(self.psi, dtype=complex))
-
-    def fourier(self) -> np.ndarray:
-        """psi_hat(k) = sum_x psi(x) exp(-i 2 pi k . x)."""
-        return _lattice_fft(self.psi, self.psi.ndim)
-
-
-@dataclass(frozen=True)
 class LatticeEnsemble:
     """Independent field realizations sharing a lattice, time, and coupling.
 
@@ -268,9 +252,6 @@ class LatticeEnsemble:
     @property
     def spatial_axes(self) -> tuple[int, ...]:
         return tuple(range(1, self.lattice.dimension + 1))
-
-    def realization(self, index: int) -> FieldState:
-        return FieldState(self.fields[index], time=self.time, coupling=self.coupling)
 
     def fourier(self, threads: int = 1) -> np.ndarray:
         """Per-realization Fourier fields, same stacked layout.
@@ -402,18 +383,16 @@ def _blocks(n_realizations: int, lattice: Lattice) -> list[slice]:
     return [slice(start, min(start + per, n_realizations)) for start in range(0, n_realizations, per)]
 
 
-def dnls_rhs(state: FieldState, lattice: Lattice, dispersion: Dispersion) -> np.ndarray:
-    """Time derivative of the field:  -i (hopping term + cubic term).
+def dnls_rhs(ensemble: LatticeEnsemble, dispersion: Dispersion) -> np.ndarray:
+    """Time derivative of every field:  -i (hopping term + cubic term), shaped as ``ensemble.fields``.
 
     The hopping convolution is applied as multiplication by omega(k) in
     Fourier space, which is exact on the periodic lattice.
     """
-    psi = state.psi
-    if psi.shape != lattice.shape:
-        raise ConfigError(f"field shape {psi.shape} does not match lattice shape {lattice.shape}")
-    omega = dispersion.omega(lattice)
-    hop = _lattice_fft(omega * _lattice_fft(psi, lattice.dimension), lattice.dimension, inverse=True)
-    return -1j * (hop + state.coupling * np.abs(psi) ** 2 * psi)
+    psi, dimension = ensemble.fields, ensemble.lattice.dimension
+    omega = dispersion.omega(ensemble.lattice)
+    hop = _lattice_fft(omega * _lattice_fft(psi, dimension), dimension, inverse=True)
+    return -1j * (hop + ensemble.coupling * np.abs(psi) ** 2 * psi)
 
 
 def _split_phase(
@@ -432,23 +411,6 @@ def _split_phase(
     np.cos(theta, out=out.real)
     np.add(np.sin(theta, out=out.imag), 0.0, out=out.imag)
     return out
-
-
-def integrate(
-    state: FieldState,
-    lattice: Lattice,
-    dispersion: Dispersion,
-    dt: float,
-    n_steps: int,
-) -> FieldState:
-    """Advance one realization by ``n_steps`` Strang split steps of size ``dt``.
-
-    This is ``integrate_ensemble`` on an ensemble of one, so it has the same
-    step guard, accuracy and exact mass conservation.
-    """
-    one = LatticeEnsemble(lattice, state.psi[None], time=state.time, coupling=state.coupling, r_integral=None)
-    out = integrate_ensemble(one, dispersion, dt, n_steps)
-    return FieldState(out.fields[0], time=out.time, coupling=out.coupling)
 
 
 def integrate_ensemble(
@@ -544,31 +506,20 @@ def integrate_ensemble(
     )
 
 
-def hamiltonian(state: FieldState, lattice: Lattice, dispersion: Dispersion, threads: int = 1) -> float:
-    """Conserved energy: mean_k omega |psi_hat|^2 + (coupling/2) sum_x |psi|^4.
+def hamiltonian(ensemble: LatticeEnsemble, dispersion: Dispersion, threads: int = 1) -> float:
+    """Conserved energy mean_k omega |psi_hat|^2 + (coupling/2) sum_x |psi|^4, summed over the realizations.
 
-    The transform runs over the trailing ``lattice.dimension`` axes, so
-    ``state.psi`` may also be a stack of fields; the result is then the sum
-    of their energies.  A stack is transformed by
-    :meth:`LatticeEnsemble.fourier` on ``threads`` threads, with the same
-    result at any thread count.
+    The fields are transformed by :meth:`LatticeEnsemble.fourier` on
+    ``threads`` threads, with the same result at any thread count.
     """
-    stack = LatticeEnsemble(lattice, state.psi.reshape((-1,) + lattice.shape), r_integral=None)
-    psi_hat = stack.fourier(threads).reshape(state.psi.shape)
-    omega = dispersion.omega(lattice)
-    kinetic = float(np.sum(omega * np.abs(psi_hat) ** 2)) / lattice.size
-    quartic = 0.5 * state.coupling * float(np.sum(np.abs(state.psi) ** 4))
-    return kinetic + quartic
+    lattice = ensemble.lattice
+    kinetic = float(np.sum(dispersion.omega(lattice) * np.abs(ensemble.fourier(threads)) ** 2)) / lattice.size
+    return kinetic + 0.5 * ensemble.coupling * float(np.sum(np.abs(ensemble.fields) ** 4))
 
 
-def ell2_mass(state: FieldState) -> float:
-    """sum_x |psi(x)|^2 (summed over a stack too), conserved exactly by both split substeps."""
-    return float(np.sum(np.abs(state.psi) ** 2))
-
-
-def mean_density(ensemble: LatticeEnsemble) -> float:
-    """Ensemble- and site-averaged |psi|^2 (half the oscillator rate R)."""
-    return float(np.mean(np.abs(ensemble.fields) ** 2))
+def ell2_mass(ensemble: LatticeEnsemble) -> float:
+    """sum_x |psi(x)|^2 summed over the realizations, conserved exactly by both split substeps."""
+    return float(np.sum(np.abs(ensemble.fields) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -1122,9 +1073,11 @@ def save_ensemble(ensemble: LatticeEnsemble, directory: str | Path) -> Path:
 
     Arrays are written little-endian complex128, row-major; the manifest
     records the lattice, coupling, time, seeds, and density history needed
-    to reconstruct the ensemble exactly.  A non-finite manifest entry is a
-    GuardError, and nothing is written.
+    to reconstruct the ensemble exactly.  A non-finite field or manifest
+    entry is a GuardError, and nothing is written.
     """
+    if not np.all(np.isfinite(ensemble.fields)):
+        raise GuardError("ensemble fields have a non-finite entry")
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     files = [f"realization_{index:05d}.npy" for index in range(ensemble.n_realizations)]
@@ -1151,7 +1104,12 @@ def save_ensemble(ensemble: LatticeEnsemble, directory: str | Path) -> Path:
 
 
 def load_ensemble(directory: str | Path) -> LatticeEnsemble:
-    """Reload an ensemble saved by :func:`save_ensemble`."""
+    """Reload an ensemble saved by :func:`save_ensemble`.
+
+    Each realization file must hold a finite little-endian complex128 array
+    of the lattice's shape, as the manifest declares; a file that does not,
+    or that numpy cannot read without unpickling, is a ConfigError naming it.
+    """
     target = Path(directory)
     manifest_path = target / _MANIFEST_NAME
     if not manifest_path.is_file():
@@ -1179,9 +1137,16 @@ def load_ensemble(directory: str | Path) -> LatticeEnsemble:
         path = target / name
         if not path.is_file():
             raise ConfigError(f"missing realization file {path}")
-        arr = np.load(path)
+        try:
+            arr = np.load(path, allow_pickle=False)
+        except (ValueError, EOFError) as err:  # EOFError: an empty file
+            raise ConfigError(f"{path} is not a readable .npy array: {err}") from None
+        if arr.dtype.str != "<c16":
+            raise ConfigError(f"{path} has dtype {arr.dtype.str}, expected <c16")
         if arr.shape != lattice.shape:
             raise ConfigError(f"{path} has shape {arr.shape}, expected {lattice.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{path} has a non-finite entry")
         fields[index] = arr
     return LatticeEnsemble(lattice=lattice, fields=fields, **scalars)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -34,7 +35,6 @@ import pytest
 
 from wickkit.dnls import (
     Dispersion,
-    FieldState,
     Lattice,
     LatticeEnsemble,
     Spectrum,
@@ -49,10 +49,8 @@ from wickkit.dnls import (
     free_propagator,
     gauge_audit,
     hamiltonian,
-    integrate,
     integrate_ensemble,
     load_ensemble,
-    mean_density,
     nearest_neighbor_dispersion,
     next_nearest_dispersion,
     pair_cluster_from_spectrum,
@@ -80,12 +78,16 @@ def smooth_spectrum(lattice: Lattice) -> np.ndarray:
     return w
 
 
+def one(psi: np.ndarray, lattice: Lattice, coupling: float = 0.0, time: float = 0.0) -> LatticeEnsemble:
+    """The ensemble of one realization ``psi``."""
+    return LatticeEnsemble(lattice, np.asarray(psi)[None], time=time, coupling=coupling)
+
+
 class TestLattice:
     def test_shape_and_size(self):
         lat = Lattice(2, 8)
         assert lat.shape == (8, 8)
         assert lat.size == 64
-        assert lat.axes == (0, 1)
 
     def test_k_grid_fractions(self):
         lat = Lattice(2, 4)
@@ -152,6 +154,27 @@ class TestDispersion:
         with pytest.raises(ConfigError):
             Dispersion(1, {(0,): math.inf})
 
+    @pytest.mark.parametrize(
+        "hopping, bad",
+        [
+            ({(0.5,): 1.0, (-0.5,): 2.0}, "(0.5,)"),
+            ({(math.nan,): 1.0}, "(nan,)"),
+            ({(math.inf,): 1.0}, "(inf,)"),
+            ({("1",): 1.0, ("-1",): 1.0}, "('1',)"),
+            ({(True,): 1.0}, "(True,)"),
+            ({1: 1.0}, "1"),
+        ],
+        ids=["half", "nan", "inf", "text", "bool", "scalar"],
+    )
+    def test_rejects_an_offset_that_is_not_integer(self, hopping, bad):
+        with pytest.raises(ConfigError, match=f"hopping offset {re.escape(bad)} must be a tuple of integers"):
+            Dispersion(1, hopping)
+
+    def test_takes_numpy_integer_offsets_as_ints(self):
+        disp = Dispersion(1, {(np.int64(1),): -1.0, (np.int32(-1),): -1.0})
+        assert disp.hopping == {(1,): -1.0, (-1,): -1.0}
+        assert all(type(c) is int for offset in disp.hopping for c in offset)
+
 
 class TestRhsAndExactFlows:
     def test_free_single_mode_rotates_exactly(self):
@@ -160,32 +183,30 @@ class TestRhsAndExactFlows:
         omega = disp.omega(lat)
         psi_hat0 = np.zeros(16, dtype=complex)
         psi_hat0[3] = 1.3 + 0.4j
-        state = FieldState(np.fft.ifftn(psi_hat0), coupling=0.0)
-        out = integrate(state, lat, disp, dt=0.1, n_steps=25)
+        out = integrate_ensemble(one(np.fft.ifftn(psi_hat0), lat), disp, dt=0.1, n_steps=25)
         expected = np.fft.ifftn(psi_hat0 * np.exp(-1j * 2.5 * omega))
-        assert np.max(np.abs(out.psi - expected)) < 1e-13
+        assert np.max(np.abs(out.fields[0] - expected)) < 1e-13
         assert out.time == pytest.approx(2.5)
 
     def test_pure_nonlinear_flow_is_exact_for_large_steps(self):
         rng = np.random.default_rng(0)
         lat = Lattice(1, 16)
         psi0 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        state = FieldState(psi0, coupling=0.8)
-        out = integrate(state, lat, zero_dispersion(1), dt=0.7, n_steps=4)
+        out = integrate_ensemble(one(psi0, lat, coupling=0.8), zero_dispersion(1), dt=0.7, n_steps=4)
         expected = psi0 * np.exp(-1j * 0.8 * np.abs(psi0) ** 2 * 2.8)
-        assert np.max(np.abs(out.psi - expected)) < 1e-13
+        assert np.max(np.abs(out.fields[0] - expected)) < 1e-13
 
     def test_rhs_matches_centered_finite_difference(self):
         rng = np.random.default_rng(1)
         lat = Lattice(1, 32)
         disp = nearest_neighbor_dispersion(1)
         psi0 = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) * 0.4
-        state = FieldState(psi0, coupling=0.5)
-        rhs = dnls_rhs(state, lat, disp)
+        state = one(psi0, lat, coupling=0.5)
+        rhs = dnls_rhs(state, disp)
 
         def fd_error(h: float) -> float:
-            plus = integrate(state, lat, disp, dt=h, n_steps=1).psi
-            minus = integrate(state, lat, disp, dt=-h, n_steps=1).psi
+            plus = integrate_ensemble(state, disp, dt=h, n_steps=1).fields
+            minus = integrate_ensemble(state, disp, dt=-h, n_steps=1).fields
             return float(np.max(np.abs((plus - minus) / (2.0 * h) - rhs)))
 
         err_coarse, err_fine = fd_error(1e-3), fd_error(5e-4)
@@ -195,7 +216,15 @@ class TestRhsAndExactFlows:
 
     def test_rhs_rejects_shape_mismatch(self):
         with pytest.raises(ConfigError):
-            dnls_rhs(FieldState(np.zeros(8, complex)), Lattice(1, 16), nearest_neighbor_dispersion(1))
+            dnls_rhs(one(np.zeros(8, complex), Lattice(1, 16)), nearest_neighbor_dispersion(1))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rhs_of_an_ensemble_stacks_the_rhs_of_each_field(self, dim):
+        lat = Lattice(dim, 8)
+        disp = next_nearest_dispersion(dim)
+        ens = sample_initial(lat, smooth_spectrum(lat), 3, seed=9, coupling=0.6)
+        each = [dnls_rhs(one(ens.fields[i], lat, coupling=0.6), disp)[0] for i in range(3)]
+        assert dnls_rhs(ens, disp).tobytes() == np.stack(each).tobytes()
 
 
 class TestIntegrate:
@@ -204,9 +233,9 @@ class TestIntegrate:
         lat = Lattice(1, 32)
         disp = nearest_neighbor_dispersion(1)
         psi0 = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) * 0.4
-        state = FieldState(psi0, coupling=0.5)
+        state = one(psi0, lat, coupling=0.5)
         mass0 = ell2_mass(state)
-        out = integrate(state, lat, disp, dt=0.1, n_steps=1000)
+        out = integrate_ensemble(state, disp, dt=0.1, n_steps=1000)
         assert abs(ell2_mass(out) - mass0) / mass0 < 1e-12
 
     def test_hamiltonian_drift_is_second_order(self):
@@ -214,26 +243,25 @@ class TestIntegrate:
         lat = Lattice(1, 32)
         disp = nearest_neighbor_dispersion(1)
         psi0 = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) * 0.4
-        state = FieldState(psi0, coupling=0.5)
-        h0 = hamiltonian(state, lat, disp)
-        drift_coarse = abs(hamiltonian(integrate(state, lat, disp, 0.1, 100), lat, disp) - h0)
-        drift_fine = abs(hamiltonian(integrate(state, lat, disp, 0.05, 200), lat, disp) - h0)
+        state = one(psi0, lat, coupling=0.5)
+        h0 = hamiltonian(state, disp)
+        drift_coarse = abs(hamiltonian(integrate_ensemble(state, disp, 0.1, 100), disp) - h0)
+        drift_fine = abs(hamiltonian(integrate_ensemble(state, disp, 0.05, 200), disp) - h0)
         assert 3.2 < drift_coarse / drift_fine < 4.8
 
     def test_step_guard(self):
         lat = Lattice(1, 32)
         disp = nearest_neighbor_dispersion(1)  # max omega = 4
-        state = FieldState(np.ones(32, complex))
+        state = one(np.ones(32, complex), lat)
         with pytest.raises(GuardError):
-            integrate(state, lat, disp, dt=0.2, n_steps=1)
+            integrate_ensemble(state, disp, dt=0.2, n_steps=1)
         with pytest.raises(GuardError):
-            integrate(state, lat, disp, dt=math.nan, n_steps=1)
+            integrate_ensemble(state, disp, dt=math.nan, n_steps=1)
 
     def test_rejects_negative_step_count(self):
         lat = Lattice(1, 32)
-        state = FieldState(np.ones(32, complex))
         with pytest.raises(ConfigError):
-            integrate(state, lat, zero_dispersion(1), dt=0.1, n_steps=-1)
+            integrate_ensemble(one(np.ones(32, complex), lat), zero_dispersion(1), dt=0.1, n_steps=-1)
 
 
 def strang_step(psi: np.ndarray, linear: np.ndarray, coupling: float, dt: float, axes: tuple[int, ...]) -> np.ndarray:
@@ -276,17 +304,6 @@ class TestFusedIntegrator:
             assert out.r_integral == pytest.approx(ref_r, rel=1e-12)
             assert out.time == pytest.approx(dt * sum(blocks), rel=1e-12)
 
-    def test_integrate_is_a_batch_of_one(self):
-        rng = np.random.default_rng(5)
-        lat = Lattice(2, 8)
-        disp = nearest_neighbor_dispersion(2)
-        psi0 = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
-        state = FieldState(psi0, time=0.3, coupling=0.6)
-        single = integrate(state, lat, disp, 0.05, 17)
-        batch = integrate_ensemble(LatticeEnsemble(lat, psi0[None], time=0.3, coupling=0.6), disp, 0.05, 17)
-        assert single.psi.tobytes() == batch.fields[0].tobytes()
-        assert (single.time, single.coupling) == (batch.time, batch.coupling)
-
     def test_zero_steps_leave_the_field_alone(self):
         lat = Lattice(1, 16)
         ens = sample_initial(lat, smooth_spectrum(lat), 4, seed=2, coupling=0.5)
@@ -295,9 +312,9 @@ class TestFusedIntegrator:
 
     def test_non_finite_step_trips_the_guard(self):
         lat = Lattice(1, 16)
-        state = FieldState(np.full(16, 0.5 + 0.5j), coupling=math.inf)
+        state = one(np.full(16, 0.5 + 0.5j), lat, coupling=math.inf)
         with pytest.raises(GuardError, match="non-finite"):
-            integrate(state, lat, nearest_neighbor_dispersion(1), 0.05, 3)
+            integrate_ensemble(state, nearest_neighbor_dispersion(1), 0.05, 3)
 
     def test_blocks_match_the_unfused_composition(self, monkeypatch):
         # 9 realizations in blocks of 4: two full blocks and a partial one
@@ -377,10 +394,9 @@ class TestFusedIntegrator:
         lat = Lattice(2, 8)
         disp = next_nearest_dispersion(2)
         ens = sample_initial(lat, smooth_spectrum(lat), 6, seed=8, coupling=0.4)
-        each = [hamiltonian(ens.realization(i), lat, disp) for i in range(6)]
-        stack = FieldState(ens.fields, coupling=0.4)
-        assert hamiltonian(stack, lat, disp) == pytest.approx(sum(each), rel=1e-12)
-        assert ell2_mass(stack) == pytest.approx(sum(ell2_mass(ens.realization(i)) for i in range(6)), rel=1e-12)
+        each = [one(ens.fields[i], lat, coupling=0.4) for i in range(6)]
+        assert hamiltonian(ens, disp) == pytest.approx(sum(hamiltonian(e, disp) for e in each), rel=1e-12)
+        assert ell2_mass(ens) == pytest.approx(sum(ell2_mass(e) for e in each), rel=1e-12)
 
 
 class TestLatticeTransforms:
@@ -431,7 +447,6 @@ class TestLatticeTransforms:
         ens = sample_initial(lat, smooth_spectrum(lat), 8, seed=17, coupling=0.4)
         hats = np.fft.fftn(ens.fields, axes=ens.spatial_axes)
         per_real = np.abs(hats) ** 2 / lat.size
-        stack = FieldState(ens.fields, coupling=0.4)
         energy = float(np.sum(disp.omega(lat) * np.abs(hats) ** 2)) / lat.size + 0.2 * float(
             np.sum(np.abs(ens.fields) ** 4)
         )
@@ -439,8 +454,8 @@ class TestLatticeTransforms:
             assert ens.fourier(threads).tobytes() == hats.tobytes()
             spec = estimate_W(ens, threads=threads)
             assert spec.values.tobytes() == per_real.mean(axis=0).tobytes()
-            assert hamiltonian(stack, lat, disp, threads=threads) == energy
-        assert ens.realization(5).fourier().tobytes() == hats[5].tobytes()
+            assert hamiltonian(ens, disp, threads=threads) == energy
+        assert one(ens.fields[5], lat, coupling=0.4).fourier().tobytes() == hats[5].tobytes()
 
     def test_empty_ensemble_is_a_config_error(self):
         lat = Lattice(2, 4)
@@ -610,7 +625,7 @@ class TestEstimateW:
         lat = Lattice(1, 16)
         ens = sample_initial(lat, smooth_spectrum(lat), 30, seed=4)
         spec = estimate_W(ens)
-        assert float(spec.values.mean()) == pytest.approx(mean_density(ens), rel=1e-12)
+        assert float(spec.values.mean()) == pytest.approx(ell2_mass(ens) / ens.fields.size, rel=1e-12)
 
 
 class TestRenormalizedField:
@@ -643,7 +658,8 @@ class TestRenormalizedField:
         evolved = integrate_ensemble(ens, disp, dt=0.05, n_steps=40)
         # the flow conserves mass, so the accumulated integral of
         # R_s = 2 E|psi|^2 is 2 * density * elapsed time up to rounding
-        assert evolved.r_integral == pytest.approx(2.0 * mean_density(evolved) * evolved.time, rel=1e-12)
+        density = ell2_mass(evolved) / evolved.fields.size
+        assert evolved.r_integral == pytest.approx(2.0 * density * evolved.time, rel=1e-12)
 
     def test_missing_history_is_an_error(self):
         lat = Lattice(1, 16)
@@ -861,6 +877,34 @@ class TestPersistence:
         with pytest.raises(GuardError, match="not finite"):
             save_ensemble(ens, tmp_path / "ens")
         assert not any((tmp_path / "ens").iterdir())
+
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (lambda path: np.save(path, np.array([0.5] * 7 + [math.nan], dtype="<c16")), "has a non-finite entry"),
+            (lambda path: np.save(path, np.full(8, 0.5)), "has dtype <f8, expected <c16"),
+            (lambda path: np.save(path, np.full(8, 0.5, dtype=">c16")), "has dtype >c16, expected <c16"),
+            (lambda path: path.write_text("0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n"), "is not a readable .npy array"),
+            (lambda path: np.save(path, np.array(["0.5"] * 8)), "has dtype <U3, expected <c16"),
+            (lambda path: np.save(path, np.full(8, 0.5 + 0j, dtype=object)), "is not a readable .npy array"),
+            (lambda path: path.write_bytes(b""), "is not a readable .npy array"),
+        ],
+        ids=["nan", "float64", "big-endian", "text", "strings", "pickled-objects", "empty"],
+    )
+    def test_a_realization_file_that_contradicts_the_manifest_is_a_config_error(self, tmp_path, write, message):
+        save_ensemble(sample_initial(Lattice(1, 8), np.full(8, 0.5), 3, seed=3), tmp_path)
+        path = tmp_path / "realization_00001.npy"
+        write(path)
+        with pytest.raises(ConfigError, match=re.escape(f"{path} {message}")):
+            load_ensemble(tmp_path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, -math.inf)])
+    def test_non_finite_field_writes_nothing(self, tmp_path, bad):
+        ens = sample_initial(Lattice(1, 8), np.full(8, 0.5), 3, seed=3)
+        ens.fields[2, 5] = bad
+        with pytest.raises(GuardError, match="non-finite"):
+            save_ensemble(ens, tmp_path / "ens")
+        assert not (tmp_path / "ens").exists()
 
     def test_truncated_directory_is_detected(self, tmp_path):
         lat = Lattice(1, 8)
