@@ -25,8 +25,9 @@ numerics: each JSON object, at every level, accepts exactly the keys its
 kind reads, and a missing required key or a stray one is refused.  Every
 number in a config is a finite JSON number (not a string or a bool);
 integer fields take only JSON integers.  Exit codes: 0 success, 2 malformed,
-mistyped or non-finite input, 3 a numeric guard tripped during the run, 4 I/O
-failure.  Failures print a one-line JSON error report to stderr.
+mistyped or non-finite input, 3 a numeric guard tripped or memory ran out
+during the run, 4 I/O failure.  Failures print a one-line JSON error report
+to stderr.
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def _parse_w0(w0: Block, lattice: Lattice, dispersion: Dispersion) -> np.ndarray
             for axis, amp in enumerate(amps):
                 values = values + amp * np.cos(2.0 * np.pi * grid[..., axis])
         elif kind == "equilibrium":
-            values = EquilibriumParams(w0.number("beta"), w0.number("mu")).spectrum(lattice, dispersion).values
+            values = EquilibriumParams(w0.number("beta"), w0.number("mu")).spectrum(lattice, dispersion)
         else:
             k_rows, values, _ = read_spectrum_csv(w0.path("path"))
             # the writer's fractions parse back exactly, so the k columns must equal the grid
@@ -415,7 +416,8 @@ def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
         energy = hamiltonian(ensemble, dispersion, threads=rc.threads) / n_real
         records.append((block * record_every * dt, mass, energy))
     write_csv(out_dir / "observables.csv", ["time", "mean_mass", "mean_energy"], [*np.array(records).T])
-    write_spectrum_csv(lattice, estimate_W(ensemble, threads=rc.threads), out_dir / "spectrum.csv")
+    values, stderr = estimate_W(ensemble, threads=rc.threads)
+    write_spectrum_csv(lattice, values, out_dir / "spectrum.csv", stderr)
     return {
         "outputs": ["observables.csv", "spectrum.csv"],
         "summary": {
@@ -440,11 +442,11 @@ def _run_estimate_w(rc: RunConfig, out_dir: Path) -> dict:
         n_real = params.integer("n_realizations", low=2)
         family = params.choice("family", _FAMILIES, "gaussian")
     ensemble = sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, threads=rc.threads)
-    estimate = estimate_W(ensemble, threads=rc.threads)
-    write_spectrum_csv(lattice, estimate, out_dir / "spectrum.csv")
+    values, stderr = estimate_W(ensemble, threads=rc.threads)
+    write_spectrum_csv(lattice, values, out_dir / "spectrum.csv", stderr)
     # a deterministic family has stderr 0, so the gap is measured against w0's rounding scale
     floor = np.maximum(8.0 * np.finfo(float).eps * np.abs(w0), 1e-300)
-    worst = float(np.max(np.abs(estimate.values - w0) / np.maximum(estimate.stderr, floor)))
+    worst = float(np.max(np.abs(values - w0) / np.maximum(stderr, floor)))
     return {
         "outputs": ["spectrum.csv"],
         "summary": {"n_realizations": n_real, "max_zscore_vs_w0": worst},
@@ -495,10 +497,10 @@ def _run_bp_compare(rc: RunConfig, out_dir: Path) -> dict:
         tau = params.number("tau", low=0.0, strict=True)
         lambdas = params.numbers("lambda_list", low=0.0, strict=True)
         config = _parse_collision(params, "reference_delta", lattice, dispersion)
-    reference = collision_operator(w0, config).values
+    reference = collision_operator(w0, config)
 
     def gaps_for(coupling: float) -> np.ndarray:
-        return prelimit_kernel(w0, coupling, tau, config).values / tau - reference
+        return prelimit_kernel(w0, coupling, tau, config) / tau - reference
 
     gaps = np.array(
         [
@@ -537,7 +539,7 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
         se_threshold = params.number("se_threshold", 3.0, low=0.0)
         min_resolved = params.integer("min_resolved_modes", 1, low=0)
         config = _parse_collision(params, "reference_delta", lattice, dispersion, {"model": "gaussian"})
-    reference = collision_operator(w0, config).values
+    reference = collision_operator(w0, config)
 
     step_counts = [
         step_count(tau / coupling**2, dt, f"kinetic-check: kinetic time at coupling {coupling!r}")
@@ -545,7 +547,7 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
     ]
 
     def analytic_for(coupling: float) -> np.ndarray:
-        return prelimit_kernel(w0, coupling, tau, config).values / tau
+        return prelimit_kernel(w0, coupling, tau, config) / tau
 
     analytics = _map_in_order(analytic_for, lambdas, rc.threads)
     initial = sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, threads=rc.threads)
@@ -658,7 +660,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         written = run(rc)
     except ConfigError as err:
         return _fail(2, err)
-    except GuardError as err:
+    except (GuardError, MemoryError) as err:
         return _fail(3, err)
     except OSError as err:
         return _fail(4, err)

@@ -18,7 +18,9 @@ Conventions
 * The conjugation index ``sigma`` selects the field (+1) or its complex
   conjugate (-1); in Fourier space ``conj(psi_hat(k, s)) = psi_hat(-k, -s)``.
 * The covariance spectrum is ``W(k) = E|psi_hat(k)|^2 / L^d``, which is real,
-  and the mean density is ``E|psi(x)|^2 = mean_k W(k)``.
+  and the mean density is ``E|psi(x)|^2 = mean_k W(k)``.  A spectrum is a
+  float array of ``lattice.shape``; every spectrum read goes through one
+  check, ``_spectrum_values`` (integer or floating dtype, that shape, finite).
 * :class:`LatticeEnsemble` is the one field container: a single realization
   is an ensemble of one.  ``dnls_rhs`` returns the right-hand side of every
   field, and ``hamiltonian`` and ``ell2_mass`` sum over the realizations.
@@ -38,7 +40,7 @@ import numpy as np
 
 from .cumulants import CumulantEvaluator, EnsembleOracle, empirical_cumulant
 from .errors import (
-    Block, ConfigError, GuardError, _json, _write_json, jackknife_stderr, mean_stderr, read_csv, write_csv,
+    Block, ConfigError, GuardError, _is_number, _json, _write_json, jackknife_stderr, mean_stderr, read_csv, write_csv,
 )
 from .indexing import LabeledSeq
 from .pool import map_in_order
@@ -47,7 +49,6 @@ __all__ = [
     "Lattice",
     "Dispersion",
     "LatticeEnsemble",
-    "Spectrum",
     "nearest_neighbor_dispersion",
     "next_nearest_dispersion",
     "zero_dispersion",
@@ -131,9 +132,9 @@ class Lattice:
 class Dispersion:
     """Symmetric, finitely supported hopping amplitude and its symbol.
 
-    ``hopping`` maps tuples of ``int`` (or numpy integer) offsets to real
-    coefficients and must satisfy ``alpha(-x) == alpha(x)``, which makes the
-    symbol
+    ``hopping`` maps tuples of ``int`` (or numpy integer) offsets to finite
+    ``int``, ``float`` or numpy real coefficients (not ``bool``) and must
+    satisfy ``alpha(-x) == alpha(x)``, which makes the symbol
 
         omega(k) = sum_x alpha(x) cos(2 pi k . x)
 
@@ -155,11 +156,11 @@ class Dispersion:
             key = tuple(map(int, offset))
             if len(key) != self.dimension:
                 raise ConfigError(f"hopping offset {offset} does not have {self.dimension} components")
-            value = float(coeff)
-            if not math.isfinite(value):
-                raise ConfigError(f"hopping coefficient at {offset} is not finite")
+            value = float(coeff) if isinstance(coeff, (np.integer, np.floating)) else coeff
+            if not _is_number(value):
+                raise ConfigError(f"hopping coefficient at {offset} must be a finite real number, got {coeff!r}")
             if value != 0.0:
-                cleaned[key] = value
+                cleaned[key] = float(value)
         for offset, coeff in cleaned.items():
             mirror = tuple(-c for c in offset)
             if cleaned.get(mirror) != coeff:
@@ -274,26 +275,12 @@ class LatticeEnsemble:
         return np.abs(self.fourier(threads)) ** 2 / self.lattice.size
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Real covariance spectrum on the dual grid, with optional errors."""
-
-    values: np.ndarray
-    stderr: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if self.stderr is not None:
-            err = np.asarray(self.stderr, dtype=float)
-            if err.shape != values.shape:
-                raise ConfigError("spectrum stderr shape does not match values")
-            object.__setattr__(self, "stderr", err)
-
-
-def _spectrum_values(w: np.ndarray | Spectrum, lattice: Lattice) -> np.ndarray:
-    """The values of a spectrum on ``lattice``; a ConfigError unless the shape fits and every value is finite."""
-    values = w.values if isinstance(w, Spectrum) else np.asarray(w, dtype=float)
+def _spectrum_values(w: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """``w`` as floats; a ConfigError unless it is an integer or floating array of the lattice's shape, all finite."""
+    values = np.asarray(w)
+    if values.dtype.kind not in "iuf":
+        raise ConfigError(f"spectrum must be a real array, got dtype {values.dtype}")
+    values = values.astype(float, copy=False)
     if values.shape != lattice.shape:
         raise ConfigError(f"spectrum shape {values.shape} does not match lattice shape {lattice.shape}")
     if not np.all(np.isfinite(values)):
@@ -301,7 +288,7 @@ def _spectrum_values(w: np.ndarray | Spectrum, lattice: Lattice) -> np.ndarray:
     return values
 
 
-def _nonnegative_values(w: np.ndarray | Spectrum, lattice: Lattice) -> np.ndarray:
+def _nonnegative_values(w: np.ndarray, lattice: Lattice) -> np.ndarray:
     """The spectrum's values on the lattice, as :func:`_spectrum_values`; a negative entry is a ConfigError."""
     values = _spectrum_values(w, lattice)
     if float(values.min()) < 0.0:
@@ -534,7 +521,7 @@ _MAX_SEED = 1 << 63
 
 def sample_initial(
     lattice: Lattice,
-    w0: np.ndarray | Spectrum,
+    w0: np.ndarray,
     n_realizations: int,
     seed: int,
     family: str = "gaussian",
@@ -621,17 +608,17 @@ def _modes(amplitude: np.ndarray, draws: np.ndarray, gaussian: bool, out: np.nda
     return np.divide(np.multiply(amplitude, out, out=out), np.sqrt(2.0) + 0j, out=out)
 
 
-def estimate_W(ensemble: LatticeEnsemble, threads: int = 1) -> Spectrum:
-    """Empirical covariance spectrum  W(k) = mean_r |psi_hat(k)|^2 / L^d.
+def estimate_W(ensemble: LatticeEnsemble, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical covariance spectrum  W(k) = mean_r |psi_hat(k)|^2 / L^d and its jackknife errors.
 
-    Jackknife standard errors over realizations are attached.  The fields
-    are transformed on ``threads`` threads (:meth:`LatticeEnsemble.fourier`),
+    Returns ``(values, stderr)``, float arrays of the lattice's shape.  The
+    fields are transformed on ``threads`` threads (:meth:`LatticeEnsemble.fourier`),
     with the same result at any thread count.
     """
     if ensemble.n_realizations < 2:
         raise ConfigError("estimate_W needs at least 2 realizations")
     per_real = ensemble.mode_power(threads)
-    return Spectrum(values=per_real.mean(axis=0), stderr=mean_stderr(per_real))
+    return per_real.mean(axis=0), mean_stderr(per_real)
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +926,7 @@ def clustering_norm(pinned: Mapping[tuple[int, ...], np.ndarray], order: int) ->
     return best
 
 
-def pair_cluster_from_spectrum(lattice: Lattice, w0: np.ndarray | Spectrum) -> dict[tuple[int, int], np.ndarray]:
+def pair_cluster_from_spectrum(lattice: Lattice, w0: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """Pinned second cumulants of a phase-invariant law with spectrum ``w0``.
 
     kappa(conj psi(0), psi(x)) = L^-d sum_k W(k) e^{i 2 pi k . x}; the
@@ -1046,7 +1033,7 @@ def empirical_fourth_cluster(
     return offsets, values
 
 
-def fixed_modulus_fourth_norm(lattice: Lattice, w0: np.ndarray | Spectrum) -> float:
+def fixed_modulus_fourth_norm(lattice: Lattice, w0: np.ndarray) -> float:
     """Exact l1 clustering norm of the fourth cumulant of the fixed-modulus law.
 
     Per mode, the only nonvanishing fourth cumulant of a fixed-modulus phasor
@@ -1151,19 +1138,22 @@ def load_ensemble(directory: str | Path) -> LatticeEnsemble:
     return LatticeEnsemble(lattice=lattice, fields=fields, **scalars)
 
 
-def write_spectrum_csv(lattice: Lattice, spectrum: Spectrum, path: str | Path) -> None:
+def write_spectrum_csv(lattice: Lattice, values: np.ndarray, path: str | Path, stderr: np.ndarray | None = None) -> None:
     """Write a spectrum as CSV rows of (k components..., value, stderr).
 
-    Rows follow row-major dual-grid order; momenta are written as fractions.
+    Rows follow row-major dual-grid order; momenta are written as fractions,
+    and the stderr cells are empty when ``stderr`` is None.  ``values`` and
+    ``stderr`` must have the lattice's shape, else a ConfigError.
     Formatting is deterministic (repr of Python floats), so identical
     spectra produce byte-identical files.  A non-finite value or error is a
     GuardError, and nothing is written.
     """
-    if spectrum.values.shape != lattice.shape:
-        raise ConfigError("spectrum shape does not match lattice shape")
+    for name, column in (("values", values), ("stderr", stderr)):
+        if column is not None and np.shape(column) != lattice.shape:
+            raise ConfigError(f"spectrum {name} shape {np.shape(column)} does not match lattice shape {lattice.shape}")
     header = [f"k{i + 1}" for i in range(lattice.dimension)] + ["value", "stderr"]
-    stderr = [""] * lattice.size if spectrum.stderr is None else spectrum.stderr
-    write_csv(Path(path), header, [lattice.k_cells(), spectrum.values, stderr])
+    errors = [""] * lattice.size if stderr is None else np.asarray(stderr, dtype=float)
+    write_csv(Path(path), header, [lattice.k_cells(), np.asarray(values, dtype=float), errors])
 
 
 def read_spectrum_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

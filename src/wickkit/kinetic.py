@@ -46,6 +46,9 @@ the principal-value part of the half-line time integral is a frequency
 shift, not a decay, and is dropped here.  Exact regrouping then gives
 C(W) = gain(W) - 2 W Gamma(W) with gain = 4 pi L^-2d sum delta W1 W2 W3,
 so at a stationary spectrum the gain equals twice W * Gamma.
+
+A spectrum is a float array of the lattice's shape: every function here
+takes W as one, and the collision sums and kernels return one.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dnls import Dispersion, Lattice, PropagatorDecayFit, Spectrum, _lattice_fft, _nonnegative_values
+from .dnls import Dispersion, Lattice, PropagatorDecayFit, _lattice_fft, _nonnegative_values
 from .errors import ConfigError, GuardError, rk4, step_count
 
 __all__ = [
@@ -188,12 +191,12 @@ class EquilibriumParams:
         if not self.beta > 0.0:
             raise ConfigError("beta must be positive")
 
-    def spectrum(self, lattice: Lattice, dispersion: Dispersion) -> Spectrum:
+    def spectrum(self, lattice: Lattice, dispersion: Dispersion) -> np.ndarray:
         """W(k) = 1 / (beta (omega(k) - mu)); requires mu below the band."""
         omega = dispersion.omega(lattice)
         if not self.mu < float(omega.min()):
             raise ConfigError(f"mu = {self.mu} must lie strictly below min omega = {float(omega.min())}")
-        return Spectrum(values=1.0 / (self.beta * (omega - self.mu)))
+        return 1.0 / (self.beta * (omega - self.mu))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +323,7 @@ def _time_domain_sums(
     return gain, loss
 
 
-def _collision_sums(w: np.ndarray | Spectrum, config: CollisionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _collision_sums(w: np.ndarray, config: CollisionConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(W, gain sum, loss sum) on the time nodes of the config's delta model."""
     values = _nonnegative_values(w, config.lattice)
     plan = config._plan
@@ -329,7 +332,7 @@ def _collision_sums(w: np.ndarray | Spectrum, config: CollisionConfig) -> tuple[
     return values, gain_sum, loss_sum
 
 
-def collision_operator(w: np.ndarray | Spectrum, config: CollisionConfig) -> Spectrum:
+def collision_operator(w: np.ndarray, config: CollisionConfig) -> np.ndarray:
     """Four-wave collision operator C(W) on the dual grid.
 
     The summand is antisymmetric under the pair swap (k, k1) <-> (k2, k3)
@@ -339,23 +342,23 @@ def collision_operator(w: np.ndarray | Spectrum, config: CollisionConfig) -> Spe
     """
     values, gain_sum, loss_sum = _collision_sums(w, config)
     scale = 4.0 * math.pi / config.lattice.size**2
-    return Spectrum(values=scale * (gain_sum + values * loss_sum))
+    return scale * (gain_sum + values * loss_sum)
 
 
-def collision_gain(w: np.ndarray | Spectrum, config: CollisionConfig) -> Spectrum:
+def collision_gain(w: np.ndarray, config: CollisionConfig) -> np.ndarray:
     """Gain part of C(W): 4 pi L^-2d sum delta(Omega) W1 W2 W3 (always >= 0)."""
     _, gain_sum, _ = _collision_sums(w, config)
-    return Spectrum(values=4.0 * math.pi / config.lattice.size**2 * gain_sum)
+    return 4.0 * math.pi / config.lattice.size**2 * gain_sum
 
 
-def gamma_rate(w: np.ndarray | Spectrum, config: CollisionConfig) -> Spectrum:
+def gamma_rate(w: np.ndarray, config: CollisionConfig) -> np.ndarray:
     """Decay rate of field time-correlations (real part of the loss kernel).
 
     Gamma(cW) = c^2 Gamma(W) exactly; at a stationary spectrum the collision
     gain equals 2 W Gamma pointwise up to the delta-model tolerance.
     """
     _, _, loss_sum = _collision_sums(w, config)
-    return Spectrum(values=-2.0 * math.pi / config.lattice.size**2 * loss_sum)
+    return -2.0 * math.pi / config.lattice.size**2 * loss_sum
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +382,11 @@ def prelimit_window(omega_gap: np.ndarray | float, coupling: float, tau: float) 
 
 
 def prelimit_kernel(
-    w: np.ndarray | Spectrum,
+    w: np.ndarray,
     coupling: float,
     tau: float,
     config: CollisionConfig,
-) -> Spectrum:
+) -> np.ndarray:
     """First pairing-order spectrum increment over the window t = tau/coupling^2.
 
     Returns 2 L^-2d sum_{k1,k2} window(Omega) [bracket], the finite-coupling
@@ -403,7 +406,7 @@ def prelimit_kernel(
     values = _nonnegative_values(w, config.lattice)
     gain_sum, loss_sum = _time_domain_sums(values, _plan_blocks(*window._time_grid))
     scale = 4.0 * math.pi * tau / config.lattice.size**2
-    return Spectrum(values=scale * (gain_sum + values * loss_sum))
+    return scale * (gain_sum + values * loss_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +445,6 @@ class BPTrajectory:
     def rk4_stages(self) -> int:
         return 4 * self.n_steps
 
-    def spectrum_at(self, index: int) -> Spectrum:
-        return Spectrum(values=self.spectra[index])
-
 
 _CLAMP_FLOOR = -1e-9
 
@@ -476,7 +476,7 @@ def _clamp_spectrum(values: np.ndarray, record: _ClampRecord | None = None) -> n
 
 
 def bp_solve(
-    w0: np.ndarray | Spectrum,
+    w0: np.ndarray,
     config: CollisionConfig,
     tau_end: float,
     dtau: float,
@@ -500,7 +500,7 @@ def bp_solve(
         return _clamp_spectrum(w, clamps)
 
     def rhs(tau: float, w: np.ndarray) -> np.ndarray:
-        return collision_operator(clamp(w), config).values
+        return collision_operator(clamp(w), config)
 
     _, spectra = rk4(rhs, values, 0.0, dtau, n_steps, project=clamp)
     stacked = np.stack(spectra)
@@ -551,9 +551,7 @@ def correlation_decay(trajectory: BPTrajectory, config: CollisionConfig, ode_sub
     if ode_substeps < 1:
         raise ConfigError("ode_substeps must be at least 1")
     taus = trajectory.taus
-    rates = np.stack(
-        [gamma_rate(trajectory.spectra[j], config).values for j in range(len(taus))]
-    )
+    rates = np.stack([gamma_rate(trajectory.spectra[j], config) for j in range(len(taus))])
     w0 = trajectory.spectra[0]
 
     # closed form: cumulative trapezoid of the sampled rates

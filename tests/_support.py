@@ -518,13 +518,13 @@ def reference_kinetic_check_csv(lattice, lambdas, reference, analytics, mc_means
     return _csv_text(header, rows)
 
 
-def reference_spectrum_csv(lattice, spectrum):
+def reference_spectrum_csv(lattice, values, stderr=None):
     """The spectrum CSV text, formatted site by site."""
     header = ",".join(f"k{i + 1}" for i in range(lattice.dimension)) + ",value,stderr"
     lines = [header]
     for site in np.ndindex(lattice.shape):
         ks = [repr(component / lattice.side) for component in site]
-        value = repr(float(spectrum.values[site]))
-        err = repr(float(spectrum.stderr[site])) if spectrum.stderr is not None else ""
+        value = repr(float(values[site]))
+        err = repr(float(stderr[site])) if stderr is not None else ""
         lines.append(",".join(ks + [value, err]))
     return "\n".join(lines) + "\n"

@@ -32,7 +32,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +51,7 @@ from wickkit.cli import (
     run,
 )
 from wickkit.cumulants import CumulantTable
-from wickkit.dnls import Lattice, Spectrum, estimate_W, read_spectrum_csv, sample_initial, write_spectrum_csv, zero_dispersion
+from wickkit.dnls import Lattice, estimate_W, read_spectrum_csv, sample_initial, write_spectrum_csv, zero_dispersion
 from wickkit.errors import Block, ConfigError, GuardError
 from wickkit.indexing import LabeledSeq
 from wickkit.kinetic import BPTrajectory, CollisionConfig, EquilibriumParams
@@ -550,10 +549,10 @@ class TestEstimateW:
         _, values, stderr = read_spectrum_csv(tmp_path / "run" / "spectrum.csv")
         lattice = Lattice(dimension=1, side=16)
         ensemble = sample_initial(lattice, np.ones(16), 64, seed=9)
-        expected = estimate_W(ensemble)
+        expected, expected_stderr = estimate_W(ensemble)
         # repr round trip is exact, so the file carries the estimate verbatim
-        assert np.array_equal(values, expected.values)
-        assert np.array_equal(stderr, expected.stderr)
+        assert np.array_equal(values, expected)
+        assert np.array_equal(stderr, expected_stderr)
 
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     def test_a_fixed_modulus_ensemble_is_within_rounding_of_w0(self, tmp_path, scale):
@@ -597,7 +596,7 @@ class TestBpSolve:
         eql = EquilibriumParams(beta=1.0, mu=-1.0).spectrum(
             lattice, nearest_neighbor_dispersion(2)
         )
-        assert np.array_equal(values[0], eql.values.ravel())
+        assert np.array_equal(values[0], eql.ravel())
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         number = np.array(summary["number"])
         assert np.max(np.abs(number - number[0])) < 1e-12
@@ -772,9 +771,9 @@ class TestCsvWriters:
         lattice = Lattice(dimension, side)
         rng = np.random.default_rng(10 + dimension)
         values = self.awkward_values(rng, lattice.shape)
-        for spectrum in (Spectrum(values), Spectrum(values, np.abs(self.awkward_values(rng, lattice.shape)))):
-            write_spectrum_csv(lattice, spectrum, tmp_path / "w.csv")
-            assert (tmp_path / "w.csv").read_text() == reference_spectrum_csv(lattice, spectrum)
+        for stderr in (None, np.abs(self.awkward_values(rng, lattice.shape))):
+            write_spectrum_csv(lattice, values, tmp_path / "w.csv", stderr)
+            assert (tmp_path / "w.csv").read_text() == reference_spectrum_csv(lattice, values, stderr)
 
     def test_observables_bytes(self, tmp_path, monkeypatch):
         masses, energies = spy(monkeypatch, "ell2_mass"), spy(monkeypatch, "hamiltonian")
@@ -791,7 +790,7 @@ class TestCsvWriters:
         params = TestBpCompare.PARAMS
         path = write_config(tmp_path / "c.json", "bp-compare", params)
         assert main(["bp-compare", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
-        gaps = [kernel.values / params["tau"] - reference[0][1].values for _, kernel in kernels]
+        gaps = [kernel / params["tau"] - reference[0][1] for _, kernel in kernels]
         want = reference_convergence_csv(params["lambda_list"], gaps)
         assert (tmp_path / "run" / "convergence.csv").read_text() == want
 
@@ -802,8 +801,8 @@ class TestCsvWriters:
         path = write_config(tmp_path / "c.json", "kinetic-check", params, seed=11)
         assert main(["kinetic-check", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
         want = reference_kinetic_check_csv(
-            Lattice(**params["lattice"]), params["coupling_list"], reference[0][1].values,
-            [kernel.values / params["tau"] for _, kernel in kernels],
+            Lattice(**params["lattice"]), params["coupling_list"], reference[0][1],
+            [kernel / params["tau"] for _, kernel in kernels],
             [args[0].mean(axis=0) for args, _ in errors], [se for _, se in errors],
         )
         assert (tmp_path / "run" / "kinetic_check.csv").read_text() == want
@@ -820,13 +819,13 @@ class TestCsvWriters:
     def write_spectrum_value(out, monkeypatch, bad):
         values = np.ones((4, 4))
         values[2, 3] = bad
-        write_spectrum_csv(Lattice(2, 4), Spectrum(values), out / "w.csv")
+        write_spectrum_csv(Lattice(2, 4), values, out / "w.csv")
 
     @staticmethod
     def write_spectrum_stderr(out, monkeypatch, bad):
         errors = np.ones((4, 4))
         errors[2, 3] = bad
-        write_spectrum_csv(Lattice(2, 4), Spectrum(np.ones((4, 4)), errors), out / "w.csv")
+        write_spectrum_csv(Lattice(2, 4), np.ones((4, 4)), out / "w.csv", errors)
 
     @staticmethod
     def write_observables(out, monkeypatch, bad):
@@ -835,12 +834,12 @@ class TestCsvWriters:
 
     @staticmethod
     def write_convergence(out, monkeypatch, bad):
-        monkeypatch.setattr(cli, "collision_operator", lambda w0, config: SimpleNamespace(values=np.full(w0.shape, bad)))
+        monkeypatch.setattr(cli, "collision_operator", lambda w0, config: np.full(w0.shape, bad))
         run(RunConfig("bp-compare", TestBpCompare.PARAMS, out=str(out)))
 
     @staticmethod
     def write_kinetic_check(out, monkeypatch, bad):
-        monkeypatch.setattr(cli, "collision_operator", lambda w0, config: SimpleNamespace(values=np.full(w0.shape, bad)))
+        monkeypatch.setattr(cli, "collision_operator", lambda w0, config: np.full(w0.shape, bad))
         params = dict(TestKineticCheck.PARAMS, n_realizations=8, se_threshold=0.0)
         run(RunConfig("kinetic-check", params, out=str(out)))
 
@@ -1198,7 +1197,7 @@ class TestInputBoundary:
         rows = "".join(f"{i / 8!r},1.0,\n" for i in range(8))
         (tmp_path / "nan.csv").write_text("k1,value,stderr\n" + rows.replace("1.0,", "nan,", 1))
         (tmp_path / "word.csv").write_text("k1,value,stderr\n" + rows.replace("1.0,", "one,", 1))
-        write_spectrum_csv(Lattice(2, 8), Spectrum(np.ones((8, 8))), tmp_path / "square.csv")
+        write_spectrum_csv(Lattice(2, 8), np.ones((8, 8)), tmp_path / "square.csv")
         lines = rows.splitlines()
         (tmp_path / "swapped.csv").write_text("\n".join(["k1,value,stderr", lines[1], lines[0], *lines[2:]]) + "\n")
         (tmp_path / "ragged.csv").write_text("k1,value,stderr\n" + rows.replace("1.0,", "1.0,0.5", 3))
@@ -1225,20 +1224,35 @@ class TestInputBoundary:
         assert key in json.loads(stderr)["message"]
         assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
 
-    def test_a_hierarchy_over_the_key_budget_exits_2_under_a_memory_limit(self, tmp_path):
-        # two variables up to order 100000 are 5e9 keys: counted first, never built
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps(replaced(boundary_config("hierarchy-rhs"), ("params", "order"), 100_000)))
+    @staticmethod
+    def run_under_a_memory_limit(kind: str, config: dict, tmp_path: Path) -> subprocess.CompletedProcess:
+        """Run the ``kind`` subcommand on ``config`` in a subprocess whose address space is capped at 2 GiB."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
         limit = 2 << 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "wickkit.cli", "hierarchy-rhs", "--config", str(config), "--out", str(tmp_path / "run")],
+        return subprocess.run(
+            [sys.executable, "-m", "wickkit.cli", kind, "--config", str(path), "--out", str(tmp_path / "run")],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(Path(wickkit.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
+
+    def test_a_hierarchy_over_the_key_budget_exits_2_under_a_memory_limit(self, tmp_path):
+        # two variables up to order 100000 are 5e9 keys: counted first, never built
+        config = replaced(boundary_config("hierarchy-rhs"), ("params", "order"), 100_000)
+        proc = self.run_under_a_memory_limit("hierarchy-rhs", config, tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert_error_line(proc.stderr, 2)
+        assert not any((tmp_path / "run").iterdir())
+
+    def test_running_out_of_memory_exits_3_under_a_memory_limit(self, tmp_path):
+        # 1e9 realizations ask numpy for an ensemble array of about 119 GiB
+        config = replaced(boundary_config("estimate-w"), ("params", "n_realizations"), 10**9)
+        proc = self.run_under_a_memory_limit("estimate-w", config, tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert_error_line(proc.stderr, 3)
+        assert json.loads(proc.stderr)["error"].endswith("MemoryError")
         assert not any((tmp_path / "run").iterdir())
 
     def test_csv_w0_from_the_spectrum_writer_reads_back_exactly(self, tmp_path, monkeypatch):
@@ -1250,7 +1264,7 @@ class TestInputBoundary:
         lattice = Lattice(2, 4)
         cosine = {"kind": "cosine", "mean": 1.0, "amplitudes": [0.5, 0.25]}
         values = cli._parse_w0(Block(cosine, "w0"), lattice, zero_dispersion(2))
-        write_spectrum_csv(lattice, Spectrum(values), tmp_path / "w0.csv")
+        write_spectrum_csv(lattice, values, tmp_path / "w0.csv")
         outputs = []
         for w0 in (cosine, {"kind": "csv", "path": "w0.csv"}):
             config["params"]["w0"] = w0

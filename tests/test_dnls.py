@@ -37,7 +37,6 @@ from wickkit.dnls import (
     Dispersion,
     Lattice,
     LatticeEnsemble,
-    Spectrum,
     clustering_norm,
     coincident_fourth_cumulant,
     dnls_rhs,
@@ -174,6 +173,21 @@ class TestDispersion:
         disp = Dispersion(1, {(np.int64(1),): -1.0, (np.int32(-1),): -1.0})
         assert disp.hopping == {(1,): -1.0, (-1,): -1.0}
         assert all(type(c) is int for offset in disp.hopping for c in offset)
+
+    @pytest.mark.parametrize(
+        "coeff",
+        ["1.0", "x", True, np.bool_(True), None, 1 + 0j, math.nan, -math.inf, 10**400, np.float32("inf")],
+        ids=["numeric-text", "text", "bool", "numpy-bool", "none", "complex", "nan", "-inf", "huge-int", "float32-inf"],
+    )
+    def test_rejects_a_coefficient_that_is_not_a_finite_real_number(self, coeff):
+        with pytest.raises(ConfigError, match=r"hopping coefficient at \(1,\) must be a finite real number"):
+            Dispersion(1, {(1,): coeff, (-1,): coeff})
+
+    @pytest.mark.parametrize("coeff", [1, -1.0, np.float32(1.0), np.int64(1)])
+    def test_takes_integer_float_and_numpy_real_coefficients_as_floats(self, coeff):
+        disp = Dispersion(1, {(1,): coeff, (-1,): coeff})
+        assert disp.hopping == {(1,): float(coeff), (-1,): float(coeff)}
+        assert all(type(value) is float for value in disp.hopping.values())
 
 
 class TestRhsAndExactFlows:
@@ -452,8 +466,8 @@ class TestLatticeTransforms:
         )
         for threads in (1, 2, 3):
             assert ens.fourier(threads).tobytes() == hats.tobytes()
-            spec = estimate_W(ens, threads=threads)
-            assert spec.values.tobytes() == per_real.mean(axis=0).tobytes()
+            values, _ = estimate_W(ens, threads=threads)
+            assert values.tobytes() == per_real.mean(axis=0).tobytes()
             assert hamiltonian(ens, disp, threads=threads) == energy
         assert one(ens.fields[5], lat, coupling=0.4).fourier().tobytes() == hats[5].tobytes()
 
@@ -524,8 +538,8 @@ class TestSampling:
         lat = Lattice(1, 16)
         w0 = smooth_spectrum(lat)
         ens = sample_initial(lat, w0, 10_000, seed=42, family="gaussian")
-        spec = estimate_W(ens)
-        z = np.abs(spec.values - w0) / spec.stderr
+        values, stderr = estimate_W(ens)
+        z = np.abs(values - w0) / stderr
         assert float(z.max()) < 3.0
 
     def test_fixed_modulus_pins_mode_amplitudes(self):
@@ -567,22 +581,41 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample_initial(lat, w0, 10, seed=0)
 
-    @pytest.mark.parametrize("reader", ["sample_initial", "pair_cluster_from_spectrum", "fixed_modulus_fourth_norm"])
+    READERS = {
+        "sample_initial": lambda lat, w: sample_initial(lat, w, 4, seed=0),
+        "pair_cluster_from_spectrum": pair_cluster_from_spectrum,
+        "fixed_modulus_fourth_norm": fixed_modulus_fourth_norm,
+    }
+
+    @pytest.mark.parametrize("reader", list(READERS))
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_spectrum_readers_reject_non_finite_entries(self, reader, bad):
         lat = Lattice(1, 8)
         w0 = np.full(8, 0.5)
         w0[2] = bad
-        call = {
-            "sample_initial": lambda w: sample_initial(lat, w, 4, seed=0),
-            "pair_cluster_from_spectrum": lambda w: pair_cluster_from_spectrum(lat, w),
-            "fixed_modulus_fourth_norm": lambda w: fixed_modulus_fourth_norm(lat, w),
-        }[reader]
-        for w in (w0, Spectrum(values=w0)):
-            with pytest.raises(ConfigError, match="non-finite"):
-                call(w)
+        call = self.READERS[reader]
+        with pytest.raises(ConfigError, match="non-finite"):
+            call(lat, w0)
         with pytest.raises(ConfigError, match="does not match lattice shape"):
-            call(np.ones(4))
+            call(lat, np.ones(4))
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    @pytest.mark.parametrize(
+        "w0",
+        [np.ones(8) * (1 + 5j), np.full(8, "1"), np.ones(8, dtype=bool), np.ones(8, dtype=object)],
+        ids=["complex", "text", "bool", "object"],
+    )
+    def test_spectrum_readers_reject_arrays_that_are_not_real(self, reader, w0):
+        with pytest.raises(ConfigError, match="spectrum must be a real array"):
+            self.READERS[reader](Lattice(1, 8), w0)
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_spectrum_readers_take_integer_and_float32_arrays_as_floats(self, reader):
+        lat = Lattice(1, 8)
+        want = self.READERS[reader](lat, np.full(8, 2.0))
+        for w0 in (np.full(8, 2), np.full(8, 2, dtype=np.uint8), np.full(8, 2.0, dtype=np.float32)):
+            got = self.READERS[reader](lat, w0)
+            assert repr(got) == repr(want)
 
     def test_rejects_unknown_family(self):
         lat = Lattice(1, 16)
@@ -624,8 +657,8 @@ class TestEstimateW:
     def test_mean_spectrum_equals_mean_density(self):
         lat = Lattice(1, 16)
         ens = sample_initial(lat, smooth_spectrum(lat), 30, seed=4)
-        spec = estimate_W(ens)
-        assert float(spec.values.mean()) == pytest.approx(ell2_mass(ens) / ens.fields.size, rel=1e-12)
+        values, _ = estimate_W(ens)
+        assert float(values.mean()) == pytest.approx(ell2_mass(ens) / ens.fields.size, rel=1e-12)
 
 
 class TestRenormalizedField:
@@ -917,23 +950,34 @@ class TestPersistence:
     def test_spectrum_csv_round_trip(self, tmp_path):
         lat = Lattice(2, 8)
         ens = sample_initial(lat, np.full((8, 8), 0.5), 7, seed=3)
-        spec = estimate_W(ens)
+        values, stderr = estimate_W(ens)
         path = tmp_path / "w.csv"
-        write_spectrum_csv(lat, spec, path)
-        k_rows, values, stderr = read_spectrum_csv(path)
+        write_spectrum_csv(lat, values, path, stderr)
+        k_rows, read_values, read_stderr = read_spectrum_csv(path)
         assert k_rows.shape == (64, 2)
-        assert np.array_equal(values, spec.values.ravel())
-        assert np.array_equal(stderr, spec.stderr.ravel())
+        assert np.array_equal(read_values, values.ravel())
+        assert np.array_equal(read_stderr, stderr.ravel())
         # deterministic bytes on rewrite
         second = tmp_path / "again.csv"
-        write_spectrum_csv(lat, spec, second)
+        write_spectrum_csv(lat, values, second, stderr)
         assert path.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "values, stderr, bad",
+        [(np.ones(16), None, "values"), (np.ones((4, 4)), np.ones(16), "stderr"), (np.ones((4, 2)), np.ones((4, 2)), "values")],
+        ids=["flat-values", "flat-stderr", "both"],
+    )
+    def test_spectrum_csv_of_the_wrong_shape_is_a_config_error_and_writes_nothing(self, tmp_path, values, stderr, bad):
+        path = tmp_path / "w.csv"
+        with pytest.raises(ConfigError, match=f"spectrum {bad} shape"):
+            write_spectrum_csv(Lattice(2, 4), values, path, stderr)
+        assert not path.exists()
 
     def test_spectrum_csv_without_errors(self, tmp_path):
         lat = Lattice(1, 4)
-        spec = Spectrum(values=np.array([1.0, 2.0, 3.0, 4.0]))
+        spec = np.array([1.0, 2.0, 3.0, 4.0])
         path = tmp_path / "w.csv"
         write_spectrum_csv(lat, spec, path)
         _, values, stderr = read_spectrum_csv(path)
         assert stderr is None
-        assert np.array_equal(values, spec.values)
+        assert np.array_equal(values, spec)
