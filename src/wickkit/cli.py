@@ -47,11 +47,11 @@ import numpy as np
 
 from . import __version__
 from .cumulants import (
+    CumulantBackedOracle,
     CumulantEvaluator,
     CumulantTable,
     TableOracle,
     _as_index,
-    moments_from_cumulants,
     table_from_json,
     table_to_json,
 )
@@ -76,13 +76,13 @@ from .errors import (
 )
 from .hierarchy import (
     AmplitudeModel,
+    HierarchyPlan,
     HierarchyState,
     InteractionTerm,
     all_keys_up_to,
     constant_amplitude,
-    hierarchy_rhs_table,
 )
-from .indexing import LabeledSeq, PartitionMemo
+from .indexing import LabeledSeq
 from .kinetic import (
     BPTrajectory,
     CollisionConfig,
@@ -105,17 +105,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-KINDS = (
-    "wick-expand",
-    "cumulant-convert",
-    "hierarchy-rhs",
-    "dnls-simulate",
-    "estimate-w",
-    "bp-solve",
-    "bp-compare",
-    "kinetic-check",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +189,11 @@ def write_trajectory_csv(lattice: Lattice, trajectory: BPTrajectory, path: str |
     repr, so equal trajectories give byte-identical files.
     """
     steps = len(trajectory.taus)
-    spectra = np.asarray(trajectory.spectra, dtype=float)
+    spectra = np.asarray(trajectory.spectra)
     if spectra.shape != (steps,) + lattice.shape:
         raise ConfigError("trajectory spectra do not match the lattice shape")
     header = ["tau"] + [f"k{i + 1}" for i in range(lattice.dimension)] + ["value"]
-    taus = np.repeat(np.asarray(trajectory.taus, dtype=float), lattice.size)
+    taus = np.repeat(np.asarray(trajectory.taus), lattice.size)
     write_csv(Path(path), header, [taus, lattice.k_cells() * steps, spectra])
 
 
@@ -338,19 +327,11 @@ def _run_cumulant_convert(rc: RunConfig, out_dir: Path) -> dict:
             "partition_states": 0,
         }
     else:
-        table = CumulantTable(entries=entries)
-        memo = PartitionMemo(table.book)  # every moment is a symmetric sum over this one table
-        converted = {
-            key: moments_from_cumulants(table, LabeledSeq.from_indices(key), memo) for key in keys
-        }
-        work = _partition_work(memo)
+        oracle = CumulantBackedOracle(CumulantTable(entries=entries))  # its memo serves every key
+        converted = {key: oracle.moment(key) for key in keys}
+        work = oracle.memo.work()
     _write_json(out_dir / "converted.json", table_to_json(converted))
     return {"outputs": ["converted.json"], "summary": {"entries": len(converted), **work}}
-
-
-def _partition_work(memo: PartitionMemo) -> dict:
-    """Deterministic work counts of the partition sums that shared ``memo``."""
-    return {"multisets_evaluated": len(memo.weights), "partition_states": len(memo.totals) - 1}
 
 
 def _amplitude_from_descriptor(amplitude: Block):
@@ -381,14 +362,12 @@ def _run_hierarchy_rhs(rc: RunConfig, out_dir: Path) -> dict:
         model = AmplitudeModel(terms=terms)
         table = CumulantTable.from_json(params.inline_or_file("table"), max_order=order)
         state = HierarchyState(table=table, time=params.number("time", 0.0))
-    targets = all_keys_up_to(model.universe(), order)
-    memo = PartitionMemo()
-    pair_work = {"pair_expectations": 0, "pair_memo_hits": 0}
-    rhs = hierarchy_rhs_table(model, state, targets, memo, pair_work)
-    _write_json(out_dir / "rhs_table.json", table_to_json(rhs))
+    targets = all_keys_up_to(model.universe(), order)  # distinct and canonical already
+    values, work = HierarchyPlan(model, [LabeledSeq.from_indices(key) for key in targets]).evaluate(state)
+    _write_json(out_dir / "rhs_table.json", table_to_json(dict(zip(targets, values))))
     return {
         "outputs": ["rhs_table.json"],
-        "summary": {"targets": len(rhs), "order": order, **_partition_work(memo), **pair_work},
+        "summary": {"targets": len(targets), "order": order, **work},
     }
 
 
@@ -595,6 +574,7 @@ _RUNNERS = {
     "bp-compare": _run_bp_compare,
     "kinetic-check": _run_kinetic_check,
 }
+KINDS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------

@@ -108,21 +108,22 @@ class TableOracle(MomentOracle):
 
 
 class CumulantBackedOracle(MomentOracle):
-    """Moments synthesized from a cumulant table via the partition sum.
+    """Moments synthesized from a cumulant source via the partition sum.
 
-    Handy for building exactly-consistent model measures: any assignment of
-    cumulants (zero above the table's max order) determines all moments.
-    All the sums share one memo keyed by the table's codes, so the table
-    must not change once moments have been read.
+    The source is read through :func:`coded_cumulants`: a table (zero above
+    its max order), an evaluator or a moment oracle.  The oracle owns
+    ``memo``, the partition-sum states of every moment it reads, keyed by
+    the source's codes, so the memo lives exactly as long as the oracle; the
+    source must not change once moments have been read.  A multiset's
+    elements are summed in code-book id order.
     """
 
-    def __init__(self, table: "CumulantTable"):
-        self.table = table
-        self.book = table.book
-        self._memo = PartitionMemo(table.book)
+    def __init__(self, source):
+        self.book, self._kappa_code = coded_cumulants(source)
+        self.memo = PartitionMemo(self.book)
 
     def moment_code(self, code: int) -> complex:
-        return _coded_sum(self.table.kappa_code, self.book.slots_of(code), self._memo)
+        return _coded_sum(self._kappa_code, self.book.slots_of(code), self.memo)
 
 
 def gaussian_moment_oracle(
@@ -537,19 +538,9 @@ def _coded_sum(
     return total(len(codes) - 1)
 
 
-def moments_from_cumulants(source, seq: LabeledSeq, memo: PartitionMemo | None = None) -> complex:
-    """E[y^I] = sum over partitions of prod over blocks of kappa[block].
-
-    ``memo`` (made as ``PartitionMemo(book)`` with the source's code book,
-    see :func:`coded_cumulants`) lets the sums over one source share their
-    states; by default each call has its own.
-    """
-    book, kappa_code = coded_cumulants(source)
-    if memo is None:
-        memo = PartitionMemo(book)
-    elif memo.book is not book:
-        raise ValueError("the memo was made for another code book")
-    return _coded_sum(kappa_code, book.slots(seq.indices()), memo)
+def moments_from_cumulants(source, seq: LabeledSeq) -> complex:
+    """E[y^I] = sum over partitions of prod over blocks of kappa[block], by a fresh :class:`CumulantBackedOracle`."""
+    return CumulantBackedOracle(source).moment_of(seq)
 
 
 def cumulant_table_from_oracle(oracle: MomentOracle, indices: Sequence[Index], max_order: int) -> CumulantTable:

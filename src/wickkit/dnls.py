@@ -938,37 +938,23 @@ def pair_cluster_from_spectrum(lattice: Lattice, w0: np.ndarray) -> dict[tuple[i
     return {(-1, 1): forward, (1, -1): np.conj(forward)}
 
 
-def _translation_averaged_pair(fields: np.ndarray, conj_first: bool, conj_second: bool, dimension: int) -> np.ndarray:
-    """mean_r L^-d sum_y f1(y) f2(y + x) for the chosen conjugations.
-
-    sum_y f1(y) f2(y + x) is the inverse transform of hat_f1(-k) hat_f2(k),
-    and hat_f1(-k) = conj(fft(conj(f1)))(k) for arbitrary complex f1.
-    """
-    size = fields[0].size
-    first = np.conj(fields) if conj_first else fields
-    second = np.conj(fields) if conj_second else fields
-    rev_hat_first = np.conj(_lattice_fft(np.conj(first), dimension))
-    hat_second = _lattice_fft(second, dimension)
-    corr = _lattice_fft(rev_hat_first * hat_second, dimension, inverse=True)
-    return corr.mean(axis=0) / size
-
-
 def empirical_pair_cluster(ensemble: LatticeEnsemble) -> dict[tuple[int, int], np.ndarray]:
     """Empirical pinned second cumulants, translation-averaged.
 
-    Returns all four sign pairs; the fields are centered by their empirical
-    scalar mean first, so singleton blocks drop out of the estimator exactly.
+    Returns all four sign pairs (s1, s2): mean_r L^-d sum_y f1(y) f2(y + x),
+    a sign -1 conjugating its field.  The fields are centered by their
+    empirical scalar mean first, so singleton blocks drop out of the
+    estimator exactly.  The sum over y is the inverse transform of
+    hat_f1(-k) hat_f2(k); with hat[+1] = fft(f) and hat[-1] = fft(conj f),
+    hat_f2 is hat[s2] and hat_f1(-k) is conj(hat[-s1])(k).
     """
     centered = ensemble.fields - ensemble.fields.mean()
-    table: dict[tuple[int, int], np.ndarray] = {}
-    for signs, (c1, c2) in {
-        (-1, 1): (True, False),
-        (1, -1): (False, True),
-        (1, 1): (False, False),
-        (-1, -1): (True, True),
-    }.items():
-        table[signs] = _translation_averaged_pair(centered, c1, c2, ensemble.lattice.dimension)
-    return table
+    dimension, size = ensemble.lattice.dimension, ensemble.lattice.size
+    hat = {1: _lattice_fft(centered, dimension), -1: _lattice_fft(np.conj(centered), dimension)}
+    return {
+        (s1, s2): _lattice_fft(np.conj(hat[-s1]) * hat[s2], dimension, inverse=True).mean(axis=0) / size
+        for s1, s2 in ((-1, 1), (1, -1), (1, 1), (-1, -1))
+    }
 
 
 def coincident_fourth_cumulant(ensemble: LatticeEnsemble) -> tuple[float, float]:
@@ -1152,8 +1138,8 @@ def write_spectrum_csv(lattice: Lattice, values: np.ndarray, path: str | Path, s
         if column is not None and np.shape(column) != lattice.shape:
             raise ConfigError(f"spectrum {name} shape {np.shape(column)} does not match lattice shape {lattice.shape}")
     header = [f"k{i + 1}" for i in range(lattice.dimension)] + ["value", "stderr"]
-    errors = [""] * lattice.size if stderr is None else np.asarray(stderr, dtype=float)
-    write_csv(Path(path), header, [lattice.k_cells(), np.asarray(values, dtype=float), errors])
+    errors = [""] * lattice.size if stderr is None else np.asarray(stderr)
+    write_csv(Path(path), header, [lattice.k_cells(), np.asarray(values), errors])
 
 
 def read_spectrum_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

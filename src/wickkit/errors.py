@@ -205,12 +205,16 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     """Write equal-length columns under ``header``; a non-finite float is a GuardError and nothing is written.
 
     A numpy array is a float column, written in C order as ``repr(float)``
-    cells; any other column is a list of strings, written as given (a string
-    may hold several cells, such as a lattice site's k components).
+    cells; an array whose dtype is not integer or floating (complex, bool,
+    string, object) is a ConfigError, raised before anything is written.
+    Any other column is a list of strings, written as given (a string may
+    hold several cells, such as a lattice site's k components).
     """
     cells = []
     for column in columns:
         if isinstance(column, np.ndarray):
+            if column.dtype.kind not in "iuf":
+                raise ConfigError(f"{path.name}: a column of dtype {column.dtype} is not real numbers")
             column = column.astype(float, copy=False).ravel()
             if not np.all(np.isfinite(column)):
                 raise GuardError(f"{path.name}: a result is not finite")

@@ -15,12 +15,12 @@ That sum depends on the two Wick factors' multisets alone, so every route to
 the right-hand side goes through a :class:`HierarchyPlan`, which codes each
 (target, slot, drive) pair by multiset-code arithmetic and keeps the
 distinct amplitudes.  An evaluation calls each amplitude once and sums each
-distinct pair once against the state's partition-sum memo, then adds every
-target's terms in (slot, drive) order, so every result keeps the bytes of
-the term-by-term loop.  :func:`hierarchy_rhs` plans one target and
-:func:`hierarchy_rhs_table` its distinct targets, over one memo;
-:func:`integrate_hierarchy` plans all its keys once and evaluates the plan
-on every RK4 stage, against a fresh memo per stage.
+distinct pair once against a partition-sum memo of its own, which lives as
+long as the call, then adds every target's terms in (slot, drive) order, so
+every result keeps the bytes of the term-by-term loop.
+:func:`hierarchy_rhs` plans one target and :func:`hierarchy_rhs_table` its
+distinct targets; :func:`integrate_hierarchy` plans all its keys once and
+evaluates the plan on every RK4 stage.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class HierarchyPlan:
     Each (target, slot, drive) term of the hierarchy is the drive's amplitude
     times the pair expectation E[W[y^I] W[y^(I' minus i)]].  That sum sees the
     two Wick factors only through their multisets, so the plan codes every
-    pair once, in ``book``, as in :func:`wickkit.wick.wick_product_expectation`
+    pair once, in the plan's ``book``, as in :func:`wickkit.wick.wick_product_expectation`
     (each element tagged with its factor, 0 for the drive and 1 for the
     target's rest): the target's code minus the slot's plus the drive's.  It
     also keeps the distinct amplitude callables, in the order of their first
@@ -103,10 +103,8 @@ class HierarchyPlan:
     every stage of an RK4 march.
     """
 
-    def __init__(
-        self, model: AmplitudeModel, targets: Sequence[LabeledSeq], book: Codebook | None = None
-    ) -> None:
-        self.book = book = Codebook() if book is None else book
+    def __init__(self, model: AmplitudeModel, targets: Sequence[LabeledSeq]) -> None:
+        self.book = book = Codebook()
         self.order = max(map(len, targets), default=0)
         self.amplitudes: list[Amplitude] = []
         amplitude_at: dict[int, int] = {}  # by id of the callable, kept alive in self.amplitudes
@@ -138,23 +136,23 @@ class HierarchyPlan:
             self._ends.append(len(self._pair))
         self.pair_codes = list(pair_at)
 
-    def evaluate(self, state: HierarchyState, memo: PartitionMemo) -> tuple[list[complex], dict[str, int]]:
-        """The right-hand side of every target at the state, and the pair work done.
+    def evaluate(self, state: HierarchyState) -> tuple[list[complex], dict[str, int]]:
+        """The right-hand side of every target at the state, and the work done.
 
         Three passes: each amplitude is called once; each pair code that a
-        term with a nonzero amplitude needs is looked up in ``memo``, whose
-        book must be the plan's, and only a miss runs the partition sum, for
+        term with a nonzero amplitude needs is looked up in a fresh memo
+        over the plan's book, and only a miss runs the partition sum, for
         the first such term in (target, slot, drive) order; each target then
         adds its terms in that order.  So every value is the one the
-        term-by-term loop gives over the same memo.  The work dict counts the
-        distinct pair codes needed (``pair_expectations``) and those the
-        memo already held (``pair_memo_hits``).
+        term-by-term loop gives over one fresh memo.  The work dict holds the
+        memo's counts (:meth:`PartitionMemo.work`), the distinct pair codes
+        needed (``pair_expectations``) and those the memo already held
+        (``pair_memo_hits``).
         """
-        if memo.book is not self.book:
-            raise ValueError("the memo was made for another code book")
         if self.order > state.order_cap:
             raise ValueError(f"target order {self.order} exceeds the closure cap {state.order_cap}")
         t, table = state.time, state.table
+        memo = PartitionMemo(self.book)
         amps = [complex(amplitude(t, table)) for amplitude in self.amplitudes]
         values: list[complex | None] = [None] * len(self.pair_codes)
         totals = memo.totals
@@ -181,41 +179,18 @@ class HierarchyPlan:
                     total += amp * values[p]
             out.append(total)
             start = end
-        return out, {"pair_expectations": needed, "pair_memo_hits": hits}
+        return out, {**memo.work(), "pair_expectations": needed, "pair_memo_hits": hits}
 
 
-def hierarchy_rhs(
-    model: AmplitudeModel, state: HierarchyState, target: LabeledSeq, memo: PartitionMemo | None = None
-) -> complex:
-    """d/dt kappa[target] under the model at the state, by a one-target plan over ``memo`` or a fresh one.
-
-    A memo shared by the right-hand sides over one state must not outlive the state's table.
-    """
-    if memo is None:
-        memo = PartitionMemo()
-    return HierarchyPlan(model, [target], memo.book).evaluate(state, memo)[0][0]
+def hierarchy_rhs(model: AmplitudeModel, state: HierarchyState, target: LabeledSeq) -> complex:
+    """d/dt kappa[target] under the model at the state, by a one-target plan."""
+    return HierarchyPlan(model, [target]).evaluate(state)[0][0]
 
 
-def hierarchy_rhs_table(
-    model: AmplitudeModel,
-    state: HierarchyState,
-    targets: Iterable[tuple],
-    memo: PartitionMemo | None = None,
-    work: dict[str, int] | None = None,
-) -> dict[tuple, complex]:
-    """The right-hand side for a family of target keys, by one plan over the distinct canonical keys.
-
-    All the pair expectations share one memo, ``memo`` or a fresh one, which
-    must not outlive the state's table.  ``work``, when given, is updated with
-    the plan's pair counts (see :meth:`HierarchyPlan.evaluate`).
-    """
-    if memo is None:
-        memo = PartitionMemo()
+def hierarchy_rhs_table(model: AmplitudeModel, state: HierarchyState, targets: Iterable[tuple]) -> dict[tuple, complex]:
+    """The right-hand side for a family of target keys, by one plan over the distinct canonical keys."""
     keys = list(dict.fromkeys(canonical_key(key) for key in targets))
-    plan = HierarchyPlan(model, [LabeledSeq.from_indices(key) for key in keys], memo.book)
-    values, counts = plan.evaluate(state, memo)
-    if work is not None:
-        work.update(counts)
+    values, _ = HierarchyPlan(model, [LabeledSeq.from_indices(key) for key in keys]).evaluate(state)
     return dict(zip(keys, values))
 
 
@@ -261,9 +236,7 @@ def integrate_hierarchy(
     plan = HierarchyPlan(model, [LabeledSeq.from_indices(key) for key in keys])
 
     def rhs(t: float, vec: np.ndarray) -> np.ndarray:
-        # one memo per stage, so it lives exactly as long as the stage's table
-        state = HierarchyState(table=unpack(vec), time=t)
-        return np.array(plan.evaluate(state, PartitionMemo(plan.book))[0], dtype=complex)
+        return np.array(plan.evaluate(HierarchyState(table=unpack(vec), time=t))[0], dtype=complex)
 
     n_steps = step_count(t_end, dt, "integrate_hierarchy (t_end, dt)")
     times, vecs = rk4(rhs, pack(state0.table), state0.time, t_end / max(n_steps, 1), n_steps)

@@ -307,6 +307,10 @@ class PartitionMemo:
         self.totals: dict[int, complex] = {0: 1.0 + 0.0j}
         self.weights: dict[int, Any] = {}
 
+    def work(self) -> dict[str, int]:
+        """Deterministic work counts of the sums held: blocks weighed and remaining multisets summed."""
+        return {"multisets_evaluated": len(self.weights), "partition_states": len(self.totals) - 1}
+
 
 def partition_sums(
     size: int,
@@ -337,8 +341,11 @@ def partition_sums(
     The states live in ``memo`` (a fresh one by default) and may serve many
     sums over coded masks: all sums whose slots come from ``memo.book`` and
     whose weight and admissibility rules agree on every code, for example all
-    the sums over one cumulant table.  Such a memo must not outlive the
-    table it was filled from.
+    the sums over one cumulant table.  The memo's owner lends it to those
+    sums and drops it with the table: a
+    :class:`wickkit.cumulants.CumulantBackedOracle`, one
+    :meth:`wickkit.hierarchy.HierarchyPlan.evaluate` call, or
+    :func:`wickkit.hierarchy.duhamel_expand`.
     """
     _check_partition_guard(size)
     if memo is None:

@@ -324,8 +324,10 @@ def wick_product_expectation(
     merged sequence, each element coded by its (Wick group, index) pair, so
     that both the cumulant of a block and whether it is admissible depend on
     its code alone.  ``memo`` lets the sums over one cumulant source share
-    their states (every pair expectation of a hierarchy right-hand side, for
-    example); by default each call has its own.
+    their states; it is lent by the owner of such a family of sums, one
+    :meth:`wickkit.hierarchy.HierarchyPlan.evaluate` call or
+    :func:`wickkit.hierarchy.duhamel_expand`.  By default each call has its
+    own.
     """
     tags: list[tuple] = []  # (Wick group or None for the tail, index) per element
     outside: list[int] = []  # per Wick group, the labels not in it, as a bitmask

@@ -176,11 +176,6 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_run_config(path)
 
-    def test_all_kinds_have_runners(self):
-        from wickkit.cli import _RUNNERS
-
-        assert set(_RUNNERS) == set(KINDS)
-
 
 class TestWickExpand:
     def test_three_variable_expansion_matches_hand_aggregation(self, tmp_path):
@@ -774,6 +769,42 @@ class TestCsvWriters:
         for stderr in (None, np.abs(self.awkward_values(rng, lattice.shape))):
             write_spectrum_csv(lattice, values, tmp_path / "w.csv", stderr)
             assert (tmp_path / "w.csv").read_text() == reference_spectrum_csv(lattice, values, stderr)
+
+    NOT_REAL = {
+        "complex": lambda shape: np.ones(shape) * (1 + 5j),
+        "string": lambda shape: np.full(shape, "1"),
+        "bool": lambda shape: np.ones(shape, dtype=bool),
+        "object": lambda shape: np.ones(shape, dtype=object),
+    }
+
+    @staticmethod
+    def write_each_column(tmp_path, column, array_of):
+        """Write a 1-D side-4 spectrum or two-slice trajectory whose ``column`` is ``array_of(shape)``."""
+        lattice = Lattice(1, 4)
+        arrays = {"values": np.ones(4), "stderr": np.ones(4), "taus": np.array([0.0, 0.5]), "spectra": np.ones((2, 4))}
+        arrays[column] = array_of(arrays[column].shape)
+        if column in ("values", "stderr"):
+            path = tmp_path / "w.csv"
+            write_spectrum_csv(lattice, arrays["values"], path, arrays["stderr"])
+        else:
+            path = tmp_path / "t.csv"
+            zeros = np.zeros(2)
+            cli.write_trajectory_csv(lattice, BPTrajectory(arrays["taus"], arrays["spectra"], zeros, zeros, zeros), path)
+        return path
+
+    @pytest.mark.parametrize("dtype", list(NOT_REAL))
+    @pytest.mark.parametrize("column", ["values", "stderr", "taus", "spectra"])
+    def test_a_column_that_is_not_real_is_refused_and_nothing_is_written(self, tmp_path, column, dtype):
+        with pytest.raises(ConfigError, match=r"\.csv: a column of dtype .* is not real numbers"):
+            self.write_each_column(tmp_path, column, self.NOT_REAL[dtype])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("column", ["values", "stderr", "taus", "spectra"])
+    def test_integer_and_float32_columns_write_the_bytes_of_float64(self, tmp_path, column):
+        want = self.write_each_column(tmp_path, column, lambda shape: np.full(shape, 2.0)).read_bytes()
+        for dtype in (np.int64, np.uint8, np.float32):
+            path = self.write_each_column(tmp_path, column, lambda shape: np.full(shape, 2, dtype=dtype))
+            assert path.read_bytes() == want
 
     def test_observables_bytes(self, tmp_path, monkeypatch):
         masses, energies = spy(monkeypatch, "ell2_mass"), spy(monkeypatch, "hamiltonian")

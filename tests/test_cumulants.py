@@ -202,6 +202,22 @@ class TestRoundTrip:
             back = moments_from_cumulants(ev, s)
             assert back == pytest.approx(oracle.moment_of(s), rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("source", ["table", "evaluator", "oracle"])
+    def test_cumulant_backed_oracle_reads_any_cumulant_source(self, source):
+        # a moment of order <= 4 needs the cumulants of order <= 4 only, so every source reproduces the oracle
+        oracle = random_moment_oracle(np.random.default_rng(23), max_order=4)
+        sources = {
+            "table": lambda: cumulant_table_from_oracle(oracle, "abc", 4),
+            "evaluator": lambda: CumulantEvaluator(oracle),
+            "oracle": lambda: oracle,
+        }
+        back = CumulantBackedOracle(sources[source]())
+        assert back.memo.book is back.book  # the oracle owns the memo of its sums
+        for order in range(1, 5):
+            for key in itertools.combinations_with_replacement("abc", order):
+                direct = oracle.moment(key)
+                assert abs(back.moment(key) - direct) <= 1e-10 * max(1.0, abs(direct)), key
+
     def test_cumulant_backed_oracle_reproduces_table(self):
         rng = np.random.default_rng(17)
         table = CumulantTable.empty(max_order=3)

@@ -153,6 +153,19 @@ class TestJsonWriter:
         assert not path.exists()
 
 
+class TestWriteCsv:
+    @pytest.mark.parametrize(
+        "column",
+        [np.array([True, False]), np.array([1 + 5j, 1.0]), np.array(["1", "2"]), np.array([1.0, 2.0], dtype=object)],
+        ids=["bool", "complex", "string", "object"],
+    )
+    def test_a_column_that_is_not_real_is_refused_and_nothing_is_written(self, tmp_path, column):
+        path = tmp_path / "v.csv"
+        with pytest.raises(ConfigError, match=r"v\.csv: a column of dtype"):
+            write_csv(path, ["x", "y"], [np.array([1.0, 2.0]), column])
+        assert not path.exists()
+
+
 class TestReadCsv:
     def test_every_written_float_reads_back(self, tmp_path):
         bits = np.random.default_rng(15).integers(0, 2**63, size=4000, dtype=np.int64)

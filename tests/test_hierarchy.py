@@ -207,22 +207,18 @@ class TestHierarchyPlan:
         assert list(got) == keys
         assert as_bytes(got.values()) == as_bytes(want)
 
-    def test_a_caller_memo_is_shared_as_by_the_loop(self, labelled):
-        model, table = labelled
-        state = HierarchyState(table=table, time=1.5)
+    def test_each_evaluation_sums_over_its_own_table(self, labelled):
+        model, a = labelled
+        b = CumulantTable(entries={key: 2.0 * v - 0.1j for key, v in a.entries.items()}, max_order=4)
         keys = all_keys_up_to(("a", "b"), 4)
-        mine, theirs = PartitionMemo(), PartitionMemo()
-        # a memo already filled by part of the family, then the whole family and a target again
-        want = [reference_hierarchy_rhs(model, state, seq_of(*key), theirs) for key in keys[6:] + keys]
-        got = list(hierarchy_rhs_table(model, state, keys[6:], mine).values())
-        got += hierarchy_rhs_table(model, state, keys, mine).values()
-        assert as_bytes(got) == as_bytes(want)
-        # the same states, summed in the same order
-        assert [mine.book.key(code) for code in mine.totals] == [theirs.book.key(code) for code in theirs.totals]
-        target = LabeledSeq(((3, "b"), (8, "a"), (9, "b")))
-        assert as_bytes([hierarchy_rhs(model, state, target, mine)]) == as_bytes(
-            [reference_hierarchy_rhs(model, state, target, theirs)]
-        )
+        plan = HierarchyPlan(model, [seq_of(*key) for key in keys])
+        # table A, then B, then A again: no evaluation reads the sums of another table
+        first, on_b, again = (plan.evaluate(HierarchyState(table=t, time=1.5))[0] for t in (a, b, a))
+        memo = PartitionMemo()
+        want = [reference_hierarchy_rhs(model, HierarchyState(table=a, time=1.5), seq_of(*key), memo) for key in keys]
+        assert as_bytes(first) == as_bytes(again) == as_bytes(want)
+        fresh, _ = HierarchyPlan(model, [seq_of(*key) for key in keys]).evaluate(HierarchyState(table=b, time=1.5))
+        assert as_bytes(on_b) == as_bytes(fresh) != as_bytes(first)
 
     def test_a_labelled_target_has_the_bytes_of_the_loop(self, labelled):
         model, table = labelled
@@ -230,12 +226,6 @@ class TestHierarchyPlan:
         for target in (LabeledSeq(((2, "a"), (5, "b"), (11, "a"))), seq_of("b", "a", "a", "b"), EMPTY):
             got = hierarchy_rhs(model, state, target)
             assert as_bytes([got]) == as_bytes([reference_hierarchy_rhs(model, state, target)])
-
-    def test_a_memo_of_another_book_is_refused(self, labelled):
-        model, table = labelled
-        plan = HierarchyPlan(model, [seq_of("a", "b")])
-        with pytest.raises(ValueError, match="another code book"):
-            plan.evaluate(HierarchyState(table=table), PartitionMemo())
 
     def test_each_amplitude_is_called_once_per_stage(self):
         calls: list[float] = []
@@ -269,9 +259,7 @@ class TestHierarchyPlan:
         monkeypatch.setattr(
             hierarchy, "wick_product_expectation", lambda *args, **kw: runs.append(1) or wick_product_expectation(*args, **kw)
         )
-        memo = PartitionMemo()
-        plan = HierarchyPlan(model, [seq_of(*key) for key in keys], memo.book)
-        _, work = plan.evaluate(state, memo)
+        _, work = HierarchyPlan(model, [seq_of(*key) for key in keys]).evaluate(state)
         # the distinct (drive, rest) multiset pairs, counted without the plan
         pairs = {
             (multiset(term.seq.indices()), multiset(key[:i] + key[i + 1:]))
@@ -283,14 +271,10 @@ class TestHierarchyPlan:
         assert n_terms == 1260
         assert work["pair_expectations"] == len(pairs)
         assert len(runs) == work["pair_expectations"] - work["pair_memo_hits"] < n_terms
+        # the table sums each distinct pair once too
         runs.clear()
-        _, again = plan.evaluate(state, memo)
-        assert not runs and again["pair_memo_hits"] == again["pair_expectations"] == work["pair_expectations"]
-        # the table sums each distinct pair once, over a fresh memo
-        runs.clear()
-        per_target = {}
-        hierarchy_rhs_table(model, state, keys, work=per_target)
-        assert len(runs) == per_target["pair_expectations"] - per_target["pair_memo_hits"] == len(pairs)
+        hierarchy_rhs_table(model, state, keys)
+        assert len(runs) == len(pairs)
 
     def test_march_has_the_bytes_of_the_term_by_term_march(self):
         lam = np.array([[0.0, 0.9], [0.9, 0.0]])
@@ -314,7 +298,7 @@ class TestHierarchyPlan:
             tables.append(CumulantTable(entries={key: 2.0 * v - 0.1j for key, v in entries.items()}, max_order=4))
         for table in tables:
             state = HierarchyState(table=table, time=1.5)
-            got, _ = plan.evaluate(state, PartitionMemo(plan.book))
+            got, _ = plan.evaluate(state)
             memo = PartitionMemo()
             want = [reference_hierarchy_rhs(model, state, seq_of(*key), memo) for key in keys]
             assert as_bytes(got) == as_bytes(want)
@@ -333,9 +317,9 @@ class TestHierarchyPlan:
         plans = []
         plan_class = hierarchy.HierarchyPlan
 
-        def recording(m, targets, book=None):
+        def recording(m, targets):
             plans.append([target.indices() for target in targets])
-            return plan_class(m, targets, book)
+            return plan_class(m, targets)
 
         monkeypatch.setattr(hierarchy, "HierarchyPlan", recording)
         hierarchy_rhs_table(model, state, keys + [tuple(reversed(key)) for key in keys[-3:]])

@@ -19,7 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wickkit.cumulants import CumulantEvaluator, CumulantTable, TableOracle, moments_from_cumulants
+from wickkit.cumulants import (
+    CumulantBackedOracle,
+    CumulantEvaluator,
+    CumulantTable,
+    TableOracle,
+    moments_from_cumulants,
+)
 from wickkit.errors import ConfigError, GuardError
 from wickkit.hierarchy import (
     AmplitudeModel,
@@ -31,7 +37,7 @@ from wickkit.hierarchy import (
     hierarchy_rhs_table,
     integrate_hierarchy,
 )
-from wickkit.indexing import CODE_BITS, Codebook, LabeledSeq, PartitionMemo, mask_codes
+from wickkit.indexing import CODE_BITS, Codebook, LabeledSeq, canonical_key, mask_codes
 from wickkit.wick import wick_from_cumulants, wick_product_expectation
 
 from _support import (
@@ -120,12 +126,13 @@ def test_code_paths_match_brute_force(data):
     for key in table:
         assert close(evaluator.kappa(key), brute_cumulant(lambda m: by_multiset[m], key))
 
-    # cumulants -> moments, one memo shared by every key as in the CLI
+    # cumulants -> moments, one oracle over every key as in the CLI, and one per key
     cumulants = CumulantTable(entries=table)
-    memo = PartitionMemo(cumulants.book)
+    oracle = CumulantBackedOracle(cumulants)
     for key in table:
-        got = moments_from_cumulants(cumulants, LabeledSeq.from_indices(key), memo)
-        assert close(got, brute_product_expectation(kappa, [], key))
+        want = brute_product_expectation(kappa, [], key)
+        assert close(oracle.moment_of(LabeledSeq.from_indices(key)), want)
+        assert close(moments_from_cumulants(cumulants, LabeledSeq.from_indices(key)), want)
 
     # Wick polynomial coefficients, labels 1..n
     ground = sequence(5)
@@ -141,7 +148,7 @@ def test_code_paths_match_brute_force(data):
     )
     assert close(got, brute_product_expectation(kappa, groups, tail))
 
-    # hierarchy right-hand sides, with one memo shared over all targets and without
+    # hierarchy right-hand sides, one target at a time and as a table
     drives = {v: [(sequence(2), complex(0.3 * i + 0.2, -0.1 * i)) for i in range(2)] for v in variables}
     model = AmplitudeModel(
         terms={
@@ -150,7 +157,6 @@ def test_code_paths_match_brute_force(data):
         }
     )
     state = HierarchyState(cumulants)
-    memo = PartitionMemo()
     for _ in range(3):
         target = sequence(min(3, order))
         want = 0.0 + 0.0j
@@ -158,12 +164,12 @@ def test_code_paths_match_brute_force(data):
             rest = target[:pos] + target[pos + 1:]
             for seq, c in drives.get(idx, ()):
                 want += c * brute_product_expectation(kappa, [seq, rest])
-        assert close(hierarchy_rhs(model, state, LabeledSeq.from_indices(target), memo), want)
         assert close(hierarchy_rhs(model, state, LabeledSeq.from_indices(target)), want)
+        assert close(hierarchy_rhs_table(model, state, [target])[canonical_key(target)], want)
 
 
 # ----------------------------------------------------------------------
-# a memo never outlives the table it was filled from
+# each table's sums are its own: no memo outlives the table it was filled from
 
 
 def two_variable_model() -> AmplitudeModel:
@@ -203,9 +209,9 @@ def test_back_to_back_tables_are_both_exact():
         rhs = hierarchy_rhs_table(model, HierarchyState(table), keys)
         for key in keys:
             assert close(rhs[key], brute_rhs(model, lambda m: by_multiset.get(m, 0.0), key))
-        memo = PartitionMemo(table.book)
+        oracle = CumulantBackedOracle(table)
         for key in keys:
-            got = moments_from_cumulants(table, LabeledSeq.from_indices(key), memo)
+            got = oracle.moment(key)
             assert close(got, brute_product_expectation(lambda m: by_multiset.get(m, 0.0), [], key))
 
 
@@ -265,7 +271,7 @@ def test_long_sums_trip_the_guard_before_building_mask_codes():
     with pytest.raises(GuardError):
         moments_from_cumulants(table, seq)
     with pytest.raises(GuardError):
-        moments_from_cumulants(table, seq, PartitionMemo(table.book))
+        CumulantBackedOracle(table).moment_of(seq)
     with pytest.raises(GuardError):
         wick_product_expectation(table, [seq])
     with pytest.raises(GuardError):
