@@ -25,9 +25,12 @@ numerics: each JSON object, at every level, accepts exactly the keys its
 kind reads, and a missing required key or a stray one is refused.  Every
 number in a config is a finite JSON number (not a string or a bool);
 integer fields take only JSON integers.  Exit codes: 0 success, 2 malformed,
-mistyped or non-finite input, 3 a numeric guard tripped or memory ran out
-during the run, 4 I/O failure.  Failures print a one-line JSON error report
-to stderr.
+mistyped or non-finite input or an input file that is not UTF-8, 3 a numeric
+guard tripped or memory ran out during the run, 4 I/O failure.  Failures
+print a one-line JSON error report to stderr.
+
+numpy, ``dnls`` and ``kinetic`` load at the parse step of a lattice kind;
+``wick-expand``, ``cumulant-convert`` and ``hierarchy-rhs`` run without them.
 """
 
 from __future__ import annotations
@@ -36,17 +39,45 @@ import argparse
 import cmath
 import contextlib
 import functools
+import importlib.util
 import json
 import sys
 import time
+import types
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import __version__
-from .cumulants import (
+
+
+def _lazy_module(name: str) -> types.ModuleType:
+    """The module ``name``, whose code runs at its first attribute read (the stdlib ``LazyLoader`` recipe).
+
+    A module already in ``sys.modules`` is returned as it is; otherwise the
+    module is registered there, and on its package, unexecuted.  Before
+    Python 3.12 that first read is not thread-safe, so the runners make it
+    while they parse their config, before any pool starts.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, attr = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], attr, module)
+    return module
+
+
+# the algebra kinds run no numpy, lattice or kinetic code: these load at a lattice kind's parse step
+np = _lazy_module("numpy")
+dnls = _lazy_module("wickkit.dnls")
+kinetic = _lazy_module("wickkit.kinetic")
+
+from .cumulants import (  # noqa: E402
     CumulantBackedOracle,
     CumulantEvaluator,
     CumulantTable,
@@ -55,26 +86,11 @@ from .cumulants import (
     table_from_json,
     table_to_json,
 )
-from .dnls import (
-    _FAMILIES,
-    Dispersion,
-    Lattice,
-    ell2_mass,
-    estimate_W,
-    hamiltonian,
-    integrate_ensemble,
-    nearest_neighbor_dispersion,
-    next_nearest_dispersion,
-    sample_initial,
-    write_spectrum_csv,
-    read_spectrum_csv,
-    zero_dispersion,
+from .errors import (  # noqa: E402
+    _REQUIRED, Block, ConfigError, GuardError, _json, _number, _object, _read_text, _write_json, _written,
+    mean_stderr, read_csv, step_count, write_csv,
 )
-from .errors import (
-    _REQUIRED, Block, ConfigError, GuardError, _json, _number, _object, _write_json, _written, mean_stderr, read_csv,
-    step_count, write_csv,
-)
-from .hierarchy import (
+from .hierarchy import (  # noqa: E402
     AmplitudeModel,
     HierarchyPlan,
     HierarchyState,
@@ -82,17 +98,9 @@ from .hierarchy import (
     all_keys_up_to,
     constant_amplitude,
 )
-from .indexing import LabeledSeq
-from .kinetic import (
-    BPTrajectory,
-    CollisionConfig,
-    EquilibriumParams,
-    bp_solve,
-    collision_operator,
-    prelimit_kernel,
-)
-from .pool import map_in_order as _map_in_order
-from .wick import wick_from_cumulants
+from .indexing import LabeledSeq  # noqa: E402
+from .pool import map_in_order as _map_in_order  # noqa: E402
+from .wick import wick_from_cumulants  # noqa: E402
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -160,7 +168,7 @@ def load_run_config(
     block is unwrapped, which is what makes replay a one-liner.
     """
     where = f"config {path}"
-    data = _object(_json(Path(path).read_text(), where), where)
+    data = _object(_json(_read_text(Path(path)), where), where)
     if "package_version" in data and "config" in data:
         data, where = data["config"], f"the config block of manifest {path}"
     with Block(data, where) as config:
@@ -181,7 +189,7 @@ def load_run_config(
 # ---------------------------------------------------------------------------
 
 
-def write_trajectory_csv(lattice: Lattice, trajectory: BPTrajectory, path: str | Path) -> None:
+def write_trajectory_csv(lattice: dnls.Lattice, trajectory: kinetic.BPTrajectory, path: str | Path) -> None:
     """Write a kinetic trajectory as rows of (tau, k components..., value).
 
     Momenta are written as fractions of the Brillouin zone, spectra in
@@ -216,23 +224,23 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.nd
 # ---------------------------------------------------------------------------
 
 
-def _parse_system(params: Block) -> tuple[Lattice, Dispersion, np.ndarray]:
+def _parse_system(params: Block) -> tuple[dnls.Lattice, dnls.Dispersion, np.ndarray]:
     """The ``lattice``, ``dispersion`` and ``w0`` blocks of a run, parsed in that order."""
     with params.block("lattice") as block:
-        lattice = Lattice(block.integer("dimension"), block.integer("side"))
+        lattice = dnls.Lattice(block.integer("dimension"), block.integer("side"))
     dispersion = _parse_dispersion(params.block("dispersion"), lattice.dimension)
     return lattice, dispersion, _parse_w0(params.block("w0"), lattice, dispersion)
 
 
-def _parse_dispersion(block: Block, dimension: int) -> Dispersion:
+def _parse_dispersion(block: Block, dimension: int) -> dnls.Dispersion:
     with block:
         kind = block.choice("kind", ("nearest-neighbor", "next-nearest", "zero"))
         if kind == "next-nearest":  # only that symbol has a second shell
-            return next_nearest_dispersion(dimension, second_shell=block.number("second_shell", 0.25))
-    return nearest_neighbor_dispersion(dimension) if kind == "nearest-neighbor" else zero_dispersion(dimension)
+            return dnls.next_nearest_dispersion(dimension, second_shell=block.number("second_shell", 0.25))
+    return dnls.nearest_neighbor_dispersion(dimension) if kind == "nearest-neighbor" else dnls.zero_dispersion(dimension)
 
 
-def _parse_w0(w0: Block, lattice: Lattice, dispersion: Dispersion) -> np.ndarray:
+def _parse_w0(w0: Block, lattice: dnls.Lattice, dispersion: dnls.Dispersion) -> np.ndarray:
     """Initial spectrum descriptors: flat | cosine | equilibrium | csv; the result is finite."""
     with w0:
         kind = w0.choice("kind", ("flat", "cosine", "equilibrium", "csv"))
@@ -247,9 +255,9 @@ def _parse_w0(w0: Block, lattice: Lattice, dispersion: Dispersion) -> np.ndarray
             for axis, amp in enumerate(amps):
                 values = values + amp * np.cos(2.0 * np.pi * grid[..., axis])
         elif kind == "equilibrium":
-            values = EquilibriumParams(w0.number("beta"), w0.number("mu")).spectrum(lattice, dispersion)
+            values = kinetic.EquilibriumParams(w0.number("beta"), w0.number("mu")).spectrum(lattice, dispersion)
         else:
-            k_rows, values, _ = read_spectrum_csv(w0.path("path"))
+            k_rows, values, _ = dnls.read_spectrum_csv(w0.path("path"))
             # the writer's fractions parse back exactly, so the k columns must equal the grid
             if not np.array_equal(k_rows, lattice.k_grid().reshape(-1, lattice.dimension)):
                 raise ConfigError(
@@ -270,8 +278,8 @@ def _index_list(block: Block, key: str) -> list:
 
 
 def _parse_collision(
-    params: Block, key: str, lattice: Lattice, dispersion: Dispersion, default=_REQUIRED,
-) -> CollisionConfig:
+    params: Block, key: str, lattice: dnls.Lattice, dispersion: dnls.Dispersion, default=_REQUIRED,
+) -> kinetic.CollisionConfig:
     """A CollisionConfig from the run's delta-model descriptor ``key``.
 
     The run's ``method`` key selects nothing, since every collision sum runs
@@ -285,7 +293,7 @@ def _parse_collision(
             widths = {"epsilon": delta.number("epsilon", None)}
         else:
             widths = {"window_tau": delta.number("window_tau"), "window_coupling": delta.number("window_coupling")}
-    return CollisionConfig(lattice=lattice, dispersion=dispersion, delta_model=model, **widths)
+    return kinetic.CollisionConfig(lattice=lattice, dispersion=dispersion, delta_model=model, **widths)
 
 
 # ---------------------------------------------------------------------------
@@ -382,21 +390,21 @@ def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
         record_every = params.integer("record_every", 1, low=1)
         if n_steps % record_every:
             raise ConfigError("dnls-simulate: record_every must divide the step count")
-        family = params.choice("family", _FAMILIES, "gaussian")
+        family = params.choice("family", dnls._FAMILIES, "gaussian")
 
-    ensemble = sample_initial(
+    ensemble = dnls.sample_initial(
         lattice, w0, n_real, seed=rc.seed, family=family, coupling=coupling, threads=rc.threads,
     )
     records = []
     for block in range(n_steps // record_every + 1):
         if block:
-            ensemble = integrate_ensemble(ensemble, dispersion, dt, record_every, threads=rc.threads)
-        mass = ell2_mass(ensemble) / n_real
-        energy = hamiltonian(ensemble, dispersion, threads=rc.threads) / n_real
+            ensemble = dnls.integrate_ensemble(ensemble, dispersion, dt, record_every, threads=rc.threads)
+        mass = dnls.ell2_mass(ensemble) / n_real
+        energy = dnls.hamiltonian(ensemble, dispersion, threads=rc.threads) / n_real
         records.append((block * record_every * dt, mass, energy))
     write_csv(out_dir / "observables.csv", ["time", "mean_mass", "mean_energy"], [*np.array(records).T])
-    values, stderr = estimate_W(ensemble, threads=rc.threads)
-    write_spectrum_csv(lattice, values, out_dir / "spectrum.csv", stderr)
+    values, stderr = dnls.estimate_W(ensemble, threads=rc.threads)
+    dnls.write_spectrum_csv(lattice, values, out_dir / "spectrum.csv", stderr)
     return {
         "outputs": ["observables.csv", "spectrum.csv"],
         "summary": {
@@ -406,7 +414,7 @@ def _run_dnls_simulate(rc: RunConfig, out_dir: Path) -> dict:
     }
 
 
-def _stepping_work(lattice: Lattice, dispersion: Dispersion, dt: float, realization_steps: int) -> dict:
+def _stepping_work(lattice: dnls.Lattice, dispersion: dnls.Dispersion, dt: float, realization_steps: int) -> dict:
     """Deterministic work and margin of a run's split steps: site-steps, and ``|dt|·max|ω|`` (limit 0.5)."""
     return {
         "site_steps": realization_steps * lattice.size,
@@ -419,10 +427,10 @@ def _run_estimate_w(rc: RunConfig, out_dir: Path) -> dict:
     with Block(rc.params, "estimate-w params") as params:
         lattice, _, w0 = _parse_system(params)
         n_real = params.integer("n_realizations", low=2)
-        family = params.choice("family", _FAMILIES, "gaussian")
-    ensemble = sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, threads=rc.threads)
-    values, stderr = estimate_W(ensemble, threads=rc.threads)
-    write_spectrum_csv(lattice, values, out_dir / "spectrum.csv", stderr)
+        family = params.choice("family", dnls._FAMILIES, "gaussian")
+    ensemble = dnls.sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, threads=rc.threads)
+    values, stderr = dnls.estimate_W(ensemble, threads=rc.threads)
+    dnls.write_spectrum_csv(lattice, values, out_dir / "spectrum.csv", stderr)
     # a deterministic family has stderr 0, so the gap is measured against w0's rounding scale
     floor = np.maximum(8.0 * np.finfo(float).eps * np.abs(w0), 1e-300)
     worst = float(np.max(np.abs(values - w0) / np.maximum(stderr, floor)))
@@ -438,7 +446,7 @@ def _run_bp_solve(rc: RunConfig, out_dir: Path) -> dict:
         lattice, dispersion, w0 = _parse_system(params)
         config = _parse_collision(params, "delta", lattice, dispersion)
         tau_end, dtau = params.number("tau_end"), params.number("dtau")
-    trajectory = bp_solve(w0, config, tau_end=tau_end, dtau=dtau)
+    trajectory = kinetic.bp_solve(w0, config, tau_end=tau_end, dtau=dtau)
     write_trajectory_csv(lattice, trajectory, out_dir / "trajectory.csv")
     _write_json(
         out_dir / "summary.json",
@@ -476,10 +484,10 @@ def _run_bp_compare(rc: RunConfig, out_dir: Path) -> dict:
         tau = params.number("tau", low=0.0, strict=True)
         lambdas = params.numbers("lambda_list", low=0.0, strict=True)
         config = _parse_collision(params, "reference_delta", lattice, dispersion)
-    reference = collision_operator(w0, config)
+    reference = kinetic.collision_operator(w0, config)
 
     def gaps_for(coupling: float) -> np.ndarray:
-        return prelimit_kernel(w0, coupling, tau, config) / tau - reference
+        return kinetic.prelimit_kernel(w0, coupling, tau, config) / tau - reference
 
     gaps = np.array(
         [
@@ -514,11 +522,11 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
         dt = params.number("dt")
         lambdas = params.numbers("coupling_list", low=0.0, strict=True)
         n_real = params.integer("n_realizations", low=2)
-        family = params.choice("family", _FAMILIES, "gaussian")
+        family = params.choice("family", dnls._FAMILIES, "gaussian")
         se_threshold = params.number("se_threshold", 3.0, low=0.0)
         min_resolved = params.integer("min_resolved_modes", 1, low=0)
         config = _parse_collision(params, "reference_delta", lattice, dispersion, {"model": "gaussian"})
-    reference = collision_operator(w0, config)
+    reference = kinetic.collision_operator(w0, config)
 
     step_counts = [
         step_count(tau / coupling**2, dt, f"kinetic-check: kinetic time at coupling {coupling!r}")
@@ -526,15 +534,15 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
     ]
 
     def analytic_for(coupling: float) -> np.ndarray:
-        return prelimit_kernel(w0, coupling, tau, config) / tau
+        return kinetic.prelimit_kernel(w0, coupling, tau, config) / tau
 
     analytics = _map_in_order(analytic_for, lambdas, rc.threads)
-    initial = sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, threads=rc.threads)
+    initial = dnls.sample_initial(lattice, w0, n_real, seed=rc.seed, family=family, threads=rc.threads)
     before = initial.mode_power(rc.threads)
     mc_means, mc_ses, resolved_counts = [], [], {}
     for coupling, n_steps, analytic in zip(lambdas, step_counts, analytics):
         start = replace(initial, coupling=coupling)
-        evolved = integrate_ensemble(start, dispersion, dt, n_steps, threads=rc.threads)
+        evolved = dnls.integrate_ensemble(start, dispersion, dt, n_steps, threads=rc.threads)
         increments = (evolved.mode_power(rc.threads) - before) / tau
         mc_se = mean_stderr(increments)
         resolved = int(np.sum(np.abs(analytic) > se_threshold * mc_se))

@@ -36,8 +36,6 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import ConfigError, GuardError, _json, _object, _pair, jackknife_stderr, loo_means
 from .indexing import (
     CODE_BITS,
@@ -215,6 +213,8 @@ class EnsembleOracle(MomentOracle):
     """
 
     def __init__(self, samples: Mapping[Index, np.ndarray]):
+        import numpy as np  # deferred: keeps numpy off the algebra kinds' import path
+
         arrays = {i: np.asarray(v, dtype=complex) for i, v in samples.items()}
         shapes = {v.shape for v in arrays.values()}
         if len(shapes) != 1 or len(next(iter(shapes))) not in (1, 2):
@@ -570,6 +570,8 @@ def empirical_cumulant(
     re-estimated without each realization in turn.  The returned error is
     sqrt(var_re + var_im) of the jackknife distribution.
     """
+    import numpy as np  # deferred: keeps numpy off the algebra kinds' import path
+
     code = ensemble.book.code(seq.indices())
     if not code:  # the empty cumulant is 0 by definition, on every sample
         return 0.0 + 0.0j, 0.0

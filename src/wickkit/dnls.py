@@ -40,7 +40,8 @@ import numpy as np
 
 from .cumulants import CumulantEvaluator, EnsembleOracle, empirical_cumulant
 from .errors import (
-    Block, ConfigError, GuardError, _is_number, _json, _write_json, jackknife_stderr, mean_stderr, read_csv, write_csv,
+    Block, ConfigError, GuardError, _is_number, _json, _read_text, _write_json, jackknife_stderr, mean_stderr, read_csv,
+    write_csv,
 )
 from .indexing import LabeledSeq
 from .pool import map_in_order
@@ -1087,7 +1088,7 @@ def load_ensemble(directory: str | Path) -> LatticeEnsemble:
     manifest_path = target / _MANIFEST_NAME
     if not manifest_path.is_file():
         raise ConfigError(f"no {_MANIFEST_NAME} in {target}")
-    with Block(_json(manifest_path.read_text(), str(manifest_path)), str(manifest_path)) as manifest:
+    with Block(_json(_read_text(manifest_path), str(manifest_path)), str(manifest_path)) as manifest:
         manifest.choice("kind", ("lattice_ensemble",))
         if (version := manifest.integer("schema_version")) != _SCHEMA_VERSION:
             raise ConfigError(f"unsupported ensemble schema version {version}")

@@ -9,8 +9,11 @@ cumulant hierarchy, the kinetic equation and the decay of correlations all
 step with it, so it lives in this neutral module beside ``step_count``.
 ``jackknife_stderr`` is the one Monte Carlo error formula, for the same
 reason: the empirical cumulants and the lattice ensembles both use it, and
-``cumulants`` does not import ``dnls``.
+``cumulants`` does not import ``dnls``.  numpy is imported inside the
+functions that build arrays, so the algebra kinds of the CLI never load it.
 """
+
+from __future__ import annotations
 
 import json
 import math
@@ -19,8 +22,6 @@ import sys
 from collections.abc import Callable, Mapping, Sequence
 from contextvars import ContextVar
 from pathlib import Path
-
-import numpy as np
 
 
 class GuardError(ValueError):
@@ -172,7 +173,15 @@ class Block:
         inline, path = self.get(key, None), self.get(f"{key}_path", None)
         if (inline is None) == (path is None):
             raise ConfigError(f"{self.where}: supply exactly one of {key!r} or '{key}_path'")
-        return inline if path is None else _json(self.path(f"{key}_path").read_text(), f"{self.where}: {path}")
+        return inline if path is None else _json(_read_text(self.path(f"{key}_path")), f"{self.where}: {path}")
+
+
+def _read_text(path: Path) -> str:
+    """The text of an input file, decoded as UTF-8; bytes that are not UTF-8 are a ConfigError naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
 
 
 # the files the current run has (re)written; ``cli.run`` binds a fresh list per
@@ -210,6 +219,8 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     Any other column is a list of strings, written as given (a string may
     hold several cells, such as a lattice site's k components).
     """
+    import numpy as np  # deferred: keeps numpy off the algebra kinds' import path
+
     cells = []
     for column in columns:
         if isinstance(column, np.ndarray):
@@ -237,7 +248,9 @@ def read_csv(path: Path, optional: str | None = None) -> tuple[list[str], np.nda
     row.  Only the ``optional`` column may be empty, and then on every row:
     it is left out of the array.
     """
-    first, *lines = path.read_text().strip("\n").splitlines() or [""]
+    import numpy as np  # deferred: keeps numpy off the algebra kinds' import path
+
+    first, *lines = _read_text(path).strip("\n").splitlines() or [""]
     header = first.split(",")
     skip = header.index(optional) if optional in header else None
     empty = skip is not None and bool(lines) and all(line.split(",")[skip:skip + 1] == [""] for line in lines)
@@ -309,6 +322,8 @@ def _spread(deviations: Callable[[], np.ndarray]) -> np.ndarray:
     recomputed from a fresh ``dev`` divided by its largest magnitude and
     scaled back; every other entry keeps the bytes of the plain formula.
     """
+    import numpy as np  # deferred: keeps numpy off the algebra kinds' import path
+
     dev = deviations()
     n = dev.shape[0]
     # |x|^2 of a real x is x^2 to the bit; a complex one keeps np.abs for its bytes

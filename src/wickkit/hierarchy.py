@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .cumulants import CumulantBackedOracle, CumulantTable, MomentOracle
 from .errors import ConfigError, rk4, step_count
 from .indexing import EMPTY, Codebook, Index, LabeledSeq, PartitionMemo, canonical_key
@@ -224,6 +222,8 @@ def integrate_hierarchy(
     in ``t_end / dt`` steps, which must be a whole number.  Returns the final
     state, or (times, states) when ``record`` is set.
     """
+    import numpy as np  # deferred: keeps numpy off the algebra kinds' import path
+
     cap = state0.order_cap
     keys = all_keys_up_to(model.universe(), cap)
 
@@ -379,6 +379,8 @@ def appendix_b_model(
     they share its partition sums; a table must not change once they have
     read it.
     """
+    import numpy as np  # deferred: keeps numpy off the algebra kinds' import path
+
     if power < 2:
         raise ValueError("power must be at least 2")
     lam = np.asarray(couplings, dtype=float)

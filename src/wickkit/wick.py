@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .cumulants import MomentOracle, _as_index, _coded_sum, coded_cumulants
 from .errors import Block, ConfigError, GuardError, _number
 from .indexing import (
@@ -372,6 +370,8 @@ def gaussian_reference_wick(
     against when only the first two cumulants are set (acceptance
     criterion 03).
     """
+    import numpy as np  # deferred: keeps numpy off the algebra kinds' import path
+
     _check_guard(seq)
     mean = np.atleast_1d(np.asarray(mean, dtype=complex))
     cov = np.atleast_2d(np.asarray(covariance, dtype=complex))

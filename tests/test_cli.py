@@ -21,6 +21,7 @@ import cmath
 import contextlib
 import copy
 import functools
+import importlib
 import io
 import itertools
 import json
@@ -40,7 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wickkit
-from wickkit import cli, dnls
+from wickkit import cli, dnls, kinetic
 from wickkit.cli import (
     KINDS,
     SCHEMA_VERSION,
@@ -807,7 +808,7 @@ class TestCsvWriters:
             assert path.read_bytes() == want
 
     def test_observables_bytes(self, tmp_path, monkeypatch):
-        masses, energies = spy(monkeypatch, "ell2_mass"), spy(monkeypatch, "hamiltonian")
+        masses, energies = spy(monkeypatch, dnls, "ell2_mass"), spy(monkeypatch, dnls, "hamiltonian")
         params = TestDnlsSimulate.PARAMS
         path = write_config(tmp_path / "c.json", "dnls-simulate", params, seed=5)
         assert main(["dnls-simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
@@ -817,7 +818,7 @@ class TestCsvWriters:
         assert len(masses) == 5 and (tmp_path / "run" / "observables.csv").read_text() == want
 
     def test_convergence_bytes(self, tmp_path, monkeypatch):
-        reference, kernels = spy(monkeypatch, "collision_operator"), spy(monkeypatch, "prelimit_kernel")
+        reference, kernels = spy(monkeypatch, kinetic, "collision_operator"), spy(monkeypatch, kinetic, "prelimit_kernel")
         params = TestBpCompare.PARAMS
         path = write_config(tmp_path / "c.json", "bp-compare", params)
         assert main(["bp-compare", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
@@ -826,8 +827,8 @@ class TestCsvWriters:
         assert (tmp_path / "run" / "convergence.csv").read_text() == want
 
     def test_kinetic_check_bytes(self, tmp_path, monkeypatch):
-        reference, kernels = spy(monkeypatch, "collision_operator"), spy(monkeypatch, "prelimit_kernel")
-        errors = spy(monkeypatch, "mean_stderr")
+        reference, kernels = spy(monkeypatch, kinetic, "collision_operator"), spy(monkeypatch, kinetic, "prelimit_kernel")
+        errors = spy(monkeypatch, cli, "mean_stderr")
         params = TestKineticCheck.PARAMS
         path = write_config(tmp_path / "c.json", "kinetic-check", params, seed=11)
         assert main(["kinetic-check", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
@@ -860,17 +861,17 @@ class TestCsvWriters:
 
     @staticmethod
     def write_observables(out, monkeypatch, bad):
-        monkeypatch.setattr(cli, "hamiltonian", lambda *args, **kwargs: bad)
+        monkeypatch.setattr(dnls, "hamiltonian", lambda *args, **kwargs: bad)
         run(RunConfig("dnls-simulate", TestDnlsSimulate.PARAMS, out=str(out)))
 
     @staticmethod
     def write_convergence(out, monkeypatch, bad):
-        monkeypatch.setattr(cli, "collision_operator", lambda w0, config: np.full(w0.shape, bad))
+        monkeypatch.setattr(kinetic, "collision_operator", lambda w0, config: np.full(w0.shape, bad))
         run(RunConfig("bp-compare", TestBpCompare.PARAMS, out=str(out)))
 
     @staticmethod
     def write_kinetic_check(out, monkeypatch, bad):
-        monkeypatch.setattr(cli, "collision_operator", lambda w0, config: np.full(w0.shape, bad))
+        monkeypatch.setattr(kinetic, "collision_operator", lambda w0, config: np.full(w0.shape, bad))
         params = dict(TestKineticCheck.PARAMS, n_realizations=8, se_threshold=0.0)
         run(RunConfig("kinetic-check", params, out=str(out)))
 
@@ -888,17 +889,17 @@ class TestCsvWriters:
         assert not list(tmp_path.iterdir())
 
 
-def spy(monkeypatch, name: str) -> list:
-    """Record each call of ``cli.<name>`` as (args, result)."""
+def spy(monkeypatch, module, name: str) -> list:
+    """Record each call of ``module.<name>``, as the runners call it, as (args, result)."""
     calls = []
-    real = getattr(cli, name)
+    real = getattr(module, name)
 
     def recording(*args, **kwargs):
         result = real(*args, **kwargs)
         calls.append((args, result))
         return result
 
-    monkeypatch.setattr(cli, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
@@ -995,6 +996,59 @@ class TestMainPlumbing:
         assert manifest["config"]["params"]["indices"] == [1]
         assert manifest["outputs"] == ["wick_poly.json"]
         assert "total_seconds" in manifest["timings"]
+
+
+def fresh_python(script: str, cwd: Path) -> str:
+    """Run ``script`` in a fresh interpreter on this package; its standard output."""
+    env = dict(os.environ, PYTHONPATH=str(Path(wickkit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=cwd, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestConsoleStart:
+    """What a console run imports, seen in a fresh interpreter.
+
+    pytest has imported numpy, ``dnls`` and ``kinetic`` before any test runs,
+    so in this process the CLI never takes the lazy path a console run takes.
+    """
+
+    @pytest.mark.parametrize("kind", ["wick-expand", "cumulant-convert", "hierarchy-rhs"])
+    def test_an_algebra_kind_executes_no_numpy_dnls_or_kinetic(self, tmp_path, kind):
+        write_config(tmp_path / "c.json", kind, BOUNDARY_CONFIGS[kind])
+        out = fresh_python(
+            "import sys, types\n"
+            "from wickkit.cli import main\n"
+            f"assert main([{kind!r}, '--config', 'c.json', '--out', 'run']) == 0\n"
+            "print('numpy._core' in sys.modules, "
+            "*(type(sys.modules[name]) is types.ModuleType for name in ('wickkit.dnls', 'wickkit.kinetic')))\n",
+            tmp_path,
+        )
+        # a lazy module keeps its own type until its code runs
+        assert out.splitlines()[-1] == "False False False"
+        assert (tmp_path / "run" / "manifest.json").is_file()
+
+    def test_import_registers_every_module_the_tracer_patches(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        modules = sorted({module for module, *_ in importlib.import_module("spans").TARGETS})
+        out = fresh_python(
+            "import sys, wickkit.cli\n"
+            f"print([m for m in {modules!r} if m not in sys.modules])\n"
+            # a lazy module is an attribute of its package, as an imported one is
+            "import wickkit.dnls, wickkit.kinetic\n"
+            "print(wickkit.dnls.Lattice.__name__, wickkit.kinetic.bp_solve.__name__)\n",
+            tmp_path,
+        )
+        assert out.splitlines() == ["[]", "Lattice bp_solve"]
+
+    def test_a_fresh_bp_solve_writes_the_bytes_of_one_in_process(self, tmp_path):
+        write_config(tmp_path / "c.json", "bp-solve", BOUNDARY_CONFIGS["bp-solve"])
+        fresh_python(
+            "from wickkit.cli import main\nassert main(['bp-solve', '--config', 'c.json', '--out', 'fresh']) == 0\n", tmp_path
+        )
+        assert main(["bp-solve", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "here")]) == 0
+        fresh = result_files(tmp_path / "fresh")
+        assert fresh and fresh == result_files(tmp_path / "here")
 
 
 # ---------------------------------------------------------------------------
@@ -1236,6 +1290,29 @@ class TestInputBoundary:
         code, stderr = run_in_process(kind, replaced(boundary_config(kind), path, value), tmp_path)
         assert code == 2, stderr
         assert_error_line(stderr, 2)
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    # one probe per reader of an input file: (kind, the config edit that names the file, its name)
+    NOT_UTF8 = {
+        "config": ("wick-expand", None, "c.json"),
+        "cumulants_path": ("wick-expand", (("params",), {"indices": [1], "cumulants_path": "bad.json"}), "bad.json"),
+        "csv w0": ("estimate-w", (("params", "w0"), {"kind": "csv", "path": "bad.csv"}), "bad.csv"),
+    }
+
+    @pytest.mark.parametrize("reader", list(NOT_UTF8))
+    def test_an_input_file_that_is_not_utf8_exits_2_without_results(self, tmp_path, monkeypatch, reader):
+        kind, edit, name = self.NOT_UTF8[reader]
+        monkeypatch.chdir(tmp_path)  # the probes name their files relative to the working directory
+        config = boundary_config(kind) if edit is None else replaced(boundary_config(kind), *edit)
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff\xfe" + (bad.read_bytes() if bad.exists() else b"{}"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([kind, "--config", "c.json", "--out", "run"])
+        assert code == 2, err.getvalue()
+        assert_error_line(err.getvalue(), 2)
+        assert f"{name} is not UTF-8 text" in json.loads(err.getvalue())["message"]
         assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
 
     @pytest.mark.parametrize("kind, path", OBJECT_SITES, ids=[f"{k}:{'.'.join(map(str, p)) or 'top'}" for k, p in OBJECT_SITES])

@@ -904,6 +904,13 @@ class TestPersistence:
         with pytest.raises(ConfigError):
             load_ensemble(tmp_path)
 
+    def test_a_manifest_that_is_not_utf8_is_a_config_error_naming_it(self, tmp_path):
+        save_ensemble(sample_initial(Lattice(1, 8), np.full(8, 0.5), 3, seed=3), tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b"\xff\xfe" + manifest.read_bytes())
+        with pytest.raises(ConfigError, match=re.escape(f"{manifest} is not UTF-8 text")):
+            load_ensemble(tmp_path)
+
     @pytest.mark.parametrize("field", ["coupling", "time", "r_integral"])
     def test_non_finite_manifest_entry_writes_nothing(self, tmp_path, field):
         ens = replace(sample_initial(Lattice(1, 8), np.full(8, 0.5), 3, seed=3), **{field: math.nan})
