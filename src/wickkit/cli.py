@@ -342,8 +342,8 @@ def _run_cumulant_convert(rc: RunConfig, out_dir: Path) -> dict:
     return {"outputs": ["converted.json"], "summary": {"entries": len(converted), **work}}
 
 
-def _amplitude_from_descriptor(amplitude: Block):
-    """Amplitude descriptors: constant | phase (e^{i omega t}) | table-driven."""
+def _amplitude_from_descriptor(amplitude: Block, at: float):
+    """Amplitude descriptors: constant | phase (e^{i omega t}) | table-driven, to be read at time ``at``."""
     with amplitude:
         kind = amplitude.choice("type", ("constant", "phase", "table"))
         if kind == "constant":
@@ -351,6 +351,8 @@ def _amplitude_from_descriptor(amplitude: Block):
         s = amplitude.pair("scale", [1.0, 0.0])
         if kind == "phase":
             omega = amplitude.number("omega")
+            if not cmath.isfinite(omega * at):
+                raise ConfigError(f"{amplitude.where}: the phase omega * time = {omega!r} * {at!r} is not finite")
             return lambda t, table: s * cmath.exp(1j * omega * t)
         key = tuple(_index_list(amplitude, "key"))
         return lambda t, table: s * table.kappa(key)
@@ -360,16 +362,17 @@ def _run_hierarchy_rhs(rc: RunConfig, out_dir: Path) -> dict:
     """Evaluate the cumulant-hierarchy right-hand side for one model state."""
     with Block(rc.params, "hierarchy-rhs params") as params:
         order = params.integer("order", low=1)
+        at = params.number("time", 0.0)
         terms: dict = {}
         with Block(params.inline_or_file("model"), params.name("model")) as spec:
             for pos, item in enumerate(spec.sequence("terms")):
                 with Block(item, f"{spec.name('terms')}[{pos}]") as entry:
                     seq = LabeledSeq.from_indices(_index_list(entry, "seq"))
-                    term = InteractionTerm(seq=seq, amplitude=_amplitude_from_descriptor(entry.block("amplitude")))
+                    term = InteractionTerm(seq=seq, amplitude=_amplitude_from_descriptor(entry.block("amplitude"), at))
                     terms.setdefault(_as_index(entry.get("index")), []).append(term)
         model = AmplitudeModel(terms=terms)
         table = CumulantTable.from_json(params.inline_or_file("table"), max_order=order)
-        state = HierarchyState(table=table, time=params.number("time", 0.0))
+        state = HierarchyState(table=table, time=at)
     targets = all_keys_up_to(model.universe(), order)  # distinct and canonical already
     values, work = HierarchyPlan(model, [LabeledSeq.from_indices(key) for key in targets]).evaluate(state)
     _write_json(out_dir / "rhs_table.json", table_to_json(dict(zip(targets, values))))
@@ -529,7 +532,7 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
     reference = kinetic.collision_operator(w0, config)
 
     step_counts = [
-        step_count(tau / coupling**2, dt, f"kinetic-check: kinetic time at coupling {coupling!r}")
+        step_count(kinetic.kinetic_time(tau, coupling), dt, f"kinetic-check: kinetic time at coupling {coupling!r}")
         for coupling in lambdas
     ]
 

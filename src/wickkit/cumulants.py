@@ -92,9 +92,7 @@ class TableOracle(MomentOracle):
     """Moments read from an explicit mapping of index keys to values."""
 
     def __init__(self, entries: Mapping[tuple, complex]):
-        self._by_code = {self.book.code(k): complex(v) for k, v in entries.items()}
-        if len(self._by_code) < len(entries):
-            raise _collision(entries, self.book.code)
+        self._by_code = _coded(self.book, entries, entries)
         if self._by_code.setdefault(0, 1.0 + 0.0j) != 1.0:  # an absent empty moment reads as 1
             raise ConfigError("the empty moment must equal 1")
 
@@ -111,9 +109,9 @@ class CumulantBackedOracle(MomentOracle):
     The source is read through :func:`coded_cumulants`: a table (zero above
     its max order), an evaluator or a moment oracle.  The oracle owns
     ``memo``, the partition-sum states of every moment it reads, keyed by
-    the source's codes, so the memo lives exactly as long as the oracle; the
-    source must not change once moments have been read.  A multiset's
-    elements are summed in code-book id order.
+    the source's codes, so the memo lives exactly as long as the oracle.  A
+    table is frozen once built, so no memo can go stale under it.  A
+    multiset's elements are summed in code-book id order.
     """
 
     def __init__(self, source):
@@ -130,14 +128,11 @@ def gaussian_moment_oracle(
     """The moment oracle of a (complex) Gaussian family.
 
     ``cov[(i, j)]`` is the joint second cumulant of y_i and y_j; symmetric
-    completion is applied, and all cumulants above order two vanish.
+    completion is applied, and all cumulants above order two vanish.  Keys
+    are canonical, so a later ``(j, i)`` entry replaces an earlier ``(i, j)``.
     """
-    table = CumulantTable.empty(max_order=2)
-    for i, v in mean.items():
-        table.set((i,), v)
-    for (i, j), v in cov.items():
-        table.set((i, j), v)
-    return CumulantBackedOracle(table)
+    entries = {(i,): v for i, v in mean.items()} | {canonical_key((i, j)): v for (i, j), v in cov.items()}
+    return CumulantBackedOracle(CumulantTable(entries=entries, max_order=2))
 
 
 class IndependentProductOracle(MomentOracle):
@@ -286,6 +281,15 @@ def _collision(keys: Iterable, same: Callable) -> ConfigError:
     return ConfigError("two table keys name the same multiset")
 
 
+def _coded(book: Codebook, entries: Mapping[tuple, complex], keys: Iterable[tuple]) -> dict[int, complex]:
+    """``{book.code(key): complex(value)}``, ``keys`` standing in order for those of ``entries``;
+    two keys of one multiset are a ConfigError naming them as written."""
+    by_code = {book.code(key): complex(value) for key, value in zip(keys, entries.values())}
+    if len(by_code) < len(entries):
+        raise _collision(entries, book.code)
+    return by_code
+
+
 def table_from_json(data) -> dict[tuple, complex]:
     """The checked entries of the external form ``{"[i, j, ...]": [re, im]}``, keys as written.
 
@@ -327,46 +331,33 @@ def table_to_json(entries: Mapping[tuple, complex]) -> dict[str, list[float]]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class CumulantTable:
-    """Joint cumulants stored under canonical multiset keys.
+    """Joint cumulants stored under canonical multiset keys, a value built once from a mapping.
 
     Keys longer than ``max_order`` read as zero, as does the empty key.
     Lookups go through the multiset codes of the table's ``book``.
-    ``entries`` is a read-only view under canonical keys; change the table
-    through :meth:`set`, which keeps it and the coded store in step.
+    ``entries`` is a read-only view under canonical keys, and the table is
+    frozen, so every oracle, memo or cache that has read it stays exact.
     """
 
     entries: Mapping[tuple, complex] = field(default_factory=dict)
     max_order: int | None = None
 
     def __post_init__(self) -> None:
-        entries = {canonical_key(k): complex(v) for k, v in self.entries.items()}
-        if len(entries) < len(self.entries):
-            raise _collision(self.entries, canonical_key)
-        if self.max_order is None:
-            self.max_order = max((len(k) for k in entries), default=0)
-        for k in entries:
-            if len(k) > self.max_order:
-                raise ConfigError(f"entry {k} exceeds max order {self.max_order}")
+        keys = [canonical_key(k) for k in self.entries]
+        max_order = max(map(len, keys), default=0) if self.max_order is None else self.max_order
+        for k in keys:
+            if len(k) > max_order:
+                raise ConfigError(f"entry {k} exceeds max order {max_order}")
             if len(k) == 0:
                 raise ConfigError("the empty cumulant is fixed at 0 and not stored")
-        self._entries = entries
-        self.entries = MappingProxyType(entries)
-        self.book = Codebook()
-        self._by_code = {self.book.code(k): v for k, v in entries.items()}
-
-    @classmethod
-    def empty(cls, max_order: int) -> "CumulantTable":
-        return cls(entries={}, max_order=max_order)
-
-    def set(self, key: Iterable[Index], value: complex) -> None:
-        key = canonical_key(key)
-        if len(key) == 0:
-            raise ConfigError("the empty cumulant is fixed at 0")
-        if len(key) > self.max_order:
-            raise ConfigError(f"key {key} exceeds max order {self.max_order}")
-        self._entries[key] = self._by_code[self.book.code(key)] = complex(value)
+        book = Codebook()
+        by_code = _coded(book, self.entries, keys)
+        object.__setattr__(self, "entries", MappingProxyType(dict(zip(keys, by_code.values()))))
+        object.__setattr__(self, "max_order", max_order)
+        object.__setattr__(self, "book", book)
+        object.__setattr__(self, "_by_code", by_code)
 
     def kappa_code(self, code: int) -> complex:
         """The cumulant of a multiset code in the table's book."""
@@ -546,12 +537,9 @@ def moments_from_cumulants(source, seq: LabeledSeq) -> complex:
 def cumulant_table_from_oracle(oracle: MomentOracle, indices: Sequence[Index], max_order: int) -> CumulantTable:
     """Tabulate all cumulants over the given indices up to max_order."""
     ev = CumulantEvaluator(oracle)
-    table = CumulantTable.empty(max_order=max_order)
-    pool = canonical_key(set(indices))
-    for order in range(1, max_order + 1):
-        for combo in itertools.combinations_with_replacement(pool, order):
-            table.set(combo, ev.kappa(combo))
-    return table
+    pool = canonical_key(set(indices))  # combinations of the sorted pool are canonical keys
+    combos = [c for order in range(1, max_order + 1) for c in itertools.combinations_with_replacement(pool, order)]
+    return CumulantTable(entries={combo: ev.kappa(combo) for combo in combos}, max_order=max_order)
 
 
 # ----------------------------------------------------------------------

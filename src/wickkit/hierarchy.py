@@ -70,9 +70,9 @@ class AmplitudeModel:
         return list(canonical_key(seen))
 
 
-@dataclass
+@dataclass(frozen=True)
 class HierarchyState:
-    """A truncated cumulant table with a time stamp.
+    """A truncated cumulant table with a time stamp, frozen like its table.
 
     The closure is the table's max order: cumulants above it read as zero.
     """
@@ -376,8 +376,8 @@ def appendix_b_model(
     the moment read from the supplied oracle, or from the evolving cumulant
     table when ``oracle`` is None.  The amplitudes of one table, an RK4
     stage, read their moments through one :class:`CumulantBackedOracle`, so
-    they share its partition sums; a table must not change once they have
-    read it.
+    they share its partition sums; a :class:`CumulantTable` is frozen, so
+    the oracle of the last table read stays exact for it.
     """
     import numpy as np  # deferred: keeps numpy off the algebra kinds' import path
 
@@ -391,7 +391,7 @@ def appendix_b_model(
 
     a = power
 
-    last: list = [None, oracle]  # the last table read and the oracle of its moments
+    last: list = [None, oracle]  # the last (frozen) table read and the oracle of its moments
 
     def moment_of(key: tuple, table: CumulantTable) -> complex:
         if oracle is None and last[0] is not table:

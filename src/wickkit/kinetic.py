@@ -71,6 +71,7 @@ __all__ = [
     "gamma_rate",
     "prelimit_kernel",
     "prelimit_window",
+    "kinetic_time",
     "bp_solve",
     "BPTrajectory",
     "correlation_decay",
@@ -87,6 +88,18 @@ def _omega_grid_spacing(omega: np.ndarray) -> float:
     if distinct.size < 2:
         return 0.0
     return float((distinct[-1] - distinct[0]) / (distinct.size - 1))
+
+
+def kinetic_time(tau: float, coupling: float) -> float:
+    """The kinetic time T = tau / coupling^2, the support of a Fejér window in time; a ConfigError unless
+    tau and the coupling are positive and T is finite, so a square that underflows or overflows is refused."""
+    try:
+        support = tau / coupling**2
+    except (ZeroDivisionError, OverflowError):
+        support = math.nan
+    if not (tau > 0.0 and coupling > 0.0 and 0.0 < support < math.inf):
+        raise ConfigError(f"tau {tau!r} and coupling {coupling!r} need a positive, finite kinetic time tau / coupling²")
+    return support
 
 
 @dataclass(frozen=True)
@@ -119,13 +132,10 @@ class CollisionConfig:
                 raise ConfigError("gaussian delta width must be positive and finite")
             if self.epsilon is None and _omega_grid_spacing(self.dispersion.omega(self.lattice)) == 0.0:
                 raise ConfigError("dispersion is flat; give an explicit delta width")
+        elif self.window_tau is None or self.window_coupling is None:
+            raise ConfigError("fejer model needs window_tau and window_coupling")
         else:
-            if self.window_tau is None or self.window_coupling is None:
-                raise ConfigError("fejer model needs window_tau and window_coupling")
-            if not (self.window_tau > 0.0 and self.window_coupling > 0.0):
-                raise ConfigError("fejer window parameters must be positive")
-            if not 0.0 < self.window_support < math.inf:
-                raise ConfigError(f"fejer window support {self.window_support!r} must be positive and finite")
+            kinetic_time(self.window_tau, self.window_coupling)  # a ConfigError unless positive and finite
 
     def omega(self) -> np.ndarray:
         return self.dispersion.omega(self.lattice)
@@ -163,7 +173,7 @@ class CollisionConfig:
         """Time-window length T of the fejer model."""
         if self.delta_model != "fejer":
             raise ConfigError("window_support is only defined for the fejer model")
-        return self.window_tau / self.window_coupling**2
+        return kinetic_time(self.window_tau, self.window_coupling)
 
     def resolved_epsilon(self) -> float:
         if self.delta_model != "fejer" and self.epsilon is not None:
@@ -373,9 +383,7 @@ def prelimit_window(omega_gap: np.ndarray | float, coupling: float, tau: float) 
     continued by tau^2 / coupling^2 at Omega = 0; evaluated stably through
     sinc^2.
     """
-    if not (coupling > 0.0 and tau > 0.0):
-        raise ConfigError("coupling and tau must be positive")
-    support = tau / coupling**2
+    support = kinetic_time(tau, coupling)
     gap = np.asarray(omega_gap, dtype=float)
     # 2 lam^2 (1 - cos(T x))/x^2 = lam^2 T^2 sinc^2(T x / 2 pi)
     return coupling**2 * support**2 * np.sinc(support * gap / (2.0 * math.pi)) ** 2

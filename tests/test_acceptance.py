@@ -155,11 +155,12 @@ def test_criterion_03_gaussian_closed_form_matches_cumulant_route(capsys):
         mean = rng.standard_normal(n_vars) + 1j * rng.standard_normal(n_vars)
         b = rng.standard_normal((n_vars, n_vars)) + 1j * rng.standard_normal((n_vars, n_vars))
         cov = b @ b.T
-        table = CumulantTable.empty(max_order=6)
+        entries = {}
         for i in range(n_vars):
-            table.set((i,), mean[i])
+            entries[(i,)] = mean[i]
             for j in range(i, n_vars):
-                table.set((i, j), cov[i, j])
+                entries[(i, j)] = cov[i, j]
+        table = CumulantTable(entries=entries, max_order=6)
         for r in range(0, 7):
             for combo in itertools.combinations_with_replacement(range(n_vars), r):
                 seq = LabeledSeq.from_indices(combo)
@@ -169,9 +170,7 @@ def test_criterion_03_gaussian_closed_form_matches_cumulant_route(capsys):
                               wick_from_cumulants(table, seq)),
                 )
     # spot check against the classical scalar cubic: He3(y) = y^3 - 3y
-    unit = CumulantTable.empty(max_order=3)
-    unit.set((0,), 0.0)
-    unit.set((0, 0), 1.0)
+    unit = CumulantTable(entries={(0,): 0.0, (0, 0): 1.0}, max_order=3)
     he3 = wick_from_cumulants(unit, LabeledSeq.from_indices((0, 0, 0)))
     assert he3.terms.get(frozenset(), 0.0) == pytest.approx(0.0, abs=1e-15)
     three_subsets = [s for s in he3.terms if len(s) == 1]
@@ -604,11 +603,12 @@ def test_criterion_13_hierarchy_rhs_against_ensemble_and_linear_flow(capsys):
         [0.1, 0.2, -0.2, 0.9],
     ])
     c0 = b_mat @ b_mat.T + 0.5 * np.eye(4)
-    table_h = CumulantTable.empty(max_order=2)
+    entries = {}
     for i in range(4):
-        table_h.set((idx[i],), m0[i])
+        entries[(idx[i],)] = m0[i]
         for j in range(i, 4):
-            table_h.set((idx[i], idx[j]), c0[i, j])
+            entries[(idx[i], idx[j])] = c0[i, j]
+    table_h = CumulantTable(entries=entries, max_order=2)
     chain = appendix_b_model(2, power=2, couplings=lam)
     t_end = 1.0
     final = integrate_hierarchy(chain, HierarchyState(table_h), t_end=t_end, dt=0.005)

@@ -1234,6 +1234,18 @@ PROBES = [
     # negative thresholds would switch the resolution check off
     ("kinetic-check", ("params", "se_threshold"), -1),
     ("kinetic-check", ("params", "min_resolved_modes"), -1),
+    # a coupling whose square underflows to 0 or overflows, and a phase omega * time that overflows
+    ("bp-compare", ("params", "lambda_list"), [1e-170]),
+    ("kinetic-check", ("params", "coupling_list"), [1e-170]),
+    ("bp-solve", ("params", "delta"), {"model": "fejer", "window_tau": 0.1, "window_coupling": 1e-170}),
+    ("bp-compare", ("params", "lambda_list"), [1e200]),
+    ("kinetic-check", ("params", "coupling_list"), [1e200]),
+    ("bp-solve", ("params", "delta"), {"model": "fejer", "window_tau": 0.1, "window_coupling": 1e200}),
+    ("hierarchy-rhs", ("params",), {
+        **BOUNDARY_CONFIGS["hierarchy-rhs"],
+        "time": 1e308,
+        "model": {"terms": [{"index": 1, "seq": [2], "amplitude": {"type": "phase", "omega": 1e308}}]},
+    }),
 ]
 
 # Every JSON object of every boundary config, as (kind, key path); each one

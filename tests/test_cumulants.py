@@ -220,10 +220,14 @@ class TestRoundTrip:
 
     def test_cumulant_backed_oracle_reproduces_table(self):
         rng = np.random.default_rng(17)
-        table = CumulantTable.empty(max_order=3)
-        for order in (1, 2, 3):
-            for key in itertools.combinations_with_replacement("ab", order):
-                table.set(key, complex(*rng.standard_normal(2)))
+        table = CumulantTable(
+            entries={
+                key: complex(*rng.standard_normal(2))
+                for order in (1, 2, 3)
+                for key in itertools.combinations_with_replacement("ab", order)
+            },
+            max_order=3,
+        )
         oracle = CumulantBackedOracle(table)
         ev = CumulantEvaluator(oracle)
         for key, want in table.entries.items():
@@ -272,6 +276,10 @@ class TestOracles:
         ev = CumulantEvaluator(g)
         assert ev.kappa(("y",) * 3) == pytest.approx(0.0, abs=1e-12)
         assert ev.kappa(("y",) * 4) == pytest.approx(0.0, abs=1e-12)
+
+    def test_gaussian_oracle_takes_the_last_of_two_orders_of_one_pair(self):
+        g = gaussian_moment_oracle({"a": 0.0, "b": 0.0}, {("a", "b"): 1.0, ("b", "a"): 2.0, ("a", "a"): 1.0})
+        assert g.moment(("a", "b")) == 2.0 and g.moment(("b", "a")) == 2.0
 
 
 def _atoms(rng, indices):
@@ -339,12 +347,11 @@ class TestCumulantTable:
         assert t.kappa(()) == 0.0
         assert t.kappa(("a",) * 4) == 0.0  # above max order
 
-    def test_set_guards(self):
-        t = CumulantTable.empty(max_order=2)
-        with pytest.raises(ValueError):
-            t.set((), 1.0)
-        with pytest.raises(ValueError):
-            t.set(("a", "a", "a"), 1.0)
+    def test_constructor_guards(self):
+        with pytest.raises(ValueError, match="the empty cumulant is fixed at 0"):
+            CumulantTable(entries={(): 1.0}, max_order=2)
+        with pytest.raises(ValueError, match=r"\('a', 'a', 'a'\) exceeds max order 2"):
+            CumulantTable(entries={("a", "a", "a"): 1.0}, max_order=2)
 
     def test_json_round_trip(self):
         t = CumulantTable(
@@ -440,10 +447,9 @@ class TestCumulantTable:
             TableOracle(entries)
 
     def test_input_errors_are_config_errors(self):
-        t = CumulantTable.empty(max_order=2)
         for key in ((), ("a", "a", "a")):
             with pytest.raises(ConfigError):
-                t.set(key, 1.0)
+                CumulantTable(entries={key: 1.0}, max_order=2)
         with pytest.raises(ConfigError):
             TableOracle({(): 2.0})
 
@@ -467,11 +473,8 @@ class TestMultilinearity:
         assert report.ok, report.max_rel_error
 
     def test_violation_is_detected(self):
-        # an inconsistent table: kappa[j] deliberately off
-        t = CumulantTable.empty(max_order=1)
-        t.set(("a",), 1.0)
-        t.set(("b",), 1.0)
-        t.set(("j",), 5.0)  # should be alpha + beta = 2 for j = a + b
+        # an inconsistent table: kappa[j] deliberately off (it should be alpha + beta = 2 for j = a + b)
+        t = CumulantTable(entries={("a",): 1.0, ("b",): 1.0, ("j",): 5.0}, max_order=1)
         report = multilinearity_check(
             t, "j", [(1.0, "a"), (1.0, "b")], [seq("j")], rtol=1e-10
         )

@@ -280,9 +280,10 @@ class TestHierarchyPlan:
         lam = np.array([[0.0, 0.9], [0.9, 0.0]])
         model = appendix_b_model(2, power=4, couplings=lam)
         rng = np.random.default_rng(5)
-        table0 = CumulantTable.empty(max_order=3)
-        for key in all_keys_up_to(model.universe(), 3):
-            table0.set(key, 0.1 * complex(*rng.standard_normal(2)))
+        table0 = CumulantTable(
+            entries={key: 0.1 * complex(*rng.standard_normal(2)) for key in all_keys_up_to(model.universe(), 3)},
+            max_order=3,
+        )
         final = integrate_hierarchy(model, HierarchyState(table0), t_end=0.03, dt=0.01)
         want = reference_integrate_hierarchy(model, HierarchyState(table0), t_end=0.03, dt=0.01)
         keys = all_keys_up_to(model.universe(), 3)
@@ -293,7 +294,7 @@ class TestHierarchyPlan:
         model, table = labelled
         keys = all_keys_up_to(("a", "b"), 4)
         plan = HierarchyPlan(model, [seq_of(*key) for key in keys])
-        tables = [CumulantTable.empty(max_order=4), CumulantTable.empty(max_order=4)]
+        tables = [CumulantTable(max_order=4), CumulantTable(max_order=4)]
         for entries in (dict(table.entries), dict(reversed(table.entries.items()))):
             tables.append(CumulantTable(entries={key: 2.0 * v - 0.1j for key, v in entries.items()}, max_order=4))
         for table in tables:
@@ -399,11 +400,12 @@ def harmonic_setup():
         ]
     )
     c0 = b @ b.T + 0.5 * np.eye(4)
-    table0 = CumulantTable.empty(max_order=2)
+    entries = {}
     for i in range(4):
-        table0.set((idx[i],), m0[i])
+        entries[(idx[i],)] = m0[i]
         for j in range(i, 4):
-            table0.set((idx[i], idx[j]), c0[i, j])
+            entries[(idx[i], idx[j])] = c0[i, j]
+    table0 = CumulantTable(entries=entries, max_order=2)
     return lam, a_mat, idx, m0, c0, table0
 
 
@@ -465,7 +467,7 @@ class TestQuarticChainModel:
     polynomial, for an arbitrary formal law feeding the amplitudes."""
 
     def expanded_force(self, model, driven, oracle):
-        dummy = CumulantTable.empty(1)
+        dummy = CumulantTable(max_order=1)
         total: dict[tuple, complex] = {}
         for term in model.terms[driven]:
             amp = term.amplitude(0.0, dummy)
@@ -537,11 +539,12 @@ class TestQuarticChainModel:
         rng = np.random.default_rng(12)
         tables = []
         for _ in range(2):
-            table = CumulantTable.empty(max_order=3)
-            for order in (1, 2, 3):
-                for key in itertools.combinations_with_replacement((q0, q1), order):
-                    table.set(key, complex(*rng.standard_normal(2)))
-            tables.append(table)
+            entries = {
+                key: complex(*rng.standard_normal(2))
+                for order in (1, 2, 3)
+                for key in itertools.combinations_with_replacement((q0, q1), order)
+            }
+            tables.append(CumulantTable(entries=entries, max_order=3))
         for table in (tables[0], tables[1], tables[0]):
             # moments by brute force over the set partitions, fed through an explicit oracle
             moments = {

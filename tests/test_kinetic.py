@@ -60,6 +60,7 @@ from wickkit.kinetic import (
     collision_operator,
     correlation_decay,
     gamma_rate,
+    kinetic_time,
     prelimit_kernel,
     prelimit_window,
 )
@@ -560,6 +561,18 @@ class TestPrelimitKernel:
 
     def test_window_at_zero_gap(self):
         assert float(prelimit_window(np.array(0.0), 0.5, 0.3)) == pytest.approx(0.3**2 / 0.5**2, rel=1e-15)
+
+    def test_a_coupling_whose_square_leaves_the_floats_has_no_window(self):
+        assert kinetic_time(0.35, 0.45) == 0.35 / 0.45**2
+        lat, disp = Lattice(dimension=1, side=8), nearest_neighbor_dispersion(1)
+        # the square underflows to 0, overflows, or the coupling is not positive
+        for coupling in (1e-170, 1e200, 0.0, -0.5):
+            with pytest.raises(ConfigError, match="positive, finite kinetic time"):
+                kinetic_time(0.1, coupling)
+            with pytest.raises(ConfigError, match="positive, finite kinetic time"):
+                prelimit_window(np.array(0.0), coupling, 0.1)
+            with pytest.raises(ConfigError, match="positive, finite kinetic time"):
+                CollisionConfig(lattice=lat, dispersion=disp, delta_model="fejer", window_tau=0.1, window_coupling=coupling)
 
     def test_kernel_over_tau_equals_fejer_collision_operator(self):
         # integrating the squared oscillatory phase over the time window

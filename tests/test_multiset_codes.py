@@ -12,6 +12,7 @@ Oracles
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -278,9 +279,29 @@ def test_long_sums_trip_the_guard_before_building_mask_codes():
         wick_product_expectation(table, [LabeledSeq.from_indices(indices[:20])], LabeledSeq.from_indices(indices[20:]))
 
 
-def test_table_entries_are_read_only():
-    table = CumulantTable(entries={("u", "v"): 1.0}, max_order=2)
+def test_a_built_table_cannot_be_changed():
+    table = CumulantTable(entries={("v", "u"): 1.0}, max_order=2)
     with pytest.raises(TypeError):
         table.entries[("u",)] = 2.0
-    table.set(("v", "u"), 3.0)
-    assert dict(table.entries) == {("u", "v"): 3.0} and table.kappa(("v", "u")) == 3.0
+    for name, value in (("max_order", 1), ("entries", {("u",): 2.0})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table, name, value)
+    assert not hasattr(CumulantTable, "set") and not hasattr(CumulantTable, "empty")
+    assert dict(table.entries) == {("u", "v"): 1.0} and table.max_order == 2 and table.kappa(("v", "u")) == 1.0
+    state = HierarchyState(table=table, time=0.5)
+    for name, value in (("table", CumulantTable(max_order=2)), ("time", 1.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, name, value)
+    assert state.table is table and state.time == 0.5
+
+
+def test_an_oracle_keeps_reading_its_own_table():
+    # a changed table is a new table: the oracle of the old one keeps its moments,
+    # and the new one reads its own through a fresh oracle
+    old = CumulantTable(entries={("x",): 0.2, ("y",): 0.1, ("x", "y"): 0.3})
+    oracle = CumulantBackedOracle(old)
+    assert oracle.moment(("x", "y")) == pytest.approx(0.32, abs=1e-15)
+    new = CumulantTable(entries={**old.entries, ("x", "y"): 5.0}, max_order=old.max_order)
+    assert oracle.moment(("x", "y")) == pytest.approx(0.32, abs=1e-15)
+    assert CumulantBackedOracle(new).moment(("x", "y")) == pytest.approx(5.02, abs=1e-15)
+    assert old.kappa(("x", "y")) == 0.3 and new.kappa(("x", "y")) == 5.0
