@@ -15,8 +15,9 @@ runs over the distinct sub-multisets that hold x, each weighted by the
 binomial count of the label subsets it stands for (:func:`_kappa_recursive`).
 Moments are recovered from cumulants by the partition sum
 E[y^I] = sum over set partitions pi of I of prod over blocks A of kappa[A],
-evaluated by the bitmask kernel :func:`wickkit.indexing.partition_sums`
-(one cumulant lookup per block, each remaining subset summed once).  Both
+evaluated by the multiset kernel :func:`wickkit.indexing.partition_sum` over
+the same distinct sub-multisets and binomial counts (one cumulant lookup per
+distinct block, each distinct remaining multiset summed once).  Both
 directions are permutation invariant, so every memo, moment cache and table
 lookup inside them is keyed by multiset code (:class:`Codebook`): a table or
 an evaluator interns its indices once, and a block's code is one addition.
@@ -44,10 +45,10 @@ from .indexing import (
     Index,
     LabeledSeq,
     PartitionMemo,
-    _check_partition_guard,
+    _blocks,
+    _size,
     canonical_key,
-    mask_codes,
-    partition_sums,
+    partition_sum,
 )
 
 
@@ -119,7 +120,7 @@ class CumulantBackedOracle(MomentOracle):
         self.memo = PartitionMemo(self.book)
 
     def moment_code(self, code: int) -> complex:
-        return _coded_sum(self._kappa_code, self.book.slots_of(code), self.memo)
+        return partition_sum(code, self._kappa_code, self.memo)
 
 
 def gaussian_moment_oracle(
@@ -382,37 +383,6 @@ class CumulantTable:
 # conversions
 
 
-def _blocks(code: int) -> tuple[list[int], list[int]]:
-    """The blocks of the cumulant recursion of a multiset code R, and their label counts.
-
-    The blocks are the distinct sub-multisets B of R, other than R, that
-    hold R's first (lowest) id f: one f plus a sub-multiset of R minus that
-    f.  The count of B, prod over ids i of binom(r_i - [i = f], b_i - [i = f]),
-    is the number of label subsets of R that hold R's first label and have
-    the multiset B.  Both lists grow by doubling, id by id from f on: with
-    r copies of an id left to place (r_i, or r_f - 1 for f), the blocks built
-    so far get j more copies for j = 0 .. r in turn, their counts times
-    binom(r, j).  With every count 1, the blocks therefore come in the
-    ascending order of their label masks.
-    """
-    shift = (code & -code).bit_length() - 1 & -CODE_BITS
-    slot = 1 << shift
-    codes, counts = [slot], [1]
-    rest = (code >> shift) - 1  # the fields of R minus one f, from f's on
-    for r in rest.to_bytes((rest.bit_length() + 7) // 8, "little"):
-        if r == 1:
-            codes += [c + slot for c in codes]
-            counts += counts
-        elif r:
-            row = [math.comb(r, j) for j in range(r + 1)]
-            codes = [c + j * slot for j in range(r + 1) for c in codes]
-            counts = [w * m for m in row for w in counts]
-        slot <<= CODE_BITS
-    codes.pop()  # R itself
-    counts.pop()
-    return codes, counts
-
-
 def _kappa_recursive(moment: Callable[[int], object], code: int, memo: dict) -> tuple[object, int]:
     """The cumulant of a multiset code by recursion over its sub-multisets.
 
@@ -420,7 +390,7 @@ def _kappa_recursive(moment: Callable[[int], object], code: int, memo: dict) -> 
 
         kappa(R) = m(R) - sum over B of C(B) * m(R - B) * kappa(B),
 
-    B over the blocks of :func:`_blocks`, each distinct sub-multiset once
+    B over the blocks of :func:`wickkit.indexing._blocks`, each distinct sub-multiset once
     and C(B) its label count.  This is the first-element recursion over the
     label subsets of R with equal blocks grouped; kappa(empty) = 0.  A
     multiset of n elements has at most 2**(n - 1) blocks, and R may hold at
@@ -434,7 +404,7 @@ def _kappa_recursive(moment: Callable[[int], object], code: int, memo: dict) -> 
         return memo[code], 0
     if not code:
         return 0.0, 0
-    n = sum(code.to_bytes((code.bit_length() + 7) // 8, "little"))
+    n = _size(code)
     if n > SUBSET_GUARD:
         raise GuardError(f"cumulant recursion guard: {n} > {SUBSET_GUARD}")
     get = memo.get
@@ -500,33 +470,6 @@ def coded_cumulants(source) -> tuple[Codebook, Callable[[int], complex]]:
     if isinstance(source, (CumulantTable, CumulantEvaluator)):
         return source.book, source.kappa_code
     raise TypeError(f"cannot interpret {type(source).__name__} as cumulants")
-
-
-def _coded_sum(
-    kappa_code: Callable[[int], complex],
-    slots: Sequence[int],
-    memo: PartitionMemo,
-    keys: Sequence[int] | None = None,
-    admissible: Callable[[int], object] | None = None,
-) -> complex:
-    """The partition sum of prod kappa over the blocks of a whole sequence.
-
-    ``slots`` are the elements' codes for ``kappa_code``; ``keys``, codes
-    from ``memo.book`` (``slots`` by default), key the states in ``memo``;
-    ``admissible`` filters the blocks as in :func:`partition_sums`.
-    """
-    _check_partition_guard(len(slots))  # before the 2**n mask codes are built
-    keys = slots if keys is None else keys
-    full = sum(keys)
-    if full in memo.totals:
-        return memo.totals[full]
-    codes = mask_codes(keys)
-    if keys is slots:
-        weight = lambda block: kappa_code(codes[block])
-    else:  # a block's weight is read once per key, so its code is summed only then
-        weight = lambda block: kappa_code(sum(s for i, s in enumerate(slots) if block >> i & 1))
-    total = partition_sums(len(keys), weight, admissible, codes, memo)
-    return total(len(codes) - 1)
 
 
 def moments_from_cumulants(source, seq: LabeledSeq) -> complex:

@@ -15,9 +15,10 @@ That sum depends on the two Wick factors' multisets alone, so every route to
 the right-hand side goes through a :class:`HierarchyPlan`, which codes each
 (target, slot, drive) pair by multiset-code arithmetic and keeps the
 distinct amplitudes.  An evaluation calls each amplitude once and sums each
-distinct pair once against a partition-sum memo of its own, which lives as
-long as the call, then adds every target's terms in (slot, drive) order, so
-every result keeps the bytes of the term-by-term loop.
+distinct pair code once with the partition-sum kernel, against a memo of its
+own that lives as long as the call, then adds every target's terms in
+(slot, drive) order, so every result keeps the bytes of the term-by-term
+loop over :func:`wickkit.wick.wick_product_expectation`.
 :func:`hierarchy_rhs` plans one target and :func:`hierarchy_rhs_table` its
 distinct targets; :func:`integrate_hierarchy` plans all its keys once and
 evaluates the plan on every RK4 stage.
@@ -32,8 +33,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .cumulants import CumulantBackedOracle, CumulantTable, MomentOracle
 from .errors import ConfigError, rk4, step_count
-from .indexing import EMPTY, Codebook, Index, LabeledSeq, PartitionMemo, canonical_key
-from .wick import wick_product_expectation
+from .indexing import CODE_BITS, EMPTY, Codebook, Index, LabeledSeq, PartitionMemo, canonical_key, partition_sum
+from .wick import _group_masks, _tag, _untagged, wick_product_expectation
+
+#: the tag layout of a pair E[W[y^I] W[y^J]]: the drive I is group 0, the rest J group 1, no tail
+_STRIDE = 3
 
 Amplitude = Callable[[float, CumulantTable], complex]
 
@@ -91,11 +95,12 @@ class HierarchyPlan:
     Each (target, slot, drive) term of the hierarchy is the drive's amplitude
     times the pair expectation E[W[y^I] W[y^(I' minus i)]].  That sum sees the
     two Wick factors only through their multisets, so the plan codes every
-    pair once, in the plan's ``book``, as in :func:`wickkit.wick.wick_product_expectation`
-    (each element tagged with its factor, 0 for the drive and 1 for the
-    target's rest): the target's code minus the slot's plus the drive's.  It
-    also keeps the distinct amplitude callables, in the order of their first
-    call, and every term in the order (target, slot, drive).
+    pair once, in the layout of :func:`wickkit.wick.wick_product_expectation`
+    over the plan's ``book`` (each element tagged with its factor, 0 for the
+    drive and 1 for the target's rest): the target's code minus the slot's
+    plus the drive's.  It also keeps the distinct amplitude callables, in the
+    order of their first call, and every term in the order (target, slot,
+    drive).
 
     A plan holds no values and may serve any number of states, for example
     every stage of an RK4 march.
@@ -107,15 +112,16 @@ class HierarchyPlan:
         self.amplitudes: list[Amplitude] = []
         amplitude_at: dict[int, int] = {}  # by id of the callable, kept alive in self.amplitudes
         pair_at: dict[int, int] = {}  # pair code -> its position, in order of first use
-        # per driven index: (amplitude position, drive code, drive sequence) of each drive
-        drives: dict[Index, list[tuple[int, int, LabeledSeq]]] = {}
-        # per term: amplitude position, pair position, and (target, slot, drive sequence)
+        # per driven index: (amplitude position, drive code) of each drive
+        drives: dict[Index, list[tuple[int, int]]] = {}
+        # per term: amplitude position and pair position
         self._amplitude: list[int] = []
         self._pair: list[int] = []
-        self._where: list[tuple[LabeledSeq, int, LabeledSeq]] = []
         self._ends: list[int] = []  # one past each target's last term
+        # the targets' indices first, in the order a table keyed by the targets numbers them
+        book.slots(idx for target in targets for idx in target.indices())
         for target in targets:
-            slots = book.slots([(1, idx) for _, idx in target.elements])
+            slots = [_tag(slot, 1, _STRIDE) for slot in book.slots(target.indices())]
             full = sum(slots)
             for i, (_, idx) in enumerate(target.elements):
                 row = drives.get(idx)
@@ -125,12 +131,11 @@ class HierarchyPlan:
                         a = amplitude_at.setdefault(id(term.amplitude), len(self.amplitudes))
                         if a == len(self.amplitudes):
                             self.amplitudes.append(term.amplitude)
-                        row.append((a, sum(book.slots([(0, j) for _, j in term.seq.elements])), term.seq))
+                        row.append((a, sum(_tag(slot, 0, _STRIDE) for slot in book.slots(term.seq.indices()))))
                 rest = full - slots[i]
-                for a, drive, seq in row:
+                for a, drive in row:
                     self._amplitude.append(a)
                     self._pair.append(pair_at.setdefault(rest + drive, len(pair_at)))
-                    self._where.append((target, i, seq))
             self._ends.append(len(self._pair))
         self.pair_codes = list(pair_at)
 
@@ -138,32 +143,39 @@ class HierarchyPlan:
         """The right-hand side of every target at the state, and the work done.
 
         Three passes: each amplitude is called once; each pair code that a
-        term with a nonzero amplitude needs is looked up in a fresh memo
-        over the plan's book, and only a miss runs the partition sum, for
-        the first such term in (target, slot, drive) order; each target then
-        adds its terms in that order.  So every value is the one the
-        term-by-term loop gives over one fresh memo.  The work dict holds the
-        memo's counts (:meth:`PartitionMemo.work`), the distinct pair codes
-        needed (``pair_expectations``) and those the memo already held
+        term with a nonzero amplitude needs, moved onto the table's ids, is
+        looked up in a fresh memo, and only a miss runs the kernel
+        :func:`wickkit.indexing.partition_sum`, a block weighing the table
+        cumulant of its untagged multiset; each target then adds its terms
+        in (slot, drive) order.  So every value has the bytes that
+        :func:`wickkit.wick.wick_product_expectation` gives term by term
+        over one memo.  The work dict holds the memo's counts
+        (:meth:`PartitionMemo.work`), the distinct pair codes needed
+        (``pair_expectations``) and those the memo already held
         (``pair_memo_hits``).
         """
         if self.order > state.order_cap:
             raise ValueError(f"target order {self.order} exceeds the closure cap {state.order_cap}")
         t, table = state.time, state.table
-        memo = PartitionMemo(self.book)
+        # the pair codes over the table's ids, where every route sums a pair of this table
+        slots, codes = table.book.slots(self.book.indices), self.pair_codes
+        if slots != [1 << CODE_BITS * i for i in range(len(slots))]:  # the table numbers the indices otherwise
+            tagged = [_tag(slot, g, _STRIDE) for slot in slots for g in range(_STRIDE)]
+            codes = [sum(n * s for n, s in zip(code.to_bytes(len(tagged), "little"), tagged) if n) for code in codes]
+        memo = PartitionMemo(table.book)
+        weight = _untagged(table.kappa_code, _STRIDE)
+        groups = _group_masks(max(codes, default=0), 2, _STRIDE)
         amps = [complex(amplitude(t, table)) for amplitude in self.amplitudes]
-        values: list[complex | None] = [None] * len(self.pair_codes)
+        values: list[complex | None] = [None] * len(codes)
         totals = memo.totals
         needed = hits = 0
-        for a, p, where in zip(self._amplitude, self._pair, self._where):
+        for a, p in zip(self._amplitude, self._pair):
             if values[p] is not None or amps[a] == 0:
                 continue
             needed += 1
-            value = totals.get(self.pair_codes[p])
+            value = totals.get(codes[p])
             if value is None:
-                target, i, seq = where
-                rest = target.select(((1 << len(target)) - 1) ^ (1 << i))
-                value = wick_product_expectation(table, [seq, rest], memo=memo)
+                value = partition_sum(codes[p], weight, memo, groups)
             else:
                 hits += 1
             values[p] = value
@@ -298,7 +310,7 @@ def duhamel_expand(
         integral over [0, t] of the amplitude (at the frozen initial table)
       + remainder descriptors carrying the tail weights.
     """
-    memo = PartitionMemo()
+    memo = PartitionMemo(table0.book)
     zeroth = table0.kappa(target.indices())
     first = 0.0 + 0.0j
     remainder: list[RemainderTerm] = []

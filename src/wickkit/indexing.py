@@ -7,19 +7,22 @@ unambiguous, each occurrence carries a distinct integer label; collapsing
 provides the sequence type plus the primitive operations the rest of the
 package is built on: enumerating labeled subsequences and set partitions of
 the label set, and the partition-sum kernel behind every moment, cumulant
-and Wick expectation.
+and Wick expectation (:func:`partition_sum`).
 
 Moments, cumulants and the partition sums of symmetric summands depend on a
 sequence only through its multiset of indices.  Inside the package such a
 multiset goes by an integer code (:class:`Codebook`): each index is interned
-to a small id once, and a multiset's code adds one field per id, so every
-label mask of a sequence is coded with one addition and no sorting.  The
-sorted :func:`canonical_key` form is kept for the public key-based calls and
-the JSON tables.
+to a small id once, and a multiset's code adds one field per id, so a
+multiset is coded with one addition per element and no sorting.  The kernel
+and the cumulant recursion walk a code's distinct sub-multisets
+(:func:`_blocks`), so equal blocks are summed once with their label counts.
+The sorted :func:`canonical_key` form is kept for the public key-based calls
+and the JSON tables.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
@@ -260,16 +263,6 @@ class Codebook:
             raise GuardError(f"multiset code guard: an index repeats more than {_FIELD} times")
         return sum(slots)
 
-    def slots_of(self, code: int) -> list[int]:
-        """The slot codes of a multiset code, in id order."""
-        out: list[int] = []
-        shift = 0
-        while code:
-            out.extend([1 << shift] * (code & _FIELD))
-            code >>= CODE_BITS
-            shift += CODE_BITS
-        return out
-
     def key(self, code: int) -> tuple[Index, ...]:
         """The canonical key of a multiset code."""
         indices: list[Index] = []
@@ -293,13 +286,51 @@ def mask_codes(slots: Sequence[int]) -> list[int]:
     return codes
 
 
-class PartitionMemo:
-    """Partition-sum states keyed by multiset code, for sharing between sums.
+def _size(code: int) -> int:
+    """The number of elements of a multiset code."""
+    return sum(code.to_bytes((code.bit_length() + 7) // 8, "little"))
 
-    ``totals`` maps the code of a remaining multiset to its sum and
-    ``weights`` the code of a block to its weight (None for a block that is
-    not admissible); ``book`` made the codes.  See :func:`partition_sums`
-    for when one memo may serve many sums.
+
+#: binom(r, j) for j = 0 .. r, per r up to the longest multiset any kernel splits
+_BINOMIALS = [[math.comb(r, j) for j in range(r + 1)] for r in range(SUBSET_GUARD + 1)]
+
+
+def _blocks(code: int) -> tuple[list[int], list[int]]:
+    """The distinct proper sub-multisets of a code R that hold R's first id, and their label counts.
+
+    A block B is one f, R's first (lowest) id, plus a sub-multiset of R
+    minus that f; its count, prod over ids i of binom(r_i - [i = f],
+    b_i - [i = f]), is the number of label subsets of R that hold R's first
+    label and have the multiset B.  Both lists grow by doubling, id by id
+    from f on: with r copies of an id left to place, the blocks so far get
+    j more copies for j = 0 .. r in turn, their counts times binom(r, j).
+    With every count 1, the blocks come in the ascending order of their
+    label masks, and R itself would come last.
+    """
+    shift = (code & -code).bit_length() - 1 & -CODE_BITS
+    slot = 1 << shift
+    codes, counts = [slot], [1]
+    rest = (code >> shift) - 1  # the fields of R minus one f, from f's on
+    for r in rest.to_bytes((rest.bit_length() + 7) // 8, "little"):
+        if r == 1:
+            codes += [c + slot for c in codes]
+            counts += counts
+        elif r:
+            codes = [c + j * slot for j in range(r + 1) for c in codes]
+            counts = [w * m for m in _BINOMIALS[r] for w in counts]
+        slot <<= CODE_BITS
+    codes.pop()  # R itself
+    counts.pop()
+    return codes, counts
+
+
+class PartitionMemo:
+    """Partition-sum states keyed by multiset code, over ``book`` directly or in a tagged layout.
+
+    ``totals`` maps a remaining multiset to its sum, and ``weights`` a block
+    to its weight, or to False for a block inside one Wick group, which is
+    not weighed.  See :func:`partition_sum` for when one memo may serve many
+    sums.
     """
 
     def __init__(self, book: Codebook | None = None) -> None:
@@ -309,73 +340,60 @@ class PartitionMemo:
 
     def work(self) -> dict[str, int]:
         """Deterministic work counts of the sums held: blocks weighed and remaining multisets summed."""
-        return {"multisets_evaluated": len(self.weights), "partition_states": len(self.totals) - 1}
+        weighed = sum(w is not False for w in self.weights.values())
+        return {"multisets_evaluated": weighed, "partition_states": len(self.totals) - 1}
 
 
-def partition_sums(
-    size: int,
-    weight: Callable[[int], Any],
-    admissible: Callable[[int], object] | None = None,
-    codes: Sequence[int] | None = None,
-    memo: PartitionMemo | None = None,
-) -> Callable[[int], complex]:
-    """The partition-sum kernel over the label masks of a sequence of ``size``.
+def partition_sum(
+    code: int, weight: Callable[[int], Any], memo: PartitionMemo, groups: Sequence[int] = ()
+) -> complex:
+    """The partition-sum kernel: over the set partitions of a multiset, the sum of the products of block weights.
 
-    Returns ``total(mask)``: the sum over the set partitions pi of the mask's
-    labels of prod over blocks A of ``weight(A)``, where a block is given by
-    its label bitmask (bit ``i`` is the ``i``-th smallest label) and, when
-    ``admissible`` is given, only partitions all of whose block masks pass
-    it contribute.  The empty mask sums to 1.
-
-    Evaluation peels off the block that holds the lowest set bit of the
-    remaining mask, ranging over the submasks of the rest, so the sum over
-    Bell(n) partitions costs at most 3**n steps.  Each remaining mask is
-    summed once, and ``weight`` and ``admissible`` are called once per
-    block, under a key.  By default a mask is its own key, so label-level
-    weights (ones that tell equal indices apart) work.  With ``codes``, the
-    multiset code of every mask (:func:`mask_codes`), masks holding the same
-    multiset share one key, and so one weight and one total; that is valid
-    only when weight and admissibility depend on a block's multiset of slot
-    codes alone.
-
-    The states live in ``memo`` (a fresh one by default) and may serve many
-    sums over coded masks: all sums whose slots come from ``memo.book`` and
-    whose weight and admissibility rules agree on every code, for example all
-    the sums over one cumulant table.  The memo's owner lends it to those
-    sums and drops it with the table: a
-    :class:`wickkit.cumulants.CumulantBackedOracle`, one
-    :meth:`wickkit.hierarchy.HierarchyPlan.evaluate` call, or
-    :func:`wickkit.hierarchy.duhamel_expand`.
+    P(R) = sum over B of C(B) * w(B) * P(R - B), P(empty) = 1, B over the
+    distinct sub-multisets of R holding one element of its first id, R last
+    (:func:`_blocks`, C(B) the label subsets B stands for).  ``weight`` is
+    called once per block, and a zero weight drops it; each remainder is
+    summed once.  ``groups`` are Wick groups' field masks: a block inside
+    one is not admissible, and a remainder inside one sums to 0 unwalked.
+    A memo may serve every sum whose weight and groups agree on every code,
+    such as all the sums over one cumulant table, and goes with the table.
     """
-    _check_partition_guard(size)
-    if memo is None:
-        memo = PartitionMemo()
-    if codes is None:
-        codes = range(1 << size)
     totals, weights = memo.totals, memo.weights
+    if code in totals:
+        return totals[code]
+    _check_partition_guard(_size(code))
+    outside = [~mask for mask in groups]  # a nonempty code c sits inside a group where not c & out
+    if any(not code & out for out in outside):
+        return 0.0 + 0.0j
 
     def total(rem: int) -> complex:
-        key = codes[rem]
-        if key in totals:
-            return totals[key]
-        low = rem & -rem
-        rest = rem ^ low
+        blocks, counts = _blocks(rem)
+        blocks.append(rem)
+        counts.append(1)
         acc = 0.0 + 0.0j
-        sub = 0
-        while True:
-            block = low | sub
-            bkey = codes[block]
-            if bkey in weights:
-                w = weights[bkey]
-            else:
-                w = weights[bkey] = weight(block) if admissible is None or admissible(block) else None
-            if w is not None:
-                t = totals.get(codes[rem ^ block])
-                acc += w * (total(rem ^ block) if t is None else t)
-            if sub == rest:
-                break
-            sub = (sub - rest) & rest  # next submask of rest, ascending
-        totals[key] = acc
+        for block, count in zip(blocks, counts):
+            w = weights.get(block)
+            if w is None:  # the checks are inline: most blocks of a pair sum sit inside one group
+                for out in outside:
+                    if not block & out:
+                        w = weights[block] = False
+                        break
+                else:
+                    w = weights[block] = weight(block)
+            if not w:
+                continue
+            left = rem - block
+            t = totals.get(left)
+            if t is None:
+                for out in outside:
+                    if not left & out:
+                        break
+                else:
+                    t = total(left)
+                if t is None:
+                    continue
+            acc += w * t if count == 1 else count * (w * t)
+        totals[rem] = acc
         return acc
 
-    return total
+    return total(code)

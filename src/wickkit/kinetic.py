@@ -381,12 +381,16 @@ def prelimit_window(omega_gap: np.ndarray | float, coupling: float, tau: float) 
 
     Equals 2 coupling^2 (1 - cos(T Omega)) / Omega^2 with T = tau/coupling^2,
     continued by tau^2 / coupling^2 at Omega = 0; evaluated stably through
-    sinc^2.
+    sinc^2.  A ConfigError where that height, tau T, is not finite.
     """
     support = kinetic_time(tau, coupling)
+    # lam^2 T^2 = tau T, which stays finite where the square of T would not
+    height = tau * support
+    if not math.isfinite(height):
+        raise ConfigError(f"tau {tau!r} and coupling {coupling!r} give a window height tau² / coupling² that is not finite")
     gap = np.asarray(omega_gap, dtype=float)
     # 2 lam^2 (1 - cos(T x))/x^2 = lam^2 T^2 sinc^2(T x / 2 pi)
-    return coupling**2 * support**2 * np.sinc(support * gap / (2.0 * math.pi)) ** 2
+    return height * np.sinc(support * gap / (2.0 * math.pi)) ** 2
 
 
 def prelimit_kernel(

@@ -20,8 +20,9 @@ multisets), so repeated indices stay unambiguous.  The constructions run
 over label bitmasks (bit i is the i-th smallest ground label) and read each
 subset's moment or cumulant by the multiset code of the subset
 (:func:`wickkit.cumulants.coded_cumulants`, the one reader of a cumulant
-source); the partition sums, whose summands are symmetric, key their states
-by multiset code, so label subsets holding the same multiset are summed once.
+source); the partition sums, whose summands are symmetric, run on multiset
+codes (:func:`wickkit.indexing.partition_sum`), so label subsets holding the
+same multiset are summed once.
 """
 
 from __future__ import annotations
@@ -29,16 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .cumulants import MomentOracle, _as_index, _coded_sum, coded_cumulants
+from .cumulants import MomentOracle, _as_index, coded_cumulants
 from .errors import Block, ConfigError, GuardError, _number
 from .indexing import (
+    _FIELD,
+    CODE_BITS,
     EMPTY,
     Index,
     LabeledSeq,
     PartitionMemo,
     canonical_key,
     mask_codes,
-    partition_sums,
+    partition_sum,
     subsets,
 )
 
@@ -241,9 +244,9 @@ def wick_from_cumulants(source, seq: LabeledSeq) -> WickPoly:
     # (-1)^|pi| prod kappa is the product of -kappa over the blocks of pi
     book, kappa_code = coded_cumulants(source)
     codes = mask_codes(book.slots(seq.indices()))
-    signed = partition_sums(len(seq), lambda block: -kappa_code(codes[block]), codes=codes)
-    full = (1 << len(seq)) - 1
-    return _poly_of_masks(seq, {u: signed(full ^ u) for u in range(full + 1)})
+    memo, full = PartitionMemo(book), len(codes) - 1
+    negative = lambda block: -kappa_code(block)  # noqa: E731
+    return _poly_of_masks(seq, {u: partition_sum(codes[full ^ u], negative, memo) for u in range(full + 1)})
 
 
 def wick_recursion_step(source, seq: LabeledSeq) -> WickPoly:
@@ -307,6 +310,37 @@ def truncated_expectation(
     return wick_product_expectation(oracle_or_kappa, [seq_i], seq_iprime)
 
 
+def _tag(slot: int, group: int, stride: int) -> int:
+    """The code of an element of source slot code ``slot`` in ``group`` of a ``stride``-group layout.
+
+    Source id i in group g is field i * stride + g, so a tagged multiset
+    meets the kernel in the order of its source ids, whatever its groups.
+    """
+    return slot**stride << CODE_BITS * group
+
+
+def _group_masks(code: int, n_groups: int, stride: int) -> list[int]:
+    """The field masks of the first ``n_groups`` groups, over the source ids a tagged code spans."""
+    row, rows = 1 << CODE_BITS * stride, -(-code.bit_length() // (CODE_BITS * stride))
+    first = _FIELD * ((row**rows - 1) // (row - 1))  # field 0 of every row
+    return [first << CODE_BITS * g for g in range(n_groups)]
+
+
+def _untagged(kappa_code, stride: int):
+    """The block weight of a ``stride``-group layout: the cumulant of the block's multiset, groups dropped."""
+
+    shifts = range(CODE_BITS, CODE_BITS * stride, CODE_BITS)
+
+    def weight(block: int) -> complex:
+        folded = block  # row i's count in field i * stride: at most 12, so no carry
+        for shift in shifts:
+            folded += block >> shift
+        fields = folded.to_bytes((folded.bit_length() + 7) // 8, "little")[::stride]
+        return kappa_code(int.from_bytes(fields, "little"))
+
+    return weight
+
+
 def wick_product_expectation(
     source,
     blocks: Sequence[LabeledSeq],
@@ -317,35 +351,21 @@ def wick_product_expectation(
     sequence in which no block may sit inside a single Wick group J_l.
 
     Blocks inside the plain tail J' are allowed.  With one Wick group this
-    reduces to :func:`truncated_expectation`.  The sum is evaluated by
-    :func:`wickkit.indexing.partition_sums` over the label bitmasks of the
-    merged sequence, each element coded by its (Wick group, index) pair, so
-    that both the cumulant of a block and whether it is admissible depend on
-    its code alone.  ``memo`` lets the sums over one cumulant source share
-    their states; it is lent by the owner of such a family of sums, one
-    :meth:`wickkit.hierarchy.HierarchyPlan.evaluate` call or
-    :func:`wickkit.hierarchy.duhamel_expand`.  By default each call has its
-    own.
+    reduces to :func:`truncated_expectation`.  The merged sequence is one
+    code over the source's book, each element tagged with its group (the
+    tail is group ``len(blocks)``, :func:`_tag`), which
+    :func:`wickkit.indexing.partition_sum` sums with the groups as field
+    masks, a block weighing the cumulant of its untagged multiset.
+    ``memo`` lets the sums over one source with one number of Wick groups
+    share their states, as in :func:`wickkit.hierarchy.duhamel_expand`.
     """
-    tags: list[tuple] = []  # (Wick group or None for the tail, index) per element
-    outside: list[int] = []  # per Wick group, the labels not in it, as a bitmask
-    for g, piece in enumerate(blocks):
-        outside.append(~(((1 << len(piece)) - 1) << len(tags)))
-        tags += [(g, idx) for _, idx in piece.elements]
-    tags += [(None, idx) for _, idx in tail.elements]
-
-    def admissible(block: int) -> bool:
-        return all(block & labels for labels in outside)
-
     book, kappa_code = coded_cumulants(source)
-    if memo is None:
-        memo = PartitionMemo()
-    keys = memo.book.slots(tags)
-    full = sum(keys)
-    if full in memo.totals:  # a shared memo has summed this merged multiset already
-        return memo.totals[full]
-    slots = book.slots([idx for _, idx in tags])
-    return _coded_sum(kappa_code, slots, memo, keys, admissible)
+    stride = len(blocks) + 1
+    code = sum(
+        _tag(slot, g, stride) for g, piece in enumerate([*blocks, tail]) for slot in book.slots(piece.indices())
+    )
+    memo = PartitionMemo(book) if memo is None else memo
+    return partition_sum(code, _untagged(kappa_code, stride), memo, _group_masks(code, len(blocks), stride))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for labeled sequences, subsequence/partition enumeration, and guards."""
 
+import itertools
 import math
 import random
 
@@ -7,19 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wickkit.cumulants import CumulantTable
 from wickkit.errors import GuardError
 from wickkit.indexing import (
     EMPTY,
     LabeledSeq,
     Codebook,
     Partition,
+    PartitionMemo,
     canonical_key,
-    mask_codes,
-    partition_sums,
+    partition_sum,
     partitions,
     partitions_of,
     subsets,
 )
+
+from _support import brute_product_expectation, multiset
 
 # Bell numbers B_0..B_12 (classical sequence, independently checkable by the
 # Bell triangle recurrence; frozen here as data).
@@ -184,55 +188,93 @@ class TestPartitions:
             Partition((frozenset({1, 2}), frozenset({2, 3})))
 
 
+def unit_sum(indices) -> complex:
+    """The kernel's partition sum of unit weights over a fresh memo: the partition count."""
+    return partition_sum(Codebook().code(indices), lambda block: 1.0, PartitionMemo())
+
+
 class TestBellNumber:
-    # the kernel up to its guard, keyed by mask and by the multiset code of
-    # one repeated index, where all masks of one size share a key
+    # the kernel up to its guard, over n distinct indices (one block per label
+    # subset) and over one index repeated n times (one block per size, with
+    # its binomial count)
     @pytest.mark.parametrize("n", range(13))
     def test_against_frozen_sequence(self, n):
-        full = (1 << n) - 1
-        assert partition_sums(n, lambda block: 1.0)(full) == BELL[n]
-        codes = mask_codes(Codebook().slots(["a"] * n))
-        assert partition_sums(n, lambda block: 1.0, codes=codes)(full) == BELL[n]
+        assert unit_sum(range(n)) == BELL[n]
+        assert unit_sum(["a"] * n) == BELL[n]
 
 
 class TestPartitionSum:
     @pytest.mark.parametrize("n", range(0, 9))
     def test_unit_weights_count_bell(self, n):
-        assert partition_sums(n, lambda block: 1.0)((1 << n) - 1) == BELL[n]
+        # three indices, repeated: the binomial counts make up every label subset
+        assert unit_sum([k % 3 for k in range(n)]) == BELL[n]
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_matches_brute_force_oracle(self, n):
-        # a distinct random weight per block, noncontiguous labels, and the
-        # rule "every block meets the last two labels" as the admissibility
-        labels = [3 * k + 2 for k in range(n)]
+        # a distinct random weight per block over n distinct ids, and the rule
+        # "every block meets the last two ids" as the admissibility: the
+        # first n - 2 ids are one Wick group, a field mask
         rng = random.Random(n)
         weights = {}
 
-        def weight_of(block_labels):
-            if block_labels not in weights:
-                weights[block_labels] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            return weights[block_labels]
+        def weight_of(block_ids):
+            if block_ids not in weights:
+                weights[block_ids] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            return weights[block_ids]
 
         def weight(block):
-            return weight_of(frozenset(lab for i, lab in enumerate(labels) if block >> i & 1))
+            return weight_of(frozenset(i for i in range(n) if block >> 8 * i & 0xFF))
 
-        right_labels = set(labels[-2:])
-        right_mask = ((1 << n) - 1) ^ ((1 << max(n - 2, 0)) - 1)
-        for admissible, keep in (
-            (None, lambda part: True),
-            (lambda m: m & right_mask, lambda part: all(b & right_labels for b in part)),
-        ):
-            got = partition_sums(n, weight, admissible)((1 << n) - 1)
+        code = Codebook().code(range(n))
+        first = sum(0xFF << 8 * i for i in range(max(n - 2, 0)))
+        right = set(range(n)[-2:])
+        for groups, keep in (([], lambda part: True), ([first], lambda part: all(b & right for b in part))):
+            got = partition_sum(code, weight, PartitionMemo(), groups)
             want = sum(
-                (math.prod(weight_of(b) for b in part)
-                 for part in brute_partitions(labels) if keep(part)),
+                (math.prod(weight_of(b) for b in part) for part in brute_partitions(range(n)) if keep(part)),
                 0.0,
             )
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_guard(self):
-        with pytest.raises(GuardError):
-            partition_sums(13, lambda block: 1.0)
+        # 13 elements trip the guard before a weight is read or a state is kept
+        memo = PartitionMemo()
+        for indices in (range(13), ["a"] * 13, [k % 4 for k in range(13)]):
+            with pytest.raises(GuardError, match="partition enumeration guard: 13 > 12"):
+                partition_sum(Codebook().code(indices), lambda block: pytest.fail("weighed"), memo)
+        assert (memo.totals, memo.weights) == ({0: 1.0}, {})
+
+
+class TestKernelAgainstEnumeration:
+    """The kernel on random tables with repeated indices, against the sum over every set partition."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_variables", [2, 3, 4])
+    def test_moments(self, n_variables, seed):
+        rng = random.Random(100 * n_variables + seed)
+        variables = list(range(n_variables))
+        keys = [k for r in range(1, 6) for k in itertools.combinations_with_replacement(variables, r)]
+        table = CumulantTable(entries={k: complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) for k in keys})
+        kappa = {multiset(k): v for k, v in table.entries.items()}
+        memo = PartitionMemo(table.book)  # one memo serves every sum over the table
+        got, want = [], []
+        for _ in range(12):
+            key = [rng.choice(variables) for _ in range(rng.randint(0, 7))]
+            got.append(partition_sum(table.book.code(key), table.kappa_code, memo))
+            want.append(brute_product_expectation(lambda m: kappa.get(m, 0.0), [], key))
+        scale = max(abs(w) for w in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
+
+    def test_a_multiset_inside_one_group_sums_to_zero_without_a_walk(self):
+        book = Codebook()
+        code = book.code(["a", "a", "b"])
+        memo = PartitionMemo(book)
+        got = partition_sum(code, lambda block: pytest.fail("weighed"), memo, [0xFFFF])
+        assert got == 0 and (memo.totals, memo.weights) == ({0: 1.0}, {})
+        # a wider multiset sums, and its remainders inside the group are not kept
+        wide = code + book.code(["c"])
+        partition_sum(wide, lambda block: 1.0, memo, [0xFFFF])
+        assert all(state & ~0xFFFF for state in memo.totals if state)
 
 
 @given(st.lists(st.sampled_from("abc"), min_size=0, max_size=7))

@@ -574,6 +574,14 @@ class TestPrelimitKernel:
             with pytest.raises(ConfigError, match="positive, finite kinetic time"):
                 CollisionConfig(lattice=lat, dispersion=disp, delta_model="fejer", window_tau=0.1, window_coupling=coupling)
 
+    def test_a_long_window_has_a_finite_height(self):
+        # T = 1e160 squares out of the floats; the height tau T = tau^2 / coupling^2 does not
+        assert float(prelimit_window(np.array(0.0), 1e-80, 1.0)) == 1e160
+        assert float(prelimit_window(np.array(1.0), 1e-80, 1.0)) >= 0.0
+        # where tau T itself leaves the floats, the window is refused
+        with pytest.raises(ConfigError, match="window height"):
+            prelimit_window(np.array(0.0), 1.0, 1e200)
+
     def test_kernel_over_tau_equals_fejer_collision_operator(self):
         # integrating the squared oscillatory phase over the time window
         # produces exactly 2 pi tau times the unit-mass fejer kernel, so the

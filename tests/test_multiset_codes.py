@@ -80,7 +80,7 @@ class TestCodebook:
         book = Codebook()
         code = book.code(["b", ("q", 1), "b", 3])
         assert book.key(code) == book.key(book.code(book.key(code)))
-        assert sorted(book.slots_of(code)) == sorted(book.slots(["b", ("q", 1), "b", 3]))
+        assert sorted(book.slots(book.key(code))) == sorted(book.slots(["b", ("q", 1), "b", 3]))
 
     def test_count_guard(self):
         book = Codebook()

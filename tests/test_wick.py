@@ -32,7 +32,10 @@ from wickkit.wick import (
 )
 
 from _support import (
+    brute_product_expectation,
+    brute_wick_coefficients,
     mobius_cumulant,
+    multiset,
     random_moment_oracle,
     random_sequences,
     substitute_index,
@@ -219,6 +222,63 @@ class TestExpectations:
         assert wick_product_expectation(oracle, [si], sp) == pytest.approx(
             truncated_expectation(oracle, si, sp), rel=1e-10
         )
+
+
+class TestKernelAgainstEnumeration:
+    """Wick coefficients and pair expectations on random tables with repeated
+    indices, against the sums over every set partition in ``_support``."""
+
+    @staticmethod
+    def random_table(rng, n_variables):
+        keys = [k for r in range(1, 6) for k in itertools.combinations_with_replacement(range(n_variables), r)]
+        table = CumulantTable(entries={k: 0.5 * complex(*rng.standard_normal(2)) for k in keys})
+        kappa = {multiset(k): v for k, v in table.entries.items()}
+        return table, lambda m: kappa.get(m, 0.0)
+
+    @pytest.mark.parametrize("n_variables", [2, 3, 4])
+    def test_wick_coefficients(self, n_variables):
+        rng = np.random.default_rng(400 + n_variables)
+        table, kappa = self.random_table(rng, n_variables)
+        for n in range(7):
+            indices = [int(i) for i in rng.integers(n_variables, size=n)]
+            got = wick_from_cumulants(table, seq(*indices))
+            want = brute_wick_coefficients(kappa, indices)
+            scale = max(abs(w) for w in want.values())
+            worst = max(abs(got.coeff(label + 1 for label in u) - w) for u, w in want.items())
+            assert worst <= 1e-12 * scale
+
+    @pytest.mark.parametrize("tail_n", [0, 2])
+    @pytest.mark.parametrize("n_groups", [1, 2, 3])
+    @pytest.mark.parametrize("n_variables", [2, 3, 4])
+    def test_pair_expectations(self, n_variables, n_groups, tail_n):
+        rng = np.random.default_rng([n_variables, n_groups, tail_n])
+        table, kappa = self.random_table(rng, n_variables)
+        got, want = [], []
+        for _ in range(6):
+            sizes = [int(k) for k in rng.integers(1, 4, size=n_groups)]
+            groups = [[int(i) for i in rng.integers(n_variables, size=k)] for k in sizes]
+            tail = [int(i) for i in rng.integers(n_variables, size=tail_n)]
+            got.append(wick_product_expectation(table, [seq(*g) for g in groups], seq(*tail)))
+            want.append(brute_product_expectation(kappa, groups, tail))
+        scale = max(abs(w) for w in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
+
+    def test_a_multiset_inside_one_group_sums_to_exactly_zero(self):
+        table, _ = self.random_table(np.random.default_rng(5), 3)
+        for groups in ([seq(0, 0, 1)], [seq(2, 1), EMPTY], [EMPTY, seq(0, 1, 1, 2), EMPTY]):
+            memo = PartitionMemo()
+            assert wick_product_expectation(table, groups, memo=memo) == 0
+            assert (memo.totals, memo.weights) == ({0: 1.0}, {})
+
+    def test_thirteen_elements_trip_the_guard_before_anything_is_summed(self):
+        table, _ = self.random_table(np.random.default_rng(6), 2)
+        memo = PartitionMemo()
+        for groups, tail in (([seq(*[0] * 7)], seq(*[1] * 6)), ([seq(0, 1)] * 5, seq(0, 1, 1))):
+            with pytest.raises(GuardError, match="partition enumeration guard: 13 > 12"):
+                wick_product_expectation(table, groups, tail, memo=memo)
+        assert (memo.totals, memo.weights) == ({0: 1.0}, {})
+        with pytest.raises(GuardError, match="partition enumeration guard: 13 > 12"):
+            moments_from_cumulants(table, seq(*[0, 1] * 6, 0))
 
 
 class TestInversion:
