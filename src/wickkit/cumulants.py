@@ -263,7 +263,7 @@ _PLAIN, _MAX = (int, float), sys.float_info.max
 def _as_index(token):
     if isinstance(token, list):
         return tuple(_as_index(t) for t in token)
-    if isinstance(token, dict) or isinstance(token, float) and not math.isfinite(token):
+    if token is None or isinstance(token, (bool, dict)) or isinstance(token, float) and not math.isfinite(token):
         raise ConfigError(f"an index must be a finite number, a string or a list of them, got {token!r}")
     return token
 

@@ -12,16 +12,15 @@ which no block may sit inside a single Wick factor.  Truncation closes the
 hierarchy: cumulants above the state table's max order read as zero.
 
 That sum depends on the two Wick factors' multisets alone, so every route to
-the right-hand side goes through a :class:`HierarchyPlan`, which codes each
-(target, slot, drive) pair by multiset-code arithmetic and keeps the
-distinct amplitudes.  An evaluation calls each amplitude once and sums each
-distinct pair code once with the partition-sum kernel, against a memo of its
-own that lives as long as the call, then adds every target's terms in
-(slot, drive) order, so every result keeps the bytes of the term-by-term
-loop over :func:`wickkit.wick.wick_product_expectation`.
-:func:`hierarchy_rhs` plans one target and :func:`hierarchy_rhs_table` its
-distinct targets; :func:`integrate_hierarchy` plans all its keys once and
-evaluates the plan on every RK4 stage.
+the right-hand side goes through a :class:`HierarchyPlan`, which keeps the
+distinct (drive, rest) pairs and the distinct amplitudes.  An evaluation
+calls each amplitude once, hands the pairs it needs to the one pair-sum
+routine of :mod:`wickkit.wick`, which sums each once over a memo of its own,
+then adds every target's terms in (slot, drive) order.  No caller passes a
+memo anywhere.  :func:`hierarchy_rhs` plans one target and
+:func:`hierarchy_rhs_table` its distinct targets; :func:`integrate_hierarchy`
+plans all its keys once and evaluates the plan on every RK4 stage, and
+:func:`duhamel_expand` evaluates a plan on the amplitudes' integrals.
 """
 
 from __future__ import annotations
@@ -33,11 +32,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .cumulants import CumulantBackedOracle, CumulantTable, MomentOracle
 from .errors import ConfigError, rk4, step_count
-from .indexing import CODE_BITS, EMPTY, Codebook, Index, LabeledSeq, PartitionMemo, canonical_key, partition_sum
-from .wick import _group_masks, _tag, _untagged, wick_product_expectation
-
-#: the tag layout of a pair E[W[y^I] W[y^J]]: the drive I is group 0, the rest J group 1, no tail
-_STRIDE = 3
+from .indexing import EMPTY, Codebook, Index, LabeledSeq, canonical_key
+from .wick import _group_code, _group_sums
 
 Amplitude = Callable[[float, CumulantTable], complex]
 
@@ -95,12 +91,12 @@ class HierarchyPlan:
     Each (target, slot, drive) term of the hierarchy is the drive's amplitude
     times the pair expectation E[W[y^I] W[y^(I' minus i)]].  That sum sees the
     two Wick factors only through their multisets, so the plan codes every
-    pair once, in the layout of :func:`wickkit.wick.wick_product_expectation`
-    over the plan's ``book`` (each element tagged with its factor, 0 for the
-    drive and 1 for the target's rest): the target's code minus the slot's
-    plus the drive's.  It also keeps the distinct amplitude callables, in the
-    order of their first call, and every term in the order (target, slot,
-    drive).
+    pair as a Wick-group code over the plan's ``book``
+    (:func:`wickkit.wick._group_code`, the drive group 0 and the rest group
+    1): the target's code minus the slot's plus the drive's, since codes of
+    disjoint groups add.  It keeps the distinct ones in ``pair_codes``, the
+    distinct amplitude callables in the order of their first call, and every
+    term in the order (target, slot, drive).
 
     A plan holds no values and may serve any number of states, for example
     every stage of an RK4 march.
@@ -112,8 +108,8 @@ class HierarchyPlan:
         self.amplitudes: list[Amplitude] = []
         amplitude_at: dict[int, int] = {}  # by id of the callable, kept alive in self.amplitudes
         pair_at: dict[int, int] = {}  # pair code -> its position, in order of first use
-        # per driven index: (amplitude position, drive code) of each drive
-        drives: dict[Index, list[tuple[int, int]]] = {}
+        # per driven index: its code in the rest's group, and (amplitude position, drive code) of each drive
+        drives: dict[Index, tuple[int, list[tuple[int, int]]]] = {}
         # per term: amplitude position and pair position
         self._amplitude: list[int] = []
         self._pair: list[int] = []
@@ -121,75 +117,56 @@ class HierarchyPlan:
         # the targets' indices first, in the order a table keyed by the targets numbers them
         book.slots(idx for target in targets for idx in target.indices())
         for target in targets:
-            slots = [_tag(slot, 1, _STRIDE) for slot in book.slots(target.indices())]
-            full = sum(slots)
-            for i, (_, idx) in enumerate(target.elements):
-                row = drives.get(idx)
-                if row is None:
-                    row = drives[idx] = []
+            full = _group_code(book, [(), target.indices()])
+            for _, idx in target.elements:
+                entry = drives.get(idx)
+                if entry is None:
+                    row = []
                     for term in model.terms.get(idx, ()):
                         a = amplitude_at.setdefault(id(term.amplitude), len(self.amplitudes))
                         if a == len(self.amplitudes):
                             self.amplitudes.append(term.amplitude)
-                        row.append((a, sum(_tag(slot, 0, _STRIDE) for slot in book.slots(term.seq.indices()))))
-                rest = full - slots[i]
+                        row.append((a, _group_code(book, [term.seq.indices(), ()])))
+                    entry = drives[idx] = (_group_code(book, [(), [idx]]), row)
+                slot, row = entry
                 for a, drive in row:
                     self._amplitude.append(a)
-                    self._pair.append(pair_at.setdefault(rest + drive, len(pair_at)))
+                    self._pair.append(pair_at.setdefault(full - slot + drive, len(pair_at)))
             self._ends.append(len(self._pair))
         self.pair_codes = list(pair_at)
 
     def evaluate(self, state: HierarchyState) -> tuple[list[complex], dict[str, int]]:
         """The right-hand side of every target at the state, and the work done.
 
-        Three passes: each amplitude is called once; each pair code that a
-        term with a nonzero amplitude needs, moved onto the table's ids, is
-        looked up in a fresh memo, and only a miss runs the kernel
-        :func:`wickkit.indexing.partition_sum`, a block weighing the table
-        cumulant of its untagged multiset; each target then adds its terms
-        in (slot, drive) order.  So every value has the bytes that
-        :func:`wickkit.wick.wick_product_expectation` gives term by term
-        over one memo.  The work dict holds the memo's counts
-        (:meth:`PartitionMemo.work`), the distinct pair codes needed
+        Each amplitude is called once.  The pair codes that a term with a
+        nonzero amplitude needs go, in order of first need, to
+        :func:`wickkit.wick._group_sums`, which sums each once over a fresh
+        memo of the table; each target then adds its terms in (slot, drive)
+        order.  So every value has the bytes of the term-by-term loop over
+        the pair expectations of :mod:`wickkit.wick`.  The work dict holds
+        the memo's counts, the distinct pair codes needed
         (``pair_expectations``) and those the memo already held
         (``pair_memo_hits``).
         """
-        if self.order > state.order_cap:
-            raise ValueError(f"target order {self.order} exceeds the closure cap {state.order_cap}")
-        t, table = state.time, state.table
-        # the pair codes over the table's ids, where every route sums a pair of this table
-        slots, codes = table.book.slots(self.book.indices), self.pair_codes
-        if slots != [1 << CODE_BITS * i for i in range(len(slots))]:  # the table numbers the indices otherwise
-            tagged = [_tag(slot, g, _STRIDE) for slot in slots for g in range(_STRIDE)]
-            codes = [sum(n * s for n, s in zip(code.to_bytes(len(tagged), "little"), tagged) if n) for code in codes]
-        memo = PartitionMemo(table.book)
-        weight = _untagged(table.kappa_code, _STRIDE)
-        groups = _group_masks(max(codes, default=0), 2, _STRIDE)
-        amps = [complex(amplitude(t, table)) for amplitude in self.amplitudes]
-        values: list[complex | None] = [None] * len(codes)
-        totals = memo.totals
-        needed = hits = 0
-        for a, p in zip(self._amplitude, self._pair):
-            if values[p] is not None or amps[a] == 0:
-                continue
-            needed += 1
-            value = totals.get(codes[p])
-            if value is None:
-                value = partition_sum(codes[p], weight, memo, groups)
-            else:
-                hits += 1
-            values[p] = value
-        out = []
-        start = 0
+        return self._rhs(state.table, lambda amplitude: amplitude(state.time, state.table))
+
+    def _rhs(self, table: CumulantTable, value: Callable[[Amplitude], complex]) -> tuple[list[complex], dict[str, int]]:
+        """:meth:`evaluate` over ``table`` with ``value(amplitude)`` standing for each amplitude callable."""
+        if self.order > table.max_order:
+            raise ValueError(f"target order {self.order} exceeds the closure cap {table.max_order}")
+        amps = [complex(value(amplitude)) for amplitude in self.amplitudes]
+        needed = list(dict.fromkeys(p for a, p in zip(self._amplitude, self._pair) if amps[a] != 0))
+        sums, work = _group_sums(table, self.book, [self.pair_codes[p] for p in needed], 2)
+        values = dict(zip(needed, sums))
+        out, start = [], 0
         for end in self._ends:
             total = 0.0 + 0.0j
             for a, p in zip(self._amplitude[start:end], self._pair[start:end]):
-                amp = amps[a]
-                if amp != 0:
-                    total += amp * values[p]
+                if amps[a] != 0:
+                    total += amps[a] * values[p]
             out.append(total)
             start = end
-        return out, {**memo.work(), "pair_expectations": needed, "pair_memo_hits": hits}
+        return out, work
 
 
 def hierarchy_rhs(model: AmplitudeModel, state: HierarchyState, target: LabeledSeq) -> complex:
@@ -300,44 +277,31 @@ class DuhamelExpansion:
         return self.zeroth + self.first_order
 
 
-def duhamel_expand(
-    model: AmplitudeModel, table0: CumulantTable, target: LabeledSeq, t: float
-) -> DuhamelExpansion:
+def duhamel_expand(model: AmplitudeModel, table0: CumulantTable, target: LabeledSeq, t: float) -> DuhamelExpansion:
     """Integrated hierarchy to first order around the initial law.
 
     kappa[target](t) = kappa[target](0)
       + sum over slots/drives of E_0[W[y^I] W[y^(target minus i)]] *
         integral over [0, t] of the amplitude (at the frozen initial table)
       + remainder descriptors carrying the tail weights.
+
+    The first order is the right-hand side of a one-target
+    :class:`HierarchyPlan` at ``table0``, each distinct amplitude callable
+    standing for its integral over [0, t]; a target above the table's max
+    order is a ValueError, as in :func:`hierarchy_rhs`.
     """
-    memo = PartitionMemo(table0.book)
-    zeroth = table0.kappa(target.indices())
-    first = 0.0 + 0.0j
+    plan = HierarchyPlan(model, [target])
+    first = plan._rhs(table0, lambda amplitude: _quad_complex(lambda s: amplitude(s, table0), 0.0, t))[0][0]
     remainder: list[RemainderTerm] = []
     for label, idx in target.elements:
         rest = target.without((label,))
         for term in model.terms.get(idx, ()):
-            pair0 = wick_product_expectation(table0, [term.seq, rest], memo=memo)
-            amp_int = _quad_complex(lambda s: term.amplitude(s, table0), 0.0, t)
-            first += pair0 * amp_int
 
-            def tail(
-                s_prime: float, _amp=term.amplitude, _t=t
-            ) -> complex:
-                return _quad_complex(lambda s: _amp(s, table0), s_prime, _t)
+            def tail(s_prime: float, amplitude=term.amplitude) -> complex:
+                return _quad_complex(lambda s: amplitude(s, table0), s_prime, t)
 
-            remainder.append(
-                RemainderTerm(
-                    slot_index=idx,
-                    seq=term.seq,
-                    rest=rest,
-                    t_end=t,
-                    tail_weight=tail,
-                )
-            )
-    return DuhamelExpansion(
-        zeroth=zeroth, first_order=first, remainder=tuple(remainder)
-    )
+            remainder.append(RemainderTerm(slot_index=idx, seq=term.seq, rest=rest, t_end=t, tail_weight=tail))
+    return DuhamelExpansion(zeroth=table0.kappa(target.indices()), first_order=first, remainder=tuple(remainder))
 
 
 # ----------------------------------------------------------------------

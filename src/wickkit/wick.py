@@ -22,7 +22,11 @@ subset's moment or cumulant by the multiset code of the subset
 (:func:`wickkit.cumulants.coded_cumulants`, the one reader of a cumulant
 source); the partition sums, whose summands are symmetric, run on multiset
 codes (:func:`wickkit.indexing.partition_sum`), so label subsets holding the
-same multiset are summed once.
+same multiset are summed once.  Every expectation of a product of Wick
+polynomials, here and in :mod:`wickkit.hierarchy`, is one such sum over a code
+whose elements are tagged with their Wick group (:func:`_group_code`), summed
+by one route (:func:`_group_sums`) over a memo of its own; this module alone
+knows that layout, and no caller passes a memo.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .indexing import (
     _FIELD,
     CODE_BITS,
     EMPTY,
+    Codebook,
     Index,
     LabeledSeq,
     PartitionMemo,
@@ -310,13 +315,21 @@ def truncated_expectation(
     return wick_product_expectation(oracle_or_kappa, [seq_i], seq_iprime)
 
 
-def _tag(slot: int, group: int, stride: int) -> int:
-    """The code of an element of source slot code ``slot`` in ``group`` of a ``stride``-group layout.
+def _group_code(book: Codebook, groups: Sequence[Sequence[Index]], tail: Sequence[Index] = ()) -> int:
+    """The code over ``book`` of Wick groups and a plain tail, the tail being group ``len(groups)``.
 
-    Source id i in group g is field i * stride + g, so a tagged multiset
-    meets the kernel in the order of its source ids, whatever its groups.
+    Id i in group g is field i * (len(groups) + 1) + g, so a tagged multiset
+    meets the kernel in the order of its ids, whatever its groups, and the
+    codes of one number of groups add as their groups' multisets do.  Each
+    group is coded by :meth:`Codebook.code`, so one that repeats an index
+    past a field's count is a GuardError, not a carry into the next group.
     """
-    return slot**stride << CODE_BITS * group
+    codes = [book.code(piece) for piece in [*groups, tail]]
+    stride, width = len(codes), max((code.bit_length() + 7) // 8 for code in codes)
+    fields = bytearray(stride * width)
+    for g, code in enumerate(codes):
+        fields[g::stride] = code.to_bytes(width, "little")
+    return int.from_bytes(fields, "little")
 
 
 def _group_masks(code: int, n_groups: int, stride: int) -> list[int]:
@@ -341,31 +354,48 @@ def _untagged(kappa_code, stride: int):
     return weight
 
 
-def wick_product_expectation(
-    source,
-    blocks: Sequence[LabeledSeq],
-    tail: LabeledSeq = EMPTY,
-    memo: PartitionMemo | None = None,
-) -> complex:
+def _group_sums(source, book: Codebook, codes: Sequence[int], n_groups: int) -> tuple[list[complex], dict[str, int]]:
+    """The sums of ``codes``, made by :func:`_group_code` over ``book`` with ``n_groups`` Wick groups, and the work.
+
+    Codes move onto the source's ids first if ``book`` numbers the indices
+    otherwise.  :func:`wickkit.indexing.partition_sum` sums each over one
+    fresh memo, with the groups as field masks and a block weighing the
+    cumulant of its untagged multiset.  The work is the memo's counts, the
+    codes summed (``pair_expectations``) and those the memo held already
+    (``pair_memo_hits``).
+    """
+    source_book, kappa_code = coded_cumulants(source)
+    stride, indices = n_groups + 1, book.indices
+    if source_book.slots(indices) != [1 << CODE_BITS * i for i in range(len(indices))]:
+        moved = []
+        for code in codes:  # decoded group by group, then coded again over the source's book
+            row = code.to_bytes(stride * len(indices), "little")
+            pieces = [[index for index, n in zip(indices, row[g::stride]) for _ in range(n)] for g in range(stride)]
+            moved.append(_group_code(source_book, pieces[:-1], pieces[-1]))
+        codes = moved
+    memo = PartitionMemo(source_book)
+    weight, groups = _untagged(kappa_code, stride), _group_masks(max(codes, default=0), n_groups, stride)
+    totals, values, hits = memo.totals, [], 0
+    for code in codes:
+        held = code in totals
+        hits += held
+        values.append(totals[code] if held else partition_sum(code, weight, memo, groups))
+    return values, {**memo.work(), "pair_expectations": len(codes), "pair_memo_hits": hits}
+
+
+def wick_product_expectation(source, blocks: Sequence[LabeledSeq], tail: LabeledSeq = EMPTY) -> complex:
     """E[prod_l W[y^(J_l)] * y^J'] as the partition sum over the merged
     sequence in which no block may sit inside a single Wick group J_l.
 
     Blocks inside the plain tail J' are allowed.  With one Wick group this
     reduces to :func:`truncated_expectation`.  The merged sequence is one
-    code over the source's book, each element tagged with its group (the
-    tail is group ``len(blocks)``, :func:`_tag`), which
-    :func:`wickkit.indexing.partition_sum` sums with the groups as field
-    masks, a block weighing the cumulant of its untagged multiset.
-    ``memo`` lets the sums over one source with one number of Wick groups
-    share their states, as in :func:`wickkit.hierarchy.duhamel_expand`.
+    code, each element tagged with its group (:func:`_group_code`), summed
+    by :func:`_group_sums` over a memo of its own, as every pair sum of
+    :class:`wickkit.hierarchy.HierarchyPlan` is.
     """
-    book, kappa_code = coded_cumulants(source)
-    stride = len(blocks) + 1
-    code = sum(
-        _tag(slot, g, stride) for g, piece in enumerate([*blocks, tail]) for slot in book.slots(piece.indices())
-    )
-    memo = PartitionMemo(book) if memo is None else memo
-    return partition_sum(code, _untagged(kappa_code, stride), memo, _group_masks(code, len(blocks), stride))
+    book = Codebook()
+    code = _group_code(book, [piece.indices() for piece in blocks], tail.indices())
+    return _group_sums(source, book, [code], len(blocks))[0][0]
 
 
 # ----------------------------------------------------------------------

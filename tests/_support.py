@@ -15,7 +15,7 @@ import numpy as np
 from wickkit.cumulants import CumulantTable, MomentOracle, TableOracle, coded_cumulants
 from wickkit.errors import rk4, step_count
 from wickkit.hierarchy import HierarchyState, all_keys_up_to
-from wickkit.indexing import LabeledSeq, PartitionMemo, canonical_key, partitions
+from wickkit.indexing import LabeledSeq, canonical_key, partitions
 from wickkit.wick import wick_from_cumulants, wick_product_expectation
 
 
@@ -399,18 +399,17 @@ def reference_time_domain_sums(values, omega, nodes, weights, block_elements):
 # the hierarchy right-hand side, term by term
 
 
-def reference_hierarchy_rhs(model, state, target, memo=None):
+def reference_hierarchy_rhs(model, state, target):
     """d/dt kappa[target] with the amplitude and the pair expectation called afresh per (slot, drive).
 
     This is the loop the package ran before it planned the right-hand side
-    by pair code, kept as the byte oracle of ``HierarchyPlan``: over one memo
-    it makes the same sums in the same order."""
+    by pair code, kept as the byte oracle of ``HierarchyPlan``: a memo shared
+    or not never changes a partition sum's value, so it adds the same values
+    in the same order."""
     if len(target) == 0:
         return 0.0 + 0.0j
     if len(target) > state.order_cap:
         raise ValueError(f"target order {len(target)} exceeds the closure cap {state.order_cap}")
-    if memo is None:
-        memo = PartitionMemo()
     total = 0.0 + 0.0j
     for label, idx in target.elements:
         drives = model.terms.get(idx, ())
@@ -421,13 +420,13 @@ def reference_hierarchy_rhs(model, state, target, memo=None):
             amp = complex(term.amplitude(state.time, state.table))
             if amp == 0:
                 continue
-            total += amp * wick_product_expectation(state.table, [term.seq, rest], memo=memo)
+            total += amp * wick_product_expectation(state.table, [term.seq, rest])
     return total
 
 
 def reference_integrate_hierarchy(model, state0, t_end, dt):
     """The final table of the RK4 march with every stage's right-hand sides
-    from :func:`reference_hierarchy_rhs` over one fresh memo per stage."""
+    from :func:`reference_hierarchy_rhs`."""
     cap = state0.order_cap
     keys = all_keys_up_to(model.universe(), cap)
 
@@ -435,9 +434,9 @@ def reference_integrate_hierarchy(model, state0, t_end, dt):
         return CumulantTable(entries=dict(zip(keys, vec)), max_order=cap)
 
     def rhs(t, vec):
-        state, memo = HierarchyState(table=table_of(vec), time=t), PartitionMemo()
+        state = HierarchyState(table=table_of(vec), time=t)
         return np.array(
-            [reference_hierarchy_rhs(model, state, LabeledSeq.from_indices(key), memo) for key in keys], dtype=complex
+            [reference_hierarchy_rhs(model, state, LabeledSeq.from_indices(key)) for key in keys], dtype=complex
         )
 
     n_steps = step_count(t_end, dt, "reference march")

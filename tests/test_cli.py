@@ -1449,6 +1449,46 @@ class TestInputBoundary:
         assert_error_line(stderr, 3)
         assert not any((tmp_path / "run").iterdir())
 
+    @pytest.mark.parametrize("copies", [256, 257])
+    def test_a_drive_repeating_an_index_past_its_code_field_exits_3_without_results(self, tmp_path, copies):
+        # a Wick-group code counts each index of a group in one byte: 256 copies would carry into the next group
+        params = {
+            "order": 2,
+            "model": {"terms": [{"index": "a", "seq": ["a"] * copies, "amplitude": {"type": "constant", "value": [1.0, 0.0]}}]},
+            "table": {'["a"]': [0.5, 0.0], '["a","a"]': [1.0, 0.0]},
+        }
+        config = {"schema_version": SCHEMA_VERSION, "kind": "hierarchy-rhs", "params": params}
+        code, stderr = run_in_process("hierarchy-rhs", config, tmp_path)
+        assert code == 3, stderr
+        assert_error_line(stderr, 3)
+        assert "multiset code guard" in json.loads(stderr)["message"]
+        assert not any((tmp_path / "run").iterdir())
+
+    # every reader of an index, as (kind, key path, the value that puts the token there)
+    INDEX_SITES = {
+        "wick-expand index": ("wick-expand", ("params", "indices"), lambda token: [token, 1]),
+        "table key": ("wick-expand", ("params", "cumulants"), lambda token: {f"[{json.dumps(token)}]": [0.5, 0.0]}),
+        "model index": ("hierarchy-rhs", ("params", "model", "terms", 0, "index"), lambda token: token),
+        "model seq entry": ("hierarchy-rhs", ("params", "model", "terms", 0, "seq"), lambda token: [token]),
+    }
+
+    @pytest.mark.parametrize("token", [True, False, None])
+    @pytest.mark.parametrize("site", list(INDEX_SITES))
+    def test_a_bool_or_null_index_exits_2_without_results(self, tmp_path, site, token):
+        # true would be the index 1 and false the index 0 in every code book
+        kind, path, value = self.INDEX_SITES[site]
+        code, stderr = run_in_process(kind, replaced(boundary_config(kind), path, value(token)), tmp_path)
+        assert code == 2, stderr
+        assert_error_line(stderr, 2)
+        assert f"got {token!r}" in json.loads(stderr)["message"]
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    @pytest.mark.parametrize("token", [True, False, None])
+    def test_a_bool_or_null_ground_index_is_a_config_error(self, token):
+        data = {"ground": [[1, token]], "terms": [{"subset": [1], "coeff": [1.0, 0.0]}]}
+        with pytest.raises(ConfigError, match=f"got {token!r}"):
+            WickPoly.from_json(data)
+
     @pytest.mark.parametrize("spelling", ["[2,1]", "[1, 2]"])
     @pytest.mark.parametrize(
         "kind, direction, site",

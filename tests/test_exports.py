@@ -1,10 +1,13 @@
 """The export lists of the modules with an ``__all__`` match what they define,
-and the public signatures of the combinatorial core take no partition-sum memo."""
+the public signatures of the combinatorial core take no partition-sum memo,
+and one module owns the Wick-group code layout."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -38,13 +41,31 @@ def public_callables(module):
 
 @pytest.mark.parametrize("name", ["wickkit.cumulants", "wickkit.hierarchy", "wickkit.wick"])
 def test_no_public_signature_takes_a_memo_book_or_work_dict(name):
-    # a memo belongs to the object whose sums it caches; only the kernel that
-    # the owners lend their memo to, wick_product_expectation, takes one
+    # a memo belongs to the object whose sums it caches, and no caller lends one
     module = importlib.import_module(name)
     takers = [
         where
         for where, value in public_callables(module)
-        if where != "wick_product_expectation"
-        and {"memo", "book", "work"} & set(inspect.signature(value).parameters)
+        if {"memo", "book", "work"} & set(inspect.signature(value).parameters)
     ]
     assert takers == []
+
+
+def names_in(path: Path) -> set[str]:
+    """Every name a module defines, imports or reads."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return names
+
+
+def test_only_wick_knows_the_wick_group_layout():
+    # the tagged code layout of Wick groups has one owner; every other module sums pairs through it
+    package = Path(importlib.import_module("wickkit").__file__).parent
+    knowers = [path.stem for path in sorted(package.glob("*.py")) if {"_tag", "_untagged", "_group_masks"} & names_in(path)]
+    assert knowers == ["wick"]

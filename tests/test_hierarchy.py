@@ -25,7 +25,7 @@ from wickkit.cumulants import (
     TableOracle,
     cumulant_table_from_oracle,
 )
-from wickkit import hierarchy
+from wickkit import hierarchy, wick
 from wickkit.hierarchy import (
     AmplitudeModel,
     DuhamelExpansion,
@@ -41,7 +41,7 @@ from wickkit.hierarchy import (
     integrate_hierarchy,
     leibniz_wick_derivative,
 )
-from wickkit.indexing import EMPTY, LabeledSeq, PartitionMemo, partition_sum
+from wickkit.indexing import EMPTY, LabeledSeq, partition_sum
 from wickkit.wick import wick_from_cumulants
 
 from _support import (
@@ -201,8 +201,7 @@ class TestHierarchyPlan:
         model, table = labelled
         state = HierarchyState(table=table, time=time)
         keys = all_keys_up_to(("a", "b"), 4)
-        memo = PartitionMemo()
-        want = [reference_hierarchy_rhs(model, state, seq_of(*key), memo) for key in keys]
+        want = [reference_hierarchy_rhs(model, state, seq_of(*key)) for key in keys]
         got = hierarchy_rhs_table(model, state, keys)
         assert list(got) == keys
         assert as_bytes(got.values()) == as_bytes(want)
@@ -214,8 +213,7 @@ class TestHierarchyPlan:
         plan = HierarchyPlan(model, [seq_of(*key) for key in keys])
         # table A, then B, then A again: no evaluation reads the sums of another table
         first, on_b, again = (plan.evaluate(HierarchyState(table=t, time=1.5))[0] for t in (a, b, a))
-        memo = PartitionMemo()
-        want = [reference_hierarchy_rhs(model, HierarchyState(table=a, time=1.5), seq_of(*key), memo) for key in keys]
+        want = [reference_hierarchy_rhs(model, HierarchyState(table=a, time=1.5), seq_of(*key)) for key in keys]
         assert as_bytes(first) == as_bytes(again) == as_bytes(want)
         fresh, _ = HierarchyPlan(model, [seq_of(*key) for key in keys]).evaluate(HierarchyState(table=b, time=1.5))
         assert as_bytes(on_b) == as_bytes(fresh) != as_bytes(first)
@@ -256,7 +254,7 @@ class TestHierarchyPlan:
         model, state = bench_size_model()
         keys = all_keys_up_to((1, 2, 3), 5)
         runs = []
-        monkeypatch.setattr(hierarchy, "partition_sum", lambda *args: runs.append(1) or partition_sum(*args))
+        monkeypatch.setattr(wick, "partition_sum", lambda *args: runs.append(1) or partition_sum(*args))
         _, work = HierarchyPlan(model, [seq_of(*key) for key in keys]).evaluate(state)
         # the distinct (drive, rest) multiset pairs, counted without the plan
         pairs = {
@@ -298,8 +296,7 @@ class TestHierarchyPlan:
         for table in tables:
             state = HierarchyState(table=table, time=1.5)
             got, _ = plan.evaluate(state)
-            memo = PartitionMemo()
-            want = [reference_hierarchy_rhs(model, state, seq_of(*key), memo) for key in keys]
+            want = [reference_hierarchy_rhs(model, state, seq_of(*key)) for key in keys]
             assert as_bytes(got) == as_bytes(want)
 
     def test_march_across_a_zero_amplitude_switch(self, labelled):
@@ -640,6 +637,45 @@ class TestDuhamel:
             assert r.tail_weight(t) == pytest.approx(0.0, abs=1e-12)
             assert r.tail_weight(0.0) == pytest.approx(t, rel=1e-10)
             assert r.tail_weight(0.3) == pytest.approx(t - 0.3, rel=1e-9)
+
+    def test_each_distinct_amplitude_is_integrated_once(self, monkeypatch):
+        integrals = []
+        quad = hierarchy._quad_complex
+        monkeypatch.setattr(hierarchy, "_quad_complex", lambda fn, a, b: integrals.append((a, b)) or quad(fn, a, b))
+
+        def shared(t, table):
+            return 0.5 + 0.1j * t
+
+        model = AmplitudeModel(
+            terms={
+                "x": [InteractionTerm(seq_of("y"), shared), InteractionTerm(seq_of("x", "y"), constant_amplitude(-0.2))],
+                "y": [InteractionTerm(seq_of("x"), shared)],
+            }
+        )
+        table0 = CumulantTable(entries={key: 0.1 * len(key) for key in all_keys_up_to(("x", "y"), 3)}, max_order=3)
+        target = seq_of("x", "y", "x")
+        exp = duhamel_expand(model, table0, target, 0.4)
+        assert integrals == [(0.0, 0.4)] * 2  # five terms, two distinct callables
+        # the integrals of 0.5 + 0.1j t and -0.2 over [0, 0.4], as constant amplitudes
+        integrated = {id(shared): constant_amplitude(0.2 + 0.008j)}
+        frozen = AmplitudeModel(
+            terms={
+                idx: [InteractionTerm(term.seq, integrated.get(id(term.amplitude), constant_amplitude(-0.08))) for term in terms]
+                for idx, terms in model.terms.items()
+            }
+        )
+        want = reference_hierarchy_rhs(frozen, HierarchyState(table0), target)
+        assert exp.first_order == pytest.approx(want, rel=1e-12)
+        assert len(exp.remainder) == 5
+
+    def test_a_target_above_the_table_order_is_refused(self):
+        lam, a_mat, idx, m0, c0, table0 = harmonic_setup()
+        model = appendix_b_model(2, power=2, couplings=lam)
+        target = seq_of(("q", 0), ("p", 0), ("q", 1))
+        with pytest.raises(ValueError, match="target order 3 exceeds the closure cap 2"):
+            hierarchy_rhs(model, HierarchyState(table0), target)
+        with pytest.raises(ValueError, match="target order 3 exceeds the closure cap 2"):
+            duhamel_expand(model, table0, target, 0.3)
 
 
 class TestLeibniz:

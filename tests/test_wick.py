@@ -16,7 +16,7 @@ from wickkit.cumulants import (
     moments_from_cumulants,
 )
 from wickkit.errors import ConfigError, GuardError
-from wickkit.indexing import EMPTY, LabeledSeq, PartitionMemo, canonical_key
+from wickkit.indexing import EMPTY, LabeledSeq, canonical_key
 from wickkit.wick import (
     WickPoly,
     gaussian_reference_wick,
@@ -266,19 +266,26 @@ class TestKernelAgainstEnumeration:
     def test_a_multiset_inside_one_group_sums_to_exactly_zero(self):
         table, _ = self.random_table(np.random.default_rng(5), 3)
         for groups in ([seq(0, 0, 1)], [seq(2, 1), EMPTY], [EMPTY, seq(0, 1, 1, 2), EMPTY]):
-            memo = PartitionMemo()
-            assert wick_product_expectation(table, groups, memo=memo) == 0
-            assert (memo.totals, memo.weights) == ({0: 1.0}, {})
+            assert wick_product_expectation(table, groups) == 0
 
     def test_thirteen_elements_trip_the_guard_before_anything_is_summed(self):
         table, _ = self.random_table(np.random.default_rng(6), 2)
-        memo = PartitionMemo()
         for groups, tail in (([seq(*[0] * 7)], seq(*[1] * 6)), ([seq(0, 1)] * 5, seq(0, 1, 1))):
             with pytest.raises(GuardError, match="partition enumeration guard: 13 > 12"):
-                wick_product_expectation(table, groups, tail, memo=memo)
-        assert (memo.totals, memo.weights) == ({0: 1.0}, {})
+                wick_product_expectation(table, groups, tail)
         with pytest.raises(GuardError, match="partition enumeration guard: 13 > 12"):
             moments_from_cumulants(table, seq(*[0, 1] * 6, 0))
+
+    @pytest.mark.parametrize("copies", [256, 257])
+    def test_a_group_repeating_an_index_past_its_field_is_refused(self, copies):
+        # 256 copies of one index would carry into the next group's field, which the guard caught only
+        # when the carry left more than 12 elements
+        table = CumulantTable(entries={("a",): 0.5, ("a", "a"): 1.0})
+        for groups, tail in (([seq(*["a"] * copies)], EMPTY), ([seq("a"), seq(*["a"] * copies)], seq("a"))):
+            with pytest.raises(GuardError, match="multiset code guard"):
+                wick_product_expectation(table, groups, tail)
+        with pytest.raises(GuardError, match="multiset code guard"):
+            truncated_expectation(table, seq(*["a"] * copies), EMPTY)
 
 
 class TestInversion:
@@ -430,13 +437,6 @@ class TestCumulantSources:
     def test_plain_callable_is_refused(self, name):
         with pytest.raises(TypeError):
             self.BUILDS[name](lambda block: 1.0)
-
-    def test_plain_callable_is_refused_before_a_shared_memo_answers(self):
-        table = CumulantTable(entries={("a",): 0.5, ("a", "b"): 0.25})
-        memo = PartitionMemo()
-        wick_product_expectation(table, [seq("a"), seq("b")], memo=memo)
-        with pytest.raises(TypeError):
-            wick_product_expectation(lambda block: 1.0, [seq("a"), seq("b")], memo=memo)
 
 
 class TestPolyUtilities:
