@@ -117,7 +117,7 @@ class CumulantBackedOracle(MomentOracle):
 
     def __init__(self, source):
         self.book, self._kappa_code = coded_cumulants(source)
-        self.memo = PartitionMemo(self.book)
+        self.memo = PartitionMemo()
 
     def moment_code(self, code: int) -> complex:
         return partition_sum(code, self._kappa_code, self.memo)
@@ -336,10 +336,11 @@ def table_to_json(entries: Mapping[tuple, complex]) -> dict[str, list[float]]:
 class CumulantTable:
     """Joint cumulants stored under canonical multiset keys, a value built once from a mapping.
 
-    Keys longer than ``max_order`` read as zero, as does the empty key.
-    Lookups go through the multiset codes of the table's ``book``.
-    ``entries`` is a read-only view under canonical keys, and the table is
-    frozen, so every oracle, memo or cache that has read it stays exact.
+    Keys longer than ``max_order`` read as zero, as do the empty key and a
+    key naming an index the table lacks.  Lookups go through the multiset
+    codes of the table's ``book``, which no read grows.  ``entries`` is a
+    read-only view under canonical keys, and the table is frozen, so every
+    oracle, memo or cache that has read it stays exact.
     """
 
     entries: Mapping[tuple, complex] = field(default_factory=dict)
@@ -365,8 +366,8 @@ class CumulantTable:
         return self._by_code.get(code, 0.0 + 0.0j)
 
     def kappa(self, key: Iterable[Index]) -> complex:
-        key = tuple(key)
-        if len(key) > self.max_order:
+        key, ids = tuple(key), self.book.ids
+        if len(key) > self.max_order or not all(index in ids for index in key):
             return 0.0 + 0.0j
         return self.kappa_code(self.book.code(key))
 
@@ -463,11 +464,14 @@ def coded_cumulants(source) -> tuple[Codebook, Callable[[int], complex]]:
     This is the one way cumulants are read.  A source is a
     :class:`CumulantTable`, a :class:`CumulantEvaluator` or a
     :class:`MomentOracle`, whose cumulants are then derived by the
-    recursion, memoized; anything else is a TypeError.
+    recursion, memoized; anything else is a TypeError.  A table's reader
+    gets a copy of the table's book, to intern indices the table lacks.
     """
+    if isinstance(source, CumulantTable):
+        return Codebook(source.book.indices), source.kappa_code
     if isinstance(source, MomentOracle):
         source = CumulantEvaluator(source)
-    if isinstance(source, (CumulantTable, CumulantEvaluator)):
+    if isinstance(source, CumulantEvaluator):
         return source.book, source.kappa_code
     raise TypeError(f"cannot interpret {type(source).__name__} as cumulants")
 

@@ -103,7 +103,6 @@ class HierarchyPlan:
     """
 
     def __init__(self, model: AmplitudeModel, targets: Sequence[LabeledSeq]) -> None:
-        self.book = book = Codebook()
         self.order = max(map(len, targets), default=0)
         self.amplitudes: list[Amplitude] = []
         amplitude_at: dict[int, int] = {}  # by id of the callable, kept alive in self.amplitudes
@@ -115,7 +114,7 @@ class HierarchyPlan:
         self._pair: list[int] = []
         self._ends: list[int] = []  # one past each target's last term
         # the targets' indices first, in the order a table keyed by the targets numbers them
-        book.slots(idx for target in targets for idx in target.indices())
+        self.book = book = Codebook(idx for target in targets for idx in target.indices())
         for target in targets:
             full = _group_code(book, [(), target.indices()])
             for _, idx in target.elements:

@@ -4,10 +4,10 @@ Everything downstream works with finite sequences of variable indices in
 which the same index may repeat.  To keep subsequences of repeated indices
 unambiguous, each occurrence carries a distinct integer label; collapsing
 (sort by label, drop labels) recovers the plain index sequence.  This module
-provides the sequence type plus the primitive operations the rest of the
-package is built on: enumerating labeled subsequences and set partitions of
-the label set, and the partition-sum kernel behind every moment, cumulant
-and Wick expectation (:func:`partition_sum`).
+provides the sequence type, the multiset codes and the partition-sum kernel
+behind every moment, cumulant and Wick expectation (:func:`partition_sum`).
+The brute-force enumerators :func:`subsets` and :func:`partitions` are kept
+for the benchmark tracer alone; no package route calls them.
 
 Moments, cumulants and the partition sums of symmetric summands depend on a
 sequence only through its multiset of indices.  Inside the package such a
@@ -109,8 +109,7 @@ class LabeledSeq:
 
         Bit ``i`` of ``mask`` selects the ``i``-th smallest label.
         """
-        # a subsequence of a valid sequence is sorted and distinct already,
-        # so the hot partition and subset loops skip __post_init__
+        # a subsequence of a valid sequence is sorted and distinct: no __post_init__
         sub = object.__new__(LabeledSeq)
         object.__setattr__(
             sub,
@@ -137,52 +136,12 @@ class LabeledSeq:
 EMPTY = LabeledSeq(())
 
 
-def subsets(
-    a: LabeledSeq, *, nonempty: bool = False, proper: bool = False
-) -> Iterator[LabeledSeq]:
-    """All labeled subsequences of ``a``, by bitmask over label rank.
-
-    Bit ``i`` of the mask selects the ``i``-th smallest label; masks run
-    0 .. 2**n - 1, so the order is deterministic.  Labels are preserved.
-    """
-    n = len(a)
-    if n > SUBSET_GUARD:
-        raise GuardError(f"subset enumeration guard: {n} > {SUBSET_GUARD}")
-    last = 1 << n
-    for mask in range(last):
-        if nonempty and mask == 0:
-            continue
-        if proper and mask == last - 1:
-            continue
+def subsets(a: LabeledSeq) -> Iterator[LabeledSeq]:
+    """All labeled subsequences of ``a``, by ascending bitmask over label rank; kept for the benchmark tracer alone."""
+    if len(a) > SUBSET_GUARD:
+        raise GuardError(f"subset enumeration guard: {len(a)} > {SUBSET_GUARD}")
+    for mask in range(1 << len(a)):
         yield a.select(mask)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A set partition of a label set into disjoint nonempty blocks.
-
-    Blocks are ordered by smallest member, which coincides with the order
-    of first appearance in the restricted-growth-string enumeration.
-    """
-
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block in partition")
-            if seen & block:
-                raise ValueError("overlapping blocks in partition")
-            seen |= block
-        ordered = tuple(sorted(self.blocks, key=min))
-        object.__setattr__(self, "blocks", ordered)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self) -> Iterator[frozenset[int]]:
-        return iter(self.blocks)
 
 
 def _check_partition_guard(n: int) -> None:
@@ -190,41 +149,21 @@ def _check_partition_guard(n: int) -> None:
         raise GuardError(f"partition enumeration guard: {n} > {PARTITION_GUARD}")
 
 
-def partitions_of(labels: Iterable[int]) -> Iterator[Partition]:
-    """Set partitions of a label collection, in restricted-growth-string order.
+def partitions(a: LabeledSeq) -> Iterator[tuple[frozenset[int], ...]]:
+    """The set partitions of ``a``'s labels as tuples of frozenset blocks, ordered by smallest member;
+    kept for the benchmark tracer alone."""
+    _check_partition_guard(len(a))
 
-    The RGS for sorted labels (l_1, ..., l_n) assigns l_1 block 0 and each
-    subsequent label a block id at most one beyond the current maximum;
-    strings are emitted lexicographically.  The empty collection yields
-    exactly the empty partition.
-    """
-    labs = sorted(set(labels))
-    n = len(labs)
-    _check_partition_guard(n)
-    if n == 0:
-        yield Partition(())
-        return
-
-    rgs = [0] * n
-
-    def walk(pos: int, maxval: int) -> Iterator[Partition]:
-        if pos == n:
-            nblocks = maxval + 1
-            members: list[list[int]] = [[] for _ in range(nblocks)]
-            for i, b in enumerate(rgs):
-                members[b].append(labs[i])
-            yield Partition(tuple(frozenset(m) for m in members))
+    def split(labels: tuple[int, ...]) -> Iterator[tuple[frozenset[int], ...]]:
+        if not labels:
+            yield ()
             return
-        for b in range(maxval + 2):
-            rgs[pos] = b
-            yield from walk(pos + 1, max(maxval, b))
+        for part in split(labels[1:]):  # the first label alone, or joined to each block in turn
+            yield (frozenset(labels[:1]), *part)
+            for i, block in enumerate(part):  # the block holding the smallest label leads
+                yield (block | {labels[0]}, *part[:i], *part[i + 1 :])
 
-    yield from walk(1, 0)
-
-
-def partitions(a: LabeledSeq) -> Iterator[Partition]:
-    """Set partitions of ``a``'s label set (see :func:`partitions_of`)."""
-    return partitions_of(a.labels)
+    yield from split(a.labels)
 
 
 class Codebook:
@@ -237,12 +176,13 @@ class Codebook:
     exactly when they are equal as multisets.  Codes add under multiset union,
     which lets the partition kernel code every label mask with one addition
     (:func:`mask_codes`).  A code means something only with the book that
-    made it.
+    made it.  A new book interns ``indices`` in turn.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, indices: Iterable[Index] = ()) -> None:
         self.ids: dict[Index, int] = {}
         self.indices: list[Index] = []
+        self.slots(indices)
 
     def slots(self, indices: Iterable[Index]) -> list[int]:
         """The code of each element in turn, interning unseen indices."""
@@ -325,7 +265,7 @@ def _blocks(code: int) -> tuple[list[int], list[int]]:
 
 
 class PartitionMemo:
-    """Partition-sum states keyed by multiset code, over ``book`` directly or in a tagged layout.
+    """Partition-sum states keyed by multiset code.
 
     ``totals`` maps a remaining multiset to its sum, and ``weights`` a block
     to its weight, or to False for a block inside one Wick group, which is
@@ -333,8 +273,7 @@ class PartitionMemo:
     sums.
     """
 
-    def __init__(self, book: Codebook | None = None) -> None:
-        self.book = Codebook() if book is None else book
+    def __init__(self) -> None:
         self.totals: dict[int, complex] = {0: 1.0 + 0.0j}
         self.weights: dict[int, Any] = {}
 

@@ -47,7 +47,6 @@ from .indexing import (
     canonical_key,
     mask_codes,
     partition_sum,
-    subsets,
 )
 
 #: construction guard: term count is 2**n and work is ~3**n
@@ -249,7 +248,7 @@ def wick_from_cumulants(source, seq: LabeledSeq) -> WickPoly:
     # (-1)^|pi| prod kappa is the product of -kappa over the blocks of pi
     book, kappa_code = coded_cumulants(source)
     codes = mask_codes(book.slots(seq.indices()))
-    memo, full = PartitionMemo(book), len(codes) - 1
+    memo, full = PartitionMemo(), len(codes) - 1
     negative = lambda block: -kappa_code(block)  # noqa: E731
     return _poly_of_masks(seq, {u: partition_sum(codes[full ^ u], negative, memo) for u in range(full + 1)})
 
@@ -321,15 +320,35 @@ def _group_code(book: Codebook, groups: Sequence[Sequence[Index]], tail: Sequenc
     Id i in group g is field i * (len(groups) + 1) + g, so a tagged multiset
     meets the kernel in the order of its ids, whatever its groups, and the
     codes of one number of groups add as their groups' multisets do.  Each
-    group is coded by :meth:`Codebook.code`, so one that repeats an index
-    past a field's count is a GuardError, not a carry into the next group.
+    nonempty group is coded by :meth:`Codebook.code`, so one that repeats an
+    index past a field's count is a GuardError, not a carry into the next
+    group, and its bytes are spread into its own fields.
     """
-    codes = [book.code(piece) for piece in [*groups, tail]]
-    stride, width = len(codes), max((code.bit_length() + 7) // 8 for code in codes)
+    pieces = [*groups, tail]
+    codes = [(g, book.code(piece)) for g, piece in enumerate(pieces) if piece]
+    stride, width = len(pieces), max(((code.bit_length() + 7) // 8 for _, code in codes), default=0)
     fields = bytearray(stride * width)
-    for g, code in enumerate(codes):
+    for g, code in codes:
         fields[g::stride] = code.to_bytes(width, "little")
     return int.from_bytes(fields, "little")
+
+
+def _moved_codes(codes: Sequence[int], book: Codebook, source_book: Codebook, stride: int) -> Sequence[int]:
+    """:func:`_group_code` codes over ``book`` moved onto the ids of ``source_book``, which interns what it lacks.
+
+    Each id's ``stride`` fields move to its index's id there, which keeps every count: no guard is needed.
+    """
+    source_book.slots(book.indices)
+    ids = [source_book.ids[index] for index in book.indices]
+    if ids == list(range(len(ids))):
+        return codes
+    moved, width = [], stride * len(source_book.indices)
+    for code in codes:
+        old, new = code.to_bytes(stride * len(ids), "little"), bytearray(width)
+        for i, j in enumerate(ids):
+            new[j * stride : (j + 1) * stride] = old[i * stride : (i + 1) * stride]
+        moved.append(int.from_bytes(new, "little"))
+    return moved
 
 
 def _group_masks(code: int, n_groups: int, stride: int) -> list[int]:
@@ -358,22 +377,16 @@ def _group_sums(source, book: Codebook, codes: Sequence[int], n_groups: int) -> 
     """The sums of ``codes``, made by :func:`_group_code` over ``book`` with ``n_groups`` Wick groups, and the work.
 
     Codes move onto the source's ids first if ``book`` numbers the indices
-    otherwise.  :func:`wickkit.indexing.partition_sum` sums each over one
-    fresh memo, with the groups as field masks and a block weighing the
-    cumulant of its untagged multiset.  The work is the memo's counts, the
-    codes summed (``pair_expectations``) and those the memo held already
-    (``pair_memo_hits``).
+    otherwise (:func:`_moved_codes`).  :func:`wickkit.indexing.partition_sum`
+    sums each over one fresh memo, with the groups as field masks and a
+    block weighing the cumulant of its untagged multiset.  The work is the
+    memo's counts, the codes summed (``pair_expectations``) and those the
+    memo held already (``pair_memo_hits``).
     """
     source_book, kappa_code = coded_cumulants(source)
-    stride, indices = n_groups + 1, book.indices
-    if source_book.slots(indices) != [1 << CODE_BITS * i for i in range(len(indices))]:
-        moved = []
-        for code in codes:  # decoded group by group, then coded again over the source's book
-            row = code.to_bytes(stride * len(indices), "little")
-            pieces = [[index for index, n in zip(indices, row[g::stride]) for _ in range(n)] for g in range(stride)]
-            moved.append(_group_code(source_book, pieces[:-1], pieces[-1]))
-        codes = moved
-    memo = PartitionMemo(source_book)
+    stride = n_groups + 1
+    codes = _moved_codes(codes, book, source_book, stride)
+    memo = PartitionMemo()
     weight, groups = _untagged(kappa_code, stride), _group_masks(max(codes, default=0), n_groups, stride)
     totals, values, hits = memo.totals, [], 0
     for code in codes:
@@ -435,40 +448,36 @@ def gaussian_reference_wick(
                 f"index {idx!r} does not address the mean/covariance arrays"
             )
 
-    match_memo: dict[frozenset, complex] = {}
+    indices, n = seq.indices(), len(seq)  # bit i of a mask is the i-th smallest label
+    full = (1 << n) - 1
+    match_memo: dict[int, complex] = {0: 1.0 + 0.0j}
 
-    def matching_sum(labels: frozenset) -> complex:
-        """Sum over perfect matchings of prod over pairs of (-C_ab)."""
-        if not labels:
-            return 1.0 + 0.0j
-        if len(labels) % 2:
+    def matching_sum(mask: int) -> complex:
+        """Sum over the perfect matchings of a label mask of prod over pairs of (-C_ab)."""
+        if mask in match_memo:
+            return match_memo[mask]
+        if mask.bit_count() % 2:
             return 0.0 + 0.0j
-        if labels in match_memo:
-            return match_memo[labels]
-        rest = sorted(labels)
-        a = rest[0]
-        ia = seq.index_at(a)
+        first, *later = [i for i in range(n) if mask >> i & 1]
         total = 0.0 + 0.0j
-        for b in rest[1:]:
-            ib = seq.index_at(b)
-            total += -cov[ia, ib] * matching_sum(labels - {a, b})
-        match_memo[labels] = total
+        for b in later:  # the lowest label paired with each later one, ascending
+            total += -cov[indices[first], indices[b]] * matching_sum(mask ^ 1 << first ^ 1 << b)
+        match_memo[mask] = total
         return total
 
-    terms: dict[frozenset, complex] = {}
-    for unpaired in subsets(seq):
-        ps = matching_sum(frozenset(set(seq.labels) - set(unpaired.labels)))
+    terms: dict[int, complex] = {}
+    for unpaired in range(full + 1):
+        ps = matching_sum(full ^ unpaired)
         if ps == 0:
             continue
-        # expand prod over unpaired slots of (y_s - mean_s)
-        u_labels = list(unpaired.labels)
-        for mask in range(1 << len(u_labels)):
-            kept = frozenset(
-                u_labels[i] for i in range(len(u_labels)) if mask >> i & 1
-            )
+        kept = 0
+        while True:  # prod over the unpaired slots of (y_s - mean_s), kept submasks ascending
             coeff = ps
-            for i in range(len(u_labels)):
-                if not mask >> i & 1:
-                    coeff *= -mean[seq.index_at(u_labels[i])]
+            for i in range(n):
+                if (unpaired ^ kept) >> i & 1:
+                    coeff *= -mean[indices[i]]
             terms[kept] = terms.get(kept, 0.0 + 0.0j) + coeff
-    return WickPoly(seq, terms)
+            if kept == unpaired:
+                break
+            kept = (kept - unpaired) & unpaired
+    return _poly_of_masks(seq, terms)

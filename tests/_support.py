@@ -15,7 +15,7 @@ import numpy as np
 from wickkit.cumulants import CumulantTable, MomentOracle, TableOracle, coded_cumulants
 from wickkit.errors import rk4, step_count
 from wickkit.hierarchy import HierarchyState, all_keys_up_to
-from wickkit.indexing import LabeledSeq, canonical_key, partitions
+from wickkit.indexing import LabeledSeq, canonical_key
 from wickkit.wick import wick_from_cumulants, wick_product_expectation
 
 
@@ -26,7 +26,7 @@ def mobius_cumulant(oracle, seq):
     if not seq:
         return 0.0 + 0.0j
     total = 0.0 + 0.0j
-    for part in partitions(seq):
+    for part in set_partitions(list(seq.labels)):
         m = len(part)
         term = complex((-1) ** (m - 1) * math.factorial(m - 1))
         for block in part:

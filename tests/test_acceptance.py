@@ -50,7 +50,7 @@ from wickkit.hierarchy import (
     hierarchy_rhs_table,
     integrate_hierarchy,
 )
-from wickkit.indexing import LabeledSeq, partitions
+from wickkit.indexing import Codebook, LabeledSeq, PartitionMemo, partition_sum
 from wickkit.kinetic import (
     CollisionConfig,
     EquilibriumParams,
@@ -224,7 +224,8 @@ def test_criterion_04_product_expectation_matches_brute_force(capsys):
 
 def test_criterion_05_moment_cumulant_roundtrip_and_bell_counts(capsys):
     # moments -> cumulants -> moments must be the identity through order 8,
-    # and the partition enumerator must count exactly the Bell numbers.
+    # and the partition enumerator must count exactly the Bell numbers: the
+    # package's one kernel, with unit weights over n distinct labels.
     t0 = time.perf_counter()
     rng = np.random.default_rng(19)
     oracle = random_moment_oracle(rng, alphabet=("a", "b"), max_order=8)
@@ -238,8 +239,7 @@ def test_criterion_05_moment_cumulant_roundtrip_and_bell_counts(capsys):
             rebuilt = back.moment_of(seq)
             worst = max(worst, abs(direct - rebuilt) / max(1.0, abs(direct)))
     bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
-    counts = [sum(1 for _ in partitions(LabeledSeq.from_indices(range(n))))
-              for n in range(11)]
+    counts = [partition_sum(Codebook().code(range(n)), lambda block: 1.0, PartitionMemo()) for n in range(11)]
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10
     assert counts == bell

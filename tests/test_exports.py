@@ -1,6 +1,7 @@
 """The export lists of the modules with an ``__all__`` match what they define,
 the public signatures of the combinatorial core take no partition-sum memo,
-and one module owns the Wick-group code layout."""
+one module owns the Wick-group code layout, and no module calls the
+enumerators kept for the benchmark tracer."""
 
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ def test_no_public_signature_takes_a_memo_book_or_work_dict(name):
 
 
 def names_in(path: Path) -> set[str]:
-    """Every name a module defines, imports or reads."""
+    """Every name a module defines, imports or reads, as a plain name or an attribute."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -61,11 +62,22 @@ def names_in(path: Path) -> set[str]:
             names.add(node.name)
         elif isinstance(node, ast.Name):
             names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
     return names
+
+
+def modules_naming(names: set[str]) -> list[str]:
+    package = Path(importlib.import_module("wickkit").__file__).parent
+    return [path.stem for path in sorted(package.glob("*.py")) if names & names_in(path)]
 
 
 def test_only_wick_knows_the_wick_group_layout():
     # the tagged code layout of Wick groups has one owner; every other module sums pairs through it
-    package = Path(importlib.import_module("wickkit").__file__).parent
-    knowers = [path.stem for path in sorted(package.glob("*.py")) if {"_tag", "_untagged", "_group_masks"} & names_in(path)]
-    assert knowers == ["wick"]
+    assert modules_naming({"_tag", "_untagged", "_group_masks"}) == ["wick"]
+
+
+def test_only_indexing_names_the_enumerators_kept_for_the_tracer():
+    # every partition sum runs through the kernel; the brute-force walks stay in indexing for
+    # the benchmark tracer alone, and the tests keep their own
+    assert modules_naming({"subsets", "partitions", "partitions_of", "Partition"}) == ["indexing"]

@@ -1,4 +1,4 @@
-"""Tests for labeled sequences, subsequence/partition enumeration, and guards."""
+"""Tests for labeled sequences, the enumerators kept for the benchmark tracer, the partition-sum kernel, and guards."""
 
 import itertools
 import math
@@ -14,42 +14,18 @@ from wickkit.indexing import (
     EMPTY,
     LabeledSeq,
     Codebook,
-    Partition,
     PartitionMemo,
     canonical_key,
     partition_sum,
     partitions,
-    partitions_of,
     subsets,
 )
 
-from _support import brute_product_expectation, multiset
+from _support import brute_product_expectation, multiset, set_partitions
 
 # Bell numbers B_0..B_12 (classical sequence, independently checkable by the
 # Bell triangle recurrence; frozen here as data).
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
-
-
-def brute_partitions(items):
-    """Independent partition oracle: insert each element into an existing
-    block or a new one.  Returns a set of partitions as frozensets of
-    frozensets, which is order-free by construction."""
-    items = list(items)
-    if not items:
-        return {frozenset()}
-    result = set()
-
-    def grow(pos, blocks):
-        if pos == len(items):
-            result.add(frozenset(frozenset(b) for b in blocks))
-            return
-        x = items[pos]
-        for i in range(len(blocks)):
-            grow(pos + 1, blocks[:i] + [blocks[i] + [x]] + blocks[i + 1 :])
-        grow(pos + 1, blocks + [[x]])
-
-    grow(0, [])
-    return result
 
 
 class TestLabeledSeq:
@@ -116,12 +92,6 @@ class TestSubsets:
         assert [t.labels for t in subs[1:4]] == [(1,), (2,), (1, 2)]
         assert subs[-1] == s
 
-    def test_nonempty_and_proper_flags(self):
-        s = LabeledSeq.from_indices(["a", "b"])
-        assert len(list(subsets(s, nonempty=True))) == 3
-        assert len(list(subsets(s, proper=True))) == 3
-        assert len(list(subsets(s, nonempty=True, proper=True))) == 2
-
     def test_labels_preserved(self):
         s = LabeledSeq(((2, "a"), (7, "b")))
         labelsets = {t.labels for t in subsets(s)}
@@ -136,6 +106,11 @@ class TestSubsets:
         assert list(subsets(EMPTY)) == [EMPTY]
 
 
+def as_blocks(part):
+    """A partition as an order-free set of frozenset blocks."""
+    return frozenset(map(frozenset, part))
+
+
 class TestPartitions:
     @pytest.mark.parametrize("n", range(0, 9))
     def test_counts_match_bell(self, n):
@@ -145,47 +120,30 @@ class TestPartitions:
     @pytest.mark.parametrize("n", range(0, 7))
     def test_matches_brute_force_oracle(self, n):
         labels = list(range(1, n + 1))
-        enumerated = {frozenset(p.blocks) for p in partitions_of(labels)}
-        assert enumerated == brute_partitions(labels)
-
-    def test_rgs_lexicographic_order_n3(self):
-        # RGS strings for n=3 in lex order: 000,001,010,011,012
-        got = [tuple(sorted(map(sorted, p.blocks))) for p in partitions_of([1, 2, 3])]
-        expect = [
-            ([1, 2, 3],),
-            ([1, 2], [3]),
-            ([1, 3], [2]),
-            ([1], [2, 3]),
-            ([1], [2], [3]),
-        ]
-        assert got == [tuple(map(list, e)) for e in expect]
+        enumerated = [as_blocks(p) for p in partitions(LabeledSeq.from_indices(labels))]
+        assert len(set(enumerated)) == len(enumerated) == BELL[n]
+        assert set(enumerated) == {as_blocks(part) for part in set_partitions(labels)}
 
     def test_empty_has_exactly_empty_partition(self):
-        parts = list(partitions_of([]))
-        assert parts == [Partition(())]
+        assert list(partitions(EMPTY)) == [()]
 
     def test_noncontiguous_labels(self):
-        parts = list(partitions_of([4, 10]))
-        assert {frozenset(p.blocks) for p in parts} == {
+        parts = list(partitions(LabeledSeq(((4, "a"), (10, "b")))))
+        assert all(type(p) is tuple and all(type(b) is frozenset for b in p) for p in parts)
+        assert {as_blocks(p) for p in parts} == {
             frozenset({frozenset({4, 10})}),
             frozenset({frozenset({4}), frozenset({10})}),
         }
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            list(partitions_of(range(1, 14)))
+            list(partitions(LabeledSeq.from_indices(range(13))))
 
     def test_blocks_ordered_by_min(self):
-        for p in partitions_of([1, 2, 3, 4]):
-            mins = [min(b) for b in p.blocks]
+        for p in partitions(LabeledSeq.from_indices(range(4))):
+            mins = [min(b) for b in p]
             assert mins == sorted(mins)
             assert mins[0] == 1
-
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            Partition((frozenset(),))
-        with pytest.raises(ValueError):
-            Partition((frozenset({1, 2}), frozenset({2, 3})))
 
 
 def unit_sum(indices) -> complex:
@@ -231,7 +189,11 @@ class TestPartitionSum:
         for groups, keep in (([], lambda part: True), ([first], lambda part: all(b & right for b in part))):
             got = partition_sum(code, weight, PartitionMemo(), groups)
             want = sum(
-                (math.prod(weight_of(b) for b in part) for part in brute_partitions(range(n)) if keep(part)),
+                (
+                    math.prod(weight_of(b) for b in part)
+                    for part in map(as_blocks, set_partitions(list(range(n))))
+                    if keep(part)
+                ),
                 0.0,
             )
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
@@ -256,7 +218,7 @@ class TestKernelAgainstEnumeration:
         keys = [k for r in range(1, 6) for k in itertools.combinations_with_replacement(variables, r)]
         table = CumulantTable(entries={k: complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) for k in keys})
         kappa = {multiset(k): v for k, v in table.entries.items()}
-        memo = PartitionMemo(table.book)  # one memo serves every sum over the table
+        memo = PartitionMemo()  # one memo serves every sum over the table
         got, want = [], []
         for _ in range(12):
             key = [rng.choice(variables) for _ in range(rng.randint(0, 7))]
@@ -268,7 +230,7 @@ class TestKernelAgainstEnumeration:
     def test_a_multiset_inside_one_group_sums_to_zero_without_a_walk(self):
         book = Codebook()
         code = book.code(["a", "a", "b"])
-        memo = PartitionMemo(book)
+        memo = PartitionMemo()
         got = partition_sum(code, lambda block: pytest.fail("weighed"), memo, [0xFFFF])
         assert got == 0 and (memo.totals, memo.weights) == ({0: 1.0}, {})
         # a wider multiset sums, and its remainders inside the group are not kept
@@ -284,7 +246,7 @@ def test_partition_blocks_cover_and_disjoint(idx):
     for p in partitions(s):
         union = set()
         total = 0
-        for b in p.blocks:
+        for b in p:
             union |= b
             total += len(b)
         assert union == set(s.labels)

@@ -30,6 +30,7 @@ from wickkit.cumulants import (
 from wickkit.errors import ConfigError, GuardError
 from wickkit.hierarchy import (
     AmplitudeModel,
+    HierarchyPlan,
     HierarchyState,
     InteractionTerm,
     all_keys_up_to,
@@ -39,7 +40,7 @@ from wickkit.hierarchy import (
     integrate_hierarchy,
 )
 from wickkit.indexing import CODE_BITS, Codebook, LabeledSeq, canonical_key, mask_codes
-from wickkit.wick import wick_from_cumulants, wick_product_expectation
+from wickkit.wick import truncated_expectation, wick_from_cumulants, wick_product_expectation
 
 from _support import (
     brute_cumulant,
@@ -305,3 +306,19 @@ def test_an_oracle_keeps_reading_its_own_table():
     assert oracle.moment(("x", "y")) == pytest.approx(0.32, abs=1e-15)
     assert CumulantBackedOracle(new).moment(("x", "y")) == pytest.approx(5.02, abs=1e-15)
     assert old.kappa(("x", "y")) == 0.3 and new.kappa(("x", "y")) == 5.0
+
+
+def test_no_read_grows_a_table_s_code_book():
+    # a frozen table's book holds the table's own indices, whatever index a reader names
+    table = CumulantTable(entries={("a",): 0.5, ("a", "a"): 1.0})
+    assert all(table.kappa((i,)) == 0 for i in range(1000))
+    assert table.kappa(("a", "a")) == 1.0 and table.book.indices == ["a"]
+    assert CumulantBackedOracle(table).moment(("a", "zz")) == 0
+    assert table.book.indices == ["a"]
+    assert wick_from_cumulants(table, LabeledSeq.from_indices(["q", "a"])).coeff([1]) == -0.5
+    assert table.book.indices == ["a"]
+    assert truncated_expectation(table, LabeledSeq.from_indices(["a", "w"]), LabeledSeq.from_indices(["a"])) == 0
+    assert table.book.indices == ["a"]
+    model = AmplitudeModel(terms={"a": [InteractionTerm(LabeledSeq.from_indices(["b"]), constant_amplitude(1.0))]})
+    assert HierarchyPlan(model, [LabeledSeq.from_indices(["a"])]).evaluate(HierarchyState(table))[0] == [0]
+    assert table.book.indices == ["a"]

@@ -16,9 +16,11 @@ from wickkit.cumulants import (
     moments_from_cumulants,
 )
 from wickkit.errors import ConfigError, GuardError
-from wickkit.indexing import EMPTY, LabeledSeq, canonical_key
+from wickkit.indexing import EMPTY, Codebook, LabeledSeq, canonical_key
 from wickkit.wick import (
     WickPoly,
+    _group_code,
+    _moved_codes,
     gaussian_reference_wick,
     poly_add,
     poly_mul,
@@ -287,6 +289,18 @@ class TestKernelAgainstEnumeration:
         with pytest.raises(GuardError, match="multiset code guard"):
             truncated_expectation(table, seq(*["a"] * copies), EMPTY)
 
+    def test_a_moved_code_equals_the_code_built_over_the_source_book(self):
+        # three groups and a tail with repeats, moved onto a book that numbers the indices
+        # otherwise, holds one the groups lack and lacks one they hold
+        groups, tail = [["a", "b", "a"], ["c", "c", "c"], ["b", "d", "b", "b"]], ["d", "a", "c"]
+        book = Codebook()
+        code = _group_code(book, groups, tail)
+        source_book = Codebook(["d", "c", "e", "b"])
+        want = _group_code(Codebook(source_book.indices), groups, tail)
+        assert _moved_codes([code, 0], book, source_book, 4) == [want, 0]
+        assert source_book.indices == ["d", "c", "e", "b", "a"]
+        assert _moved_codes([code], book, Codebook(book.indices), 4) == [code]
+
 
 class TestInversion:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -297,9 +311,8 @@ class TestInversion:
         pool = ["a", "b"]
         s = seq(*[pool[int(rng.integers(2))] for _ in range(n)])
         total: dict[frozenset, complex] = {}
-        from wickkit.indexing import subsets
-
-        for u in subsets(s):
+        for mask in range(1 << len(s)):
+            u = s.select(mask)
             w = wick_recursive(oracle, u)
             m = oracle.moment_of(s.without(u.labels))
             for key, c in w.terms.items():
