@@ -21,6 +21,8 @@ distinct block, each distinct remaining multiset summed once).  Both
 directions are permutation invariant, so every memo, moment cache and table
 lookup inside them is keyed by multiset code (:class:`Codebook`): a table or
 an evaluator interns its indices once, and a block's code is one addition.
+A table numbers its indices in canonical order (:func:`_coded`), so every sum
+over its codes is a function of the table's value, not of its key order.
 Canonical keys (sorted tuples) are the public key form of ``moment``,
 ``kappa`` and ``entries`` and of the JSON tables; an oracle defined by key
 is asked once per distinct multiset, with its decoded canonical key.
@@ -37,7 +39,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ConfigError, GuardError, _json, _object, _pair, jackknife_stderr, loo_means
+from .errors import ConfigError, GuardError, _json, _object, _pair, loo_means
 from .indexing import (
     CODE_BITS,
     SUBSET_GUARD,
@@ -82,20 +84,35 @@ class MomentOracle:
             moments[code] = self.moment(self.book.key(code))
         return moments[code]
 
+    def _code(self, indices: Iterable[Index]) -> int:
+        """The code of a key form's indices in ``book``, which interns an index it has not seen."""
+        return self.book.code(indices)
+
     def moment(self, key: tuple) -> complex:
-        return self.moment_code(self.book.code(key))
+        return self.moment_code(self._code(key))
 
     def moment_of(self, seq: LabeledSeq) -> complex:
-        return self.moment_code(self.book.code(seq.indices()))
+        return self.moment_code(self._code(seq.indices()))
 
 
 class TableOracle(MomentOracle):
-    """Moments read from an explicit mapping of index keys to values."""
+    """Moments read from an explicit mapping of index keys to values.
+
+    Its ``book`` holds the table's indices in canonical order, and no read
+    grows it: a key naming an index the table lacks is a KeyError before it
+    is coded, as :meth:`CumulantTable.kappa` declines such a key.
+    """
 
     def __init__(self, entries: Mapping[tuple, complex]):
-        self._by_code = _coded(self.book, entries, entries)
+        self.book, self._by_code = _coded(entries, list(entries))
         if self._by_code.setdefault(0, 1.0 + 0.0j) != 1.0:  # an absent empty moment reads as 1
             raise ConfigError("the empty moment must equal 1")
+
+    def _code(self, indices: Iterable[Index]) -> int:
+        indices, ids = tuple(indices), self.book.ids
+        if not all(index in ids for index in indices):
+            raise KeyError(indices)
+        return self.book.code(indices)
 
     def moment_code(self, code: int) -> complex:
         try:
@@ -121,77 +138,6 @@ class CumulantBackedOracle(MomentOracle):
 
     def moment_code(self, code: int) -> complex:
         return partition_sum(code, self._kappa_code, self.memo)
-
-
-def gaussian_moment_oracle(
-    mean: Mapping[Index, complex], cov: Mapping[tuple, complex]
-) -> CumulantBackedOracle:
-    """The moment oracle of a (complex) Gaussian family.
-
-    ``cov[(i, j)]`` is the joint second cumulant of y_i and y_j; symmetric
-    completion is applied, and all cumulants above order two vanish.  Keys
-    are canonical, so a later ``(j, i)`` entry replaces an earlier ``(i, j)``.
-    """
-    entries = {(i,): v for i, v in mean.items()} | {canonical_key((i, j)): v for (i, j), v in cov.items()}
-    return CumulantBackedOracle(CumulantTable(entries=entries, max_order=2))
-
-
-class IndependentProductOracle(MomentOracle):
-    """Joint moments of independent groups of variables.
-
-    ``groups`` is a list of ``(index_set, oracle)`` pairs with disjoint index
-    sets; a mixed moment factorizes over the groups.
-    """
-
-    def __init__(self, groups: Sequence[tuple[Iterable[Index], MomentOracle]]):
-        self.groups = [(frozenset(ids), oracle) for ids, oracle in groups]
-        everything = [i for ids, _ in self.groups for i in ids]
-        if len(everything) != len(set(everything)):
-            raise ValueError("group index sets must be disjoint")
-
-    def moment(self, key: tuple) -> complex:
-        out = 1.0 + 0.0j
-        for ids, oracle in self.groups:
-            part = tuple(i for i in key if i in ids)
-            if part:
-                out *= oracle.moment(canonical_key(part))
-        covered = sum(1 for i in key for ids, _ in self.groups if i in ids)
-        if covered != len(key):
-            raise KeyError(f"indices {key} not fully covered by the groups")
-        return out
-
-
-class LinearCombinationOracle(MomentOracle):
-    """Extend a base oracle to a composite index j defined as a linear
-    combination sum_m c_m * y_{i_m} of base variables.
-
-    Moments containing j are expanded slotwise by multilinearity of the
-    moment in each argument.
-    """
-
-    def __init__(
-        self,
-        base: MomentOracle,
-        composite: Index,
-        combo: Sequence[tuple[complex, Index]],
-    ):
-        self.base = base
-        self.composite = composite
-        self.combo = tuple((complex(c), i) for c, i in combo)
-
-    def moment(self, key: tuple) -> complex:
-        slots = [i for i, idx in enumerate(key) if idx == self.composite]
-        if not slots:
-            return self.base.moment(key)
-        out = 0.0 + 0.0j
-        for choice in itertools.product(self.combo, repeat=len(slots)):
-            coeff = 1.0 + 0.0j
-            replaced = list(key)
-            for slot, (c, idx) in zip(slots, choice):
-                coeff *= c
-                replaced[slot] = idx
-            out += coeff * self.base.moment(canonical_key(replaced))
-        return out
 
 
 class EnsembleOracle(MomentOracle):
@@ -221,6 +167,9 @@ class EnsembleOracle(MomentOracle):
         self._products = {slot: v.reshape(self.n, -1) for slot, v in zip(self.book.slots(arrays), arrays.values())}
         self._means: dict[int, np.ndarray] = {0: np.ones(self.n)}
 
+    #: every index is interned at construction, so a key naming another is a KeyError before it is coded
+    _code = TableOracle._code
+
     def _product(self, code: int, keep: bool = False) -> np.ndarray:
         """The ``(n, m)`` sample-wise product of a code's indices."""
         out = self._products.get(code)
@@ -247,7 +196,7 @@ class EnsembleOracle(MomentOracle):
 
     def loo_moment(self, key: tuple) -> np.ndarray:
         """Length-n array of leave-one-out moments."""
-        return self.loo_moment_code(self.book.code(key))
+        return self.loo_moment_code(self._code(key))
 
 
 # ----------------------------------------------------------------------
@@ -282,13 +231,19 @@ def _collision(keys: Iterable, same: Callable) -> ConfigError:
     return ConfigError("two table keys name the same multiset")
 
 
-def _coded(book: Codebook, entries: Mapping[tuple, complex], keys: Iterable[tuple]) -> dict[int, complex]:
-    """``{book.code(key): complex(value)}``, ``keys`` standing in order for those of ``entries``;
-    two keys of one multiset are a ConfigError naming them as written."""
+def _coded(entries: Mapping[tuple, complex], keys: Sequence[tuple]) -> tuple[Codebook, dict[int, complex]]:
+    """``(book, {book.code(key): complex(value)})`` of a table, ``keys`` standing in order for those of ``entries``.
+
+    The book interns the table's indices in canonical order before it codes
+    a key, so its ids, and every sum that walks a code in id order, depend
+    on the table's value and not on the order of its keys.  Two keys of one
+    multiset are a ConfigError naming them as written.
+    """
+    book = Codebook(canonical_key(dict.fromkeys(index for key in keys for index in key)))
     by_code = {book.code(key): complex(value) for key, value in zip(keys, entries.values())}
     if len(by_code) < len(entries):
         raise _collision(entries, book.code)
-    return by_code
+    return book, by_code
 
 
 def table_from_json(data) -> dict[tuple, complex]:
@@ -354,8 +309,7 @@ class CumulantTable:
                 raise ConfigError(f"entry {k} exceeds max order {max_order}")
             if len(k) == 0:
                 raise ConfigError("the empty cumulant is fixed at 0 and not stored")
-        book = Codebook()
-        by_code = _coded(book, self.entries, keys)
+        book, by_code = _coded(self.entries, keys)
         object.__setattr__(self, "entries", MappingProxyType(dict(zip(keys, by_code.values()))))
         object.__setattr__(self, "max_order", max_order)
         object.__setattr__(self, "book", book)
@@ -436,12 +390,18 @@ class CumulantEvaluator:
     ``memo`` maps the multiset codes of the oracle's ``book`` to cumulants;
     each distinct multiset is evaluated once, by :func:`_kappa_recursive`
     over its distinct sub-multisets.  ``recursion_terms`` counts the
-    (multiset, block) terms summed so far.
+    (multiset, block) terms summed so far.  The recursion sums in the id
+    order of that book: canonical for a :class:`TableOracle`, but in order
+    of first use for an oracle defined by key, whose book interns each index
+    as a read first names it.  There the last bits of a cumulant may depend
+    on the order of the reads.  The key forms code through the oracle's own
+    ``_code``, so a read naming an index that a table or an ensemble lacks
+    is a KeyError that leaves its book as built.
     """
 
     def __init__(self, oracle: MomentOracle):
         self.oracle = oracle
-        self.book, self._moment = oracle.book, oracle.moment_code
+        self.book, self._moment, self._code = oracle.book, oracle.moment_code, oracle._code
         self.memo: dict[int, complex] = {}
         self.recursion_terms = 0
 
@@ -452,10 +412,10 @@ class CumulantEvaluator:
         return value
 
     def kappa_of(self, seq: LabeledSeq) -> complex:
-        return self.kappa_code(self.book.code(seq.indices()))
+        return self.kappa_code(self._code(seq.indices()))
 
     def kappa(self, key: Iterable[Index]) -> complex:
-        return self.kappa_code(self.book.code(key))
+        return self.kappa_code(self._code(key))
 
 
 def coded_cumulants(source) -> tuple[Codebook, Callable[[int], complex]]:
@@ -487,29 +447,3 @@ def cumulant_table_from_oracle(oracle: MomentOracle, indices: Sequence[Index], m
     pool = canonical_key(set(indices))  # combinations of the sorted pool are canonical keys
     combos = [c for order in range(1, max_order + 1) for c in itertools.combinations_with_replacement(pool, order)]
     return CumulantTable(entries={combo: ev.kappa(combo) for combo in combos}, max_order=max_order)
-
-
-# ----------------------------------------------------------------------
-# empirical cumulants
-
-
-def empirical_cumulant(
-    ensemble: EnsembleOracle, seq: LabeledSeq
-) -> tuple[complex, float]:
-    """Plug-in cumulant estimate with a jackknife standard error.
-
-    The estimate applies the moment-cumulant recursion to full-sample means;
-    the standard error reruns the recursion on all n leave-one-out means at
-    once (the recursion is arithmetic in the moments, so it vectorizes) and
-    applies the jackknife formula, so every moment, the means included, is
-    re-estimated without each realization in turn.  The returned error is
-    sqrt(var_re + var_im) of the jackknife distribution.
-    """
-    import numpy as np  # deferred: keeps numpy off the algebra kinds' import path
-
-    code = ensemble.book.code(seq.indices())
-    if not code:  # the empty cumulant is 0 by definition, on every sample
-        return 0.0 + 0.0j, 0.0
-    value = complex(_kappa_recursive(ensemble.moment_code, code, {})[0])
-    loo = _kappa_recursive(ensemble.loo_moment_code, code, {})[0]
-    return value, float(jackknife_stderr(np.asarray(loo, dtype=complex)))

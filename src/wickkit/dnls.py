@@ -7,9 +7,9 @@ This module simulates
 for a complex field ``psi`` on a periodic grid, together with the ensemble
 machinery needed to study its statistics: random initial laws that are
 invariant under global phase rotation and lattice translations, covariance
-spectrum estimation, renormalized (phase-compensated) Fourier fields,
-symmetry audits, free-propagator decay diagnostics, and l1 clustering norms
-of spatial cumulants.
+spectrum estimation, renormalized (phase-compensated) Fourier fields, the
+gauge audit, free-propagator decay fits, and the l1 clustering norms of the
+initial data's cumulants.
 
 Conventions
 -----------
@@ -22,8 +22,8 @@ Conventions
   float array of ``lattice.shape``; every spectrum read goes through one
   check, ``_spectrum_values`` (integer or floating dtype, that shape, finite).
 * :class:`LatticeEnsemble` is the one field container: a single realization
-  is an ensemble of one.  ``dnls_rhs`` returns the right-hand side of every
-  field, and ``hamiltonian`` and ``ell2_mass`` sum over the realizations.
+  is an ensemble of one.  ``hamiltonian`` and ``ell2_mass`` sum over the
+  realizations.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .cumulants import CumulantEvaluator, EnsembleOracle, empirical_cumulant
+from .cumulants import EnsembleOracle
 from .errors import (
     Block, ConfigError, GuardError, _is_number, _json, _read_text, _write_json, jackknife_stderr, mean_stderr, read_csv,
     write_csv,
 )
-from .indexing import LabeledSeq
 from .pool import map_in_order
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "nearest_neighbor_dispersion",
     "next_nearest_dispersion",
     "zero_dispersion",
-    "dnls_rhs",
     "integrate_ensemble",
     "BLOCK_SITES",
     "sample_initial",
@@ -62,16 +60,9 @@ __all__ = [
     "gauge_audit",
     "GaugeProbe",
     "GaugeAuditReport",
-    "translation_audit",
-    "TranslationAuditReport",
-    "free_propagator",
     "propagator_decay_fit",
     "PropagatorDecayFit",
     "clustering_norm",
-    "pair_cluster_from_spectrum",
-    "empirical_pair_cluster",
-    "coincident_fourth_cumulant",
-    "empirical_fourth_cluster",
     "fixed_modulus_fourth_norm",
     "hamiltonian",
     "ell2_mass",
@@ -371,18 +362,6 @@ def _blocks(n_realizations: int, lattice: Lattice) -> list[slice]:
     return [slice(start, min(start + per, n_realizations)) for start in range(0, n_realizations, per)]
 
 
-def dnls_rhs(ensemble: LatticeEnsemble, dispersion: Dispersion) -> np.ndarray:
-    """Time derivative of every field:  -i (hopping term + cubic term), shaped as ``ensemble.fields``.
-
-    The hopping convolution is applied as multiplication by omega(k) in
-    Fourier space, which is exact on the periodic lattice.
-    """
-    psi, dimension = ensemble.fields, ensemble.lattice.dimension
-    omega = dispersion.omega(ensemble.lattice)
-    hop = _lattice_fft(omega * _lattice_fft(psi, dimension), dimension, inverse=True)
-    return -1j * (hop + ensemble.coupling * np.abs(psi) ** 2 * psi)
-
-
 def _split_phase(
     rate: float, rho: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
 ) -> np.ndarray:
@@ -630,11 +609,14 @@ def estimate_W(ensemble: LatticeEnsemble, threads: int = 1) -> tuple[np.ndarray,
 def renormalize_a(ensemble: LatticeEnsemble, dispersion: Dispersion) -> np.ndarray:
     """Phase-compensated Fourier fields  a(k) = psi_hat(k) exp(i ∫ (omega + coupling R_s) ds).
 
-    Removes the free rotation and the mean-field rotation accumulated along
-    the trajectory, using the recorded density history.  Returned for the
-    un-conjugated field; the conjugate satisfies conj(a(k)) at -k because the
-    compensating phase is even in k.  Second-order statistics are unchanged:
-    the multiplier has unit modulus, so |a(k)| = |psi_hat(k)| realization-wise.
+    This is the renormalized field of the DNLS kinetic limit of
+    arXiv:1503.05851, whose statistics the Boltzmann-Peierls equation
+    describes.  It removes the free rotation and the mean-field rotation
+    accumulated along the trajectory, using the recorded density history.
+    Returned for the un-conjugated field; the conjugate satisfies conj(a(k))
+    at -k because the compensating phase is even in k.  Second-order
+    statistics are unchanged: the multiplier has unit modulus, so
+    |a(k)| = |psi_hat(k)| realization-wise.
     """
     if ensemble.r_integral is None:
         raise ConfigError("ensemble carries no density history; evolve it with integrate_ensemble")
@@ -746,90 +728,13 @@ def gauge_audit(ensemble: LatticeEnsemble, max_order: int = 4, threshold: float 
     return GaugeAuditReport(probes=tuple(probes), threshold=float(threshold))
 
 
-@dataclass(frozen=True)
-class TranslationAuditReport:
-    """Support check for second moments of the Fourier field.
-
-    Translating the field by ``y`` multiplies ``psi_hat(k, s)`` by
-    ``e^{-i 2 pi s k . y}``, so under a translation-invariant law the moment
-    E[psi_hat(k1, s1) psi_hat(k2, s2)] can only be nonzero when
-    ``s1 k1 + s2 k2 = 0`` on the dual torus.  Off-support entries are scored
-    against their Monte Carlo errors.
-    """
-
-    n_pairs_checked: int
-    flagged: tuple[tuple[tuple[int, int], tuple[int, int], float], ...]
-    max_offsupport_z: float
-    threshold: float
-
-    @property
-    def flag_count(self) -> int:
-        return len(self.flagged)
-
-
-def translation_audit(ensemble: LatticeEnsemble, threshold: float = 4.0) -> TranslationAuditReport:
-    """Score all off-support second moments of psi_hat against their errors.
-
-    Checks both sign pairs: (+1, +1), supported on k1 + k2 = 0, and
-    (-1, +1), supported on k1 = k2.  Entries are flagged when either the
-    real or the imaginary component exceeds ``threshold`` standard errors.
-    """
-    if ensemble.n_realizations < 2:
-        raise ConfigError("translation_audit needs at least 2 realizations")
-    n = ensemble.n_realizations
-    size = ensemble.lattice.size
-    hats = ensemble.fourier().reshape(n, size)
-
-    flat_indices = np.arange(size).reshape(ensemble.lattice.shape)
-    # flat index of -k for every flat index of k
-    reversed_grid = flat_indices
-    for axis in range(ensemble.lattice.dimension):
-        reversed_grid = np.flip(np.roll(reversed_grid, -1, axis=axis), axis=axis)
-    minus_k = reversed_grid.reshape(size)
-
-    flagged: list[tuple[tuple[int, int], tuple[int, int], float]] = []
-    max_z = 0.0
-    pairs_checked = 0
-    # (n, rows, size) blocks of at most 2**22 elements, or one k1 row if a row is larger
-    rows = max(1, (1 << 22) // (n * size))
-    for sign_pair, left in (((1, 1), hats), ((-1, 1), np.conj(hats))):
-        z = np.empty((size, size))
-        for start in range(0, size, rows):
-            block = left[:, start : start + rows, None] * hats[:, None, :]
-            z[start : start + rows] = np.maximum(
-                _safe_z(block.real.mean(axis=0), mean_stderr(block.real)),
-                _safe_z(block.imag.mean(axis=0), mean_stderr(block.imag)),
-            )
-        if sign_pair == (1, 1):
-            on_support = minus_k[:, None] == np.arange(size)[None, :]
-        else:
-            on_support = np.eye(size, dtype=bool)
-        off = ~on_support
-        pairs_checked += int(off.sum())
-        if off.any():
-            max_z = max(max_z, float(z[off].max()))
-        for i, j in zip(*np.nonzero(off & (z > threshold))):
-            flagged.append((sign_pair, (int(i), int(j)), float(z[i, j])))
-    return TranslationAuditReport(
-        n_pairs_checked=pairs_checked,
-        flagged=tuple(flagged),
-        max_offsupport_z=max_z,
-        threshold=float(threshold),
-    )
-
-
 # ---------------------------------------------------------------------------
 # free propagator diagnostics
 # ---------------------------------------------------------------------------
 
 
-def free_propagator(lattice: Lattice, dispersion: Dispersion, t: float) -> np.ndarray:
-    """p_t(x) = L^-d sum_k exp(i 2 pi k . x) exp(-i t omega(k))."""
-    return _propagator(lattice, dispersion.omega(lattice), t)
-
-
 def _propagator(lattice: Lattice, omega: np.ndarray, t: float) -> np.ndarray:
-    """:func:`free_propagator` with the dispersion symbol ``omega`` already computed."""
+    """The free propagator p_t(x) = L^-d sum_k exp(i 2 pi k . x) exp(-i t omega(k)) of the symbol ``omega``."""
     return _lattice_fft(np.exp(-1j * t * omega), lattice.dimension, inverse=True)
 
 
@@ -911,6 +816,9 @@ def propagator_decay_fit(
 def clustering_norm(pinned: Mapping[tuple[int, ...], np.ndarray], order: int) -> float:
     """l1 clustering norm: sup over sign tuples of sum |kappa| with x1 pinned at 0.
 
+    This is the l1 clustering condition on the cumulants of the random
+    initial data of the DNLS in arXiv:1503.05851.
+
     ``pinned`` maps a sign tuple of length ``order`` to the array of cumulant
     values over the remaining ``order - 1`` position arguments (full lattice
     grid, or any finite window of it — a window yields the norm of that
@@ -927,101 +835,12 @@ def clustering_norm(pinned: Mapping[tuple[int, ...], np.ndarray], order: int) ->
     return best
 
 
-def pair_cluster_from_spectrum(lattice: Lattice, w0: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    """Pinned second cumulants of a phase-invariant law with spectrum ``w0``.
-
-    kappa(conj psi(0), psi(x)) = L^-d sum_k W(k) e^{i 2 pi k . x}; the
-    opposite ordering is its complex conjugate, and phase-unbalanced pairs
-    vanish identically (they are omitted here).
-    """
-    spectrum = _spectrum_values(w0, lattice)
-    forward = _lattice_fft(spectrum.astype(complex), lattice.dimension, inverse=True)
-    return {(-1, 1): forward, (1, -1): np.conj(forward)}
-
-
-def empirical_pair_cluster(ensemble: LatticeEnsemble) -> dict[tuple[int, int], np.ndarray]:
-    """Empirical pinned second cumulants, translation-averaged.
-
-    Returns all four sign pairs (s1, s2): mean_r L^-d sum_y f1(y) f2(y + x),
-    a sign -1 conjugating its field.  The fields are centered by their
-    empirical scalar mean first, so singleton blocks drop out of the
-    estimator exactly.  The sum over y is the inverse transform of
-    hat_f1(-k) hat_f2(k); with hat[+1] = fft(f) and hat[-1] = fft(conj f),
-    hat_f2 is hat[s2] and hat_f1(-k) is conj(hat[-s1])(k).
-    """
-    centered = ensemble.fields - ensemble.fields.mean()
-    dimension, size = ensemble.lattice.dimension, ensemble.lattice.size
-    hat = {1: _lattice_fft(centered, dimension), -1: _lattice_fft(np.conj(centered), dimension)}
-    return {
-        (s1, s2): _lattice_fft(np.conj(hat[-s1]) * hat[s2], dimension, inverse=True).mean(axis=0) / size
-        for s1, s2 in ((-1, 1), (1, -1), (1, 1), (-1, -1))
-    }
-
-
-def coincident_fourth_cumulant(ensemble: LatticeEnsemble) -> tuple[float, float]:
-    """kappa(conj psi, conj psi, psi, psi) at a single site, site-averaged.
-
-    ``(value, stderr)`` of :func:`wickkit.cumulants.empirical_cumulant` over
-    the realizations, each with its lattice sites as the samples of the
-    conjugated (-1) and the plain (+1) field: every moment is averaged over
-    sites and realizations, and the error is a jackknife over realizations
-    that re-estimates every moment, the mean included.  A circular Gaussian
-    law gives zero; the fixed-modulus family gives  -L^-2d sum_k W(k)^2 < 0.
-    """
-    if ensemble.n_realizations < 2:
-        raise ConfigError("coincident_fourth_cumulant needs at least 2 realizations")
-    fields = ensemble.fields.reshape(ensemble.n_realizations, -1)
-    oracle = EnsembleOracle({-1: np.conj(fields), 1: fields})
-    value, stderr = empirical_cumulant(oracle, LabeledSeq.from_indices((-1, -1, 1, 1)))
-    return value.real, stderr
-
-
-def _window_offsets(lattice: Lattice, radius: int) -> list[tuple[int, ...]]:
-    span = range(-radius, radius + 1)
-    return [offset for offset in itertools.product(span, repeat=lattice.dimension)]
-
-
-def empirical_fourth_cluster(
-    ensemble: LatticeEnsemble,
-    signs: tuple[int, int, int, int] = (-1, -1, 1, 1),
-    window_radius: int = 1,
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Windowed pinned fourth cumulant of the field law.
-
-    Estimates kappa(psi^(s1)(0), psi^(s2)(x2), psi^(s3)(x3), psi^(s4)(x4))
-    for offsets in the l-infinity window of the given radius, translation-
-    and ensemble-averaged: the cumulant recursion over an ensemble oracle
-    whose index (s, x) is the centered field rolled by x, conjugated for
-    s = -1, with the lattice sites as the samples of each realization.
-    Returns the offset list and the value array of shape
-    (len(offsets),) * 3 indexed by (x2, x3, x4).
-
-    Cost grows as the cube of the window volume; intended for small windows
-    on small lattices.
-    """
-    if len(signs) != 4 or any(s not in (-1, 1) for s in signs):
-        raise ConfigError("signs must be four entries of +1 or -1")
-    if window_radius < 0 or 2 * window_radius + 1 > ensemble.lattice.side:
-        raise ConfigError("window does not fit on the lattice")
-    axes = ensemble.spatial_axes
-    centered = ensemble.fields - ensemble.fields.mean()
-    by_sign = {1: centered, -1: np.conj(centered)}
-    offsets = _window_offsets(ensemble.lattice, window_radius)
-    samples = {
-        (s, offset): np.roll(by_sign[s], tuple(-o for o in offset), axis=axes).reshape(ensemble.n_realizations, -1)
-        for s in set(signs)
-        for offset in offsets
-    }
-    evaluator = CumulantEvaluator(EnsembleOracle(samples))
-    origin = (0,) * ensemble.lattice.dimension
-    values = np.empty((len(offsets),) * 3, dtype=complex)
-    for (i2, x2), (i3, x3), (i4, x4) in itertools.product(enumerate(offsets), repeat=3):
-        values[i2, i3, i4] = evaluator.kappa([(signs[0], origin), (signs[1], x2), (signs[2], x3), (signs[3], x4)])
-    return offsets, values
-
-
 def fixed_modulus_fourth_norm(lattice: Lattice, w0: np.ndarray) -> float:
     """Exact l1 clustering norm of the fourth cumulant of the fixed-modulus law.
+
+    This is the clustering norm of arXiv:1503.05851 for the non-Gaussian
+    initial data that :func:`sample_initial` draws as ``fixed-modulus``, and
+    the ``kappa4_norm`` input of :func:`wickkit.kinetic.appendix_c_bound`.
 
     Per mode, the only nonvanishing fourth cumulant of a fixed-modulus phasor
     is kappa(conj, conj, +, +) = -(L^d W(k))^2, so the pinned position-space

@@ -234,7 +234,7 @@ def integrate_hierarchy(
 
 
 # ----------------------------------------------------------------------
-# Duhamel expansion
+# Duhamel expansion: the cumulant form of the perturbation expansion
 
 
 def _quad_complex(fn: Callable[[float], complex], a: float, b: float) -> complex:
@@ -249,7 +249,8 @@ def _quad_complex(fn: Callable[[float], complex], a: float, b: float) -> complex
 
 @dataclass
 class RemainderTerm:
-    """Descriptor of one unevaluated Duhamel remainder contribution.
+    """One unevaluated remainder term of :func:`duhamel_expand`, the cumulant form of the
+    perturbation expansion of arXiv:1503.05851.
 
     Represents  integral over s' in [0, t] of
     (d/ds' E[W[y(s')^seq] W[y(s')^rest]]) * tail_weight(s')  with
@@ -266,6 +267,10 @@ class RemainderTerm:
 
 @dataclass
 class DuhamelExpansion:
+    """A cumulant's expansion around the initial law, in the cumulant form of the
+    perturbation expansion of arXiv:1503.05851: the initial cumulant, the first
+    order, and the remainder terms left unevaluated."""
+
     zeroth: complex
     first_order: complex
     remainder: tuple[RemainderTerm, ...]
@@ -278,6 +283,11 @@ class DuhamelExpansion:
 
 def duhamel_expand(model: AmplitudeModel, table0: CumulantTable, target: LabeledSeq, t: float) -> DuhamelExpansion:
     """Integrated hierarchy to first order around the initial law.
+
+    This is the reformulation of the perturbation expansion in cumulants of
+    arXiv:1503.05851: a cumulant at time t is its initial value, plus the
+    first-order term of the hierarchy at the initial law, plus remainder
+    terms whose state derivative the next hierarchy level supplies.
 
     kappa[target](t) = kappa[target](0)
       + sum over slots/drives of E_0[W[y^I] W[y^(target minus i)]] *
@@ -301,28 +311,6 @@ def duhamel_expand(model: AmplitudeModel, table0: CumulantTable, target: Labeled
 
             remainder.append(RemainderTerm(slot_index=idx, seq=term.seq, rest=rest, t_end=t, tail_weight=tail))
     return DuhamelExpansion(zeroth=table0.kappa(target.indices()), first_order=first, remainder=tuple(remainder))
-
-
-# ----------------------------------------------------------------------
-# Leibniz expansion of Wick time derivatives
-
-
-@dataclass
-class LeibnizTerm:
-    """One term of d/dt W[y^I]: the slot whose variable is differentiated
-    and the remaining sequence; stands for W[(d/dt y_slot) * y^rest]."""
-
-    slot_label: int
-    slot_index: Index
-    rest: LabeledSeq
-
-
-def leibniz_wick_derivative(seq: LabeledSeq) -> tuple[LeibnizTerm, ...]:
-    """Formal product-rule expansion of d/dt W[y^I]: one term per slot."""
-    return tuple(
-        LeibnizTerm(slot_label=label, slot_index=idx, rest=seq.without((label,)))
-        for label, idx in seq.elements
-    )
 
 
 # ----------------------------------------------------------------------

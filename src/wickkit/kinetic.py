@@ -67,10 +67,8 @@ __all__ = [
     "CollisionConfig",
     "EquilibriumParams",
     "collision_operator",
-    "collision_gain",
     "gamma_rate",
     "prelimit_kernel",
-    "prelimit_window",
     "kinetic_time",
     "bp_solve",
     "BPTrajectory",
@@ -355,12 +353,6 @@ def collision_operator(w: np.ndarray, config: CollisionConfig) -> np.ndarray:
     return scale * (gain_sum + values * loss_sum)
 
 
-def collision_gain(w: np.ndarray, config: CollisionConfig) -> np.ndarray:
-    """Gain part of C(W): 4 pi L^-2d sum delta(Omega) W1 W2 W3 (always >= 0)."""
-    _, gain_sum, _ = _collision_sums(w, config)
-    return 4.0 * math.pi / config.lattice.size**2 * gain_sum
-
-
 def gamma_rate(w: np.ndarray, config: CollisionConfig) -> np.ndarray:
     """Decay rate of field time-correlations (real part of the loss kernel).
 
@@ -374,23 +366,6 @@ def gamma_rate(w: np.ndarray, config: CollisionConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # finite-coupling windowed kernel
 # ---------------------------------------------------------------------------
-
-
-def prelimit_window(omega_gap: np.ndarray | float, coupling: float, tau: float) -> np.ndarray:
-    """Closed form of int_{|r| <= tau/coupling^2} (tau - coupling^2 |r|) e^{i r Omega} dr.
-
-    Equals 2 coupling^2 (1 - cos(T Omega)) / Omega^2 with T = tau/coupling^2,
-    continued by tau^2 / coupling^2 at Omega = 0; evaluated stably through
-    sinc^2.  A ConfigError where that height, tau T, is not finite.
-    """
-    support = kinetic_time(tau, coupling)
-    # lam^2 T^2 = tau T, which stays finite where the square of T would not
-    height = tau * support
-    if not math.isfinite(height):
-        raise ConfigError(f"tau {tau!r} and coupling {coupling!r} give a window height tau² / coupling² that is not finite")
-    gap = np.asarray(omega_gap, dtype=float)
-    # 2 lam^2 (1 - cos(T x))/x^2 = lam^2 T^2 sinc^2(T x / 2 pi)
-    return height * np.sinc(support * gap / (2.0 * math.pi)) ** 2
 
 
 def prelimit_kernel(

@@ -164,16 +164,6 @@ class WickPoly:
             raise ConfigError(f"Wick polynomial: {err}") from None
 
 
-def poly_add(a: WickPoly, b: WickPoly, ca: complex = 1.0, cb: complex = 1.0) -> WickPoly:
-    """ca * a + cb * b over a common ground."""
-    if a.ground != b.ground:
-        raise ValueError("polynomials live on different grounds")
-    terms = {u: ca * c for u, c in a.terms.items()}
-    for u, c in b.terms.items():
-        terms[u] = terms.get(u, 0.0 + 0.0j) + cb * c
-    return WickPoly(a.ground, terms)
-
-
 def poly_mul(a: WickPoly, b: WickPoly) -> WickPoly:
     """Product of polynomials over label-disjoint grounds (joint ground)."""
     if set(a.ground.labels) & set(b.ground.labels):
@@ -290,7 +280,10 @@ def wick_derivative(poly: WickPoly, j: Index) -> WickPoly:
     """Formal partial derivative with respect to the variable of index j.
 
     Satisfies d/dy_j W[y^I] = sum over slots k with i_k = j of W[y^(I with
-    slot k removed)]; the result lives on the same ground.
+    slot k removed)]; the result lives on the same ground.  This is the
+    Appell property of the Wick polynomials of arXiv:1503.05851: the
+    derivative of a Wick polynomial is a sum of lower ones, which is what
+    lets the time derivative of a cumulant close on Wick polynomials again.
     """
     terms: dict[frozenset, complex] = {}
     for u, c in poly.terms.items():

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wickkit.cumulants import CumulantTable, MomentOracle, TableOracle, coded_cumulants
-from wickkit.errors import rk4, step_count
+from wickkit.cumulants import (
+    CumulantBackedOracle, CumulantTable, EnsembleOracle, MomentOracle, TableOracle, _kappa_recursive, coded_cumulants,
+)
+from wickkit.errors import jackknife_stderr, rk4, step_count
 from wickkit.hierarchy import HierarchyState, all_keys_up_to
 from wickkit.indexing import LabeledSeq, canonical_key
 from wickkit.wick import wick_from_cumulants, wick_product_expectation
@@ -104,6 +106,71 @@ class PolynomialOracle(MomentOracle):
         for idx in canonical_key(key):
             prod = prod * self.values[idx]
         return complex(prod.mean())
+
+
+def gaussian_moment_oracle(mean, cov):
+    """The moment oracle of a (complex) Gaussian family.
+
+    ``cov[(i, j)]`` is the joint second cumulant of y_i and y_j; symmetric
+    completion is applied, and all cumulants above order two vanish.  Keys
+    are canonical, so a later ``(j, i)`` entry replaces an earlier ``(i, j)``.
+    """
+    entries = {(i,): v for i, v in mean.items()} | {canonical_key((i, j)): v for (i, j), v in cov.items()}
+    return CumulantBackedOracle(CumulantTable(entries=entries, max_order=2))
+
+
+class IndependentProductOracle(MomentOracle):
+    """Joint moments of independent groups of variables.
+
+    ``groups`` is a list of ``(index_set, oracle)`` pairs with disjoint index
+    sets; a mixed moment factorizes over the groups, so every mixed cumulant
+    vanishes.
+    """
+
+    def __init__(self, groups):
+        self.groups = [(frozenset(ids), oracle) for ids, oracle in groups]
+        everything = [i for ids, _ in self.groups for i in ids]
+        if len(everything) != len(set(everything)):
+            raise ValueError("group index sets must be disjoint")
+
+    def moment(self, key):
+        out = 1.0 + 0.0j
+        for ids, oracle in self.groups:
+            part = tuple(i for i in key if i in ids)
+            if part:
+                out *= oracle.moment(canonical_key(part))
+        covered = sum(1 for i in key for ids, _ in self.groups if i in ids)
+        if covered != len(key):
+            raise KeyError(f"indices {key} not fully covered by the groups")
+        return out
+
+
+class LinearCombinationOracle(MomentOracle):
+    """Extend a base oracle to a composite index j defined as a linear
+    combination sum_m c_m * y_{i_m} of base variables.
+
+    Moments containing j are expanded slotwise by multilinearity of the
+    moment in each argument.
+    """
+
+    def __init__(self, base, composite, combo):
+        self.base = base
+        self.composite = composite
+        self.combo = tuple((complex(c), i) for c, i in combo)
+
+    def moment(self, key):
+        slots = [i for i, idx in enumerate(key) if idx == self.composite]
+        if not slots:
+            return self.base.moment(key)
+        out = 0.0 + 0.0j
+        for choice in itertools.product(self.combo, repeat=len(slots)):
+            coeff = 1.0 + 0.0j
+            replaced = list(key)
+            for slot, (c, idx) in zip(slots, choice):
+                coeff *= c
+                replaced[slot] = idx
+            out += coeff * self.base.moment(canonical_key(replaced))
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -296,6 +363,40 @@ def sampled_realization(spectrum, seed, index, family="gaussian"):
     return np.fft.ifftn(modes)
 
 
+def empirical_cumulant(ensemble, seq):
+    """Plug-in cumulant estimate of an ``EnsembleOracle`` with a jackknife standard error.
+
+    The estimate applies the moment-cumulant recursion to full-sample means;
+    the standard error reruns the recursion on all n leave-one-out means at
+    once (the recursion is arithmetic in the moments, so it vectorizes) and
+    applies the jackknife formula, so every moment, the means included, is
+    re-estimated without each realization in turn.  The returned error is
+    sqrt(var_re + var_im) of the jackknife distribution.
+    """
+    code = ensemble.book.code(seq.indices())
+    if not code:  # the empty cumulant is 0 by definition, on every sample
+        return 0.0 + 0.0j, 0.0
+    value = complex(_kappa_recursive(ensemble.moment_code, code, {})[0])
+    loo = _kappa_recursive(ensemble.loo_moment_code, code, {})[0]
+    return value, float(jackknife_stderr(np.asarray(loo, dtype=complex)))
+
+
+def coincident_fourth_cumulant(ensemble):
+    """kappa(conj psi, conj psi, psi, psi) at a single site, site-averaged, of a ``LatticeEnsemble``.
+
+    ``(value, stderr)`` of :func:`empirical_cumulant` over the realizations,
+    each with its lattice sites as the samples of the conjugated (-1) and the
+    plain (+1) field: every moment is averaged over sites and realizations,
+    and the error is a jackknife over realizations that re-estimates every
+    moment, the mean included.  A circular Gaussian law gives zero; the
+    fixed-modulus family gives  -L^-2d sum_k W(k)^2 < 0.
+    """
+    fields = ensemble.fields.reshape(ensemble.n_realizations, -1)
+    oracle = EnsembleOracle({-1: np.conj(fields), 1: fields})
+    value, stderr = empirical_cumulant(oracle, LabeledSeq.from_indices((-1, -1, 1, 1)))
+    return value.real, stderr
+
+
 def reference_coincident_fourth_stderr(ensemble):
     """Delete-one jackknife error of ``coincident_fourth_cumulant``: in a
     Python loop, each realization is dropped in turn and the whole estimator,
@@ -316,6 +417,18 @@ def reference_coincident_fourth_stderr(ensemble):
 
 # ----------------------------------------------------------------------
 # the DNLS split-step loop with whole-array numpy transforms
+
+
+def dnls_rhs(ensemble, dispersion):
+    """Time derivative of every field of a ``LatticeEnsemble``:  -i (hopping term + cubic term).
+
+    The vector field that ``integrate_ensemble`` steps, with the hopping
+    convolution applied as multiplication by omega(k) under numpy's
+    whole-array ``fftn``, which is exact on the periodic lattice.
+    """
+    psi, axes = ensemble.fields, ensemble.spatial_axes
+    hop = np.fft.ifftn(dispersion.omega(ensemble.lattice) * np.fft.fftn(psi, axes=axes), axes=axes)
+    return -1j * (hop + ensemble.coupling * np.abs(psi) ** 2 * psi)
 
 
 def reference_split_steps(ensemble, dispersion, dt, n_steps):
@@ -367,6 +480,17 @@ def delta_weights(config, omega_gap):
         return np.exp(-(omega_gap**2) / (2.0 * eps**2)) / (eps * math.sqrt(2.0 * math.pi))
     support = config.window_support
     return (support / (2.0 * math.pi)) * np.sinc(support * omega_gap / (2.0 * math.pi)) ** 2
+
+
+def prelimit_window(omega_gap, coupling, tau):
+    """Closed form of int_{|r| <= tau/coupling^2} (tau - coupling^2 |r|) e^{i r Omega} dr.
+
+    Equals 2 coupling^2 (1 - cos(T Omega)) / Omega^2 with T = tau/coupling^2,
+    continued by tau^2 / coupling^2 at Omega = 0; evaluated stably as
+    tau T sinc^2(T Omega / 2 pi).
+    """
+    support = tau / coupling**2
+    return tau * support * np.sinc(support * np.asarray(omega_gap, dtype=float) / (2.0 * math.pi)) ** 2
 
 
 def reference_time_domain_sums(values, omega, nodes, weights, block_elements):

@@ -379,6 +379,47 @@ class TestHierarchyRhs:
         assert main(["hierarchy-rhs", "--config", str(path)]) == 2
 
 
+def random_table(rng, indices, order) -> dict:
+    """The external form of a table over every multiset of ``indices`` up to ``order``, random complex values."""
+    keys = [key for r in range(1, order + 1) for key in itertools.combinations_with_replacement(indices, r)]
+    return {json.dumps(list(key)): [float(rng.standard_normal()), float(rng.standard_normal())] for key in keys}
+
+
+class TestKeyOrder:
+    """The result bytes of an algebra kind depend on a table's value, not on the order of its keys."""
+
+    INDICES = ["u", "v", "w", "x"]  # 34 keys up to order 3
+    MODEL = {
+        "terms": [
+            {"index": "u", "seq": ["v", "w"], "amplitude": {"type": "constant", "value": [0.5, -1.0]}},
+            {"index": "v", "seq": ["u", "x", "x"], "amplitude": {"type": "constant", "value": [1.0, 0.0]}},
+            {"index": "w", "seq": ["u", "u", "v"], "amplitude": {"type": "constant", "value": [-0.3, 0.2]}},
+            {"index": "x", "seq": ["w"], "amplitude": {"type": "constant", "value": [0.0, 1.0]}},
+        ]
+    }
+    PARAMS = {
+        "wick-expand": lambda table: {"indices": ["u", "v", "w", "x", "u", "w"], "cumulants": table},
+        "moments-to-cumulants": lambda table: {"direction": "moments-to-cumulants", "table": table},
+        "cumulants-to-moments": lambda table: {"direction": "cumulants-to-moments", "table": table},
+        "hierarchy-rhs": lambda table: {"order": 3, "model": TestKeyOrder.MODEL, "table": table},
+    }
+
+    @pytest.mark.parametrize("job", list(PARAMS))
+    def test_a_table_with_its_keys_shuffled_writes_the_same_bytes(self, tmp_path, job):
+        rng = np.random.default_rng(31)
+        table = random_table(rng, self.INDICES, 3)
+        items = list(table.items())
+        rng.shuffle(items)
+        kind = "cumulant-convert" if "-to-" in job else job
+        outputs = []
+        for name, entries in (("sorted", table), ("shuffled", dict(items))):
+            path = write_config(tmp_path / f"{name}.json", kind, self.PARAMS[job](entries))
+            outputs.append(tmp_path / name)
+            assert main([kind, "--config", str(path), "--out", str(outputs[-1])]) == 0
+        assert list(dict(items)) != list(table)
+        assert result_files(outputs[0]) == result_files(outputs[1])
+
+
 class TestWorkCounters:
     """The manifest summary's work counters and guard margins are the same at any thread count."""
 

@@ -16,12 +16,8 @@ from wickkit.cumulants import (
     CumulantEvaluator,
     CumulantTable,
     EnsembleOracle,
-    IndependentProductOracle,
-    LinearCombinationOracle,
     TableOracle,
     cumulant_table_from_oracle,
-    empirical_cumulant,
-    gaussian_moment_oracle,
     moments_from_cumulants,
     table_to_json,
 )
@@ -30,7 +26,11 @@ from wickkit.indexing import EMPTY, SUBSET_GUARD, Codebook, LabeledSeq, canonica
 from wickkit.wick import wick_recursive
 
 from _support import (
+    IndependentProductOracle,
+    LinearCombinationOracle,
     PolynomialOracle,
+    empirical_cumulant,
+    gaussian_moment_oracle,
     mobius_cumulant,
     multilinearity_check,
     random_moment_oracle,

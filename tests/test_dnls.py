@@ -38,34 +38,30 @@ from wickkit.dnls import (
     Lattice,
     LatticeEnsemble,
     clustering_norm,
-    coincident_fourth_cumulant,
-    dnls_rhs,
     ell2_mass,
-    empirical_fourth_cluster,
-    empirical_pair_cluster,
     estimate_W,
     fixed_modulus_fourth_norm,
-    free_propagator,
     gauge_audit,
     hamiltonian,
     integrate_ensemble,
     load_ensemble,
     nearest_neighbor_dispersion,
     next_nearest_dispersion,
-    pair_cluster_from_spectrum,
     propagator_decay_fit,
     read_spectrum_csv,
     renormalize_a,
     sample_initial,
     save_ensemble,
-    translation_audit,
     write_spectrum_csv,
     zero_dispersion,
 )
 from wickkit import dnls
 from wickkit.errors import ConfigError, GuardError, step_count
+from wickkit.kinetic import CollisionConfig, prelimit_kernel
 
-from _support import reference_coincident_fourth_stderr, reference_split_steps, sampled_realization
+from _support import (
+    coincident_fourth_cumulant, dnls_rhs, reference_coincident_fourth_stderr, reference_split_steps, sampled_realization,
+)
 
 
 def smooth_spectrum(lattice: Lattice) -> np.ndarray:
@@ -232,14 +228,6 @@ class TestRhsAndExactFlows:
         with pytest.raises(ConfigError):
             dnls_rhs(one(np.zeros(8, complex), Lattice(1, 16)), nearest_neighbor_dispersion(1))
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_rhs_of_an_ensemble_stacks_the_rhs_of_each_field(self, dim):
-        lat = Lattice(dim, 8)
-        disp = next_nearest_dispersion(dim)
-        ens = sample_initial(lat, smooth_spectrum(lat), 3, seed=9, coupling=0.6)
-        each = [dnls_rhs(one(ens.fields[i], lat, coupling=0.6), disp)[0] for i in range(3)]
-        assert dnls_rhs(ens, disp).tobytes() == np.stack(each).tobytes()
-
 
 class TestIntegrate:
     def test_mass_conserved_over_thousand_steps(self):
@@ -262,6 +250,14 @@ class TestIntegrate:
         drift_coarse = abs(hamiltonian(integrate_ensemble(state, disp, 0.1, 100), disp) - h0)
         drift_fine = abs(hamiltonian(integrate_ensemble(state, disp, 0.05, 200), disp) - h0)
         assert 3.2 < drift_coarse / drift_fine < 4.8
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_an_ensemble_steps_as_each_of_its_fields_steps_alone(self, dim):
+        lat = Lattice(dim, 8)
+        disp = next_nearest_dispersion(dim)
+        ens = sample_initial(lat, smooth_spectrum(lat), 3, seed=9, coupling=0.6)
+        each = [integrate_ensemble(one(ens.fields[i], lat, coupling=0.6), disp, 0.02, 5).fields[0] for i in range(3)]
+        assert integrate_ensemble(ens, disp, 0.02, 5).fields.tobytes() == np.stack(each).tobytes()
 
     def test_step_guard(self):
         lat = Lattice(1, 32)
@@ -583,8 +579,10 @@ class TestSampling:
 
     READERS = {
         "sample_initial": lambda lat, w: sample_initial(lat, w, 4, seed=0),
-        "pair_cluster_from_spectrum": pair_cluster_from_spectrum,
         "fixed_modulus_fourth_norm": fixed_modulus_fourth_norm,
+        "prelimit_kernel": lambda lat, w: prelimit_kernel(
+            w, 0.5, 0.25, CollisionConfig(lattice=lat, dispersion=nearest_neighbor_dispersion(1))
+        ),
     }
 
     @pytest.mark.parametrize("reader", list(READERS))
@@ -744,30 +742,10 @@ class TestGaugeAudit:
                 assert got == pytest.approx(float(part.std(ddof=1)) / math.sqrt(400), rel=1e-12)
 
 
-class TestTranslationAudit:
-    def test_fresh_gaussian_ensemble_is_clean(self):
-        lat = Lattice(1, 16)
-        ens = sample_initial(lat, smooth_spectrum(lat), 6000, seed=5, family="gaussian")
-        report = translation_audit(ens)
-        assert report.flag_count == 0
-        # every ordered momentum pair is checked off-support, twice (two
-        # sign pairs), minus the on-support diagonals
-        assert report.n_pairs_checked == 2 * (16 * 16 - 16)
-
-    def test_site_dependent_shift_is_flagged(self):
-        lat = Lattice(1, 16)
-        ens = sample_initial(lat, smooth_spectrum(lat), 6000, seed=5, family="gaussian")
-        pattern = 0.4 * np.cos(2.0 * np.pi * np.arange(16) / 16)
-        broken = LatticeEnsemble(lat, ens.fields + pattern[None, :])
-        report = translation_audit(broken)
-        assert report.flag_count > 0
-        assert report.max_offsupport_z > 10.0
-
-
 class TestFreePropagator:
     def test_is_delta_at_time_zero(self):
         lat = Lattice(3, 8)
-        p0 = free_propagator(lat, nearest_neighbor_dispersion(3), 0.0)
+        p0 = dnls._propagator(lat, nearest_neighbor_dispersion(3).omega(lat), 0.0)
         expected = np.zeros(lat.shape)
         expected[0, 0, 0] = 1.0
         assert np.max(np.abs(p0 - expected)) < 1e-14
@@ -776,14 +754,14 @@ class TestFreePropagator:
         lat = Lattice(3, 8)
         disp = nearest_neighbor_dispersion(3)
         for t in (0.5, 3.7, 21.0):
-            p_t = free_propagator(lat, disp, t)
+            p_t = dnls._propagator(lat, disp.omega(lat), t)
             assert abs(float(np.sum(np.abs(p_t) ** 2)) - 1.0) < 1e-12
 
     def test_matches_direct_fourier_sum(self):
         lat = Lattice(1, 8)
         disp = nearest_neighbor_dispersion(1)
         omega = disp.omega(lat)
-        p_t = free_propagator(lat, disp, 1.3)
+        p_t = dnls._propagator(lat, omega, 1.3)
         k = np.arange(8) / 8
         direct = np.array(
             [np.mean(np.exp(1j * 2 * np.pi * k * x) * np.exp(-1j * 1.3 * omega)) for x in range(8)]
@@ -805,11 +783,18 @@ class TestFreePropagator:
         assert fit.decay_exponent < 0.2
 
 
+def pinned_pairs(w0: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """Pinned second cumulants of a phase-invariant 1-d law with spectrum ``w0``:
+    kappa(conj psi(0), psi(x)) = L^-1 sum_k W(k) e^{i 2 pi k x}, and its conjugate."""
+    forward = np.fft.ifft(w0)
+    return {(-1, 1): forward, (1, -1): np.conj(forward)}
+
+
 class TestClusteringNorms:
     def test_two_route_pair_norm_agreement(self):
         lat = Lattice(1, 32)
         w0 = smooth_spectrum(lat)
-        table = pair_cluster_from_spectrum(lat, w0)
+        table = pinned_pairs(w0)
         norm_fft = clustering_norm(table, 2)
         k = np.arange(32) / 32
         direct = np.array([np.sum(w0 * np.exp(1j * 2 * np.pi * k * x)) / 32 for x in range(32)])
@@ -820,41 +805,10 @@ class TestClusteringNorms:
 
     def test_white_spectrum_reduces_to_single_site_variance(self):
         lat = Lattice(1, 32)
-        table = pair_cluster_from_spectrum(lat, np.full(32, 0.7))
+        table = pinned_pairs(np.full(32, 0.7))
         assert clustering_norm(table, 2) == pytest.approx(0.7, abs=1e-13)
         off_origin = np.sum(np.abs(table[(-1, 1)])) - abs(table[(-1, 1)][0])
         assert off_origin < 1e-13
-
-    def test_empirical_pair_cluster_matches_analytic(self):
-        lat = Lattice(1, 32)
-        w0 = smooth_spectrum(lat)
-        ens = sample_initial(lat, w0, 6000, seed=5, family="gaussian")
-        empirical = empirical_pair_cluster(ens)
-        analytic = pair_cluster_from_spectrum(lat, w0)
-        assert np.max(np.abs(empirical[(-1, 1)] - analytic[(-1, 1)])) < 0.02
-        assert np.max(np.abs(empirical[(1, 1)])) < 0.01  # phase-unbalanced
-        assert np.max(np.abs(empirical[(-1, -1)])) < 0.01
-
-    def test_windowed_fourth_cluster_of_fixed_modulus_law(self):
-        lat = Lattice(1, 8)
-        ens = sample_initial(lat, np.full(8, 0.8), 4000, seed=9, family="fixed-modulus")
-        offsets, values = empirical_fourth_cluster(ens, signs=(-1, -1, 1, 1), window_radius=1)
-        assert offsets == [(-1,), (0,), (1,)]
-        # per mode kappa4 = -(mode power)^2; for a flat spectrum the pinned
-        # cumulant is -w^2/L exactly when -x2 + x3 + x4 = 0 and zero otherwise
-        expected = np.zeros((3, 3, 3), dtype=complex)
-        for i2, x2 in enumerate(offsets):
-            for i3, x3 in enumerate(offsets):
-                for i4, x4 in enumerate(offsets):
-                    if (-x2[0] + x3[0] + x4[0]) % 8 == 0:
-                        expected[i2, i3, i4] = -(0.8**2) / 8
-        assert np.max(np.abs(values - expected)) < 0.025
-
-    def test_windowed_fourth_cluster_of_gaussian_law_vanishes(self):
-        lat = Lattice(1, 8)
-        ens = sample_initial(lat, smooth_spectrum(lat), 4000, seed=10, family="gaussian")
-        _, values = empirical_fourth_cluster(ens, window_radius=1)
-        assert np.max(np.abs(values)) < 0.03
 
     def test_fixed_modulus_norm_closed_form(self):
         lat = Lattice(1, 8)

@@ -1,7 +1,7 @@
 """The export lists of the modules with an ``__all__`` match what they define,
-the public signatures of the combinatorial core take no partition-sum memo,
-one module owns the Wick-group code layout, and no module calls the
-enumerators kept for the benchmark tracer."""
+every public name has a consumer, the public signatures of the combinatorial
+core take no partition-sum memo, one module owns the Wick-group code layout,
+and no module calls the enumerators kept for the benchmark tracer."""
 
 from __future__ import annotations
 
@@ -81,3 +81,52 @@ def test_only_indexing_names_the_enumerators_kept_for_the_tracer():
     # every partition sum runs through the kernel; the brute-force walks stay in indexing for
     # the benchmark tracer alone, and the tests keep their own
     assert modules_naming({"subsets", "partitions", "partitions_of", "Partition"}) == ["indexing"]
+
+
+#: the package's own file formats, kept as checked external input though no route reads or writes them
+FILE_FORMATS = {"save_ensemble", "load_ensemble", "read_trajectory_csv"}
+
+
+def read_names(node: ast.AST) -> set[str]:
+    """Every name a node reads, as a plain name, an attribute, an import or a dotted string such as a tracer target."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.alias):
+            names.add(child.name)
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            names.update(child.value.split("."))
+    return names
+
+
+def test_every_public_name_has_a_consumer():
+    # a public function or class stays where a route uses it: code that runs at import or as the
+    # console entry point, an acceptance criterion, the benchmark tracer, or another definition
+    # reached from them; or the paper defines it, and its docstring cites arXiv:1503.05851
+    root = Path(importlib.import_module("wickkit").__file__).parents[2]
+    definitions: dict[str, list[ast.AST]] = {}
+    reached = set(FILE_FORMATS)
+    for path in sorted((root / "src" / "wickkit").glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        docstring = body[0] if body and isinstance(body[0], ast.Expr) else None
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append(node)
+                if "arXiv:1503.05851" in (ast.get_docstring(node) or ""):
+                    reached.add(node.name)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)) and node is not docstring and not (
+                isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+            ):
+                reached |= read_names(node)
+    for path in (root / "tests" / "test_acceptance.py", root / "bench" / "spans.py"):
+        reached |= read_names(ast.parse(path.read_text(encoding="utf-8")))
+    todo = list(reached)
+    while todo:
+        for node in definitions.get(todo.pop(), ()):
+            new = read_names(node) - reached
+            reached |= new
+            todo.extend(new)
+    assert sorted(name for name in definitions if not name.startswith("_") and name not in reached) == []

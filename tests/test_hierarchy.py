@@ -21,7 +21,6 @@ from scipy.linalg import expm
 from wickkit.cumulants import (
     CumulantTable,
     EnsembleOracle,
-    LinearCombinationOracle,
     TableOracle,
     cumulant_table_from_oracle,
 )
@@ -39,12 +38,12 @@ from wickkit.hierarchy import (
     hierarchy_rhs,
     hierarchy_rhs_table,
     integrate_hierarchy,
-    leibniz_wick_derivative,
 )
 from wickkit.indexing import EMPTY, LabeledSeq, partition_sum
 from wickkit.wick import wick_from_cumulants
 
 from _support import (
+    LinearCombinationOracle,
     brute_product_expectation,
     multiset,
     random_moment_oracle,
@@ -679,16 +678,6 @@ class TestDuhamel:
 
 
 class TestLeibniz:
-    def test_term_structure(self):
-        seq = seq_of("a", "b", "a")
-        terms = leibniz_wick_derivative(seq)
-        assert len(terms) == 3
-        assert [t.slot_label for t in terms] == [1, 2, 3]
-        assert [t.slot_index for t in terms] == ["a", "b", "a"]
-        assert terms[0].rest.indices() == ("b", "a")
-        assert terms[1].rest.indices() == ("a", "a")
-        assert leibniz_wick_derivative(EMPTY) == ()
-
     def test_product_rule_semantics_by_finite_differences(self):
         """For y(t) = u + t z, d/dt W[y^I] at t=0 must equal the sum over
         slots of W[z_slot * u^rest] -- as polynomials in the base variables,
@@ -726,10 +715,8 @@ class TestLeibniz:
         expected: dict[tuple, complex] = {}
         dot = {"x1": "z1", "x2": "z2"}
         at0 = {"x1": "u1", "x2": "u2"}
-        for term in leibniz_wick_derivative(seq):
-            indices = (dot[term.slot_index],) + tuple(
-                at0[i] for i in term.rest.indices()
-            )
+        for label, index in seq.elements:  # one term per slot: W[z_slot * u^rest]
+            indices = (dot[index],) + tuple(at0[i] for i in seq.without((label,)).indices())
             poly = wick_from_cumulants(base, LabeledSeq.from_indices(indices))
             for k, v in poly.multiset_terms().items():
                 expected[k] = expected.get(k, 0.0 + 0.0j) + v

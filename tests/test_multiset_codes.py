@@ -24,6 +24,7 @@ from wickkit.cumulants import (
     CumulantBackedOracle,
     CumulantEvaluator,
     CumulantTable,
+    EnsembleOracle,
     TableOracle,
     moments_from_cumulants,
 )
@@ -322,3 +323,43 @@ def test_no_read_grows_a_table_s_code_book():
     model = AmplitudeModel(terms={"a": [InteractionTerm(LabeledSeq.from_indices(["b"]), constant_amplitude(1.0))]})
     assert HierarchyPlan(model, [LabeledSeq.from_indices(["a"])]).evaluate(HierarchyState(table))[0] == [0]
     assert table.book.indices == ["a"]
+
+
+def test_a_failed_table_oracle_read_leaves_the_book_as_built():
+    # a key naming an index the table lacks is a KeyError before it is coded, by key and by sequence
+    oracle = TableOracle({("a",): 0.5, ("a", "a"): 1.0})
+    for i in range(1000):
+        with pytest.raises(KeyError) as raised:
+            oracle.moment(("a", i))
+        assert raised.value.args == (("a", i),)
+        with pytest.raises(KeyError):
+            oracle.moment_of(LabeledSeq.from_indices([i]))
+    assert oracle.book.indices == ["a"]
+    assert oracle.moment(("a", "a")) == 1.0 and oracle.moment_of(LabeledSeq.from_indices(["a"])) == 0.5
+
+
+def test_a_failed_cumulant_read_leaves_the_oracle_s_book_as_built():
+    # the evaluator's key forms code through the oracle, so they decline an unseen index as its moment reads do
+    oracle = TableOracle({("a",): 0.5, ("a", "a"): 1.0})
+    evaluator = CumulantEvaluator(oracle)
+    for i in range(1000):
+        with pytest.raises(KeyError):
+            evaluator.kappa((i,))
+        with pytest.raises(KeyError):
+            evaluator.kappa_of(LabeledSeq.from_indices(["a", i]))
+    assert oracle.book.indices == ["a"] and evaluator.memo == {}
+    assert evaluator.kappa(("a", "a")) == 0.75 and evaluator.kappa_of(LabeledSeq.from_indices(["a"])) == 0.5
+
+
+def test_a_failed_ensemble_read_leaves_the_book_as_built():
+    # an ensemble interns its indices at construction, and a read naming another is a KeyError before it is coded
+    oracle = EnsembleOracle({"a": np.arange(4.0)})
+    for i in range(1000):
+        for read in (oracle.moment, oracle.loo_moment):
+            with pytest.raises(KeyError) as raised:
+                read(("a", i))
+            assert raised.value.args == (("a", i),)
+        with pytest.raises(KeyError):
+            oracle.moment_of(LabeledSeq.from_indices([i]))
+    assert oracle.book.indices == ["a"]
+    assert oracle.moment(("a",)) == 1.5 and np.allclose(oracle.loo_moment(("a",)), [2.0, 5 / 3, 4 / 3, 1.0], rtol=1e-15)
