@@ -26,11 +26,15 @@ kind reads, and a missing required key or a stray one is refused.  Every
 number in a config is a finite JSON number (not a string or a bool);
 integer fields take only JSON integers.  Exit codes: 0 success, 2 malformed,
 mistyped or non-finite input or an input file that is not UTF-8, 3 a numeric
-guard tripped or memory ran out during the run, 4 I/O failure.  Failures
-print a one-line JSON error report to stderr.
+guard tripped or memory ran out during the run, 4 I/O failure.  Failures,
+command-line errors included, print a one-line JSON error report to stderr.
 
-numpy, ``dnls`` and ``kinetic`` load at the parse step of a lattice kind;
-``wick-expand``, ``cumulant-convert`` and ``hierarchy-rhs`` run without them.
+A console run executes only the modules its kind calls.  ``indexing``,
+``cumulants``, ``wick`` and ``hierarchy`` load at an algebra kind's first
+read of them, from its parse step on (``wick-expand``, ``cumulant-convert``,
+``hierarchy-rhs``), and numpy, ``dnls`` and ``kinetic`` at the parse step of
+a lattice kind; no kind executes the other layer, and ``concurrent.futures``
+loads only when a pool starts.
 """
 
 from __future__ import annotations
@@ -56,8 +60,9 @@ def _lazy_module(name: str) -> types.ModuleType:
 
     A module already in ``sys.modules`` is returned as it is; otherwise the
     module is registered there, and on its package, unexecuted.  Before
-    Python 3.12 that first read is not thread-safe, so the runners make it
-    while they parse their config, before any pool starts.
+    Python 3.12 that first read is not thread-safe, so a lattice runner makes
+    it while it parses its config, before any pool starts; an algebra runner
+    starts no pool.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -72,35 +77,21 @@ def _lazy_module(name: str) -> types.ModuleType:
     return module
 
 
-# the algebra kinds run no numpy, lattice or kinetic code: these load at a lattice kind's parse step
+# a console run executes only its own layer: the algebra modules load in an algebra kind's run,
+# numpy, dnls and kinetic in a lattice kind's
+indexing = _lazy_module("wickkit.indexing")
+cumulants = _lazy_module("wickkit.cumulants")
+wick = _lazy_module("wickkit.wick")
+hierarchy = _lazy_module("wickkit.hierarchy")
 np = _lazy_module("numpy")
 dnls = _lazy_module("wickkit.dnls")
 kinetic = _lazy_module("wickkit.kinetic")
 
-from .cumulants import (  # noqa: E402
-    CumulantBackedOracle,
-    CumulantEvaluator,
-    CumulantTable,
-    TableOracle,
-    _as_index,
-    table_from_json,
-    table_to_json,
-)
 from .errors import (  # noqa: E402
     _REQUIRED, Block, ConfigError, GuardError, _json, _number, _object, _read_text, _write_json, _written,
     mean_stderr, read_csv, step_count, write_csv,
 )
-from .hierarchy import (  # noqa: E402
-    AmplitudeModel,
-    HierarchyPlan,
-    HierarchyState,
-    InteractionTerm,
-    all_keys_up_to,
-    constant_amplitude,
-)
-from .indexing import LabeledSeq  # noqa: E402
 from .pool import map_in_order as _map_in_order  # noqa: E402
-from .wick import wick_from_cumulants  # noqa: E402
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -274,7 +265,7 @@ def _index_list(block: Block, key: str) -> list:
     raw = block.get(key)
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{block.name(key)} must be a nonempty list of indices, got {raw!r}")
-    return [_as_index(token) for token in raw]
+    return [cumulants._as_index(token) for token in raw]
 
 
 def _parse_collision(
@@ -305,8 +296,8 @@ def _run_wick_expand(rc: RunConfig, out_dir: Path) -> dict:
     """Expand the Wick polynomial of an index sequence over a cumulant table."""
     with Block(rc.params, "wick-expand params") as params:
         indices = _index_list(params, "indices")
-        table = CumulantTable.from_json(params.inline_or_file("cumulants"))
-    poly = wick_from_cumulants(table, LabeledSeq.from_indices(indices))
+        table = cumulants.CumulantTable.from_json(params.inline_or_file("cumulants"))
+    poly = wick.wick_from_cumulants(table, indexing.LabeledSeq.from_indices(indices))
     _write_json(out_dir / "wick_poly.json", poly.to_json())
     return {
         "outputs": ["wick_poly.json"],
@@ -318,10 +309,10 @@ def _run_cumulant_convert(rc: RunConfig, out_dir: Path) -> dict:
     """Convert a moment table to cumulants, or a cumulant table to moments."""
     with Block(rc.params, "cumulant-convert params") as params:
         direction = params.choice("direction", ("moments-to-cumulants", "cumulants-to-moments"))
-        entries = table_from_json(params.inline_or_file("table"))
+        entries = cumulants.table_from_json(params.inline_or_file("table"))
     keys = list(entries)
     if direction == "moments-to-cumulants":
-        evaluator = CumulantEvaluator(TableOracle(entries))
+        evaluator = cumulants.CumulantEvaluator(cumulants.TableOracle(entries))
         book = evaluator.book
         try:
             converted = {key: evaluator.kappa_code(book.code(key)) for key in keys}
@@ -335,10 +326,10 @@ def _run_cumulant_convert(rc: RunConfig, out_dir: Path) -> dict:
             "partition_states": 0,
         }
     else:
-        oracle = CumulantBackedOracle(CumulantTable(entries=entries))  # its memo serves every key
+        oracle = cumulants.CumulantBackedOracle(cumulants.CumulantTable(entries=entries))  # its memo serves every key
         converted = {key: oracle.moment(key) for key in keys}
         work = oracle.memo.work()
-    _write_json(out_dir / "converted.json", table_to_json(converted))
+    _write_json(out_dir / "converted.json", cumulants.table_to_json(converted))
     return {"outputs": ["converted.json"], "summary": {"entries": len(converted), **work}}
 
 
@@ -347,7 +338,7 @@ def _amplitude_from_descriptor(amplitude: Block, at: float):
     with amplitude:
         kind = amplitude.choice("type", ("constant", "phase", "table"))
         if kind == "constant":
-            return constant_amplitude(amplitude.pair("value"))
+            return hierarchy.constant_amplitude(amplitude.pair("value"))
         s = amplitude.pair("scale", [1.0, 0.0])
         if kind == "phase":
             omega = amplitude.number("omega")
@@ -367,15 +358,17 @@ def _run_hierarchy_rhs(rc: RunConfig, out_dir: Path) -> dict:
         with Block(params.inline_or_file("model"), params.name("model")) as spec:
             for pos, item in enumerate(spec.sequence("terms")):
                 with Block(item, f"{spec.name('terms')}[{pos}]") as entry:
-                    seq = LabeledSeq.from_indices(_index_list(entry, "seq"))
-                    term = InteractionTerm(seq=seq, amplitude=_amplitude_from_descriptor(entry.block("amplitude"), at))
-                    terms.setdefault(_as_index(entry.get("index")), []).append(term)
-        model = AmplitudeModel(terms=terms)
-        table = CumulantTable.from_json(params.inline_or_file("table"), max_order=order)
-        state = HierarchyState(table=table, time=at)
-    targets = all_keys_up_to(model.universe(), order)  # distinct and canonical already
-    values, work = HierarchyPlan(model, [LabeledSeq.from_indices(key) for key in targets]).evaluate(state)
-    _write_json(out_dir / "rhs_table.json", table_to_json(dict(zip(targets, values))))
+                    seq = indexing.LabeledSeq.from_indices(_index_list(entry, "seq"))
+                    amplitude = _amplitude_from_descriptor(entry.block("amplitude"), at)
+                    term = hierarchy.InteractionTerm(seq=seq, amplitude=amplitude)
+                    terms.setdefault(cumulants._as_index(entry.get("index")), []).append(term)
+        model = hierarchy.AmplitudeModel(terms=terms)
+        table = cumulants.CumulantTable.from_json(params.inline_or_file("table"), max_order=order)
+        state = hierarchy.HierarchyState(table=table, time=at)
+    targets = hierarchy.all_keys_up_to(model.universe(), order)  # distinct and canonical already
+    plan = hierarchy.HierarchyPlan(model, [indexing.LabeledSeq.from_indices(key) for key in targets])
+    values, work = plan.evaluate(state)
+    _write_json(out_dir / "rhs_table.json", cumulants.table_to_json(dict(zip(targets, values))))
     return {
         "outputs": ["rhs_table.json"],
         "summary": {"targets": len(targets), "order": order, **work},
@@ -624,10 +617,17 @@ def run(rc: RunConfig) -> list[Path]:
     return [out_dir / name for name in report["outputs"]] + [out_dir / "manifest.json"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ConfigError, which ``main`` reports in one JSON line; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: it holds no state between parses."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wickkit",
         description="Deterministic batch runs of the wickkit library modules.",
     )
@@ -643,8 +643,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         rc = load_run_config(
             args.config, kind=args.kind, seed=args.seed, threads=args.threads, out=args.out,
         )

@@ -38,7 +38,6 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .cumulants import EnsembleOracle
 from .errors import (
     Block, ConfigError, GuardError, _is_number, _json, _read_text, _write_json, jackknife_stderr, mean_stderr, read_csv,
     write_csv,
@@ -686,6 +685,8 @@ def gauge_audit(ensemble: LatticeEnsemble, max_order: int = 4, threshold: float 
     whose real or imaginary part sits more than ``threshold`` standard errors
     from zero.
     """
+    from .cumulants import EnsembleOracle  # the lattice layer's one use of the algebra layer
+
     if max_order < 1:
         raise ConfigError("max_order must be at least 1")
     if ensemble.n_realizations < 2:

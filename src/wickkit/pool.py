@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 
@@ -16,9 +15,13 @@ def map_in_order(worker: Callable, items: Sequence, threads: int) -> list:
     nest pools: a worker never calls this again with more than one thread.
     At most ``min(threads, len(items), os.cpu_count())`` workers start, so a
     large ``threads`` value costs no more threads than the machine has cores.
+    One worker maps in the calling thread, and ``concurrent.futures`` is
+    imported only when a pool starts, so a single-threaded run never loads it.
     """
     workers = min(threads, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items))

@@ -955,7 +955,7 @@ class TestMainPlumbing:
         code = main(["bp-solve", "--config", str(path), "--out", "/proc/nope/x"])
         assert code == 4
 
-    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, monkeypatch):
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         wick = write_config(
             tmp_path / "w.json", "wick-expand", {"indices": [1], "cumulants": {"[1]": [0.25, 0.0]}}, out="from_config"
@@ -981,15 +981,34 @@ class TestMainPlumbing:
             ["wick-expand"],
             ["wick-expand", "--config", str(wick), "--color"],
         ):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
+            capsys.readouterr()
+            # a command-line error is reported as every other error is: exit 2 and one JSON line
+            assert main(argv) == 2
+            assert_one_error_line(capsys, 2)
         assert main(["hierarchy-rhs", "--config", str(hier), "--out", "third"]) == 0
 
-    def test_unknown_subcommand_exits_2(self):
+    def test_unknown_subcommand_exits_2(self, capsys):
+        assert main(["frobnicate", "--config", "x.json"]) == 2
+        assert_one_error_line(capsys, 2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bp-solve", "--config", "c.json", "--threads", "1.5"],
+            ["bp-solve", "--config", "c.json", "--seed", "x"],
+            [],
+        ],
+    )
+    def test_a_command_line_error_is_one_json_line(self, capsys, argv):
+        # argparse's multi-line usage text would break the one-line error contract
+        assert main(argv) == 2
+        assert_one_error_line(capsys, 2)
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["frobnicate", "--config", "x.json"])
-        assert exc.value.code == 2
+            main(["bp-solve", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_console_entry_point_runs(self, tmp_path):
         path = write_config(
@@ -1056,20 +1075,55 @@ class TestConsoleStart:
     so in this process the CLI never takes the lazy path a console run takes.
     """
 
-    @pytest.mark.parametrize("kind", ["wick-expand", "cumulant-convert", "hierarchy-rhs"])
-    def test_an_algebra_kind_executes_no_numpy_dnls_or_kinetic(self, tmp_path, kind):
+    ALGEBRA = ["indexing", "cumulants"]
+    LATTICE = ["dnls", "kinetic"]
+    LAYERS = {
+        "cumulant-convert": ALGEBRA,
+        "wick-expand": ALGEBRA + ["wick"],
+        "hierarchy-rhs": ALGEBRA + ["wick", "hierarchy"],
+        "dnls-simulate": ["dnls"],
+        "estimate-w": ["dnls"],
+        "bp-solve": LATTICE,
+        "bp-compare": LATTICE,
+        "kinetic-check": LATTICE,
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_kind_executes_only_its_own_layer(self, tmp_path, kind):
         write_config(tmp_path / "c.json", kind, BOUNDARY_CONFIGS[kind])
         out = fresh_python(
-            "import sys, types\n"
+            "import json, sys, types\n"
             "from wickkit.cli import main\n"
             f"assert main([{kind!r}, '--config', 'c.json', '--out', 'run']) == 0\n"
-            "print('numpy._core' in sys.modules, "
-            "*(type(sys.modules[name]) is types.ModuleType for name in ('wickkit.dnls', 'wickkit.kinetic')))\n",
+            # a lazy module keeps its own type until its code runs
+            "print(json.dumps(sorted(name for name, module in sys.modules.items()\n"
+            "             if name.startswith(('wickkit', 'numpy')) and type(module) is types.ModuleType)))\n",
             tmp_path,
         )
-        # a lazy module keeps its own type until its code runs
-        assert out.splitlines()[-1] == "False False False"
+        executed = json.loads(out.splitlines()[-1])
+        assert ("numpy" in executed) == ("dnls" in self.LAYERS[kind])
+        modules = [name.removeprefix("wickkit.") for name in executed if name.startswith("wickkit.")]
+        assert sorted(modules) == sorted(["cli", "errors", "pool"] + self.LAYERS[kind])
         assert (tmp_path / "run" / "manifest.json").is_file()
+
+    def test_a_pool_imports_concurrent_futures_when_it_starts(self, tmp_path):
+        for kind in ("bp-solve", "bp-compare"):
+            write_config(tmp_path / f"{kind}.json", kind, BOUNDARY_CONFIGS[kind])
+        out = fresh_python(
+            "import os, sys\n"
+            "from wickkit.cli import main\n"
+            "os.cpu_count = lambda: 2  # a pool of two starts on any machine\n"
+            "imported = []\n"
+            "for kind, threads in (('bp-solve', '1'), ('bp-compare', '1'), ('bp-compare', '2')):\n"
+            "    out = f'{kind}-{threads}'\n"
+            "    assert main([kind, '--config', f'{kind}.json', '--out', out, '--threads', threads]) == 0\n"
+            "    imported.append('concurrent.futures' in sys.modules)\n"
+            "print(imported)\n",
+            tmp_path,
+        )
+        assert out.splitlines()[-1] == "[False, False, True]"
+        threaded = result_files(tmp_path / "bp-compare-2")
+        assert threaded and threaded == result_files(tmp_path / "bp-compare-1")
 
     def test_import_registers_every_module_the_tracer_patches(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))

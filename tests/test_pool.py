@@ -6,6 +6,8 @@ in the calling thread, so no test starts more threads than it names.
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import pytest
 
 from wickkit import pool
@@ -32,7 +34,8 @@ class RecordingExecutor:
 @pytest.fixture
 def executor(monkeypatch):
     RecordingExecutor.started = []
-    monkeypatch.setattr(pool, "ThreadPoolExecutor", RecordingExecutor)
+    # map_in_order imports the executor class when a pool starts, so it is patched where it is defined
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     return RecordingExecutor
 
 
