@@ -45,6 +45,7 @@ import contextlib
 import functools
 import importlib.util
 import json
+import math
 import sys
 import time
 import types
@@ -358,16 +359,14 @@ def _run_hierarchy_rhs(rc: RunConfig, out_dir: Path) -> dict:
         with Block(params.inline_or_file("model"), params.name("model")) as spec:
             for pos, item in enumerate(spec.sequence("terms")):
                 with Block(item, f"{spec.name('terms')}[{pos}]") as entry:
-                    seq = indexing.LabeledSeq.from_indices(_index_list(entry, "seq"))
+                    seq = tuple(_index_list(entry, "seq"))
                     amplitude = _amplitude_from_descriptor(entry.block("amplitude"), at)
                     term = hierarchy.InteractionTerm(seq=seq, amplitude=amplitude)
                     terms.setdefault(cumulants._as_index(entry.get("index")), []).append(term)
         model = hierarchy.AmplitudeModel(terms=terms)
         table = cumulants.CumulantTable.from_json(params.inline_or_file("table"), max_order=order)
-        state = hierarchy.HierarchyState(table=table, time=at)
     targets = hierarchy.all_keys_up_to(model.universe(), order)  # distinct and canonical already
-    plan = hierarchy.HierarchyPlan(model, [indexing.LabeledSeq.from_indices(key) for key in targets])
-    values, work = plan.evaluate(state)
+    values, work = hierarchy.HierarchyPlan(model, targets).evaluate(table, at)
     _write_json(out_dir / "rhs_table.json", cumulants.table_to_json(dict(zip(targets, values))))
     return {
         "outputs": ["rhs_table.json"],
@@ -450,7 +449,7 @@ def _run_bp_solve(rc: RunConfig, out_dir: Path) -> dict:
             "taus": [float(t) for t in trajectory.taus],
             "number": [float(v) for v in trajectory.number],
             "energy": [float(v) for v in trajectory.energy],
-            "entropy": [float(v) for v in trajectory.entropy],
+            "entropy": [None if v == -math.inf else float(v) for v in trajectory.entropy],  # JSON has no -inf
         },
     )
     return {
@@ -517,6 +516,9 @@ def _run_kinetic_check(rc: RunConfig, out_dir: Path) -> dict:
         tau = params.number("tau", low=0.0, strict=True)
         dt = params.number("dt")
         lambdas = params.numbers("coupling_list", low=0.0, strict=True)
+        if len(set(lambdas)) < len(lambdas):
+            repeated = next(c for i, c in enumerate(lambdas) if c in lambdas[:i])
+            raise ConfigError(f"{params.name('coupling_list')} repeats the coupling {repeated!r}")
         n_real = params.integer("n_realizations", low=2)
         family = params.choice("family", dnls._FAMILIES, "gaussian")
         se_threshold = params.number("se_threshold", 3.0, low=0.0)

@@ -62,8 +62,8 @@ class MomentOracle:
     """Source of joint moments, read by multiset code of its ``book``.
 
     ``moment_code(code)`` is E[y^I] for the multiset I of a code in
-    ``book``; the key forms :meth:`moment` and :meth:`moment_of` code their
-    argument and read it.  A subclass overrides exactly one of
+    ``book``; the key form :meth:`moment` codes its argument, any index
+    sequence, and reads it.  A subclass overrides exactly one of
     :meth:`moment_code`, over a book of its own, and :meth:`moment`, by
     canonical key.  For the latter the default ``moment_code`` decodes each
     code once, through ``book.key``, and keeps the moment it is given; code 0
@@ -90,9 +90,6 @@ class MomentOracle:
 
     def moment(self, key: tuple) -> complex:
         return self.moment_code(self._code(key))
-
-    def moment_of(self, seq: LabeledSeq) -> complex:
-        return self.moment_code(self._code(seq.indices()))
 
 
 class TableOracle(MomentOracle):
@@ -412,6 +409,7 @@ class CumulantEvaluator:
         return value
 
     def kappa_of(self, seq: LabeledSeq) -> complex:
+        """:meth:`kappa` of a labeled sequence's indices; the benchmark tracer wraps it by name."""
         return self.kappa_code(self._code(seq.indices()))
 
     def kappa(self, key: Iterable[Index]) -> complex:
@@ -436,9 +434,9 @@ def coded_cumulants(source) -> tuple[Codebook, Callable[[int], complex]]:
     raise TypeError(f"cannot interpret {type(source).__name__} as cumulants")
 
 
-def moments_from_cumulants(source, seq: LabeledSeq) -> complex:
+def moments_from_cumulants(source, indices: Iterable[Index]) -> complex:
     """E[y^I] = sum over partitions of prod over blocks of kappa[block], by a fresh :class:`CumulantBackedOracle`."""
-    return CumulantBackedOracle(source).moment_of(seq)
+    return CumulantBackedOracle(source).moment(indices)
 
 
 def cumulant_table_from_oracle(oracle: MomentOracle, indices: Sequence[Index], max_order: int) -> CumulantTable:

@@ -9,7 +9,7 @@ law), the joint cumulants obey the closed hierarchy
 
 where the pair expectation expands into the partition sum over cumulants in
 which no block may sit inside a single Wick factor.  Truncation closes the
-hierarchy: cumulants above the state table's max order read as zero.
+hierarchy: cumulants above the table's max order read as zero.
 
 That sum depends on the two Wick factors' multisets alone, so every route to
 the right-hand side goes through a :class:`HierarchyPlan`, which keeps the
@@ -21,6 +21,11 @@ memo anywhere.  :func:`hierarchy_rhs` plans one target and
 :func:`hierarchy_rhs_table` its distinct targets; :func:`integrate_hierarchy`
 plans all its keys once and evaluates the plan on every RK4 stage, and
 :func:`duhamel_expand` evaluates a plan on the amplitudes' integrals.
+
+The state is a :class:`~wickkit.cumulants.CumulantTable` and a time, passed
+as two arguments.  Targets, drives and the remainder terms of
+:func:`duhamel_expand` are index tuples, a slot is a position in its tuple,
+and no labels are kept.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .cumulants import CumulantBackedOracle, CumulantTable, MomentOracle
 from .errors import ConfigError, rk4, step_count
-from .indexing import EMPTY, Codebook, Index, LabeledSeq, canonical_key
+from .indexing import Codebook, Index, canonical_key
 from .wick import _group_code, _group_sums
 
 Amplitude = Callable[[float, CumulantTable], complex]
@@ -45,13 +50,13 @@ def constant_amplitude(value: complex) -> Amplitude:
 
 @dataclass
 class InteractionTerm:
-    """One drive on one variable: the Wick monomial sequence and its amplitude.
+    """One drive on one variable: the index tuple of its Wick monomial and its amplitude.
 
     The amplitude is called as ``amplitude(t, table)`` with the current
     cumulant table, so state-dependent couplings are expressible.
     """
 
-    seq: LabeledSeq
+    seq: tuple[Index, ...]
     amplitude: Amplitude
 
 
@@ -66,23 +71,8 @@ class AmplitudeModel:
         seen = set(self.terms.keys())
         for terms in self.terms.values():
             for term in terms:
-                seen.update(term.seq.indices())
+                seen.update(term.seq)
         return list(canonical_key(seen))
-
-
-@dataclass(frozen=True)
-class HierarchyState:
-    """A truncated cumulant table with a time stamp, frozen like its table.
-
-    The closure is the table's max order: cumulants above it read as zero.
-    """
-
-    table: CumulantTable
-    time: float = 0.0
-
-    @property
-    def order_cap(self) -> int:
-        return self.table.max_order
 
 
 class HierarchyPlan:
@@ -98,11 +88,11 @@ class HierarchyPlan:
     distinct amplitude callables in the order of their first call, and every
     term in the order (target, slot, drive).
 
-    A plan holds no values and may serve any number of states, for example
+    A plan holds no values and may serve any number of tables, for example
     every stage of an RK4 march.
     """
 
-    def __init__(self, model: AmplitudeModel, targets: Sequence[LabeledSeq]) -> None:
+    def __init__(self, model: AmplitudeModel, targets: Sequence[Sequence[Index]]) -> None:
         self.order = max(map(len, targets), default=0)
         self.amplitudes: list[Amplitude] = []
         amplitude_at: dict[int, int] = {}  # by id of the callable, kept alive in self.amplitudes
@@ -114,10 +104,10 @@ class HierarchyPlan:
         self._pair: list[int] = []
         self._ends: list[int] = []  # one past each target's last term
         # the targets' indices first, in the order a table keyed by the targets numbers them
-        self.book = book = Codebook(idx for target in targets for idx in target.indices())
+        self.book = book = Codebook(idx for target in targets for idx in target)
         for target in targets:
-            full = _group_code(book, [(), target.indices()])
-            for _, idx in target.elements:
+            full = _group_code(book, [(), target])
+            for idx in target:
                 entry = drives.get(idx)
                 if entry is None:
                     row = []
@@ -125,7 +115,7 @@ class HierarchyPlan:
                         a = amplitude_at.setdefault(id(term.amplitude), len(self.amplitudes))
                         if a == len(self.amplitudes):
                             self.amplitudes.append(term.amplitude)
-                        row.append((a, _group_code(book, [term.seq.indices(), ()])))
+                        row.append((a, _group_code(book, [term.seq, ()])))
                     entry = drives[idx] = (_group_code(book, [(), [idx]]), row)
                 slot, row = entry
                 for a, drive in row:
@@ -134,8 +124,8 @@ class HierarchyPlan:
             self._ends.append(len(self._pair))
         self.pair_codes = list(pair_at)
 
-    def evaluate(self, state: HierarchyState) -> tuple[list[complex], dict[str, int]]:
-        """The right-hand side of every target at the state, and the work done.
+    def evaluate(self, table: CumulantTable, time: float = 0.0) -> tuple[list[complex], dict[str, int]]:
+        """The right-hand side of every target at the table and time, and the work done.
 
         Each amplitude is called once.  The pair codes that a term with a
         nonzero amplitude needs go, in order of first need, to
@@ -147,7 +137,7 @@ class HierarchyPlan:
         (``pair_expectations``) and those the memo already held
         (``pair_memo_hits``).
         """
-        return self._rhs(state.table, lambda amplitude: amplitude(state.time, state.table))
+        return self._rhs(table, lambda amplitude: amplitude(time, table))
 
     def _rhs(self, table: CumulantTable, value: Callable[[Amplitude], complex]) -> tuple[list[complex], dict[str, int]]:
         """:meth:`evaluate` over ``table`` with ``value(amplitude)`` standing for each amplitude callable."""
@@ -168,15 +158,17 @@ class HierarchyPlan:
         return out, work
 
 
-def hierarchy_rhs(model: AmplitudeModel, state: HierarchyState, target: LabeledSeq) -> complex:
-    """d/dt kappa[target] under the model at the state, by a one-target plan."""
-    return HierarchyPlan(model, [target]).evaluate(state)[0][0]
+def hierarchy_rhs(model: AmplitudeModel, table: CumulantTable, target: Sequence[Index], time: float = 0.0) -> complex:
+    """d/dt kappa[target] under the model at the table and time, by a one-target plan."""
+    return HierarchyPlan(model, [target]).evaluate(table, time)[0][0]
 
 
-def hierarchy_rhs_table(model: AmplitudeModel, state: HierarchyState, targets: Iterable[tuple]) -> dict[tuple, complex]:
+def hierarchy_rhs_table(
+    model: AmplitudeModel, table: CumulantTable, targets: Iterable[Sequence[Index]], time: float = 0.0
+) -> dict[tuple, complex]:
     """The right-hand side for a family of target keys, by one plan over the distinct canonical keys."""
     keys = list(dict.fromkeys(canonical_key(key) for key in targets))
-    values, _ = HierarchyPlan(model, [LabeledSeq.from_indices(key) for key in keys]).evaluate(state)
+    values, _ = HierarchyPlan(model, keys).evaluate(table, time)
     return dict(zip(keys, values))
 
 
@@ -199,20 +191,22 @@ def all_keys_up_to(indices: Sequence[Index], order: int) -> list[tuple]:
 
 def integrate_hierarchy(
     model: AmplitudeModel,
-    state0: HierarchyState,
+    table0: CumulantTable,
     t_end: float,
     dt: float,
+    t0: float = 0.0,
     record: bool = False,
 ):
-    """March the truncated hierarchy with classic fixed-step RK4.
+    """March the truncated hierarchy with classic fixed-step RK4 from ``table0`` at time ``t0``.
 
-    Evolves every key over the model universe up to the state's order cap,
-    in ``t_end / dt`` steps, which must be a whole number.  Returns the final
-    state, or (times, states) when ``record`` is set.
+    Evolves every key over the model universe up to the table's max order,
+    the closure: cumulants above it read as zero.  The march takes
+    ``t_end / dt`` steps, which must be a whole number.  Returns the final
+    table, or (times, tables) when ``record`` is set.
     """
     import numpy as np  # deferred: keeps numpy off the algebra kinds' import path
 
-    cap = state0.order_cap
+    cap = table0.max_order
     keys = all_keys_up_to(model.universe(), cap)
 
     def pack(table: CumulantTable) -> np.ndarray:
@@ -221,16 +215,16 @@ def integrate_hierarchy(
     def unpack(vec: np.ndarray) -> CumulantTable:
         return CumulantTable(entries=dict(zip(keys, vec)), max_order=cap)
 
-    plan = HierarchyPlan(model, [LabeledSeq.from_indices(key) for key in keys])
+    plan = HierarchyPlan(model, keys)
 
     def rhs(t: float, vec: np.ndarray) -> np.ndarray:
-        return np.array(plan.evaluate(HierarchyState(table=unpack(vec), time=t))[0], dtype=complex)
+        return np.array(plan.evaluate(unpack(vec), t)[0], dtype=complex)
 
     n_steps = step_count(t_end, dt, "integrate_hierarchy (t_end, dt)")
-    times, vecs = rk4(rhs, pack(state0.table), state0.time, t_end / max(n_steps, 1), n_steps)
+    times, vecs = rk4(rhs, pack(table0), t0, t_end / max(n_steps, 1), n_steps)
     if record:
-        return times, [HierarchyState(table=unpack(v), time=t) for t, v in zip(times, vecs)]
-    return HierarchyState(table=unpack(vecs[-1]), time=times[-1])
+        return times, [unpack(v) for v in vecs]
+    return unpack(vecs[-1])
 
 
 # ----------------------------------------------------------------------
@@ -259,8 +253,8 @@ class RemainderTerm:
     """
 
     slot_index: Index
-    seq: LabeledSeq
-    rest: LabeledSeq
+    seq: tuple[Index, ...]
+    rest: tuple[Index, ...]
     t_end: float
     tail_weight: Callable[[float], complex]
 
@@ -281,7 +275,7 @@ class DuhamelExpansion:
         return self.zeroth + self.first_order
 
 
-def duhamel_expand(model: AmplitudeModel, table0: CumulantTable, target: LabeledSeq, t: float) -> DuhamelExpansion:
+def duhamel_expand(model: AmplitudeModel, table0: CumulantTable, target: Sequence[Index], t: float) -> DuhamelExpansion:
     """Integrated hierarchy to first order around the initial law.
 
     This is the reformulation of the perturbation expansion in cumulants of
@@ -297,20 +291,22 @@ def duhamel_expand(model: AmplitudeModel, table0: CumulantTable, target: Labeled
     The first order is the right-hand side of a one-target
     :class:`HierarchyPlan` at ``table0``, each distinct amplitude callable
     standing for its integral over [0, t]; a target above the table's max
-    order is a ValueError, as in :func:`hierarchy_rhs`.
+    order is a ValueError, as in :func:`hierarchy_rhs`.  Each remainder
+    term's ``rest`` is the target with its slot removed by position.
     """
+    target = tuple(target)
     plan = HierarchyPlan(model, [target])
     first = plan._rhs(table0, lambda amplitude: _quad_complex(lambda s: amplitude(s, table0), 0.0, t))[0][0]
     remainder: list[RemainderTerm] = []
-    for label, idx in target.elements:
-        rest = target.without((label,))
+    for pos, idx in enumerate(target):
+        rest = target[:pos] + target[pos + 1 :]
         for term in model.terms.get(idx, ()):
 
             def tail(s_prime: float, amplitude=term.amplitude) -> complex:
                 return _quad_complex(lambda s: amplitude(s, table0), s_prime, t)
 
             remainder.append(RemainderTerm(slot_index=idx, seq=term.seq, rest=rest, t_end=t, tail_weight=tail))
-    return DuhamelExpansion(zeroth=table0.kappa(target.indices()), first_order=first, remainder=tuple(remainder))
+    return DuhamelExpansion(zeroth=table0.kappa(target), first_order=first, remainder=tuple(remainder))
 
 
 # ----------------------------------------------------------------------
@@ -369,11 +365,8 @@ def appendix_b_model(
             return moment_of((_pn,), table)
 
         terms[qn] = [
-            InteractionTerm(seq=EMPTY, amplitude=mean_momentum),
-            InteractionTerm(
-                seq=LabeledSeq.from_indices([pn]),
-                amplitude=constant_amplitude(1.0),
-            ),
+            InteractionTerm(seq=(), amplitude=mean_momentum),
+            InteractionTerm(seq=(pn,), amplitude=constant_amplitude(1.0)),
         ]
 
         p_terms: list[InteractionTerm] = []
@@ -383,7 +376,7 @@ def appendix_b_model(
             qm = ("q", m)
             for k1 in range(a):
                 for k2 in range(a - k1):
-                    u_seq = LabeledSeq.from_indices([qn] * k1 + [qm] * k2)
+                    u_seq = (qn,) * k1 + (qm,) * k2
 
                     def amp(
                         t,

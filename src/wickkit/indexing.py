@@ -118,11 +118,6 @@ class LabeledSeq:
         )
         return sub
 
-    def without(self, labels: Iterable[int]) -> "LabeledSeq":
-        """The labeled subsequence with the given labels removed."""
-        drop = set(labels)
-        return LabeledSeq(tuple(e for e in self.elements if e[0] not in drop))
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -131,9 +126,6 @@ class LabeledSeq:
 
     def __bool__(self) -> bool:
         return bool(self.elements)
-
-
-EMPTY = LabeledSeq(())
 
 
 def subsets(a: LabeledSeq) -> Iterator[LabeledSeq]:

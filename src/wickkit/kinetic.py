@@ -407,7 +407,8 @@ class BPTrajectory:
 
     ``spectra[j]`` is W at ``taus[j]``; ``number`` and ``energy`` are the
     mean spectrum and mean omega-weighted spectrum, ``entropy`` is
-    sum_k ln W (finite only for strictly positive spectra).  The work
+    sum_k ln W: finite for a strictly positive spectrum and -inf for one
+    with a zero mode, which the ``bp-solve`` summary writes as JSON null.  The work
     counters describe the solve: the config's ``time_nodes`` and whether it
     kept its engine plan, the spectra (stage inputs and stored states) in
     which clamping zeroed an entry, and the lowest value seen before

@@ -39,7 +39,6 @@ from .errors import Block, ConfigError, GuardError, _number
 from .indexing import (
     _FIELD,
     CODE_BITS,
-    EMPTY,
     Codebook,
     Index,
     LabeledSeq,
@@ -93,17 +92,17 @@ class WickPoly:
             total = total + term
         return total
 
-    def expectation(self, oracle: MomentOracle, extra: LabeledSeq = EMPTY) -> complex:
+    def expectation(self, oracle: MomentOracle, extra: Sequence[Index] = ()) -> complex:
         """E[self * y^extra] by direct monomial expansion against raw moments.
 
         Each term's moment is fetched by the multiset code of its indices
-        plus ``extra``'s, so no key is sorted per term.
+        plus the index sequence ``extra``'s, so no key is sorted per term.
         """
         book, moment_code = oracle.book, oracle.moment_code
         # coding the whole ground with the extra checks the largest multiset any term reaches
-        book.code(self.ground.indices() + extra.indices())
+        book.code(self.ground.indices() + tuple(extra))
         slot = dict(zip(self.ground.labels, book.slots(self.ground.indices())))
-        extra_code = sum(book.slots(extra.indices()))
+        extra_code = sum(book.slots(extra))
         total = 0.0 + 0.0j
         for u, c in self.terms.items():
             code = extra_code + sum(slot[label] for label in u)
@@ -294,17 +293,16 @@ def wick_derivative(poly: WickPoly, j: Index) -> WickPoly:
     return WickPoly(poly.ground, terms)
 
 
-def truncated_expectation(
-    oracle_or_kappa, seq_i: LabeledSeq, seq_iprime: LabeledSeq
-) -> complex:
-    """E[W[y^I] * y^I'] as the cumulant partition sum over I + I' in which
-    every block must meet I'.  In particular E[W[y^I]] = 0 for nonempty I
-    and E[W[y^empty]] = 1.
+def truncated_expectation(source, indices: Sequence[Index], tail: Sequence[Index]) -> complex:
+    """E[W[y^I] * y^I'] for the index sequences I = ``indices`` and I' =
+    ``tail``, as the cumulant partition sum over I + I' in which every block
+    must meet I'.  In particular E[W[y^I]] = 0 for nonempty I and
+    E[W[y^empty]] = 1.
 
     This is :func:`wick_product_expectation` with the one Wick group I and
     the plain tail I': a block meets I' exactly when it does not sit inside
     I."""
-    return wick_product_expectation(oracle_or_kappa, [seq_i], seq_iprime)
+    return wick_product_expectation(source, [indices], tail)
 
 
 def _group_code(book: Codebook, groups: Sequence[Sequence[Index]], tail: Sequence[Index] = ()) -> int:
@@ -389,19 +387,19 @@ def _group_sums(source, book: Codebook, codes: Sequence[int], n_groups: int) -> 
     return values, {**memo.work(), "pair_expectations": len(codes), "pair_memo_hits": hits}
 
 
-def wick_product_expectation(source, blocks: Sequence[LabeledSeq], tail: LabeledSeq = EMPTY) -> complex:
+def wick_product_expectation(source, groups: Sequence[Sequence[Index]], tail: Sequence[Index] = ()) -> complex:
     """E[prod_l W[y^(J_l)] * y^J'] as the partition sum over the merged
     sequence in which no block may sit inside a single Wick group J_l.
 
-    Blocks inside the plain tail J' are allowed.  With one Wick group this
+    ``groups`` are the index sequences J_l and ``tail`` is J'.  Blocks
+    inside the plain tail are allowed.  With one Wick group this
     reduces to :func:`truncated_expectation`.  The merged sequence is one
     code, each element tagged with its group (:func:`_group_code`), summed
     by :func:`_group_sums` over a memo of its own, as every pair sum of
     :class:`wickkit.hierarchy.HierarchyPlan` is.
     """
     book = Codebook()
-    code = _group_code(book, [piece.indices() for piece in blocks], tail.indices())
-    return _group_sums(source, book, [code], len(blocks))[0][0]
+    return _group_sums(source, book, [_group_code(book, groups, tail)], len(groups))[0][0]
 
 
 # ----------------------------------------------------------------------

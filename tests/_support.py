@@ -16,7 +16,7 @@ from wickkit.cumulants import (
     CumulantBackedOracle, CumulantTable, EnsembleOracle, MomentOracle, TableOracle, _kappa_recursive, coded_cumulants,
 )
 from wickkit.errors import jackknife_stderr, rk4, step_count
-from wickkit.hierarchy import HierarchyState, all_keys_up_to
+from wickkit.hierarchy import all_keys_up_to
 from wickkit.indexing import LabeledSeq, canonical_key
 from wickkit.wick import wick_from_cumulants, wick_product_expectation
 
@@ -523,7 +523,7 @@ def reference_time_domain_sums(values, omega, nodes, weights, block_elements):
 # the hierarchy right-hand side, term by term
 
 
-def reference_hierarchy_rhs(model, state, target):
+def reference_hierarchy_rhs(model, table, target, time=0.0):
     """d/dt kappa[target] with the amplitude and the pair expectation called afresh per (slot, drive).
 
     This is the loop the package ran before it planned the right-hand side
@@ -532,40 +532,38 @@ def reference_hierarchy_rhs(model, state, target):
     in the same order."""
     if len(target) == 0:
         return 0.0 + 0.0j
-    if len(target) > state.order_cap:
-        raise ValueError(f"target order {len(target)} exceeds the closure cap {state.order_cap}")
+    if len(target) > table.max_order:
+        raise ValueError(f"target order {len(target)} exceeds the closure cap {table.max_order}")
     total = 0.0 + 0.0j
-    for label, idx in target.elements:
+    for pos, idx in enumerate(target):
         drives = model.terms.get(idx, ())
         if not drives:
             continue
-        rest = target.without((label,))
+        rest = target[:pos] + target[pos + 1:]
         for term in drives:
-            amp = complex(term.amplitude(state.time, state.table))
+            amp = complex(term.amplitude(time, table))
             if amp == 0:
                 continue
-            total += amp * wick_product_expectation(state.table, [term.seq, rest])
+            total += amp * wick_product_expectation(table, [term.seq, rest])
     return total
 
 
-def reference_integrate_hierarchy(model, state0, t_end, dt):
+def reference_integrate_hierarchy(model, table0, t_end, dt, t0=0.0):
     """The final table of the RK4 march with every stage's right-hand sides
     from :func:`reference_hierarchy_rhs`."""
-    cap = state0.order_cap
+    cap = table0.max_order
     keys = all_keys_up_to(model.universe(), cap)
 
     def table_of(vec):
         return CumulantTable(entries=dict(zip(keys, vec)), max_order=cap)
 
     def rhs(t, vec):
-        state = HierarchyState(table=table_of(vec), time=t)
-        return np.array(
-            [reference_hierarchy_rhs(model, state, LabeledSeq.from_indices(key)) for key in keys], dtype=complex
-        )
+        table = table_of(vec)
+        return np.array([reference_hierarchy_rhs(model, table, key, t) for key in keys], dtype=complex)
 
     n_steps = step_count(t_end, dt, "reference march")
-    vec0 = np.array([state0.table.kappa(key) for key in keys], dtype=complex)
-    _, vecs = rk4(rhs, vec0, state0.time, t_end / max(n_steps, 1), n_steps)
+    vec0 = np.array([table0.kappa(key) for key in keys], dtype=complex)
+    _, vecs = rk4(rhs, vec0, t0, t_end / max(n_steps, 1), n_steps)
     return table_of(vecs[-1])
 
 

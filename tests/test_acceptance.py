@@ -44,7 +44,6 @@ from wickkit.dnls import (
 )
 from wickkit.hierarchy import (
     AmplitudeModel,
-    HierarchyState,
     InteractionTerm,
     appendix_b_model,
     hierarchy_rhs_table,
@@ -95,11 +94,7 @@ def test_criterion_01_truncated_expectation_matches_direct_expansion(capsys):
     # mixed expectation, for every index multiset with total order <= 6.
     t0 = time.perf_counter()
     alphabet = ("a", "b")
-    seqs = {
-        r: [LabeledSeq.from_indices(c)
-            for c in itertools.combinations_with_replacement(alphabet, r)]
-        for r in range(0, 7)
-    }
+    seqs = {r: list(itertools.combinations_with_replacement(alphabet, r)) for r in range(0, 7)}
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(200):
@@ -107,7 +102,7 @@ def test_criterion_01_truncated_expectation_matches_direct_expansion(capsys):
         evaluator = CumulantEvaluator(oracle)
         for i in range(0, 7):
             for seq_i in seqs[i]:
-                poly = wick_recursive(oracle, seq_i)
+                poly = wick_recursive(oracle, LabeledSeq.from_indices(seq_i))
                 for j in range(0, 7 - i):
                     for seq_j in seqs[j]:
                         lhs = truncated_expectation(evaluator, seq_i, seq_j)
@@ -203,13 +198,13 @@ def test_criterion_04_product_expectation_matches_brute_force(capsys):
                 sizes = np.diff([0] + list(cuts) + [total])
                 tail_size = int(rng.integers(0, 9 - total)) if total < 8 else 0
                 draw = lambda n: [alphabet[int(rng.integers(3))] for _ in range(n)]
-                blocks = [LabeledSeq.from_indices(draw(int(s))) for s in sizes]
-                tail = LabeledSeq.from_indices(draw(tail_size))
+                blocks = [draw(int(s)) for s in sizes]
+                tail = draw(tail_size)
                 lhs = wick_product_expectation(evaluator, blocks, tail=tail)
                 offset = 0
                 prod = None
                 for blk in blocks:
-                    poly = wick_recursive(oracle, blk)
+                    poly = wick_recursive(oracle, LabeledSeq.from_indices(blk))
                     poly = relabel(poly, {lab: lab + offset for lab in poly.ground.labels})
                     offset += len(blk)
                     prod = poly if prod is None else poly_mul(prod, poly)
@@ -234,9 +229,8 @@ def test_criterion_05_moment_cumulant_roundtrip_and_bell_counts(capsys):
     worst = 0.0
     for r in range(1, 9):
         for combo in itertools.combinations_with_replacement(("a", "b"), r):
-            seq = LabeledSeq.from_indices(combo)
-            direct = oracle.moment_of(seq)
-            rebuilt = back.moment_of(seq)
+            direct = oracle.moment(combo)
+            rebuilt = back.moment(combo)
             worst = max(worst, abs(direct - rebuilt) / max(1.0, abs(direct)))
     bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
     counts = [partition_sum(Codebook().code(range(n)), lambda block: 1.0, PartitionMemo()) for n in range(11)]
@@ -519,11 +513,11 @@ def _c13_exact_table(max_order: int = 3) -> CumulantTable:
 def _c13_model() -> AmplitudeModel:
     const = lambda c: (lambda t, table: c)
     return AmplitudeModel(terms={
-        1: [InteractionTerm(LabeledSeq.from_indices((2,)), const(-0.4)),
-            InteractionTerm(LabeledSeq.from_indices((1, 2)), const(0.3))],
-        2: [InteractionTerm(LabeledSeq.from_indices((1,)), const(0.5)),
-            InteractionTerm(LabeledSeq.from_indices((2,)), const(0.1)),
-            InteractionTerm(LabeledSeq.from_indices((1, 1)), const(-0.2))],
+        1: [InteractionTerm((2,), const(-0.4)),
+            InteractionTerm((1, 2), const(0.3))],
+        2: [InteractionTerm((1,), const(0.5)),
+            InteractionTerm((2,), const(0.1)),
+            InteractionTerm((1, 1), const(-0.2))],
     })
 
 
@@ -539,7 +533,7 @@ def test_criterion_13_hierarchy_rhs_against_ensemble_and_linear_flow(capsys):
     table0 = _c13_exact_table()
     model = _c13_model()
     keys = [(1,), (2,), (1, 1), (1, 2), (2, 2)]
-    rhs = hierarchy_rhs_table(model, HierarchyState(table=table0, time=0.0), keys)
+    rhs = hierarchy_rhs_table(model, table0, keys, time=0.0)
     rhs_vec = np.array([rhs[k] for k in keys])
     kappa11 = table0.kappa((1, 1)).real
     kappa12 = table0.kappa((1, 2)).real
@@ -611,17 +605,17 @@ def test_criterion_13_hierarchy_rhs_against_ensemble_and_linear_flow(capsys):
     table_h = CumulantTable(entries=entries, max_order=2)
     chain = appendix_b_model(2, power=2, couplings=lam)
     t_end = 1.0
-    final = integrate_hierarchy(chain, HierarchyState(table_h), t_end=t_end, dt=0.005)
+    final = integrate_hierarchy(chain, table_h, t_end=t_end, dt=0.005)
     prop = expm(a_mat * t_end)
     m1 = prop @ m0
     c1 = prop @ c0 @ prop.T
     worst_linear = 0.0
     for i in range(4):
         worst_linear = max(worst_linear,
-                           abs(final.table.kappa((idx[i],)) - m1[i]))
+                           abs(final.kappa((idx[i],)) - m1[i]))
         for j in range(i, 4):
             worst_linear = max(worst_linear,
-                               abs(final.table.kappa((idx[i], idx[j])) - c1[i, j]))
+                               abs(final.kappa((idx[i], idx[j])) - c1[i, j]))
     elapsed = time.perf_counter() - t0
     assert worst_linear <= 1e-8
     assert elapsed <= 600.0

@@ -685,6 +685,46 @@ class TestBpSolve:
         path = write_config(tmp_path / "c.json", "bp-solve", params, out=str(tmp_path / "run"))
         assert main(["bp-solve", "--config", str(path)]) == 2
 
+    ZERO_MODE = {
+        "lattice": {"dimension": 1, "side": 4},
+        "dispersion": {"kind": "nearest-neighbor"},
+        "delta": {"model": "gaussian", "epsilon": 0.5},
+        "w0": {"kind": "cosine", "mean": 0.5, "amplitudes": [0.5]},  # W = [1, 0.5, 0, 0.5]
+        "tau_end": 0.1,
+        "dtau": 0.05,
+    }
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {},
+            {"w0": {"kind": "flat", "value": 0.0}},
+            {"lattice": {"dimension": 2, "side": 8}, "w0": {"kind": "cosine", "mean": 0.6, "amplitudes": [0.3, 0.3]}},
+            {"delta": {"model": "fejer", "window_tau": 0.2, "window_coupling": 0.2}},
+        ],
+        ids=["cosine-1d", "flat-zero", "cosine-2d", "fejer"],
+    )
+    def test_a_zero_mode_writes_a_null_entropy(self, tmp_path, edit):
+        # sum_k ln W is -inf on a spectrum with a zero mode, and JSON has no number for it
+        path = write_config(tmp_path / "c.json", "bp-solve", {**self.ZERO_MODE, **edit}, out=str(tmp_path / "run"))
+        assert main(["bp-solve", "--config", str(path)]) == 0
+        _, _, values = read_trajectory_csv(tmp_path / "run" / "trajectory.csv")
+        entropy = json.loads((tmp_path / "run" / "summary.json").read_text())["entropy"]
+        zero = [bool(np.any(row == 0.0)) for row in values]
+        assert zero[0] and [value is None for value in entropy] == zero
+        logs = np.sum(np.log(values[~np.array(zero)]), axis=1)
+        assert [value for value in entropy if value is not None] == logs.tolist()
+
+    def test_a_positive_spectrum_writes_every_entropy_as_a_number(self, tmp_path):
+        params = dict(self.ZERO_MODE, w0={"kind": "cosine", "mean": 0.6, "amplitudes": [0.3]})
+        path = write_config(tmp_path / "c.json", "bp-solve", params, out=str(tmp_path / "run"))
+        assert main(["bp-solve", "--config", str(path)]) == 0
+        _, _, values = read_trajectory_csv(tmp_path / "run" / "trajectory.csv")
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["entropy"] == np.sum(np.log(values), axis=1).tolist()
+        text = json.dumps(summary, sort_keys=True, allow_nan=False) + "\n"
+        assert (tmp_path / "run" / "summary.json").read_text() == text
+
     def test_infinite_tau_end_rejected(self, tmp_path, capsys):
         params = dict(EQL_BP_PARAMS, tau_end=float("inf"))
         path = write_config(tmp_path / "c.json", "bp-solve", params, out=str(tmp_path / "run"))
@@ -1399,6 +1439,15 @@ class TestInputBoundary:
         code, stderr = run_in_process(kind, replaced(boundary_config(kind), path, value), tmp_path)
         assert code == 2, stderr
         assert_error_line(stderr, 2)
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    def test_a_repeated_coupling_exits_2_without_results(self, tmp_path):
+        # one march per coupling: a repeat would run twice and report one key in resolved_modes
+        config = replaced(boundary_config("kinetic-check"), ("params", "coupling_list"), [0.5, 0.25, 0.5])
+        code, stderr = run_in_process("kinetic-check", config, tmp_path)
+        assert code == 2, stderr
+        assert_error_line(stderr, 2)
+        assert "coupling_list repeats the coupling 0.5" in json.loads(stderr)["message"]
         assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
 
     # one probe per reader of an input file: (kind, the config edit that names the file, its name)

@@ -22,7 +22,7 @@ from wickkit.cumulants import (
     table_to_json,
 )
 from wickkit.errors import ConfigError, GuardError, jackknife_stderr
-from wickkit.indexing import EMPTY, SUBSET_GUARD, Codebook, LabeledSeq, canonical_key
+from wickkit.indexing import SUBSET_GUARD, Codebook, LabeledSeq, canonical_key
 from wickkit.wick import wick_recursive
 
 from _support import (
@@ -86,7 +86,7 @@ class TestRecursionBasics:
 
     def test_empty_cumulant_is_zero(self):
         oracle = single_variable_oracle(0.0, 1.0)
-        assert CumulantEvaluator(oracle).kappa_of(EMPTY) == 0.0
+        assert CumulantEvaluator(oracle).kappa_of(seq()) == 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -198,9 +198,8 @@ class TestRoundTrip:
         oracle = random_moment_oracle(rng, max_order=order)
         ev = CumulantEvaluator(oracle)
         for key in itertools.combinations_with_replacement("abc", order):
-            s = LabeledSeq.from_indices(key)
-            back = moments_from_cumulants(ev, s)
-            assert back == pytest.approx(oracle.moment_of(s), rel=1e-10, abs=1e-10)
+            back = moments_from_cumulants(ev, key)
+            assert back == pytest.approx(oracle.moment(key), rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize("source", ["table", "evaluator", "oracle"])
     def test_cumulant_backed_oracle_reads_any_cumulant_source(self, source):
@@ -244,7 +243,7 @@ class TestOracles:
             random_moment_oracle(rng),
             gaussian_moment_oracle({"a": 0.0}, {("a", "a"): 1.0}),
         ):
-            assert oracle.moment_of(EMPTY) == 1.0
+            assert oracle.moment(()) == 1.0
 
     def test_an_absent_empty_moment_reads_as_one(self):
         for oracle in (TableOracle({(1,): 0.5}), EnsembleOracle({1: np.arange(4.0)})):
@@ -312,8 +311,8 @@ class TestMomentOracleProtocol:
         for order in range(1, 5):
             for key in itertools.combinations_with_replacement("ab", order):
                 coded = oracle.moment_code(oracle.book.code(key))
-                assert oracle.moment(key) == coded == oracle.moment_of(seq(*reversed(key)))
-        assert oracle.moment(()) == oracle.moment_code(0) == oracle.moment_of(EMPTY) == 1.0
+                assert oracle.moment(key) == coded == oracle.moment(key[::-1])
+        assert oracle.moment(()) == oracle.moment_code(0) == oracle.moment([]) == 1.0
 
     @pytest.mark.parametrize("name", KEY_ONLY_ORACLES)
     def test_a_key_only_oracle_is_read_once_per_multiset(self, name):
@@ -334,7 +333,7 @@ class TestMomentOracleProtocol:
 
     def test_a_table_miss_names_the_canonical_key(self):
         oracle = TableOracle({(1,): 0.5, (2,): 0.1})
-        for read in (lambda: oracle.moment((2, 1, 1)), lambda: oracle.moment_of(seq(2, 1, 1))):
+        for read in (lambda: oracle.moment((2, 1, 1)), lambda: oracle.moment([2, 1, 1])):
             with pytest.raises(KeyError) as err:
                 read()
             assert err.value.args == ((1, 1, 2),)
@@ -486,7 +485,7 @@ class TestMultilinearity:
 class TestEmpirical:
     def test_empty_cumulant_is_zero_with_no_error(self):
         ens = EnsembleOracle({"y": np.random.default_rng(1).standard_normal((8, 3))})
-        assert empirical_cumulant(ens, EMPTY) == (0.0, 0.0)
+        assert empirical_cumulant(ens, seq()) == (0.0, 0.0)
         assert CumulantEvaluator(ens).kappa(()) == 0.0
 
     def test_constant_ensemble(self):

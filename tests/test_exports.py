@@ -1,6 +1,7 @@
 """The export lists of the modules with an ``__all__`` match what they define,
 every public name has a consumer, the public signatures of the combinatorial
-core take no partition-sum memo, one module owns the Wick-group code layout,
+core take no partition-sum memo and, outside the Wick builders, no labeled
+sequence, one module owns the Wick-group code layout,
 and no module calls the enumerators kept for the benchmark tracer."""
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,31 @@ def test_no_public_signature_takes_a_memo_book_or_work_dict(name):
         where
         for where, value in public_callables(module)
         if {"memo", "book", "work"} & set(inspect.signature(value).parameters)
+    ]
+    assert takers == []
+
+
+#: the Wick polynomial and its builders, whose monomials are keyed by the labels of their ground sequence,
+#: and the cumulant read the benchmark tracer wraps by name
+LABELLED = {
+    "WickPoly.__init__", "wick_recursive", "wick_from_cumulants", "wick_recursion_step", "gaussian_reference_wick",
+    "CumulantEvaluator.kappa_of",
+}
+
+
+@pytest.mark.parametrize("name", ["wickkit.cumulants", "wickkit.hierarchy", "wickkit.wick"])
+def test_only_the_wick_builders_take_labels(name):
+    # cumulants, pair expectations and the hierarchy see an index sequence only through its multiset,
+    # so they take index sequences, and the hierarchy's state is a table and a time
+    module = importlib.import_module(name)
+    takers = [
+        where
+        for where, value in public_callables(module)
+        if where not in LABELLED
+        and any(
+            re.search(r"\b(LabeledSeq|HierarchyState)\b", str(parameter.annotation))
+            for parameter in inspect.signature(value).parameters.values()
+        )
     ]
     assert takers == []
 

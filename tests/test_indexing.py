@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from wickkit.cumulants import CumulantTable
 from wickkit.errors import GuardError
 from wickkit.indexing import (
-    EMPTY,
     LabeledSeq,
     Codebook,
     PartitionMemo,
@@ -26,6 +25,8 @@ from _support import brute_product_expectation, multiset, set_partitions
 # Bell numbers B_0..B_12 (classical sequence, independently checkable by the
 # Bell triangle recurrence; frozen here as data).
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
+
+EMPTY = LabeledSeq(())
 
 
 class TestLabeledSeq:
@@ -71,15 +72,6 @@ class TestLabeledSeq:
         assert s.index_at(1) == "a"
         with pytest.raises(KeyError):
             s.index_at(2)
-
-    def test_without_removes_one_occurrence(self):
-        s = LabeledSeq.from_indices(["a", "a", "b"])
-        assert s.without((2,)).indices() == ("a", "b")
-        assert s.without((2,)).labels == (1, 3)
-
-    def test_without_absent_label_is_noop(self):
-        s = LabeledSeq.from_indices(["a"])
-        assert s.without((7,)) == s
 
 
 class TestSubsets:

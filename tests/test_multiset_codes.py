@@ -32,7 +32,6 @@ from wickkit.errors import ConfigError, GuardError
 from wickkit.hierarchy import (
     AmplitudeModel,
     HierarchyPlan,
-    HierarchyState,
     InteractionTerm,
     all_keys_up_to,
     constant_amplitude,
@@ -134,8 +133,8 @@ def test_code_paths_match_brute_force(data):
     oracle = CumulantBackedOracle(cumulants)
     for key in table:
         want = brute_product_expectation(kappa, [], key)
-        assert close(oracle.moment_of(LabeledSeq.from_indices(key)), want)
-        assert close(moments_from_cumulants(cumulants, LabeledSeq.from_indices(key)), want)
+        assert close(oracle.moment(key), want)
+        assert close(moments_from_cumulants(cumulants, key), want)
 
     # Wick polynomial coefficients, labels 1..n
     ground = sequence(5)
@@ -146,20 +145,17 @@ def test_code_paths_match_brute_force(data):
     # a product of two Wick factors and a plain tail
     groups = [sequence(3), sequence(2)]
     tail = sequence(2)
-    got = wick_product_expectation(
-        cumulants, [LabeledSeq.from_indices(g) for g in groups], LabeledSeq.from_indices(tail)
-    )
+    got = wick_product_expectation(cumulants, groups, tail)
     assert close(got, brute_product_expectation(kappa, groups, tail))
 
     # hierarchy right-hand sides, one target at a time and as a table
     drives = {v: [(sequence(2), complex(0.3 * i + 0.2, -0.1 * i)) for i in range(2)] for v in variables}
     model = AmplitudeModel(
         terms={
-            v: [InteractionTerm(LabeledSeq.from_indices(s), constant_amplitude(c)) for s, c in terms]
+            v: [InteractionTerm(tuple(s), constant_amplitude(c)) for s, c in terms]
             for v, terms in drives.items()
         }
     )
-    state = HierarchyState(cumulants)
     for _ in range(3):
         target = sequence(min(3, order))
         want = 0.0 + 0.0j
@@ -167,8 +163,8 @@ def test_code_paths_match_brute_force(data):
             rest = target[:pos] + target[pos + 1:]
             for seq, c in drives.get(idx, ()):
                 want += c * brute_product_expectation(kappa, [seq, rest])
-        assert close(hierarchy_rhs(model, state, LabeledSeq.from_indices(target)), want)
-        assert close(hierarchy_rhs_table(model, state, [target])[canonical_key(target)], want)
+        assert close(hierarchy_rhs(model, cumulants, target), want)
+        assert close(hierarchy_rhs_table(model, cumulants, [target])[canonical_key(target)], want)
 
 
 # ----------------------------------------------------------------------
@@ -180,12 +176,12 @@ def two_variable_model() -> AmplitudeModel:
     return AmplitudeModel(
         terms={
             "u": [
-                InteractionTerm(LabeledSeq.from_indices(["u"]), constant_amplitude(0.4)),
-                InteractionTerm(LabeledSeq.from_indices(["v", "v"]), constant_amplitude(0.1)),
+                InteractionTerm(("u",), constant_amplitude(0.4)),
+                InteractionTerm(("v", "v"), constant_amplitude(0.1)),
             ],
             "v": [
-                InteractionTerm(LabeledSeq.from_indices(["v"]), constant_amplitude(-0.3)),
-                InteractionTerm(LabeledSeq.from_indices(["u", "v"]), constant_amplitude(1.0 + 0.5j)),
+                InteractionTerm(("v",), constant_amplitude(-0.3)),
+                InteractionTerm(("u", "v"), constant_amplitude(1.0 + 0.5j)),
             ],
         }
     )
@@ -197,7 +193,7 @@ def brute_rhs(model: AmplitudeModel, kappa, target) -> complex:
         rest = target[:pos] + target[pos + 1:]
         for term in model.terms.get(idx, ()):
             amp = term.amplitude(0.0, None)
-            total += amp * brute_product_expectation(kappa, [term.seq.indices(), rest])
+            total += amp * brute_product_expectation(kappa, [term.seq, rest])
     return total
 
 
@@ -209,7 +205,7 @@ def test_back_to_back_tables_are_both_exact():
         values = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
         table = CumulantTable(entries=dict(zip(keys, values)), max_order=3)
         by_multiset = {multiset(k): complex(v) for k, v in zip(keys, values)}
-        rhs = hierarchy_rhs_table(model, HierarchyState(table), keys)
+        rhs = hierarchy_rhs_table(model, table, keys)
         for key in keys:
             assert close(rhs[key], brute_rhs(model, lambda m: by_multiset.get(m, 0.0), key))
         oracle = CumulantBackedOracle(table)
@@ -226,17 +222,17 @@ def test_integrate_hierarchy_matches_the_rk4_closed_form():
     model = AmplitudeModel(
         terms={
             "u": [
-                InteractionTerm(LabeledSeq.from_indices(["u"]), constant_amplitude(a)),
-                InteractionTerm(LabeledSeq.from_indices([]), constant_amplitude(b)),
+                InteractionTerm(("u",), constant_amplitude(a)),
+                InteractionTerm((), constant_amplitude(b)),
             ],
-            "v": [InteractionTerm(LabeledSeq.from_indices(["v"]), constant_amplitude(c))],
+            "v": [InteractionTerm(("v",), constant_amplitude(c))],
         }
     )
     keys = all_keys_up_to(["u", "v"], 3)
     rng = np.random.default_rng(11)
     table0 = CumulantTable(entries={k: complex(*rng.standard_normal(2)) for k in keys}, max_order=3)
     h, n_steps = 0.05, 20
-    final = integrate_hierarchy(model, HierarchyState(table0), t_end=h * n_steps, dt=h)
+    final = integrate_hierarchy(model, table0, t_end=h * n_steps, dt=h)
 
     def growth(z: complex) -> complex:
         return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
@@ -248,18 +244,18 @@ def test_integrate_hierarchy_matches_the_rk4_closed_form():
         else:
             rate = key.count("u") * a + key.count("v") * c
             want = k0 * growth(rate * h) ** n_steps
-        assert close(final.table.kappa(key), want), key
+        assert close(final.kappa(key), want), key
 
 
 def test_integrate_hierarchy_needs_a_whole_number_of_steps():
     model = two_variable_model()
     table0 = CumulantTable(entries={("u", "u"): 1.0}, max_order=2)
     with pytest.raises(ConfigError, match="whole number of steps"):
-        integrate_hierarchy(model, HierarchyState(table0), t_end=0.13, dt=0.05)
+        integrate_hierarchy(model, table0, t_end=0.13, dt=0.05)
     with pytest.raises(ConfigError):
-        integrate_hierarchy(model, HierarchyState(table0), t_end=0.1, dt=0.0)
-    final = integrate_hierarchy(model, HierarchyState(table0), t_end=0.0, dt=0.05)
-    assert final.time == 0.0 and final.table.kappa(("u", "u")) == 1.0
+        integrate_hierarchy(model, table0, t_end=0.1, dt=0.0)
+    times, tables = integrate_hierarchy(model, table0, t_end=0.0, dt=0.05, record=True)
+    assert times[-1] == 0.0 and tables[-1].kappa(("u", "u")) == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -270,15 +266,14 @@ def test_long_sums_trip_the_guard_before_building_mask_codes():
     # 40 elements would need 2**40 mask codes; the guard must come first
     indices = list(range(40))
     table = CumulantTable(entries={(i,): 1.0 for i in indices})
-    seq = LabeledSeq.from_indices(indices)
     with pytest.raises(GuardError):
-        moments_from_cumulants(table, seq)
+        moments_from_cumulants(table, indices)
     with pytest.raises(GuardError):
-        CumulantBackedOracle(table).moment_of(seq)
+        CumulantBackedOracle(table).moment(indices)
     with pytest.raises(GuardError):
-        wick_product_expectation(table, [seq])
+        wick_product_expectation(table, [indices])
     with pytest.raises(GuardError):
-        wick_product_expectation(table, [LabeledSeq.from_indices(indices[:20])], LabeledSeq.from_indices(indices[20:]))
+        wick_product_expectation(table, [indices[:20]], indices[20:])
 
 
 def test_a_built_table_cannot_be_changed():
@@ -290,11 +285,6 @@ def test_a_built_table_cannot_be_changed():
             setattr(table, name, value)
     assert not hasattr(CumulantTable, "set") and not hasattr(CumulantTable, "empty")
     assert dict(table.entries) == {("u", "v"): 1.0} and table.max_order == 2 and table.kappa(("v", "u")) == 1.0
-    state = HierarchyState(table=table, time=0.5)
-    for name, value in (("table", CumulantTable(max_order=2)), ("time", 1.0)):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(state, name, value)
-    assert state.table is table and state.time == 0.5
 
 
 def test_an_oracle_keeps_reading_its_own_table():
@@ -318,24 +308,24 @@ def test_no_read_grows_a_table_s_code_book():
     assert table.book.indices == ["a"]
     assert wick_from_cumulants(table, LabeledSeq.from_indices(["q", "a"])).coeff([1]) == -0.5
     assert table.book.indices == ["a"]
-    assert truncated_expectation(table, LabeledSeq.from_indices(["a", "w"]), LabeledSeq.from_indices(["a"])) == 0
+    assert truncated_expectation(table, ["a", "w"], ["a"]) == 0
     assert table.book.indices == ["a"]
-    model = AmplitudeModel(terms={"a": [InteractionTerm(LabeledSeq.from_indices(["b"]), constant_amplitude(1.0))]})
-    assert HierarchyPlan(model, [LabeledSeq.from_indices(["a"])]).evaluate(HierarchyState(table))[0] == [0]
+    model = AmplitudeModel(terms={"a": [InteractionTerm(("b",), constant_amplitude(1.0))]})
+    assert HierarchyPlan(model, [("a",)]).evaluate(table)[0] == [0]
     assert table.book.indices == ["a"]
 
 
 def test_a_failed_table_oracle_read_leaves_the_book_as_built():
-    # a key naming an index the table lacks is a KeyError before it is coded, by key and by sequence
+    # a key naming an index the table lacks is a KeyError before it is coded, by tuple and by list
     oracle = TableOracle({("a",): 0.5, ("a", "a"): 1.0})
     for i in range(1000):
         with pytest.raises(KeyError) as raised:
             oracle.moment(("a", i))
         assert raised.value.args == (("a", i),)
         with pytest.raises(KeyError):
-            oracle.moment_of(LabeledSeq.from_indices([i]))
+            oracle.moment([i])
     assert oracle.book.indices == ["a"]
-    assert oracle.moment(("a", "a")) == 1.0 and oracle.moment_of(LabeledSeq.from_indices(["a"])) == 0.5
+    assert oracle.moment(("a", "a")) == 1.0 and oracle.moment(["a"]) == 0.5
 
 
 def test_a_failed_cumulant_read_leaves_the_oracle_s_book_as_built():
@@ -360,6 +350,6 @@ def test_a_failed_ensemble_read_leaves_the_book_as_built():
                 read(("a", i))
             assert raised.value.args == (("a", i),)
         with pytest.raises(KeyError):
-            oracle.moment_of(LabeledSeq.from_indices([i]))
+            oracle.moment([i])
     assert oracle.book.indices == ["a"]
     assert oracle.moment(("a",)) == 1.5 and np.allclose(oracle.loo_moment(("a",)), [2.0, 5 / 3, 4 / 3, 1.0], rtol=1e-15)
