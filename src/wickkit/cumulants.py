@@ -2,9 +2,9 @@
 
 A *moment oracle* maps a collapsed index multiset to the joint moment
 E[y^I]; everything else is derived from it.  An oracle is read one way:
-through ``moment_code``, by the multiset code of its ``book`` (see
-:class:`MomentOracle`).  Cumulants are computed by the first-element
-recursion
+through ``moment_code``, by the multiset code of its ``book``, which holds
+every index the oracle has moments for (see :class:`MomentOracle`).
+Cumulants are computed by the first-element recursion
 
     kappa[I] = E[y^I] - sum over E with x in E, E proper subset of I of
                E[y^(I minus E)] * kappa[E],
@@ -19,13 +19,16 @@ evaluated by the multiset kernel :func:`wickkit.indexing.partition_sum` over
 the same distinct sub-multisets and binomial counts (one cumulant lookup per
 distinct block, each distinct remaining multiset summed once).  Both
 directions are permutation invariant, so every memo, moment cache and table
-lookup inside them is keyed by multiset code (:class:`Codebook`): a table or
-an evaluator interns its indices once, and a block's code is one addition.
-A table numbers its indices in canonical order (:func:`_coded`), so every sum
-over its codes is a function of the table's value, not of its key order.
+lookup inside them is keyed by multiset code (:class:`Codebook`): a book is
+built once from the source's indices and no read grows it, and a block's
+code is one addition.  A table numbers its indices in canonical order
+(:func:`_coded`), so every sum over its codes is a function of the table's
+value, not of its key order, and no cumulant depends on the reads made
+before it.  :func:`coded_cumulants` alone decides which indices a reader of
+cumulants may code beyond a source's own: a table's book is extended by
+them, and they read 0, while an evaluator's book must hold them already.
 Canonical keys (sorted tuples) are the public key form of ``moment``,
-``kappa`` and ``entries`` and of the JSON tables; an oracle defined by key
-is asked once per distinct multiset, with its decoded canonical key.
+``kappa`` and ``entries`` and of the JSON tables.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -61,55 +63,40 @@ from .indexing import (
 class MomentOracle:
     """Source of joint moments, read by multiset code of its ``book``.
 
-    ``moment_code(code)`` is E[y^I] for the multiset I of a code in
-    ``book``; the key form :meth:`moment` codes its argument, any index
-    sequence, and reads it.  A subclass overrides exactly one of
-    :meth:`moment_code`, over a book of its own, and :meth:`moment`, by
-    canonical key.  For the latter the default ``moment_code`` decodes each
-    code once, through ``book.key``, and keeps the moment it is given; code 0
-    reads 1.
+    A subclass builds ``book``, a :class:`Codebook` of every index it has
+    moments for, and defines ``moment_code(code)``, E[y^I] for the multiset
+    I of a code in that book; code 0 reads 1.  The key form :meth:`moment`
+    codes its argument, any index sequence, and reads it; a key naming an
+    index the book lacks is a KeyError naming the key as given.
     """
 
-    @cached_property
-    def book(self) -> Codebook:
-        return Codebook()
-
-    @cached_property
-    def _moments(self) -> dict[int, complex]:
-        return {0: 1.0}
+    book: Codebook
 
     def moment_code(self, code: int) -> complex:
-        moments = self._moments
-        if code not in moments:
-            moments[code] = self.moment(self.book.key(code))
-        return moments[code]
+        raise NotImplementedError
 
-    def _code(self, indices: Iterable[Index]) -> int:
-        """The code of a key form's indices in ``book``, which interns an index it has not seen."""
-        return self.book.code(indices)
-
-    def moment(self, key: tuple) -> complex:
-        return self.moment_code(self._code(key))
+    def moment(self, key: Iterable[Index]) -> complex:
+        key = tuple(key)
+        try:
+            code = self.book.code(key)
+        except KeyError:
+            raise KeyError(key) from None
+        return self.moment_code(code)
 
 
 class TableOracle(MomentOracle):
     """Moments read from an explicit mapping of index keys to values.
 
-    Its ``book`` holds the table's indices in canonical order, and no read
-    grows it: a key naming an index the table lacks is a KeyError before it
-    is coded, as :meth:`CumulantTable.kappa` declines such a key.
+    Its ``book`` holds the table's indices in canonical order.  A key
+    naming an index the table lacks is a KeyError naming the key as given,
+    and a key of the table's indices that it has no entry for is a KeyError
+    naming the canonical key.
     """
 
     def __init__(self, entries: Mapping[tuple, complex]):
         self.book, self._by_code = _coded(entries, list(entries))
         if self._by_code.setdefault(0, 1.0 + 0.0j) != 1.0:  # an absent empty moment reads as 1
             raise ConfigError("the empty moment must equal 1")
-
-    def _code(self, indices: Iterable[Index]) -> int:
-        indices, ids = tuple(indices), self.book.ids
-        if not all(index in ids for index in indices):
-            raise KeyError(indices)
-        return self.book.code(indices)
 
     def moment_code(self, code: int) -> complex:
         try:
@@ -126,12 +113,21 @@ class CumulantBackedOracle(MomentOracle):
     ``memo``, the partition-sum states of every moment it reads, keyed by
     the source's codes, so the memo lives exactly as long as the oracle.  A
     table is frozen once built, so no memo can go stale under it.  A
-    multiset's elements are summed in code-book id order.
+    multiset's elements are summed in code-book id order.  The key form
+    codes its key over the book that :func:`coded_cumulants` gives for it:
+    over a table, a key naming an index the table lacks reads 0, and the
+    memo stays exact, since every code naming an id past the table's own
+    sums to 0.
     """
 
     def __init__(self, source):
+        self._source = source
         self.book, self._kappa_code = coded_cumulants(source)
         self.memo = PartitionMemo()
+
+    def moment(self, key: Iterable[Index]) -> complex:
+        key = tuple(key)
+        return self.moment_code(coded_cumulants(self._source, key)[0].code(key))
 
     def moment_code(self, code: int) -> complex:
         return partition_sum(code, self._kappa_code, self.memo)
@@ -161,19 +157,15 @@ class EnsembleOracle(MomentOracle):
         self.n = next(iter(shapes))[0]
         if self.n < 2:
             raise ValueError("need at least two realizations")
+        self.book = Codebook(arrays)
         self._products = {slot: v.reshape(self.n, -1) for slot, v in zip(self.book.slots(arrays), arrays.values())}
         self._means: dict[int, np.ndarray] = {0: np.ones(self.n)}
-
-    #: every index is interned at construction, so a key naming another is a KeyError before it is coded
-    _code = TableOracle._code
 
     def _product(self, code: int, keep: bool = False) -> np.ndarray:
         """The ``(n, m)`` sample-wise product of a code's indices."""
         out = self._products.get(code)
         if out is None:
             top = 1 << (code.bit_length() - 1) // CODE_BITS * CODE_BITS  # the last index's slot
-            if top not in self._products:
-                raise KeyError(self.book.key(top)[0])
             out = self._product(code - top, keep=True) * self._products[top]
             if keep:
                 self._products[code] = out
@@ -190,10 +182,6 @@ class EnsembleOracle(MomentOracle):
     def loo_moment_code(self, code: int) -> np.ndarray:
         """Length-n array of the leave-one-out moments of a code."""
         return loo_means(self._realization_means(code))
-
-    def loo_moment(self, key: tuple) -> np.ndarray:
-        """Length-n array of leave-one-out moments."""
-        return self.loo_moment_code(self._code(key))
 
 
 # ----------------------------------------------------------------------
@@ -231,10 +219,10 @@ def _collision(keys: Iterable, same: Callable) -> ConfigError:
 def _coded(entries: Mapping[tuple, complex], keys: Sequence[tuple]) -> tuple[Codebook, dict[int, complex]]:
     """``(book, {book.code(key): complex(value)})`` of a table, ``keys`` standing in order for those of ``entries``.
 
-    The book interns the table's indices in canonical order before it codes
-    a key, so its ids, and every sum that walks a code in id order, depend
-    on the table's value and not on the order of its keys.  Two keys of one
-    multiset are a ConfigError naming them as written.
+    The book numbers the table's indices in canonical order, so its ids,
+    and every sum that walks a code in id order, depend on the table's value
+    and not on the order of its keys.  Two keys of one multiset are a
+    ConfigError naming them as written.
     """
     book = Codebook(canonical_key(dict.fromkeys(index for key in keys for index in key)))
     by_code = {book.code(key): complex(value) for key, value in zip(keys, entries.values())}
@@ -388,17 +376,14 @@ class CumulantEvaluator:
     each distinct multiset is evaluated once, by :func:`_kappa_recursive`
     over its distinct sub-multisets.  ``recursion_terms`` counts the
     (multiset, block) terms summed so far.  The recursion sums in the id
-    order of that book: canonical for a :class:`TableOracle`, but in order
-    of first use for an oracle defined by key, whose book interns each index
-    as a read first names it.  There the last bits of a cumulant may depend
-    on the order of the reads.  The key forms code through the oracle's own
-    ``_code``, so a read naming an index that a table or an ensemble lacks
-    is a KeyError that leaves its book as built.
+    order of that book, which is fixed when the oracle is built, so a
+    cumulant does not depend on the reads made before it.  The key forms
+    code over the book, so a read naming an index it lacks is a KeyError.
     """
 
     def __init__(self, oracle: MomentOracle):
         self.oracle = oracle
-        self.book, self._moment, self._code = oracle.book, oracle.moment_code, oracle._code
+        self.book, self._moment = oracle.book, oracle.moment_code
         self.memo: dict[int, complex] = {}
         self.recursion_terms = 0
 
@@ -410,23 +395,26 @@ class CumulantEvaluator:
 
     def kappa_of(self, seq: LabeledSeq) -> complex:
         """:meth:`kappa` of a labeled sequence's indices; the benchmark tracer wraps it by name."""
-        return self.kappa_code(self._code(seq.indices()))
+        return self.kappa_code(self.book.code(seq.indices()))
 
     def kappa(self, key: Iterable[Index]) -> complex:
-        return self.kappa_code(self._code(key))
+        return self.kappa_code(self.book.code(key))
 
 
-def coded_cumulants(source) -> tuple[Codebook, Callable[[int], complex]]:
+def coded_cumulants(source, indices: Iterable[Index] = ()) -> tuple[Codebook, Callable[[int], complex]]:
     """``(book, kappa_code)`` for a cumulant source: the cumulant of each multiset code of ``book``.
 
-    This is the one way cumulants are read.  A source is a
-    :class:`CumulantTable`, a :class:`CumulantEvaluator` or a
+    This is the one way cumulants are read, and the one place that decides
+    which ``indices`` beyond the source's own a reader may code.  A source
+    is a :class:`CumulantTable`, a :class:`CumulantEvaluator` or a
     :class:`MomentOracle`, whose cumulants are then derived by the
-    recursion, memoized; anything else is a TypeError.  A table's reader
-    gets a copy of the table's book, to intern indices the table lacks.
+    recursion, memoized; anything else is a TypeError.  A table's book is
+    extended by the ``indices`` it lacks (:meth:`Codebook.extended`), and
+    every cumulant naming one reads 0.  An evaluator's or an oracle's book is
+    given as it is, so coding an index it lacks is a KeyError.
     """
     if isinstance(source, CumulantTable):
-        return Codebook(source.book.indices), source.kappa_code
+        return source.book.extended(indices), source.kappa_code
     if isinstance(source, MomentOracle):
         source = CumulantEvaluator(source)
     if isinstance(source, CumulantEvaluator):

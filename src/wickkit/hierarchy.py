@@ -103,8 +103,12 @@ class HierarchyPlan:
         self._amplitude: list[int] = []
         self._pair: list[int] = []
         self._ends: list[int] = []  # one past each target's last term
-        # the targets' indices first, in the order a table keyed by the targets numbers them
-        self.book = book = Codebook(idx for target in targets for idx in target)
+        # the targets' indices first, in the order a table keyed by the targets numbers them, then each
+        # driven index's drive indices in the order the loop below meets them
+        driven = dict.fromkeys(idx for target in targets for idx in target)
+        self.book = book = Codebook(
+            [*driven, *(idx for i in driven for term in model.terms.get(i, ()) for idx in term.seq)]
+        )
         for target in targets:
             full = _group_code(book, [(), target])
             for idx in target:

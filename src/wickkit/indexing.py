@@ -11,11 +11,12 @@ for the benchmark tracer alone; no package route calls them.
 
 Moments, cumulants and the partition sums of symmetric summands depend on a
 sequence only through its multiset of indices.  Inside the package such a
-multiset goes by an integer code (:class:`Codebook`): each index is interned
-to a small id once, and a multiset's code adds one field per id, so a
-multiset is coded with one addition per element and no sorting.  The kernel
-and the cumulant recursion walk a code's distinct sub-multisets
-(:func:`_blocks`), so equal blocks are summed once with their label counts.
+multiset goes by an integer code (:class:`Codebook`): a book is built once
+from every index it will code, giving each a small id, and never grows, and
+a multiset's code adds one field per id, so a multiset is coded with one
+addition per element and no sorting.  The kernel and the cumulant recursion
+walk a code's distinct sub-multisets (:func:`_blocks`), so equal blocks are
+summed once with their label counts.
 The sorted :func:`canonical_key` form is kept for the public key-based calls
 and the JSON tables.
 """
@@ -94,10 +95,6 @@ class LabeledSeq:
         """Collapse to the plain index sequence (sorted by label)."""
         return tuple(idx for _, idx in self.elements)
 
-    def key(self) -> tuple[Index, ...]:
-        """Canonical multiset key of the collapsed sequence."""
-        return canonical_key(self.indices())
-
     def index_at(self, label: int) -> Index:
         for lab, idx in self.elements:
             if lab == label:
@@ -159,34 +156,41 @@ def partitions(a: LabeledSeq) -> Iterator[tuple[frozenset[int], ...]]:
 
 
 class Codebook:
-    """Small integer ids for indices, and the multiset codes they give.
+    """Small integer ids for a fixed set of indices, and the multiset codes they give.
 
-    An index gets the next free id the first time it is seen; indices are
-    told apart by ``==``, as dict keys are.  The code of a multiset is the
-    sum over its elements of ``1 << CODE_BITS * id``, so each id's count sits
-    in its own ``CODE_BITS``-bit field and two collections have the same code
-    exactly when they are equal as multisets.  Codes add under multiset union,
-    which lets the partition kernel code every label mask with one addition
-    (:func:`mask_codes`).  A code means something only with the book that
-    made it.  A new book interns ``indices`` in turn.
+    A book is a value: it numbers ``indices`` in order of first appearance
+    when it is built and never adds another, so every code it gives, and
+    every sum that walks a code in id order, depends on how it was built and
+    not on the reads made since.  Indices are told apart by ``==``, as dict
+    keys are; ``slots`` and ``code`` of an index the book lacks are a
+    KeyError, and :meth:`extended` makes a longer copy.  The code of a
+    multiset is the sum over its elements of ``1 << CODE_BITS * id``, so each
+    id's count sits in its own ``CODE_BITS``-bit field and two collections
+    have the same code exactly when they are equal as multisets.  Codes add
+    under multiset union, which lets the partition kernel code every label
+    mask with one addition (:func:`mask_codes`).  A code means something only
+    with the book that made it, or with a longer copy of it.
     """
 
-    def __init__(self, indices: Iterable[Index] = ()) -> None:
+    def __init__(self, indices: Iterable[Index]) -> None:
         self.ids: dict[Index, int] = {}
-        self.indices: list[Index] = []
-        self.slots(indices)
+        for index in indices:
+            self.ids.setdefault(index, len(self.ids))
+        self.indices: list[Index] = list(self.ids)
+        self._slots = {index: 1 << CODE_BITS * i for index, i in self.ids.items()}
+
+    def extended(self, indices: Iterable[Index]) -> "Codebook":
+        """A longer copy: this book's ids, then the ``indices`` it lacks in order of first appearance.
+
+        A book that lacks none of them is its own extension.
+        """
+        ids = self.ids
+        new = [index for index in indices if index not in ids]
+        return Codebook(self.indices + new) if new else self
 
     def slots(self, indices: Iterable[Index]) -> list[int]:
-        """The code of each element in turn, interning unseen indices."""
-        ids = self.ids
-        out = []
-        for index in indices:
-            i = ids.get(index)
-            if i is None:
-                i = ids[index] = len(self.indices)
-                self.indices.append(index)
-            out.append(1 << CODE_BITS * i)
-        return out
+        """The code of each element in turn."""
+        return list(map(self._slots.__getitem__, indices))
 
     def code(self, indices: Iterable[Index]) -> int:
         """The multiset code of an index collection."""

@@ -180,13 +180,6 @@ class CollisionConfig:
             raise ConfigError("the fejer model has no gaussian width")
         return 4.0 * _omega_grid_spacing(self.omega())
 
-    @property
-    def width(self) -> float:
-        """Effective energy-delta width (eps, or 2 pi / T for fejer)."""
-        if self.delta_model == "gaussian":
-            return self.resolved_epsilon()
-        return 2.0 * math.pi / self.window_support
-
 
 @dataclass(frozen=True)
 class EquilibriumParams:

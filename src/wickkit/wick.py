@@ -79,9 +79,6 @@ class WickPoly:
     def coeff(self, labels: Iterable[int]) -> complex:
         return self.terms.get(frozenset(labels), 0.0 + 0.0j)
 
-    def top_coeff(self) -> complex:
-        return self.coeff(self.ground.labels)
-
     def evaluate(self, values: Mapping[Index, complex]):
         """Evaluate with values per *index* (arrays broadcast realization-wise)."""
         total = 0.0
@@ -235,7 +232,7 @@ def wick_from_cumulants(source, seq: LabeledSeq) -> WickPoly:
     """Construct W[y^I] from the closed cumulant expansion."""
     _check_guard(seq)
     # (-1)^|pi| prod kappa is the product of -kappa over the blocks of pi
-    book, kappa_code = coded_cumulants(source)
+    book, kappa_code = coded_cumulants(source, seq.indices())
     codes = mask_codes(book.slots(seq.indices()))
     memo, full = PartitionMemo(), len(codes) - 1
     negative = lambda block: -kappa_code(block)  # noqa: E731
@@ -245,7 +242,7 @@ def wick_from_cumulants(source, seq: LabeledSeq) -> WickPoly:
 def wick_recursion_step(source, seq: LabeledSeq) -> WickPoly:
     """Construct W[y^I] by peeling the first element against cumulants."""
     _check_guard(seq)
-    book, kappa_code = coded_cumulants(source)
+    book, kappa_code = coded_cumulants(source, seq.indices())
     codes = mask_codes(book.slots(seq.indices()))
     memo: dict[int, dict[int, complex]] = {0: {0: 1.0 + 0.0j}}
 
@@ -325,11 +322,14 @@ def _group_code(book: Codebook, groups: Sequence[Sequence[Index]], tail: Sequenc
 
 
 def _moved_codes(codes: Sequence[int], book: Codebook, source_book: Codebook, stride: int) -> Sequence[int]:
-    """:func:`_group_code` codes over ``book`` moved onto the ids of ``source_book``, which interns what it lacks.
+    """:func:`_group_code` codes over ``book`` moved onto the ids of ``source_book``.
 
-    Each id's ``stride`` fields move to its index's id there, which keeps every count: no guard is needed.
+    Each id's ``stride`` fields move to its index's id there, which keeps
+    every count: no guard is needed.  ``source_book`` comes from
+    :func:`wickkit.cumulants.coded_cumulants`, which alone decides whether
+    it may hold indices the source lacks; an index of ``book`` that it does
+    not hold is a KeyError.
     """
-    source_book.slots(book.indices)
     ids = [source_book.ids[index] for index in book.indices]
     if ids == list(range(len(ids))):
         return codes
@@ -374,7 +374,7 @@ def _group_sums(source, book: Codebook, codes: Sequence[int], n_groups: int) -> 
     memo's counts, the codes summed (``pair_expectations``) and those the
     memo held already (``pair_memo_hits``).
     """
-    source_book, kappa_code = coded_cumulants(source)
+    source_book, kappa_code = coded_cumulants(source, book.indices)
     stride = n_groups + 1
     codes = _moved_codes(codes, book, source_book, stride)
     memo = PartitionMemo()
@@ -398,7 +398,7 @@ def wick_product_expectation(source, groups: Sequence[Sequence[Index]], tail: Se
     by :func:`_group_sums` over a memo of its own, as every pair sum of
     :class:`wickkit.hierarchy.HierarchyPlan` is.
     """
-    book = Codebook()
+    book = Codebook(idx for piece in (*groups, tail) for idx in piece)
     return _group_sums(source, book, [_group_code(book, groups, tail)], len(groups))[0][0]
 
 

@@ -17,7 +17,7 @@ from wickkit.cumulants import (
 )
 from wickkit.errors import jackknife_stderr, rk4, step_count
 from wickkit.hierarchy import all_keys_up_to
-from wickkit.indexing import LabeledSeq, canonical_key
+from wickkit.indexing import Codebook, LabeledSeq, canonical_key
 from wickkit.wick import wick_from_cumulants, wick_product_expectation
 
 
@@ -92,7 +92,26 @@ def random_sequences(rng, alphabet=("a", "b", "c"), max_len=6, count=10):
     return out
 
 
-class PolynomialOracle(MomentOracle):
+class ByKeyOracle(MomentOracle):
+    """A moment oracle defined by canonical key: a subclass overrides ``moment``.
+
+    Its book holds the indices it is given, in canonical order, so its codes
+    and every sum over them are fixed when it is built.  ``moment_code``
+    decodes each code once, through ``book.key``, and keeps the moment
+    ``moment`` gives for it; code 0 reads 1.
+    """
+
+    def __init__(self, indices):
+        self.book = Codebook(canonical_key(dict.fromkeys(indices)))
+        self._moments = {0: 1.0}
+
+    def moment_code(self, code):
+        if code not in self._moments:
+            self._moments[code] = self.moment(self.book.key(code))
+        return self._moments[code]
+
+
+class PolynomialOracle(ByKeyOracle):
     """Moment oracle of an explicit finite sample with NumPy arrays, exact
     means (no randomness): used to realize measures with known moments."""
 
@@ -100,6 +119,7 @@ class PolynomialOracle(MomentOracle):
         # values: mapping index -> 1-d array of equally weighted atoms
         self.values = {k: np.asarray(v, dtype=complex) for k, v in values.items()}
         (self.n,) = {v.shape[0] for v in self.values.values()}
+        super().__init__(self.values)
 
     def moment(self, key):
         prod = np.ones(self.n, dtype=complex)
@@ -119,7 +139,7 @@ def gaussian_moment_oracle(mean, cov):
     return CumulantBackedOracle(CumulantTable(entries=entries, max_order=2))
 
 
-class IndependentProductOracle(MomentOracle):
+class IndependentProductOracle(ByKeyOracle):
     """Joint moments of independent groups of variables.
 
     ``groups`` is a list of ``(index_set, oracle)`` pairs with disjoint index
@@ -132,6 +152,7 @@ class IndependentProductOracle(MomentOracle):
         everything = [i for ids, _ in self.groups for i in ids]
         if len(everything) != len(set(everything)):
             raise ValueError("group index sets must be disjoint")
+        super().__init__(everything)
 
     def moment(self, key):
         out = 1.0 + 0.0j
@@ -145,7 +166,7 @@ class IndependentProductOracle(MomentOracle):
         return out
 
 
-class LinearCombinationOracle(MomentOracle):
+class LinearCombinationOracle(ByKeyOracle):
     """Extend a base oracle to a composite index j defined as a linear
     combination sum_m c_m * y_{i_m} of base variables.
 
@@ -157,6 +178,7 @@ class LinearCombinationOracle(MomentOracle):
         self.base = base
         self.composite = composite
         self.combo = tuple((complex(c), i) for c, i in combo)
+        super().__init__([*base.book.indices, composite])
 
     def moment(self, key):
         slots = [i for i, idx in enumerate(key) if idx == self.composite]

@@ -233,7 +233,7 @@ def test_criterion_05_moment_cumulant_roundtrip_and_bell_counts(capsys):
             rebuilt = back.moment(combo)
             worst = max(worst, abs(direct - rebuilt) / max(1.0, abs(direct)))
     bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
-    counts = [partition_sum(Codebook().code(range(n)), lambda block: 1.0, PartitionMemo()) for n in range(11)]
+    counts = [partition_sum(Codebook(range(n)).code(range(n)), lambda block: 1.0, PartitionMemo()) for n in range(11)]
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10
     assert counts == bell

@@ -47,11 +47,6 @@ class TestLabeledSeq:
         with pytest.raises(ValueError):
             LabeledSeq(((0, "a"),))
 
-    def test_key_is_permutation_invariant(self):
-        assert LabeledSeq.from_indices(["b", "a"]).key() == LabeledSeq.from_indices(
-            ["a", "b"]
-        ).key()
-
     def test_canonical_key_mixed_types(self):
         # determinism, not semantic order: just require a stable result
         assert canonical_key([("q", 2), "x", 1]) == canonical_key([1, "x", ("q", 2)])
@@ -140,7 +135,7 @@ class TestPartitions:
 
 def unit_sum(indices) -> complex:
     """The kernel's partition sum of unit weights over a fresh memo: the partition count."""
-    return partition_sum(Codebook().code(indices), lambda block: 1.0, PartitionMemo())
+    return partition_sum(Codebook(indices).code(indices), lambda block: 1.0, PartitionMemo())
 
 
 class TestBellNumber:
@@ -175,7 +170,7 @@ class TestPartitionSum:
         def weight(block):
             return weight_of(frozenset(i for i in range(n) if block >> 8 * i & 0xFF))
 
-        code = Codebook().code(range(n))
+        code = Codebook(range(n)).code(range(n))
         first = sum(0xFF << 8 * i for i in range(max(n - 2, 0)))
         right = set(range(n)[-2:])
         for groups, keep in (([], lambda part: True), ([first], lambda part: all(b & right for b in part))):
@@ -195,7 +190,7 @@ class TestPartitionSum:
         memo = PartitionMemo()
         for indices in (range(13), ["a"] * 13, [k % 4 for k in range(13)]):
             with pytest.raises(GuardError, match="partition enumeration guard: 13 > 12"):
-                partition_sum(Codebook().code(indices), lambda block: pytest.fail("weighed"), memo)
+                partition_sum(Codebook(indices).code(indices), lambda block: pytest.fail("weighed"), memo)
         assert (memo.totals, memo.weights) == ({0: 1.0}, {})
 
 
@@ -220,7 +215,7 @@ class TestKernelAgainstEnumeration:
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
 
     def test_a_multiset_inside_one_group_sums_to_zero_without_a_walk(self):
-        book = Codebook()
+        book = Codebook("abc")
         code = book.code(["a", "a", "b"])
         memo = PartitionMemo()
         got = partition_sum(code, lambda block: pytest.fail("weighed"), memo, [0xFFFF])

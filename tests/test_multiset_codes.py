@@ -40,9 +40,10 @@ from wickkit.hierarchy import (
     integrate_hierarchy,
 )
 from wickkit.indexing import CODE_BITS, Codebook, LabeledSeq, canonical_key, mask_codes
-from wickkit.wick import truncated_expectation, wick_from_cumulants, wick_product_expectation
+from wickkit.wick import truncated_expectation, wick_from_cumulants, wick_product_expectation, wick_recursive
 
 from _support import (
+    PolynomialOracle,
     brute_cumulant,
     brute_product_expectation,
     brute_wick_coefficients,
@@ -58,19 +59,19 @@ def close(got, want) -> bool:
 
 class TestCodebook:
     def test_equal_multisets_share_a_code(self):
-        book = Codebook()
+        book = Codebook([1, "a", ("q", 2)])
         assert book.code([1, "a", ("q", 2), 1]) == book.code([("q", 2), 1, 1, "a"])
         assert book.code([1, "a"]) != book.code([1, 1, "a"])
         assert book.code([]) == 0
 
     def test_indices_compare_by_equality(self):
-        book = Codebook()
+        book = Codebook([1, 2.0, 1.0])
         assert book.code([1, 2.0, 1.0]) == book.code([1.0, 2, 1])
         # decoded with the first spelling seen, in canonical order
         assert book.key(book.code([2, 1, 1.0])) == (2.0, 1, 1)
 
     def test_mask_codes_add_the_slots(self):
-        book = Codebook()
+        book = Codebook("ab")
         slots = book.slots(["a", "b", "a"])
         codes = mask_codes(slots)
         for mask in range(8):
@@ -78,13 +79,26 @@ class TestCodebook:
         assert codes[0b101] == book.code(["a", "a"])
 
     def test_decode_round_trips(self):
-        book = Codebook()
+        book = Codebook(["b", ("q", 1), 3])
         code = book.code(["b", ("q", 1), "b", 3])
         assert book.key(code) == book.key(book.code(book.key(code)))
         assert sorted(book.slots(book.key(code))) == sorted(book.slots(["b", ("q", 1), "b", 3]))
 
+    def test_a_book_never_grows(self):
+        book = Codebook(["b", "a", "b"])
+        assert book.indices == ["b", "a"] and book.code(["a", "b", "a"]) == 1 + (2 << CODE_BITS)
+        for read in (book.slots, book.code):
+            with pytest.raises(KeyError):
+                read(["a", "c"])
+        assert book.indices == ["b", "a"]
+        # a longer copy numbers the indices it lacks after its own, in order of first appearance
+        longer = book.extended(["d", "a", "c", "d"])
+        assert longer.indices == ["b", "a", "d", "c"] and book.indices == ["b", "a"]
+        assert longer.code(["a", "b"]) == book.code(["a", "b"])
+        assert book.extended(["a", "b"]) is book
+
     def test_count_guard(self):
-        book = Codebook()
+        book = Codebook("x")
         assert book.code(["x"] * ((1 << CODE_BITS) - 1)) == ((1 << CODE_BITS) - 1)
         with pytest.raises(GuardError):
             book.code(["x"] * (1 << CODE_BITS))
@@ -342,14 +356,51 @@ def test_a_failed_cumulant_read_leaves_the_oracle_s_book_as_built():
 
 
 def test_a_failed_ensemble_read_leaves_the_book_as_built():
-    # an ensemble interns its indices at construction, and a read naming another is a KeyError before it is coded
+    # an ensemble's book holds its indices from construction, and a read naming another is a KeyError
     oracle = EnsembleOracle({"a": np.arange(4.0)})
     for i in range(1000):
-        for read in (oracle.moment, oracle.loo_moment):
-            with pytest.raises(KeyError) as raised:
-                read(("a", i))
-            assert raised.value.args == (("a", i),)
+        with pytest.raises(KeyError) as raised:
+            oracle.moment(("a", i))
+        assert raised.value.args == (("a", i),)
+        with pytest.raises(KeyError):
+            oracle.loo_moment_code(oracle.book.code(("a", i)))
         with pytest.raises(KeyError):
             oracle.moment([i])
     assert oracle.book.indices == ["a"]
-    assert oracle.moment(("a",)) == 1.5 and np.allclose(oracle.loo_moment(("a",)), [2.0, 5 / 3, 4 / 3, 1.0], rtol=1e-15)
+    loo = oracle.loo_moment_code(oracle.book.code(("a",)))
+    assert oracle.moment(("a",)) == 1.5 and np.allclose(loo, [2.0, 5 / 3, 4 / 3, 1.0], rtol=1e-15)
+
+
+def test_no_read_of_an_unknown_index_grows_a_book():
+    # through every route that reads a book: a KeyError, or 0 where the source is a table
+    oracle = TableOracle({("a",): 0.5, ("a", "a"): 1.0})
+    evaluator = CumulantEvaluator(oracle)
+    table = CumulantTable(entries={("a",): 0.5, ("a", "a"): 1.0})
+    backed = CumulantBackedOracle(table)
+    poly = wick_recursive(oracle, LabeledSeq.from_indices(["a"]))
+    for i in range(1000):
+        for read in (
+            lambda: wick_recursive(oracle, LabeledSeq.from_indices(["a", i])),
+            lambda: poly.expectation(oracle, [i]),
+            lambda: wick_from_cumulants(evaluator, LabeledSeq.from_indices([i, "a"])),
+            lambda: wick_product_expectation(evaluator, [["a"], [i]]),
+        ):
+            with pytest.raises(KeyError):
+                read()
+        assert backed.moment(("a", i)) == 0
+    assert oracle.book.indices == evaluator.book.indices == table.book.indices == backed.book.indices == ["a"]
+    assert backed.moment(("a", "a")) == 1.25 and poly.expectation(oracle, ["a"]) == 0.75
+
+
+def test_a_cumulant_does_not_depend_on_the_reads_before_it():
+    # over an oracle defined by key, 200 random 7-index cumulants, each read fresh and after a
+    # two-index read; a book that grew in order of first use changed the last bits of 196 of them
+    rng = np.random.default_rng(5)
+    variables = ["a", "b", "c", "d"]
+    atoms = {i: rng.standard_normal(6) + 1j * rng.standard_normal(6) for i in variables}
+    keys = [tuple(rng.choice(variables, 7)) for _ in range(200)]
+    for key in keys:
+        fresh = CumulantEvaluator(PolynomialOracle(atoms)).kappa(key)
+        evaluator = CumulantEvaluator(PolynomialOracle(atoms))
+        evaluator.kappa(("d", "c"))
+        assert evaluator.kappa(key) == fresh, key

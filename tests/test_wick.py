@@ -137,7 +137,7 @@ class TestThreeRouteEquivalence:
         rng = np.random.default_rng(8)
         oracle = random_moment_oracle(rng)
         for s in random_sequences(rng, max_len=5, count=5):
-            assert wick_recursive(oracle, s).top_coeff() == 1.0
+            assert wick_recursive(oracle, s).coeff(s.labels) == 1.0
 
 
 class TestExpectations:
@@ -290,14 +290,17 @@ class TestKernelAgainstEnumeration:
 
     def test_a_moved_code_equals_the_code_built_over_the_source_book(self):
         # three groups and a tail with repeats, moved onto a book that numbers the indices
-        # otherwise, holds one the groups lack and lacks one they hold
+        # otherwise and holds one the groups lack; a source book lacking one they hold is a KeyError
         groups, tail = [["a", "b", "a"], ["c", "c", "c"], ["b", "d", "b", "b"]], ["d", "a", "c"]
-        book = Codebook()
+        book = Codebook("abcd")
         code = _group_code(book, groups, tail)
-        source_book = Codebook(["d", "c", "e", "b"])
-        want = _group_code(Codebook(source_book.indices), groups, tail)
+        lacking = Codebook(["d", "c", "e", "b"])
+        with pytest.raises(KeyError):
+            _moved_codes([code], book, lacking, 4)
+        source_book = lacking.extended(book.indices)
+        assert source_book.indices == ["d", "c", "e", "b", "a"] and lacking.indices == ["d", "c", "e", "b"]
+        want = _group_code(source_book, groups, tail)
         assert _moved_codes([code, 0], book, source_book, 4) == [want, 0]
-        assert source_book.indices == ["d", "c", "e", "b", "a"]
         assert _moved_codes([code], book, Codebook(book.indices), 4) == [code]
 
 
