@@ -117,7 +117,9 @@ class CumulantBackedOracle(MomentOracle):
     codes its key over the book that :func:`coded_cumulants` gives for it:
     over a table, a key naming an index the table lacks reads 0, and the
     memo stays exact, since every code naming an id past the table's own
-    sums to 0.
+    sums to 0.  Only the key form does so: ``book`` is the source's own, so
+    a code-form route (``wick_recursive``, ``WickPoly.expectation``) naming
+    an absent index is a KeyError.
     """
 
     def __init__(self, source):

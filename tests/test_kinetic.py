@@ -146,8 +146,6 @@ class TestCollisionConfig:
         # 2(1 - cos(pi j / 8)), so the mean gap is 4/8 and the default is 2
         cfg = CollisionConfig(lattice=Lattice(dimension=1, side=16), dispersion=nearest_neighbor_dispersion(1))
         assert cfg.resolved_epsilon() == pytest.approx(2.0, abs=1e-12)
-        omega = {round(2.0 * (1.0 - math.cos(math.pi * j / 8)), 12) for j in range(16)}
-        assert 4.0 * (max(omega) - min(omega)) / (len(omega) - 1) == pytest.approx(2.0, abs=1e-12)
 
     def test_explicit_epsilon_wins(self):
         cfg = CollisionConfig(
@@ -166,7 +164,6 @@ class TestCollisionConfig:
             window_coupling=0.5,
         )
         assert cfg.window_support == pytest.approx(2.0, abs=1e-15)
-        assert 2.0 * math.pi / cfg.window_support == pytest.approx(math.pi, abs=1e-12)
 
     def test_rejects_unknown_model_and_method(self):
         lat, disp = Lattice(dimension=1, side=8), nearest_neighbor_dispersion(1)

@@ -25,6 +25,7 @@ from wickkit.cumulants import (
     CumulantEvaluator,
     CumulantTable,
     EnsembleOracle,
+    MomentOracle,
     TableOracle,
     moments_from_cumulants,
 )
@@ -43,7 +44,6 @@ from wickkit.indexing import CODE_BITS, Codebook, LabeledSeq, canonical_key, mas
 from wickkit.wick import truncated_expectation, wick_from_cumulants, wick_product_expectation, wick_recursive
 
 from _support import (
-    PolynomialOracle,
     brute_cumulant,
     brute_product_expectation,
     brute_wick_coefficients,
@@ -390,17 +390,39 @@ def test_no_read_of_an_unknown_index_grows_a_book():
         assert backed.moment(("a", i)) == 0
     assert oracle.book.indices == evaluator.book.indices == table.book.indices == backed.book.indices == ["a"]
     assert backed.moment(("a", "a")) == 1.25 and poly.expectation(oracle, ["a"]) == 0.75
+    # only the key form of a table-backed oracle reads an absent index as 0; its code routes raise
+    with pytest.raises(KeyError):
+        wick_recursive(backed, LabeledSeq.from_indices(["a", "z"]))
 
 
 def test_a_cumulant_does_not_depend_on_the_reads_before_it():
-    # over an oracle defined by key, 200 random 7-index cumulants, each read fresh and after a
-    # two-index read; a book that grew in order of first use changed the last bits of 196 of them
+    # MomentOracle keeps no lazy book that grows in order of first use: one did, and over an oracle
+    # defined by key it changed the last bits of 196 of these 200 random 7-index cumulants after one
+    # earlier two-index read.  A subclass defining moment alone now has no book to read by code, and
+    # the codes of one that builds its book are fixed when it is built.
+    class KeyOnly(MomentOracle):
+        def moment(self, key):
+            return 1.0
+
+    with pytest.raises(AttributeError):
+        CumulantEvaluator(KeyOnly())
+
+    class Atoms(MomentOracle):
+        def __init__(self, atoms):
+            self.atoms, self.book = atoms, Codebook(atoms)
+
+        def moment_code(self, code):
+            return np.prod([self.atoms[i] for i in self.book.key(code)], axis=0).mean() if code else 1.0
+
     rng = np.random.default_rng(5)
     variables = ["a", "b", "c", "d"]
     atoms = {i: rng.standard_normal(6) + 1j * rng.standard_normal(6) for i in variables}
     keys = [tuple(rng.choice(variables, 7)) for _ in range(200)]
     for key in keys:
-        fresh = CumulantEvaluator(PolynomialOracle(atoms)).kappa(key)
-        evaluator = CumulantEvaluator(PolynomialOracle(atoms))
+        fresh = CumulantEvaluator(Atoms(atoms)).kappa(key)
+        evaluator = CumulantEvaluator(Atoms(atoms))
         evaluator.kappa(("d", "c"))
         assert evaluator.kappa(key) == fresh, key
+    with pytest.raises(KeyError):
+        evaluator.kappa(("a", "e"))
+    assert evaluator.book.indices == variables
