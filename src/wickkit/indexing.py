@@ -1,13 +1,13 @@
-"""Labeled index sequences and their combinatorics.
+"""Index sequences, their multiset codes and their combinatorics.
 
 Everything downstream works with finite sequences of variable indices in
-which the same index may repeat.  To keep subsequences of repeated indices
-unambiguous, each occurrence carries a distinct integer label; collapsing
-(sort by label, drop labels) recovers the plain index sequence.  This module
-provides the sequence type, the multiset codes and the partition-sum kernel
-behind every moment, cumulant and Wick expectation (:func:`partition_sum`).
-The brute-force enumerators :func:`subsets` and :func:`partitions` are kept
-for the benchmark tracer alone; no package route calls them.
+which the same index may repeat; an element's position tells repeated
+indices apart.  This module provides the multiset codes and the
+partition-sum kernel behind every moment, cumulant and Wick expectation
+(:func:`partition_sum`).  The labeled sequence type :class:`LabeledSeq` is
+left only for what the benchmark tracer wraps: the brute-force enumerators
+:func:`subsets` and :func:`partitions`, which no package route calls, and
+``CumulantEvaluator.kappa_of``.
 
 Moments, cumulants and the partition sums of symmetric summands depend on a
 sequence only through its multiset of indices.  Inside the package such a
@@ -82,11 +82,6 @@ class LabeledSeq:
             raise ValueError(f"labels must be distinct, got {labels}")
         object.__setattr__(self, "elements", elems)
 
-    @classmethod
-    def from_indices(cls, indices: Iterable[Index]) -> "LabeledSeq":
-        """Label a plain index sequence 1..n in order."""
-        return cls(tuple((pos, idx) for pos, idx in enumerate(indices, start=1)))
-
     @property
     def labels(self) -> tuple[int, ...]:
         return tuple(label for label, _ in self.elements)
@@ -94,12 +89,6 @@ class LabeledSeq:
     def indices(self) -> tuple[Index, ...]:
         """Collapse to the plain index sequence (sorted by label)."""
         return tuple(idx for _, idx in self.elements)
-
-    def index_at(self, label: int) -> Index:
-        for lab, idx in self.elements:
-            if lab == label:
-                return idx
-        raise KeyError(f"label {label} not in sequence")
 
     def select(self, mask: int) -> "LabeledSeq":
         """The labeled subsequence picked by a bitmask over label rank.
@@ -167,7 +156,7 @@ class Codebook:
     multiset is the sum over its elements of ``1 << CODE_BITS * id``, so each
     id's count sits in its own ``CODE_BITS``-bit field and two collections
     have the same code exactly when they are equal as multisets.  Codes add
-    under multiset union, which lets the partition kernel code every label
+    under multiset union, which lets the partition kernel code every position
     mask with one addition (:func:`mask_codes`).  A code means something only
     with the book that made it, or with a longer copy of it.
     """
@@ -211,7 +200,7 @@ class Codebook:
 
 
 def mask_codes(slots: Sequence[int]) -> list[int]:
-    """The multiset code of every label mask of a sequence with these slot codes.
+    """The multiset code of every position mask of a sequence with these slot codes.
 
     ``codes[m]`` is the sum of the slot codes of the set bits of ``m``; each
     mask is its top bit's slot plus a mask already coded.

@@ -15,14 +15,16 @@ that meet I'.  Three equivalent constructions are provided:
   cumulants, W[y^I] = y_first * W[y^I'] -
   sum over U subset I' of kappa[first + U] * W[y^(I' minus U)].
 
-Monomials are keyed by label subsets of the ground sequence (not collapsed
-multisets), so repeated indices stay unambiguous.  The constructions run
-over label bitmasks (bit i is the i-th smallest ground label) and read each
-subset's moment or cumulant by the multiset code of the subset
+A polynomial lives on its ground, the index sequence I, and keys each
+monomial by a position mask: bit i stands for the i-th element of I, so
+repeated indices stay apart without labels (not collapsed multisets).  The
+product of two polynomials lives on the concatenated ground.  The
+constructions run over these masks and read each subset's moment or
+cumulant by the multiset code of the subset
 (:func:`wickkit.cumulants.coded_cumulants`, the one reader of a cumulant
 source); the partition sums, whose summands are symmetric, run on multiset
-codes (:func:`wickkit.indexing.partition_sum`), so label subsets holding the
-same multiset are summed once.  Every expectation of a product of Wick
+codes (:func:`wickkit.indexing.partition_sum`), so position subsets holding
+the same multiset are summed once.  Every expectation of a product of Wick
 polynomials, here and in :mod:`wickkit.hierarchy`, is one such sum over a code
 whose elements are tagged with their Wick group (:func:`_group_code`), summed
 by one route (:func:`_group_sums`) over a memo of its own; this module alone
@@ -32,7 +34,7 @@ knows that layout, and no caller passes a memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cumulants import MomentOracle, _as_index, coded_cumulants
 from .errors import Block, ConfigError, GuardError, _number
@@ -41,7 +43,6 @@ from .indexing import (
     CODE_BITS,
     Codebook,
     Index,
-    LabeledSeq,
     PartitionMemo,
     canonical_key,
     mask_codes,
@@ -52,40 +53,47 @@ from .indexing import (
 WICK_GUARD = 12
 
 
+def _picked(indices: Sequence[Index], mask: int) -> list[Index]:
+    """The elements of ``indices`` at the set bits of ``mask``, in order."""
+    return [index for i, index in enumerate(indices) if mask >> i & 1]
+
+
 @dataclass
 class WickPoly:
-    """A polynomial in the variables of a ground sequence.
+    """A polynomial in the variables of a ground index sequence.
 
-    ``terms`` maps frozensets of ground labels (monomial support) to complex
-    coefficients; the empty frozenset is the constant term.  Exact zeros are
-    dropped at construction; ``coeff`` reads absent keys as zero.
+    ``terms`` maps a position mask (monomial support) to a complex
+    coefficient: bit i stands for the i-th element of ``indices``, and mask
+    0 is the constant term.  Exact zeros are dropped at construction, a mask
+    outside the ground's positions is a ValueError, and ``coeff`` reads an
+    absent mask as zero.
     """
 
-    ground: LabeledSeq
-    terms: dict[frozenset, complex] = field(default_factory=dict)
+    indices: tuple[Index, ...]
+    terms: dict[int, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        ground_labels = set(self.ground.labels)
-        clean: dict[frozenset, complex] = {}
-        for u, c in self.terms.items():
-            u = frozenset(u)
-            if not u <= ground_labels:
-                raise ValueError(f"term {sorted(u)} not within ground labels")
+        self.indices = tuple(self.indices)
+        outside = ~((1 << len(self.indices)) - 1)
+        clean: dict[int, complex] = {}
+        for mask, c in self.terms.items():
+            if mask & outside:
+                raise ValueError(f"term mask {mask:#b} outside the {len(self.indices)} positions of the ground")
             c = complex(c)
             if c != 0:
-                clean[u] = c
+                clean[mask] = c
         self.terms = clean
 
-    def coeff(self, labels: Iterable[int]) -> complex:
-        return self.terms.get(frozenset(labels), 0.0 + 0.0j)
+    def coeff(self, mask: int) -> complex:
+        return self.terms.get(mask, 0.0 + 0.0j)
 
     def evaluate(self, values: Mapping[Index, complex]):
         """Evaluate with values per *index* (arrays broadcast realization-wise)."""
         total = 0.0
-        for u, c in self.terms.items():
+        for mask, c in self.terms.items():
             term = c
-            for label in u:
-                term = term * values[self.ground.index_at(label)]
+            for index in _picked(self.indices, mask):
+                term = term * values[index]
             total = total + term
         return total
 
@@ -97,49 +105,54 @@ class WickPoly:
         """
         book, moment_code = oracle.book, oracle.moment_code
         # coding the whole ground with the extra checks the largest multiset any term reaches
-        book.code(self.ground.indices() + tuple(extra))
-        slot = dict(zip(self.ground.labels, book.slots(self.ground.indices())))
+        book.code(self.indices + tuple(extra))
+        codes = mask_codes(book.slots(self.indices))
         extra_code = sum(book.slots(extra))
         total = 0.0 + 0.0j
-        for u, c in self.terms.items():
-            code = extra_code + sum(slot[label] for label in u)
+        for mask, c in self.terms.items():
+            code = extra_code + codes[mask]
             total += c * (1.0 if not code else moment_code(code))
         return total
 
     def multiset_terms(self) -> dict[tuple, complex]:
-        """Collapse label-subset terms to a canonical multiset polynomial."""
+        """Collapse position-mask terms to a canonical multiset polynomial."""
         out: dict[tuple, complex] = {}
-        for u, c in self.terms.items():
-            key = canonical_key(self.ground.index_at(label) for label in u)
+        for mask, c in self.terms.items():
+            key = canonical_key(_picked(self.indices, mask))
             out[key] = out.get(key, 0.0 + 0.0j) + c
         return {k: v for k, v in out.items() if v != 0}
 
     def to_json(self) -> dict:
-        """External form: ground as [label, index] pairs, terms as subset/coeff."""
-        term_items = sorted(self.terms.items(), key=lambda kv: sorted(kv[0]))
+        """External form: the ground as [label, index] pairs labelled 1..n, each term's subset as the
+        ascending labels of its bits, the terms in the order of their subsets."""
+        labels = range(1, len(self.indices) + 1)
+        term_items = sorted((_picked(labels, mask), c) for mask, c in self.terms.items())
         return {
-            "ground": [[label, idx] for label, idx in self.ground.elements],
-            "terms": [
-                {"subset": sorted(u), "coeff": [c.real, c.imag]}
-                for u, c in term_items
-            ],
+            "ground": [[label, idx] for label, idx in zip(labels, self.indices)],
+            "terms": [{"subset": held, "coeff": [c.real, c.imag]} for held, c in term_items],
         }
 
     @classmethod
     def from_json(cls, data: Mapping) -> "WickPoly":
         """The polynomial of the external form of :meth:`to_json`, read through ``errors.Block``.
 
-        A missing, mistyped or stray key, a label that is not a positive
+        A missing, mistyped or stray key, a ground label that is not its
+        entry's place in 1..n, a subset label that is not a positive
         integer, a repeated label or subset, or a term outside the ground is
         a ConfigError; the checks name the key path where they can.
         """
         with Block(data, "Wick polynomial") as poly:
-            ground = []
+            indices = []
             for pos, pair in enumerate(poly.sequence("ground")):
                 where = f"{poly.name('ground')}[{pos}]"
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ConfigError(f"{where} must be a [label, index] pair, got {pair!r}")
-                ground.append((_number(pair[0], f"{where}[0]", integer=True, low=1), _as_index(pair[1])))
+                label = _number(pair[0], f"{where}[0]", integer=True, low=1)
+                if label != pos + 1:
+                    raise ConfigError(
+                        f"{where}[0] must be the label {pos + 1}, got {label}: a ground is labelled 1..n in order"
+                    )
+                indices.append(_as_index(pair[1]))
             items = poly.sequence("terms")
             terms = {}
             for pos, item in enumerate(items):
@@ -151,63 +164,35 @@ class WickPoly:
                     ]
                     if len(set(labels)) < len(labels):
                         raise ConfigError(f"{where} repeats a label: {labels}")
-                    terms[frozenset(labels)] = term.pair("coeff")
+                    if any(label > len(indices) for label in labels):
+                        raise ConfigError(f"Wick polynomial: term {sorted(labels)} not within ground labels")
+                    terms[sum(1 << label - 1 for label in labels)] = term.pair("coeff")
             if len(terms) < len(items):
                 raise ConfigError(f"{poly.name('terms')}: two terms have the same subset")
-        try:
-            return cls(ground=LabeledSeq(tuple(ground)), terms=terms)
-        except ValueError as err:  # a repeated label, or a term outside the ground
-            raise ConfigError(f"Wick polynomial: {err}") from None
+        return cls(tuple(indices), terms)
 
 
 def poly_mul(a: WickPoly, b: WickPoly) -> WickPoly:
-    """Product of polynomials over label-disjoint grounds (joint ground)."""
-    if set(a.ground.labels) & set(b.ground.labels):
-        raise ValueError("grounds must be label-disjoint for products")
-    ground = LabeledSeq(a.ground.elements + b.ground.elements)
-    terms: dict[frozenset, complex] = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            key = u | v
-            terms[key] = terms.get(key, 0.0 + 0.0j) + cu * cv
-    return WickPoly(ground, terms)
+    """The product on the concatenated ground ``a.indices + b.indices``: b's positions follow a's."""
+    shift = len(a.indices)
+    terms = {u | v << shift: cu * cv for u, cu in a.terms.items() for v, cv in b.terms.items()}
+    return WickPoly(a.indices + b.indices, terms)
 
 
-def relabel(poly: WickPoly, mapping: Mapping[int, int]) -> WickPoly:
-    """Rename ground labels through an injective mapping (indices unchanged)."""
-    new_ground = LabeledSeq(
-        tuple((mapping[lab], idx) for lab, idx in poly.ground.elements)
-    )
-    terms = {frozenset(mapping[lab] for lab in u): c for u, c in poly.terms.items()}
-    return WickPoly(new_ground, terms)
-
-
-def _check_guard(seq: LabeledSeq) -> None:
-    if len(seq) > WICK_GUARD:
-        raise GuardError(f"Wick construction guard: {len(seq)} > {WICK_GUARD}")
-
-
-def _poly_of_masks(seq: LabeledSeq, terms: Mapping[int, complex]) -> WickPoly:
-    """The polynomial on ``seq`` whose terms are keyed by label bitmasks."""
-    labels = seq.labels
-    return WickPoly(
-        seq,
-        {
-            frozenset(lab for i, lab in enumerate(labels) if u >> i & 1): c
-            for u, c in terms.items()
-        },
-    )
+def _check_guard(indices: Sequence[Index]) -> None:
+    if len(indices) > WICK_GUARD:
+        raise GuardError(f"Wick construction guard: {len(indices)} > {WICK_GUARD}")
 
 
 # ----------------------------------------------------------------------
 # the three construction routes
 
 
-def wick_recursive(oracle: MomentOracle, seq: LabeledSeq) -> WickPoly:
+def wick_recursive(oracle: MomentOracle, indices: Sequence[Index]) -> WickPoly:
     """Construct W[y^I] by the defining moment recursion."""
-    _check_guard(seq)
+    _check_guard(indices)
     book, moment_code = oracle.book, oracle.moment_code
-    codes = mask_codes(book.slots(seq.indices()))
+    codes = mask_codes(book.slots(indices))
     moments: dict[int, complex] = {}
     memo: dict[int, dict[int, complex]] = {}
 
@@ -225,25 +210,25 @@ def wick_recursive(oracle: MomentOracle, seq: LabeledSeq) -> WickPoly:
         memo[mask] = terms
         return terms
 
-    return _poly_of_masks(seq, build((1 << len(seq)) - 1))
+    return WickPoly(indices, build((1 << len(indices)) - 1))
 
 
-def wick_from_cumulants(source, seq: LabeledSeq) -> WickPoly:
+def wick_from_cumulants(source, indices: Sequence[Index]) -> WickPoly:
     """Construct W[y^I] from the closed cumulant expansion."""
-    _check_guard(seq)
+    _check_guard(indices)
     # (-1)^|pi| prod kappa is the product of -kappa over the blocks of pi
-    book, kappa_code = coded_cumulants(source, seq.indices())
-    codes = mask_codes(book.slots(seq.indices()))
+    book, kappa_code = coded_cumulants(source, indices)
+    codes = mask_codes(book.slots(indices))
     memo, full = PartitionMemo(), len(codes) - 1
     negative = lambda block: -kappa_code(block)  # noqa: E731
-    return _poly_of_masks(seq, {u: partition_sum(codes[full ^ u], negative, memo) for u in range(full + 1)})
+    return WickPoly(indices, {u: partition_sum(codes[full ^ u], negative, memo) for u in range(full + 1)})
 
 
-def wick_recursion_step(source, seq: LabeledSeq) -> WickPoly:
+def wick_recursion_step(source, indices: Sequence[Index]) -> WickPoly:
     """Construct W[y^I] by peeling the first element against cumulants."""
-    _check_guard(seq)
-    book, kappa_code = coded_cumulants(source, seq.indices())
-    codes = mask_codes(book.slots(seq.indices()))
+    _check_guard(indices)
+    book, kappa_code = coded_cumulants(source, indices)
+    codes = mask_codes(book.slots(indices))
     memo: dict[int, dict[int, complex]] = {0: {0: 1.0 + 0.0j}}
 
     def build(mask: int) -> dict[int, complex]:
@@ -265,7 +250,7 @@ def wick_recursion_step(source, seq: LabeledSeq) -> WickPoly:
         memo[mask] = terms
         return terms
 
-    return _poly_of_masks(seq, build((1 << len(seq)) - 1))
+    return WickPoly(indices, build((1 << len(indices)) - 1))
 
 
 # ----------------------------------------------------------------------
@@ -281,13 +266,13 @@ def wick_derivative(poly: WickPoly, j: Index) -> WickPoly:
     derivative of a Wick polynomial is a sum of lower ones, which is what
     lets the time derivative of a cumulant close on Wick polynomials again.
     """
-    terms: dict[frozenset, complex] = {}
-    for u, c in poly.terms.items():
-        for label in u:
-            if poly.ground.index_at(label) == j:
-                key = u - {label}
+    terms: dict[int, complex] = {}
+    for mask, c in poly.terms.items():
+        for i, index in enumerate(poly.indices):
+            if mask >> i & 1 and index == j:
+                key = mask ^ 1 << i
                 terms[key] = terms.get(key, 0.0 + 0.0j) + c
-    return WickPoly(poly.ground, terms)
+    return WickPoly(poly.indices, terms)
 
 
 def truncated_expectation(source, indices: Sequence[Index], tail: Sequence[Index]) -> complex:
@@ -406,12 +391,10 @@ def wick_product_expectation(source, groups: Sequence[Sequence[Index]], tail: Se
 # Gaussian reference construction
 
 
-def gaussian_reference_wick(
-    mean, covariance, seq: LabeledSeq
-) -> WickPoly:
+def gaussian_reference_wick(mean, covariance, indices: Sequence[Index]) -> WickPoly:
     """Closed-form Wick polynomial of jointly Gaussian variables.
 
-    ``seq``'s indices must be integers addressing ``mean`` (vector) and
+    ``indices`` must be integers addressing ``mean`` (vector) and
     ``covariance`` (symmetric matrix).  The polynomial is assembled from
     partial pairings: unpaired slots contribute centered factors
     (y_i - mean_i) and each pair (a, b) contributes -covariance[a, b].
@@ -426,32 +409,32 @@ def gaussian_reference_wick(
     """
     import numpy as np  # deferred: keeps numpy off the algebra kinds' import path
 
-    _check_guard(seq)
+    _check_guard(indices)
     mean = np.atleast_1d(np.asarray(mean, dtype=complex))
     cov = np.atleast_2d(np.asarray(covariance, dtype=complex))
     if cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be square")
     if not np.allclose(cov, cov.T, rtol=0, atol=1e-12):
         raise ValueError("covariance must be symmetric")
-    for idx in seq.indices():
+    for idx in indices:
         if not isinstance(idx, (int, np.integer)) or not 0 <= idx < len(mean):
             raise ValueError(
                 f"index {idx!r} does not address the mean/covariance arrays"
             )
 
-    indices, n = seq.indices(), len(seq)  # bit i of a mask is the i-th smallest label
+    n = len(indices)  # bit i of a mask is the i-th element
     full = (1 << n) - 1
     match_memo: dict[int, complex] = {0: 1.0 + 0.0j}
 
     def matching_sum(mask: int) -> complex:
-        """Sum over the perfect matchings of a label mask of prod over pairs of (-C_ab)."""
+        """Sum over the perfect matchings of a position mask of prod over pairs of (-C_ab)."""
         if mask in match_memo:
             return match_memo[mask]
         if mask.bit_count() % 2:
             return 0.0 + 0.0j
         first, *later = [i for i in range(n) if mask >> i & 1]
         total = 0.0 + 0.0j
-        for b in later:  # the lowest label paired with each later one, ascending
+        for b in later:  # the first position paired with each later one, ascending
             total += -cov[indices[first], indices[b]] * matching_sum(mask ^ 1 << first ^ 1 << b)
         match_memo[mask] = total
         return total
@@ -471,4 +454,4 @@ def gaussian_reference_wick(
             if kept == unpaired:
                 break
             kept = (kept - unpaired) & unpaired
-    return _poly_of_masks(seq, terms)
+    return WickPoly(indices, terms)

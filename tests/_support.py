@@ -21,18 +21,23 @@ from wickkit.indexing import Codebook, LabeledSeq, canonical_key
 from wickkit.wick import wick_from_cumulants, wick_product_expectation
 
 
-def mobius_cumulant(oracle, seq):
+def labeled(indices):
+    """The labeled sequence of an index sequence, labelled 1..n in order."""
+    return LabeledSeq(tuple(enumerate(indices, start=1)))
+
+
+def mobius_cumulant(oracle, indices):
     """Classical Moebius inversion over the partition lattice:
     kappa[I] = sum over partitions pi of (-1)^(|pi|-1) (|pi|-1)! prod_A E[y^A].
     Independent of the package's first-element recursion."""
-    if not seq:
+    if not indices:
         return 0.0 + 0.0j
     total = 0.0 + 0.0j
-    for part in set_partitions(list(seq.labels)):
+    for part in set_partitions(list(range(len(indices)))):
         m = len(part)
         term = complex((-1) ** (m - 1) * math.factorial(m - 1))
         for block in part:
-            term *= oracle.moment(canonical_key(seq.index_at(label) for label in block))
+            term *= oracle.moment(canonical_key(indices[p] for p in block))
         total += term
     return total
 
@@ -83,12 +88,12 @@ def random_moment_oracle(rng, alphabet=("a", "b", "c"), max_order=8, scale=0.5):
 
 
 def random_sequences(rng, alphabet=("a", "b", "c"), max_len=6, count=10):
-    """Random labeled sequences (with repeats) over the alphabet."""
+    """Random index sequences (with repeats) over the alphabet, as tuples."""
     out = []
     for _ in range(count):
         n = int(rng.integers(0, max_len + 1))
         idx = [alphabet[int(rng.integers(len(alphabet)))] for _ in range(n)]
-        out.append(LabeledSeq.from_indices(idx))
+        out.append(tuple(idx))
     return out
 
 
@@ -246,14 +251,14 @@ def brute_cumulant(moment, indices):
 
 
 def brute_wick_coefficients(kappa, indices):
-    """Coefficient of each label subset (as a frozenset of positions) of
+    """Coefficient of each position subset (as a mask, bit i for position i) of
     W[y^I]: the sum over the partitions pi of the other positions of
     (-1)^|pi| prod kappa."""
     n = len(indices)
     out = {}
     for mask in range(1 << n):
         rest = [indices[i] for i in range(n) if not mask >> i & 1]
-        out[frozenset(i for i in range(n) if mask >> i & 1)] = brute_product_expectation(
+        out[mask] = brute_product_expectation(
             lambda key: -kappa(key), [], rest
         )
     return out
@@ -336,25 +341,21 @@ class WickMultilinearityReport:
         return self.ok
 
 
-def wick_multilinearity(source, seq, slot_label, combo, atol=1e-10):
+def wick_multilinearity(source, indices, slot, combo, atol=1e-10):
     """Check W is linear in the slot: with y_j = sum_m c_m y_{i_m} at
-    ``slot_label``, W[y^I] must equal sum_m c_m W[y^(I with j -> i_m)] as
+    position ``slot``, W[y^I] must equal sum_m c_m W[y^(I with j -> i_m)] as
     polynomials in the base variables (composite occurrences substituted).
 
     ``source`` must supply consistent cumulants for the composite and base
     indices together (e.g. a LinearCombinationOracle).
     """
-    composite = seq.index_at(slot_label)
+    composite = indices[slot]
     lhs = substitute_index(
-        wick_from_cumulants(source, seq).multiset_terms(), composite, combo
+        wick_from_cumulants(source, indices).multiset_terms(), composite, combo
     )
     rhs: dict[tuple, complex] = {}
     for cm, im in combo:
-        swapped = LabeledSeq(
-            tuple(
-                (lab, im if lab == slot_label else idx) for lab, idx in seq.elements
-            )
-        )
+        swapped = (*indices[:slot], im, *indices[slot + 1:])
         part = substitute_index(
             wick_from_cumulants(source, swapped).multiset_terms(), composite, combo
         )
@@ -415,7 +416,7 @@ def coincident_fourth_cumulant(ensemble):
     """
     fields = ensemble.fields.reshape(ensemble.n_realizations, -1)
     oracle = EnsembleOracle({-1: np.conj(fields), 1: fields})
-    value, stderr = empirical_cumulant(oracle, LabeledSeq.from_indices((-1, -1, 1, 1)))
+    value, stderr = empirical_cumulant(oracle, labeled((-1, -1, 1, 1)))
     return value.real, stderr
 
 

@@ -54,7 +54,6 @@ from wickkit.cli import (
 from wickkit.cumulants import CumulantTable
 from wickkit.dnls import Lattice, estimate_W, read_spectrum_csv, sample_initial, write_spectrum_csv, zero_dispersion
 from wickkit.errors import Block, ConfigError, GuardError
-from wickkit.indexing import LabeledSeq
 from wickkit.kinetic import BPTrajectory, CollisionConfig, EquilibriumParams
 from wickkit.wick import WickPoly, wick_from_cumulants
 
@@ -189,16 +188,16 @@ class TestWickExpand:
         assert main(["wick-expand", "--config", str(path)]) == 0
         data = json.loads((tmp_path / "run" / "wick_poly.json").read_text())
         poly = WickPoly.from_json(data)
-        # one coefficient per label subset of the three positions
+        # one coefficient per subset of the three positions
         assert len(poly.terms) == 8
-        assert poly.terms[frozenset({1, 2, 3})] == 1.0
+        assert poly.terms[0b111] == 1.0
         k = {key: as_c(value) for key, value in THREE_VAR_CUMULANTS.items()}
         # pair subsets carry minus the remaining first cumulant
-        assert poly.terms[frozenset({1, 2})] == pytest.approx(-k["[3]"], abs=1e-15)
-        assert poly.terms[frozenset({1, 3})] == pytest.approx(-k["[2]"], abs=1e-15)
-        assert poly.terms[frozenset({2, 3})] == pytest.approx(-k["[1]"], abs=1e-15)
+        assert poly.terms[0b011] == pytest.approx(-k["[3]"], abs=1e-15)
+        assert poly.terms[0b101] == pytest.approx(-k["[2]"], abs=1e-15)
+        assert poly.terms[0b110] == pytest.approx(-k["[1]"], abs=1e-15)
         # singleton subsets: -kappa(pair) + product of the two singles
-        assert poly.terms[frozenset({1})] == pytest.approx(
+        assert poly.terms[0b001] == pytest.approx(
             -k["[2,3]"] + k["[2]"] * k["[3]"], abs=1e-15
         )
         # constant part: -kappa(123) + the three pair*single products - triple product
@@ -209,7 +208,7 @@ class TestWickExpand:
             + k["[2,3]"] * k["[1]"]
             - k["[1]"] * k["[2]"] * k["[3]"]
         )
-        assert poly.terms[frozenset()] == pytest.approx(expected, abs=1e-15)
+        assert poly.terms[0] == pytest.approx(expected, abs=1e-15)
 
     def test_output_matches_library_construction(self, tmp_path):
         path = write_config(
@@ -221,7 +220,7 @@ class TestWickExpand:
         assert main(["wick-expand", "--config", str(path)]) == 0
         data = json.loads((tmp_path / "run" / "wick_poly.json").read_text())
         table = CumulantTable.from_json(THREE_VAR_CUMULANTS)
-        direct = wick_from_cumulants(table, LabeledSeq.from_indices([1, 2, 3]))
+        direct = wick_from_cumulants(table, [1, 2, 3])
         assert data == direct.to_json()
 
     def test_inline_and_path_sources_are_exclusive(self, tmp_path):
@@ -1147,23 +1146,29 @@ class TestConsoleStart:
         assert (tmp_path / "run" / "manifest.json").is_file()
 
     def test_a_pool_imports_concurrent_futures_when_it_starts(self, tmp_path):
+        # kinetic-check maps the pre-limit kernels of its two couplings on the pool; bp-compare runs its
+        # kernels in the calling thread at any thread count
         for kind in ("bp-solve", "bp-compare"):
             write_config(tmp_path / f"{kind}.json", kind, BOUNDARY_CONFIGS[kind])
+        write_config(
+            tmp_path / "kinetic-check.json", "kinetic-check",
+            {**BOUNDARY_CONFIGS["kinetic-check"], "coupling_list": [0.5, 1.0]},
+        )
         out = fresh_python(
             "import os, sys\n"
             "from wickkit.cli import main\n"
             "os.cpu_count = lambda: 2  # a pool of two starts on any machine\n"
             "imported = []\n"
-            "for kind, threads in (('bp-solve', '1'), ('bp-compare', '1'), ('bp-compare', '2')):\n"
+            "for kind, threads in (('bp-solve', '1'), ('bp-compare', '2'), ('kinetic-check', '1'), ('kinetic-check', '2')):\n"
             "    out = f'{kind}-{threads}'\n"
             "    assert main([kind, '--config', f'{kind}.json', '--out', out, '--threads', threads]) == 0\n"
             "    imported.append('concurrent.futures' in sys.modules)\n"
             "print(imported)\n",
             tmp_path,
         )
-        assert out.splitlines()[-1] == "[False, False, True]"
-        threaded = result_files(tmp_path / "bp-compare-2")
-        assert threaded and threaded == result_files(tmp_path / "bp-compare-1")
+        assert out.splitlines()[-1] == "[False, False, False, True]"
+        threaded = result_files(tmp_path / "kinetic-check-2")
+        assert threaded and threaded == result_files(tmp_path / "kinetic-check-1")
 
     def test_import_registers_every_module_the_tracer_patches(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))

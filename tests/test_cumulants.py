@@ -22,7 +22,7 @@ from wickkit.cumulants import (
     table_to_json,
 )
 from wickkit.errors import ConfigError, GuardError, jackknife_stderr
-from wickkit.indexing import SUBSET_GUARD, Codebook, LabeledSeq, canonical_key
+from wickkit.indexing import SUBSET_GUARD, Codebook, canonical_key
 from wickkit.wick import wick_recursive
 
 from _support import (
@@ -31,6 +31,7 @@ from _support import (
     PolynomialOracle,
     empirical_cumulant,
     gaussian_moment_oracle,
+    labeled,
     mobius_cumulant,
     multilinearity_check,
     random_moment_oracle,
@@ -41,7 +42,7 @@ from _support import (
 
 
 def seq(*idx):
-    return LabeledSeq.from_indices(idx)
+    return labeled(idx)
 
 
 def single_variable_oracle(m1, m2, m3=0.0, m4=0.0):
@@ -93,7 +94,7 @@ class TestRecursionBasics:
         oracle = random_moment_oracle(rng, max_order=5)
         ev = CumulantEvaluator(oracle)
         base = ("a", "a", "b", "c", "b")
-        vals = {ev.kappa_of(LabeledSeq.from_indices(p)) for p in
+        vals = {ev.kappa_of(labeled(p)) for p in
                 itertools.permutations(base)}
         assert len(vals) == 1  # memoized on the multiset key: identical objects
 
@@ -186,9 +187,9 @@ class TestAgainstMobiusOracle:
         rng = np.random.default_rng(100 + trial)
         oracle = random_moment_oracle(rng, max_order=6)
         for s in random_sequences(rng, max_len=6, count=8):
-            got = CumulantEvaluator(oracle).kappa_of(s)
+            got = CumulantEvaluator(oracle).kappa_of(labeled(s))
             want = mobius_cumulant(oracle, s)
-            assert got == pytest.approx(want, abs=1e-11), s.indices()
+            assert got == pytest.approx(want, abs=1e-11), s
 
 
 class TestRoundTrip:
@@ -336,7 +337,7 @@ class TestMomentOracleProtocol:
         oracle.moment = counted  # the instance attribute is what the default moment_code calls
         CumulantEvaluator(oracle).kappa(("a", "b", "a"))
         CumulantEvaluator(oracle).kappa(("b", "a", "b", "a"))
-        wick_recursive(oracle, seq("a", "b", "b"))
+        wick_recursive(oracle, ("a", "b", "b"))
         assert set(calls.values()) == {1}, calls
         assert len(calls) == 8  # a, b, aa, ab, bb, aab, abb and aabb
 

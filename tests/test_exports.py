@@ -1,7 +1,8 @@
 """The export lists of the modules with an ``__all__`` match what they define,
 every public name has a consumer, the public signatures of the combinatorial
-core take no partition-sum memo and, outside the Wick builders, no labeled
-sequence, one module owns the Wick-group code layout,
+core take no partition-sum memo and, but for ``CumulantEvaluator.kappa_of``,
+the cumulant read the benchmark tracer wraps by name, no labeled sequence,
+one module owns the Wick-group code layout,
 and no module calls the enumerators kept for the benchmark tracer."""
 
 from __future__ import annotations
@@ -54,18 +55,15 @@ def test_no_public_signature_takes_a_memo_book_or_work_dict(name):
     assert takers == []
 
 
-#: the Wick polynomial and its builders, whose monomials are keyed by the labels of their ground sequence,
-#: and the cumulant read the benchmark tracer wraps by name
-LABELLED = {
-    "WickPoly.__init__", "wick_recursive", "wick_from_cumulants", "wick_recursion_step", "gaussian_reference_wick",
-    "CumulantEvaluator.kappa_of",
-}
+#: the cumulant read the benchmark tracer wraps by name
+LABELLED = {"CumulantEvaluator.kappa_of"}
 
 
 @pytest.mark.parametrize("name", ["wickkit.cumulants", "wickkit.hierarchy", "wickkit.wick"])
-def test_only_the_wick_builders_take_labels(name):
-    # cumulants, pair expectations and the hierarchy see an index sequence only through its multiset,
-    # so they take index sequences, and the hierarchy's state is a table and a time
+def test_only_the_traced_cumulant_read_takes_labels(name):
+    # cumulants, pair expectations and the hierarchy see an index sequence only through its multiset, and a
+    # Wick polynomial tells repeated indices apart by position, so they take index sequences, and the
+    # hierarchy's state is a table and a time
     module = importlib.import_module(name)
     takers = [
         where

@@ -38,7 +38,7 @@ from wickkit.hierarchy import (
     hierarchy_rhs_table,
     integrate_hierarchy,
 )
-from wickkit.indexing import LabeledSeq, partition_sum
+from wickkit.indexing import partition_sum
 from wickkit.wick import wick_from_cumulants
 
 from _support import (
@@ -456,7 +456,7 @@ class TestQuarticChainModel:
         total: dict[tuple, complex] = {}
         for term in model.terms[driven]:
             amp = term.amplitude(0.0, dummy)
-            poly = wick_from_cumulants(oracle, LabeledSeq.from_indices(term.seq))
+            poly = wick_from_cumulants(oracle, term.seq)
             for key, c in poly.multiset_terms().items():
                 total[key] = total.get(key, 0.0 + 0.0j) + amp * c
         return {k: v for k, v in total.items() if abs(v) > 1e-12}
@@ -687,7 +687,7 @@ class TestLeibniz:
                 o = LinearCombinationOracle(o, comp, [(1.0, u), (t, z)])
             return o
 
-        seq = LabeledSeq.from_indices(("x1", "x2", "x1"))
+        seq = ("x1", "x2", "x1")
 
         def mpoly_at(t):
             mp = wick_from_cumulants(law(t), seq).multiset_terms()
@@ -705,9 +705,9 @@ class TestLeibniz:
         expected: dict[tuple, complex] = {}
         dot = {"x1": "z1", "x2": "z2"}
         at0 = {"x1": "u1", "x2": "u2"}
-        for label, index in seq.elements:  # one term per slot: W[z_slot * u^rest]
-            indices = (dot[index],) + tuple(at0[i] for lab, i in seq.elements if lab != label)
-            poly = wick_from_cumulants(base, LabeledSeq.from_indices(indices))
+        for slot, index in enumerate(seq):  # one term per slot: W[z_slot * u^rest]
+            indices = (dot[index],) + tuple(at0[i] for p, i in enumerate(seq) if p != slot)
+            poly = wick_from_cumulants(base, indices)
             for k, v in poly.multiset_terms().items():
                 expected[k] = expected.get(k, 0.0 + 0.0j) + v
 
@@ -749,9 +749,7 @@ class TestEmpiricalLawFollowsTheHierarchy:
                 if not idx:
                     total = total + c
                     continue
-                poly = wick_from_cumulants(
-                    oracle, LabeledSeq.from_indices(idx)
-                )
+                poly = wick_from_cumulants(oracle, idx)
                 total = total + c * poly.evaluate(values).real
             out[var] = total
         return out["u"], out["v"]

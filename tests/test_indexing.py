@@ -20,7 +20,7 @@ from wickkit.indexing import (
     subsets,
 )
 
-from _support import brute_product_expectation, multiset, set_partitions
+from _support import brute_product_expectation, labeled, multiset, set_partitions
 
 # Bell numbers B_0..B_12 (classical sequence, independently checkable by the
 # Bell triangle recurrence; frozen here as data).
@@ -30,11 +30,6 @@ EMPTY = LabeledSeq(())
 
 
 class TestLabeledSeq:
-    def test_from_indices_labels_one_based(self):
-        s = LabeledSeq.from_indices(["a", "b", "a"])
-        assert s.labels == (1, 2, 3)
-        assert s.indices() == ("a", "b", "a")
-
     def test_elements_sorted_by_label(self):
         s = LabeledSeq(((3, "c"), (1, "a"), (2, "b")))
         assert s.indices() == ("a", "b", "c")
@@ -52,7 +47,7 @@ class TestLabeledSeq:
         assert canonical_key([("q", 2), "x", 1]) == canonical_key([1, "x", ("q", 2)])
 
     def test_select_keeps_labels(self):
-        s = LabeledSeq.from_indices(["a", "b", "a"])
+        s = labeled(["a", "b", "a"])
         sub = s.select(0b101)
         assert sub.labels == (1, 3)
         assert sub.indices() == ("a", "a")
@@ -62,16 +57,10 @@ class TestLabeledSeq:
         assert s.select(0b110) == LabeledSeq(((7, "b"), (9, "c")))
         assert s.select(0) == EMPTY
 
-    def test_index_at_missing_label_raises(self):
-        s = LabeledSeq.from_indices(["a"])
-        assert s.index_at(1) == "a"
-        with pytest.raises(KeyError):
-            s.index_at(2)
-
 
 class TestSubsets:
     def test_counts_and_order(self):
-        s = LabeledSeq.from_indices(["a", "b", "c"])
+        s = labeled(["a", "b", "c"])
         subs = list(subsets(s))
         assert len(subs) == 8
         assert subs[0] == EMPTY
@@ -85,7 +74,7 @@ class TestSubsets:
         assert labelsets == {(), (2,), (7,), (2, 7)}
 
     def test_guard(self):
-        s = LabeledSeq.from_indices(range(21))
+        s = labeled(range(21))
         with pytest.raises(GuardError):
             list(subsets(s))
 
@@ -101,13 +90,13 @@ def as_blocks(part):
 class TestPartitions:
     @pytest.mark.parametrize("n", range(0, 9))
     def test_counts_match_bell(self, n):
-        s = LabeledSeq.from_indices(range(n))
+        s = labeled(range(n))
         assert sum(1 for _ in partitions(s)) == BELL[n]
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_matches_brute_force_oracle(self, n):
         labels = list(range(1, n + 1))
-        enumerated = [as_blocks(p) for p in partitions(LabeledSeq.from_indices(labels))]
+        enumerated = [as_blocks(p) for p in partitions(labeled(labels))]
         assert len(set(enumerated)) == len(enumerated) == BELL[n]
         assert set(enumerated) == {as_blocks(part) for part in set_partitions(labels)}
 
@@ -124,10 +113,10 @@ class TestPartitions:
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            list(partitions(LabeledSeq.from_indices(range(13))))
+            list(partitions(labeled(range(13))))
 
     def test_blocks_ordered_by_min(self):
-        for p in partitions(LabeledSeq.from_indices(range(4))):
+        for p in partitions(labeled(range(4))):
             mins = [min(b) for b in p]
             assert mins == sorted(mins)
             assert mins[0] == 1
@@ -229,7 +218,7 @@ class TestKernelAgainstEnumeration:
 @given(st.lists(st.sampled_from("abc"), min_size=0, max_size=7))
 @settings(max_examples=60, deadline=None)
 def test_partition_blocks_cover_and_disjoint(idx):
-    s = LabeledSeq.from_indices(idx)
+    s = labeled(idx)
     for p in partitions(s):
         union = set()
         total = 0
@@ -243,7 +232,7 @@ def test_partition_blocks_cover_and_disjoint(idx):
 @given(st.lists(st.sampled_from("abc"), min_size=0, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_subset_enumeration_is_deterministic_and_complete(idx):
-    s = LabeledSeq.from_indices(idx)
+    s = labeled(idx)
     first = [t.labels for t in subsets(s)]
     second = [t.labels for t in subsets(s)]
     assert first == second

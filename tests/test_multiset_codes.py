@@ -40,13 +40,14 @@ from wickkit.hierarchy import (
     hierarchy_rhs_table,
     integrate_hierarchy,
 )
-from wickkit.indexing import CODE_BITS, Codebook, LabeledSeq, canonical_key, mask_codes
+from wickkit.indexing import CODE_BITS, Codebook, canonical_key, mask_codes
 from wickkit.wick import truncated_expectation, wick_from_cumulants, wick_product_expectation, wick_recursive
 
 from _support import (
     brute_cumulant,
     brute_product_expectation,
     brute_wick_coefficients,
+    labeled,
     multiset,
 )
 
@@ -150,11 +151,11 @@ def test_code_paths_match_brute_force(data):
         assert close(oracle.moment(key), want)
         assert close(moments_from_cumulants(cumulants, key), want)
 
-    # Wick polynomial coefficients, labels 1..n
+    # Wick polynomial coefficients, by position mask
     ground = sequence(5)
-    poly = wick_from_cumulants(cumulants, LabeledSeq.from_indices(ground))
-    for positions, want in brute_wick_coefficients(kappa, ground).items():
-        assert close(poly.coeff(p + 1 for p in positions), want)
+    poly = wick_from_cumulants(cumulants, ground)
+    for mask, want in brute_wick_coefficients(kappa, ground).items():
+        assert close(poly.coeff(mask), want)
 
     # a product of two Wick factors and a plain tail
     groups = [sequence(3), sequence(2)]
@@ -320,7 +321,7 @@ def test_no_read_grows_a_table_s_code_book():
     assert table.kappa(("a", "a")) == 1.0 and table.book.indices == ["a"]
     assert CumulantBackedOracle(table).moment(("a", "zz")) == 0
     assert table.book.indices == ["a"]
-    assert wick_from_cumulants(table, LabeledSeq.from_indices(["q", "a"])).coeff([1]) == -0.5
+    assert wick_from_cumulants(table, ["q", "a"]).coeff(0b1) == -0.5
     assert table.book.indices == ["a"]
     assert truncated_expectation(table, ["a", "w"], ["a"]) == 0
     assert table.book.indices == ["a"]
@@ -350,9 +351,9 @@ def test_a_failed_cumulant_read_leaves_the_oracle_s_book_as_built():
         with pytest.raises(KeyError):
             evaluator.kappa((i,))
         with pytest.raises(KeyError):
-            evaluator.kappa_of(LabeledSeq.from_indices(["a", i]))
+            evaluator.kappa_of(labeled(["a", i]))
     assert oracle.book.indices == ["a"] and evaluator.memo == {}
-    assert evaluator.kappa(("a", "a")) == 0.75 and evaluator.kappa_of(LabeledSeq.from_indices(["a"])) == 0.5
+    assert evaluator.kappa(("a", "a")) == 0.75 and evaluator.kappa_of(labeled(["a"])) == 0.5
 
 
 def test_a_failed_ensemble_read_leaves_the_book_as_built():
@@ -377,12 +378,12 @@ def test_no_read_of_an_unknown_index_grows_a_book():
     evaluator = CumulantEvaluator(oracle)
     table = CumulantTable(entries={("a",): 0.5, ("a", "a"): 1.0})
     backed = CumulantBackedOracle(table)
-    poly = wick_recursive(oracle, LabeledSeq.from_indices(["a"]))
+    poly = wick_recursive(oracle, ["a"])
     for i in range(1000):
         for read in (
-            lambda: wick_recursive(oracle, LabeledSeq.from_indices(["a", i])),
+            lambda: wick_recursive(oracle, ["a", i]),
             lambda: poly.expectation(oracle, [i]),
-            lambda: wick_from_cumulants(evaluator, LabeledSeq.from_indices([i, "a"])),
+            lambda: wick_from_cumulants(evaluator, [i, "a"]),
             lambda: wick_product_expectation(evaluator, [["a"], [i]]),
         ):
             with pytest.raises(KeyError):
@@ -392,7 +393,7 @@ def test_no_read_of_an_unknown_index_grows_a_book():
     assert backed.moment(("a", "a")) == 1.25 and poly.expectation(oracle, ["a"]) == 0.75
     # only the key form of a table-backed oracle reads an absent index as 0; its code routes raise
     with pytest.raises(KeyError):
-        wick_recursive(backed, LabeledSeq.from_indices(["a", "z"]))
+        wick_recursive(backed, ["a", "z"])
 
 
 def test_a_cumulant_does_not_depend_on_the_reads_before_it():

@@ -3,6 +3,7 @@
 import copy
 import functools
 import itertools
+import json
 import operator
 
 import numpy as np
@@ -14,14 +15,13 @@ from wickkit.cumulants import (
     moments_from_cumulants,
 )
 from wickkit.errors import ConfigError, GuardError
-from wickkit.indexing import Codebook, LabeledSeq, canonical_key
+from wickkit.indexing import Codebook, canonical_key
 from wickkit.wick import (
     WickPoly,
     _group_code,
     _moved_codes,
     gaussian_reference_wick,
     poly_mul,
-    relabel,
     truncated_expectation,
     wick_derivative,
     wick_from_cumulants,
@@ -45,7 +45,7 @@ from _support import (
 
 
 def seq(*idx):
-    return LabeledSeq.from_indices(idx)
+    return idx
 
 
 def coeffs_close(a: WickPoly, b: WickPoly, tol=1e-12):
@@ -58,15 +58,15 @@ class TestLowOrderForms:
         rng = np.random.default_rng(0)
         oracle = random_moment_oracle(rng)
         w = wick_recursive(oracle, seq())
-        assert w.terms == {frozenset(): 1.0}
+        assert w.terms == {0: 1.0}
 
     def test_single_variable(self):
         rng = np.random.default_rng(1)
         oracle = random_moment_oracle(rng)
         s = seq("a")
         w = wick_recursive(oracle, s)
-        assert w.coeff({1}) == 1.0
-        assert w.coeff(()) == pytest.approx(-oracle.moment(("a",)))
+        assert w.coeff(0b1) == 1.0
+        assert w.coeff(0) == pytest.approx(-oracle.moment(("a",)))
 
     def test_two_variables_explicit(self):
         rng = np.random.default_rng(2)
@@ -75,10 +75,10 @@ class TestLowOrderForms:
         mb = oracle.moment(("b",))
         mab = oracle.moment(("a", "b"))
         w = wick_recursive(oracle, seq("a", "b"))
-        assert w.coeff({1, 2}) == 1.0
-        assert w.coeff({2}) == pytest.approx(-ma)
-        assert w.coeff({1}) == pytest.approx(-mb)
-        assert w.coeff(()) == pytest.approx(-mab + 2 * ma * mb)
+        assert w.coeff(0b11) == 1.0
+        assert w.coeff(0b10) == pytest.approx(-ma)
+        assert w.coeff(0b01) == pytest.approx(-mb)
+        assert w.coeff(0) == pytest.approx(-mab + 2 * ma * mb)
 
     def test_three_variables_fifteen_term_cumulant_form(self):
         rng = np.random.default_rng(3)
@@ -87,19 +87,19 @@ class TestLowOrderForms:
         w = wick_recursive(oracle, s)
 
         def k(*idx):
-            return mobius_cumulant(oracle, LabeledSeq.from_indices(idx))
+            return mobius_cumulant(oracle, idx)
 
         ka, kb, kc = k("a"), k("b"), k("c")
         kab, kac, kbc = k("a", "b"), k("a", "c"), k("b", "c")
         kabc = k("a", "b", "c")
-        assert w.coeff({1, 2, 3}) == 1.0
-        assert w.coeff({1, 2}) == pytest.approx(-kc)
-        assert w.coeff({1, 3}) == pytest.approx(-kb)
-        assert w.coeff({2, 3}) == pytest.approx(-ka)
-        assert w.coeff({1}) == pytest.approx(-kbc + kb * kc)
-        assert w.coeff({2}) == pytest.approx(-kac + ka * kc)
-        assert w.coeff({3}) == pytest.approx(-kab + ka * kb)
-        assert w.coeff(()) == pytest.approx(
+        assert w.coeff(0b111) == 1.0
+        assert w.coeff(0b011) == pytest.approx(-kc)
+        assert w.coeff(0b101) == pytest.approx(-kb)
+        assert w.coeff(0b110) == pytest.approx(-ka)
+        assert w.coeff(0b001) == pytest.approx(-kbc + kb * kc)
+        assert w.coeff(0b010) == pytest.approx(-kac + ka * kc)
+        assert w.coeff(0b100) == pytest.approx(-kab + ka * kb)
+        assert w.coeff(0) == pytest.approx(
             -kabc + kab * kc + kac * kb + kbc * ka - ka * kb * kc
         )
 
@@ -130,14 +130,14 @@ class TestThreeRouteEquivalence:
             w1 = wick_recursive(oracle, s)
             w2 = wick_from_cumulants(ev, s)
             w3 = wick_recursion_step(ev, s)
-            assert coeffs_close(w1, w2), s.indices()
-            assert coeffs_close(w1, w3), s.indices()
+            assert coeffs_close(w1, w2), s
+            assert coeffs_close(w1, w3), s
 
     def test_top_coefficient_is_one(self):
         rng = np.random.default_rng(8)
         oracle = random_moment_oracle(rng)
         for s in random_sequences(rng, max_len=5, count=5):
-            assert wick_recursive(oracle, s).coeff(s.labels) == 1.0
+            assert wick_recursive(oracle, s).coeff((1 << len(s)) - 1) == 1.0
 
 
 class TestExpectations:
@@ -149,7 +149,7 @@ class TestExpectations:
                 continue
             w = wick_recursive(oracle, s)
             assert abs(w.expectation(oracle)) < 1e-10
-            assert abs(truncated_expectation(oracle, s.indices(), ())) == 0.0
+            assert abs(truncated_expectation(oracle, s, ())) == 0.0
 
     def test_truncated_expectation_of_empty_wick(self):
         rng = np.random.default_rng(10)
@@ -170,7 +170,7 @@ class TestExpectations:
             si = seq(*[pool[int(rng.integers(3))] for _ in range(ni)])
             sp = tuple(pool[int(rng.integers(3))] for _ in range(nip))
             direct = wick_recursive(oracle, si).expectation(oracle, extra=sp)
-            parts = truncated_expectation(oracle, si.indices(), sp)
+            parts = truncated_expectation(oracle, si, sp)
             assert direct == pytest.approx(parts, rel=1e-10, abs=1e-10)
 
     def test_pair_of_wicks_gives_joint_cumulant(self):
@@ -195,17 +195,14 @@ class TestExpectations:
             seq(*[pool[int(rng.integers(3))] for _ in range(n)]) for n in sizes
         ]
         tail = tuple(pool[int(rng.integers(3))] for _ in range(tail_n))
-        got = wick_product_expectation(oracle, [b.indices() for b in blocks], tail)
+        got = wick_product_expectation(oracle, blocks, tail)
 
-        # brute force: multiply the Wick polynomials on disjoint labels and
-        # expand the expectation monomial by monomial
-        offset = 0
-        product = WickPoly(seq(), {frozenset(): 1.0})
+        # brute force: multiply the Wick polynomials on their concatenated
+        # grounds and expand the expectation monomial by monomial
+        product = WickPoly(seq(), {0: 1.0})
         for b in blocks:
             w = wick_recursive(oracle, b)
-            mapping = {lab: lab + offset for lab in b.labels}
-            product = poly_mul(product, relabel(w, mapping))
-            offset += max(b.labels, default=0)
+            product = poly_mul(product, w)
         want = product.expectation(oracle, extra=tail)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -245,7 +242,7 @@ class TestKernelAgainstEnumeration:
             got = wick_from_cumulants(table, seq(*indices))
             want = brute_wick_coefficients(kappa, indices)
             scale = max(abs(w) for w in want.values())
-            worst = max(abs(got.coeff(label + 1 for label in u) - w) for u, w in want.items())
+            worst = max(abs(got.coeff(u) - w) for u, w in want.items())
             assert worst <= 1e-12 * scale
 
     @pytest.mark.parametrize("tail_n", [0, 2])
@@ -312,15 +309,17 @@ class TestInversion:
         oracle = random_moment_oracle(rng)
         pool = ["a", "b"]
         s = seq(*[pool[int(rng.integers(2))] for _ in range(n)])
-        total: dict[frozenset, complex] = {}
+        total: dict[int, complex] = {}
         for mask in range(1 << len(s)):
-            u = s.select(mask)
+            positions = [i for i in range(len(s)) if mask >> i & 1]
+            u = tuple(s[i] for i in positions)
             w = wick_recursive(oracle, u)
-            m = oracle.moment([idx for label, idx in s if label not in u.labels])
-            for key, c in w.terms.items():
+            m = oracle.moment([idx for i, idx in enumerate(s) if not mask >> i & 1])
+            for sub, c in w.terms.items():  # a mask over u's positions, moved onto s's
+                key = sum(1 << p for k, p in enumerate(positions) if sub >> k & 1)
                 total[key] = total.get(key, 0.0 + 0.0j) + m * c
         for key, c in total.items():
-            want = 1.0 if key == frozenset(s.labels) else 0.0
+            want = 1.0 if key == (1 << len(s)) - 1 else 0.0
             assert c == pytest.approx(want, abs=1e-10), key
 
 
@@ -331,18 +330,19 @@ class TestDerivative:
         s = seq("a", "b", "a", "c", "a")
         w = wick_recursive(oracle, s)
         got = wick_derivative(w, "a")
-        want: dict[frozenset, complex] = {}
-        for label, idx in s.elements:
+        want: dict[int, complex] = {}
+        for p, idx in enumerate(s):
             if idx != "a":
                 continue
-            sub = wick_recursive(oracle, LabeledSeq(tuple(e for e in s.elements if e[0] != label)))
-            for key, c in sub.terms.items():
+            sub = wick_recursive(oracle, s[:p] + s[p + 1:])
+            for m, c in sub.terms.items():  # a mask over s without position p, moved onto s's
+                key = m & (1 << p) - 1 | m >> p << p + 1
                 want[key] = want.get(key, 0.0 + 0.0j) + c
         keys = set(got.terms) | set(want)
         for key in keys:
             assert got.coeff(key) == pytest.approx(
                 want.get(key, 0.0), abs=1e-10
-            ), sorted(key)
+            ), bin(key)
 
     def test_derivative_wrt_absent_index_is_zero(self):
         rng = np.random.default_rng(31)
@@ -401,8 +401,8 @@ class TestMultilinearity:
         base = random_moment_oracle(rng, alphabet=("a", "b", "c"), max_order=6)
         combo = [(0.7, "a"), (-1.2 + 0.4j, "b")]
         joint = LinearCombinationOracle(base, "j", combo)
-        for idx, slot in [(("j",), 1), (("j", "c"), 1), (("c", "j", "a"), 2),
-                          (("j", "j", "c"), 1)]:
+        for idx, slot in [(("j",), 0), (("j", "c"), 0), (("c", "j", "a"), 1),
+                          (("j", "j", "c"), 0)]:
             report = wick_multilinearity(joint, seq(*idx), slot, combo)
             assert report.ok, (idx, report.max_abs_error)
 
@@ -431,11 +431,11 @@ class TestMultilinearity:
             worst = max(
                 abs(
                     perturbed.expectation(oracle, extra=p)
-                    - truncated_expectation(oracle, s.indices(), p)
+                    - truncated_expectation(oracle, s, p)
                 )
                 for p in probes
             )
-            assert worst > 1e-5, sorted(key)
+            assert worst > 1e-5, bin(key)
 
 
 class TestCumulantSources:
@@ -461,17 +461,17 @@ class TestPolyUtilities:
         w = wick_recursive(oracle, seq("a", "b", "a"))
         data = w.to_json()
         back = WickPoly.from_json(data)
-        assert back.ground == w.ground
+        assert back.indices == w.indices
         assert coeffs_close(back, w, tol=0.0)
 
     def test_json_tuple_indices(self):
         w = WickPoly(
-            LabeledSeq(((1, ("q", 1)), (2, "x"))),
-            {frozenset({1, 2}): 1.0, frozenset(): -2.0 + 1.0j},
+            (("q", 1), "x"),
+            {0b11: 1.0, 0: -2.0 + 1.0j},
         )
         back = WickPoly.from_json(w.to_json())
-        assert back.ground.indices() == (("q", 1), "x")
-        assert back.coeff(()) == -2.0 + 1.0j
+        assert back.indices == (("q", 1), "x")
+        assert back.coeff(0) == -2.0 + 1.0j
 
     GOOD = {
         "ground": [[1, "a"], [2, "b"]],
@@ -487,7 +487,7 @@ class TestPolyUtilities:
             (("terms",), {}, r"Wick polynomial\.terms must be a list"),
             (("ground", 1), [2], r"Wick polynomial\.ground\[1\] must be a \[label, index\] pair"),
             (("ground", 1, 0), "2", r"Wick polynomial\.ground\[1\]\[0\] must be a finite JSON integer >= 1"),
-            (("ground", 1, 0), 1, r"Wick polynomial: labels must be distinct"),
+            (("ground", 1, 0), 1, r"Wick polynomial\.ground\[1\]\[0\] must be the label 2, got 1"),
             (("ground", 1, 1), {"x": 1}, r"an index must be a finite number"),
             (("terms", 0, "subset"), [1, 3], r"Wick polynomial: term \[1, 3\] not within ground labels"),
             (("terms", 0, "subset"), [1, 1], r"Wick polynomial\.terms\[0\]\.subset repeats a label"),
@@ -511,19 +511,40 @@ class TestPolyUtilities:
 
     def test_json_reader_takes_the_writer_form(self):
         poly = WickPoly.from_json(self.GOOD)
-        assert poly.ground.indices() == ("a", "b")
-        assert poly.terms == {frozenset({1, 2}): 1.0, frozenset(): 0.5}
+        assert poly.indices == ("a", "b")
+        assert poly.terms == {0b11: 1.0, 0: 0.5}
 
-    def test_poly_mul_disjointness_enforced(self):
-        g = seq("a")
-        p = WickPoly(g, {frozenset({1}): 1.0})
-        with pytest.raises(ValueError):
-            poly_mul(p, p)
+    @pytest.mark.parametrize(
+        "ground, message",
+        [
+            ([[2, "a"], [1, "b"]], r"Wick polynomial\.ground\[0\]\[0\] must be the label 1, got 2"),
+            ([[1, "a"], [3, "b"]], r"Wick polynomial\.ground\[1\]\[0\] must be the label 2, got 3"),
+        ],
+    )
+    def test_json_reader_takes_ground_labels_one_to_n_in_order(self, ground, message):
+        with pytest.raises(ConfigError, match=message):
+            WickPoly.from_json({**self.GOOD, "ground": ground})
+
+    def test_json_round_trip_with_repeated_indices_is_byte_identical(self):
+        oracle = random_moment_oracle(np.random.default_rng(82))
+        data = wick_recursive(oracle, seq("a", "b", "a", "a", "c")).to_json()
+        assert json.dumps(WickPoly.from_json(data).to_json()) == json.dumps(data)
+
+    def test_poly_mul_lives_on_the_concatenated_ground(self):
+        p = WickPoly(seq("a"), {0b1: 2.0, 0: 1.0})
+        q = WickPoly(seq("a", "b"), {0b10: 3.0})
+        product = poly_mul(p, q)
+        assert product.indices == ("a", "a", "b")
+        assert product.terms == {0b101: 6.0, 0b100: 3.0}
+
+    def test_a_mask_outside_the_ground_is_refused(self):
+        with pytest.raises(ValueError, match="outside the 2 positions"):
+            WickPoly(seq("a", "b"), {0b100: 1.0})
 
     def test_evaluate_on_arrays(self):
         g = seq("a", "b")
-        p = WickPoly(g, {frozenset({1, 2}): 2.0, frozenset(): 1.0, frozenset({1}): 0.0})
-        assert frozenset({1}) not in p.terms  # exact zeros dropped
+        p = WickPoly(g, {0b11: 2.0, 0: 1.0, 0b01: 0.0})
+        assert 0b01 not in p.terms  # exact zeros dropped
         va = np.array([1.0, 2.0])
         vb = np.array([3.0, -1.0])
         out = p.evaluate({"a": va, "b": vb})
