@@ -311,24 +311,20 @@ def _run_cumulant_convert(rc: RunConfig, out_dir: Path) -> dict:
     with Block(rc.params, "cumulant-convert params") as params:
         direction = params.choice("direction", ("moments-to-cumulants", "cumulants-to-moments"))
         entries = cumulants.table_from_json(params.inline_or_file("table"))
-    keys = list(entries)
     if direction == "moments-to-cumulants":
-        evaluator = cumulants.CumulantEvaluator(cumulants.TableOracle(entries))
-        book = evaluator.book
-        try:
-            converted = {key: evaluator.kappa_code(book.code(key)) for key in keys}
-        except KeyError as err:
+        oracle, memo = cumulants.TableOracle(entries), {}
+        try:  # the oracle's moments by code, read directly: each key's code comes in key order
+            values, terms = cumulants._kappa_recursive(oracle.by_code.__getitem__, oracle.by_code, memo)
+        except KeyError as err:  # names a code: its canonical key is built only here
             raise ConfigError(
-                f"cumulant-convert: moment table is missing the sub-moment {err.args[0]!r}"
+                f"cumulant-convert: moment table is missing the sub-moment {oracle.book.key(err.args[0])!r}"
             ) from err
-        work = {
-            "multisets_evaluated": len(evaluator.memo),
-            "recursion_terms": evaluator.recursion_terms,
-            "partition_states": 0,
-        }
+        converted = dict(zip(entries, values))
+        work = {"multisets_evaluated": len(memo), "recursion_terms": terms, "partition_states": 0}
     else:
-        oracle = cumulants.CumulantBackedOracle(cumulants.CumulantTable(entries=entries))  # its memo serves every key
-        converted = {key: oracle.moment(key) for key in keys}
+        table = cumulants.CumulantTable(entries=entries)  # its codes come in key order
+        oracle = cumulants.CumulantBackedOracle(table)  # its memo serves every key
+        converted = dict(zip(entries, map(oracle.moment_code, table.by_code)))
         work = oracle.memo.work()
     _write_json(out_dir / "converted.json", cumulants.table_to_json(converted))
     return {"outputs": ["converted.json"], "summary": {"entries": len(converted), **work}}

@@ -38,11 +38,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, GuardError, _json, _object, _pair, loo_means
 from .indexing import (
+    _PLAIN_INDEX,
     CODE_BITS,
     SUBSET_GUARD,
     Codebook,
@@ -50,8 +52,10 @@ from .indexing import (
     LabeledSeq,
     PartitionMemo,
     _blocks,
+    _once_per_index,
     _size,
     canonical_key,
+    canonical_keys,
     partition_sum,
 )
 
@@ -87,20 +91,22 @@ class MomentOracle:
 class TableOracle(MomentOracle):
     """Moments read from an explicit mapping of index keys to values.
 
-    Its ``book`` holds the table's indices in canonical order.  A key
-    naming an index the table lacks is a KeyError naming the key as given,
-    and a key of the table's indices that it has no entry for is a KeyError
-    naming the canonical key.
+    Its ``book`` holds the table's indices in canonical order, and
+    ``by_code`` maps the code of each key, in the order of the entries, to
+    its moment, then code 0 to 1 if no key is empty.  A key naming an index
+    the table lacks is a KeyError naming the key as given, and a key of the
+    table's indices that it has no entry for is a KeyError naming the
+    canonical key; a read of ``by_code`` itself names the code.
     """
 
     def __init__(self, entries: Mapping[tuple, complex]):
-        self.book, self._by_code = _coded(entries, list(entries))
-        if self._by_code.setdefault(0, 1.0 + 0.0j) != 1.0:  # an absent empty moment reads as 1
+        self.book, self.by_code = _coded(entries, list(entries))
+        if self.by_code.setdefault(0, 1.0 + 0.0j) != 1.0:  # an absent empty moment reads as 1
             raise ConfigError("the empty moment must equal 1")
 
     def moment_code(self, code: int) -> complex:
         try:
-            return self._by_code[code]
+            return self.by_code[code]
         except KeyError:
             raise KeyError(self.book.key(code)) from None
 
@@ -190,8 +196,10 @@ class EnsembleOracle(MomentOracle):
 # cumulant tables
 
 
-#: the compact encoder of table keys, built once: ``json.dumps`` builds one per call
+#: the compact encoder of a table key's indices, built once: ``json.dumps`` builds one per call
 _KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))
+#: the C scanner of one JSON value at an offset, with no whitespace skipped: ``(value, end)``
+_SCAN = json.JSONDecoder().scan_once
 #: the types of a plain JSON number (a bool is neither), and the largest finite float
 _PLAIN, _MAX = (int, float), sys.float_info.max
 
@@ -226,8 +234,8 @@ def _coded(entries: Mapping[tuple, complex], keys: Sequence[tuple]) -> tuple[Cod
     and not on the order of its keys.  Two keys of one multiset are a
     ConfigError naming them as written.
     """
-    book = Codebook(canonical_key(dict.fromkeys(index for key in keys for index in key)))
-    by_code = {book.code(key): complex(value) for key, value in zip(keys, entries.values())}
+    book = Codebook(canonical_key(dict.fromkeys(itertools.chain.from_iterable(keys))))
+    by_code = dict(zip(book.codes(keys), map(complex, entries.values())))
     if len(by_code) < len(entries):
         raise _collision(entries, book.code)
     return book, by_code
@@ -236,20 +244,28 @@ def _coded(entries: Mapping[tuple, complex], keys: Sequence[tuple]) -> tuple[Cod
 def table_from_json(data) -> dict[tuple, complex]:
     """The checked entries of the external form ``{"[i, j, ...]": [re, im]}``, keys as written.
 
-    An entry of two finite plain numbers is checked inline; any other value
-    goes through ``_pair``, which names the entry, so the text of an error
-    is built only for an entry that needs it.  Two keys that spell one index
-    sequence (``"[1,2]"`` and ``"[1, 2]"``) are a ConfigError.
+    A key that the C scanner reads whole from its first character as a list
+    is taken as read, and its indices are checked one by one only if they
+    are not all ints and strs; an entry of two finite plain numbers is
+    checked inline.  Any other key goes through the checked decode, and any
+    other value through ``_pair``: each names the entry, so the text of an
+    error is built only for an entry that needs it.  Two keys that spell one
+    index sequence (``"[1,2]"`` and ``"[1, 2]"``) are a ConfigError.
     """
     table = _object(data, "a table")
     entries = {}
     for text, value in table.items():
         try:
-            key = json.loads(text)
-        except json.JSONDecodeError:
-            key = _json(text, f"table key {text!r}")  # raises, naming the key
-        if type(key) is not list:
-            raise ConfigError(f"table key {text!r} must be a JSON list of indices")
+            key, end = _SCAN(text, 0)
+        except (StopIteration, ValueError, TypeError):  # no JSON value at 0, a bad one, or a key that is not a str
+            key = None
+        if type(key) is not list or end != len(text):  # whitespace, trailing text, bad JSON or not a list
+            try:
+                key = json.loads(text)
+            except json.JSONDecodeError:
+                key = _json(text, f"table key {text!r}")  # raises, naming the key
+            if type(key) is not list:
+                raise ConfigError(f"table key {text!r} must be a JSON list of indices")
         if (
             type(value) is list and len(value) == 2
             and type(value[0]) in _PLAIN and type(value[1]) in _PLAIN
@@ -258,20 +274,26 @@ def table_from_json(data) -> dict[tuple, complex]:
             pair = complex(value[0], value[1])
         else:
             pair = _pair(value, f"table entry {text}")
-        entries[tuple(map(_as_index, key))] = pair
+        entries[tuple(key) if _PLAIN_INDEX.issuperset(map(type, key)) else tuple(map(_as_index, key))] = pair
     if len(entries) < len(table):
         raise _collision(table, lambda text: tuple(map(_as_index, json.loads(text))))
     return entries
 
 
 def table_to_json(entries: Mapping[tuple, complex]) -> dict[str, list[float]]:
-    """The external table form of ``entries``, keys in sorted string order."""
-    texts = sorted(((_KEY_ENCODER.encode(list(key)), key) for key in entries), key=lambda item: item[0])
-    out = {}
-    for text, key in texts:
-        value = complex(entries[key])
-        out[text] = [value.real, value.imag]
-    return out
+    """The external table form of ``entries``, keys in sorted string order.
+
+    Where every index is an int or a str, a key's text joins the texts of
+    its indices, each encoded once (:func:`wickkit.indexing._once_per_index`);
+    otherwise each key is encoded whole.  Both give the text of ``json.dumps``.
+    """
+    encode = _once_per_index(_KEY_ENCODER.encode, entries)
+    if encode is None:  # a dict would merge 1 with 1.0 or True, so no text is shared between indices
+        texts = [_KEY_ENCODER.encode(list(key)) for key in entries]
+    else:
+        texts = ["[" + ",".join(map(encode, key)) + "]" for key in entries]
+    pairs = sorted(zip(texts, map(complex, entries.values())), key=itemgetter(0))
+    return {text: [value.real, value.imag] for text, value in pairs}
 
 
 @dataclass(frozen=True)
@@ -280,31 +302,33 @@ class CumulantTable:
 
     Keys longer than ``max_order`` read as zero, as do the empty key and a
     key naming an index the table lacks.  Lookups go through the multiset
-    codes of the table's ``book``, which no read grows.  ``entries`` is a
-    read-only view under canonical keys, and the table is frozen, so every
-    oracle, memo or cache that has read it stays exact.
+    codes of the table's ``book``, which no read grows: ``by_code`` maps the
+    code of each key, in the order of the entries, to its cumulant.
+    ``entries`` is a read-only view under canonical keys, and the table is
+    frozen, so every oracle, memo or cache that has read it stays exact.
     """
 
     entries: Mapping[tuple, complex] = field(default_factory=dict)
     max_order: int | None = None
 
     def __post_init__(self) -> None:
-        keys = [canonical_key(k) for k in self.entries]
-        max_order = max(map(len, keys), default=0) if self.max_order is None else self.max_order
-        for k in keys:
+        keys = canonical_keys(self.entries)
+        longest = max(map(len, keys), default=0)
+        max_order = longest if self.max_order is None else self.max_order
+        if longest > max_order or not all(keys):
+            k = next(k for k in keys if not 0 < len(k) <= max_order)
             if len(k) > max_order:
                 raise ConfigError(f"entry {k} exceeds max order {max_order}")
-            if len(k) == 0:
-                raise ConfigError("the empty cumulant is fixed at 0 and not stored")
+            raise ConfigError("the empty cumulant is fixed at 0 and not stored")
         book, by_code = _coded(self.entries, keys)
         object.__setattr__(self, "entries", MappingProxyType(dict(zip(keys, by_code.values()))))
         object.__setattr__(self, "max_order", max_order)
         object.__setattr__(self, "book", book)
-        object.__setattr__(self, "_by_code", by_code)
+        object.__setattr__(self, "by_code", by_code)
 
     def kappa_code(self, code: int) -> complex:
         """The cumulant of a multiset code in the table's book."""
-        return self._by_code.get(code, 0.0 + 0.0j)
+        return self.by_code.get(code, 0.0 + 0.0j)
 
     def kappa(self, key: Iterable[Index]) -> complex:
         key, ids = tuple(key), self.book.ids
@@ -325,8 +349,8 @@ class CumulantTable:
 # conversions
 
 
-def _kappa_recursive(moment: Callable[[int], object], code: int, memo: dict) -> tuple[object, int]:
-    """The cumulant of a multiset code by recursion over its sub-multisets.
+def _kappa_recursive(moment: Callable[[int], object], codes: Iterable[int], memo: dict) -> tuple[list, int]:
+    """The cumulant of each multiset code in turn, by recursion over its sub-multisets.
 
     With f the first (lowest) id of the multiset R,
 
@@ -335,20 +359,15 @@ def _kappa_recursive(moment: Callable[[int], object], code: int, memo: dict) -> 
     B over the blocks of :func:`wickkit.indexing._blocks`, each distinct sub-multiset once
     and C(B) its label count.  This is the first-element recursion over the
     label subsets of R with equal blocks grouped; kappa(empty) = 0.  A
-    multiset of n elements has at most 2**(n - 1) blocks, and R may hold at
-    most ``SUBSET_GUARD`` elements.  ``moment(code)`` is the joint moment of
-    a code, scalar or array (the recursion is arithmetic in the moments);
-    ``memo`` maps codes to cumulants and may be shared between calls over
-    one code book.  Returns the cumulant and the number of (multiset, block)
-    terms this call summed.
+    multiset of n elements has at most 2**(n - 1) blocks, and each code may
+    hold at most ``SUBSET_GUARD`` elements.  ``moment(code)`` is the joint
+    moment of a code, scalar or array (the recursion is arithmetic in the
+    moments), and its KeyError passes out as it is; ``memo`` maps codes to
+    cumulants and may be shared between calls over one code book.  The
+    codes are walked depth first in their order, so the first moment found
+    missing is the same for every route.  Returns the cumulants and the
+    number of (multiset, block) terms this call summed.
     """
-    if code in memo:
-        return memo[code], 0
-    if not code:
-        return 0.0, 0
-    n = _size(code)
-    if n > SUBSET_GUARD:
-        raise GuardError(f"cumulant recursion guard: {n} > {SUBSET_GUARD}")
     get = memo.get
     terms = 0
 
@@ -368,7 +387,18 @@ def _kappa_recursive(moment: Callable[[int], object], code: int, memo: dict) -> 
         memo[code] = total
         return total
 
-    return kappa(code), terms
+    values = []
+    for code in codes:
+        value = get(code)
+        if value is None:
+            if not code:
+                value = 0.0
+            elif (n := _size(code)) > SUBSET_GUARD:
+                raise GuardError(f"cumulant recursion guard: {n} > {SUBSET_GUARD}")
+            else:
+                value = kappa(code)
+        values.append(value)
+    return values, terms
 
 
 class CumulantEvaluator:
@@ -391,7 +421,7 @@ class CumulantEvaluator:
 
     def kappa_code(self, code: int) -> complex:
         """The cumulant of a multiset code in ``book``."""
-        value, terms = _kappa_recursive(self._moment, code, self.memo)
+        (value,), terms = _kappa_recursive(self._moment, (code,), self.memo)
         self.recursion_terms += terms
         return value
 

@@ -18,7 +18,7 @@ addition per element and no sorting.  The kernel and the cumulant recursion
 walk a code's distinct sub-multisets (:func:`_blocks`), so equal blocks are
 summed once with their label counts.
 The sorted :func:`canonical_key` form is kept for the public key-based calls
-and the JSON tables.
+and the JSON tables, whose keys :func:`canonical_keys` sorts in bulk.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import GuardError
@@ -59,6 +61,26 @@ def canonical_key(indices: Iterable[Index]) -> tuple[Index, ...]:
     invariant under permutation of their argument sequence.
     """
     return tuple(sorted(indices, key=_sort_token))
+
+
+#: the index types that a dict may key as they are: two equal ints, or two
+#: equal strs, are one index, while 1 == 1.0 == True and (1,) == (1.0,) are not
+_PLAIN_INDEX = frozenset((int, str))
+
+
+def _once_per_index(fn: Callable[[Index], Any], keys: Iterable[Sequence[Index]]) -> Callable[[Index], Any] | None:
+    """A lookup of ``fn`` made once per distinct index of ``keys`` if every index is an int or a str, else None."""
+    indices = list(chain.from_iterable(keys))
+    if _PLAIN_INDEX.issuperset(map(type, indices)):
+        return {index: fn(index) for index in set(indices)}.__getitem__
+    return None
+
+
+def canonical_keys(keys: Iterable[Sequence[Index]]) -> list[tuple[Index, ...]]:
+    """:func:`canonical_key` of each of ``keys``, with one sort token per distinct index where that is exact."""
+    keys = list(keys)
+    order = _once_per_index(_sort_token, keys) or _sort_token
+    return list(map(tuple, map(partial(sorted, key=order), keys)))
 
 
 @dataclass(frozen=True)
@@ -188,6 +210,12 @@ class Codebook:
             raise GuardError(f"multiset code guard: an index repeats more than {_FIELD} times")
         return sum(slots)
 
+    def codes(self, keys: Sequence[Sequence[Index]]) -> list[int]:
+        """:meth:`code` of each of ``keys``, each summed in C unless it is long enough to need the repeat guard."""
+        if max(map(len, keys), default=0) > _FIELD:
+            return list(map(self.code, keys))
+        return list(map(sum, map(partial(map, self._slots.__getitem__), keys)))
+
     def key(self, code: int) -> tuple[Index, ...]:
         """The canonical key of a multiset code."""
         indices: list[Index] = []
@@ -241,7 +269,7 @@ def _blocks(code: int) -> tuple[list[int], list[int]]:
             codes += [c + slot for c in codes]
             counts += counts
         elif r:
-            codes = [c + j * slot for j in range(r + 1) for c in codes]
+            codes = [c + step for step in range(0, (r + 1) * slot, slot) for c in codes]
             counts = [w * m for m in _BINOMIALS[r] for w in counts]
         slot <<= CODE_BITS
     codes.pop()  # R itself
@@ -255,12 +283,14 @@ class PartitionMemo:
     ``totals`` maps a remaining multiset to its sum, and ``weights`` a block
     to its weight, or to False for a block inside one Wick group, which is
     not weighed.  See :func:`partition_sum` for when one memo may serve many
-    sums.
+    sums; the walk of the last ``(weight, groups)`` it served is kept, so a
+    batch of sums over one weight and one set of groups builds it once.
     """
 
     def __init__(self) -> None:
         self.totals: dict[int, complex] = {0: 1.0 + 0.0j}
         self.weights: dict[int, Any] = {}
+        self._walk: tuple[Any, Callable[[int], complex] | None] = (None, None)
 
     def work(self) -> dict[str, int]:
         """Deterministic work counts of the sums held: blocks weighed and remaining multisets summed."""
@@ -282,13 +312,22 @@ def partition_sum(
     A memo may serve every sum whose weight and groups agree on every code,
     such as all the sums over one cumulant table, and goes with the table.
     """
-    totals, weights = memo.totals, memo.weights
+    totals = memo.totals
     if code in totals:
         return totals[code]
     _check_partition_guard(_size(code))
+    groups = tuple(groups)
+    bound, walk = memo._walk
+    if bound != (weight, groups):
+        walk = _walk(weight, memo, groups)
+        memo._walk = (weight, groups), walk
+    return walk(code)
+
+
+def _walk(weight: Callable[[int], Any], memo: PartitionMemo, groups: Sequence[int]) -> Callable[[int], complex]:
+    """:func:`partition_sum` of a code it has checked, over ``memo``, with the weight and groups given."""
+    totals, weights = memo.totals, memo.weights
     outside = [~mask for mask in groups]  # a nonempty code c sits inside a group where not c & out
-    if any(not code & out for out in outside):
-        return 0.0 + 0.0j
 
     def total(rem: int) -> complex:
         blocks, counts = _blocks(rem)
@@ -320,4 +359,10 @@ def partition_sum(
         totals[rem] = acc
         return acc
 
-    return total(code)
+    def walk(code: int) -> complex:
+        for out in outside:
+            if not code & out:
+                return 0.0 + 0.0j
+        return total(code)
+
+    return walk

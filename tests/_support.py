@@ -399,8 +399,8 @@ def empirical_cumulant(ensemble, seq):
     code = ensemble.book.code(seq.indices())
     if not code:  # the empty cumulant is 0 by definition, on every sample
         return 0.0 + 0.0j, 0.0
-    value = complex(_kappa_recursive(ensemble.moment_code, code, {})[0])
-    loo = _kappa_recursive(ensemble.loo_moment_code, code, {})[0]
+    value = complex(_kappa_recursive(ensemble.moment_code, [code], {})[0][0])
+    loo = _kappa_recursive(ensemble.loo_moment_code, [code], {})[0][0]
     return value, float(jackknife_stderr(np.asarray(loo, dtype=complex)))
 
 

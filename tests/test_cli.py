@@ -290,6 +290,29 @@ class TestCumulantConvert:
         )
         assert main(["cumulant-convert", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "table, missing",
+        [
+            # (1, 2) is the first moment the depth-first walk of [1,2,2] lacks; a walk by size would name (2,) first
+            ({"[1]": [0.5, 0.0], "[1,2,2]": [1.0, 0.0], "[2,2]": [1.0, 0.0]}, "(1, 2)"),
+            # every sub-moment of [1,1,2] but (1, 1)
+            ({"[1]": [0.5, 0.0], "[2]": [0.1, 0.0], "[1,2]": [0.2, 0.0], "[1,1,2]": [1.0, 0.0]}, "(1, 1)"),
+        ],
+    )
+    def test_a_missing_sub_moment_is_named_in_one_json_line(self, tmp_path, capsys, table, missing):
+        path = write_config(
+            tmp_path / "c.json",
+            "cumulant-convert",
+            {"direction": "moments-to-cumulants", "table": table},
+            out=str(tmp_path / "run"),
+        )
+        assert main(["cumulant-convert", "--config", str(path)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        report = json.loads(line)
+        assert report["exit_code"] == 2
+        assert report["message"] == f"cumulant-convert: moment table is missing the sub-moment {missing}"
+        assert not (tmp_path / "run" / "converted.json").exists()
+
     def test_unknown_direction_rejected(self, tmp_path):
         path = write_config(
             tmp_path / "c.json",

@@ -131,7 +131,7 @@ class TestSubMultisetRecursion:
         ensemble = EnsembleOracle(samples)
         for key in [("u",), ("u", "u", "v"), ("u", "v", "w"), ("w", "v", "u", "u", "v"), ("u",) * 3 + ("v",) * 2 + ("w",)]:
             code = ensemble.book.code(key)
-            loo, _ = cumulants._kappa_recursive(ensemble.loo_moment_code, code, {})
+            (loo,), _ = cumulants._kappa_recursive(ensemble.loo_moment_code, [code], {})
             want = reference_kappa_by_subsets(ensemble.loo_moment_code, ensemble.book.slots(key), {})
             assert loo.shape == (12,)
             assert np.max(np.abs(loo - want)) <= 1e-12 * np.max(np.abs(want))
@@ -426,6 +426,73 @@ class TestCumulantTable:
     def test_json_reader_errors_name_the_entry(self, data, message):
         with pytest.raises(ConfigError, match=message):
             CumulantTable.from_json(data, max_order=2)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[1, 2]", (1, 2)),
+            (" [1]", (1,)),
+            ("[1] ", (1,)),
+            ("[1.0]", (1.0,)),
+            ("[[1,2],3]", ((1, 2), 3)),
+            ('["a",1]', ("a", 1)),
+            ("[-0.0]", (-0.0,)),
+            ('["\\u00e9"]', ("\u00e9",)),
+        ],
+    )
+    def test_json_reader_reads_every_key_form_as_json_does(self, text, key):
+        # keys the C scan takes whole as ints and strs, and keys it hands to the checked decode
+        (got,) = cumulants.table_from_json({text: [0.5, 0.0]})
+        assert got == key
+        assert [repr(i) for i in got] == [repr(i) for i in key]  # 1.0 stays a float, -0.0 keeps its sign
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[NaN]", "an index must be a finite number, a string or a list of them, got nan"),
+            ("[true]", "an index must be a finite number, a string or a list of them, got True"),
+            ("[null]", "an index must be a finite number, a string or a list of them, got None"),
+            ("[{}]", "an index must be a finite number, a string or a list of them, got {}"),
+            ("[1,[true]]", "an index must be a finite number, a string or a list of them, got True"),
+            ("[1", "table key '[1' is not valid JSON: Expecting ',' delimiter: line 1 column 3 (char 2)"),
+            ("[1]x", "table key '[1]x' is not valid JSON: Extra data: line 1 column 4 (char 3)"),
+            ("1", "table key '1' must be a JSON list of indices"),
+        ],
+    )
+    def test_json_reader_refuses_a_bad_key_with_its_message(self, text, message):
+        with pytest.raises(ConfigError) as raised:
+            cumulants.table_from_json({"[0]": [0.5, 0.0], text: [0.5, 0.0]})
+        assert str(raised.value) == message
+
+    def test_json_reader_checks_a_value_before_the_indices_of_its_key(self):
+        with pytest.raises(ConfigError) as raised:
+            cumulants.table_from_json({"[NaN]": "x"})
+        assert str(raised.value) == "table entry [NaN] must be a [re, im] pair of numbers, got 'x'"
+
+    @pytest.mark.parametrize(
+        "entries, want",
+        [
+            # str indices alone: each is encoded once, quotes and non-ASCII escaped as json.dumps does
+            ({("a\"b",): 1, ("\u00e9", "\u00fc"): 2j, ("\u2028",): 3},
+             {'["\\u00e9","\\u00fc"]': [0.0, 2.0], '["\\u2028"]': [3.0, 0.0], '["a\\"b"]': [1.0, 0.0]}),
+            # 1 and 1.0 are one dict key but two texts, as are 0.0 and -0.0
+            ({(1, 1.0): 2, (1.5,): 1, (-0.0, 0.0): 3},
+             {"[-0.0,0.0]": [3.0, 0.0], "[1,1.0]": [2.0, 0.0], "[1.5]": [1.0, 0.0]}),
+            ({((1, 2), 3): 1, ((1, (2, "x")),): 2, (("a",), 1): 3},
+             {'[["a"],1]': [3.0, 0.0], "[[1,2],3]": [1.0, 0.0], '[[1,[2,"x"]]]': [2.0, 0.0]}),
+            ({(10,): 1, (2, 10): 2, (1, "1"): 3},
+             {'[1,"1"]': [3.0, 0.0], "[10]": [1.0, 0.0], "[2,10]": [2.0, 0.0]}),
+        ],
+    )
+    def test_json_writer_keeps_its_bytes_for_every_index_type(self, entries, want):
+        got = table_to_json(entries)
+        assert json.dumps(got) == json.dumps(want) == json.dumps(reference_table_to_json(entries))
+
+    def test_canonical_keys_order_ints_and_strs_by_their_tokens(self):
+        # ints by their text, then strs; a float beside an equal int keeps its own place
+        table = CumulantTable(entries={(2, "b", 10, "a", 2): 1.0, (1, 1.0): 2.0})
+        assert [[repr(i) for i in key] for key in table.entries] == [["10", "2", "2", "'a'", "'b'"], ["1.0", "1"]]
+        assert table.to_json() == {'[10,2,2,"a","b"]': [1.0, 0.0], "[1.0,1]": [2.0, 0.0]}
 
     def test_json_reader_takes_plain_numbers_to_the_bit(self):
         data = {"[1]": [1, -2], "[2]": [5e-324, -0.0], "[1,2]": [1.7976931348623157e308, 0.1 + 0.2]}
